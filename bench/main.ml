@@ -51,7 +51,8 @@ let query () =
     ~data_corpus:Bioseq.Corpus.eco Bioseq.Corpus.cel
 
 let spine_index = lazy (Spine.Compact.of_seq (eco ()))
-let spine_fast = lazy (Spine.Index.of_seq (eco ()))
+let spine_engine = lazy (Spine.Compact.engine (Lazy.force spine_index))
+let fast_engine = lazy (Spine.Index.engine (Spine.Index.of_seq (eco ())))
 let st_index = lazy (Suffix_tree.build (eco ()))
 
 let disk_seq () = Experiments.Data.load ~scale:0.001 Bioseq.Corpus.eco
@@ -110,15 +111,17 @@ let descent_input =
   lazy
     (let data = eco () in
      let codes = Array.init 256 (Bioseq.Packed_seq.get data) in
-     let e = Spine.Compact.engine (Lazy.force spine_index) in
-     (codes, Spine.Engine.pattern e codes))
+     (codes, Spine.Engine.pattern (Lazy.force spine_engine) codes))
 
 let occ_pattern =
   lazy
     (let data = eco () in
      let codes = Array.init 64 (Bioseq.Packed_seq.get data) in
-     let e = Spine.Compact.engine (Lazy.force spine_index) in
-     Spine.Engine.pattern e codes)
+     Spine.Engine.pattern (Lazy.force spine_engine) codes)
+
+(* the cursor kernels time the functor directly, without the engine's
+   per-step guard closure *)
+module Compact_cursor = Spine.Cursor.Make (Spine.Compact_store)
 
 let tests =
   [ (* Table 2 is static accounting; its kernel is the space model *)
@@ -129,13 +132,13 @@ let tests =
        structure *)
     Test.make ~name:"table3/label-maxima"
       (Staged.stage (fun () ->
-           Spine.Compact.label_maxima (Lazy.force spine_index)))
+           Spine.Engine.label_maxima (Lazy.force spine_engine)))
   ; Test.make ~name:"table4/rib-distribution"
       (Staged.stage (fun () ->
-           Spine.Compact.rib_distribution (Lazy.force spine_index)))
+           Spine.Engine.rib_distribution (Lazy.force spine_engine)))
   ; Test.make ~name:"fig8/link-histogram"
       (Staged.stage (fun () ->
-           Spine.Compact.link_histogram (Lazy.force spine_index) ~buckets:10))
+           Spine.Engine.link_histogram (Lazy.force spine_engine) ~buckets:10))
   ; (* Figure 6: in-memory construction *)
     Test.make ~name:"fig6/spine-construction"
       (Staged.stage (fun () -> Spine.Compact.of_seq (eco ())))
@@ -144,7 +147,7 @@ let tests =
   ; (* Tables 5/6: in-memory maximal matching *)
     Test.make ~name:"table5/spine-matching"
       (Staged.stage (fun () ->
-           Spine.Compact.maximal_matches (Lazy.force spine_index)
+           Spine.Engine.maximal_matches (Lazy.force spine_engine)
              ~threshold:20 (query ())))
   ; Test.make ~name:"table5/suffix-tree-matching"
       (Staged.stage (fun () ->
@@ -152,7 +155,7 @@ let tests =
              (query ())))
   ; Test.make ~name:"table6/spine-matching-statistics"
       (Staged.stage (fun () ->
-           Spine.Compact.matching_statistics (Lazy.force spine_index)
+           Spine.Engine.matching_statistics (Lazy.force spine_engine)
              (query ())))
   ; (* Figure 7 / Table 7: disk-resident construction through the
        buffer pool *)
@@ -161,8 +164,9 @@ let tests =
   ; Test.make ~name:"table7/spine-disk-equivalent-search"
       (Staged.stage (fun () ->
            (* occurrence resolution is the disk search's dominant scan *)
-           Spine.Compact.occurrences (Lazy.force spine_index)
-             [| 0; 1; 2; 3; 0; 1 |]))
+           let e = Lazy.force spine_engine in
+           Spine.Engine.occurrences_pattern e
+             (Spine.Engine.pattern e [| 0; 1; 2; 3; 0; 1 |])))
   ; (* Section 5 space: full measurement pass *)
     Test.make ~name:"space/bytes-per-char"
       (Staged.stage (fun () ->
@@ -177,12 +181,12 @@ let tests =
       (Staged.stage (fun () -> Spine.Index.of_seq (eco ())))
   ; Test.make ~name:"ablation/deferred-occurrence-scan"
       (Staged.stage (fun () ->
-           Spine.Index.maximal_matches (Lazy.force spine_fast) ~threshold:16
+           Spine.Engine.maximal_matches (Lazy.force fast_engine) ~threshold:16
              (query ())))
   ; Test.make ~name:"ablation/immediate-occurrence-scan"
       (Staged.stage (fun () ->
-           Spine.Index.maximal_matches ~immediate:true
-             (Lazy.force spine_fast) ~threshold:16 (query ())))
+           Spine.Engine.maximal_matches ~immediate:true
+             (Lazy.force fast_engine) ~threshold:16 (query ())))
   ; (* packed-row kernels: whole-word compare vs the per-code oracle *)
     Test.make ~name:"packed/word-mismatch-dna-1mib"
       (Staged.stage (fun () ->
@@ -206,19 +210,20 @@ let tests =
   ; Test.make ~name:"packed/word-descent-256"
       (Staged.stage (fun () ->
            let _, pat = Lazy.force descent_input in
-           let c = Spine.Compact.Cursor.create (Lazy.force spine_index) in
-           Spine.Compact.Cursor.advance_pattern c pat))
+           let store = Spine.Compact.store (Lazy.force spine_index) in
+           let c = Compact_cursor.create store in
+           Compact_cursor.advance_pattern c pat))
   ; Test.make ~name:"packed/scalar-descent-256"
       (Staged.stage (fun () ->
            let codes, _ = Lazy.force descent_input in
-           let c = Spine.Compact.Cursor.create (Lazy.force spine_index) in
+           let store = Spine.Compact.store (Lazy.force spine_index) in
+           let c = Compact_cursor.create store in
            Array.iter
-             (fun code -> ignore (Spine.Compact.Cursor.advance c code))
+             (fun code -> ignore (Compact_cursor.advance c code))
              codes))
   ; Test.make ~name:"packed/occurrence-scan-dna-64"
       (Staged.stage (fun () ->
-           Spine.Engine.occurrences_pattern
-             (Spine.Compact.engine (Lazy.force spine_index))
+           Spine.Engine.occurrences_pattern (Lazy.force spine_engine)
              (Lazy.force occ_pattern)))
   ]
 

@@ -390,20 +390,21 @@ let stats_cmd =
   in
   let structure_run index =
     let idx = Spine.Serialize.of_file index in
-    let n = Spine.Index.length idx in
-    let { Spine.Index.vertebras; ribs; extribs; links } =
-      Spine.Index.edge_counts idx
+    let e = Spine.Index.engine idx in
+    let n = Spine.Engine.length e in
+    let { Spine.Engine.vertebras; ribs; extribs; links } =
+      Spine.Engine.edge_counts e
     in
-    let m = Spine.Index.label_maxima idx in
+    let m = Spine.Engine.label_maxima e in
     Printf.printf "characters        %d\n" n;
-    Printf.printf "nodes             %d\n" (Spine.Index.node_count idx);
+    Printf.printf "nodes             %d\n" (Spine.Engine.node_count e);
     Printf.printf "vertebras         %d\n" vertebras;
     Printf.printf "ribs              %d\n" ribs;
     Printf.printf "extribs           %d\n" extribs;
     Printf.printf "links             %d\n" links;
-    Printf.printf "max PT            %d\n" m.Spine.Index.max_pt;
-    Printf.printf "max LEL           %d\n" m.Spine.Index.max_lel;
-    Printf.printf "max PRT           %d\n" m.Spine.Index.max_prt;
+    Printf.printf "max PT            %d\n" m.Spine.Engine.max_pt;
+    Printf.printf "max LEL           %d\n" m.Spine.Engine.max_lel;
+    Printf.printf "max PRT           %d\n" m.Spine.Engine.max_prt;
     Printf.printf "model bytes/char  %.2f\n"
       (float_of_int (Spine.Index.model_bytes idx) /. float_of_int (max 1 n));
     0
@@ -620,7 +621,8 @@ let explain_cmd =
                 | Some codes ->
                   let occs, prof =
                     Spine.Engine.profiled engine (fun () ->
-                        Spine.Engine.occurrences engine codes)
+                        Spine.Engine.occurrences_pattern engine
+                          (Spine.Engine.pattern engine codes))
                   in
                   let count = List.length occs in
                   if Qlog.active () then
@@ -868,20 +870,19 @@ let match_cmd =
   in
   let run index query_file threshold stats =
     with_stats stats @@ fun () ->
-    let idx = Spine.Serialize.of_file index in
-    let alphabet = Spine.Index.alphabet idx in
-    match Bioseq.Fasta.read_file alphabet query_file with
+    let e = Spine.Index.engine (Spine.Serialize.of_file index) in
+    match Bioseq.Fasta.read_file (Spine.Engine.alphabet e) query_file with
     | [] -> prerr_endline "query FASTA contains no records"; 1
     | { Bioseq.Fasta.seq = query; _ } :: _ ->
       let matches, stats =
-        Spine.Index.maximal_matches idx ~threshold query
+        Spine.Engine.maximal_matches e ~threshold query
       in
       Printf.printf
         "%d maximal match(es) >= %d chars (checked %d nodes, %d suffix sets)\n"
-        (List.length matches) threshold stats.Spine.Index.nodes_checked
-        stats.Spine.Index.suffixes_checked;
+        (List.length matches) threshold stats.Spine.Engine.nodes_checked
+        stats.Spine.Engine.suffixes_checked;
       List.iter
-        (fun { Spine.Index.query_end; length; data_ends } ->
+        (fun { Spine.Engine.query_end; length; data_ends } ->
           Printf.printf "  query %d..%d  data:"
             (query_end - length + 1) query_end;
           List.iter
@@ -919,7 +920,7 @@ let approx_cmd =
   in
   let run index pattern errors edit_flag limit =
     let idx = Spine.Serialize.of_file index in
-    let alphabet = Spine.Index.alphabet idx in
+    let alphabet = Spine.Fast_store.alphabet idx in
     match
       Array.init (String.length pattern)
         (fun i -> Bioseq.Alphabet.encode alphabet pattern.[i])
@@ -1091,7 +1092,7 @@ let trace_cmd =
       Option.iter Trace.set_capacity capacity;
       Trace.reset ();
       let alphabet = Bioseq.Packed_seq.alphabet seq in
-      let occurrences_of =
+      let engine =
         if disk then begin
           let config =
             { Spine.Disk.default_config with
@@ -1102,7 +1103,7 @@ let trace_cmd =
               [ Trace.Int ("length", Bioseq.Packed_seq.length seq) ]
               (fun () -> Spine.Disk.build ~config seq)
           in
-          fun codes -> Spine.Compact.occurrences d.Spine.Disk.index codes
+          Spine.Disk.engine d
         end
         else begin
           let idx =
@@ -1110,7 +1111,7 @@ let trace_cmd =
               [ Trace.Int ("length", Bioseq.Packed_seq.length seq) ]
               (fun () -> Spine.Index.of_seq seq)
           in
-          fun codes -> Spine.Index.occurrences idx codes
+          Spine.Index.engine idx
         end
       in
       let bad = ref false in
@@ -1123,7 +1124,9 @@ let trace_cmd =
           | Some codes ->
             let occs =
               Trace.with_op "query" [ Trace.Str ("pattern", pattern) ]
-                (fun () -> occurrences_of codes)
+                (fun () ->
+                  Spine.Engine.occurrences_pattern engine
+                    (Spine.Engine.pattern engine codes))
             in
             Printf.printf "query %s: %d occurrence(s)\n" pattern
               (List.length occs))
@@ -1239,16 +1242,19 @@ let scrub_cmd =
         (fun () ->
           try
             let seq = P.sequence p in
-            let oracle = Spine.Index.of_seq seq in
-            Spine.Validate.check_exn oracle;
-            let n = P.length p in
-            if Spine.Index.length oracle <> n then begin
+            let oracle_idx = Spine.Index.of_seq seq in
+            Spine.Validate.check_exn oracle_idx;
+            let oracle = Spine.Index.engine oracle_idx in
+            let paged = P.engine p in
+            let n = Spine.Engine.length paged in
+            if Spine.Engine.length oracle <> n then begin
               Printf.printf "deep: length mismatch (oracle %d, paged %d)\n"
-                (Spine.Index.length oracle) n;
+                (Spine.Engine.length oracle) n;
               1
             end
             else if
-              P.rib_distribution p <> Spine.Index.rib_distribution oracle
+              Spine.Engine.rib_distribution paged
+              <> Spine.Engine.rib_distribution oracle
             then begin
               print_endline
                 "deep: rib distribution diverges from the oracle";
@@ -1265,9 +1271,10 @@ let scrub_cmd =
                 let pat =
                   Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k))
                 in
-                if
-                  P.occurrences p pat <> Spine.Index.occurrences oracle pat
-                then incr bad
+                let occurrences e =
+                  Spine.Engine.occurrences_pattern e (Spine.Engine.pattern e pat)
+                in
+                if occurrences paged <> occurrences oracle then incr bad
               done;
               if !bad > 0 then begin
                 Printf.printf "deep: %d/%d probe queries diverge\n" !bad

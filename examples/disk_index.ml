@@ -47,7 +47,8 @@ let () =
   let pattern =
     Array.init 12 (fun i -> Bioseq.Packed_seq.get genome (50_000 + i))
   in
-  let occs = Spine.Compact.occurrences d.Spine.Disk.index pattern in
+  let e = Spine.Disk.engine d in
+  let occs = Spine.Engine.occurrences_pattern e (Spine.Engine.pattern e pattern) in
   Printf.printf "cold search for a 12-mer: %d occurrence(s)\n"
     (List.length occs);
   print_endline "search I/O:";

@@ -17,7 +17,8 @@ let () =
   in
   Spine.Persistent.append_seq p genome;
   Printf.printf "built %d bp into %s (%.2f B/char on disk)\n"
-    (Spine.Persistent.length p) path (Spine.Persistent.bytes_per_char p);
+    (Spine.Engine.length (Spine.Persistent.engine p)) path
+    (Spine.Persistent.bytes_per_char p);
   let pool_stats = Pagestore.Buffer_pool.stats (Spine.Persistent.pool p) in
   Printf.printf "construction: %d pool hits, %d misses, %d evictions\n"
     pool_stats.Pagestore.Buffer_pool.hits pool_stats.Pagestore.Buffer_pool.misses
@@ -30,16 +31,22 @@ let () =
 
   (* session 2: reopen and query without rebuilding anything *)
   let p = Spine.Persistent.open_ ~frames:64 ~path () in
-  let probe = Array.init 14 (fun i -> Bioseq.Packed_seq.get genome (25_000 + i)) in
+  let e = Spine.Persistent.engine p in
+  let probe =
+    Spine.Engine.pattern e
+      (Array.init 14 (fun i -> Bioseq.Packed_seq.get genome (25_000 + i)))
+  in
   Printf.printf "reopened: %d bp; probe 14-mer found at %s\n"
-    (Spine.Persistent.length p)
+    (Spine.Engine.length e)
     (String.concat ", "
-       (List.map string_of_int (Spine.Persistent.occurrences p probe)));
+       (List.map string_of_int (Spine.Engine.occurrences_pattern e probe)));
 
   (* and it is still an online index *)
-  Spine.Persistent.append_string p "acgtacgtacgtacgt";
+  let added = "acgtacgtacgtacgt" in
+  Spine.Persistent.append_string p added;
   Printf.printf "appended 16 bp online; new length %d; new content found: %b\n"
-    (Spine.Persistent.length p)
-    (Spine.Persistent.contains p "acgtacgtacgtacgt");
+    (Spine.Engine.length e)
+    (Spine.Engine.contains_pattern e
+       (Option.get (Spine.Engine.pattern_of_string e added)));
   Spine.Persistent.close p;
   Sys.remove path

@@ -14,20 +14,24 @@ let () =
 
   (* online: feed characters one by one, querying as we go *)
   let idx = Spine.Index.create dna in
-  let probe = Array.init 8 (fun i -> Bioseq.Packed_seq.get stream i) in
+  let e = Spine.Index.engine idx in
+  let probe =
+    Spine.Engine.pattern e
+      (Array.init 8 (fun i -> Bioseq.Packed_seq.get stream i))
+  in
   let first_hit = ref (-1) in
   Bioseq.Packed_seq.iteri stream ~f:(fun pos code ->
       Spine.Index.append idx code;
       if !first_hit < 0 && pos >= 7 then
-        if Spine.Index.contains_codes idx probe then first_hit := pos);
+        if Spine.Engine.contains_pattern e probe then first_hit := pos);
   Printf.printf
     "online build of %d bp; the first 8-mer became queryable after \
      character %d (no rebuild, no batch step)\n"
-    (Spine.Index.length idx) !first_hit;
+    (Spine.Engine.length e) !first_hit;
 
   (* prefix partitioning: the index of the first half is the first half
      of the index *)
-  let half = Spine.Index.length idx / 2 in
+  let half = Spine.Engine.length e / 2 in
   let prefix_seq =
     Bioseq.Packed_seq.of_string dna
       (Bioseq.Packed_seq.sub_string stream ~pos:0 ~len:half)
@@ -49,11 +53,15 @@ let () =
   (* serialization round-trip *)
   let tmp = Filename.temp_file "spine" ".idx" in
   Spine.Serialize.to_file tmp idx;
-  let loaded = Spine.Serialize.of_file tmp in
-  let pat = Array.init 10 (fun i -> Bioseq.Packed_seq.get stream (1000 + i)) in
+  let loaded = Spine.Index.engine (Spine.Serialize.of_file tmp) in
+  let pat =
+    Spine.Engine.pattern e
+      (Array.init 10 (fun i -> Bioseq.Packed_seq.get stream (1000 + i)))
+  in
   Printf.printf "serialized to %s (%d bytes); reloaded index agrees on a \
                  10-mer query: %b\n"
     tmp (let ic = open_in_bin tmp in let n = in_channel_length ic in
          close_in ic; n)
-    (Spine.Index.occurrences idx pat = Spine.Index.occurrences loaded pat);
+    (Spine.Engine.occurrences_pattern e pat
+     = Spine.Engine.occurrences_pattern loaded pat);
   Sys.remove tmp

@@ -22,7 +22,7 @@ let () =
     proteomes;
   Printf.printf "generalized index over %d proteomes, %d residues total\n"
     (Spine.Generalized.count g)
-    (Spine.Index.length (Spine.Generalized.index g));
+    (Spine.Engine.length (Spine.Generalized.engine g));
 
   (* pull a real motif out of one proteome and search across all *)
   let _, yeast = List.nth proteomes 1 in
@@ -40,12 +40,12 @@ let () =
     hits;
 
   (* Section 5.2's structural observations on protein strings *)
-  let idx = Spine.Generalized.index g in
-  let m = Spine.Index.label_maxima idx in
-  let dist = Spine.Index.rib_distribution idx in
+  let e = Spine.Generalized.engine g in
+  let m = Spine.Engine.label_maxima e in
+  let dist = Spine.Engine.rib_distribution e in
   let total = Array.fold_left ( + ) 0 dist in
   Printf.printf
     "label maxima: PT %d, LEL %d (far below the 2-byte limit)\n"
-    m.Spine.Index.max_pt m.Spine.Index.max_lel;
+    m.Spine.Engine.max_pt m.Spine.Engine.max_lel;
   Printf.printf "nodes with downstream edges: %.1f%% (paper: under 30%%)\n"
     (100.0 *. float_of_int (total - dist.(0)) /. float_of_int total)

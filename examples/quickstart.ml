@@ -1,5 +1,5 @@
 (* Quickstart: build a SPINE index over a DNA string, run the three
-   basic query types, and peek at the structure.
+   basic query types through the engine, and peek at the structure.
 
      dune exec examples/quickstart.exe
 *)
@@ -9,54 +9,52 @@ let () =
   let dna = Bioseq.Alphabet.dna in
   let idx = Spine.Index.of_string dna "aaccacaaca" in
 
+  (* every query goes through the capability-aware engine handle;
+     Compact.engine / Persistent.engine / Disk.engine answer the same
+     calls *)
+  let e = Spine.Index.engine idx in
+  Printf.printf "engine backend = %s\n" (Spine.Engine.backend e);
   Printf.printf "indexed %d characters -> %d backbone nodes\n"
-    (Spine.Index.length idx) (Spine.Index.node_count idx);
+    (Spine.Engine.length e) (Spine.Engine.node_count e);
+
+  (* patterns are packed once, at the engine edge *)
+  let pattern s = Option.get (Spine.Engine.pattern_of_string e s) in
 
   (* 1. substring membership: SPINE answers without the original text *)
   List.iter
     (fun pat ->
-      Printf.printf "contains %-6s = %b\n" pat (Spine.Index.contains idx pat))
+      Printf.printf "contains %-6s = %b\n" pat
+        (Spine.Engine.contains_pattern e (pattern pat)))
     [ "cac"; "acca"; "accaa" (* the paper's false-positive example *) ];
 
   (* 2. all occurrences (the target-node-buffer scan of Section 4) *)
-  let encode s =
-    Array.init (String.length s) (fun i -> Bioseq.Alphabet.encode dna s.[i])
-  in
-  let occs = Spine.Index.occurrences idx (encode "ac") in
+  let occs = Spine.Engine.occurrences_pattern e (pattern "ac") in
   Printf.printf "occurrences of \"ac\" start at: %s\n"
     (String.concat ", " (List.map string_of_int occs));
 
   (* 3. maximal matches against another string *)
   let query = Bioseq.Packed_seq.of_string dna "ttaccacaat" in
-  let matches, stats = Spine.Index.maximal_matches idx ~threshold:3 query in
+  let matches, stats = Spine.Engine.maximal_matches e ~threshold:3 query in
   List.iter
-    (fun { Spine.Index.query_end; length; data_ends } ->
+    (fun { Spine.Engine.query_end; length; data_ends } ->
       Printf.printf
         "match of length %d ending at query %d, data ends: %s\n"
         length query_end
         (String.concat ", " (List.map string_of_int data_ends)))
     matches;
   Printf.printf "(%d nodes checked, %d suffix-set dispatches)\n"
-    stats.Spine.Index.nodes_checked stats.Spine.Index.suffixes_checked;
+    stats.Spine.Engine.nodes_checked stats.Spine.Engine.suffixes_checked;
 
   (* structure peek: the backward link of the last node *)
-  let dest, lel = Spine.Index.link idx (Spine.Index.length idx) in
+  let dest, lel = Spine.Index.link idx (Spine.Engine.length e) in
   Printf.printf
     "link of the tail node: the last %d characters first occurred ending \
      at node %d\n"
     lel dest;
 
-  (* 4. the engine view: the same index as a capability-aware Engine.t,
-     the uniform handle the CLI and cross-backend tests operate on.
-     Compact.engine / Persistent.engine / Disk.engine answer the same
-     calls. *)
-  let e = Spine.Index.engine idx in
-  assert (Spine.Engine.contains e "cac");
-  assert ((Spine.Engine.caps e).Spine.Engine.backend = "fast");
-  Printf.printf "engine backend = %s\n" (Spine.Engine.backend e);
-
   (* many patterns, ONE shared deferred backbone scan *)
-  let items = Spine.Engine.run_batch e [ encode "ac"; encode "ca" ] in
+  let codes s = Option.get (Spine.Engine.encode e s) in
+  let items = Spine.Engine.run_batch e [ codes "ac"; codes "ca" ] in
   List.iter
     (fun { Spine.Engine.count; positions; _ } ->
       Printf.printf "batched pattern: %d occurrence(s) at %s\n" count

@@ -27,31 +27,29 @@ let () =
        a rich set of edges for fast forward and backward traversals."
     else read_file path
   in
-  let idx = Spine.Index.of_string Bioseq.Alphabet.byte text in
+  let e = Spine.Index.engine (Spine.Index.of_string Bioseq.Alphabet.byte text) in
   Printf.printf "indexed %s (%d bytes) -> %d nodes\n"
     (if path = "" then "built-in snippet" else path)
-    (String.length text) (Spine.Index.node_count idx);
+    (String.length text) (Spine.Engine.node_count e);
 
-  (* word queries through the plain API *)
+  (* word queries through the engine *)
   List.iter
     (fun word ->
-      let codes =
-        Array.init (String.length word) (fun i -> Char.code word.[i])
-      in
+      let p = Option.get (Spine.Engine.pattern_of_string e word) in
       Printf.printf "%-12s %d occurrence(s)\n" word
-        (List.length (Spine.Index.occurrences idx codes)))
+        (List.length (Spine.Engine.occurrences_pattern e p)))
     [ "SPINE"; "suffix"; "backbone"; "zebra" ];
 
   (* streaming: feed a noisy "query document" through the cursor and
      report the longest region it shares with the indexed text — no
      per-character restart from the root *)
   let query = "the paper's backbone formed by a linear chain of springs" in
-  let cursor = Spine.Cursor.create idx in
+  let cursor = Spine.Engine.cursor e in
   let best = ref (0, 0) in
   String.iteri
     (fun i ch ->
-      Spine.Cursor.longest_extension cursor (Char.code ch);
-      let len = Spine.Cursor.length cursor in
+      cursor.Spine.Engine.longest_extension (Char.code ch);
+      let len = cursor.Spine.Engine.length () in
       if len > fst !best then best := (len, i))
     query;
   let len, at = !best in
@@ -62,11 +60,11 @@ let () =
   (match
      (* reposition the cursor on that best match to list where it is in
         the text *)
-     let c2 = Spine.Cursor.create idx in
+     let c2 = Spine.Engine.cursor e in
      String.iter
-       (fun ch -> ignore (Spine.Cursor.advance_char c2 ch))
+       (fun ch -> ignore (c2.Spine.Engine.advance_char ch))
        (String.sub query (at - len + 1) len);
-     Spine.Cursor.occurrences c2
+     c2.Spine.Engine.occurrences ()
    with
    | [] -> ()
    | ps ->

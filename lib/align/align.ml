@@ -22,10 +22,10 @@ let maximal_match_anchors ~engine ~threshold reference query =
   let matches =
     match engine with
     | `Spine ->
-      let idx = Spine.Index.of_seq reference in
-      let ms, _ = Spine.Index.maximal_matches idx ~threshold query in
+      let engine = Spine.Index.engine (Spine.Index.of_seq reference) in
+      let ms, _ = Spine.Engine.maximal_matches engine ~threshold query in
       List.map
-        (fun { Spine.Index.query_end; length; data_ends } ->
+        (fun { Spine.Engine.query_end; length; data_ends } ->
           (query_end, length, data_ends))
         ms
     | `Suffix_tree ->

@@ -20,9 +20,9 @@ let seeds pattern parts =
 
 (* Exact occurrences of the pattern slice [off, off+len) as data start
    positions, via the index. *)
-let seed_hits idx pattern (off, len) =
+let seed_hits engine pattern (off, len) =
   let seed = Array.sub pattern off len in
-  Spine.Index.occurrences idx seed
+  Spine.Engine.occurrences_pattern engine (Spine.Engine.pattern engine seed)
 
 let validate pattern k =
   if k < 0 then invalid_arg "Approx: negative error budget";
@@ -32,7 +32,8 @@ let validate pattern k =
    and sorted; [slack] widens the window for indels *)
 let candidates idx pattern ~k ~slack =
   let m = Array.length pattern in
-  let n = Spine.Index.length idx in
+  let n = Spine.Fast_store.length idx in
+  let engine = Spine.Index.engine idx in
   let set = Hashtbl.create 64 in
   List.iter
     (fun ((off, len) as seed) ->
@@ -43,7 +44,7 @@ let candidates idx pattern ~k ~slack =
             for s = base - slack to base + slack do
               if s >= 0 && s <= n - (m - k) then Hashtbl.replace set s ()
             done)
-          (seed_hits idx pattern seed))
+          (seed_hits engine pattern seed))
     (seeds pattern (k + 1));
   let out = Hashtbl.fold (fun s () acc -> s :: acc) set [] in
   List.sort compare out
@@ -51,8 +52,8 @@ let candidates idx pattern ~k ~slack =
 let hamming_hits idx ~pattern ~k =
   validate pattern k;
   let m = Array.length pattern in
-  let n = Spine.Index.length idx in
-  let seq = Spine.Index.sequence idx in
+  let n = Spine.Fast_store.length idx in
+  let seq = Spine.Fast_store.sequence idx in
   let verify s =
     if s < 0 || s + m > n then None
     else begin
@@ -138,8 +139,8 @@ let banded_edit seq n pattern s k =
 let edit idx ~pattern ~k =
   validate pattern k;
   let m = Array.length pattern in
-  let n = Spine.Index.length idx in
-  let seq = Spine.Index.sequence idx in
+  let n = Spine.Fast_store.length idx in
+  let seq = Spine.Fast_store.sequence idx in
   let starts =
     if k >= m then List.init (max 0 (n - (m - k) + 1)) (fun s -> s)
     else candidates idx pattern ~k ~slack:k

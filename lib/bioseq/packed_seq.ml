@@ -262,7 +262,10 @@ let mismatch_pattern t ~pos (p : Pattern.t) ~ppos ~len =
     || ppos + len > Array.length p.Pattern.codes
   then invalid_arg "Packed_seq.mismatch_pattern: span out of range";
   if p.Pattern.min_code >= 0 && p.Pattern.max_code < 1 lsl t.width then begin
-    let row =
+    (* A pattern may be shared by queries on several domains, so the
+       cache write can race; it is an idempotent memo that publishes a
+       fully built row, and every racing writer stores an equal one. *)
+    let[@spine.domain_safe "idempotent memo of a fully built row"] row =
       match p.Pattern.cached with
       | Some r when r.width = t.width -> r
       | _ ->

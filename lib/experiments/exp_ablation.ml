@@ -69,12 +69,12 @@ let layout (cfg : Config.t) =
   in
   let (_, _), fast_search =
     Xutil.Stopwatch.time (fun () ->
-        Spine.Index.maximal_matches fast_idx ~threshold:cfg.Config.threshold
-          query)
+        Spine.Engine.maximal_matches (Spine.Index.engine fast_idx)
+          ~threshold:cfg.Config.threshold query)
   in
   let (_, _), compact_search =
     Xutil.Stopwatch.time (fun () ->
-        Spine.Compact.maximal_matches compact_idx
+        Spine.Engine.maximal_matches (Spine.Compact.engine compact_idx)
           ~threshold:cfg.Config.threshold query)
   in
   let fast_bpc = float_of_int (Spine.Index.model_bytes fast_idx) /. float_of_int n in
@@ -106,15 +106,15 @@ let scan (cfg : Config.t) =
       ~data_corpus:(Bioseq.Corpus.find_exn "ECO")
       (Bioseq.Corpus.find_exn "CEL")
   in
-  let idx = Spine.Compact.of_seq seq in
+  let e = Spine.Compact.engine (Spine.Compact.of_seq seq) in
   let threshold = max 12 (cfg.Config.threshold - 6) in
   let (m1, _), deferred =
     Xutil.Stopwatch.time (fun () ->
-        Spine.Compact.maximal_matches idx ~threshold query)
+        Spine.Engine.maximal_matches e ~threshold query)
   in
   let (m2, _), immediate =
     Xutil.Stopwatch.time (fun () ->
-        Spine.Compact.maximal_matches ~immediate:true idx ~threshold query)
+        Spine.Engine.maximal_matches ~immediate:true e ~threshold query)
   in
   assert (List.length m1 = List.length m2);
   Report.Table.print

@@ -10,8 +10,8 @@ let run (cfg : Config.t) =
     (fun name ->
       let corpus = Bioseq.Corpus.find_exn name in
       let seq = Data.load ~scale:cfg.Config.scale corpus in
-      let idx = Spine.Compact.of_seq seq in
-      let hist = Spine.Compact.link_histogram idx ~buckets:cfg.Config.buckets in
+      let e = Spine.Compact.engine (Spine.Compact.of_seq seq) in
+      let hist = Spine.Engine.link_histogram e ~buckets:cfg.Config.buckets in
       let total = Array.fold_left ( + ) 0 hist in
       let series =
         Array.to_list

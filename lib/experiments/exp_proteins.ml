@@ -31,13 +31,14 @@ let run (cfg : Config.t) =
         let idx, secs =
           Xutil.Stopwatch.time (fun () -> Spine.Compact.of_seq seq)
         in
-        let m = Spine.Compact.label_maxima idx in
-        let dist = Spine.Compact.rib_distribution idx in
+        let e = Spine.Compact.engine idx in
+        let m = Spine.Engine.label_maxima e in
+        let dist = Spine.Engine.rib_distribution e in
         let total_nodes = Array.fold_left ( + ) 0 dist in
         let with_ribs = total_nodes - dist.(0) in
         let _, search_secs =
           Xutil.Stopwatch.median_of 3 (fun () ->
-              Spine.Compact.maximal_matches idx ~threshold:8 fixed_query)
+              Spine.Engine.maximal_matches e ~threshold:8 fixed_query)
         in
         [ corpus.Bioseq.Corpus.name;
           Report.Table.fmt_int n;
@@ -45,7 +46,7 @@ let run (cfg : Config.t) =
           Report.Table.fmt_float (secs /. float_of_int n *. 1e6) ^ " us/char";
           Report.Table.fmt_float ~decimals:3 search_secs;
           Report.Table.fmt_int
-            (max m.Spine.Compact.max_pt m.Spine.Compact.max_lel);
+            (max m.Spine.Engine.max_pt m.Spine.Engine.max_lel);
           Report.Table.fmt_pct
             (float_of_int with_ribs /. float_of_int total_nodes);
           Report.Table.fmt_float (Spine.Compact.bytes_per_char idx) ])

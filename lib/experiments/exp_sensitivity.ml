@@ -29,15 +29,16 @@ let run (cfg : Config.t) =
         let idx, secs =
           Xutil.Stopwatch.time (fun () -> Spine.Compact.of_seq seq)
         in
-        let m = Spine.Compact.label_maxima idx in
-        let dist = Spine.Compact.rib_distribution idx in
+        let e = Spine.Compact.engine idx in
+        let m = Spine.Engine.label_maxima e in
+        let dist = Spine.Engine.rib_distribution e in
         let total_nodes = Array.fold_left ( + ) 0 dist in
         let with_ribs = total_nodes - dist.(0) in
         [ name;
           Report.Table.fmt_float (secs /. float_of_int n *. 1e6) ^ " us/char";
           Report.Table.fmt_pct
             (float_of_int with_ribs /. float_of_int total_nodes);
-          Report.Table.fmt_int m.Spine.Compact.max_lel;
+          Report.Table.fmt_int m.Spine.Engine.max_lel;
           Report.Table.fmt_int (Spine.Compact.overflow_count idx);
           Report.Table.fmt_float (Spine.Compact.bytes_per_char idx) ])
       inputs

@@ -49,7 +49,9 @@ let run (cfg : Config.t) =
   let trie = Suffix_trie.build sample in
   let st = Suffix_tree.build sample in
   let dawg = Dawg.build sample in
-  let spine_idx = Spine.Index.of_seq sample in
+  let spine_nodes =
+    Spine.Engine.node_count (Spine.Index.engine (Spine.Index.of_seq sample))
+  in
   let pct_of_trie count =
     Report.Table.fmt_pct
       (float_of_int count /. float_of_int (Suffix_trie.node_count trie))
@@ -66,8 +68,8 @@ let run (cfg : Config.t) =
         Report.Table.fmt_int (Dawg.state_count dawg);
         pct_of_trie (Dawg.state_count dawg) ]
     ; [ "SPINE (horizontal, complete)";
-        Report.Table.fmt_int (Spine.Index.node_count spine_idx);
-        pct_of_trie (Spine.Index.node_count spine_idx) ]
+        Report.Table.fmt_int spine_nodes;
+        pct_of_trie spine_nodes ]
     ]
     ~note:
       "SPINE's node count is always exactly string length + 1; the DAWG \

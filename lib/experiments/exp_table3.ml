@@ -10,15 +10,15 @@ let run (cfg : Config.t) =
     List.map
       (fun corpus ->
         let seq = Data.load ~scale:cfg.Config.scale corpus in
-        let idx = Spine.Compact.of_seq seq in
-        let m = Spine.Compact.label_maxima idx in
-        let measured = max m.Spine.Compact.max_pt m.Spine.Compact.max_lel in
+        let e = Spine.Compact.engine (Spine.Compact.of_seq seq) in
+        let m = Spine.Engine.label_maxima e in
+        let measured = max m.Spine.Engine.max_pt m.Spine.Engine.max_lel in
         [ corpus.Bioseq.Corpus.name;
           Report.Table.fmt_int (Bioseq.Packed_seq.length seq);
           Report.Table.fmt_int measured;
-          Report.Table.fmt_int m.Spine.Compact.max_pt;
-          Report.Table.fmt_int m.Spine.Compact.max_lel;
-          Report.Table.fmt_int m.Spine.Compact.max_prt;
+          Report.Table.fmt_int m.Spine.Engine.max_pt;
+          Report.Table.fmt_int m.Spine.Engine.max_lel;
+          Report.Table.fmt_int m.Spine.Engine.max_prt;
           Report.Table.fmt_int
             (List.assoc corpus.Bioseq.Corpus.name paper) ])
       Bioseq.Corpus.dna

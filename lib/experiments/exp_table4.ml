@@ -13,8 +13,8 @@ let run (cfg : Config.t) =
     List.map
       (fun corpus ->
         let seq = Data.load ~scale:cfg.Config.scale corpus in
-        let idx = Spine.Compact.of_seq seq in
-        let dist = Spine.Compact.rib_distribution idx in
+        let e = Spine.Compact.engine (Spine.Compact.of_seq seq) in
+        let dist = Spine.Engine.rib_distribution e in
         let total_nodes = Array.fold_left ( + ) 0 dist in
         let pct f =
           let c =

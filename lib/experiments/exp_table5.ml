@@ -23,12 +23,12 @@ let run (cfg : Config.t) =
           Data.homologous_query ~scale:cfg.Config.scale
             ~data_corpus:(corpus dname) (corpus qname)
         in
-        let spine_idx = Spine.Compact.of_seq data in
+        let spine = Spine.Compact.engine (Spine.Compact.of_seq data) in
         let st = Suffix_tree.build data in
         let threshold = cfg.Config.threshold in
         let (spine_matches, _), spine_time =
           Xutil.Stopwatch.time (fun () ->
-              Spine.Compact.maximal_matches spine_idx ~threshold query)
+              Spine.Engine.maximal_matches spine ~threshold query)
         in
         let (st_matches, _), st_time =
           Xutil.Stopwatch.time (fun () ->

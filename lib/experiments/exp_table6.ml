@@ -18,10 +18,10 @@ let run (cfg : Config.t) =
           Data.homologous_query ~scale:cfg.Config.scale
             ~data_corpus:(corpus dname) (corpus qname)
         in
-        let spine_idx = Spine.Compact.of_seq data in
+        let spine = Spine.Compact.engine (Spine.Compact.of_seq data) in
         let st = Suffix_tree.build data in
         let _, spine_stats =
-          Spine.Compact.maximal_matches spine_idx
+          Spine.Engine.maximal_matches spine
             ~threshold:cfg.Config.threshold query
         in
         let _, st_stats =
@@ -29,10 +29,10 @@ let run (cfg : Config.t) =
         in
         [ dname; qname;
           Report.Table.fmt_int (st_stats.Suffix_tree.nodes_checked / 1000);
-          Report.Table.fmt_int (spine_stats.Spine.Compact.nodes_checked / 1000);
+          Report.Table.fmt_int (spine_stats.Spine.Engine.nodes_checked / 1000);
           Report.Table.fmt_int (st_stats.Suffix_tree.suffixes_checked / 1000);
           Report.Table.fmt_int
-            (spine_stats.Spine.Compact.suffixes_checked / 1000);
+            (spine_stats.Spine.Engine.suffixes_checked / 1000);
           Printf.sprintf "%d/%d" p_st p_spine ])
       pairs paper
   in

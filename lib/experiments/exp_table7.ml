@@ -31,7 +31,7 @@ let run (cfg : Config.t) =
         let spine = Spine.Disk.build ~config data in
         Spine.Disk.reset_io spine;
         let _ =
-          Spine.Compact.maximal_matches spine.Spine.Disk.index
+          Spine.Engine.maximal_matches (Spine.Disk.engine spine)
             ~threshold:cfg.Config.threshold query
         in
         let spine_secs = Spine.Disk.simulated_seconds spine in

@@ -332,7 +332,7 @@ type st = {
   mutable resilient : Spine.Resilient.t option;
   mutable report : Workload.report option;
   mutable qlog_records : Qlog.record list;
-  mutable oracle : (int * Spine.Index.t) option;  (* cached by length *)
+  mutable oracle : (int * Spine.Engine.t) option;  (* cached by length *)
   mutable wl_seq : int;        (* workload stage counter (qlog names) *)
 }
 
@@ -416,11 +416,11 @@ let prefix_seq st =
 
 let oracle_index st =
   match st.oracle with
-  | Some (len, idx) when len = st.oracle_len -> idx
+  | Some (len, e) when len = st.oracle_len -> e
   | _ ->
-    let idx = Spine.Index.of_seq (prefix_seq st) in
-    st.oracle <- Some (st.oracle_len, idx);
-    idx
+    let e = Spine.Index.engine (Spine.Index.of_seq (prefix_seq st)) in
+    st.oracle <- Some (st.oracle_len, e);
+    e
 
 let run_workload st (w : wstage) =
   let e = engine st in
@@ -500,7 +500,7 @@ let run_crash st c =
       stuck "crash: reopen failed: %s" (Spine_error.to_string e)
   in
   st.p <- Some reopened;
-  st.oracle_len <- P.length reopened
+  st.oracle_len <- Spine.Engine.length (P.engine reopened)
 
 (* --- expectations ---------------------------------------------------- *)
 
@@ -517,8 +517,10 @@ let check_parity st n =
        let pat =
          Array.init len (fun j -> Bioseq.Packed_seq.get seq (pos + j))
        in
-       let want = Spine.Index.occurrences oracle pat in
-       let got = Spine.Engine.occurrences e pat in
+       let occurrences e =
+         Spine.Engine.occurrences_pattern e (Spine.Engine.pattern e pat)
+       in
+       let want = occurrences oracle and got = occurrences e in
        if want <> got then begin
          incr mismatches;
          if !first = "" then

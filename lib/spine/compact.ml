@@ -1,16 +1,14 @@
 module S = Compact_store
 module B = Builder.Make (S)
-module A = Engine.Api (S)
 
 type t = S.t
 type trace = S.trace
 
-let caps_of t =
-  { Engine.backend = "compact"; persistent = false; paged = false;
-    traced = Option.is_some t.S.trace }
-
 let engine t =
-  Engine.pack ~caps:(caps_of t) (module S : Store_sig.S with type t = t) t
+  Engine.pack
+    ~caps:{ Engine.backend = "compact"; persistent = false; paged = false;
+            traced = Option.is_some t.S.trace }
+    (module S : Store_sig.S with type t = t) t
 
 (* --- construction --- *)
 
@@ -30,47 +28,6 @@ let of_string ?trace alphabet s =
   let t = create ~capacity:(max 16 (String.length s)) ?trace alphabet in
   append_string t s;
   t
-
-(* --- the shared query surface, re-exported from the engine API --- *)
-
-let alphabet = S.alphabet
-let length = S.length
-let node_count = A.node_count
-
-let contains = A.contains
-let contains_codes = A.contains_codes
-let find_first = A.find_first
-let first_occurrence = A.first_occurrence
-let occurrences = A.occurrences
-let end_nodes = A.end_nodes
-let occurrences_batch = A.occurrences_batch
-let occurrences_many = A.occurrences_many
-
-type match_stats = Matcher.stats = {
-  nodes_checked : int;
-  suffixes_checked : int;
-}
-
-type mmatch = Matcher.mmatch = {
-  query_end : int;
-  length : int;
-  data_ends : int list;
-}
-
-let matching_statistics = A.matching_statistics
-let maximal_matches = A.maximal_matches
-
-type label_maxima = Stats.label_maxima = {
-  max_pt : int;
-  max_lel : int;
-  max_prt : int;
-}
-
-let label_maxima = A.label_maxima
-let rib_distribution = A.rib_distribution
-let link_histogram = A.link_histogram
-
-module Cursor = A.C
 
 (* --- Section 5 space accounting --- *)
 

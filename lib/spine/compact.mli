@@ -1,25 +1,21 @@
 (** The SPINE index in the paper's optimised Section 5 layout.
 
     Functionally identical to {!Index} (the test suite enforces search
-    parity), but stored as the paper's Link Table + Rib Tables with
-    2-byte labels and an overflow side table.  This is the
-    representation whose space the paper reports ("less than 12 bytes
-    per indexed character") and the one the disk-resident experiments
-    trace through a buffer pool.  The query surface is the shared
-    {!Engine.Api} instantiated over {!Compact_store}. *)
+    parity through {!Engine}), but stored as the paper's Link Table +
+    Rib Tables with 2-byte labels and an overflow side table.  This is
+    the representation whose space the paper reports ("less than 12
+    bytes per indexed character") and the one the disk-resident
+    experiments trace through a buffer pool.  Queries go through
+    {!engine}. *)
 
 type t
 
 type trace = Compact_store.trace
 
-(** {2 Engine} *)
-
-val caps_of : t -> Engine.caps
-(** Backend "compact"; [traced] reflects whether the store was created
-    with an access-trace callback. *)
-
 val engine : t -> Engine.t
-(** Pack as a capability-aware engine.  Build once and reuse. *)
+(** Pack as a capability-aware engine (backend "compact"; [traced]
+    reflects whether the store was created with an access-trace
+    callback).  Build once and reuse. *)
 
 (** {2 Construction} *)
 
@@ -28,63 +24,6 @@ val append : t -> int -> unit
 val append_string : t -> string -> unit
 val of_seq : ?trace:trace -> Bioseq.Packed_seq.t -> t
 val of_string : ?trace:trace -> Bioseq.Alphabet.t -> string -> t
-
-val alphabet : t -> Bioseq.Alphabet.t
-val length : t -> int
-val node_count : t -> int
-
-(** {2 Search} *)
-
-val contains : t -> string -> bool
-val contains_codes : t -> int array -> bool
-val find_first : t -> int array -> int option
-val first_occurrence : t -> int array -> int option
-val occurrences : t -> int array -> int list
-val end_nodes : t -> int array -> int list
-
-val occurrences_batch : t -> (int * int) array -> Xutil.Int_vec.t array
-(** The raw deferred-scan machinery: given [(first-occurrence end node,
-    length)] pairs, resolve every occurrence of all of them in one
-    sequential backbone pass, one ascending end-node buffer per
-    pattern. *)
-
-val occurrences_many : t -> int array list -> int list array
-(** Dictionary search with ONE shared backbone scan; see
-    {!Index.occurrences_many}. *)
-
-type match_stats = Matcher.stats = {
-  nodes_checked : int;
-  suffixes_checked : int;
-}
-
-type mmatch = Matcher.mmatch = {
-  query_end : int;
-  length : int;
-  data_ends : int list;
-}
-
-val matching_statistics : t -> Bioseq.Packed_seq.t -> int array * match_stats
-
-val maximal_matches :
-  ?immediate:bool -> t -> threshold:int -> Bioseq.Packed_seq.t ->
-  mmatch list * match_stats
-
-type label_maxima = Stats.label_maxima = {
-  max_pt : int;
-  max_lel : int;
-  max_prt : int;
-}
-
-val label_maxima : t -> label_maxima
-val rib_distribution : t -> int array
-val link_histogram : t -> buckets:int -> int array
-
-(** {2 Cursors} *)
-
-module Cursor : Cursor.S with type store = t
-(** Incremental valid-path cursors over the packed layout (the shared
-    {!Cursor.Make}); {!Engine.cursor} wraps the same machinery behind
-    the uniform handle. *)
 
 (** {2 Space accounting (Section 5)} *)
 

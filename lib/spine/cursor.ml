@@ -95,7 +95,3 @@ module Make (St : Store_sig.S) = struct
     end
 end
 
-(* The historical module-level surface: a cursor over the in-memory
-   fast store ({!Index.t} is transparently equal to {!Fast_store.t}).
-   Other backends obtain cursors through {!Make} or {!Engine.cursor}. *)
-include Make (Fast_store)

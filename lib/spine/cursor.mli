@@ -16,10 +16,7 @@
 
     The cursor is written once, as {!Make} over {!Store_sig.S}, so
     every storage backend — fast, compact, persistent, disk — supports
-    incremental cursors; {!Engine.cursor} packages them uniformly.  The
-    module-level values below are the historical convenience surface
-    over the in-memory fast store ({!Index.t} is transparently equal to
-    {!Fast_store.t}). *)
+    incremental cursors; {!Engine.cursor} packages them uniformly. *)
 
 (** The cursor surface over one store type. *)
 module type S = sig
@@ -79,5 +76,3 @@ module type S = sig
 end
 
 module Make (St : Store_sig.S) : S with type store = St.t
-
-include S with type store := Fast_store.t

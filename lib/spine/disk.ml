@@ -80,10 +80,6 @@ let build ?(config = default_config) seq =
   Pagestore.Buffer_pool.flush pool;
   { index; device; pool; router }
 
-let caps =
-  { Engine.backend = "disk"; persistent = false; paged = true;
-    traced = true }
-
 (* The simulated device mirrors the in-memory tables page-for-page and
    the pool caches it; both are storage overlays on top of the store's
    own components, reported so `stats --space` shows the whole stack. *)
@@ -93,11 +89,11 @@ let space_extra t () =
     ("bufferpool_frames", Pagestore.Buffer_pool.frames t.pool * page) ]
 
 let engine t =
-  Engine.pack ~caps ~space_extra:(space_extra t)
+  Engine.pack ~space_extra:(space_extra t)
+    ~caps:{ Engine.backend = "disk"; persistent = false; paged = true;
+            traced = true }
     (module Compact_store : Store_sig.S with type t = Compact_store.t)
     (Compact.store t.index)
-
-let cursor t = Engine.cursor (engine t)
 
 let reset_io t =
   Pagestore.Buffer_pool.drop t.pool;

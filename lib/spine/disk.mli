@@ -39,18 +39,11 @@ val build : ?config:config -> Bioseq.Packed_seq.t -> t
     the construction I/O; the paper's Figure 7 reads
     [Device.stats device] afterwards. *)
 
-val caps : Engine.caps
-(** Backend "disk": [paged] and [traced] set (every record access is
-    routed through the buffer pool by the trace router). *)
-
 val engine : t -> Engine.t
-(** Pack as a capability-aware engine: queries run over the packed
-    layout with every record access faulting through the bounded
-    buffer pool, exactly like the paper's disk-resident experiments. *)
-
-val cursor : t -> Engine.cursor
-(** An incremental valid-path cursor whose traversal faults pages on
-    demand. *)
+(** Pack as a capability-aware engine (backend "disk", [paged] and
+    [traced] set): queries run over the packed layout with every record
+    access faulting through the bounded buffer pool, exactly like the
+    paper's disk-resident experiments. *)
 
 val reset_io : t -> unit
 (** Flush and empty the pool and zero the device counters — call

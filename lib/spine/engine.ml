@@ -36,79 +36,12 @@ type edge_counts = Stats.edge_counts = {
   links : int;
 }
 
-module type API = sig
-  type store
-
-  module Q : Search.S with type store = store
-  module M : Matcher.S with type store = store
-  module St : Stats.S with type store = store
-  module C : Cursor.S with type store = store
-
-  val alphabet : store -> Bioseq.Alphabet.t
-  val length : store -> int
-  val node_count : store -> int
-  val contains : store -> string -> bool
-  val contains_codes : store -> int array -> bool
-  val contains_pattern : store -> Bioseq.Packed_seq.Pattern.t -> bool
-  val find_first : store -> int array -> int option
-  val find_first_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int option
-  val end_nodes_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
-  val occurrences_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
-  val first_occurrence : store -> int array -> int option
-  val occurrences : store -> int array -> int list
-  val end_nodes : store -> int array -> int list
-  val end_nodes_binary : store -> int array -> int list
-  val occurrences_batch : store -> (int * int) array -> Xutil.Int_vec.t array
-  val occurrences_many : store -> int array list -> int list array
-
-  val matching_statistics :
-    store -> Bioseq.Packed_seq.t -> int array * match_stats
-
-  val maximal_matches :
-    ?immediate:bool ->
-    store -> threshold:int -> Bioseq.Packed_seq.t -> mmatch list * match_stats
-
-  val label_maxima : store -> label_maxima
-  val rib_distribution : store -> int array
-  val edge_counts : store -> edge_counts
-  val link_histogram : store -> buckets:int -> int array
-end
-
-module Api (S : Store_sig.S) = struct
-  module Q = Search.Make (S)
-  module M = Matcher.Make (S)
-  module St = Stats.Make (S)
-  module C = Cursor.Make (S)
-
-  type store = S.t
-
-  let alphabet = S.alphabet
-  let length = S.length
-  let node_count t = S.length t + 1
-  let contains = Q.contains
-  let contains_codes = Q.contains_codes
-  let contains_pattern = Q.contains_pattern
-  let find_first = Q.find_first
-  let find_first_pattern = Q.find_first_pattern
-  let end_nodes_pattern = Q.end_nodes_pattern
-  let occurrences_pattern = Q.occurrences_pattern
-  let first_occurrence = Q.first_occurrence
-  let occurrences = Q.occurrences
-  let end_nodes = Q.end_nodes
-  let end_nodes_binary = Q.end_nodes_binary
-  let occurrences_batch = Q.occurrences_batch
-  let occurrences_many = Q.occurrences_many
-  let matching_statistics = M.matching_statistics
-  let maximal_matches = M.maximal_matches
-  let label_maxima = St.label_maxima
-  let rib_distribution = St.rib_distribution
-  let edge_counts = St.edge_counts
-  let link_histogram = St.link_histogram
-end
-
 module type BACKEND = sig
   module S : Store_sig.S
-  module A : API with type store = S.t
+  module Q : Search.S with type store = S.t
+  module M : Matcher.S with type store = S.t
+  module St : Stats.S with type store = S.t
+  module C : Cursor.S with type store = S.t
 
   val store : S.t
   val caps : caps
@@ -118,11 +51,15 @@ end
 
 type t = (module BACKEND)
 
+(* The query functors are applied here, once per packed store. *)
 let pack (type s) ?(guard = ignore) ?(space_extra = fun () -> []) ~caps
     (module S : Store_sig.S with type t = s) (store : s) : t =
   (module struct
     module S = S
-    module A = Api (S)
+    module Q = Search.Make (S)
+    module M = Matcher.Make (S)
+    module St = Stats.Make (S)
+    module C = Cursor.Make (S)
 
     let store = store
     let caps = caps
@@ -137,27 +74,23 @@ let backend e = (caps e).backend
 
 let alphabet (module B : BACKEND) =
   B.guard ();
-  B.A.alphabet B.store
+  B.S.alphabet B.store
 
 let length (module B : BACKEND) =
   B.guard ();
-  B.A.length B.store
+  B.S.length B.store
 
 let node_count (module B : BACKEND) =
   B.guard ();
-  B.A.node_count B.store
+  B.S.length B.store + 1
 
-let contains (module B : BACKEND) s =
+let encode (module B : BACKEND) s =
   B.guard ();
-  B.A.contains B.store s
-
-let contains_codes (module B : BACKEND) codes =
-  B.guard ();
-  B.A.contains_codes B.store codes
-
-let find_first (module B : BACKEND) codes =
-  B.guard ();
-  B.A.find_first B.store codes
+  let alphabet = B.S.alphabet B.store in
+  try
+    Some (Array.init (String.length s)
+            (fun i -> Bioseq.Alphabet.encode alphabet s.[i]))
+  with Invalid_argument _ -> None
 
 (* Pattern-based entry points: the query is packed exactly once, here
    at the engine edge, and every downstream scan consumes the packed
@@ -165,79 +98,58 @@ let find_first (module B : BACKEND) codes =
 
 let pattern (module B : BACKEND) codes =
   B.guard ();
-  Bioseq.Packed_seq.Pattern.of_codes (B.A.alphabet B.store) codes
+  Bioseq.Packed_seq.Pattern.of_codes (B.S.alphabet B.store) codes
 
-let pattern_of_string e s =
-  Option.map (pattern e) (let (module B : BACKEND) = e in B.A.Q.encode B.store s)
+let pattern_of_string e s = Option.map (pattern e) (encode e s)
 
 let contains_pattern (module B : BACKEND) p =
   B.guard ();
-  B.A.contains_pattern B.store p
+  B.Q.contains_pattern B.store p
 
 let find_first_pattern (module B : BACKEND) p =
   B.guard ();
-  B.A.find_first_pattern B.store p
+  B.Q.find_first_pattern B.store p
 
 let end_nodes_pattern (module B : BACKEND) p =
   B.guard ();
-  B.A.end_nodes_pattern B.store p
+  B.Q.end_nodes_pattern B.store p
 
 let occurrences_pattern (module B : BACKEND) p =
   B.guard ();
-  B.A.occurrences_pattern B.store p
-
-let first_occurrence (module B : BACKEND) codes =
-  B.guard ();
-  B.A.first_occurrence B.store codes
-
-let occurrences (module B : BACKEND) codes =
-  B.guard ();
-  B.A.occurrences B.store codes
-
-let end_nodes (module B : BACKEND) codes =
-  B.guard ();
-  B.A.end_nodes B.store codes
+  B.Q.occurrences_pattern B.store p
 
 let occurrences_batch (module B : BACKEND) firsts =
   B.guard ();
-  B.A.occurrences_batch B.store firsts
-
-let occurrences_many (module B : BACKEND) patterns =
-  B.guard ();
-  B.A.occurrences_many B.store patterns
-
-let encode (module B : BACKEND) s =
-  B.guard ();
-  B.A.Q.encode B.store s
+  B.Q.occurrences_batch B.store firsts
 
 let matching_statistics (module B : BACKEND) q =
   B.guard ();
-  B.A.matching_statistics B.store q
+  B.M.matching_statistics B.store q
 
 let maximal_matches ?immediate (module B : BACKEND) ~threshold q =
   B.guard ();
-  B.A.maximal_matches ?immediate B.store ~threshold q
+  B.M.maximal_matches ?immediate B.store ~threshold q
 
 let label_maxima (module B : BACKEND) =
   B.guard ();
-  B.A.label_maxima B.store
+  B.St.label_maxima B.store
 
 let rib_distribution (module B : BACKEND) =
   B.guard ();
-  B.A.rib_distribution B.store
+  B.St.rib_distribution B.store
 
 let edge_counts (module B : BACKEND) =
   B.guard ();
-  B.A.edge_counts B.store
+  B.St.edge_counts B.store
 
 let link_histogram (module B : BACKEND) ~buckets =
   B.guard ();
-  B.A.link_histogram B.store ~buckets
+  B.St.link_histogram B.store ~buckets
 
 let space (module B : BACKEND) =
   B.guard ();
   let report =
-    Space_report.make ~backend:B.caps.backend ~chars:(B.A.length B.store)
+    Space_report.make ~backend:B.caps.backend ~chars:(B.S.length B.store)
       (B.S.space_components B.store @ B.space_extra ())
   in
   Space_report.set_gauges report;
@@ -268,7 +180,11 @@ let run_batch (module B : BACKEND) patterns =
     [ Trace.Int ("patterns", List.length patterns);
       Trace.Str ("backend", B.caps.backend) ]
   @@ fun () ->
-  let results = B.A.occurrences_many B.store patterns in
+  let alphabet = B.S.alphabet B.store in
+  let results =
+    B.Q.occurrences_many B.store
+      (List.map (Bioseq.Packed_seq.Pattern.of_codes alphabet) patterns)
+  in
   List.mapi
     (fun i pattern ->
       let positions = results.(i) in
@@ -292,15 +208,15 @@ type cursor = {
 
 let cursor (module B : BACKEND) =
   B.guard ();
-  let c = B.A.C.create B.store in
+  let c = B.C.create B.store in
   let g = B.guard in
-  { advance = (fun code -> g (); B.A.C.advance c code);
-    advance_char = (fun ch -> g (); B.A.C.advance_char c ch);
-    advance_pattern = (fun p -> g (); B.A.C.advance_pattern c p);
-    drop_front = (fun () -> g (); B.A.C.drop_front c);
-    longest_extension = (fun code -> g (); B.A.C.longest_extension c code);
-    reset = (fun () -> B.A.C.reset c);
-    length = (fun () -> B.A.C.length c);
-    node = (fun () -> B.A.C.node c);
-    first_occurrence = (fun () -> B.A.C.first_occurrence c);
-    occurrences = (fun () -> g (); B.A.C.occurrences c) }
+  { advance = (fun code -> g (); B.C.advance c code);
+    advance_char = (fun ch -> g (); B.C.advance_char c ch);
+    advance_pattern = (fun p -> g (); B.C.advance_pattern c p);
+    drop_front = (fun () -> g (); B.C.drop_front c);
+    longest_extension = (fun code -> g (); B.C.longest_extension c code);
+    reset = (fun () -> B.C.reset c);
+    length = (fun () -> B.C.length c);
+    node = (fun () -> B.C.node c);
+    first_occurrence = (fun () -> B.C.first_occurrence c);
+    occurrences = (fun () -> g (); B.C.occurrences c) }

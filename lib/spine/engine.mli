@@ -1,19 +1,20 @@
-(** Capability-aware engine layer: one query surface, many backends.
+(** Capability-aware engine layer: the one SPINE query surface, served
+    by any backend.
 
-    The SPINE algorithms are functors over {!Store_sig.S}; historically
-    each front-end ({!Index}, {!Compact}, {!Persistent}, {!Disk},
-    {!Generalized}) privately re-instantiated them and re-exported
-    near-identical wrappers — so every new capability had to be written
-    five times.  This module defines the query surface {e exactly once}:
+    The SPINE algorithms are functors over {!Store_sig.S}.  {!pack}
+    applies them ({!Search}/{!Matcher}/{!Stats}/{!Cursor}) to one store
+    and bundles the result with a {!caps} capability record and a
+    liveness [guard] into a first-class {!t}.  Every query in the
+    repository — the CLI, the experiments, the batch path,
+    cross-backend differential tests — goes through this handle; the
+    front-ends ({!Index}, {!Compact}, {!Persistent}, {!Disk},
+    {!Generalized}) only construct stores and offer the operations
+    specific to their storage.
 
-    - {!Api} instantiates the complete algorithm suite
-      ({!Search}/{!Matcher}/{!Stats}/{!Cursor}) over one store; every
-      front-end's query API is a re-export of its [Api] instance.
-    - {!pack} bundles a store implementation, its instantiated
-      algorithms, a {!caps} capability record and a liveness [guard]
-      into a first-class {!t} — the uniform handle the CLI, the batch
-      path and cross-backend tooling (differential tests, the query
-      router) operate on.
+    Patterns are packed once, at this edge, into
+    {!Bioseq.Packed_seq.Pattern.t} ({!pattern}, {!pattern_of_string});
+    the descent and the occurrence scan consume the packed row
+    word-at-a-time.
 
     The paper closes (Section 8) by arguing SPINE's linearity makes it
     "more amenable for integration with database engines"; this layer
@@ -34,8 +35,7 @@ type caps = {
 
 (** {2 Canonical result types}
 
-    Aliases of the single definitions in {!Matcher} and {!Stats}; the
-    per-front-end [Matcher.Make(...)] re-equations are gone. *)
+    Aliases of the single definitions in {!Matcher} and {!Stats}. *)
 
 type match_stats = Matcher.stats = {
   nodes_checked : int;
@@ -61,69 +61,9 @@ type edge_counts = Stats.edge_counts = {
   links : int;
 }
 
-(** {2 The shared query API over one store} *)
-
-module type API = sig
-  type store
-
-  module Q : Search.S with type store = store
-  module M : Matcher.S with type store = store
-  module St : Stats.S with type store = store
-  module C : Cursor.S with type store = store
-
-  val alphabet : store -> Bioseq.Alphabet.t
-  val length : store -> int
-  val node_count : store -> int
-  val contains : store -> string -> bool
-  val contains_codes : store -> int array -> bool
-  val contains_pattern : store -> Bioseq.Packed_seq.Pattern.t -> bool
-  val find_first : store -> int array -> int option
-  val find_first_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int option
-  val end_nodes_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
-  val occurrences_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
-  val first_occurrence : store -> int array -> int option
-  val occurrences : store -> int array -> int list
-  val end_nodes : store -> int array -> int list
-  val end_nodes_binary : store -> int array -> int list
-  val occurrences_batch : store -> (int * int) array -> Xutil.Int_vec.t array
-  val occurrences_many : store -> int array list -> int list array
-
-  val matching_statistics :
-    store -> Bioseq.Packed_seq.t -> int array * match_stats
-
-  val maximal_matches :
-    ?immediate:bool ->
-    store -> threshold:int -> Bioseq.Packed_seq.t -> mmatch list * match_stats
-
-  val label_maxima : store -> label_maxima
-  val rib_distribution : store -> int array
-  val edge_counts : store -> edge_counts
-  val link_histogram : store -> buckets:int -> int array
-end
-
-module Api (S : Store_sig.S) : API with type store = S.t
-(** The whole query API for one store implementation — the only place
-    the algorithm functors are applied. *)
-
 (** {2 Packed backends} *)
 
-module type BACKEND = sig
-  module S : Store_sig.S
-  module A : API with type store = S.t
-
-  val store : S.t
-  val caps : caps
-
-  val guard : unit -> unit
-  (** Raises when the backend is unusable (e.g. a closed persistent
-      index); called before every query. *)
-
-  val space_extra : unit -> (string * int) list
-  (** Storage components beyond the store itself (buffer-pool frames,
-      device pages); see {!pack}'s [space_extra]. *)
-end
-
-type t = (module BACKEND)
+type t
 
 val pack :
   ?guard:(unit -> unit) ->
@@ -131,7 +71,9 @@ val pack :
   caps:caps ->
   (module Store_sig.S with type t = 's) -> 's -> t
 (** [pack (module S) store] packs a store with its instantiated
-    algorithms into an engine.  Construction applies the algorithm
+    algorithms into an engine.  [guard] (default none) raises when the
+    backend is unusable (e.g. a closed persistent index); it runs
+    before every query.  Construction applies the algorithm
     functors — cheap, but callers should build an engine once and
     reuse it rather than re-packing per query.  [space_extra] (default
     none) lets paged constructors report storage components that live
@@ -146,15 +88,6 @@ val backend : t -> string
 val alphabet : t -> Bioseq.Alphabet.t
 val length : t -> int
 val node_count : t -> int
-val contains : t -> string -> bool
-val contains_codes : t -> int array -> bool
-val find_first : t -> int array -> int option
-val first_occurrence : t -> int array -> int option
-val occurrences : t -> int array -> int list
-val end_nodes : t -> int array -> int list
-val occurrences_batch : t -> (int * int) array -> Xutil.Int_vec.t array
-val occurrences_many : t -> int array list -> int list array
-
 val encode : t -> string -> int array option
 (** Encode a pattern string in the backend's alphabet; [None] if any
     character is outside it. *)
@@ -165,9 +98,7 @@ val encode : t -> string -> int array option
     {!Bioseq.Packed_seq}: the descent and occurrence resolution then
     compare whole words against the text row, falling back to per-code
     steps only at span boundaries and rib/extrib transitions.  Callers
-    issuing one query can keep using the code-array surface above (it
-    packs internally); callers re-running a pattern should build it
-    once with {!pattern} and reuse it. *)
+    re-running a pattern should build it once and reuse it. *)
 
 val pattern : t -> int array -> Bioseq.Packed_seq.Pattern.t
 (** Pack a code array against the backend's alphabet.  Out-of-alphabet
@@ -187,6 +118,12 @@ val end_nodes_pattern : t -> Bioseq.Packed_seq.Pattern.t -> int list
 
 val occurrences_pattern : t -> Bioseq.Packed_seq.Pattern.t -> int list
 (** 0-based start positions, ascending. *)
+
+val occurrences_batch : t -> (int * int) array -> Xutil.Int_vec.t array
+(** The raw deferred-scan machinery: given [(first-occurrence end node,
+    length)] pairs, resolve every occurrence of all of them in one
+    sequential backbone pass, one ascending end-node buffer per
+    pattern. *)
 
 val matching_statistics :
   t -> Bioseq.Packed_seq.t -> int array * match_stats
@@ -229,7 +166,8 @@ type batch_item = {
 }
 
 val run_batch : t -> int array list -> batch_item list
-(** One result per input pattern, in order. *)
+(** One result per input pattern, in order.  Each pattern is packed
+    once, under the one guard check. *)
 
 (** {2 Cursors}
 

@@ -15,12 +15,12 @@ let count t = Array.length t.entries
 
 let add t ?name seq =
   if not (Bioseq.Alphabet.equal
-            (Bioseq.Packed_seq.alphabet seq) (Index.alphabet t.idx))
+            (Bioseq.Packed_seq.alphabet seq) (Fast_store.alphabet t.idx))
   then invalid_arg "Generalized.add: alphabet mismatch";
-  let sep = Bioseq.Alphabet.separator (Index.alphabet t.idx) in
+  let sep = Bioseq.Alphabet.separator (Fast_store.alphabet t.idx) in
   (* separator BETWEEN strings only *)
   if count t > 0 then Index.append t.idx sep;
-  let start = Index.length t.idx in
+  let start = Fast_store.length t.idx in
   Bioseq.Packed_seq.iteri seq ~f:(fun _ code -> Index.append t.idx code);
   let id = count t in
   let entry_name =
@@ -32,7 +32,7 @@ let add t ?name seq =
   id
 
 let add_string t ?name s =
-  add t ?name (Bioseq.Packed_seq.of_string (Index.alphabet t.idx) s)
+  add t ?name (Bioseq.Packed_seq.of_string (Fast_store.alphabet t.idx) s)
 
 let name t id = t.entries.(id).entry_name
 let string_length t id = t.entries.(id).len
@@ -59,7 +59,6 @@ let locate t gpos =
   { string_id = !lo; pos = gpos - e.start }
 
 let occurrences t codes =
-  Index.occurrences t.idx codes
+  let e = engine t in
+  Engine.occurrences_pattern e (Engine.pattern e codes)
   |> List.map (fun gpos -> locate t gpos)
-
-let contains t s = Index.contains t.idx s

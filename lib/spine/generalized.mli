@@ -41,8 +41,6 @@ val occurrences : t -> int array -> hit list
 (** All occurrences of the pattern across all indexed strings, ordered
     by (id, position). *)
 
-val contains : t -> string -> bool
-
 val locate : t -> int -> hit
 (** Translate a global 0-based backbone position to a per-string
     position. @raise Invalid_argument if the position falls on a

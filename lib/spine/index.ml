@@ -1,14 +1,13 @@
 module S = Fast_store
 module B = Builder.Make (S)
-module A = Engine.Api (S)
 
 type t = S.t
 
-let caps =
-  { Engine.backend = "fast"; persistent = false; paged = false;
-    traced = false }
-
-let engine t = Engine.pack ~caps (module S : Store_sig.S with type t = t) t
+let engine t =
+  Engine.pack
+    ~caps:{ Engine.backend = "fast"; persistent = false; paged = false;
+            traced = false }
+    (module S : Store_sig.S with type t = t) t
 
 (* --- construction --- *)
 
@@ -31,55 +30,6 @@ let of_string alphabet s =
   let t = create ~capacity:(max 16 (String.length s)) alphabet in
   append_string t s;
   t
-
-(* --- the shared query surface, re-exported from the engine API --- *)
-
-let alphabet = S.alphabet
-let length = S.length
-let sequence = S.sequence
-let node_count = A.node_count
-
-let contains = A.contains
-let contains_codes = A.contains_codes
-let find_first = A.find_first
-let first_occurrence = A.first_occurrence
-let occurrences = A.occurrences
-let end_nodes = A.end_nodes
-let end_nodes_binary = A.end_nodes_binary
-let occurrences_batch = A.occurrences_batch
-let occurrences_many = A.occurrences_many
-
-type match_stats = Matcher.stats = {
-  nodes_checked : int;
-  suffixes_checked : int;
-}
-
-type mmatch = Matcher.mmatch = {
-  query_end : int;
-  length : int;
-  data_ends : int list;
-}
-
-let matching_statistics = A.matching_statistics
-let maximal_matches = A.maximal_matches
-
-type label_maxima = Stats.label_maxima = {
-  max_pt : int;
-  max_lel : int;
-  max_prt : int;
-}
-
-type edge_counts = Stats.edge_counts = {
-  vertebras : int;
-  ribs : int;
-  extribs : int;
-  links : int;
-}
-
-let label_maxima = A.label_maxima
-let rib_distribution = A.rib_distribution
-let edge_counts = A.edge_counts
-let link_histogram = A.link_histogram
 
 (* --- fast-store specifics --- *)
 

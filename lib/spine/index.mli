@@ -1,13 +1,9 @@
 (** The SPINE index — in-memory flavour.
 
-    This is the primary user-facing module: online construction
-    ({!create}/{!append}/{!of_seq}), substring search with first and all
-    occurrences, streaming maximal-match enumeration, and the structure
-    statistics the paper reports.  The query surface is the shared
-    {!Engine.Api} instantiated over the hashtable-backed
-    {!Fast_store}; see {!Compact} for the paper's packed
-    Link-Table/Rib-Table layout, and {!engine} for the uniform
-    capability-aware handle.
+    Online construction over the hashtable-backed {!Fast_store}, plus
+    the raw structure access the paper's worked example is checked
+    against.  Queries go through {!engine}; see {!Compact} for the
+    paper's packed Link-Table/Rib-Table layout.
 
     Positions are 0-based; node [i] of the backbone is the end of the
     prefix of length [i], so a pattern occurrence with end node [e] and
@@ -15,17 +11,11 @@
 
 type t = Fast_store.t
 (** Transparently the underlying store, so modules layered on top
-    ({!Cursor}, {!Serialize}, {!Align}) can operate on it directly. *)
-
-(** {2 Engine} *)
-
-val caps : Engine.caps
-(** [{ backend = "fast"; persistent = false; paged = false;
-    traced = false }]. *)
+    ({!Serialize}, {!Validate}, {!Align}) can operate on it directly. *)
 
 val engine : t -> Engine.t
-(** Pack the index as a capability-aware engine.  Build once and reuse;
-    see {!Engine.pack}. *)
+(** Pack the index as a capability-aware engine (backend "fast").
+    Build once and reuse; see {!Engine.pack}. *)
 
 (** {2 Construction} *)
 
@@ -44,106 +34,11 @@ val of_seq : Bioseq.Packed_seq.t -> t
 
 val of_string : Bioseq.Alphabet.t -> string -> t
 
-(** {2 Basics} *)
-
-val alphabet : t -> Bioseq.Alphabet.t
-
-val length : t -> int
-(** Characters indexed; the backbone has [length t + 1] nodes. *)
-
-val sequence : t -> Bioseq.Packed_seq.t
-(** The indexed string, reconstructible from the vertebra labels alone —
-    the paper's "the data string is not required any more once the index
-    is constructed". *)
-
-(** {2 Search} *)
-
-val contains : t -> string -> bool
-
-val contains_codes : t -> int array -> bool
-
-val find_first : t -> int array -> int option
-(** End node of the pattern's first occurrence. *)
-
-val first_occurrence : t -> int array -> int option
-(** Start position of the first occurrence. *)
-
-val occurrences : t -> int array -> int list
-(** Start positions of all occurrences, ascending: one valid-path walk
-    for the first occurrence plus one sequential backbone scan. *)
-
-val end_nodes : t -> int array -> int list
-(** End nodes of all occurrences (the raw target-node buffer). *)
-
-val end_nodes_binary : t -> int array -> int list
-(** Same result via the paper's exact formulation: binary search of the
-    sorted target-node buffer during the backbone scan. Used by tests
-    and the scan ablation; {!end_nodes} uses a hashtable instead. *)
-
-val occurrences_batch : t -> (int * int) array -> Xutil.Int_vec.t array
-(** The raw deferred-scan machinery: given [(first-occurrence end node,
-    length)] pairs, resolve every occurrence of all of them in one
-    sequential backbone pass, one ascending end-node buffer per
-    pattern. *)
-
-val occurrences_many : t -> int array list -> int list array
-(** Dictionary search: all occurrences of every pattern, resolved with
-    ONE shared backbone scan (the paper's deferred batching, Section 4).
-    Result [i] holds the ascending start positions of pattern [i]
-    (empty when absent). Far cheaper than one {!occurrences} call per
-    pattern when the dictionary is large.  {!Engine.run_batch} is the
-    backend-generic form. *)
-
-(** {2 Streaming matching} *)
-
-type match_stats = Matcher.stats = {
-  nodes_checked : int;
-  suffixes_checked : int;
-}
-
-type mmatch = Matcher.mmatch = {
-  query_end : int;
-  length : int;
-  data_ends : int list;
-}
-
-val matching_statistics : t -> Bioseq.Packed_seq.t -> int array * match_stats
-(** [ms.(i)] = length of the longest substring of the data ending at
-    query position [i]. *)
-
-val maximal_matches :
-  ?immediate:bool -> t -> threshold:int -> Bioseq.Packed_seq.t ->
-  mmatch list * match_stats
-(** The paper's cross-string matching operation. [immediate] disables
-    the deferred batched occurrence scan (ablation). *)
-
-(** {2 Statistics & accounting} *)
-
-type label_maxima = Stats.label_maxima = {
-  max_pt : int;
-  max_lel : int;
-  max_prt : int;
-}
-
-type edge_counts = Stats.edge_counts = {
-  vertebras : int;
-  ribs : int;
-  extribs : int;
-  links : int;
-}
-
-val label_maxima : t -> label_maxima
-val rib_distribution : t -> int array
-val edge_counts : t -> edge_counts
-val link_histogram : t -> buckets:int -> int array
+(** {2 Accounting} *)
 
 val model_bytes : t -> int
 (** Bytes a C implementation with the paper's optimised field widths
     would use (Section 5 space model). *)
-
-val node_count : t -> int
-(** Always [length t + 1] — the defining property of full horizontal
-    compaction. *)
 
 (** {2 Raw structure access}
 

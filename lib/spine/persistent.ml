@@ -51,7 +51,6 @@ end
 
 module P = Compact_store.Core (Paged_bytes)
 module B = Builder.Make (P)
-module A = Engine.Api (P)
 
 (* Build-phase spans over the disk-resident index lifecycle. *)
 let s_build = Telemetry.span "persistent.build"
@@ -732,8 +731,6 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
     raise e
 
 let path t = t.file_path
-let alphabet t = P.alphabet t.core
-let length t = check_open t; P.length t.core
 let generation t = t.generation
 
 (* Re-mirror the whole packed row into the sequence region, used when
@@ -774,44 +771,15 @@ let append t code =
 
 let append_string t s =
   Telemetry.with_span s_build (fun () ->
-      String.iter (fun ch -> append t (Bioseq.Alphabet.encode (alphabet t) ch)) s)
+      let alphabet = P.alphabet t.core in
+      String.iter (fun ch -> append t (Bioseq.Alphabet.encode alphabet ch)) s)
 
 let append_seq t seq =
   Telemetry.with_span s_build (fun () ->
       Bioseq.Packed_seq.iteri seq ~f:(fun _ c -> append t c))
 
-(* Queries: pure re-exports of the shared engine API over the paged
-   store, behind the use-after-close guard. *)
-
-let contains t s = check_open t; A.contains t.core s
-let contains_codes t codes = check_open t; A.contains_codes t.core codes
-let find_first t codes = check_open t; A.find_first t.core codes
-let first_occurrence t codes = check_open t; A.first_occurrence t.core codes
-let occurrences t codes = check_open t; A.occurrences t.core codes
-let end_nodes t codes = check_open t; A.end_nodes t.core codes
-let occurrences_batch t firsts = check_open t; A.occurrences_batch t.core firsts
-let occurrences_many t patterns =
-  check_open t;
-  A.occurrences_many t.core patterns
-
-let matching_statistics t q = check_open t; A.matching_statistics t.core q
-
-let maximal_matches t ~threshold q =
-  check_open t;
-  let matches, stats = A.maximal_matches t.core ~threshold q in
-  ( List.map
-      (fun { Matcher.query_end; length; data_ends } ->
-        (query_end, length, data_ends))
-      matches,
-    stats )
-
 let bytes_per_char t = check_open t; P.bytes_per_char t.core
-let rib_distribution t = check_open t; A.rib_distribution t.core
 let sequence t = check_open t; P.sequence t.core
-
-let caps =
-  { Engine.backend = "persistent"; persistent = true; paged = true;
-    traced = false }
 
 (* The file footprint (physical slots: pages + checksum trailers) and
    the pool's frame memory; the paged byte tables themselves are
@@ -825,12 +793,11 @@ let space_extra t () =
      * Pagestore.Device.page_size t.device) ]
 
 let engine t =
-  Engine.pack ~guard:(fun () -> check_open t) ~caps
-    ~space_extra:(space_extra t)
+  Engine.pack ~guard:(fun () -> check_open t) ~space_extra:(space_extra t)
+    ~caps:{ Engine.backend = "persistent"; persistent = true; paged = true;
+            traced = false }
     (module P : Store_sig.S with type t = P.t)
     t.core
-
-let cursor t = Engine.cursor (engine t)
 
 let device t = t.device
 let pool t = t.pool

@@ -35,7 +35,7 @@
     report per-region damage.
 
     Construction remains online: {!append} extends the index and the
-    file together.  All query operations are the shared SPINE
+    file together.  Queries go through {!engine}: the shared SPINE
     algorithms instantiated over the paged storage, so every page they
     touch goes through the pool.
 
@@ -76,8 +76,6 @@ val flush : t -> unit
     unprotected overwrite. *)
 
 val path : t -> string
-val alphabet : t -> Bioseq.Alphabet.t
-val length : t -> int
 
 val generation : t -> int
 (** Metadata generation last committed or recovered (0 for a fresh,
@@ -89,51 +87,17 @@ val append : t -> int -> unit
 val append_string : t -> string -> unit
 val append_seq : t -> Bioseq.Packed_seq.t -> unit
 
-(** {2 Engine} *)
-
-val caps : Engine.caps
-(** Backend "persistent": [persistent] and [paged] set. *)
-
 val engine : t -> Engine.t
-(** Pack as a capability-aware engine.  The engine carries the
+(** Pack as a capability-aware engine (backend "persistent",
+    [persistent] and [paged] set).  The engine carries the
     use-after-close guard: every query through it re-checks that the
     index is still open. *)
 
-val cursor : t -> Engine.cursor
-(** An incremental valid-path cursor over the paged storage (guarded
-    like {!engine}). *)
-
-(** {2 Queries} — the shared {!Engine.Api} over the paged storage. *)
-
-val contains : t -> string -> bool
-val contains_codes : t -> int array -> bool
-val find_first : t -> int array -> int option
-val first_occurrence : t -> int array -> int option
-val occurrences : t -> int array -> int list
-val end_nodes : t -> int array -> int list
-
-val occurrences_batch : t -> (int * int) array -> Xutil.Int_vec.t array
-(** The raw deferred-scan machinery: given [(first-occurrence end node,
-    length)] pairs, resolve every occurrence of all of them in one
-    sequential backbone pass — one run of page faults instead of one
-    per pattern. *)
-
-val occurrences_many : t -> int array list -> int list array
-(** Dictionary search with ONE shared backbone scan; see
-    {!Index.occurrences_many}. *)
-
-val matching_statistics :
-  t -> Bioseq.Packed_seq.t -> int array * Engine.match_stats
-
-val maximal_matches :
-  t -> threshold:int -> Bioseq.Packed_seq.t ->
-  (int * int * int list) list * Engine.match_stats
-(** [(query_end, length, data_ends)] triples. *)
-
-(** {2 Statistics and I/O} *)
+(** {2 Storage} *)
 
 val bytes_per_char : t -> float
-val rib_distribution : t -> int array
+(** Live bytes of the Section 5 tables per indexed character, as
+    {!Compact.bytes_per_char}. *)
 
 val sequence : t -> Bioseq.Packed_seq.t
 (** The in-memory mirror of the indexed character codes (what scrub's

@@ -54,16 +54,11 @@ module type S = sig
   val contains_pattern : store -> Bioseq.Packed_seq.Pattern.t -> bool
   val end_nodes_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
   val occurrences_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
-  val find_first : store -> int array -> int option
-  val contains_codes : store -> int array -> bool
-  val encode : store -> string -> int array option
-  val contains : store -> string -> bool
   val occurrences_batch : store -> (int * int) array -> Xutil.Int_vec.t array
-  val end_nodes : store -> int array -> int list
-  val end_nodes_binary : store -> int array -> int list
-  val occurrences : store -> int array -> int list
-  val first_occurrence : store -> int array -> int option
-  val occurrences_many : store -> int array list -> int list array
+  val end_nodes_binary : store -> Bioseq.Packed_seq.Pattern.t -> int list
+
+  val occurrences_many :
+    store -> Bioseq.Packed_seq.Pattern.t list -> int list array
 end
 
 module Make (S : Store_sig.S) = struct
@@ -163,26 +158,7 @@ module Make (S : Store_sig.S) = struct
     Profile.add_descent consumed;
     if consumed >= m then Some node else None
 
-  (* Codes-based entry point: pack the pattern once per query, then
-     take the word path. *)
-  let find_first t codes =
-    find_first_pattern t
-      (Bioseq.Packed_seq.Pattern.of_codes (S.alphabet t) codes)
-
   let contains_pattern t p = Option.is_some (find_first_pattern t p)
-  let contains_codes t codes = Option.is_some (find_first t codes)
-
-  let encode t s =
-    let alphabet = S.alphabet t in
-    try
-      Some (Array.init (String.length s)
-              (fun i -> Bioseq.Alphabet.encode alphabet s.[i]))
-    with Invalid_argument _ -> None
-
-  let contains t s =
-    match encode t s with
-    | Some codes -> contains_codes t codes
-    | None -> false
 
   (* The deferred, batched occurrence scan: given the first-occurrence
      end node and length of several patterns, find every occurrence of
@@ -238,25 +214,18 @@ module Make (S : Store_sig.S) = struct
     end;
     buffers
 
-  (* All end nodes of [codes], ascending; the paper's single-pattern
-     search followed by the downstream link scan. The binary-search
-     variant of buffer membership lives in [occurrences_scan] below and
-     is what the ablation bench compares against the hashtable. *)
-  let ends_from t ~first ~len =
-    let buffers = occurrences_batch t [| (first, len) |] in
-    Xutil.Int_vec.fold buffers.(0) ~init:[] ~f:(fun acc x -> x :: acc)
-    |> List.rev
-
-  let end_nodes t codes =
-    match find_first t codes with
-    | None -> []
-    | Some first -> ends_from t ~first ~len:(Array.length codes)
-
+  (* All end nodes of [p], ascending: the paper's single-pattern search
+     followed by the downstream link scan, with buffer membership in a
+     hashtable ([end_nodes_binary] below is the paper-faithful
+     reference). *)
   let end_nodes_pattern t p =
     match find_first_pattern t p with
     | None -> []
     | Some first ->
-      ends_from t ~first ~len:(Bioseq.Packed_seq.Pattern.length p)
+      let len = Bioseq.Packed_seq.Pattern.length p in
+      let buffers = occurrences_batch t [| (first, len) |] in
+      Xutil.Int_vec.fold buffers.(0) ~init:[] ~f:(fun acc x -> x :: acc)
+      |> List.rev
 
   let occurrences_pattern t p =
     List.map
@@ -264,12 +233,13 @@ module Make (S : Store_sig.S) = struct
       (end_nodes_pattern t p)
 
   (* Faithful single-pattern variant using binary search on the sorted
-     target-node buffer, exactly as described in the paper. *)
-  let end_nodes_binary t codes =
-    match find_first t codes with
+     target-node buffer, exactly as described in the paper; kept as the
+     test reference for [end_nodes_pattern]. *)
+  let end_nodes_binary t p =
+    match find_first_pattern t p with
     | None -> []
     | Some first ->
-      let len = Array.length codes in
+      let len = Bioseq.Packed_seq.Pattern.length p in
       let buffer = Xutil.Int_vec.create () in
       Xutil.Int_vec.push buffer first;
       Telemetry.incr c_occurrences;
@@ -294,12 +264,6 @@ module Make (S : Store_sig.S) = struct
       if tr then Trace.end_span ();
       Xutil.Int_vec.fold buffer ~init:[] ~f:(fun acc x -> x :: acc) |> List.rev
 
-  let occurrences t codes =
-    List.map (fun e -> e - Array.length codes) (end_nodes t codes)
-
-  let first_occurrence t codes =
-    Option.map (fun e -> e - Array.length codes) (find_first t codes)
-
   (* Dictionary search: find the first occurrence of each pattern
      individually (cheap valid-path walks), then resolve every
      occurrence of all present patterns with ONE shared deferred
@@ -307,9 +271,9 @@ module Make (S : Store_sig.S) = struct
   let occurrences_many t patterns =
     let firsts =
       List.map
-        (fun pat ->
-          match find_first t pat with
-          | Some e -> (e, Array.length pat)
+        (fun p ->
+          match find_first_pattern t p with
+          | Some e -> (e, Bioseq.Packed_seq.Pattern.length p)
           | None -> (-1, 0))
         patterns
     in

@@ -59,26 +59,16 @@ module type S = sig
 
   val find_first_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int option
   (** End node of the first occurrence of the pre-packed pattern, or
-      [None].  The codes-based entry points below pack once and call
-      this. *)
+      [None]. *)
 
   val contains_pattern : store -> Bioseq.Packed_seq.Pattern.t -> bool
 
   val end_nodes_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
-  (** All end nodes of the pattern, ascending. *)
+  (** All end nodes of the pattern, ascending (hashtable-backed buffer
+      membership). *)
 
   val occurrences_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
   (** 0-based start positions, ascending. *)
-
-  val find_first : store -> int array -> int option
-  (** End node of the first occurrence of the code array, or [None]. *)
-
-  val contains_codes : store -> int array -> bool
-
-  val encode : store -> string -> int array option
-  (** [None] if any character is outside the store's alphabet. *)
-
-  val contains : store -> string -> bool
 
   val occurrences_batch : store -> (int * int) array -> Xutil.Int_vec.t array
   (** [occurrences_batch t firsts] resolves every occurrence of several
@@ -86,21 +76,13 @@ module type S = sig
       in one deferred sequential backbone scan, returning one ascending
       end-node buffer per pattern. *)
 
-  val end_nodes : store -> int array -> int list
-  (** All end nodes of the pattern, ascending (hashtable-backed buffer
-      membership). *)
+  val end_nodes_binary : store -> Bioseq.Packed_seq.Pattern.t -> int list
+  (** {!end_nodes_pattern} exactly as the paper describes it: buffer
+      membership by binary search on the sorted target-node buffer.
+      The test suite's reference for the hashtable scan. *)
 
-  val end_nodes_binary : store -> int array -> int list
-  (** Faithful single-pattern variant testing buffer membership by
-      binary search on the sorted target-node buffer, exactly as
-      described in the paper; the ablation bench compares the two. *)
-
-  val occurrences : store -> int array -> int list
-  (** 0-based start positions, ascending. *)
-
-  val first_occurrence : store -> int array -> int option
-
-  val occurrences_many : store -> int array list -> int list array
+  val occurrences_many :
+    store -> Bioseq.Packed_seq.Pattern.t list -> int list array
   (** Dictionary search: all occurrences of every pattern, resolved
       with ONE shared backbone scan (the paper's deferred batching,
       Section 4).  Result [i] holds the ascending start positions of

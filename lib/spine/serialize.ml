@@ -77,8 +77,8 @@ let decode_legacy_sequence alphabet ~len bytes =
 
 let to_bytes (t : Index.t) =
   let s = Index.store t in
-  let n = Index.length t in
-  let alphabet = Index.alphabet t in
+  let n = Fast_store.length s in
+  let alphabet = Fast_store.alphabet s in
   let buf = Buffer.create (n * 12) in
   Buffer.add_string buf magic;
   put_u8 buf version;
@@ -88,7 +88,7 @@ let to_bytes (t : Index.t) =
   put_u64 buf n;
   (* v3: the packed row IS the serialized form — cell width followed by
      the raw backing words, no per-code re-packing on snapshot *)
-  let seq = Index.sequence t in
+  let seq = Fast_store.sequence s in
   put_u8 buf (Bioseq.Packed_seq.width seq);
   let packed = Bioseq.Packed_seq.packed_bits seq in
   put_u32 buf (Bytes.length packed);

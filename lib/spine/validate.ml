@@ -6,7 +6,7 @@ type violation = {
 let check idx =
   let out = ref [] in
   let add where what = out := { where; what } :: !out in
-  let n = Index.length idx in
+  let n = Fast_store.length idx in
   let store = Index.store idx in
   let char_at = Fast_store.char_at store in
   let same_suffix ~end1 ~end2 ~len =
@@ -31,7 +31,7 @@ let check idx =
         (Printf.sprintf "the %d characters above %d and %d differ" lel i dest)
   done;
   (* ribs *)
-  let sigma = Bioseq.Alphabet.size (Index.alphabet idx) in
+  let sigma = Bioseq.Alphabet.size (Fast_store.alphabet idx) in
   for m = 0 to n do
     for c = 0 to sigma do
       match Index.rib idx m c with

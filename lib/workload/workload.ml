@@ -229,7 +229,8 @@ let op_name = function
 (* Each executor returns (any_hit, patterns_with_hits, occurrences). *)
 
 let exec_single engine pattern =
-  let c = List.length (Spine.Engine.occurrences engine pattern) in
+  let p = Spine.Engine.pattern engine pattern in
+  let c = List.length (Spine.Engine.occurrences_pattern engine p) in
   (c > 0, (if c > 0 then 1 else 0), c)
 
 let exec_batch engine patterns =

@@ -99,6 +99,8 @@ let test_shared_mutation () =
     (List.length (dfindings_in "flag_share.ml"));
   check_int "escape behind a functor alias flagged" 1
     (List.length (dfindings_in "functor_share.ml"));
+  check_int "escape from a packed-pattern root flagged" 1
+    (List.length (dfindings_in "pattern_share.ml"));
   check_int "call-local mutation not flagged" 0
     (List.length (dfindings_in "clean_share.ml"));
   check_int "Mutex.protect-guarded write not flagged" 0
@@ -125,6 +127,8 @@ let test_certification () =
   in
   Alcotest.(check string) "escaping module" "UNSAFE" (verdict "Flag_share");
   Alcotest.(check string) "functor alias" "UNSAFE" (verdict "Functor_share");
+  Alcotest.(check string) "packed-pattern root" "UNSAFE"
+    (verdict "Pattern_share");
   Alcotest.(check string) "local-only module" "certified"
     (verdict "Clean_share");
   Alcotest.(check string) "mutex-guarded module" "certified (guarded)"

@@ -112,7 +112,7 @@ let test_exact_is_k0 () =
     let m = 3 + Bioseq.Rng.int rng 5 in
     let p = Bioseq.Rng.int rng (String.length s - m) in
     let pat = codes_of (String.sub s p m) in
-    let exact = Spine.Index.occurrences idx pat in
+    let exact = Codes.occurrences (Spine.Index.engine idx) pat in
     let approx =
       Align.Approx.hamming idx ~pattern:pat ~k:0
       |> List.map (fun h -> h.Align.Approx.pos)

@@ -35,9 +35,9 @@ let snapshot e =
   List.map
     (fun p ->
       let codes = codes_of p in
-      ( Spine.Engine.contains e p,
-        Spine.Engine.occurrences e codes |> List.sort compare,
-        Spine.Engine.first_occurrence e codes ))
+      ( Codes.contains_string e p,
+        Codes.occurrences e codes |> List.sort compare,
+        Codes.first_occurrence e codes ))
     patterns
   |> fun per_pattern ->
   ( per_pattern,

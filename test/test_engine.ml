@@ -2,6 +2,8 @@
    Engine.t must answer the whole query surface identically — the
    differential harness that justifies defining the API once. *)
 
+module E = Spine.Engine
+
 let byte = Bioseq.Alphabet.byte
 
 let codes_of s = Array.init (String.length s) (fun i -> Char.code s.[i])
@@ -68,13 +70,13 @@ let test_differential () =
                   Printf.sprintf "%s %s %S in %S" name what pat s
                 in
                 Alcotest.(check bool) (label "contains")
-                  (Oracles.contains s pat) (Spine.Engine.contains e pat);
+                  (Oracles.contains s pat) (Codes.contains_string e pat);
                 Alcotest.(check (list int)) (label "occurrences")
                   (Oracles.occurrences s pat)
-                  (Spine.Engine.occurrences e (codes_of pat));
+                  (Codes.occurrences e (codes_of pat));
                 Alcotest.(check (option int)) (label "first")
                   (Oracles.first_occurrence s pat)
-                  (Spine.Engine.first_occurrence e (codes_of pat)))
+                  (Codes.first_occurrence e (codes_of pat)))
               patterns;
             let ms, _ =
               Spine.Engine.matching_statistics e
@@ -110,38 +112,73 @@ let test_run_batch () =
             pats items)
         engines)
 
-(* Satellite: the raw deferred-scan machinery is public on Compact and
-   Persistent, and occurrences_many matches Index.occurrences_many. *)
+(* The raw deferred-scan machinery answers through every engine, and
+   run_batch's shared scan equals one query per pattern. *)
 let test_occurrences_batch_exposed () =
-  let s = "aaccacaaca" in
-  let seq = Bioseq.Packed_seq.of_string byte s in
-  let idx = Spine.Index.of_seq seq in
-  let compact = Spine.Compact.of_seq seq in
-  let path = Filename.temp_file "spine_engine" ".db" in
-  let p = Spine.Persistent.create ~path byte in
-  Spine.Persistent.append_string p s;
-  Fun.protect
-    ~finally:(fun () ->
-      Spine.Persistent.close p;
-      try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      (* "ac": first occurrence starts at 1, so its end node is 3; the
-         deferred scan must surface end nodes 3, 6, 9. *)
-      let expect_ends = [ 3; 6; 9 ] in
-      let ends_of buffers =
-        Xutil.Int_vec.fold buffers.(0) ~init:[] ~f:(fun acc e -> e :: acc)
-        |> List.rev
-      in
-      Alcotest.(check (list int)) "compact batch ends" expect_ends
-        (ends_of (Spine.Compact.occurrences_batch compact [| (3, 2) |]));
-      Alcotest.(check (list int)) "persistent batch ends" expect_ends
-        (ends_of (Spine.Persistent.occurrences_batch p [| (3, 2) |]));
+  with_engines "aaccacaaca" (fun engines ->
+      let reference = snd (List.hd engines) in
       let pats = List.map codes_of [ "ac"; "aa"; "zz"; "caca" ] in
-      let reference = Spine.Index.occurrences_many idx pats in
-      Alcotest.(check (array (list int))) "compact occurrences_many"
-        reference (Spine.Compact.occurrences_many compact pats);
-      Alcotest.(check (array (list int))) "persistent occurrences_many"
-        reference (Spine.Persistent.occurrences_many p pats))
+      List.iter
+        (fun (name, e) ->
+          (* "ac": first occurrence starts at 1, so its end node is 3;
+             the deferred scan must surface end nodes 3, 6, 9. *)
+          let buffers = E.occurrences_batch e [| (3, 2) |] in
+          Alcotest.(check (list int)) (name ^ " batch ends") [ 3; 6; 9 ]
+            (Xutil.Int_vec.fold buffers.(0) ~init:[] ~f:(fun acc e -> e :: acc)
+            |> List.rev);
+          Alcotest.(check (list (list int))) (name ^ " run_batch")
+            (List.map (Codes.occurrences reference) pats)
+            (Codes.occurrences_many e pats))
+        engines)
+
+(* Matching and structure statistics agree across all four engines:
+   maximal matches (deferred and immediate scans) against the oracle,
+   and every statistic against the fast engine. *)
+let test_structure_parity () =
+  let rng = Bioseq.Rng.create 20261017 in
+  for _ = 1 to 6 do
+    let s = Oracles.random_string rng 3 (60 + Bioseq.Rng.int rng 180) in
+    let q = Oracles.random_string rng 3 50 in
+    let query = Bioseq.Packed_seq.of_string byte q in
+    let threshold = 2 + Bioseq.Rng.int rng 3 in
+    let expected = Oracles.maximal_matches s q threshold in
+    with_engines s (fun engines ->
+        let reference = snd (List.hd engines) in
+        let label name what = Printf.sprintf "%s %s of %S" name what s in
+        List.iter
+          (fun (name, e) ->
+            List.iter
+              (fun immediate ->
+                let got, _ = E.maximal_matches ~immediate e ~threshold query in
+                Alcotest.(check (list (triple int int (list int))))
+                  (label name
+                     (if immediate then "immediate maximal_matches"
+                      else "maximal_matches"))
+                  expected
+                  (List.map
+                     (fun { E.query_end; length; data_ends } ->
+                       (query_end, length, data_ends))
+                     got))
+              [ false; true ];
+            let lm e =
+              let m = E.label_maxima e in
+              (m.E.max_pt, m.E.max_lel, m.E.max_prt)
+            in
+            Alcotest.(check (triple int int int)) (label name "label_maxima")
+              (lm reference) (lm e);
+            let ec e =
+              let c = E.edge_counts e in
+              [ c.E.vertebras; c.E.ribs; c.E.extribs; c.E.links ]
+            in
+            Alcotest.(check (list int)) (label name "edge_counts")
+              (ec reference) (ec e);
+            Alcotest.(check (array int)) (label name "rib_distribution")
+              (E.rib_distribution reference) (E.rib_distribution e);
+            Alcotest.(check (array int)) (label name "link_histogram")
+              (E.link_histogram reference ~buckets:8)
+              (E.link_histogram e ~buckets:8))
+          engines)
+  done
 
 (* Engine cursors over compact / persistent / disk: random
    advance/drop_front walks checked against an explicit window model —
@@ -300,28 +337,35 @@ let test_packed_pattern_differential () =
         engines)
 
 (* A closed persistent index must refuse queries through its engine and
-   through live cursors, instead of reading freed pages. *)
+   through live cursors, instead of reading freed pages — including the
+   string entry points, whichever alphabet the string is in. *)
 let test_guard () =
   let path = Filename.temp_file "spine_engine" ".db" in
-  let p = Spine.Persistent.create ~path byte in
-  Spine.Persistent.append_string p "abracadabra";
+  let p = Spine.Persistent.create ~path Bioseq.Alphabet.dna in
+  Spine.Persistent.append_string p "acgtacgtac";
   let e = Spine.Persistent.engine p in
-  let c = Spine.Engine.cursor e in
-  Alcotest.(check bool) "live engine answers" true
-    (Spine.Engine.contains e "bra");
+  let c = E.cursor e in
+  let gta = Option.get (E.pattern_of_string e "gta") in
+  Alcotest.(check bool) "live engine answers" true (E.contains_pattern e gta);
+  Alcotest.(check bool) "live out-of-alphabet string" true
+    (E.pattern_of_string e "xyz" = None);
   Alcotest.(check bool) "live cursor advances" true
-    (c.Spine.Engine.advance_char 'a');
+    (c.E.advance_char 'a');
   Spine.Persistent.close p;
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let closed = Spine_error.Error (Spine_error.Closed "persistent index") in
       Alcotest.check_raises "closed engine" closed (fun () ->
-          ignore (Spine.Engine.contains e "bra"));
+          ignore (E.contains_pattern e gta));
+      Alcotest.check_raises "closed engine, string" closed (fun () ->
+          ignore (E.pattern_of_string e "gta"));
+      Alcotest.check_raises "closed engine, out-of-alphabet string" closed
+        (fun () -> ignore (E.pattern_of_string e "xyz"));
       Alcotest.check_raises "closed run_batch" closed (fun () ->
-          ignore (Spine.Engine.run_batch e [ codes_of "bra" ]));
+          ignore (E.run_batch e [ [| 2; 3; 0 |] ]));
       Alcotest.check_raises "closed cursor" closed (fun () ->
-          ignore (c.Spine.Engine.advance_char 'b')))
+          ignore (c.E.advance_char 'c')))
 
 let suite =
   [ Alcotest.test_case "capability records" `Quick test_caps
@@ -329,6 +373,8 @@ let suite =
   ; Alcotest.test_case "run_batch parity" `Quick test_run_batch
   ; Alcotest.test_case "occurrences_batch exposed" `Quick
       test_occurrences_batch_exposed
+  ; Alcotest.test_case "cross-backend structure parity" `Quick
+      test_structure_parity
   ; Alcotest.test_case "packed-pattern differential" `Quick
       test_packed_pattern_differential
   ; Alcotest.test_case "cursors on paged backends" `Quick test_engine_cursors

@@ -23,7 +23,8 @@ let test_space_claim () =
   let st_bpc = Suffix_tree.model_bytes_per_char st in
   if spine_bpc >= st_bpc then
     Alcotest.failf "SPINE %.2f B/char must beat ST %.2f" spine_bpc st_bpc;
-  Alcotest.(check int) "nodes = n + 1" (n + 1) (Spine.Compact.node_count spine_idx);
+  Alcotest.(check int) "nodes = n + 1" (n + 1)
+    (Spine.Engine.node_count (Spine.Compact.engine spine_idx));
   if Suffix_tree.node_count st <= n + 1 then
     Alcotest.fail "suffix tree should exceed SPINE's node count"
 
@@ -31,8 +32,8 @@ let test_space_claim () =
 let test_rib_distribution_claim () =
   List.iter
     (fun name ->
-      let idx = Spine.Compact.of_seq (genome name) in
-      let dist = Spine.Compact.rib_distribution idx in
+      let e = Spine.Compact.engine (Spine.Compact.of_seq (genome name)) in
+      let dist = Spine.Engine.rib_distribution e in
       let total = Array.fold_left ( + ) 0 dist in
       let frac f = float_of_int dist.(f) /. float_of_int total in
       let with_edges = 1.0 -. frac 0 in
@@ -48,8 +49,8 @@ let test_label_claim () =
   List.iter
     (fun name ->
       let idx = Spine.Compact.of_seq (genome name) in
-      let m = Spine.Compact.label_maxima idx in
-      if m.Spine.Compact.max_lel >= 65_535 then
+      let m = Spine.Engine.label_maxima (Spine.Compact.engine idx) in
+      if m.Spine.Engine.max_lel >= 65_535 then
         Alcotest.failf "%s: LEL exceeds 2-byte labels" name;
       Alcotest.(check int) "no overflow entries needed" 0
         (Spine.Compact.overflow_count idx))
@@ -59,22 +60,22 @@ let test_label_claim () =
 let test_nodes_checked_claim () =
   let data = genome "CEL" in
   let query = homologous "CEL" "ECO" in
-  let spine_idx = Spine.Compact.of_seq data in
+  let spine = Spine.Compact.engine (Spine.Compact.of_seq data) in
   let st = Suffix_tree.build data in
-  let m1, s1 = Spine.Compact.maximal_matches spine_idx ~threshold:20 query in
+  let m1, s1 = Spine.Engine.maximal_matches spine ~threshold:20 query in
   let m2, s2 = Suffix_tree.maximal_matches st ~threshold:20 query in
   Alcotest.(check int) "identical match counts" (List.length m2)
     (List.length m1);
-  if s1.Spine.Compact.nodes_checked >= s2.Suffix_tree.nodes_checked then
+  if s1.Spine.Engine.nodes_checked >= s2.Suffix_tree.nodes_checked then
     Alcotest.failf "SPINE checked %d nodes, ST %d — SPINE must check fewer"
-      s1.Spine.Compact.nodes_checked s2.Suffix_tree.nodes_checked;
-  if s1.Spine.Compact.suffixes_checked >= s2.Suffix_tree.suffixes_checked then
+      s1.Spine.Engine.nodes_checked s2.Suffix_tree.nodes_checked;
+  if s1.Spine.Engine.suffixes_checked >= s2.Suffix_tree.suffixes_checked then
     Alcotest.fail "SPINE must dispatch fewer suffix candidates"
 
 (* Figure 8: link destinations skew to the top, monotone decay *)
 let test_link_distribution_claim () =
-  let idx = Spine.Compact.of_seq (genome "CEL") in
-  let hist = Spine.Compact.link_histogram idx ~buckets:10 in
+  let e = Spine.Compact.engine (Spine.Compact.of_seq (genome "CEL")) in
+  let hist = Spine.Engine.link_histogram e ~buckets:10 in
   let total = Array.fold_left ( + ) 0 hist in
   if float_of_int hist.(0) /. float_of_int total < 0.30 then
     Alcotest.fail "top decile should hold at least 30% of links";
@@ -123,7 +124,7 @@ let test_memory_budget_claim () =
 (* Section 4: batched dictionary search equals one-by-one search *)
 let test_batch_search () =
   let seq = genome "ECO" in
-  let idx = Spine.Index.of_seq seq in
+  let e = Spine.Index.engine (Spine.Index.of_seq seq) in
   let rng = Bioseq.Rng.create 301 in
   let patterns =
     List.init 30 (fun _ ->
@@ -135,12 +136,12 @@ let test_batch_search () =
           Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k))
         else Array.init len (fun _ -> Bioseq.Rng.int rng 4))
   in
-  let batched = Spine.Index.occurrences_many idx patterns in
+  let batched = Codes.occurrences_many e patterns in
   List.iteri
-    (fun i pat ->
+    (fun i (pat, got) ->
       Alcotest.(check (list int)) (Printf.sprintf "pattern %d" i)
-        (Spine.Index.occurrences idx pat) batched.(i))
-    patterns
+        (Codes.occurrences e pat) got)
+    (List.combine patterns batched)
 
 let suite =
   [ Alcotest.test_case "space: SPINE smaller than ST, nodes = n+1" `Slow

@@ -2,7 +2,15 @@
    durability across close/open cycles, and behaviour under tiny buffer
    pools (true disk residency). *)
 
+module E = Spine.Engine
+
 let dna = Bioseq.Alphabet.dna
+
+(* engine shorthands over a persistent index; each call re-checks the
+   use-after-close guard *)
+let length p = E.length (Spine.Persistent.engine p)
+let occurrences p pat = Codes.occurrences (Spine.Persistent.engine p) pat
+let contains p s = Codes.contains_string (Spine.Persistent.engine p) s
 
 let with_tmp f =
   let path = Filename.temp_file "spine_persistent" ".db" in
@@ -16,21 +24,21 @@ let test_parity_with_memory () =
       let seq = Bioseq.Synthetic.genomic dna rng 15_000 in
       let p = Spine.Persistent.create ~path dna in
       Spine.Persistent.append_seq p seq;
-      let m = Spine.Index.of_seq seq in
-      Alcotest.(check int) "length" (Spine.Index.length m)
-        (Spine.Persistent.length p);
+      let m = Spine.Index.engine (Spine.Index.of_seq seq) in
+      let pe = Spine.Persistent.engine p in
+      Alcotest.(check int) "length" (E.length m) (E.length pe);
       for _ = 1 to 50 do
         let len = 2 + Bioseq.Rng.int rng 10 in
         let pos = Bioseq.Rng.int rng (15_000 - len) in
         let pat = Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k)) in
         Alcotest.(check (list int)) "occurrences parity"
-          (Spine.Index.occurrences m pat) (Spine.Persistent.occurrences p pat)
+          (Codes.occurrences m pat) (Codes.occurrences pe pat)
       done;
       Alcotest.(check (array int)) "rib distribution parity"
-        (Spine.Index.rib_distribution m) (Spine.Persistent.rib_distribution p);
+        (E.rib_distribution m) (E.rib_distribution pe);
       let q = Bioseq.Synthetic.mutate ~rate:0.15 rng seq in
-      let ms_m, _ = Spine.Index.matching_statistics m q in
-      let ms_p, _ = Spine.Persistent.matching_statistics p q in
+      let ms_m, _ = E.matching_statistics m q in
+      let ms_p, _ = E.matching_statistics pe q in
       Alcotest.(check (array int)) "ms parity" ms_m ms_p;
       Spine.Persistent.close p)
 
@@ -41,22 +49,22 @@ let test_close_reopen () =
       let p = Spine.Persistent.create ~path dna in
       Spine.Persistent.append_seq p seq;
       let pat = Array.init 10 (fun k -> Bioseq.Packed_seq.get seq (3_000 + k)) in
-      let before = Spine.Persistent.occurrences p pat in
+      let before = occurrences p pat in
       let bpc_before = Spine.Persistent.bytes_per_char p in
       Spine.Persistent.close p;
       (* everything must come back from the file alone *)
       let p2 = Spine.Persistent.open_ ~path () in
       Alcotest.(check int) "length after reopen" 8_000
-        (Spine.Persistent.length p2);
+        (length p2);
       Alcotest.(check (list int)) "occurrences after reopen" before
-        (Spine.Persistent.occurrences p2 pat);
+        (occurrences p2 pat);
       Alcotest.(check (float 0.01)) "space accounting after reopen"
         bpc_before (Spine.Persistent.bytes_per_char p2);
       (* and the index must still be extensible online *)
       Spine.Persistent.append_string p2 "acgtacgt";
-      Alcotest.(check int) "extended" 8_008 (Spine.Persistent.length p2);
+      Alcotest.(check int) "extended" 8_008 (length p2);
       Alcotest.(check bool) "new content queryable" true
-        (Spine.Persistent.contains p2 "acgtacgt");
+        (contains p2 "acgtacgt");
       Spine.Persistent.close p2)
 
 let test_reopen_extend_reopen () =
@@ -68,12 +76,12 @@ let test_reopen_extend_reopen () =
       Spine.Persistent.append_string p2 "aaccacaaca";
       Spine.Persistent.close p2;
       let p3 = Spine.Persistent.open_ ~path () in
-      Alcotest.(check int) "two appends" 20 (Spine.Persistent.length p3);
+      Alcotest.(check int) "two appends" 20 (length p3);
       (* the doubled string has the pattern across the seam *)
       Alcotest.(check bool) "seam substring" true
-        (Spine.Persistent.contains p3 "aacaaacc");
+        (contains p3 "aacaaacc");
       Alcotest.(check bool) "paper false positive still rejected" false
-        (Spine.Persistent.contains p3 "accaa");
+        (contains p3 "accaa");
       Spine.Persistent.close p3)
 
 let test_tiny_pool () =
@@ -87,13 +95,13 @@ let test_tiny_pool () =
       let stats = Pagestore.Buffer_pool.stats (Spine.Persistent.pool p) in
       if stats.Pagestore.Buffer_pool.evictions = 0 then
         Alcotest.fail "expected evictions under a tiny pool";
-      let m = Spine.Index.of_seq seq in
+      let m = Spine.Index.engine (Spine.Index.of_seq seq) in
       for _ = 1 to 20 do
         let len = 3 + Bioseq.Rng.int rng 8 in
         let pos = Bioseq.Rng.int rng (30_000 - len) in
         let pat = Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k)) in
         Alcotest.(check (list int)) "paged occurrences"
-          (Spine.Index.occurrences m pat) (Spine.Persistent.occurrences p pat)
+          (Codes.occurrences m pat) (occurrences p pat)
       done;
       Spine.Persistent.close p)
 
@@ -107,7 +115,7 @@ let test_errors () =
       let p = Spine.Persistent.create ~path dna in
       Spine.Persistent.append_string p "acgt";
       Spine.Persistent.close p;
-      (match Spine.Persistent.length p with
+      (match length p with
        | exception Spine_error.Error (Spine_error.Closed _) -> ()
        | _ -> Alcotest.fail "use after close must be rejected"));
   (* a file without metadata is rejected *)
@@ -159,7 +167,7 @@ let test_corrupt_metadata () =
   (* control: untouched file reopens *)
   fresh (fun path ->
       let p = Spine.Persistent.open_ ~path () in
-      Alcotest.(check int) "control reopens" 12 (Spine.Persistent.length p);
+      Alcotest.(check int) "control reopens" 12 (length p);
       Alcotest.(check int) "generation recovered" 1
         (Spine.Persistent.generation p);
       Spine.Persistent.close p);
@@ -181,7 +189,7 @@ let test_corrupt_metadata () =
   fresh (fun path ->
       flip_byte path ((16384 * phys_page) + 100);
       let p = Spine.Persistent.open_ ~path () in
-      (match Spine.Persistent.occurrences p [| 0; 1; 2; 3 |] with
+      (match occurrences p [| 0; 1; 2; 3 |] with
        | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
        | occs ->
          Alcotest.failf "query over flipped LT page returned %d hits"
@@ -201,9 +209,9 @@ let test_shadow_fallback () =
       Alcotest.(check int) "fell back one generation" 1
         (Spine.Persistent.generation p2);
       Alcotest.(check int) "previous generation length" 12
-        (Spine.Persistent.length p2);
+        (length p2);
       Alcotest.(check bool) "previous generation queryable" true
-        (Spine.Persistent.contains p2 "gtacgt");
+        (contains p2 "gtacgt");
       Spine.Persistent.close p2)
 
 let suite =

@@ -59,7 +59,7 @@ let test_attribution_sums () =
           (fun pat ->
             let occ, prof =
               Spine.Engine.profiled engine (fun () ->
-                  Spine.Engine.occurrences engine pat)
+                  Codes.occurrences engine pat)
             in
             (* planted patterns must be found, and the profile must
                agree with the query's own answer *)
@@ -95,7 +95,7 @@ let test_scopes_shadow () =
   let (inner_occ, inner), outer =
     Spine.Engine.profiled engine (fun () ->
         Spine.Engine.profiled engine (fun () ->
-            Spine.Engine.occurrences engine pat))
+            Codes.occurrences engine pat))
   in
   Alcotest.(check bool) "inner did work" true (inner_occ <> []);
   Alcotest.(check bool) "inner profile charged" true
@@ -112,7 +112,7 @@ let test_fields_roundtrip () =
   let pat = Array.init 5 (fun k -> Bioseq.Packed_seq.get seq k) in
   let _, prof =
     Spine.Engine.profiled engine (fun () ->
-        Spine.Engine.occurrences engine pat)
+        Codes.occurrences engine pat)
   in
   let back = Profile.of_fields (Profile.fields prof) in
   Alcotest.(check bool) "fields/of_fields round trip" true

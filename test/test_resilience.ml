@@ -225,7 +225,7 @@ let test_storm_parity () =
         P.append p (Bioseq.Packed_seq.get seq i)
       done;
       P.flush p;
-      let oracle = Spine.Index.of_seq seq in
+      let oracle = Spine.Index.engine (Spine.Index.of_seq seq) in
       let fd = FD.create ~seed:9 [ FD.arm ~times:9 FD.Read_error ] in
       FD.attach fd (P.device p);
       let t =
@@ -242,10 +242,10 @@ let test_storm_parity () =
         in
         let got =
           R.call t ~op:"occurrences" (fun e ->
-              Spine.Engine.occurrences e pat)
+              Codes.occurrences e pat)
         in
         Alcotest.(check (list int)) "storm parity"
-          (Spine.Index.occurrences oracle pat)
+          (Codes.occurrences oracle pat)
           got
       done;
       let c = R.counts t in
@@ -370,7 +370,8 @@ let test_latency_attribution () =
       Pagestore.Latency_device.attach l (P.device p);
       let pat = Array.init 6 (fun k -> Bioseq.Packed_seq.get seq k) in
       let occ, prof =
-        Spine.Engine.profiled (P.engine p) (fun () -> P.occurrences p pat)
+        let e = P.engine p in
+        Spine.Engine.profiled e (fun () -> Codes.occurrences e pat)
       in
       Alcotest.(check bool) "query found its planted pattern" true (occ <> []);
       let stats = Pagestore.Latency_device.stats l in

@@ -13,9 +13,15 @@
    - data-race freedom of concurrent read-only queries. *)
 
 module P = Spine.Persistent
+module E = Spine.Engine
 module FD = Pagestore.Fault_device
 
 let dna = Bioseq.Alphabet.dna
+
+(* engine shorthands over a persistent index *)
+let length p = E.length (P.engine p)
+let occurrences p pat = Codes.occurrences (P.engine p) pat
+let contains p s = Codes.contains_string (P.engine p) s
 
 let with_tmp f =
   let path = Filename.temp_file "spine_robust" ".db" in
@@ -137,7 +143,7 @@ let crash_matrix ?frames ~chunks ~require_evictions () =
           Bioseq.Packed_seq.of_codes dna
             (Array.init l (fun k -> Bioseq.Packed_seq.get seq k))
         in
-        (l, Spine.Index.of_seq prefix))
+        (l, Spine.Index.engine (Spine.Index.of_seq prefix)))
       flush_points
   in
   (* count the workload's device writes once, fault-free *)
@@ -192,7 +198,7 @@ let crash_matrix ?frames ~chunks ~require_evictions () =
           Alcotest.failf "crash at write %d: untyped exception on reopen: %s"
             k (Printexc.to_string e)
         | p ->
-          let len = P.length p in
+          let len = length p in
           (match List.assoc_opt len oracles with
            | None ->
              Alcotest.failf
@@ -212,8 +218,8 @@ let crash_matrix ?frames ~chunks ~require_evictions () =
                in
                Alcotest.(check (list int))
                  (Printf.sprintf "crash %d: query parity" k)
-                 (Spine.Index.occurrences oracle pat)
-                 (P.occurrences p pat)
+                 (Codes.occurrences oracle pat)
+                 (occurrences p pat)
              done);
           (try P.close p with Spine_error.Error _ -> ()))
   done;
@@ -247,8 +253,9 @@ let test_eviction_overwrite_recovery () =
       let seq = crash_seq total in
       let code i = Bioseq.Packed_seq.get seq i in
       let oracle_at l =
-        Spine.Index.of_seq
-          (Bioseq.Packed_seq.of_codes dna (Array.init l code))
+        Spine.Index.engine
+          (Spine.Index.of_seq
+             (Bioseq.Packed_seq.of_codes dna (Array.init l code)))
       in
       let p = P.create ~frames:8 ~path dna in
       for i = 0 to 2999 do P.append p (code i) done;
@@ -280,7 +287,7 @@ let test_eviction_overwrite_recovery () =
       Alcotest.(check int) "recovered the last flushed generation" 2
         (P.generation p2);
       Alcotest.(check int) "recovered the last flushed length" committed
-        (P.length p2);
+        (length p2);
       let oracle = oracle_at committed in
       let rng = Bioseq.Rng.create 4242 in
       for _ = 1 to 40 do
@@ -288,22 +295,22 @@ let test_eviction_overwrite_recovery () =
         let pos = Bioseq.Rng.int rng (committed - plen) in
         let pat = Array.init plen (fun j -> code (pos + j)) in
         Alcotest.(check (list int)) "parity after rollback"
-          (Spine.Index.occurrences oracle pat)
-          (P.occurrences p2 pat)
+          (Codes.occurrences oracle pat)
+          (occurrences p2 pat)
       done;
       (* the recovered index keeps working: extend and commit again *)
       for i = committed to total - 1 do P.append p2 (code i) done;
       P.close p2;
       let p3 = P.open_ ~path () in
-      Alcotest.(check int) "full length after re-append" total (P.length p3);
+      Alcotest.(check int) "full length after re-append" total (length p3);
       let oracle_full = oracle_at total in
       for _ = 1 to 20 do
         let plen = 3 + Bioseq.Rng.int rng 8 in
         let pos = Bioseq.Rng.int rng (total - plen) in
         let pat = Array.init plen (fun j -> code (pos + j)) in
         Alcotest.(check (list int)) "parity after re-append"
-          (Spine.Index.occurrences oracle_full pat)
-          (P.occurrences p3 pat)
+          (Codes.occurrences oracle_full pat)
+          (occurrences p3 pat)
       done;
       P.close p3)
 
@@ -346,7 +353,7 @@ let test_flush_retry_generation () =
       let p2 = P.open_ ~path () in
       Alcotest.(check int) "reopen sees generation 3" 3 (P.generation p2);
       Alcotest.(check bool) "content intact" true
-        (P.contains p2 "gtacgtacgt");
+        (contains p2 "gtacgtacgt");
       P.close p2)
 
 (* --- snapshot legacy-version back-compatibility ---------------------- *)
@@ -363,8 +370,8 @@ let legacy_image ~version idx =
     for k = 0 to 7 do put_u8 buf ((v lsr (8 * k)) land 0xff) done
   in
   let s = Spine.Index.store idx in
-  let n = Spine.Index.length idx in
-  let alphabet = Spine.Index.alphabet idx in
+  let n = Spine.Fast_store.length s in
+  let alphabet = Spine.Fast_store.alphabet s in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "SPNE";
   put_u8 buf version;
@@ -377,7 +384,7 @@ let legacy_image ~version idx =
   put_u64 buf n;
   let bits = Bioseq.Alphabet.bits alphabet in
   let packed = Bytes.make ((n * bits + 7) / 8) '\000' in
-  Bioseq.Packed_seq.iteri (Spine.Index.sequence idx) ~f:(fun i code ->
+  Bioseq.Packed_seq.iteri (Spine.Fast_store.sequence s) ~f:(fun i code ->
       for b = 0 to bits - 1 do
         if code land (1 lsl (bits - 1 - b)) <> 0 then begin
           let pos = (i * bits) + b in
@@ -432,9 +439,10 @@ let test_serialize_v1_compat () =
   let idx = Spine.Index.of_seq seq in
   let v1 = legacy_image ~version:1 idx in
   let v2 = legacy_image ~version:2 idx in
+  let e = Spine.Index.engine idx in
   let check_parity tag loaded =
-    Alcotest.(check int) (tag ^ " length") (Spine.Index.length idx)
-      (Spine.Index.length loaded);
+    let loaded = Spine.Index.engine loaded in
+    Alcotest.(check int) (tag ^ " length") (E.length e) (E.length loaded);
     for _ = 1 to 20 do
       let len = 3 + Bioseq.Rng.int rng 6 in
       let pos = Bioseq.Rng.int rng (400 - len) in
@@ -442,8 +450,8 @@ let test_serialize_v1_compat () =
         Array.init len (fun j -> Bioseq.Packed_seq.get seq (pos + j))
       in
       Alcotest.(check (list int)) (tag ^ " query parity")
-        (Spine.Index.occurrences idx pat)
-        (Spine.Index.occurrences loaded pat)
+        (Codes.occurrences e pat)
+        (Codes.occurrences loaded pat)
     done
   in
   check_parity "v1" (Spine.Serialize.of_bytes v1);
@@ -472,7 +480,7 @@ let test_serialize_v1_compat () =
 let test_bitflip_trials () =
   let rng = Bioseq.Rng.create 404 in
   let seq = Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) 600 in
-  let oracle = Spine.Index.of_seq seq in
+  let oracle = Spine.Index.engine (Spine.Index.of_seq seq) in
   (* region base pages (see lib/spine/persistent.ml) *)
   let meta_span = 16384 and data_span = 262144 in
   let base_of = function
@@ -537,11 +545,11 @@ let test_bitflip_trials () =
             let pat =
               Array.init len (fun j -> Bioseq.Packed_seq.get seq (pos + j))
             in
-            match P.occurrences p pat with
+            match occurrences p pat with
             | occs ->
               Alcotest.(check (list int))
                 (Printf.sprintf "trial %d: query parity" trial)
-                (Spine.Index.occurrences oracle pat)
+                (Codes.occurrences oracle pat)
                 occs
             | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
           done;
@@ -634,9 +642,9 @@ let test_torn_metadata () =
       (* reopen falls back to the flushed generation *)
       let p2 = P.open_ ~path () in
       Alcotest.(check int) "fell back to generation 1" 1 (P.generation p2);
-      Alcotest.(check int) "flushed length recovered" 16 (P.length p2);
+      Alcotest.(check int) "flushed length recovered" 16 (length p2);
       Alcotest.(check bool) "flushed content queryable" true
-        (P.contains p2 "gtacgtacgt");
+        (contains p2 "gtacgtacgt");
       P.close p2;
       (* the repaired commit overwrites the torn slot *)
       let r2 = P.scrub ~path () in
@@ -682,20 +690,20 @@ let test_parallel_queries () =
      must all see correct answers *)
   let rng = Bioseq.Rng.create 402 in
   let seq = Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) 20_000 in
-  let idx = Spine.Index.of_seq seq in
+  let e = Spine.Index.engine (Spine.Index.of_seq seq) in
   let queries =
     Array.init 64 (fun _ ->
         let len = 3 + Bioseq.Rng.int rng 10 in
         let pos = Bioseq.Rng.int rng (20_000 - len) in
         Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k)))
   in
-  let expected = Array.map (fun q -> Spine.Index.occurrences idx q) queries in
+  let expected = Array.map (fun q -> Codes.occurrences e q) queries in
   let worker seed () =
     let r = Bioseq.Rng.create seed in
     let ok = ref true in
     for _ = 1 to 300 do
       let i = Bioseq.Rng.int r (Array.length queries) in
-      if Spine.Index.occurrences idx queries.(i) <> expected.(i) then
+      if Codes.occurrences e queries.(i) <> expected.(i) then
         ok := false
     done;
     !ok

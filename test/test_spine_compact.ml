@@ -4,36 +4,37 @@
 
 module I = Spine.Index
 module C = Spine.Compact
+module E = Spine.Engine
 
 let byte = Bioseq.Alphabet.byte
 
 let check_parity rng sigma s =
-  let i = I.of_string byte s in
-  let c = C.of_string byte s in
+  let i = I.engine (I.of_string byte s) in
+  let c = C.engine (C.of_string byte s) in
   (* structure-level parity via statistics *)
-  Alcotest.(check int) "node count" (I.node_count i) (C.node_count c);
-  let im = I.label_maxima i and cm = C.label_maxima c in
+  Alcotest.(check int) "node count" (E.node_count i) (E.node_count c);
+  let im = E.label_maxima i and cm = E.label_maxima c in
   Alcotest.(check (triple int int int)) ("label maxima of " ^ s)
-    (im.I.max_pt, im.I.max_lel, im.I.max_prt)
-    (cm.C.max_pt, cm.C.max_lel, cm.C.max_prt);
+    (im.E.max_pt, im.E.max_lel, im.E.max_prt)
+    (cm.E.max_pt, cm.E.max_lel, cm.E.max_prt);
   Alcotest.(check (array int)) ("rib distribution of " ^ s)
-    (I.rib_distribution i) (C.rib_distribution c);
+    (E.rib_distribution i) (E.rib_distribution c);
   Alcotest.(check (array int)) ("link histogram of " ^ s)
-    (I.link_histogram i ~buckets:8) (C.link_histogram c ~buckets:8);
+    (E.link_histogram i ~buckets:8) (E.link_histogram c ~buckets:8);
   (* search parity on random patterns *)
   for _ = 1 to 40 do
     let pat = Oracles.random_string rng sigma (1 + Bioseq.Rng.int rng 8) in
     let codes = Array.init (String.length pat) (fun k -> Char.code pat.[k]) in
     Alcotest.(check (list int)) (Printf.sprintf "occurrences %S in %S" pat s)
-      (I.occurrences i codes) (C.occurrences c codes)
+      (Codes.occurrences i codes) (Codes.occurrences c codes)
   done;
   (* matching parity *)
   let q =
     Bioseq.Packed_seq.of_string byte
       (Oracles.random_string rng sigma (10 + Bioseq.Rng.int rng 40))
   in
-  let ims, _ = I.matching_statistics i q in
-  let cms, _ = C.matching_statistics c q in
+  let ims, _ = E.matching_statistics i q in
+  let cms, _ = E.matching_statistics c q in
   Alcotest.(check (array int)) ("ms parity on " ^ s) ims cms
 
 let test_parity_random () =
@@ -58,7 +59,7 @@ let test_space_accounting () =
     (6 * (4000 + 1)) sp.C.lt_bytes;
   if sp.C.rt_bytes <= 0 then Alcotest.fail "no rib rows allocated";
   (* live rows must equal the number of nodes with each fanout *)
-  let dist = C.rib_distribution c in
+  let dist = E.rib_distribution (C.engine c) in
   let nodes_with_fanout f =
     if f < 4 then dist.(f)
     else Array.fold_left ( + ) 0 (Array.sub dist 4 (Array.length dist - 4))
@@ -76,14 +77,15 @@ let test_overflow_labels () =
   let n = 70_000 in
   let s = String.make n 'a' in
   let c = C.of_string byte s in
-  let i = I.of_string byte s in
+  let i = I.engine (I.of_string byte s) in
+  let ce = C.engine c in
   Alcotest.(check int) "max lel with overflow"
-    (I.label_maxima i).I.max_lel (C.label_maxima c).C.max_lel;
+    (E.label_maxima i).E.max_lel (E.label_maxima ce).E.max_lel;
   if C.overflow_count c = 0 then Alcotest.fail "expected overflow entries";
   (* search still exact *)
   let pat = Array.make 120 (Char.code 'a') in
   Alcotest.(check int) "occurrence count"
-    (n - 120 + 1) (List.length (C.occurrences c pat))
+    (n - 120 + 1) (List.length (Codes.occurrences ce pat))
 
 let test_online_equals_batch () =
   let rng = Bioseq.Rng.create 79 in
@@ -91,6 +93,7 @@ let test_online_equals_batch () =
     let s = Oracles.random_string rng 3 (50 + Bioseq.Rng.int rng 100) in
     (* build character by character, checking usability at every prefix *)
     let c = C.create byte in
+    let e = C.engine c in
     String.iteri
       (fun k ch ->
         C.append c (Char.code ch);
@@ -101,11 +104,11 @@ let test_online_equals_batch () =
           let codes =
             Array.init pat_len (fun j -> Char.code pat.[j])
           in
-          if C.occurrences c codes = [] then
+          if Codes.occurrences e codes = [] then
             Alcotest.failf "online index missing %S at prefix %d" pat k
         end)
       s;
-    Alcotest.(check int) "final length" (String.length s) (C.length c)
+    Alcotest.(check int) "final length" (String.length s) (E.length e)
   done
 
 let suite =

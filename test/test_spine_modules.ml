@@ -81,14 +81,14 @@ let test_serialize_roundtrip () =
         let seq = Bioseq.Synthetic.genomic alphabet (Bioseq.Rng.split rng) n in
         let idx = Spine.Index.of_seq seq in
         let loaded = Spine.Serialize.of_bytes (Spine.Serialize.to_bytes idx) in
-        Alcotest.(check int) "length" (Spine.Index.length idx)
-          (Spine.Index.length loaded);
+        let n = Spine.Fast_store.length idx in
+        Alcotest.(check int) "length" n (Spine.Fast_store.length loaded);
         (* structural identity: links, ribs, extribs *)
-        for node = 1 to Spine.Index.length idx do
+        for node = 1 to n do
           Alcotest.(check (pair int int)) "link"
             (Spine.Index.link idx node) (Spine.Index.link loaded node)
         done;
-        for node = 0 to Spine.Index.length idx do
+        for node = 0 to n do
           for code = 0 to Bioseq.Alphabet.size alphabet - 1 do
             Alcotest.(check (option (pair int int))) "rib"
               (Spine.Index.rib idx node code) (Spine.Index.rib loaded node code)
@@ -98,8 +98,8 @@ let test_serialize_roundtrip () =
         done;
         (* behavioural identity *)
         let q = Bioseq.Synthetic.mutate ~rate:0.2 (Bioseq.Rng.split rng) seq in
-        let ms1, _ = Spine.Index.matching_statistics idx q in
-        let ms2, _ = Spine.Index.matching_statistics loaded q in
+        let ms e = fst (Spine.Engine.matching_statistics (Spine.Index.engine e) q) in
+        let ms1 = ms idx and ms2 = ms loaded in
         Alcotest.(check (array int)) "ms" ms1 ms2
       done)
     [ dna; Bioseq.Alphabet.protein ]
@@ -122,7 +122,7 @@ let test_serialize_file () =
   let loaded = Spine.Serialize.of_file tmp in
   Sys.remove tmp;
   Alcotest.(check bool) "query parity" true
-    (Spine.Index.contains loaded "gtgac")
+    (Codes.contains_string (Spine.Index.engine loaded) "gtgac")
 
 (* --- Disk --- *)
 
@@ -131,14 +131,15 @@ let test_disk_build_and_search () =
   let seq = Bioseq.Synthetic.genomic dna rng 20_000 in
   let d = Spine.Disk.build seq in
   (* the disk index answers exactly like an in-memory one *)
-  let plain = Spine.Compact.of_seq seq in
+  let plain = Spine.Compact.engine (Spine.Compact.of_seq seq) in
+  let disk = Spine.Disk.engine d in
   for _ = 1 to 30 do
     let len = 3 + Bioseq.Rng.int rng 8 in
     let pos = Bioseq.Rng.int rng (20_000 - len) in
     let pat = Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k)) in
     Alcotest.(check (list int)) "disk = memory"
-      (Spine.Compact.occurrences plain pat)
-      (Spine.Compact.occurrences d.Spine.Disk.index pat)
+      (Codes.occurrences plain pat)
+      (Codes.occurrences disk pat)
   done;
   (* construction generated real device traffic *)
   let s = Pagestore.Device.stats d.Spine.Disk.device in
@@ -157,7 +158,7 @@ let test_disk_pinning_config () =
   (* still correct under a tiny, partially pinned pool *)
   let pat = Array.init 10 (fun k -> Bioseq.Packed_seq.get seq (5_000 + k)) in
   Alcotest.(check bool) "found" true
-    (Spine.Compact.occurrences d.Spine.Disk.index pat <> [])
+    (Codes.occurrences (Spine.Disk.engine d) pat <> [])
 
 (* --- Space --- *)
 
@@ -196,8 +197,8 @@ let test_trie_counts () =
   Alcotest.(check bool) "absent" false (Suffix_trie.contains trie "gg");
   Alcotest.(check bool) "foreign chars" false (Suffix_trie.contains trie "xyz");
   (* SPINE's node count beats the trie's by construction *)
-  let spine_idx = Spine.Index.of_string dna "acgtacgt" in
-  Alcotest.(check int) "spine nodes" 9 (Spine.Index.node_count spine_idx);
+  let spine = Spine.Index.engine (Spine.Index.of_string dna "acgtacgt") in
+  Alcotest.(check int) "spine nodes" 9 (Spine.Engine.node_count spine);
   Alcotest.(check bool) "trie much larger" true
     (Suffix_trie.node_count trie > 9)
 

@@ -3,10 +3,12 @@
    the hand-validated construction trace. *)
 
 module I = Spine.Index
+module E = Spine.Engine
 
 let dna_like = Bioseq.Alphabet.make "ac"
 
 let build () = I.of_string dna_like "aaccacaaca"
+let engine () = I.engine (build ())
 
 let a = 0 and c = 1
 
@@ -67,9 +69,9 @@ let test_extribs () =
     [ 0; 1; 2; 3; 4; 6; 8; 9; 10 ]
 
 let test_node_and_edge_counts () =
-  let t = build () in
-  Alcotest.(check int) "nodes" 11 (I.node_count t);
-  let { I.vertebras; ribs; extribs; links } = I.edge_counts t in
+  let e = engine () in
+  Alcotest.(check int) "nodes" 11 (E.node_count e);
+  let { E.vertebras; ribs; extribs; links } = E.edge_counts e in
   (* "it has 11 nodes and 26 edges" *)
   Alcotest.(check int) "total edges" 26 (vertebras + ribs + extribs + links);
   Alcotest.(check int) "vertebras" 10 vertebras;
@@ -78,33 +80,34 @@ let test_node_and_edge_counts () =
   Alcotest.(check int) "links" 10 links
 
 let test_false_positive_rejected () =
-  let t = build () in
+  let e = engine () in
   (* Section 2.1/4: "accaa" appears to have a path but the PT labels
      must reject it *)
-  Alcotest.(check bool) "accaa rejected" false (I.contains t "accaa");
-  Alcotest.(check bool) "acca accepted" true (I.contains t "acca")
+  Alcotest.(check bool) "accaa rejected" false
+    (Codes.contains_string e "accaa");
+  Alcotest.(check bool) "acca accepted" true (Codes.contains_string e "acca")
 
 let test_all_occurrences_example () =
-  let t = build () in
+  let e = engine () in
   (* Section 4's worked example: searching "ac" fills the target node
      buffer with nodes 3, 6, 9 *)
   Alcotest.(check (list int)) "end nodes of ac" [ 3; 6; 9 ]
-    (I.end_nodes t [| a; c |]);
+    (Codes.end_nodes e [| a; c |]);
   Alcotest.(check (list int)) "start positions of ac" [ 1; 4; 7 ]
-    (I.occurrences t [| a; c |])
+    (Codes.occurrences e [| a; c |])
 
 let test_every_substring_present () =
-  let t = build () in
+  let e = engine () in
   let s = "aaccacaaca" in
   for i = 0 to String.length s - 1 do
     for len = 1 to String.length s - i do
       let sub = String.sub s i len in
-      if not (I.contains t sub) then Alcotest.failf "missing %S" sub
+      if not (Codes.contains_string e sub) then Alcotest.failf "missing %S" sub
     done
   done
 
 let test_no_false_positives_exhaustive () =
-  let t = build () in
+  let e = engine () in
   let s = "aaccacaaca" in
   (* enumerate ALL strings over {a, c} up to length 6 and compare the
      membership decision with the oracle *)
@@ -117,7 +120,7 @@ let test_no_false_positives_exhaustive () =
     (fun pat ->
       if pat <> "" then
         Alcotest.(check bool) (Printf.sprintf "membership of %S" pat)
-          (Oracles.contains s pat) (I.contains t pat))
+          (Oracles.contains s pat) (Codes.contains_string e pat))
     (strings 6)
 
 let suite =

@@ -4,34 +4,36 @@
    registered as alcotest cases via QCheck_alcotest. *)
 
 module I = Spine.Index
+module E = Spine.Engine
 
 let byte = Bioseq.Alphabet.byte
 
 let build s = I.of_string byte s
+let engine s = I.engine (build s)
 
 let codes_of s = Array.init (String.length s) (fun i -> Char.code s.[i])
 
 (* --- deterministic checks reused by both qcheck and direct cases --- *)
 
 let check_membership s =
-  let t = build s in
+  let e = engine s in
   let n = String.length s in
   (* all substrings present (no false negatives) *)
   for i = 0 to n - 1 do
     for len = 1 to n - i do
       let sub = String.sub s i len in
-      if not (I.contains_codes t (codes_of sub)) then
+      if not (Codes.contains e (codes_of sub)) then
         failwith (Printf.sprintf "false negative: %S in %S" sub s)
     done
   done;
   true
 
 let check_membership_random_patterns rng sigma s =
-  let t = build s in
+  let e = engine s in
   for _ = 1 to 50 do
     let pat = Oracles.random_string rng sigma (1 + Bioseq.Rng.int rng 8) in
     let expected = Oracles.contains s pat in
-    let got = I.contains_codes t (codes_of pat) in
+    let got = Codes.contains e (codes_of pat) in
     if expected <> got then
       failwith
         (Printf.sprintf "membership mismatch: %S in %S (oracle %b, spine %b)"
@@ -40,7 +42,7 @@ let check_membership_random_patterns rng sigma s =
   true
 
 let check_first_occurrence rng sigma s =
-  let t = build s in
+  let e = engine s in
   for _ = 1 to 50 do
     let pat =
       if Bioseq.Rng.bool rng && String.length s > 2 then begin
@@ -51,7 +53,7 @@ let check_first_occurrence rng sigma s =
       else Oracles.random_string rng sigma (1 + Bioseq.Rng.int rng 6)
     in
     let expected = Oracles.first_occurrence s pat in
-    let got = I.first_occurrence t (codes_of pat) in
+    let got = Codes.first_occurrence e (codes_of pat) in
     if expected <> got then
       failwith
         (Printf.sprintf "first occurrence mismatch for %S in %S" pat s)
@@ -59,7 +61,7 @@ let check_first_occurrence rng sigma s =
   true
 
 let check_all_occurrences rng sigma s =
-  let t = build s in
+  let e = engine s in
   for _ = 1 to 40 do
     let pat =
       if Bioseq.Rng.bool rng && String.length s > 2 then begin
@@ -70,7 +72,7 @@ let check_all_occurrences rng sigma s =
       else Oracles.random_string rng sigma (1 + Bioseq.Rng.int rng 5)
     in
     let expected = Oracles.occurrences s pat in
-    let got = I.occurrences t (codes_of pat) in
+    let got = Codes.occurrences e (codes_of pat) in
     if expected <> got then
       failwith
         (Printf.sprintf "occurrences mismatch for %S in %S: [%s] vs [%s]"
@@ -97,24 +99,24 @@ let check_links s =
   true
 
 let check_matching_statistics rng sigma s =
-  let t = build s in
+  let e = engine s in
   let q = Oracles.random_string rng sigma (5 + Bioseq.Rng.int rng 40) in
   let expected = Oracles.matching_statistics s q in
-  let got, _ = I.matching_statistics t (Bioseq.Packed_seq.of_string byte q) in
+  let got, _ = E.matching_statistics e (Bioseq.Packed_seq.of_string byte q) in
   if expected <> got then
     failwith (Printf.sprintf "matching statistics mismatch: %S vs %S" s q);
   true
 
 let check_maximal_matches rng sigma s =
-  let t = build s in
+  let e = engine s in
   let q = Oracles.random_string rng sigma (5 + Bioseq.Rng.int rng 40) in
   let threshold = 2 + Bioseq.Rng.int rng 3 in
   let expected = Oracles.maximal_matches s q threshold in
   let got, _ =
-    I.maximal_matches t ~threshold (Bioseq.Packed_seq.of_string byte q)
+    E.maximal_matches e ~threshold (Bioseq.Packed_seq.of_string byte q)
   in
   let got =
-    List.map (fun { I.query_end; length; data_ends } ->
+    List.map (fun { E.query_end; length; data_ends } ->
         (query_end, length, data_ends)) got
   in
   if expected <> got then
@@ -159,10 +161,18 @@ let check_prefix_partition s =
   done;
   true
 
+module Fast_search = Spine.Search.Make (Spine.Fast_store)
+module Compact_search = Spine.Search.Make (Spine.Compact_store)
+
 let check_binary_scan rng sigma s =
   (* the paper's binary-search target-node-buffer formulation must give
-     exactly the same end nodes as the hashtable scan *)
-  let t = build s in
+     exactly the same end nodes as the engine's hashtable scan, on both
+     the fast and the compact store *)
+  let fast = build s in
+  let compact_idx = Spine.Compact.of_string byte s in
+  let compact = Spine.Compact.store compact_idx in
+  let fast_e = I.engine fast in
+  let compact_e = Spine.Compact.engine compact_idx in
   for _ = 1 to 20 do
     let pat =
       if String.length s > 3 && Bioseq.Rng.bool rng then begin
@@ -172,15 +182,18 @@ let check_binary_scan rng sigma s =
       end
       else Oracles.random_string rng sigma (1 + Bioseq.Rng.int rng 5)
     in
-    let codes = codes_of pat in
-    if I.end_nodes t codes <> I.end_nodes_binary t codes then
-      failwith (Printf.sprintf "binary scan mismatch for %S in %S" pat s)
+    let p = E.pattern fast_e (codes_of pat) in
+    if E.end_nodes_pattern fast_e p <> Fast_search.end_nodes_binary fast p then
+      failwith (Printf.sprintf "fast binary scan mismatch for %S in %S" pat s);
+    if
+      E.end_nodes_pattern compact_e p
+      <> Compact_search.end_nodes_binary compact p
+    then
+      failwith (Printf.sprintf "compact binary scan mismatch for %S in %S" pat s)
   done;
   true
 
-let check_node_count s =
-  let t = build s in
-  I.node_count t = String.length s + 1
+let check_node_count s = E.node_count (engine s) = String.length s + 1
 
 (* --- fixed adversarial cases --- *)
 

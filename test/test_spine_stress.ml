@@ -62,14 +62,12 @@ let check_all_links seq =
 (* Matching statistics of SPINE vs suffix tree on repeat-heavy inputs
    (the condition that exposed the bug at genome scale). *)
 let check_ms_parity rng seq =
-  let idx = I.of_seq seq in
+  let e = I.engine (I.of_seq seq) in
   let st = Suffix_tree.build seq in
-  let alphabet = Bioseq.Packed_seq.alphabet seq in
   let query =
     Bioseq.Synthetic.mutate ~rate:0.15 rng seq
   in
-  ignore alphabet;
-  let ms_spine, _ = I.matching_statistics idx query in
+  let ms_spine, _ = Spine.Engine.matching_statistics e query in
   let ms_st, _ = Suffix_tree.matching_statistics st query in
   Alcotest.(check (array int)) "ms parity on repeat-heavy input"
     ms_st ms_spine
@@ -87,14 +85,14 @@ let test_regression_search () =
   (* the concrete false positive the bug produced: construct analogous
      situations by exhaustive membership testing against the tree *)
   let seq = Bioseq.Packed_seq.of_string Bioseq.Alphabet.dna regression_string in
-  let idx = I.of_seq seq in
+  let e = I.engine (I.of_seq seq) in
   let st = Suffix_tree.build seq in
   let rng = Bioseq.Rng.create 11 in
   for _ = 1 to 3000 do
     let len = 1 + Bioseq.Rng.int rng 14 in
     let pat = Array.init len (fun _ -> Bioseq.Rng.int rng 4) in
     let expected = Suffix_tree.contains_codes st pat in
-    let got = I.contains_codes idx pat in
+    let got = Codes.contains e pat in
     if expected <> got then
       Alcotest.failf "membership mismatch (len %d): tree %b, spine %b"
         len expected got
@@ -128,14 +126,14 @@ let test_genomic_occurrences () =
       Bioseq.Synthetic.genomic ~profile:genomic_profile Bioseq.Alphabet.dna
         (Bioseq.Rng.split rng) n
     in
-    let idx = I.of_seq seq in
+    let e = I.engine (I.of_seq seq) in
     let st = Suffix_tree.build seq in
     for _ = 1 to 30 do
       let len = 2 + Bioseq.Rng.int rng 10 in
       let pos = Bioseq.Rng.int rng (n - len) in
       let pat = Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k)) in
       Alcotest.(check (list int)) "occurrences parity"
-        (Suffix_tree.occurrences st pat) (I.occurrences idx pat)
+        (Suffix_tree.occurrences st pat) (Codes.occurrences e pat)
     done
   done
 

@@ -73,13 +73,13 @@ let test_three_way_agreement () =
     let s = Oracles.random_string rng 4 (30 + Bioseq.Rng.int rng 100) in
     let sa = SA.of_string byte s in
     let st = Suffix_tree.of_string byte s in
-    let spine_idx = Spine.Index.of_string byte s in
+    let spine = Spine.Index.engine (Spine.Index.of_string byte s) in
     for _ = 1 to 20 do
       let pat = Oracles.random_string rng 4 (1 + Bioseq.Rng.int rng 8) in
       let codes = codes_of pat in
       let a = SA.occurrences sa codes in
       let b = Suffix_tree.occurrences st codes in
-      let c = Spine.Index.occurrences spine_idx codes in
+      let c = Codes.occurrences spine codes in
       Alcotest.(check (list int)) "sa = st" a b;
       Alcotest.(check (list int)) "sa = spine" a c
     done

@@ -160,7 +160,7 @@ let test_instrumented_build () =
       Alcotest.(check int) "case1 events" 4 (count "build.case1");
       Alcotest.(check int) "rib events" 4 (count "build.rib");
       Alcotest.(check int) "extrib events" 2 (count "build.extrib");
-      ignore (Spine.Index.occurrences idx [| 0; 1; 0 |]);
+      ignore (Codes.occurrences (Spine.Index.engine idx) [| 0; 1; 0 |]);
       Alcotest.(check bool) "traversal steps recorded" true
         (count "step.vertebra" > 0 || count "step.rib" > 0);
       Alcotest.(check bool) "occurrence scan bracketed" true
