@@ -7,8 +7,8 @@
       Section 5 space accounting, the Section 5.2 protein runs and the
       ablations). `bench/main.exe table5` runs a single experiment;
       no arguments runs everything.  `micro` runs only the
-      micro-benchmarks, `micro:packed` only one family, and either
-      combines with experiment names.
+      micro-benchmarks, `micro:packed` (or `micro:pool`) only one
+      family, and either combines with experiment names.
 
    2. One Bechamel micro-benchmark group per table/figure, measuring
       the kernel operation each experiment times (construction,
@@ -123,6 +123,29 @@ let occ_pattern =
    per-step guard closure *)
 module Compact_cursor = Spine.Cursor.Make (Spine.Compact_store)
 
+(* --- buffer-pool layer kernels (micro:pool) ---
+
+   The paged store's cost per field: an in-page [Paged_bytes.get_u32]
+   (one pool latch and one word read), a bare [with_page] hit on a
+   resident page, and a miss on the in-memory device.  The miss pool
+   has one frame and alternates between two pages, so every call
+   evicts a clean page and reads the other one back. *)
+
+let pool_page_size = 4096
+
+let resident_pool =
+  lazy
+    (let dev = Pagestore.Device.create ~page_size:pool_page_size () in
+     let pool = Pagestore.Buffer_pool.create ~frames:4 dev in
+     let tab = Pagestore.Paged_bytes.make pool ~base_page:0 in
+     Pagestore.Paged_bytes.set_u32 tab 64 0xC0FF_EE;
+     (pool, tab))
+
+let miss_pool =
+  lazy
+    (let dev = Pagestore.Device.create ~page_size:pool_page_size () in
+     (Pagestore.Buffer_pool.create ~frames:1 dev, ref 0))
+
 let tests =
   [ (* Table 2 is static accounting; its kernel is the space model *)
     Test.make ~name:"table2/naive-node-accounting"
@@ -225,6 +248,19 @@ let tests =
       (Staged.stage (fun () ->
            Spine.Engine.occurrences_pattern (Lazy.force spine_engine)
              (Lazy.force occ_pattern)))
+  ; Test.make ~name:"pool/paged-bytes-get-u32-in-page"
+      (Staged.stage (fun () ->
+           let _, tab = Lazy.force resident_pool in
+           Pagestore.Paged_bytes.get_u32 tab 64))
+  ; Test.make ~name:"pool/with-page-hit"
+      (Staged.stage (fun () ->
+           let pool, _ = Lazy.force resident_pool in
+           Pagestore.Buffer_pool.with_page pool 0 ~dirty:false Bytes.length))
+  ; Test.make ~name:"pool/with-page-miss-mem-device"
+      (Staged.stage (fun () ->
+           let pool, next = Lazy.force miss_pool in
+           next := 1 - !next;
+           Pagestore.Buffer_pool.with_page pool !next ~dirty:false Bytes.length))
   ]
 
 (* Returns (name, estimated ns/run) per test so the trajectory artifact

@@ -104,6 +104,8 @@ type t = {
   frames : int;
   buffers : Bytes.t array;
   page_of : int array;          (* frame -> page id, -1 = free *)
+  free : int array;             (* stack of free frames, [0, n_free) *)
+  mutable n_free : int;
   dirty : bool array;
   in_use : int array;           (* reentrancy latch count per frame *)
   prev : int array;
@@ -126,6 +128,9 @@ let create ?(pin = fun _ -> false) ?(replacement = `Lru) ~frames dev =
     lock = Mutex.create (); lock_owner = -1; lock_depth = 0;
     buffers = Array.init frames (fun _ -> Bytes.make page_size '\000');
     page_of = Array.make frames (-1);
+    (* lowest frame on top, so frames fill in index order *)
+    free = Array.init frames (fun i -> frames - 1 - i);
+    n_free = frames;
     dirty = Array.make frames false;
     in_use = Array.make frames 0;
     prev = Array.make frames (-1);
@@ -141,24 +146,32 @@ let frames t = t.frames
 
 (* reentrant per-domain critical section around the pool's mutable
    innards; [lock_owner] is only compared against the caller's own
-   domain id, so a stale read of another domain's id cannot match *)
+   domain id, so a stale read of another domain's id cannot match.
+   Every page access passes through here, so the release is a plain
+   match rather than a [Fun.protect] closure. *)
+let leave t =
+  t.lock_depth <- t.lock_depth - 1;
+  if t.lock_depth = 0 then begin
+    t.lock_owner <- -1;
+    Mutex.unlock t.lock
+  end
+
 let locked t f =
   let me = (Domain.self () :> int) in
-  if t.lock_owner = me then begin
-    t.lock_depth <- t.lock_depth + 1;
-    Fun.protect ~finally:(fun () -> t.lock_depth <- t.lock_depth - 1) f
-  end
+  if t.lock_owner = me then t.lock_depth <- t.lock_depth + 1
   else begin
     Mutex.lock t.lock;
     t.lock_owner <- me;
-    t.lock_depth <- 1;
-    Fun.protect
-      ~finally:(fun () ->
-        t.lock_depth <- 0;
-        t.lock_owner <- -1;
-        Mutex.unlock t.lock)
-      f
-  end
+    t.lock_depth <- 1
+  end;
+  match f () with
+  | r ->
+    leave t;
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    leave t;
+    Printexc.raise_with_backtrace e bt
 
 let set_writeback_hook t h = locked t (fun () -> t.on_writeback <- h)
 
@@ -166,7 +179,10 @@ let set_writeback_hook t h = locked t (fun () -> t.on_writeback <- h)
    retried a few times before propagating; anything else — permanent
    errors, corruption — passes straight through.  The "backoff" is
    simulated like every other latency in the stack: each retry re-runs
-   the device operation, which charges its own cost. *)
+   the device operation, which charges its own cost.  A retry is new
+   work, so it first honours the ambient deadline: a storm of transient
+   errors fails typed ([Timeout]) once the budget is spent instead of
+   running out its attempts. *)
 let max_io_attempts = 4
 
 let with_io_retries page f =
@@ -175,6 +191,7 @@ let with_io_retries page f =
     with
     | Spine_error.Error (Spine_error.Io_failed { transient = true; _ })
       when attempt < max_io_attempts ->
+      Deadline.check ();
       Telemetry.incr c_io_retries;
       att_retry ();
       if Trace.on () then
@@ -251,9 +268,14 @@ let find_victim t =
        Spine_error.raise_error
          (Spine_error.Pool_exhausted { frames = t.frames; latched = !latched }))
 
-let find_free t =
-  let rec go f = if f >= t.frames then -1 else if t.page_of.(f) < 0 then f else go (f + 1) in
-  go 0
+(* [free] holds exactly the frames with [page_of = -1]: [drop] refills
+   it and a failed miss read pushes its claimed frame back, so a miss
+   on a full pool goes straight to [find_victim]. *)
+let release_frame t f =
+  t.page_of.(f) <- -1;
+  t.dirty.(f) <- false;
+  t.free.(t.n_free) <- f;
+  t.n_free <- t.n_free + 1
 
 let frame_for t page =
   match Xutil.Int_tbl.find_opt t.table page with
@@ -272,8 +294,10 @@ let frame_for t page =
     let tr = Trace.on () in
     if tr then Trace.begin_span "pool.fault" [ Trace.Int ("page", page) ];
     let f =
-      let free = find_free t in
-      if free >= 0 then free
+      if t.n_free > 0 then begin
+        t.n_free <- t.n_free - 1;
+        t.free.(t.n_free)
+      end
       else begin
         let victim = find_victim t in
         if t.pin t.page_of.(victim) then begin
@@ -301,8 +325,7 @@ let frame_for t page =
      | exception e ->
        (* the frame was already claimed (victim evicted / free slot
           taken); release it so a failed read cannot leak frames *)
-       t.page_of.(f) <- -1;
-       t.dirty.(f) <- false;
+       release_frame t f;
        if tr then Trace.end_span ();
        raise e);
     t.page_of.(f) <- page;
@@ -347,6 +370,8 @@ let drop t =
       Xutil.Int_tbl.reset t.table;
       Array.fill t.page_of 0 t.frames (-1);
       Array.fill t.dirty 0 t.frames false;
+      for i = 0 to t.frames - 1 do t.free.(i) <- t.frames - 1 - i done;
+      t.n_free <- t.frames;
       Array.fill t.prev 0 t.frames (-1);
       Array.fill t.next 0 t.frames (-1);
       t.head <- -1;

@@ -45,12 +45,23 @@ val with_page : t -> int -> dirty:bool -> (Bytes.t -> 'a) -> 'a
     retained after [f] returns. Reentrant calls on {e distinct} pages are
     allowed up to the frame count.
 
+    Cost: a hit is one {!Deadline.check}, one mutex round trip, a
+    page-table lookup and an LRU relink.  A miss adds a frame: a free one in O(1) while
+    the pool is not full ({!drop} and a failed read return frames to
+    the free list), otherwise an LRU victim (written back first when
+    dirty), then one device read.  Callers that need several bytes of
+    one page should take them under a single call ({!Paged_bytes}
+    does, per field).
+
     Transient device errors (injected I/O faults) are retried a few
-    times before propagating; permanent errors and checksum failures
-    pass through as raised.
+    times before propagating; each retry first calls {!Deadline.check},
+    so an armed deadline that expires during a retry storm surfaces as
+    a typed [Timeout] instead of further attempts.  Permanent errors
+    and checksum failures pass through as raised.
     @raise Spine_error.Error ([Pool_exhausted]) when every frame is
     latched by a live caller (after one writeback-and-rescan pass);
-    ([Corrupt] / [Io_failed]) propagated from the device. *)
+    ([Timeout]) when the ambient deadline is overrun on entry or before
+    a retry; ([Corrupt] / [Io_failed]) propagated from the device. *)
 
 val flush : t -> unit
 (** Write back every dirty frame. *)

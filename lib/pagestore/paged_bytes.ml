@@ -1,0 +1,74 @@
+(* Byte tables over buffer-pool pages (see paged_bytes.mli). *)
+
+type t = {
+  pool : Buffer_pool.t;
+  base_page : int;
+  page_size : int;
+  mutable used : int;
+}
+
+let make ?(used = 0) pool ~base_page =
+  { pool; base_page;
+    page_size = Device.page_size (Buffer_pool.device pool);
+    used }
+
+let used t = t.used
+
+let alloc t n =
+  let off = t.used in
+  t.used <- t.used + n;
+  off
+
+let page t off = t.base_page + (off / t.page_size)
+
+let get_u8 t off =
+  let pos = off mod t.page_size in
+  Buffer_pool.with_page t.pool (page t off) ~dirty:false (fun b ->
+      Bytes.get_uint8 b pos)
+
+let set_u8 t off v =
+  let pos = off mod t.page_size in
+  Buffer_pool.with_page t.pool (page t off) ~dirty:true (fun b ->
+      Bytes.set_uint8 b pos (v land 0xFF))
+
+(* A field inside one page is one latch and one word access; a field
+   that straddles a page boundary goes byte by byte. *)
+let get_u16 t off =
+  let pos = off mod t.page_size in
+  if pos + 2 <= t.page_size then
+    Buffer_pool.with_page t.pool (page t off) ~dirty:false (fun b ->
+        Bytes.get_uint16_le b pos)
+  else get_u8 t off lor (get_u8 t (off + 1) lsl 8)
+
+let set_u16 t off v =
+  let pos = off mod t.page_size in
+  if pos + 2 <= t.page_size then
+    Buffer_pool.with_page t.pool (page t off) ~dirty:true (fun b ->
+        Bytes.set_uint16_le b pos (v land 0xFFFF))
+  else begin
+    set_u8 t off v;
+    set_u8 t (off + 1) (v lsr 8)
+  end
+
+let get_u32 t off =
+  let pos = off mod t.page_size in
+  if pos + 4 <= t.page_size then
+    Buffer_pool.with_page t.pool (page t off) ~dirty:false (fun b ->
+        Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFF_FFFF)
+  else
+    get_u8 t off
+    lor (get_u8 t (off + 1) lsl 8)
+    lor (get_u8 t (off + 2) lsl 16)
+    lor (get_u8 t (off + 3) lsl 24)
+
+let set_u32 t off v =
+  let pos = off mod t.page_size in
+  if pos + 4 <= t.page_size then
+    Buffer_pool.with_page t.pool (page t off) ~dirty:true (fun b ->
+        Bytes.set_int32_le b pos (Int32.of_int v))
+  else begin
+    set_u8 t off v;
+    set_u8 t (off + 1) (v lsr 8);
+    set_u8 t (off + 2) (v lsr 16);
+    set_u8 t (off + 3) (v lsr 24)
+  end

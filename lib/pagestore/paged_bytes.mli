@@ -1,0 +1,42 @@
+(** A growable byte table laid over consecutive pages of a
+    {!Buffer_pool}: the byte-table provider that makes SPINE's Section 5
+    layout (Link Table entries, Rib Table rows, the packed sequence)
+    disk-resident.
+
+    Byte [off] of the table lives at offset [off mod page_size] of
+    device page [base_page + off / page_size].  Integer fields are
+    little-endian and unsigned.  A field that lies inside one page costs
+    exactly one {!Buffer_pool.with_page} and is read or written as a
+    word; only a field that straddles a page boundary is assembled byte
+    by byte, one pool access per byte.  Either way the sequence of
+    distinct pages touched is the same, so misses, evictions and device
+    I/O do not depend on which path a field takes. *)
+
+type t
+
+val make : ?used:int -> Buffer_pool.t -> base_page:int -> t
+(** [make pool ~base_page] starts a table at device page [base_page]
+    with [used] bytes (default 0) already allocated — a reopened
+    region passes its recorded length.  Several tables share one pool
+    by using disjoint page ranges. *)
+
+val used : t -> int
+(** Bytes allocated so far. *)
+
+val alloc : t -> int -> int
+(** [alloc t n] reserves [n] more bytes, returning their offset.  No
+    page is touched: pages materialise on first access. *)
+
+val get_u8 : t -> int -> int
+val set_u8 : t -> int -> int -> unit
+(** [set_u8 t off v] stores [v land 0xFF]. *)
+
+val get_u16 : t -> int -> int
+val set_u16 : t -> int -> int -> unit
+(** [set_u16 t off v] stores [v land 0xFFFF]. *)
+
+val get_u32 : t -> int -> int
+(** The unsigned 32-bit field at [off], in [0, 2^32). *)
+
+val set_u32 : t -> int -> int -> unit
+(** [set_u32 t off v] stores the low 32 bits of [v]. *)

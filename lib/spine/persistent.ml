@@ -1,53 +1,6 @@
 (* Byte tables over buffer-pool pages: the BYTES instantiation that
-   makes the Section 5 layout disk-resident. Multi-byte fields may
-   straddle a page boundary, so they are assembled byte by byte. *)
-module Paged_bytes = struct
-  type t = {
-    pool : Pagestore.Buffer_pool.t;
-    base_page : int;
-    page_size : int;
-    mutable used : int;
-  }
-
-  let make ?(used = 0) pool ~base_page =
-    { pool; base_page;
-      page_size = Pagestore.Device.page_size (Pagestore.Buffer_pool.device pool);
-      used }
-
-  let used t = t.used
-
-  let alloc t n =
-    let off = t.used in
-    t.used <- t.used + n;
-    off
-
-  let get_u8 t off =
-    Pagestore.Buffer_pool.with_page t.pool (t.base_page + (off / t.page_size))
-      ~dirty:false (fun b -> Char.code (Bytes.get b (off mod t.page_size)))
-
-  let set_u8 t off v =
-    Pagestore.Buffer_pool.with_page t.pool (t.base_page + (off / t.page_size))
-      ~dirty:true (fun b ->
-        Bytes.set b (off mod t.page_size) (Char.chr (v land 0xFF)))
-
-  let get_u16 t off = get_u8 t off lor (get_u8 t (off + 1) lsl 8)
-
-  let set_u16 t off v =
-    set_u8 t off v;
-    set_u8 t (off + 1) (v lsr 8)
-
-  let get_u32 t off =
-    get_u8 t off
-    lor (get_u8 t (off + 1) lsl 8)
-    lor (get_u8 t (off + 2) lsl 16)
-    lor (get_u8 t (off + 3) lsl 24)
-
-  let set_u32 t off v =
-    set_u8 t off v;
-    set_u8 t (off + 1) (v lsr 8);
-    set_u8 t (off + 2) (v lsr 16);
-    set_u8 t (off + 3) (v lsr 24)
-end
+   makes the Section 5 layout disk-resident. *)
+module Paged_bytes = Pagestore.Paged_bytes
 
 module P = Compact_store.Core (Paged_bytes)
 module B = Builder.Make (P)

@@ -1,5 +1,6 @@
 (* Tests for the disk substrate: device cost model, buffer pool
-   replacement/pinning, paged arrays and the trace router. *)
+   replacement/pinning and free-frame bookkeeping, paged byte tables
+   and the trace router. *)
 
 let mk_device ?(sync_writes = false) () =
   Pagestore.Device.create ~sync_writes ~page_size:256 ()
@@ -298,40 +299,176 @@ let test_pool_drop_rereads () =
   Pagestore.Buffer_pool.with_page p 1 ~dirty:false (fun b ->
       Alcotest.(check char) "reread after drop" 'k' (Bytes.get b 0))
 
-let test_paged_array_fields () =
+(* a pool touch that only counts the access *)
+let touch p i = Pagestore.Buffer_pool.with_page p i ~dirty:false ignore
+
+let evictions p = (Pagestore.Buffer_pool.stats p).Pagestore.Buffer_pool.evictions
+
+let test_pool_free_frames () =
+  let d = mk_device () in
+  let p = Pagestore.Buffer_pool.create ~frames:4 d in
+  for i = 0 to 5 do touch p i done;
+  Alcotest.(check int) "a full pool evicts" 2 (evictions p);
+  (* after a drop every frame is free again: the first [frames]
+     distinct misses must not evict *)
+  Pagestore.Buffer_pool.drop p;
+  for i = 10 to 13 do touch p i done;
+  Alcotest.(check int) "refill after drop evicts nothing" 2 (evictions p);
+  touch p 14;
+  Alcotest.(check int) "the fifth distinct page evicts" 3 (evictions p);
+  let fail_reads_of bad =
+    Pagestore.Device.set_hooks d
+      (Some
+         { Pagestore.Device.on_read =
+             (fun ~page ->
+               if page = bad then
+                 Spine_error.io_failed ~op:Spine_error.Read ~page
+                   ~transient:false "injected");
+           on_write = (fun ~page:_ ~phys:_ -> Pagestore.Device.Write_through) })
+  in
+  let failed_read page =
+    match touch p page with
+    | exception Spine_error.Error (Spine_error.Io_failed _) -> ()
+    | () -> Alcotest.fail "the injected read error must propagate"
+  in
+  (* a failed read on a pool that is not full hands its frame back *)
+  Pagestore.Buffer_pool.drop p;
+  touch p 0; touch p 1;
+  fail_reads_of 7;
+  failed_read 7;
+  Pagestore.Device.set_hooks d None;
+  touch p 2; touch p 3;
+  Alcotest.(check int) "released frame reused without an eviction" 3
+    (evictions p);
+  (* on a full pool the victim is evicted first; the failed read then
+     releases that frame, and the next miss takes it without evicting *)
+  fail_reads_of 8;
+  failed_read 8;
+  Pagestore.Device.set_hooks d None;
+  Alcotest.(check int) "the failed miss evicted its victim" 4 (evictions p);
+  touch p 9;
+  Alcotest.(check int) "the victim's frame was reused" 4 (evictions p)
+
+(* Fixed-width records laid out through [alloc]: 12-byte records on
+   256-byte pages, so some records cross a page boundary. *)
+let test_paged_bytes_fields () =
   let d = mk_device () in
   let p = Pagestore.Buffer_pool.create ~frames:8 d in
-  let a = Pagestore.Paged_array.create p ~base_page:0 ~record_size:12 in
-  Alcotest.(check int) "records per page" (256 / 12)
-    (Pagestore.Paged_array.records_per_page a);
+  let a = Pagestore.Paged_bytes.make p ~base_page:0 in
+  let record = 12 in
   for i = 0 to 99 do
-    Pagestore.Paged_array.set_u32 a i 0 (i * 1000);
-    Pagestore.Paged_array.set_u16 a i 4 (i * 3);
-    Pagestore.Paged_array.set_u8 a i 6 (i mod 256)
+    let off = Pagestore.Paged_bytes.alloc a record in
+    Alcotest.(check int) "records are contiguous" (i * record) off;
+    Pagestore.Paged_bytes.set_u32 a off (i * 1000);
+    Pagestore.Paged_bytes.set_u16 a (off + 4) (i * 3);
+    Pagestore.Paged_bytes.set_u8 a (off + 6) (i mod 256)
   done;
   for i = 0 to 99 do
-    Alcotest.(check int) "u32" (i * 1000) (Pagestore.Paged_array.get_u32 a i 0);
-    Alcotest.(check int) "u16" (i * 3) (Pagestore.Paged_array.get_u16 a i 4);
-    Alcotest.(check int) "u8" (i mod 256) (Pagestore.Paged_array.get_u8 a i 6)
+    let off = i * record in
+    Alcotest.(check int) "u32" (i * 1000) (Pagestore.Paged_bytes.get_u32 a off);
+    Alcotest.(check int) "u16" (i * 3) (Pagestore.Paged_bytes.get_u16 a (off + 4));
+    Alcotest.(check int) "u8" (i mod 256) (Pagestore.Paged_bytes.get_u8 a (off + 6))
   done;
-  Alcotest.(check int) "length" 100 (Pagestore.Paged_array.length a);
-  (* fields must stay within the record *)
-  Alcotest.check_raises "field outside record"
-    (Invalid_argument "Paged_array: field outside record") (fun () ->
-      ignore (Pagestore.Paged_array.get_u32 a 0 10))
+  Alcotest.(check int) "used" (100 * record) (Pagestore.Paged_bytes.used a);
+  (* stored values are truncated to the field width *)
+  Pagestore.Paged_bytes.set_u16 a 0 0x1_2345;
+  Alcotest.(check int) "u16 truncates" 0x2345 (Pagestore.Paged_bytes.get_u16 a 0);
+  Pagestore.Paged_bytes.set_u32 a 0 (-1);
+  Alcotest.(check int) "u32 is unsigned" 0xFFFF_FFFF
+    (Pagestore.Paged_bytes.get_u32 a 0)
 
-let test_paged_array_persistence () =
+let test_paged_bytes_persistence () =
   let d = mk_device () in
   let p = Pagestore.Buffer_pool.create ~frames:2 d in
-  let a = Pagestore.Paged_array.create p ~base_page:10 ~record_size:8 in
+  let a = Pagestore.Paged_bytes.make p ~base_page:10 in
   for i = 0 to 199 do
-    Pagestore.Paged_array.set_u32 a i 0 (i * 7)
+    Pagestore.Paged_bytes.set_u32 a (Pagestore.Paged_bytes.alloc a 8) (i * 7)
   done;
   Pagestore.Buffer_pool.flush p;
   Pagestore.Buffer_pool.drop p;
+  let reopened =
+    Pagestore.Paged_bytes.make p ~base_page:10 ~used:(200 * 8)
+  in
+  Alcotest.(check int) "used carried over" (200 * 8)
+    (Pagestore.Paged_bytes.used reopened);
   for i = 0 to 199 do
-    Alcotest.(check int) "persisted" (i * 7) (Pagestore.Paged_array.get_u32 a i 0)
+    Alcotest.(check int) "persisted" (i * 7)
+      (Pagestore.Paged_bytes.get_u32 reopened (i * 8))
   done
+
+(* Every field width at every offset around a page boundary, on
+   16-byte pages behind a 2-frame pool so each write is evicted and
+   read back from the device, against the in-memory byte table. *)
+let test_paged_bytes_straddle () =
+  let page_size = 16 in
+  let d = Pagestore.Device.create ~page_size () in
+  let p = Pagestore.Buffer_pool.create ~frames:2 d in
+  let pb = Pagestore.Paged_bytes.make p ~base_page:0 in
+  let bt = Spine.Compact_store.Btab.create 0 in
+  let size = 4 * page_size in
+  ignore (Pagestore.Paged_bytes.alloc pb size);
+  ignore (Spine.Compact_store.Btab.alloc bt size);
+  let offsets = List.init 7 (fun k -> page_size - 5 + k) in
+  let evict () =
+    (* two far pages take both frames *)
+    ignore (Pagestore.Paged_bytes.get_u8 pb (2 * page_size));
+    ignore (Pagestore.Paged_bytes.get_u8 pb (3 * page_size))
+  in
+  let agree what =
+    List.iter
+      (fun off ->
+        let label f = Printf.sprintf "%s: %s at %d" what f off in
+        Alcotest.(check int) (label "u8")
+          (Spine.Compact_store.Btab.get_u8 bt off)
+          (Pagestore.Paged_bytes.get_u8 pb off);
+        Alcotest.(check int) (label "u16")
+          (Spine.Compact_store.Btab.get_u16 bt off)
+          (Pagestore.Paged_bytes.get_u16 pb off);
+        Alcotest.(check int) (label "u32")
+          (Spine.Compact_store.Btab.get_u32 bt off)
+          (Pagestore.Paged_bytes.get_u32 pb off))
+      offsets
+  in
+  List.iteri
+    (fun k off ->
+      (* bits above the field width must be dropped on both sides *)
+      let v = (1 lsl 40) lor (0xF1E2_D3C4 + (k * 0x0101_0101)) in
+      Pagestore.Paged_bytes.set_u32 pb off v;
+      Spine.Compact_store.Btab.set_u32 bt off v;
+      evict ();
+      agree (Printf.sprintf "after set_u32 at %d" off);
+      Pagestore.Paged_bytes.set_u16 pb off (v lsr 3);
+      Spine.Compact_store.Btab.set_u16 bt off (v lsr 3);
+      evict ();
+      agree (Printf.sprintf "after set_u16 at %d" off))
+    offsets;
+  let s = Pagestore.Buffer_pool.stats p in
+  if s.Pagestore.Buffer_pool.writebacks = 0 then
+    Alcotest.fail "expected the writes to be evicted and written back"
+
+(* One field, one latch: an in-page field costs exactly one pool
+   access, hit or miss. *)
+let test_paged_bytes_one_latch () =
+  let d = mk_device () in
+  let p = Pagestore.Buffer_pool.create ~frames:2 d in
+  let a = Pagestore.Paged_bytes.make p ~base_page:0 in
+  let accesses () =
+    let s = Pagestore.Buffer_pool.stats p in
+    s.Pagestore.Buffer_pool.hits + s.Pagestore.Buffer_pool.misses
+  in
+  let costs what f =
+    let before = accesses () in
+    f ();
+    Alcotest.(check int) what 1 (accesses () - before)
+  in
+  costs "set_u32 (miss)" (fun () -> Pagestore.Paged_bytes.set_u32 a 100 7);
+  costs "get_u32 (hit)" (fun () ->
+      ignore (Pagestore.Paged_bytes.get_u32 a 100));
+  costs "get_u16" (fun () -> ignore (Pagestore.Paged_bytes.get_u16 a 100));
+  costs "set_u16" (fun () -> Pagestore.Paged_bytes.set_u16 a 252 9);
+  Pagestore.Buffer_pool.drop p;
+  costs "get_u32 (miss)" (fun () ->
+      Alcotest.(check int) "value" 7 (Pagestore.Paged_bytes.get_u32 a 100))
 
 let test_trace_router () =
   let d = mk_device () in
@@ -379,8 +516,14 @@ let suite =
   ; Alcotest.test_case "pool telemetry mirror" `Quick
       test_pool_telemetry_consistency
   ; Alcotest.test_case "pool drop rereads device" `Quick test_pool_drop_rereads
-  ; Alcotest.test_case "paged array fields" `Quick test_paged_array_fields
-  ; Alcotest.test_case "paged array persistence" `Quick
-      test_paged_array_persistence
+  ; Alcotest.test_case "pool free frames after drop and failed read" `Quick
+      test_pool_free_frames
+  ; Alcotest.test_case "paged bytes fields" `Quick test_paged_bytes_fields
+  ; Alcotest.test_case "paged bytes persistence" `Quick
+      test_paged_bytes_persistence
+  ; Alcotest.test_case "paged bytes straddle parity" `Quick
+      test_paged_bytes_straddle
+  ; Alcotest.test_case "paged bytes one latch per in-page field" `Quick
+      test_paged_bytes_one_latch
   ; Alcotest.test_case "trace router mapping" `Quick test_trace_router
   ]

@@ -105,6 +105,45 @@ let test_tiny_pool () =
       done;
       Spine.Persistent.close p)
 
+(* 8-byte pages behind a tiny pool: half the 6-byte LT entries and
+   every rib row wider than a page straddle a page boundary, so both
+   the word-wide and the byte-by-byte field paths carry the index.
+   Answers must match the brute-force oracle, warm and after the pool
+   is emptied. *)
+let test_small_pages_oracle () =
+  let byte = Bioseq.Alphabet.byte in
+  let codes_of s = Array.init (String.length s) (fun i -> Char.code s.[i]) in
+  let rng = Bioseq.Rng.create 20261017 in
+  let n = 600 in
+  let s = Oracles.random_string rng 4 n in
+  let agree what p =
+    let e = Spine.Persistent.engine p in
+    for _ = 1 to 60 do
+      let len = 1 + Bioseq.Rng.int rng 8 in
+      let pat =
+        if Bioseq.Rng.bool rng then String.sub s (Bioseq.Rng.int rng (n - len)) len
+        else Oracles.random_string rng 4 len
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s occurrences of %S" what pat)
+        (Oracles.occurrences s pat) (Codes.occurrences e (codes_of pat))
+    done;
+    let q = Oracles.random_string rng 4 60 in
+    let ms, _ =
+      E.matching_statistics e (Bioseq.Packed_seq.of_string byte q)
+    in
+    Alcotest.(check (array int)) (what ^ " matching statistics")
+      (Oracles.matching_statistics s q) ms
+  in
+  with_tmp (fun path ->
+      let p = Spine.Persistent.create ~frames:4 ~page_size:8 ~path byte in
+      Spine.Persistent.append_string p s;
+      agree "built" p;
+      Spine.Persistent.flush p;
+      Pagestore.Buffer_pool.drop (Spine.Persistent.pool p);
+      agree "cold" p;
+      Spine.Persistent.close p)
+
 let test_errors () =
   (match Spine.Persistent.open_ ~path:"/nonexistent/nope.db" () with
    | exception Spine_error.Error (Spine_error.Io_failed _) -> ()
@@ -221,6 +260,8 @@ let suite =
   ; Alcotest.test_case "reopen, extend online, reopen again" `Quick
       test_reopen_extend_reopen
   ; Alcotest.test_case "tiny pool pages for real" `Quick test_tiny_pool
+  ; Alcotest.test_case "small pages match the oracle" `Quick
+      test_small_pages_oracle
   ; Alcotest.test_case "error handling" `Quick test_errors
   ; Alcotest.test_case "corrupt metadata rejected" `Quick
       test_corrupt_metadata

@@ -137,6 +137,39 @@ let test_deadline_inside_call () =
   Alcotest.(check bool) "deadline disarmed after the call" false
     (Pagestore.Deadline.armed ())
 
+(* The pool's own transient-I/O retries honour the deadline: each
+   device attempt takes 2 ms of virtual time against a 1 ms budget, so
+   the first failure is the last attempt. *)
+let test_pool_retry_deadline () =
+  let vc = VC.create () in
+  let dev = Pagestore.Device.create ~page_size:64 () in
+  let attempts = ref 0 in
+  Pagestore.Device.set_hooks dev
+    (Some
+       { Pagestore.Device.on_read =
+           (fun ~page ->
+             incr attempts;
+             VC.advance vc 2_000_000;
+             Spine_error.io_failed ~op:Spine_error.Read ~page ~transient:true
+               "injected storm");
+         on_write = (fun ~page:_ ~phys:_ -> Pagestore.Device.Write_through) });
+  let pool = Pagestore.Buffer_pool.create ~frames:2 dev in
+  let read () = Pagestore.Buffer_pool.with_page pool 0 ~dirty:false Bytes.length in
+  (match
+     Pagestore.Deadline.with_deadline ~clock:(VC.now vc) ~op:"storm"
+       ~deadline_ns:1_000_000 read
+   with
+   | _ -> Alcotest.fail "a read under an injected storm must fail"
+   | exception Spine_error.Error (Spine_error.Timeout { op; _ }) ->
+     Alcotest.(check string) "timeout names the op" "storm" op);
+  Alcotest.(check int) "one device attempt, not four" 1 !attempts;
+  (* unarmed, the same storm runs out the pool's attempts *)
+  attempts := 0;
+  (match read () with
+   | _ -> Alcotest.fail "a read under an injected storm must fail"
+   | exception Spine_error.Error (Spine_error.Io_failed _) -> ());
+  Alcotest.(check int) "every attempt used without a deadline" 4 !attempts
+
 let test_backoff_crossing_deadline () =
   let vc = VC.create () in
   let config =
@@ -421,6 +454,8 @@ let suite =
       test_deadline_inside_call
   ; Alcotest.test_case "backoff crossing the deadline" `Quick
       test_backoff_crossing_deadline
+  ; Alcotest.test_case "pool retries honour the deadline" `Quick
+      test_pool_retry_deadline
   ; Alcotest.test_case "breaker trip / half-open / close" `Quick
       test_breaker_transitions
   ; Alcotest.test_case "storm parity through retries (disk)" `Quick
