@@ -27,7 +27,9 @@ let () =
 
   (* a pool holding roughly a third of the Link Table, with the paper's
      pin-the-top policy *)
-  let lt_pages = Bioseq.Packed_seq.length genome * 8 / 4096 in
+  let lt_pages =
+    Bioseq.Packed_seq.length genome * Spine.Compact_store.lt_entry_bytes / 4096
+  in
   let config =
     { Spine.Disk.default_config with
       Spine.Disk.frames = max 16 (lt_pages / 3);

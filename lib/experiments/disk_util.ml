@@ -1,6 +1,6 @@
 (** Shared plumbing for the disk-resident experiments: the suffix-tree
-    counterpart of {!Spine.Disk} (node records routed through a buffer
-    pool over the synchronous simulated device). *)
+    counterpart of {!Spine.Disk} (node records paged through a buffer
+    pool over the same synchronous simulated device). *)
 
 type st_disk = {
   tree : Suffix_tree.t;
@@ -15,23 +15,16 @@ type st_disk = {
 let st_record_bytes = 16
 
 let build_st_on_disk ?(config = Spine.Disk.default_config) seq =
-  let device =
-    Pagestore.Device.create ~cost:config.Spine.Disk.cost
-      ~sync_writes:config.Spine.Disk.sync_writes
-      ~page_size:config.Spine.Disk.page_size ()
-  in
+  let device = Spine.Disk.simulated_device config in
   let pool =
     Pagestore.Buffer_pool.create ~replacement:config.Spine.Disk.replacement
       ~frames:config.Spine.Disk.frames device
   in
-  let router =
-    Pagestore.Trace_router.create pool
-      [ { Pagestore.Trace_router.structure = 0;
-          base_page = 0;
-          record_bytes = st_record_bytes } ]
-  in
-  let trace ~structure ~index ~write =
-    Pagestore.Trace_router.route router ~structure ~index ~write
+  (* node [index] lives on page [index * 16 / page_size] *)
+  let trace ~structure:_ ~index ~write =
+    Pagestore.Buffer_pool.with_page pool
+      (index * st_record_bytes / config.Spine.Disk.page_size)
+      ~dirty:write ignore
   in
   let tree = Suffix_tree.build ~trace seq in
   Pagestore.Buffer_pool.flush pool;

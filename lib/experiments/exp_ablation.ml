@@ -15,7 +15,7 @@ let buffer_policy (cfg : Config.t) =
   let n = Bioseq.Packed_seq.length data in
   (* a pool well under the Link Table footprint, so upstream accesses
      genuinely contend with the growing tail *)
-  let lt_pages = max 1 ((n + 1) * 8 / 4096) in
+  let lt_pages = max 1 ((n + 1) * Spine.Compact_store.lt_entry_bytes / 4096) in
   let frames = max 16 (lt_pages / 4) in
   let run_with ~replacement ~pin_pages =
     let config =

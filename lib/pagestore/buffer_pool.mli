@@ -63,6 +63,16 @@ val with_page : t -> int -> dirty:bool -> (Bytes.t -> 'a) -> 'a
     ([Timeout]) when the ambient deadline is overrun on entry or before
     a retry; ([Corrupt] / [Io_failed]) propagated from the device. *)
 
+val with_io_retries : int -> (unit -> 'a) -> 'a
+(** [with_io_retries page f] runs the device operation [f] on [page]
+    with the pool's transient-I/O retry policy: a transient
+    [Io_failed] is retried up to 4 attempts in all, each retry first
+    calling {!Deadline.check} and counting in [pool.io_retries] (and
+    the attribution sink); any other error, and the last transient one,
+    propagates.  {!with_page} uses it for fills and writebacks; a
+    caller that writes the device directly (metadata, journals) uses it
+    to get the same policy. *)
+
 val flush : t -> unit
 (** Write back every dirty frame. *)
 

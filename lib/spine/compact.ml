@@ -2,30 +2,28 @@ module S = Compact_store
 module B = Builder.Make (S)
 
 type t = S.t
-type trace = S.trace
 
 let engine t =
   Engine.pack
-    ~caps:{ Engine.backend = "compact"; persistent = false; paged = false;
-            traced = Option.is_some t.S.trace }
+    ~caps:{ Engine.backend = "compact"; persistent = false; paged = false }
     (module S : Store_sig.S with type t = t) t
 
 (* --- construction --- *)
 
-let create ?capacity ?trace alphabet = S.create ?capacity ?trace alphabet
+let create = S.create
 let append = B.append
 let append_string = B.append_string
 
-let of_seq ?trace seq =
+let of_seq seq =
   let t =
-    create ~capacity:(max 16 (Bioseq.Packed_seq.length seq)) ?trace
+    create ~capacity:(max 16 (Bioseq.Packed_seq.length seq))
       (Bioseq.Packed_seq.alphabet seq)
   in
   B.append_seq t seq;
   t
 
-let of_string ?trace alphabet s =
-  let t = create ~capacity:(max 16 (String.length s)) ?trace alphabet in
+let of_string alphabet s =
+  let t = create ~capacity:(max 16 (String.length s)) alphabet in
   append_string t s;
   t
 

@@ -4,26 +4,23 @@
     parity through {!Engine}), but stored as the paper's Link Table +
     Rib Tables with 2-byte labels and an overflow side table.  This is
     the representation whose space the paper reports ("less than 12
-    bytes per indexed character") and the one the disk-resident
-    experiments trace through a buffer pool.  Queries go through
-    {!engine}. *)
+    bytes per indexed character"); {!Disk} pages the very same bytes
+    through a buffer pool for the disk-resident experiments.  Queries
+    go through {!engine}. *)
 
 type t
 
-type trace = Compact_store.trace
-
 val engine : t -> Engine.t
-(** Pack as a capability-aware engine (backend "compact"; [traced]
-    reflects whether the store was created with an access-trace
-    callback).  Build once and reuse. *)
+(** Pack as a capability-aware engine (backend "compact").  Build once
+    and reuse. *)
 
 (** {2 Construction} *)
 
-val create : ?capacity:int -> ?trace:trace -> Bioseq.Alphabet.t -> t
+val create : ?capacity:int -> Bioseq.Alphabet.t -> t
 val append : t -> int -> unit
 val append_string : t -> string -> unit
-val of_seq : ?trace:trace -> Bioseq.Packed_seq.t -> t
-val of_string : ?trace:trace -> Bioseq.Alphabet.t -> string -> t
+val of_seq : Bioseq.Packed_seq.t -> t
+val of_string : Bioseq.Alphabet.t -> string -> t
 
 (** {2 Space accounting (Section 5)} *)
 

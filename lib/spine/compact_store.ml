@@ -35,15 +35,10 @@
 
     The storage logic is written once, in {!Core}, over the {!BYTES}
     byte-table abstraction: this module instantiates it with in-memory
-    growable byte buffers (plus the [trace] callback whose replay drives
-    the disk experiments), while {!Persistent} instantiates the same
-    code over buffer-pool pages of a real file.
-
-    The [trace] callback reports every logical record access with its
-    structure id (0 = LT, 1-4 = RT1..RT4, 5 = side tables) and row
-    index. *)
-
-type trace = structure:int -> index:int -> write:bool -> unit
+    growable byte buffers, while {!Paged_store} instantiates the same
+    code over buffer-pool pages — the store {!Persistent} keeps in a
+    file and {!Disk} on the simulated device of the paper's disk
+    experiments. *)
 
 (** Byte-table abstraction the layout code is written against. *)
 module type BYTES = sig
@@ -102,7 +97,7 @@ let lt_entry_bytes = 6
 let overflow_sentinel = 0xFFFF
 
 (* layout constants derived from the alphabet, shared by every
-   instantiation (and by the Disk trace router) *)
+   instantiation *)
 type layout = {
   slot_capacity : int array;
   row_bytes : int array;
@@ -149,35 +144,20 @@ module Core (B : BYTES) = struct
     mutable overflow_count : int;
     anchors : int Xutil.Int_tbl.t;   (* row key -> extrib anchor *)
     mutable migrations : int;
-    trace : trace option;
   }
 
   (* [make] wires up an instance over existing tables; [fresh] also
      allocates the root's LT entry. Restoring a persisted instance
      passes the saved side tables and counters back in. *)
-  let make ?trace ?(freelist = [| 0; 0; 0; 0 |]) ?(live_rows = [| 0; 0; 0; 0 |])
+  let make ?(freelist = [| 0; 0; 0; 0 |]) ?(live_rows = [| 0; 0; 0; 0 |])
       ?(overflow = Xutil.Int_tbl.create 16) ?(anchors = Xutil.Int_tbl.create 16)
       ?(migrations = 0) ~seq ~lt ~rts alphabet =
     { seq; lo = layout_of alphabet; lt; rts;
       freelist; live_rows; overflow;
       overflow_count = Xutil.Int_tbl.length overflow;
-      anchors; migrations; trace }
+      anchors; migrations }
 
   let init_root t = ignore (B.alloc t.lt lt_entry_bytes)
-
-  (* The trace callback is the one opaque call on the query path; its
-     domain-safety is the hook installer's obligation.  Post-build
-     stores shared across domains either carry no hook ([trace = None],
-     the default) or the in-tree disk router, whose effects serialise
-     through Buffer_pool's reentrant lock and the per-domain Trace
-     state. *)
-  let[@spine.domain_safe
-       "trace hooks must be domain-safe by contract; in-tree hooks \
-        (Trace_router over a locked Buffer_pool, per-domain Trace) are"]
-      touch t ~structure ~index ~write =
-    match t.trace with
-    | None -> ()
-    | Some f -> f ~structure ~index ~write
 
   let alphabet t = Bioseq.Packed_seq.alphabet t.seq
   let length t = Bioseq.Packed_seq.length t.seq
@@ -188,8 +168,7 @@ module Core (B : BYTES) = struct
     Bioseq.Packed_seq.append t.seq c;
     let node = length t in
     let off = B.alloc t.lt lt_entry_bytes in
-    assert (off = node * lt_entry_bytes);
-    touch t ~structure:0 ~index:node ~write:true
+    assert (off = node * lt_entry_bytes)
 
   (* --- LT payload packing ---
      bit 31: has-row; if set: bits 30-29 table, 28-24 fanout,
@@ -212,10 +191,7 @@ module Core (B : BYTES) = struct
   (* --- numeric labels with overflow --- *)
 
   let read_label t raw key =
-    if raw = overflow_sentinel then begin
-      touch t ~structure:5 ~index:0 ~write:false;
-      Xutil.Int_tbl.find t.overflow key
-    end
+    if raw = overflow_sentinel then Xutil.Int_tbl.find t.overflow key
     else raw
 
   let write_label t set key v =
@@ -223,8 +199,7 @@ module Core (B : BYTES) = struct
       set overflow_sentinel;
       if not (Xutil.Int_tbl.mem t.overflow key) then
         t.overflow_count <- t.overflow_count + 1;
-      Xutil.Int_tbl.replace t.overflow key v;
-      touch t ~structure:5 ~index:0 ~write:true
+      Xutil.Int_tbl.replace t.overflow key v
     end
     else begin
       if Xutil.Int_tbl.mem t.overflow key then begin
@@ -302,11 +277,9 @@ module Core (B : BYTES) = struct
   let anchor_key ~table ~row = rt_label_key ~table ~row ~slot:62
 
   let row_anchor t table row =
-    touch t ~structure:5 ~index:0 ~write:false;
     Xutil.Int_tbl.find t.anchors (anchor_key ~table ~row)
 
   let set_row_anchor t table row v =
-    touch t ~structure:5 ~index:0 ~write:true;
     Xutil.Int_tbl.replace t.anchors (anchor_key ~table ~row) v
 
   let alloc_row t table =
@@ -343,29 +316,16 @@ module Core (B : BYTES) = struct
   (* --- links --- *)
 
   let link_dest t node =
-    touch t ~structure:0 ~index:node ~write:false;
     let p = lt_payload t node in
-    if p land 0x8000_0000 = 0 then p
-    else begin
-      let table = ptr_table p and row = ptr_row p in
-      touch t ~structure:(1 + table) ~index:row ~write:false;
-      row_ld t table row
-    end
+    if p land 0x8000_0000 = 0 then p else row_ld t (ptr_table p) (ptr_row p)
 
-  let link_lel t node =
-    touch t ~structure:0 ~index:node ~write:false;
-    lt_lel t node
+  let link_lel = lt_lel
 
   let set_link t node ~dest ~lel =
-    touch t ~structure:0 ~index:node ~write:true;
     set_lt_lel t node lel;
     let p = lt_payload t node in
     if p land 0x8000_0000 = 0 then set_lt_payload t node dest
-    else begin
-      let table = ptr_table p and row = ptr_row p in
-      touch t ~structure:(1 + table) ~index:row ~write:true;
-      set_row_ld t table row dest
-    end
+    else set_row_ld t (ptr_table p) (ptr_row p) dest
 
   (* --- ribs and extribs --- *)
 
@@ -373,12 +333,10 @@ module Core (B : BYTES) = struct
   let rib_count p = ptr_fanout p - (if ptr_extrib p then 1 else 0)
 
   let find_rib t node code =
-    touch t ~structure:0 ~index:node ~write:false;
     let p = lt_payload t node in
     if p land 0x8000_0000 = 0 then None
     else begin
       let table = ptr_table p and row = ptr_row p in
-      touch t ~structure:(1 + table) ~index:row ~write:false;
       let ribs = rib_count p in
       let rec scan slot =
         if slot >= ribs then None
@@ -390,12 +348,10 @@ module Core (B : BYTES) = struct
     end
 
   let find_extrib t node =
-    touch t ~structure:0 ~index:node ~write:false;
     let p = lt_payload t node in
     if p land 0x8000_0000 = 0 || not (ptr_extrib p) then None
     else begin
       let table = ptr_table p and row = ptr_row p in
-      touch t ~structure:(1 + table) ~index:row ~write:false;
       let slot = t.lo.slot_capacity.(table) - 1 in
       Some (slot_rd t table row slot, slot_pt t table row slot,
             row_prt t table row, row_anchor t table row)
@@ -416,11 +372,9 @@ module Core (B : BYTES) = struct
     if p land 0x8000_0000 = 0 then begin
       let table = table_for_fanout t 1 in
       let row = alloc_row t table in
-      touch t ~structure:(1 + table) ~index:row ~write:true;
       set_row_ld t table row p;   (* the link destination moves here *)
       set_lt_payload t node
         (pack_ptr ~table ~fanout:1 ~extrib:adding_extrib ~row);
-      touch t ~structure:0 ~index:node ~write:true;
       (table, row)
     end
     else begin
@@ -432,8 +386,6 @@ module Core (B : BYTES) = struct
         set_lt_payload t node
           (pack_ptr ~table ~fanout:(fanout + 1)
              ~extrib:(extrib || adding_extrib) ~row);
-        touch t ~structure:(1 + table) ~index:row ~write:true;
-        touch t ~structure:0 ~index:node ~write:true;
         (table, row)
       end
       else begin
@@ -442,8 +394,6 @@ module Core (B : BYTES) = struct
         assert (ntable > table);
         let nrow = alloc_row t ntable in
         t.migrations <- t.migrations + 1;
-        touch t ~structure:(1 + table) ~index:row ~write:false;
-        touch t ~structure:(1 + ntable) ~index:nrow ~write:true;
         set_row_ld t ntable nrow (row_ld t table row);
         let ribs = rib_count p in
         for slot = 0 to ribs - 1 do
@@ -463,7 +413,6 @@ module Core (B : BYTES) = struct
         set_lt_payload t node
           (pack_ptr ~table:ntable ~fanout:(fanout + 1)
              ~extrib:(extrib || adding_extrib) ~row:nrow);
-        touch t ~structure:0 ~index:node ~write:true;
         (ntable, nrow)
       end
     end
@@ -545,10 +494,10 @@ end
 
 include Core (Btab)
 
-let create ?(capacity = 1024) ?trace alphabet =
+let create ?(capacity = 1024) alphabet =
   let lo = layout_of alphabet in
   let t =
-    make ?trace
+    make
       ~seq:(Bioseq.Packed_seq.create ~capacity alphabet)
       ~lt:(Btab.create (capacity * lt_entry_bytes))
       ~rts:(Array.map (fun b -> Btab.create (64 * b)) lo.row_bytes)

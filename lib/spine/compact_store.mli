@@ -11,13 +11,10 @@
 
     The storage logic is written once, in {!Core}, over the {!BYTES}
     byte-table abstraction: this module instantiates it with in-memory
-    growable byte buffers (plus the [trace] callback whose replay
-    drives the disk experiments), while {!Persistent} instantiates the
-    same code over buffer-pool pages of a real file. *)
-
-type trace = structure:int -> index:int -> write:bool -> unit
-(** Reports every logical record access with its structure id (0 = LT,
-    1-4 = RT1..RT4, 5 = side tables) and row index. *)
+    growable byte buffers, while {!Paged_store} instantiates the same
+    code over buffer-pool pages — the one paged store, which
+    {!Persistent} keeps in a file and {!Disk} on the simulated device
+    of the paper's disk experiments. *)
 
 (** Byte-table abstraction the layout code is written against:
     little-endian fixed-width accessors over one growable region. *)
@@ -51,7 +48,7 @@ val lt_entry_bytes : int
 val overflow_sentinel : int
 
 (** Layout constants derived from the alphabet, shared by every
-    instantiation (and by the Disk trace router). *)
+    instantiation. *)
 type layout = {
   slot_capacity : int array;
   row_bytes : int array;
@@ -87,11 +84,9 @@ module Core (B : BYTES) : sig
     mutable overflow_count : int;
     anchors : int Xutil.Int_tbl.t;   (** row key -> extrib anchor *)
     mutable migrations : int;
-    trace : trace option;
   }
 
   val make :
-    ?trace:trace ->
     ?freelist:int array ->
     ?live_rows:int array ->
     ?overflow:int Xutil.Int_tbl.t ->
@@ -141,4 +136,4 @@ end
 
 include module type of Core (Btab)
 
-val create : ?capacity:int -> ?trace:trace -> Bioseq.Alphabet.t -> t
+val create : ?capacity:int -> Bioseq.Alphabet.t -> t

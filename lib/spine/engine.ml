@@ -9,7 +9,6 @@ type caps = {
   backend : string;
   persistent : bool;
   paged : bool;
-  traced : bool;
 }
 
 type match_stats = Matcher.stats = {

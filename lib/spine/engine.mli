@@ -30,7 +30,6 @@ type caps = {
       for itself. *)
   persistent : bool;  (** survives process restart *)
   paged : bool;       (** record accesses go through a buffer pool *)
-  traced : bool;      (** logical record accesses are trace-routed *)
 }
 
 (** {2 Canonical result types}

@@ -5,8 +5,7 @@ type t = S.t
 
 let engine t =
   Engine.pack
-    ~caps:{ Engine.backend = "fast"; persistent = false; paged = false;
-            traced = false }
+    ~caps:{ Engine.backend = "fast"; persistent = false; paged = false }
     (module S : Store_sig.S with type t = t) t
 
 (* --- construction --- *)

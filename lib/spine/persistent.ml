@@ -1,9 +1,5 @@
-(* Byte tables over buffer-pool pages: the BYTES instantiation that
-   makes the Section 5 layout disk-resident. *)
 module Paged_bytes = Pagestore.Paged_bytes
-
-module P = Compact_store.Core (Paged_bytes)
-module B = Builder.Make (P)
+module P = Paged_store.P
 
 (* Build-phase spans over the disk-resident index lifecycle. *)
 let s_build = Telemetry.span "persistent.build"
@@ -11,18 +7,15 @@ let s_flush = Telemetry.span "persistent.flush"
 let s_open = Telemetry.span "persistent.open"
 let s_scrub = Telemetry.span "persistent.scrub"
 
-(* Page regions within the file. Metadata sits first (the two shadow
-   slots and the epoch-declaration page, see below); each data region
-   then gets 1 GB of sparse address space — enough for ~180M
-   characters — keeping the file's apparent size in the single-digit
-   gigabytes even though only written pages occupy disk blocks. *)
-let meta_span = 1 lsl 14
-let data_span = 1 lsl 18
-
-let region_base structure = meta_span + (structure * data_span)
-
-let lt_region = 0
-let rt_region table = 1 + table
+(* Page regions within the file: the metadata area (the two shadow
+   slots and the epoch-declaration page, see below) below
+   [Paged_store.meta_span], then the store's LT and RT regions, then
+   the sequence mirror and the preimage journal. *)
+let meta_span = Paged_store.meta_span
+let data_span = Paged_store.data_span
+let region_base = Paged_store.region_base
+let lt_region = Paged_store.lt_region
+let rt_region = Paged_store.rt_region
 let seq_region = 5
 let journal_region = 6
 
@@ -106,12 +99,10 @@ let make_pool ?(frames = 256) ?(page_size = 4096) ?(pin_top_lt_pages = 0)
   (match Pagestore.Fault_device.of_env () with
    | Some plan -> Pagestore.Fault_device.attach plan device
    | None -> ());
-  let pin page =
-    pin_top_lt_pages > 0
-    && page >= region_base lt_region
-    && page < region_base lt_region + pin_top_lt_pages
+  let pool =
+    Pagestore.Buffer_pool.create
+      ~pin:(Paged_store.pin_top_lt pin_top_lt_pages) ~frames device
   in
-  let pool = Pagestore.Buffer_pool.create ~pin ~frames device in
   (device, pool)
 
 (* --- byte helpers over raw pages --- *)
@@ -128,17 +119,12 @@ let set_u32 b off v =
   Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xFF));
   Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xFF))
 
-(* Direct device writes (metadata bypasses the pool); transient injected
-   errors get the same bounded retry the pool applies. *)
+(* Direct device writes (metadata and journal bypass the pool) go
+   through the pool's own transient-I/O retry loop: same attempts, same
+   deadline checks, same [pool.io_retries] accounting. *)
 let dev_write device page data =
-  let rec go attempt =
-    try Pagestore.Device.write device page data
-    with
-    | Spine_error.Error (Spine_error.Io_failed { transient = true; _ })
-      when attempt < 4 ->
-      go (attempt + 1)
-  in
-  go 1
+  Pagestore.Buffer_pool.with_io_retries page (fun () ->
+      Pagestore.Device.write device page data)
 
 (* --- preimage journal ---
 
@@ -450,19 +436,7 @@ let create ?frames ?page_size ?pin_top_lt_pages ~path alphabet =
   Pagestore.Device.set_max_valid_epoch device 0;
   (* declare epoch 1 before any data write carries it *)
   write_epoch_decl device 1;
-  let lo = Compact_store.layout_of alphabet in
-  let core =
-    P.make
-      ~seq:(Bioseq.Packed_seq.create alphabet)
-      ~lt:(Paged_bytes.make pool ~base_page:(region_base lt_region))
-      ~rts:
-        (Array.mapi
-           (fun table _ ->
-             Paged_bytes.make pool ~base_page:(region_base (rt_region table)))
-           lo.Compact_store.row_bytes)
-      alphabet
-  in
-  P.init_root core;
+  let core = Paged_store.create pool alphabet in
   let seq_tab = Paged_bytes.make pool ~base_page:(region_base seq_region) in
   { core; seq_tab; device; pool; journal; file_path = path;
     disk_width = Bioseq.Packed_seq.width (P.sequence core); generation = 0;
@@ -660,15 +634,12 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
         Spine_error.corrupt ~region:"seq" ~page:(region_base seq_region)
           "packed sequence region decodes outside the alphabet"
     in
+    let lt, rts =
+      Paged_store.tables pool
+        ~lt_used:((n + 1) * Compact_store.lt_entry_bytes) ~rt_used
+    in
     let core =
-      P.make ~freelist ~live_rows ~overflow ~anchors ~migrations ~seq
-        ~lt:
-          (Paged_bytes.make pool ~base_page:(region_base lt_region)
-             ~used:((n + 1) * Compact_store.lt_entry_bytes))
-        ~rts:
-          (Array.init 4 (fun table ->
-               Paged_bytes.make pool ~base_page:(region_base (rt_region table))
-                 ~used:rt_used.(table)))
+      P.make ~freelist ~live_rows ~overflow ~anchors ~migrations ~seq ~lt ~rts
         alphabet
     in
     let t =
@@ -701,7 +672,7 @@ let append t code =
   check_open t;
   let seq = P.sequence t.core in
   let i = Bioseq.Packed_seq.length seq in  (* position of the new code *)
-  B.append t.core code;
+  Paged_store.append t.core code;
   let w = Bioseq.Packed_seq.width seq in
   if w <> t.disk_width then rewrite_seq_region t
   else begin
@@ -747,8 +718,7 @@ let space_extra t () =
 
 let engine t =
   Engine.pack ~guard:(fun () -> check_open t) ~space_extra:(space_extra t)
-    ~caps:{ Engine.backend = "persistent"; persistent = true; paged = true;
-            traced = false }
+    ~caps:{ Engine.backend = "persistent"; persistent = true; paged = true }
     (module P : Store_sig.S with type t = P.t)
     t.core
 

@@ -2,7 +2,8 @@
 
     The same Section 5 Link-Table/Rib-Table layout as {!Compact}, but
     the byte tables live in pages of a real file behind a bounded
-    buffer pool: the index never needs to be fully resident, survives
+    buffer pool ({!Paged_store}, the store {!Disk} runs on its
+    simulated device): the index never needs to be fully resident, survives
     process restarts, and reopens without reconstruction — the
     deployment the paper's disk-resident experiments argue SPINE is
     suited to ("due to the simple linearity of SPINE's structure, it is

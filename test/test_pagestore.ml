@@ -1,6 +1,6 @@
 (* Tests for the disk substrate: device cost model, buffer pool
-   replacement/pinning and free-frame bookkeeping, paged byte tables
-   and the trace router. *)
+   replacement/pinning and free-frame bookkeeping, and paged byte
+   tables. *)
 
 let mk_device ?(sync_writes = false) () =
   Pagestore.Device.create ~sync_writes ~page_size:256 ()
@@ -470,28 +470,6 @@ let test_paged_bytes_one_latch () =
   costs "get_u32 (miss)" (fun () ->
       Alcotest.(check int) "value" 7 (Pagestore.Paged_bytes.get_u32 a 100))
 
-let test_trace_router () =
-  let d = mk_device () in
-  let p = Pagestore.Buffer_pool.create ~frames:8 d in
-  let r =
-    Pagestore.Trace_router.create p
-      [ { Pagestore.Trace_router.structure = 0; base_page = 0; record_bytes = 8 }
-      ; { Pagestore.Trace_router.structure = 1; base_page = 1000; record_bytes = 32 }
-      ]
-  in
-  (* 256-byte pages: 32 records of 8B per page; 8 records of 32B *)
-  Alcotest.(check int) "structure 0 record 0" 0
-    (Pagestore.Trace_router.page_of r ~structure:0 ~index:0);
-  Alcotest.(check int) "structure 0 record 33" 1
-    (Pagestore.Trace_router.page_of r ~structure:0 ~index:33);
-  Alcotest.(check int) "structure 1 record 9" 1001
-    (Pagestore.Trace_router.page_of r ~structure:1 ~index:9);
-  (* unknown structures are ignored, not fatal *)
-  Pagestore.Trace_router.route r ~structure:5 ~index:0 ~write:false;
-  Pagestore.Trace_router.route r ~structure:0 ~index:0 ~write:true;
-  Alcotest.(check int) "one pool access" 1
-    ((Pagestore.Buffer_pool.stats p).Pagestore.Buffer_pool.misses)
-
 let suite =
   [ Alcotest.test_case "device read/write roundtrip" `Quick test_device_roundtrip
   ; Alcotest.test_case "device counters" `Quick test_device_counters
@@ -525,5 +503,4 @@ let suite =
       test_paged_bytes_straddle
   ; Alcotest.test_case "paged bytes one latch per in-page field" `Quick
       test_paged_bytes_one_latch
-  ; Alcotest.test_case "trace router mapping" `Quick test_trace_router
   ]

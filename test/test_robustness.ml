@@ -610,7 +610,36 @@ let test_transient_retry () =
   let c2 = Pagestore.Buffer_pool.with_page pool 3 ~dirty:false (fun b ->
       Bytes.get b 0)
   in
-  Alcotest.(check char) "pool usable after failed read" 'x' c2
+  Alcotest.(check char) "pool usable after failed read" 'x' c2;
+  (* metadata writes bypass the pool but share its retry loop: two
+     transient errors on the slot pages during a flush are retried,
+     counted in pool.io_retries, and the flush still commits *)
+  with_tmp (fun path ->
+      let p = P.create ~path dna in
+      P.append_string p "acgtacgtacgtacgt";
+      let was_enabled = Telemetry.is_enabled () in
+      Telemetry.set_enabled true;
+      let retries = Telemetry.counter "pool.io_retries" in
+      let before = Telemetry.counter_value retries in
+      let f =
+        FD.create
+          [ FD.arm ~pages:(0, Spine.Paged_store.meta_span - 1) ~times:2
+              FD.Write_error ]
+      in
+      FD.attach f (P.device p);
+      Fun.protect ~finally:(fun () -> Telemetry.set_enabled was_enabled)
+        (fun () -> P.flush p);
+      FD.detach (P.device p);
+      Alcotest.(check int) "both metadata write errors were injected" 2
+        (FD.stats f).FD.write_errors;
+      Alcotest.(check int) "metadata retries counted in pool.io_retries" 2
+        (Telemetry.counter_value retries - before);
+      Alcotest.(check int) "the flush committed" 1 (P.generation p);
+      P.close p;
+      let p2 = P.open_ ~path () in
+      Alcotest.(check bool) "committed content reopens" true
+        (contains p2 "gtacgtacgt");
+      P.close p2)
 
 (* --- torn metadata write: shadow-slot fallback ----------------------- *)
 

@@ -160,6 +160,34 @@ let test_disk_pinning_config () =
   Alcotest.(check bool) "found" true
     (Codes.occurrences (Spine.Disk.engine d) pat <> [])
 
+(* The disk index pages exactly the bytes of the Section 5 layout: with
+   a pool larger than the index, every page of the LT and of the four
+   RT byte tables is written once, and nothing else is. *)
+let test_disk_pages_real_layout () =
+  let rng = Bioseq.Rng.create 65 in
+  let seq = Bioseq.Synthetic.genomic dna rng 2_000 in
+  let page_size = 512 in
+  let config =
+    { Spine.Disk.default_config with Spine.Disk.page_size; frames = 1024 }
+  in
+  let d = Spine.Disk.build ~config seq in
+  let c = Spine.Compact.of_seq seq in
+  let pages bytes = (bytes + page_size - 1) / page_size in
+  let rt_pages =
+    List.init 4 (fun table ->
+        pages
+          (Spine.Compact_store.rows_allocated (Spine.Compact.store c) table
+           * Spine.Compact.row_bytes c table))
+  in
+  let expected =
+    List.fold_left ( + ) (pages (Spine.Compact.space c).Spine.Compact.lt_bytes)
+      rt_pages
+  in
+  Alcotest.(check int) "pool held the whole index" 0
+    (Pagestore.Buffer_pool.stats d.Spine.Disk.pool).Pagestore.Buffer_pool.evictions;
+  Alcotest.(check int) "device pages = LT + RT1..RT4 pages" expected
+    (Pagestore.Device.pages_allocated d.Spine.Disk.device)
+
 (* --- Space --- *)
 
 let test_space_table2 () =
@@ -226,4 +254,6 @@ let suite =
   ; Alcotest.test_case "space: measured < 12 B/char" `Quick test_space_measured
   ; Alcotest.test_case "trie: counts and membership" `Quick test_trie_counts
   ; Alcotest.test_case "trie: unary nodes" `Quick test_trie_unary
+  ; Alcotest.test_case "disk: pages the Section 5 layout" `Quick
+      test_disk_pages_real_layout
   ]
