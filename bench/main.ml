@@ -129,7 +129,9 @@ module Compact_cursor = Spine.Cursor.Make (Spine.Compact_store)
    (one pool latch and one word read), a bare [with_page] hit on a
    resident page, and a miss on the in-memory device.  The miss pool
    has one frame and alternates between two pages, so every call
-   evicts a clean page and reads the other one back. *)
+   evicts a clean page and reads the other one back.  The column scan
+   prices the occurrence scan's LEL walk: [scan_u16] over a resident
+   paged Link Table, one latch per page. *)
 
 let pool_page_size = 4096
 
@@ -145,6 +147,21 @@ let miss_pool =
   lazy
     (let dev = Pagestore.Device.create ~page_size:pool_page_size () in
      (Pagestore.Buffer_pool.create ~frames:1 dev, ref 0))
+
+(* 4,096 six-byte LT entries (6 pages, all resident) with LELs cycling
+   through 0..15; the scan asks for LEL >= 12, so a quarter pass *)
+let lt_entries = 4096
+
+let resident_lt =
+  lazy
+    (let dev = Pagestore.Device.create ~page_size:pool_page_size () in
+     let pool = Pagestore.Buffer_pool.create ~frames:8 dev in
+     let lt = Pagestore.Paged_bytes.make pool ~base_page:0 in
+     for i = 0 to lt_entries - 1 do
+       let off = Pagestore.Paged_bytes.alloc lt Spine.Compact_store.lt_entry_bytes in
+       Pagestore.Paged_bytes.set_u16 lt (off + 4) (i land 15)
+     done;
+     lt)
 
 let tests =
   [ (* Table 2 is static accounting; its kernel is the space model *)
@@ -261,6 +278,14 @@ let tests =
            let pool, next = Lazy.force miss_pool in
            next := 1 - !next;
            Pagestore.Buffer_pool.with_page pool !next ~dirty:false Bytes.length))
+  ; Test.make ~name:"pool/paged-lt-scan"
+      (Staged.stage (fun () ->
+           let lt = Lazy.force resident_lt in
+           let passed = ref 0 in
+           Pagestore.Paged_bytes.scan_u16 lt ~off:4
+             ~stride:Spine.Compact_store.lt_entry_bytes ~count:lt_entries
+             ~min:12 (fun _ _ -> incr passed);
+           !passed))
   ]
 
 (* Returns (name, estimated ns/run) per test so the trajectory artifact

@@ -914,11 +914,11 @@ let scan_file t ~source str =
 (* Fixpoint over the call graph                                        *)
 
 (* The names of Engine's queries, plus the cursor's and Generalized's
-   [occurrences] and Search's [end_nodes_binary] reference scan. *)
+   [occurrences]. *)
 let query_surface =
   [ "pattern"; "pattern_of_string"; "contains_pattern";
     "find_first_pattern"; "end_nodes_pattern"; "occurrences_pattern";
-    "occurrences"; "end_nodes_binary"; "occurrences_batch";
+    "occurrences"; "occurrences_batch";
     "occurrences_many"; "encode"; "matching_statistics";
     "maximal_matches"; "label_maxima"; "rib_distribution"; "edge_counts";
     "link_histogram"; "run_batch"; "cursor"; "space"; "alphabet";

@@ -72,3 +72,42 @@ let set_u32 t off v =
     set_u8 t (off + 2) (v lsr 16);
     set_u8 t (off + 3) (v lsr 24)
   end
+
+(* A column scan takes one latch per page: every field lying wholly
+   inside the page is tested under that latch, and the hits, packed as
+   [i lsl 16 lor raw], are reported once it is released, so [f] may
+   latch other pages itself.  A field that straddles a page boundary
+   falls back to [get_u16]. *)
+let scan_u16 t ~off ~stride ~count ~min f =
+  let ps = t.page_size in
+  let hits = Array.make ((ps / stride) + 1) 0 in
+  let i = ref 0 in
+  while !i < count do
+    let o = off + (!i * stride) in
+    let pos = o mod ps in
+    if pos + 2 > ps then begin
+      let raw = get_u16 t o in
+      if raw >= min then f !i raw;
+      incr i
+    end
+    else begin
+      let first = !i and start = o - pos in
+      let last = Int.min (count - 1) ((start + ps - 2 - off) / stride) in
+      let n =
+        Buffer_pool.with_page t.pool (page t o) ~dirty:false (fun b ->
+            let n = ref 0 in
+            for j = first to last do
+              let raw = Bytes.get_uint16_le b (off + (j * stride) - start) in
+              if raw >= min then begin
+                hits.(!n) <- (j lsl 16) lor raw;
+                incr n
+              end
+            done;
+            !n)
+      in
+      for h = 0 to n - 1 do
+        f (hits.(h) lsr 16) (hits.(h) land 0xFFFF)
+      done;
+      i := last + 1
+    end
+  done

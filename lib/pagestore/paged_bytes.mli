@@ -10,7 +10,9 @@
     word; only a field that straddles a page boundary is assembled byte
     by byte, one pool access per byte.  Either way the sequence of
     distinct pages touched is the same, so misses, evictions and device
-    I/O do not depend on which path a field takes. *)
+    I/O do not depend on which path a field takes.  A column scan
+    ({!scan_u16}) takes one latch per page for all of the column's
+    in-page fields, not one per field. *)
 
 type t
 
@@ -40,3 +42,16 @@ val get_u32 : t -> int -> int
 
 val set_u32 : t -> int -> int -> unit
 (** [set_u32 t off v] stores the low 32 bits of [v]. *)
+
+val scan_u16 :
+  t -> off:int -> stride:int -> count:int -> min:int ->
+  (int -> int -> unit) -> unit
+(** [scan_u16 t ~off ~stride ~count ~min f] calls [f i raw], in
+    ascending [i], for every u16 field at [off + i * stride]
+    ([0 <= i < count], [stride > 0]) whose value [raw] is at least
+    [min].  The fields
+    lying inside one page are read under a single
+    {!Buffer_pool.with_page} and reported after that latch is released,
+    so [f] may itself touch other pages (of this or another table); a
+    field that straddles a page boundary costs what {!get_u16} does.
+    [f] must not write the scanned fields. *)

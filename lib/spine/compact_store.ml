@@ -56,6 +56,12 @@ module type BYTES = sig
   val set_u16 : t -> int -> int -> unit
   val get_u32 : t -> int -> int
   val set_u32 : t -> int -> int -> unit
+
+  val scan_u16 :
+    t -> off:int -> stride:int -> count:int -> min:int ->
+    (int -> int -> unit) -> unit
+  (** [f i raw] for each u16 at [off + i * stride], [i < count], with
+      [raw >= min]. *)
 end
 
 (* growable in-memory little-endian byte table *)
@@ -91,6 +97,12 @@ module Btab = struct
   let set_u16 t off v = Bytes.set_uint16_le t.data off (v land 0xFFFF)
   let get_u32 t off = Int32.to_int (Bytes.get_int32_le t.data off) land 0xFFFF_FFFF
   let set_u32 t off v = Bytes.set_int32_le t.data off (Int32.of_int v)
+
+  let scan_u16 t ~off ~stride ~count ~min f =
+    for i = 0 to count - 1 do
+      let raw = Bytes.get_uint16_le t.data (off + (i * stride)) in
+      if raw >= min then f i raw
+    done
 end
 
 let lt_entry_bytes = 6
@@ -320,6 +332,18 @@ module Core (B : BYTES) = struct
     if p land 0x8000_0000 = 0 then p else row_ld t (ptr_table p) (ptr_row p)
 
   let link_lel = lt_lel
+
+  (* The LEL column walk: the raw u16 is filtered in the byte table
+     against [min_lel] capped at the sentinel, so an overflowed LEL
+     (raw = sentinel) always reaches the overflow table and is compared
+     at its true value. *)
+  let scan_links t ~from ~min_lel f =
+    B.scan_u16 t.lt ~off:(lt_off from + 4) ~stride:lt_entry_bytes
+      ~count:(length t + 1 - from) ~min:(min min_lel overflow_sentinel)
+      (fun i raw ->
+        let node = from + i in
+        let lel = read_label t raw (lt_lel_key node) in
+        if lel >= min_lel then f node lel)
 
   let set_link t node ~dest ~lel =
     set_lt_lel t node lel;

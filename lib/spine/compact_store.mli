@@ -17,7 +17,8 @@
     of the paper's disk experiments. *)
 
 (** Byte-table abstraction the layout code is written against:
-    little-endian fixed-width accessors over one growable region. *)
+    little-endian fixed-width accessors over one growable region, plus
+    one column scan. *)
 module type BYTES = sig
   type t
 
@@ -33,6 +34,18 @@ module type BYTES = sig
   val set_u16 : t -> int -> int -> unit
   val get_u32 : t -> int -> int
   val set_u32 : t -> int -> int -> unit
+
+  val scan_u16 :
+    t -> off:int -> stride:int -> count:int -> min:int ->
+    (int -> int -> unit) -> unit
+  (** [scan_u16 t ~off ~stride ~count ~min f] reads the u16 column
+      [off + i * stride] for [i] in [0 .. count - 1] ([stride > 0]) and
+      calls [f i raw], in ascending [i], for each field whose raw value
+      is at least [min].  [f] must not write the table.  It is the Link
+      Table's LEL column walk behind {!Store_sig.S.scan_links}: the
+      in-memory table reads it in one tight loop, and a paged table
+      takes one pool latch per page of the column rather than one per
+      field. *)
 end
 
 (** The in-memory instantiation's byte table. *)
@@ -111,6 +124,7 @@ module Core (B : BYTES) : sig
   val append_char : t -> int -> unit
   val link_dest : t -> int -> int
   val link_lel : t -> int -> int
+  val scan_links : t -> from:int -> min_lel:int -> (int -> int -> unit) -> unit
   val set_link : t -> int -> dest:int -> lel:int -> unit
   val find_rib : t -> int -> int -> (int * int) option
   val add_rib : t -> int -> code:int -> dest:int -> pt:int -> unit

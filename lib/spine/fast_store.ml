@@ -45,6 +45,12 @@ let append_char t c =
 let link_dest t i = Xutil.Int_vec.get t.link_dest i
 let link_lel t i = Xutil.Int_vec.get t.link_lel i
 
+let scan_links t ~from ~min_lel f =
+  for node = from to length t do
+    let lel = Xutil.Int_vec.get t.link_lel node in
+    if lel >= min_lel then f node lel
+  done
+
 let set_link t i ~dest ~lel =
   Xutil.Int_vec.set t.link_dest i dest;
   Xutil.Int_vec.set t.link_lel i lel

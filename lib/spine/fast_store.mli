@@ -22,6 +22,7 @@ val char_at : t -> int -> int
 val append_char : t -> int -> unit
 val link_dest : t -> int -> int
 val link_lel : t -> int -> int
+val scan_links : t -> from:int -> min_lel:int -> (int -> int -> unit) -> unit
 val set_link : t -> int -> dest:int -> lel:int -> unit
 val find_rib : t -> int -> int -> (int * int) option
 val add_rib : t -> int -> code:int -> dest:int -> pt:int -> unit

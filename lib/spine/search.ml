@@ -6,8 +6,10 @@
     valid path ends on is the end of the substring's {e first}
     occurrence.  Remaining occurrences are recovered with the paper's
     target-node-buffer scan: one sequential pass over the backbone,
-    admitting every node whose link points into the buffer with
-    sufficient LEL, with buffer membership tested by binary search. *)
+    admitting every node whose link has sufficient LEL and points into
+    the buffer.  The store filters on LEL next to its data
+    ({!Store_sig.S.scan_links}); only passing nodes have their link
+    destination read and tested for buffer membership. *)
 
 (* Traversal telemetry, one counter per edge family (the profile the
    packed-trie literature attributes disk wins to).  [link_hops] is
@@ -55,11 +57,35 @@ module type S = sig
   val end_nodes_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
   val occurrences_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
   val occurrences_batch : store -> (int * int) array -> Xutil.Int_vec.t array
-  val end_nodes_binary : store -> Bioseq.Packed_seq.Pattern.t -> int list
 
   val occurrences_many :
     store -> Bioseq.Packed_seq.Pattern.t list -> int list array
 end
+
+(* Per-domain scratch bitmap over node ids, a superset filter in front
+   of the scan's authoritative target table: a set bit may cost one
+   hashtable probe, a clear bit proves the node is no target.  It
+   grows on demand and every scan clears the bits it set, by walking
+   its result buffers, so no scan allocates O(n) bytes. *)
+let marks_key = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
+let scratch_marks nodes =
+  let r = Domain.DLS.get marks_key in
+  let need = (nodes + 7) lsr 3 in
+  if Bytes.length !r < need then
+    r := Bytes.make (max need (2 * Bytes.length !r)) '\000';
+  !r
+
+let mark m node =
+  let i = node lsr 3 in
+  Bytes.set m i (Char.chr (Bytes.get_uint8 m i lor (1 lsl (node land 7))))
+
+let marked m node = Bytes.get_uint8 m (node lsr 3) land (1 lsl (node land 7)) <> 0
+
+let unmark m buffers =
+  Array.iter
+    (Xutil.Int_vec.iter ~f:(fun node -> Bytes.set m (node lsr 3) '\000'))
+    buffers
 
 module Make (S : Store_sig.S) = struct
   type store = S.t
@@ -162,62 +188,71 @@ module Make (S : Store_sig.S) = struct
 
   (* The deferred, batched occurrence scan: given the first-occurrence
      end node and length of several patterns, find every occurrence of
-     all of them in one sequential backbone pass. [targets] maps a
-     buffered node to the patterns whose buffer it belongs to. *)
+     all of them in one sequential backbone pass.  The store hands over
+     only nodes whose LEL reaches the shortest pattern; [targets] maps
+     a buffered node to the patterns whose buffer it belongs to, behind
+     the [marks] bitmap. *)
   let occurrences_batch t firsts =
     let k = Array.length firsts in
     let buffers = Array.init k (fun _ -> Xutil.Int_vec.create ()) in
     if k > 0 then begin
       let targets : int list Xutil.Int_tbl.t = Xutil.Int_tbl.create 64 in
+      let marks = scratch_marks (S.length t + 1) in
       let add_target node j =
+        mark marks node;
         let prev =
           Option.value ~default:[] (Xutil.Int_tbl.find_opt targets node)
         in
         Xutil.Int_tbl.replace targets node (j :: prev)
       in
-      let min_first = ref max_int in
+      let min_first = ref max_int and min_len = ref max_int in
       Array.iteri
-        (fun j (first, _len) ->
+        (fun j (first, len) ->
           Xutil.Int_vec.push buffers.(j) first;
           Telemetry.incr c_occurrences;
           Profile.add_found 1;
           add_target first j;
-          if first < !min_first then min_first := first)
+          if first < !min_first then min_first := first;
+          if len < !min_len then min_len := len)
         firsts;
       let tr = Trace.on () in
       if tr then
         Trace.begin_span "search.scan"
           [ Trace.Int ("patterns", k); Trace.Int ("from", !min_first) ];
-      for node = !min_first + 1 to S.length t do
-        Telemetry.incr c_scan_nodes;
+      let admit node lel =
         let d = S.link_dest t node in
-        match Xutil.Int_tbl.find_opt targets d with
-        | None -> ()
-        | Some ids ->
-          let lel = S.link_lel t node in
-          List.iter
-            (fun j ->
-              let _, len = firsts.(j) in
-              if lel >= len then begin
-                Xutil.Int_vec.push buffers.(j) node;
-                Telemetry.incr c_occurrences;
-                Profile.add_found 1;
-                add_target node j
-              end)
-            ids
-      done;
-      (* one batched bump covers the whole scan: the loop above visited
-         exactly [S.length t - min_first] nodes, and a per-node DLS read
-         would tax the hottest loop in the query path *)
-      Profile.add_scan (max 0 (S.length t - !min_first));
+        if marked marks d then
+          match Xutil.Int_tbl.find_opt targets d with
+          | None -> ()
+          | Some ids ->
+            List.iter
+              (fun j ->
+                let _, len = firsts.(j) in
+                if lel >= len then begin
+                  Xutil.Int_vec.push buffers.(j) node;
+                  Telemetry.incr c_occurrences;
+                  Profile.add_found 1;
+                  add_target node j
+                end)
+              ids
+      in
+      (match S.scan_links t ~from:(!min_first + 1) ~min_lel:!min_len admit with
+       | () -> unmark marks buffers
+       | exception e ->
+         unmark marks buffers;
+         raise e);
+      (* one batched bump covers the whole scan: it covered exactly
+         [S.length t - min_first] nodes, of which only the LEL-passing
+         ones were read *)
+      let covered = max 0 (S.length t - !min_first) in
+      Telemetry.add c_scan_nodes covered;
+      Profile.add_scan covered;
       if tr then Trace.end_span ()
     end;
     buffers
 
   (* All end nodes of [p], ascending: the paper's single-pattern search
-     followed by the downstream link scan, with buffer membership in a
-     hashtable ([end_nodes_binary] below is the paper-faithful
-     reference). *)
+     followed by the downstream link scan. *)
   let end_nodes_pattern t p =
     match find_first_pattern t p with
     | None -> []
@@ -231,38 +266,6 @@ module Make (S : Store_sig.S) = struct
     List.map
       (fun e -> e - Bioseq.Packed_seq.Pattern.length p)
       (end_nodes_pattern t p)
-
-  (* Faithful single-pattern variant using binary search on the sorted
-     target-node buffer, exactly as described in the paper; kept as the
-     test reference for [end_nodes_pattern]. *)
-  let end_nodes_binary t p =
-    match find_first_pattern t p with
-    | None -> []
-    | Some first ->
-      let len = Bioseq.Packed_seq.Pattern.length p in
-      let buffer = Xutil.Int_vec.create () in
-      Xutil.Int_vec.push buffer first;
-      Telemetry.incr c_occurrences;
-      Profile.add_found 1;
-      let tr = Trace.on () in
-      if tr then
-        Trace.begin_span "search.scan_binary" [ Trace.Int ("from", first) ];
-      for node = first + 1 to S.length t do
-        Telemetry.incr c_scan_nodes;
-        let lel = S.link_lel t node in
-        if lel >= len then begin
-          let d = S.link_dest t node in
-          match Xutil.Int_vec.binary_search buffer d with
-          | Some _ ->
-            Xutil.Int_vec.push buffer node;
-            Telemetry.incr c_occurrences;
-            Profile.add_found 1
-          | None -> ()
-        end
-      done;
-      Profile.add_scan (max 0 (S.length t - first));
-      if tr then Trace.end_span ();
-      Xutil.Int_vec.fold buffer ~init:[] ~f:(fun acc x -> x :: acc) |> List.rev
 
   (* Dictionary search: find the first occurrence of each pattern
      individually (cheap valid-path walks), then resolve every

@@ -6,8 +6,10 @@
     valid path ends on is the end of the substring's {e first}
     occurrence.  Remaining occurrences are recovered with the paper's
     target-node-buffer scan: one sequential pass over the backbone,
-    admitting every node whose link points into the buffer with
-    sufficient LEL. *)
+    admitting every node whose link has sufficient LEL and points into
+    the buffer.  The LEL test runs inside the store
+    ({!Store_sig.S.scan_links}), and only passing nodes have their link
+    destination read. *)
 
 (** Traversal telemetry, one counter per edge family.  [c_link_hops] is
     shared with the matcher's backward-link walk and the cursor's
@@ -64,8 +66,7 @@ module type S = sig
   val contains_pattern : store -> Bioseq.Packed_seq.Pattern.t -> bool
 
   val end_nodes_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
-  (** All end nodes of the pattern, ascending (hashtable-backed buffer
-      membership). *)
+  (** All end nodes of the pattern, ascending. *)
 
   val occurrences_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
   (** 0-based start positions, ascending. *)
@@ -75,11 +76,6 @@ module type S = sig
       patterns — given as [(first-occurrence end node, length)] pairs —
       in one deferred sequential backbone scan, returning one ascending
       end-node buffer per pattern. *)
-
-  val end_nodes_binary : store -> Bioseq.Packed_seq.Pattern.t -> int list
-  (** {!end_nodes_pattern} exactly as the paper describes it: buffer
-      membership by binary search on the sorted target-node buffer.
-      The test suite's reference for the hashtable scan. *)
 
   val occurrences_many :
     store -> Bioseq.Packed_seq.Pattern.t list -> int list array

@@ -46,6 +46,15 @@ module type S = sig
   val link_dest : t -> int -> int
   val link_lel : t -> int -> int
 
+  val scan_links : t -> from:int -> min_lel:int -> (int -> int -> unit) -> unit
+  (** [scan_links t ~from ~min_lel f] calls [f node lel], in ascending
+      node order, for every node in [from .. length t] ([from >= 0])
+      whose link LEL is at least [min_lel] (exactly those nodes).  This
+      is the occurrence scan's "sufficient LEL" test run next to the
+      data: the stores walk their LEL column and hand over only the
+      passing nodes, so the scan reads a link destination only where
+      it can matter. *)
+
   val set_link : t -> int -> dest:int -> lel:int -> unit
 
   val find_rib : t -> int -> int -> (int * int) option

@@ -40,5 +40,6 @@ val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 
 val binary_search : t -> int -> int option
 (** [binary_search t v] finds the index of [v] assuming the vector is
-    sorted ascending; [None] if absent. Used by the target-node-buffer
-    lookup of the paper's all-occurrences search. *)
+    sorted ascending; [None] if absent: the target-node-buffer lookup
+    of the paper's all-occurrences search, as the test suite's
+    reference scan runs it. *)

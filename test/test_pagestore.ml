@@ -470,6 +470,130 @@ let test_paged_bytes_one_latch () =
   costs "get_u32 (miss)" (fun () ->
       Alcotest.(check int) "value" 7 (Pagestore.Paged_bytes.get_u32 a 100))
 
+(* --- column scans --- *)
+
+(* [count] stride-6 records of u16 values [v i] at field offset [at],
+   written to a paged table (over [page_size]-byte pages) and to the
+   in-memory byte table; returns both. *)
+let column ~page_size ~frames ~count ~at v =
+  let d = Pagestore.Device.create ~page_size () in
+  let p = Pagestore.Buffer_pool.create ~frames d in
+  let pb = Pagestore.Paged_bytes.make p ~base_page:0 in
+  let bt = Spine.Compact_store.Btab.create 0 in
+  for i = 0 to count - 1 do
+    ignore (Pagestore.Paged_bytes.alloc pb 6);
+    ignore (Spine.Compact_store.Btab.alloc bt 6);
+    Pagestore.Paged_bytes.set_u16 pb ((i * 6) + at) (v i);
+    Spine.Compact_store.Btab.set_u16 bt ((i * 6) + at) (v i)
+  done;
+  (p, pb, bt)
+
+let hits scan =
+  let acc = ref [] in
+  scan (fun i raw -> acc := (i, raw) :: !acc);
+  List.rev !acc
+
+(* Every field offset inside a 6-byte record, on pages that records
+   straddle (8 and 16 bytes; odd offsets also split the field itself):
+   the paged and the in-memory scan both report exactly the written
+   values that pass the filter. *)
+let test_scan_u16_parity () =
+  let count = 50 in
+  let v i = (i * 7919) land 0xFFFF in
+  List.iter
+    (fun page_size ->
+      for at = 0 to 4 do
+        let _, pb, bt = column ~page_size ~frames:2 ~count ~at v in
+        List.iter
+          (fun (from, min) ->
+            let label =
+              Printf.sprintf "page %d, field at %d, from %d, min %d"
+                page_size at from min
+            in
+            let off = (from * 6) + at and count = count - from in
+            let expected =
+              List.filter_map
+                (fun i -> if v (from + i) >= min then Some (i, v (from + i)) else None)
+                (List.init count Fun.id)
+            in
+            let btab =
+              hits (Spine.Compact_store.Btab.scan_u16 bt ~off ~stride:6 ~count ~min)
+            in
+            let paged =
+              hits (Pagestore.Paged_bytes.scan_u16 pb ~off ~stride:6 ~count ~min)
+            in
+            Alcotest.(check (list (pair int int))) ("btab " ^ label) expected btab;
+            Alcotest.(check (list (pair int int))) ("paged " ^ label) expected paged)
+          [ (0, 0); (0, 30_000); (3, 50_000); (7, 0x10000); (count, 0) ]
+      done)
+    [ 8; 16 ]
+
+(* One latch per page: the scan's pool accesses are the pages holding
+   an in-page field, plus the two byte latches of each field that
+   straddles a page. *)
+let test_scan_u16_one_latch_per_page () =
+  let page_size = 8 and count = 40 and at = 3 in
+  let p, pb, _ = column ~page_size ~frames:4 ~count ~at (fun i -> i) in
+  let field i = (i * 6) + at in
+  let straddles i = (field i mod page_size) + 2 > page_size in
+  let fields = List.init count Fun.id in
+  let straddling = List.length (List.filter straddles fields) in
+  let pages =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun i -> if straddles i then None else Some (field i / page_size))
+         fields)
+  in
+  let spanned = (field (count - 1) + 1) / page_size + 1 in
+  if straddling = 0 then Alcotest.fail "the layout must split some fields";
+  Alcotest.(check int) "every spanned page holds an in-page field" spanned
+    (List.length pages);
+  let accesses () =
+    let s = Pagestore.Buffer_pool.stats p in
+    s.Pagestore.Buffer_pool.hits + s.Pagestore.Buffer_pool.misses
+  in
+  let before = accesses () in
+  let n = ref 0 in
+  Pagestore.Paged_bytes.scan_u16 pb ~off:at ~stride:6 ~count ~min:0 (fun _ _ ->
+      incr n);
+  Alcotest.(check int) "every field reported" count !n;
+  Alcotest.(check int) "pool accesses" (spanned + (2 * straddling))
+    (accesses () - before)
+
+(* The callback runs outside the scan's latch: reading another table
+   through a 2-frame pool from inside it evicts the scanned page, and
+   both tables still read back correctly. *)
+let test_scan_u16_callback_reads () =
+  let d = Pagestore.Device.create ~page_size:16 () in
+  let p = Pagestore.Buffer_pool.create ~frames:2 d in
+  let col = Pagestore.Paged_bytes.make p ~base_page:0 in
+  let other = Pagestore.Paged_bytes.make p ~base_page:100 in
+  let count = 60 in
+  for i = 0 to count - 1 do
+    Pagestore.Paged_bytes.set_u16 col (Pagestore.Paged_bytes.alloc col 6 + 4) (i * 3);
+    Pagestore.Paged_bytes.set_u32 other (Pagestore.Paged_bytes.alloc other 4)
+      (1_000_000 + i)
+  done;
+  let seen = ref [] in
+  Pagestore.Paged_bytes.scan_u16 col ~off:4 ~stride:6 ~count ~min:30 (fun i raw ->
+      (* two far pages of the other table: both frames change hands *)
+      let far = Pagestore.Paged_bytes.get_u32 other (4 * (count - 1 - i)) in
+      let near = Pagestore.Paged_bytes.get_u32 other (4 * i) in
+      seen := (i, raw, far, near) :: !seen);
+  let expected =
+    List.filter_map
+      (fun i ->
+        if i * 3 >= 30 then
+          Some (i, i * 3, 1_000_000 + count - 1 - i, 1_000_000 + i)
+        else None)
+      (List.init count Fun.id)
+  in
+  Alcotest.(check int) "hits" (List.length expected) (List.length !seen);
+  Alcotest.(check bool) "values read inside the callback" true
+    (expected = List.rev !seen);
+  if (Pagestore.Buffer_pool.stats p).Pagestore.Buffer_pool.evictions = 0 then
+    Alcotest.fail "the callback must have evicted the scanned pages"
+
 let suite =
   [ Alcotest.test_case "device read/write roundtrip" `Quick test_device_roundtrip
   ; Alcotest.test_case "device counters" `Quick test_device_counters
@@ -503,4 +627,9 @@ let suite =
       test_paged_bytes_straddle
   ; Alcotest.test_case "paged bytes one latch per in-page field" `Quick
       test_paged_bytes_one_latch
+  ; Alcotest.test_case "paged column scan parity" `Quick test_scan_u16_parity
+  ; Alcotest.test_case "paged column scan: one latch per page" `Quick
+      test_scan_u16_one_latch_per_page
+  ; Alcotest.test_case "paged column scan: callback reads other pages" `Quick
+      test_scan_u16_callback_reads
   ]

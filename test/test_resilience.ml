@@ -10,6 +10,7 @@ module R = Spine.Resilient
 module FS = Pagestore.Fault_spec
 module FD = Pagestore.Fault_device
 module P = Spine.Persistent
+module E = Spine.Engine
 
 let dna = Bioseq.Alphabet.dna
 
@@ -189,6 +190,73 @@ let test_backoff_crossing_deadline () =
    | () -> Alcotest.fail "must time out"
    | exception Spine_error.Error (Spine_error.Timeout _) -> ());
   Alcotest.(check int) "no second attempt after a doomed backoff" 1 !calls
+
+(* A batch whose deadline expires inside the occurrence scan: every
+   device read takes 1 ms of virtual time, and the budget runs out
+   halfway between the end of the descents and the end of the scan.
+   The batch raises a typed [Timeout] instead of returning the
+   buffers filled so far, and the next unarmed batch is exact. *)
+let test_deadline_mid_scan () =
+  let seq = seq_of 4_000 in
+  let d =
+    Spine.Disk.build
+      ~config:{ Spine.Disk.default_config with Spine.Disk.page_size = 64; frames = 4 }
+      seq
+  in
+  let e = Spine.Disk.engine d in
+  let vc = VC.create () in
+  let reads = ref 0 in
+  Pagestore.Device.set_hooks d.Spine.Disk.device
+    (Some
+       { Pagestore.Device.on_read =
+           (fun ~page:_ ->
+             incr reads;
+             VC.advance vc 1_000_000);
+         on_write = (fun ~page:_ ~phys:_ -> Pagestore.Device.Write_through) });
+  let patterns =
+    List.map
+      (fun pos -> Array.init 8 (fun k -> Bioseq.Packed_seq.get seq (pos + k)))
+      [ 100; 1_700; 3_900 ]
+  in
+  let cold_reads f =
+    Spine.Disk.reset_io d;
+    reads := 0;
+    let r = f () in
+    (!reads, r)
+  in
+  let descent, () =
+    cold_reads (fun () ->
+        List.iter
+          (fun p -> ignore (E.contains_pattern e (E.pattern e p)))
+          patterns)
+  in
+  let total, expected = cold_reads (fun () -> E.run_batch e patterns) in
+  if total - descent < 100 then
+    Alcotest.failf "the scan must dominate the batch's reads (%d of %d)"
+      (total - descent) total;
+  let budget = descent + ((total - descent) / 2) in
+  let t =
+    R.create ~clock:(VC.now vc) ~sleep_ns:(VC.sleep vc)
+      ~config:{ no_breaker with R.deadline_ns = Some (budget * 1_000_000) }
+      e
+  in
+  Spine.Disk.reset_io d;
+  reads := 0;
+  (match R.call t ~op:"batch" (fun e -> E.run_batch e patterns) with
+   | _ -> Alcotest.fail "the deadline must expire inside the scan"
+   | exception Spine_error.Error (Spine_error.Timeout { op; _ }) ->
+     Alcotest.(check string) "timeout names the op" "batch" op);
+  Alcotest.(check bool)
+    (Printf.sprintf "expired mid-scan (%d reads; descents %d, batch %d)"
+       !reads descent total)
+    true
+    (!reads > descent && !reads < total);
+  Alcotest.(check int) "timeout counted" 1 (R.counts t).R.timeouts;
+  Pagestore.Device.set_hooks d.Spine.Disk.device None;
+  let again = E.run_batch e patterns in
+  Alcotest.(check (list (list int))) "the next batch is exact"
+    (List.map (fun i -> i.E.positions) expected)
+    (List.map (fun i -> i.E.positions) again)
 
 (* --- circuit breaker ------------------------------------------------- *)
 
@@ -468,4 +536,6 @@ let suite =
   ; Alcotest.test_case "latency injection charged to the query" `Quick
       test_latency_attribution
   ; Alcotest.test_case "scenario DSL parser" `Quick test_scenario_parse
+  ; Alcotest.test_case "batch deadline expiring mid-scan" `Quick
+      test_deadline_mid_scan
   ]

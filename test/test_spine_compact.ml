@@ -87,6 +87,21 @@ let test_overflow_labels () =
   Alcotest.(check int) "occurrence count"
     (n - 120 + 1) (List.length (Codes.occurrences ce pat))
 
+(* A pattern longer than the sentinel: every LEL that reaches it is
+   stored as 0xFFFF, so the occurrence scan must resolve the sentinel
+   through the overflow table before comparing with the pattern
+   length — on the in-memory and on the paged byte table alike. *)
+let test_overflow_scan () =
+  let n = 70_000 and m = 65_600 in
+  let seq = Bioseq.Packed_seq.of_string byte (String.make n 'a') in
+  let pat = Array.make m (Char.code 'a') in
+  let check what e =
+    Alcotest.(check int) (what ^ ": occurrences of a^65600 in a^70000")
+      4_401 (List.length (Codes.occurrences e pat))
+  in
+  check "compact" (C.engine (C.of_seq seq));
+  check "paged" (Spine.Disk.engine (Spine.Disk.build seq))
+
 let test_online_equals_batch () =
   let rng = Bioseq.Rng.create 79 in
   for _ = 1 to 10 do
@@ -117,4 +132,6 @@ let suite =
   ; Alcotest.test_case "label overflow table" `Quick test_overflow_labels
   ; Alcotest.test_case "online construction usable at prefixes" `Quick
       test_online_equals_batch
+  ; Alcotest.test_case "overflowed LELs in the occurrence scan" `Quick
+      test_overflow_scan
   ]

@@ -161,18 +161,49 @@ let check_prefix_partition s =
   done;
   true
 
-module Fast_search = Spine.Search.Make (Spine.Fast_store)
-module Compact_search = Spine.Search.Make (Spine.Compact_store)
+(* The paper's target-node-buffer scan exactly as Section 4 describes
+   it, kept here as an independent reference for the engine's scan: it
+   reads every node's link field by field (no [scan_links]) and tests
+   buffer membership by binary search on the sorted buffer. *)
+module Binary_scan (S : Spine.Store_sig.S) = struct
+  module Q = Spine.Search.Make (S)
+
+  let end_nodes t p =
+    match Q.find_first_pattern t p with
+    | None -> []
+    | Some first ->
+      let len = Bioseq.Packed_seq.Pattern.length p in
+      let buffer = Xutil.Int_vec.create () in
+      Xutil.Int_vec.push buffer first;
+      for node = first + 1 to S.length t do
+        if
+          S.link_lel t node >= len
+          && Xutil.Int_vec.binary_search buffer (S.link_dest t node) <> None
+        then Xutil.Int_vec.push buffer node
+      done;
+      Xutil.Int_vec.fold buffer ~init:[] ~f:(fun acc x -> x :: acc) |> List.rev
+end
+
+module Fast_binary = Binary_scan (Spine.Fast_store)
+module Compact_binary = Binary_scan (Spine.Compact_store)
+module Paged_binary = Binary_scan (Spine.Paged_store.P)
+
+(* 8-byte pages split 6-byte LT entries across pages, and 4 frames make
+   the scan's link reads evict the LT pages it is walking *)
+let tiny_pages =
+  { Spine.Disk.default_config with Spine.Disk.page_size = 8; frames = 4 }
 
 let check_binary_scan rng sigma s =
   (* the paper's binary-search target-node-buffer formulation must give
-     exactly the same end nodes as the engine's hashtable scan, on both
-     the fast and the compact store *)
+     exactly the same end nodes as the engine's scan, on the fast, the
+     compact and the paged store *)
   let fast = build s in
   let compact_idx = Spine.Compact.of_string byte s in
   let compact = Spine.Compact.store compact_idx in
+  let disk = Spine.Disk.build ~config:tiny_pages (Bioseq.Packed_seq.of_string byte s) in
   let fast_e = I.engine fast in
   let compact_e = Spine.Compact.engine compact_idx in
+  let disk_e = Spine.Disk.engine disk in
   for _ = 1 to 20 do
     let pat =
       if String.length s > 3 && Bioseq.Rng.bool rng then begin
@@ -183,13 +214,13 @@ let check_binary_scan rng sigma s =
       else Oracles.random_string rng sigma (1 + Bioseq.Rng.int rng 5)
     in
     let p = E.pattern fast_e (codes_of pat) in
-    if E.end_nodes_pattern fast_e p <> Fast_search.end_nodes_binary fast p then
+    if E.end_nodes_pattern fast_e p <> Fast_binary.end_nodes fast p then
       failwith (Printf.sprintf "fast binary scan mismatch for %S in %S" pat s);
-    if
-      E.end_nodes_pattern compact_e p
-      <> Compact_search.end_nodes_binary compact p
+    if E.end_nodes_pattern compact_e p <> Compact_binary.end_nodes compact p
     then
-      failwith (Printf.sprintf "compact binary scan mismatch for %S in %S" pat s)
+      failwith (Printf.sprintf "compact binary scan mismatch for %S in %S" pat s);
+    if E.end_nodes_pattern disk_e p <> Paged_binary.end_nodes disk.store p then
+      failwith (Printf.sprintf "paged binary scan mismatch for %S in %S" pat s)
   done;
   true
 
