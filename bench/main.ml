@@ -52,7 +52,6 @@ let query () =
 
 let spine_index = lazy (Spine.Compact.of_seq (eco ()))
 let spine_engine = lazy (Spine.Compact.engine (Lazy.force spine_index))
-let fast_engine = lazy (Spine.Index.engine (Spine.Index.of_seq (eco ())))
 let st_index = lazy (Suffix_tree.build (eco ()))
 
 let disk_seq () = Experiments.Data.load ~scale:0.001 Bioseq.Corpus.eco
@@ -210,23 +209,23 @@ let tests =
   ; (* Section 5 space: full measurement pass *)
     Test.make ~name:"space/bytes-per-char"
       (Staged.stage (fun () ->
-           Spine.Compact.bytes_per_char (Lazy.force spine_index)))
+           Spine.Compact_store.bytes_per_char (Lazy.force spine_index)))
   ; (* Section 5.2 proteins: protein construction kernel *)
     Test.make ~name:"proteins/spine-construction"
       (Staged.stage (fun () ->
            Spine.Compact.of_seq
              (Experiments.Data.load ~scale:0.01 Bioseq.Corpus.eco_r)))
-  ; (* ablations: fast store and deferred vs immediate scans *)
+  ; (* ablations: hashtable store and deferred vs immediate scans *)
     Test.make ~name:"ablation/hashtable-store-construction"
-      (Staged.stage (fun () -> Spine.Index.of_seq (eco ())))
+      (Staged.stage (fun () -> Experiments.Hashtable_store.of_seq (eco ())))
   ; Test.make ~name:"ablation/deferred-occurrence-scan"
       (Staged.stage (fun () ->
-           Spine.Engine.maximal_matches (Lazy.force fast_engine) ~threshold:16
+           Spine.Engine.maximal_matches (Lazy.force spine_engine) ~threshold:16
              (query ())))
   ; Test.make ~name:"ablation/immediate-occurrence-scan"
       (Staged.stage (fun () ->
            Spine.Engine.maximal_matches ~immediate:true
-             (Lazy.force fast_engine) ~threshold:16 (query ())))
+             (Lazy.force spine_engine) ~threshold:16 (query ())))
   ; (* packed-row kernels: whole-word compare vs the per-code oracle *)
     Test.make ~name:"packed/word-mismatch-dna-1mib"
       (Staged.stage (fun () ->
@@ -250,13 +249,13 @@ let tests =
   ; Test.make ~name:"packed/word-descent-256"
       (Staged.stage (fun () ->
            let _, pat = Lazy.force descent_input in
-           let store = Spine.Compact.store (Lazy.force spine_index) in
+           let store = Lazy.force spine_index in
            let c = Compact_cursor.create store in
            Compact_cursor.advance_pattern c pat))
   ; Test.make ~name:"packed/scalar-descent-256"
       (Staged.stage (fun () ->
            let codes, _ = Lazy.force descent_input in
-           let store = Spine.Compact.store (Lazy.force spine_index) in
+           let store = Lazy.force spine_index in
            let c = Compact_cursor.create store in
            Array.iter
              (fun code -> ignore (Compact_cursor.advance c code))

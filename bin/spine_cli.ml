@@ -95,9 +95,10 @@ let build_cmd =
   in
   let backend =
     Arg.(value
-         & opt (enum [ ("fast", `Fast); ("persistent", `Persistent) ]) `Fast
+         & opt (enum [ ("compact", `Compact); ("persistent", `Persistent) ])
+             `Compact
          & info [ "backend"; "b" ] ~docv:"BACKEND"
-             ~doc:"Output format: fast (a checksummed snapshot for \
+             ~doc:"Output format: compact (a checksummed snapshot for \
                    in-memory loading) or persistent (a paged, \
                    crash-consistent index file that `spine query \
                    --backend persistent -i` and `spine scrub` operate \
@@ -111,9 +112,9 @@ let build_cmd =
     | Error e -> prerr_endline e; 1
     | Ok seq ->
       (match backend with
-       | `Fast ->
+       | `Compact ->
          let idx, secs =
-           Xutil.Stopwatch.time (fun () -> Spine.Index.of_seq seq)
+           Xutil.Stopwatch.time (fun () -> Spine.Compact.of_seq seq)
          in
          Spine.Serialize.to_file out idx;
          Printf.printf "indexed %d chars in %.2fs -> %s\n"
@@ -146,16 +147,15 @@ let build_cmd =
 
 let backend_conv =
   Arg.enum
-    [ ("fast", `Fast); ("compact", `Compact); ("persistent", `Persistent);
-      ("disk", `Disk) ]
+    [ ("compact", `Compact); ("persistent", `Persistent); ("disk", `Disk) ]
 
 let backend_arg =
-  Arg.(value & opt backend_conv `Fast
+  Arg.(value & opt backend_conv `Compact
        & info [ "backend"; "b" ] ~docv:"BACKEND"
-           ~doc:"Storage backend: fast (in-memory hashtable), compact \
-                 (the paper's Section 5 packed layout), persistent \
-                 (file-backed paged storage) or disk (packed layout \
-                 through a bounded buffer pool over a simulated disk).")
+           ~doc:"Storage backend: compact (the paper's Section 5 layout \
+                 in memory), persistent (that layout in a paged, \
+                 crash-consistent file) or disk (that layout through a \
+                 bounded buffer pool over a simulated disk).")
 
 let seq_literal_arg =
   Arg.(value & opt (some string) None
@@ -179,7 +179,6 @@ let seq_of_literal alphabet s =
    file). *)
 let engine_of_source ~backend ~frames ~page_size seq =
   match backend with
-  | `Fast -> (Spine.Index.engine (Spine.Index.of_seq seq), ignore)
   | `Compact -> (Spine.Compact.engine (Spine.Compact.of_seq seq), ignore)
   | `Disk ->
     let config =
@@ -212,12 +211,12 @@ let page_size_arg =
 let index_opt_arg =
   Arg.(value & opt (some string) None
        & info [ "index"; "i" ] ~docv:"FILE"
-           ~doc:"Existing index file: a serialized index (backend fast) \
-                 or a persistent index file (backend persistent). \
+           ~doc:"Existing index file: a snapshot (backend compact) or a \
+                 persistent index file (backend persistent). \
                  Alternative to the input sources.")
 
 (* The full engine-acquisition story shared by query, stats --space,
-   explain and replay: an existing index file (--index, fast or
+   explain and replay: an existing index file (--index, compact or
    persistent) or any input source through [engine_of_source], with the
    incompatible combinations diagnosed. *)
 let acquire_engine ~alphabet ~fasta ~synthetic ~scale ~text ~seq_str ~backend
@@ -230,15 +229,15 @@ let acquire_engine ~alphabet ~fasta ~synthetic ~scale ~text ~seq_str ~backend
     Error "provide either --index or an input source, not both"
   | Some file, false ->
     (match backend with
-     | `Fast -> Ok (Spine.Index.engine (Spine.Serialize.of_file file), ignore)
+     | `Compact -> Ok (Spine.Compact.engine (Spine.Serialize.of_file file), ignore)
      | `Persistent ->
        (try
           let p = Spine.Persistent.open_ ~frames ~path:file () in
           Ok (Spine.Persistent.engine p,
               fun () -> Spine.Persistent.close p)
         with Spine_error.Error e -> Error (Spine_error.to_string e))
-     | `Compact | `Disk ->
-       Error "--backend compact/disk builds from an input source \
+     | `Disk ->
+       Error "--backend disk builds from an input source \
               (--text, --fasta, --synthetic, --seq), not --index")
   | None, _ ->
     Result.map
@@ -258,9 +257,9 @@ let query_cmd =
   let index =
     Arg.(value & opt (some string) None
          & info [ "index"; "i" ] ~docv:"FILE"
-             ~doc:"Existing index file: a serialized index (backend \
-                   fast) or a persistent index file (backend \
-                   persistent). Alternative to the input sources.")
+             ~doc:"Existing index file: a snapshot (backend compact) or \
+                   a persistent index file (backend persistent). \
+                   Alternative to the input sources.")
   in
   let limit =
     Arg.(value & opt int 20
@@ -342,7 +341,7 @@ let stats_cmd =
   let index =
     Arg.(value & opt (some string) None
          & info [ "index"; "i" ] ~docv:"FILE"
-             ~doc:"Index file (serialized fast-backend snapshot). \
+             ~doc:"Index file (a compact snapshot from spine build). \
                    Required unless --space builds from an input source.")
   in
   let space =
@@ -390,13 +389,12 @@ let stats_cmd =
   in
   let structure_run index =
     let idx = Spine.Serialize.of_file index in
-    let e = Spine.Index.engine idx in
-    let n = Spine.Engine.length e in
+    let e = Spine.Compact.engine idx in
     let { Spine.Engine.vertebras; ribs; extribs; links } =
       Spine.Engine.edge_counts e
     in
     let m = Spine.Engine.label_maxima e in
-    Printf.printf "characters        %d\n" n;
+    Printf.printf "characters        %d\n" (Spine.Engine.length e);
     Printf.printf "nodes             %d\n" (Spine.Engine.node_count e);
     Printf.printf "vertebras         %d\n" vertebras;
     Printf.printf "ribs              %d\n" ribs;
@@ -405,8 +403,7 @@ let stats_cmd =
     Printf.printf "max PT            %d\n" m.Spine.Engine.max_pt;
     Printf.printf "max LEL           %d\n" m.Spine.Engine.max_lel;
     Printf.printf "max PRT           %d\n" m.Spine.Engine.max_prt;
-    Printf.printf "model bytes/char  %.2f\n"
-      (float_of_int (Spine.Index.model_bytes idx) /. float_of_int (max 1 n));
+    Printf.printf "bytes/char        %.2f\n" (Spine.Compact_store.bytes_per_char idx);
     0
   in
   let run alphabet fasta synthetic scale text seq_str backend index space
@@ -870,7 +867,7 @@ let match_cmd =
   in
   let run index query_file threshold stats =
     with_stats stats @@ fun () ->
-    let e = Spine.Index.engine (Spine.Serialize.of_file index) in
+    let e = Spine.Compact.engine (Spine.Serialize.of_file index) in
     match Bioseq.Fasta.read_file (Spine.Engine.alphabet e) query_file with
     | [] -> prerr_endline "query FASTA contains no records"; 1
     | { Bioseq.Fasta.seq = query; _ } :: _ ->
@@ -920,7 +917,7 @@ let approx_cmd =
   in
   let run index pattern errors edit_flag limit =
     let idx = Spine.Serialize.of_file index in
-    let alphabet = Spine.Fast_store.alphabet idx in
+    let alphabet = Spine.Compact_store.alphabet idx in
     match
       Array.init (String.length pattern)
         (fun i -> Bioseq.Alphabet.encode alphabet pattern.[i])
@@ -1002,12 +999,6 @@ let align_cmd =
 (* --- trace --- *)
 
 let trace_cmd =
-  let seq_str =
-    Arg.(value & opt (some string) None
-         & info [ "seq" ] ~docv:"STRING"
-             ~doc:"Index this literal string (alternative to --fasta, \
-                   --synthetic, --text).")
-  in
   let queries =
     Arg.(value & opt_all string []
          & info [ "query"; "q" ] ~docv:"PATTERN"
@@ -1060,28 +1051,12 @@ let trace_cmd =
          & info [ "page-size" ] ~docv:"BYTES"
              ~doc:"Device page size for --disk.")
   in
-  let encode_pattern alphabet pattern =
-    match
-      Array.init (String.length pattern)
-        (fun i -> Bioseq.Alphabet.encode alphabet pattern.[i])
-    with
-    | codes -> Some codes
-    | exception Invalid_argument _ -> None
-  in
   let run alphabet fasta synthetic scale text seq_str queries disk out format
       sample slow_us capacity frames page_size =
     match
       Result.bind (alphabet_of_string alphabet) (fun alphabet ->
           match seq_str with
-          | Some s ->
-            let seq = Bioseq.Packed_seq.create alphabet in
-            String.iter
-              (fun c ->
-                match Bioseq.Alphabet.encode_opt alphabet c with
-                | Some code -> Bioseq.Packed_seq.append seq code
-                | None -> ())
-              s;
-            Ok seq
+          | Some s -> Ok (seq_of_literal alphabet s)
           | None -> load_sequence ~alphabet ~fasta ~synthetic ~scale ~text)
     with
     | Error e -> prerr_endline e; 1
@@ -1091,33 +1066,23 @@ let trace_cmd =
       Option.iter Trace.set_slow_us slow_us;
       Option.iter Trace.set_capacity capacity;
       Trace.reset ();
-      let alphabet = Bioseq.Packed_seq.alphabet seq in
       let engine =
-        if disk then begin
-          let config =
-            { Spine.Disk.default_config with
-              Spine.Disk.frames; page_size }
-          in
-          let d =
-            Trace.with_op "build"
-              [ Trace.Int ("length", Bioseq.Packed_seq.length seq) ]
-              (fun () -> Spine.Disk.build ~config seq)
-          in
-          Spine.Disk.engine d
-        end
-        else begin
-          let idx =
-            Trace.with_op "build"
-              [ Trace.Int ("length", Bioseq.Packed_seq.length seq) ]
-              (fun () -> Spine.Index.of_seq seq)
-          in
-          Spine.Index.engine idx
-        end
+        Trace.with_op "build"
+          [ Trace.Int ("length", Bioseq.Packed_seq.length seq) ]
+          (fun () ->
+            if disk then
+              Spine.Disk.engine
+                (Spine.Disk.build
+                   ~config:
+                     { Spine.Disk.default_config with
+                       Spine.Disk.frames; page_size }
+                   seq)
+            else Spine.Compact.engine (Spine.Compact.of_seq seq))
       in
       let bad = ref false in
       List.iter
         (fun pattern ->
-          match encode_pattern alphabet pattern with
+          match Spine.Engine.encode engine pattern with
           | None ->
             Printf.eprintf "pattern %S is outside the alphabet\n" pattern;
             bad := true
@@ -1148,7 +1113,7 @@ let trace_cmd =
        ~doc:"Build (and optionally query) under per-operation event \
              tracing and export the trace.")
     Term.(const run $ alphabet_arg $ fasta_arg $ synthetic_arg $ scale_arg
-          $ text_arg $ seq_str $ queries $ disk $ out $ format $ sample
+          $ text_arg $ seq_literal_arg $ queries $ disk $ out $ format $ sample
           $ slow_us $ capacity $ frames $ page_size)
 
 (* --- scrub --- *)
@@ -1163,10 +1128,11 @@ let scrub_cmd =
   let deep =
     Arg.(value & flag
          & info [ "deep" ]
-             ~doc:"After the checksum walk, open the index, rebuild an \
-                   in-memory oracle from the recovered sequence and \
-                   cross-check the paged structure against it (touches \
-                   every Link-Table and Rib-Table page). Opening \
+             ~doc:"After the checksum walk, open the index, check the \
+                   paged structure's invariants, and cross-check it \
+                   against a fresh in-memory build and a suffix tree of \
+                   the recovered sequence (touches every Link-Table and \
+                   Rib-Table page). Opening \
                    commits a fresh metadata generation on close, so \
                    this also repairs a torn metadata slot.")
   in
@@ -1242,52 +1208,57 @@ let scrub_cmd =
         (fun () ->
           try
             let seq = P.sequence p in
-            let oracle_idx = Spine.Index.of_seq seq in
-            Spine.Validate.check_exn oracle_idx;
-            let oracle = Spine.Index.engine oracle_idx in
             let paged = P.engine p in
             let n = Spine.Engine.length paged in
-            if Spine.Engine.length oracle <> n then begin
-              Printf.printf "deep: length mismatch (oracle %d, paged %d)\n"
-                (Spine.Engine.length oracle) n;
+            let module V = Spine.Validate.Make (Spine.Paged_store.P) in
+            match V.check (P.store p) with
+            | { Spine.Validate.where; what } :: _ as violations ->
+              Printf.printf "deep: %d structural violation(s), first %s: %s\n"
+                (List.length violations) where what;
               1
-            end
-            else if
-              Spine.Engine.rib_distribution paged
-              <> Spine.Engine.rib_distribution oracle
-            then begin
-              print_endline
-                "deep: rib distribution diverges from the oracle";
-              1
-            end
-            else begin
-              (* sampled query parity over the real sequence *)
-              let rng = Bioseq.Rng.create 7 in
-              let bad = ref 0 in
-              let probes = if n >= 4 then 64 else 0 in
-              for _ = 1 to probes do
-                let len = 2 + Bioseq.Rng.int rng (min 10 (n - 1)) in
-                let pos = Bioseq.Rng.int rng (n - len) in
-                let pat =
-                  Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k))
-                in
-                let occurrences e =
-                  Spine.Engine.occurrences_pattern e (Spine.Engine.pattern e pat)
-                in
-                if occurrences paged <> occurrences oracle then incr bad
-              done;
-              if !bad > 0 then begin
-                Printf.printf "deep: %d/%d probe queries diverge\n" !bad
-                  probes;
+            | [] ->
+              let fresh = Spine.Compact.engine (Spine.Compact.of_seq seq) in
+              if
+                Spine.Engine.rib_distribution paged
+                <> Spine.Engine.rib_distribution fresh
+              then begin
+                print_endline
+                  "deep: rib distribution diverges from a fresh build";
                 1
               end
               else begin
-                Printf.printf
-                  "deep: structure consistent with the oracle (%d probes)\n"
-                  probes;
-                0
+                (* sampled query parity against a suffix tree, which
+                   shares no code with the store under test *)
+                let tree = Suffix_tree.build seq in
+                let rng = Bioseq.Rng.create 7 in
+                let bad = ref 0 in
+                let probes = if n >= 4 then 64 else 0 in
+                for _ = 1 to probes do
+                  let len = 2 + Bioseq.Rng.int rng (min 10 (n - 1)) in
+                  let pos = Bioseq.Rng.int rng (n - len) in
+                  let pat =
+                    Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k))
+                  in
+                  let want =
+                    List.sort Int.compare (Suffix_tree.occurrences tree pat)
+                  in
+                  if Spine.Engine.occurrences_pattern paged
+                       (Spine.Engine.pattern paged pat) <> want
+                  then incr bad
+                done;
+                if !bad > 0 then begin
+                  Printf.printf "deep: %d/%d probe queries diverge\n" !bad
+                    probes;
+                  1
+                end
+                else begin
+                  Printf.printf
+                    "deep: structure valid and consistent with the oracles \
+                     (%d probes)\n"
+                    probes;
+                  0
+                end
               end
-            end
           with Spine_error.Error e ->
             Printf.printf "deep: %s\n" (Spine_error.to_string e);
             1)

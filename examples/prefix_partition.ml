@@ -13,15 +13,15 @@ let () =
   let stream = Bioseq.Synthetic.genomic dna rng 50_000 in
 
   (* online: feed characters one by one, querying as we go *)
-  let idx = Spine.Index.create dna in
-  let e = Spine.Index.engine idx in
+  let idx = Spine.Compact.create dna in
+  let e = Spine.Compact.engine idx in
   let probe =
     Spine.Engine.pattern e
       (Array.init 8 (fun i -> Bioseq.Packed_seq.get stream i))
   in
   let first_hit = ref (-1) in
   Bioseq.Packed_seq.iteri stream ~f:(fun pos code ->
-      Spine.Index.append idx code;
+      Spine.Compact.append idx code;
       if !first_hit < 0 && pos >= 7 then
         if Spine.Engine.contains_pattern e probe then first_hit := pos);
   Printf.printf
@@ -36,11 +36,11 @@ let () =
     Bioseq.Packed_seq.of_string dna
       (Bioseq.Packed_seq.sub_string stream ~pos:0 ~len:half)
   in
-  let prefix_idx = Spine.Index.of_seq prefix_seq in
+  let prefix_idx = Spine.Compact.of_seq prefix_seq in
   let agree = ref true in
   for node = 1 to half do
-    if Spine.Index.link prefix_idx node <> Spine.Index.link idx node then
-      agree := false
+    let link t = Spine.Compact_store.(link_dest t node, link_lel t node) in
+    if link prefix_idx <> link idx then agree := false
   done;
   Printf.printf
     "links of the %d-node prefix index == first %d links of the full \
@@ -53,7 +53,7 @@ let () =
   (* serialization round-trip *)
   let tmp = Filename.temp_file "spine" ".idx" in
   Spine.Serialize.to_file tmp idx;
-  let loaded = Spine.Index.engine (Spine.Serialize.of_file tmp) in
+  let loaded = Spine.Compact.engine (Spine.Serialize.of_file tmp) in
   let pat =
     Spine.Engine.pattern e
       (Array.init 10 (fun i -> Bioseq.Packed_seq.get stream (1000 + i)))

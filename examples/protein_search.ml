@@ -30,7 +30,10 @@ let () =
   let motif_str =
     String.init 6 (fun i -> Bioseq.Alphabet.decode protein motif.(i))
   in
-  let hits = Spine.Generalized.occurrences g motif in
+  let hits =
+    Spine.Generalized.occurrences g
+      (Spine.Engine.pattern (Spine.Generalized.engine g) motif)
+  in
   Printf.printf "motif %s occurs %d time(s):\n" motif_str (List.length hits);
   List.iteri
     (fun i { Spine.Generalized.string_id; pos } ->

@@ -7,12 +7,11 @@
 let () =
   (* the paper's running example string *)
   let dna = Bioseq.Alphabet.dna in
-  let idx = Spine.Index.of_string dna "aaccacaaca" in
+  let idx = Spine.Compact.of_string dna "aaccacaaca" in
 
   (* every query goes through the capability-aware engine handle;
-     Compact.engine / Persistent.engine / Disk.engine answer the same
-     calls *)
-  let e = Spine.Index.engine idx in
+     Persistent.engine / Disk.engine answer the same calls *)
+  let e = Spine.Compact.engine idx in
   Printf.printf "engine backend = %s\n" (Spine.Engine.backend e);
   Printf.printf "indexed %d characters -> %d backbone nodes\n"
     (Spine.Engine.length e) (Spine.Engine.node_count e);
@@ -46,7 +45,9 @@ let () =
     stats.Spine.Engine.nodes_checked stats.Spine.Engine.suffixes_checked;
 
   (* structure peek: the backward link of the last node *)
-  let dest, lel = Spine.Index.link idx (Spine.Engine.length e) in
+  let node = Spine.Engine.length e in
+  let dest = Spine.Compact_store.link_dest idx node
+  and lel = Spine.Compact_store.link_lel idx node in
   Printf.printf
     "link of the tail node: the last %d characters first occurred ending \
      at node %d\n"

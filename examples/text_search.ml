@@ -27,7 +27,7 @@ let () =
        a rich set of edges for fast forward and backward traversals."
     else read_file path
   in
-  let e = Spine.Index.engine (Spine.Index.of_string Bioseq.Alphabet.byte text) in
+  let e = Spine.Compact.engine (Spine.Compact.of_string Bioseq.Alphabet.byte text) in
   Printf.printf "indexed %s (%d bytes) -> %d nodes\n"
     (if path = "" then "built-in snippet" else path)
     (String.length text) (Spine.Engine.node_count e);

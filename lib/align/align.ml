@@ -22,7 +22,7 @@ let maximal_match_anchors ~engine ~threshold reference query =
   let matches =
     match engine with
     | `Spine ->
-      let engine = Spine.Index.engine (Spine.Index.of_seq reference) in
+      let engine = Spine.Compact.engine (Spine.Compact.of_seq reference) in
       let ms, _ = Spine.Engine.maximal_matches engine ~threshold query in
       List.map
         (fun { Spine.Engine.query_end; length; data_ends } ->

@@ -32,8 +32,8 @@ let validate pattern k =
    and sorted; [slack] widens the window for indels *)
 let candidates idx pattern ~k ~slack =
   let m = Array.length pattern in
-  let n = Spine.Fast_store.length idx in
-  let engine = Spine.Index.engine idx in
+  let n = Spine.Compact_store.length idx in
+  let engine = Spine.Compact.engine idx in
   let set = Hashtbl.create 64 in
   List.iter
     (fun ((off, len) as seed) ->
@@ -52,8 +52,8 @@ let candidates idx pattern ~k ~slack =
 let hamming_hits idx ~pattern ~k =
   validate pattern k;
   let m = Array.length pattern in
-  let n = Spine.Fast_store.length idx in
-  let seq = Spine.Fast_store.sequence idx in
+  let n = Spine.Compact_store.length idx in
+  let seq = Spine.Compact_store.sequence idx in
   let verify s =
     if s < 0 || s + m > n then None
     else begin
@@ -139,8 +139,8 @@ let banded_edit seq n pattern s k =
 let edit idx ~pattern ~k =
   validate pattern k;
   let m = Array.length pattern in
-  let n = Spine.Fast_store.length idx in
-  let seq = Spine.Fast_store.sequence idx in
+  let n = Spine.Compact_store.length idx in
+  let seq = Spine.Compact_store.sequence idx in
   let starts =
     if k >= m then List.init (max 0 (n - (m - k) + 1)) (fun s -> s)
     else candidates idx pattern ~k ~slack:k

@@ -19,17 +19,17 @@ type hit = {
                         possibly shorter/longer for edits *)
 }
 
-val hamming : Spine.Index.t -> pattern:int array -> k:int -> hit list
+val hamming : Spine.Compact.t -> pattern:int array -> k:int -> hit list
 (** All positions where the pattern occurs with at most [k]
     substitutions, ascending, each with its exact mismatch count.
     @raise Invalid_argument if [k < 0] or the pattern is empty. *)
 
-val edit : Spine.Index.t -> pattern:int array -> k:int -> hit list
+val edit : Spine.Compact.t -> pattern:int array -> k:int -> hit list
 (** All start positions where some substring within edit distance [k]
     of the pattern begins, ascending by position, keeping for each
     position the smallest edit distance (and the shortest such
     data-side length). Verification is banded DP of width [2k + 1].
     @raise Invalid_argument if [k < 0] or the pattern is empty. *)
 
-val hamming_count : Spine.Index.t -> pattern:int array -> k:int -> int
+val hamming_count : Spine.Compact.t -> pattern:int array -> k:int -> int
 (** [List.length (hamming ...)] without building the list. *)

@@ -61,33 +61,35 @@ let layout (cfg : Config.t) =
       (Bioseq.Corpus.find_exn "CEL")
   in
   let n = Bioseq.Packed_seq.length seq in
-  let fast_idx, fast_build =
-    Xutil.Stopwatch.time (fun () -> Spine.Index.of_seq seq)
+  let table_idx, table_build =
+    Xutil.Stopwatch.time (fun () -> Hashtable_store.of_seq seq)
   in
   let compact_idx, compact_build =
     Xutil.Stopwatch.time (fun () -> Spine.Compact.of_seq seq)
   in
-  let (_, _), fast_search =
+  let (_, _), table_search =
+    let module M = Spine.Matcher.Make (Hashtable_store) in
     Xutil.Stopwatch.time (fun () ->
-        Spine.Engine.maximal_matches (Spine.Index.engine fast_idx)
-          ~threshold:cfg.Config.threshold query)
+        M.maximal_matches table_idx ~threshold:cfg.Config.threshold query)
   in
   let (_, _), compact_search =
     Xutil.Stopwatch.time (fun () ->
         Spine.Engine.maximal_matches (Spine.Compact.engine compact_idx)
           ~threshold:cfg.Config.threshold query)
   in
-  let fast_bpc = float_of_int (Spine.Index.model_bytes fast_idx) /. float_of_int n in
+  let table_bpc =
+    float_of_int (Hashtable_store.model_bytes table_idx) /. float_of_int n
+  in
   Report.Table.print
     ~title:
       (Printf.sprintf "Ablation: node layout (ECO, scale %g)" cfg.Config.scale)
     ~headers:[ "Layout"; "Build (s)"; "Match (s)"; "Bytes/char" ]
-    [ [ "hashtable store"; Report.Table.fmt_float fast_build;
-        Report.Table.fmt_float fast_search;
-        Report.Table.fmt_float fast_bpc ^ " (model)" ]
+    [ [ "hashtable store"; Report.Table.fmt_float table_build;
+        Report.Table.fmt_float table_search;
+        Report.Table.fmt_float table_bpc ^ " (model)" ]
     ; [ "compact LT/RT (Section 5)"; Report.Table.fmt_float compact_build;
         Report.Table.fmt_float compact_search;
-        Report.Table.fmt_float (Spine.Compact.bytes_per_char compact_idx) ]
+        Report.Table.fmt_float (Spine.Compact_store.bytes_per_char compact_idx) ]
     ; [ "naive record/node (Table 2)"; "-"; "-";
         Report.Table.fmt_float
           (Spine.Space.naive_node_bytes (Bioseq.Packed_seq.alphabet seq)) ]

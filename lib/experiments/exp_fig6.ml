@@ -25,7 +25,7 @@ let run (cfg : Config.t) =
            well above the final structure; SPINE's append-only Link
            Table dominates its footprint and grows smoothly. *)
         let spine_bytes =
-          Spine.Compact.bytes_per_char spine_idx *. float_of_int n *. 1.05
+          Spine.Compact_store.bytes_per_char spine_idx *. float_of_int n *. 1.05
         in
         let st, st_time =
           Xutil.Stopwatch.time (fun () -> Suffix_tree.build seq)

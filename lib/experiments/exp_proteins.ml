@@ -49,7 +49,7 @@ let run (cfg : Config.t) =
             (max m.Spine.Engine.max_pt m.Spine.Engine.max_lel);
           Report.Table.fmt_pct
             (float_of_int with_ribs /. float_of_int total_nodes);
-          Report.Table.fmt_float (Spine.Compact.bytes_per_char idx) ])
+          Report.Table.fmt_float (Spine.Compact_store.bytes_per_char idx) ])
       Bioseq.Corpus.proteins
   in
   Report.Table.print

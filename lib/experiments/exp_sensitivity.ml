@@ -39,8 +39,8 @@ let run (cfg : Config.t) =
           Report.Table.fmt_pct
             (float_of_int with_ribs /. float_of_int total_nodes);
           Report.Table.fmt_int m.Spine.Engine.max_lel;
-          Report.Table.fmt_int (Spine.Compact.overflow_count idx);
-          Report.Table.fmt_float (Spine.Compact.bytes_per_char idx) ])
+          Report.Table.fmt_int (Spine.Compact_store.overflow_count idx);
+          Report.Table.fmt_float (Spine.Compact_store.bytes_per_char idx) ])
       inputs
   in
   Report.Table.print

@@ -8,19 +8,19 @@ let run (cfg : Config.t) =
       (fun corpus ->
         let seq = Data.load ~scale:cfg.Config.scale corpus in
         let idx = Spine.Compact.of_seq seq in
-        let b = Spine.Space.measure idx in
+        let b = Spine.Compact_store.space idx in
         let st = Suffix_tree.build seq in
         let sa = Suffix_array.build seq in
         [ corpus.Bioseq.Corpus.name;
           Report.Table.fmt_int (Bioseq.Packed_seq.length seq);
-          Report.Table.fmt_float b.Spine.Space.bytes_per_char;
+          Report.Table.fmt_float (Spine.Compact_store.bytes_per_char idx);
           Report.Table.fmt_float (Suffix_tree.model_bytes_per_char st);
           Report.Table.fmt_float (Suffix_array.model_bytes_per_char sa);
           Report.Table.fmt_float
-            (float_of_int b.Spine.Space.lt_bytes
+            (float_of_int b.Spine.Compact_store.lt_bytes
              /. float_of_int (Bioseq.Packed_seq.length seq));
           Report.Table.fmt_float
-            (float_of_int b.Spine.Space.rt_bytes
+            (float_of_int b.Spine.Compact_store.rt_bytes
              /. float_of_int (Bioseq.Packed_seq.length seq)) ])
       Bioseq.Corpus.dna
   in
@@ -50,7 +50,7 @@ let run (cfg : Config.t) =
   let st = Suffix_tree.build sample in
   let dawg = Dawg.build sample in
   let spine_nodes =
-    Spine.Engine.node_count (Spine.Index.engine (Spine.Index.of_seq sample))
+    Spine.Engine.node_count (Spine.Compact.engine (Spine.Compact.of_seq sample))
   in
   let pct_of_trie count =
     Report.Table.fmt_pct

@@ -47,8 +47,8 @@
       the recovered length.  Injection hooks do {e not} survive the
       reopen; re-arm with new [faults]/[latency] stages if wanted.
     - {e expect} — named checks against the current state, in key
-      order: [parity] (N seeded probe patterns, engine vs in-memory
-      {!Spine.Index} oracle, exact occurrence-list equality),
+      order: [parity] (N seeded probe patterns, engine vs a
+      {!Suffix_tree} oracle, exact equality of the sorted positions),
       [scrub] (flush then {!Spine.Persistent.verify}: zero damaged and
       zero stale pages), [p99_under] (per-op p99 bound in ms from the
       last workload report), [replay] (re-drive the last recorded qlog

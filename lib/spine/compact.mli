@@ -1,14 +1,21 @@
-(** The SPINE index in the paper's optimised Section 5 layout.
+(** The SPINE index, in memory, in the paper's optimised Section 5
+    layout.
 
-    Functionally identical to {!Index} (the test suite enforces search
-    parity through {!Engine}), but stored as the paper's Link Table +
+    Online construction over {!Compact_store}: the paper's Link Table +
     Rib Tables with 2-byte labels and an overflow side table.  This is
     the representation whose space the paper reports ("less than 12
-    bytes per indexed character"); {!Disk} pages the very same bytes
-    through a buffer pool for the disk-resident experiments.  Queries
-    go through {!engine}. *)
+    bytes per indexed character"); {!Persistent} and {!Disk} page the
+    very same bytes through a buffer pool.  Queries go through
+    {!engine}.
 
-type t
+    Positions are 0-based; node [i] of the backbone is the end of the
+    prefix of length [i], so a pattern occurrence with end node [e] and
+    length [l] starts at position [e - l]. *)
+
+type t = Compact_store.t
+(** Transparently the underlying store: its Section 5 space accounting
+    ({!Compact_store.space}, {!Compact_store.bytes_per_char}) applies
+    directly, as do {!Serialize} and {!Validate}. *)
 
 val engine : t -> Engine.t
 (** Pack as a capability-aware engine (backend "compact").  Build once
@@ -17,32 +24,20 @@ val engine : t -> Engine.t
 (** {2 Construction} *)
 
 val create : ?capacity:int -> Bioseq.Alphabet.t -> t
+(** An empty index (just the root node), for a text without the
+    separator code; {!Generalized} builds its own with
+    {!Compact_store.create}[ ~separator:true]. *)
+
 val append : t -> int -> unit
+(** Append one character code.  The index is fully usable between
+    appends — construction is online, and the index of a prefix is the
+    initial fragment of the index (prefix-partitionability). *)
+
 val append_string : t -> string -> unit
+
 val of_seq : Bioseq.Packed_seq.t -> t
+(** Index a whole sequence (with the [separator] layout if it holds the
+    separator code). *)
+
 val of_string : Bioseq.Alphabet.t -> string -> t
 
-(** {2 Space accounting (Section 5)} *)
-
-type space = Compact_store.space = {
-  lt_bytes : int;
-  rt_bytes : int;
-  rt_slack_bytes : int;
-  overflow_bytes : int;
-  string_bytes : int;
-  migrations : int;
-}
-
-val space : t -> space
-
-val bytes_per_char : t -> float
-(** Total live bytes per indexed character; the paper's headline
-    "less than 12 bytes" metric. *)
-
-val live_rows : t -> int -> int
-(** Live rows in RT1..RT4 ([0..3]). *)
-
-val row_bytes : t -> int -> int
-val overflow_count : t -> int
-
-val store : t -> Compact_store.t

@@ -25,7 +25,9 @@
       For DNA this gives 13/19/25/31-byte rows for RT1..RT4.
     - Numeric labels with value >= 0xFFFF store the sentinel 0xFFFF and
       the true value in the overflow side table, the robustness
-      mechanism of Section 5.1.
+      mechanism of Section 5.1.  A fanout above 31 (only the RT4 rows
+      of a large alphabet reach it) saturates the 5-bit field the same
+      way.
     - Extrib anchors (the chain-attribution correction, see
       {!Store_sig.S.find_extrib}) live in a side table keyed per row.
 
@@ -116,15 +118,21 @@ type layout = {
   cl_area_off : int array;
   prt_off : int array;
   cl_bits : int;
+  top_code : int;
 }
 
-let layout_of alphabet =
-  (* σ - 1 ribs plus one extrib is the maximum fanout *)
-  let mf = max 4 (Bioseq.Alphabet.size alphabet) in
+let layout_of ?(separator = false) alphabet =
+  (* σ - 1 ribs plus one extrib is the maximum fanout; a multi-string
+     index also labels ribs with the separator code σ *)
+  let size = Bioseq.Alphabet.size alphabet in
+  let top_code = if separator then size else size - 1 in
+  let mf = max 4 (top_code + 1) in
   let slot_capacity = [| 1; 2; 3; mf |] in
   let cl_bits =
-    let b = Bioseq.Alphabet.payload_bits alphabet in
-    if b <= 4 then b else 8
+    (* the bits [top_code] needs; 3 stays 3 (a label may straddle two
+       bytes), anything above 4 takes a whole byte *)
+    let rec bits b = if top_code lsr b = 0 then b else bits (b + 1) in
+    match max 1 (bits 0) with b when b <= 4 -> b | _ -> 8
   in
   let cl_area_off = Array.map (fun k -> 4 + (6 * k)) slot_capacity in
   let prt_off =
@@ -133,7 +141,7 @@ let layout_of alphabet =
       slot_capacity
   in
   let row_bytes = Array.map (fun off -> off + 2) prt_off in
-  { slot_capacity; row_bytes; cl_area_off; prt_off; cl_bits }
+  { slot_capacity; row_bytes; cl_area_off; prt_off; cl_bits; top_code }
 
 type space = {
   lt_bytes : int;
@@ -163,8 +171,8 @@ module Core (B : BYTES) = struct
      passes the saved side tables and counters back in. *)
   let make ?(freelist = [| 0; 0; 0; 0 |]) ?(live_rows = [| 0; 0; 0; 0 |])
       ?(overflow = Xutil.Int_tbl.create 16) ?(anchors = Xutil.Int_tbl.create 16)
-      ?(migrations = 0) ~seq ~lt ~rts alphabet =
-    { seq; lo = layout_of alphabet; lt; rts;
+      ?(migrations = 0) ?separator ~seq ~lt ~rts alphabet =
+    { seq; lo = layout_of ?separator alphabet; lt; rts;
       freelist; live_rows; overflow;
       overflow_count = Xutil.Int_tbl.length overflow;
       anchors; migrations }
@@ -177,6 +185,10 @@ module Core (B : BYTES) = struct
   let char_at t i = Bioseq.Packed_seq.get t.seq i
 
   let append_char t c =
+    (* a rib label must fit the layout; the separator needs
+       [~separator:true] *)
+    if c > t.lo.top_code then
+      invalid_arg "Compact_store.append_char: code outside the layout";
     Bioseq.Packed_seq.append t.seq c;
     let node = length t in
     let off = B.alloc t.lt lt_entry_bytes in
@@ -222,10 +234,20 @@ module Core (B : BYTES) = struct
     end
 
   (* Unique keys per logical label field: LT LELs even, RT fields odd.
-     Slots 0..59 are rib/extrib PTs, 62 the anchor, 63 the PRT. *)
+     A row owns 64 keys: slots 0..59 are rib/extrib PTs, 61 the fanout,
+     62 the anchor (in the anchor table) and 63 the PRT, all below 2^32
+     since rows have 23 bits.  The PTs of slots 60 and up, which only
+     the RT4 rows of an alphabet of more than 60 codes have, take keys
+     from 2^40 up. *)
   let lt_lel_key node = node * 2
-  let rt_label_key ~table ~row ~slot =
+  let row_key ~table ~row ~slot =
     ((((row * 64) + slot) * 4) + table) * 2 + 1
+  let[@inline] rt_label_key ~table ~row ~slot =
+    if slot < 60 then row_key ~table ~row ~slot
+    else (1 lsl 40) lor (row lsl 10) lor (slot lsl 2) lor table
+  let fanout_key ~table ~row = row_key ~table ~row ~slot:61
+  let anchor_key ~table ~row = row_key ~table ~row ~slot:62
+  let prt_key ~table ~row = row_key ~table ~row ~slot:63
 
   let lt_lel t node =
     read_label t (B.get_u16 t.lt (lt_off node + 4)) (lt_lel_key node)
@@ -258,35 +280,73 @@ module Core (B : BYTES) = struct
       (B.set_u16 t.rts.(table) (slot_off t table row slot + 4))
       (rt_label_key ~table ~row ~slot) v
 
-  (* packed rib character labels *)
+  (* packed rib character labels; a 3-bit label may straddle two
+     bytes, both inside the row's label area *)
   let slot_cl t table row slot =
-    let base_bit = slot * t.lo.cl_bits in
-    let byte = t.lo.cl_area_off.(table) + (base_bit / 8) in
+    let bits = t.lo.cl_bits in
+    let base_bit = slot * bits in
+    let off =
+      row_off t table row + t.lo.cl_area_off.(table) + (base_bit / 8)
+    in
     let shift = base_bit mod 8 in
-    let v = B.get_u8 t.rts.(table) (row_off t table row + byte) in
-    (v lsr shift) land ((1 lsl t.lo.cl_bits) - 1)
+    let v =
+      if shift + bits <= 8 then B.get_u8 t.rts.(table) off
+      else B.get_u16 t.rts.(table) off
+    in
+    (v lsr shift) land ((1 lsl bits) - 1)
 
   let set_slot_cl t table row slot cl =
-    let base_bit = slot * t.lo.cl_bits in
-    let byte = t.lo.cl_area_off.(table) + (base_bit / 8) in
+    let bits = t.lo.cl_bits in
+    let base_bit = slot * bits in
+    let off =
+      row_off t table row + t.lo.cl_area_off.(table) + (base_bit / 8)
+    in
     let shift = base_bit mod 8 in
-    let mask = ((1 lsl t.lo.cl_bits) - 1) lsl shift in
-    let off = row_off t table row + byte in
-    let v = B.get_u8 t.rts.(table) off in
-    B.set_u8 t.rts.(table) off
-      ((v land lnot mask) lor ((cl lsl shift) land mask))
+    let mask = ((1 lsl bits) - 1) lsl shift in
+    let merge v = (v land lnot mask) lor ((cl lsl shift) land mask) in
+    if shift + bits <= 8 then
+      B.set_u8 t.rts.(table) off (merge (B.get_u8 t.rts.(table) off))
+    else B.set_u16 t.rts.(table) off (merge (B.get_u16 t.rts.(table) off))
 
   let row_prt t table row =
     read_label t
       (B.get_u16 t.rts.(table) (row_off t table row + t.lo.prt_off.(table)))
-      (rt_label_key ~table ~row ~slot:63)
+      (prt_key ~table ~row)
 
   let set_row_prt t table row v =
     write_label t
       (B.set_u16 t.rts.(table) (row_off t table row + t.lo.prt_off.(table)))
-      (rt_label_key ~table ~row ~slot:63) v
+      (prt_key ~table ~row) v
 
-  let anchor_key ~table ~row = rt_label_key ~table ~row ~slot:62
+  (* The LT payload's 5-bit fanout field saturates at [fanout_sentinel]:
+     a row with a larger fanout (an RT4 row of an alphabet of 32 or more
+     symbols) keeps it in the overflow table.  A saturated field with
+     no entry is the fanout itself. *)
+  let fanout_sentinel = 0x1F
+
+  let wide_fanout t p =
+    match
+      Xutil.Int_tbl.find_opt t.overflow
+        (fanout_key ~table:(ptr_table p) ~row:(ptr_row p))
+    with
+    | Some wide -> wide
+    | None -> fanout_sentinel
+
+  let[@inline] fanout t p =
+    let f = ptr_fanout p in
+    if f < fanout_sentinel then f else wide_fanout t p
+
+  (* a row's fanout only grows (a migrating node gets a new row), so
+     an overflow entry is only ever added or updated *)
+  let set_ptr t node ~table ~fanout ~extrib ~row =
+    if fanout > fanout_sentinel then begin
+      let key = fanout_key ~table ~row in
+      if not (Xutil.Int_tbl.mem t.overflow key) then
+        t.overflow_count <- t.overflow_count + 1;
+      Xutil.Int_tbl.replace t.overflow key fanout
+    end;
+    set_lt_payload t node
+      (pack_ptr ~table ~fanout:(min fanout fanout_sentinel) ~extrib ~row)
 
   let row_anchor t table row =
     Xutil.Int_tbl.find t.anchors (anchor_key ~table ~row)
@@ -309,18 +369,17 @@ module Core (B : BYTES) = struct
   let free_row t table row =
     t.live_rows.(table) <- t.live_rows.(table) - 1;
     (* drop side-table entries still keyed to this row *)
-    for slot = 0 to t.lo.slot_capacity.(table) - 1 do
-      let key = rt_label_key ~table ~row ~slot in
+    let drop key =
       if Xutil.Int_tbl.mem t.overflow key then begin
         Xutil.Int_tbl.remove t.overflow key;
         t.overflow_count <- t.overflow_count - 1
       end
+    in
+    for slot = 0 to t.lo.slot_capacity.(table) - 1 do
+      drop (rt_label_key ~table ~row ~slot)
     done;
-    let prt_key = rt_label_key ~table ~row ~slot:63 in
-    if Xutil.Int_tbl.mem t.overflow prt_key then begin
-      Xutil.Int_tbl.remove t.overflow prt_key;
-      t.overflow_count <- t.overflow_count - 1
-    end;
+    drop (prt_key ~table ~row);
+    drop (fanout_key ~table ~row);
     Xutil.Int_tbl.remove t.anchors (anchor_key ~table ~row);
     B.set_u32 t.rts.(table) (row_off t table row) t.freelist.(table);
     t.freelist.(table) <- row + 1
@@ -354,14 +413,14 @@ module Core (B : BYTES) = struct
   (* --- ribs and extribs --- *)
 
   (* ribs occupy slots 0 .. ribs-1; the extrib, if present, slot k-1 *)
-  let rib_count p = ptr_fanout p - (if ptr_extrib p then 1 else 0)
+  let rib_count t p = fanout t p - (if ptr_extrib p then 1 else 0)
 
   let find_rib t node code =
     let p = lt_payload t node in
     if p land 0x8000_0000 = 0 then None
     else begin
       let table = ptr_table p and row = ptr_row p in
-      let ribs = rib_count p in
+      let ribs = rib_count t p in
       let rec scan slot =
         if slot >= ribs then None
         else if slot_cl t table row slot = code then
@@ -397,19 +456,17 @@ module Core (B : BYTES) = struct
       let table = table_for_fanout t 1 in
       let row = alloc_row t table in
       set_row_ld t table row p;   (* the link destination moves here *)
-      set_lt_payload t node
-        (pack_ptr ~table ~fanout:1 ~extrib:adding_extrib ~row);
+      set_ptr t node ~table ~fanout:1 ~extrib:adding_extrib ~row;
       (table, row)
     end
     else begin
       let table = ptr_table p and row = ptr_row p in
-      let fanout = ptr_fanout p in
+      let fanout = fanout t p in
       let extrib = ptr_extrib p in
       assert (not (extrib && adding_extrib));
       if fanout < t.lo.slot_capacity.(table) then begin
-        set_lt_payload t node
-          (pack_ptr ~table ~fanout:(fanout + 1)
-             ~extrib:(extrib || adding_extrib) ~row);
+        set_ptr t node ~table ~fanout:(fanout + 1)
+          ~extrib:(extrib || adding_extrib) ~row;
         (table, row)
       end
       else begin
@@ -419,7 +476,7 @@ module Core (B : BYTES) = struct
         let nrow = alloc_row t ntable in
         t.migrations <- t.migrations + 1;
         set_row_ld t ntable nrow (row_ld t table row);
-        let ribs = rib_count p in
+        let ribs = rib_count t p in
         for slot = 0 to ribs - 1 do
           set_slot_rd t ntable nrow slot (slot_rd t table row slot);
           set_slot_pt t ntable nrow slot (slot_pt t table row slot);
@@ -434,9 +491,8 @@ module Core (B : BYTES) = struct
           set_row_anchor t ntable nrow (row_anchor t table row)
         end;
         free_row t table row;
-        set_lt_payload t node
-          (pack_ptr ~table:ntable ~fanout:(fanout + 1)
-             ~extrib:(extrib || adding_extrib) ~row:nrow);
+        set_ptr t node ~table:ntable ~fanout:(fanout + 1)
+          ~extrib:(extrib || adding_extrib) ~row:nrow;
         (ntable, nrow)
       end
     end
@@ -444,7 +500,7 @@ module Core (B : BYTES) = struct
   let add_rib t node ~code ~dest ~pt =
     let table, row = grow_row t node ~adding_extrib:false in
     (* the new rib takes the next free rib slot *)
-    let slot = rib_count (lt_payload t node) - 1 in
+    let slot = rib_count t (lt_payload t node) - 1 in
     set_slot_rd t table row slot dest;
     set_slot_pt t table row slot pt;
     set_slot_cl t table row slot code
@@ -462,7 +518,7 @@ module Core (B : BYTES) = struct
     if p land 0x8000_0000 = 0 then init
     else begin
       let table = ptr_table p and row = ptr_row p in
-      let ribs = rib_count p in
+      let ribs = rib_count t p in
       let acc = ref init in
       for slot = 0 to ribs - 1 do
         acc :=
@@ -518,10 +574,19 @@ end
 
 include Core (Btab)
 
-let create ?(capacity = 1024) alphabet =
-  let lo = layout_of alphabet in
+let carries_separator seq =
+  let sep = Bioseq.Alphabet.separator (Bioseq.Packed_seq.alphabet seq) in
+  let n = Bioseq.Packed_seq.length seq in
+  let rec scan i =
+    i < n && (Bioseq.Packed_seq.get seq i = sep || scan (i + 1))
+  in
+  (* cells too narrow for the separator code cannot hold it *)
+  1 lsl Bioseq.Packed_seq.width seq > sep && scan 0
+
+let create ?(capacity = 1024) ?separator alphabet =
+  let lo = layout_of ?separator alphabet in
   let t =
-    make
+    make ?separator
       ~seq:(Bioseq.Packed_seq.create ~capacity alphabet)
       ~lt:(Btab.create (capacity * lt_entry_bytes))
       ~rts:(Array.map (fun b -> Btab.create (64 * b)) lo.row_bytes)

@@ -68,9 +68,15 @@ type layout = {
   cl_area_off : int array;
   prt_off : int array;
   cl_bits : int;
+  top_code : int;
+  (** The largest code a rib label can hold: [size - 1], or the
+      separator [size] with [~separator:true]. *)
 }
 
-val layout_of : Bioseq.Alphabet.t -> layout
+val layout_of : ?separator:bool -> Bioseq.Alphabet.t -> layout
+(** [separator] (default [false]) widens the rib character labels and
+    the widest table to also hold the alphabet's separator code, which
+    a multi-string index ({!Generalized}) puts on ribs. *)
 
 type space = {
   lt_bytes : int;
@@ -105,6 +111,7 @@ module Core (B : BYTES) : sig
     ?overflow:int Xutil.Int_tbl.t ->
     ?anchors:int Xutil.Int_tbl.t ->
     ?migrations:int ->
+    ?separator:bool ->
     seq:Bioseq.Packed_seq.t ->
     lt:B.t ->
     rts:B.t array ->
@@ -136,8 +143,14 @@ module Core (B : BYTES) : sig
 
   (* accounting *)
   val space : t -> space
+
   val bytes_per_char : t -> float
+  (** Total live bytes per indexed character; the paper's headline
+      "less than 12 bytes" metric. *)
+
   val live_rows : t -> int -> int
+  (** Live rows in RT1..RT4 ([0..3]). *)
+
   val row_bytes : t -> int -> int
   val rows_allocated : t -> int -> int
   val overflow_count : t -> int
@@ -150,4 +163,10 @@ end
 
 include module type of Core (Btab)
 
-val create : ?capacity:int -> Bioseq.Alphabet.t -> t
+val carries_separator : Bioseq.Packed_seq.t -> bool
+(** Whether a text holds the separator code, and so needs the
+    [separator] layout. *)
+
+val create : ?capacity:int -> ?separator:bool -> Bioseq.Alphabet.t -> t
+(** An empty store with the root allocated; [separator] as in
+    {!layout_of}. *)

@@ -15,7 +15,7 @@
     the state transition streaming matchers need on a mismatch.
 
     The cursor is written once, as {!Make} over {!Store_sig.S}, so
-    every storage backend — fast, compact, persistent, disk — supports
+    every storage backend — compact, persistent, disk — supports
     incremental cursors; {!Engine.cursor} packages them uniformly. *)
 
 (** The cursor surface over one store type. *)

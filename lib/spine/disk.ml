@@ -53,7 +53,7 @@ let space_extra t () =
 
 let engine t =
   Engine.pack ~space_extra:(space_extra t)
-    ~caps:{ Engine.backend = "disk"; persistent = false; paged = true }
+    ~caps:{ Engine.backend = Disk; persistent = false; paged = true }
     (module Paged_store.P : Store_sig.S with type t = Paged_store.P.t)
     t.store
 

@@ -5,8 +5,15 @@
 let c_batches = Telemetry.counter "engine.batches"
 let c_batch_patterns = Telemetry.counter "engine.batch_patterns"
 
+type backend = Compact | Persistent | Disk
+
+let backend_name = function
+  | Compact -> "compact"
+  | Persistent -> "persistent"
+  | Disk -> "disk"
+
 type caps = {
-  backend : string;
+  backend : backend;
   persistent : bool;
   paged : bool;
 }
@@ -69,7 +76,7 @@ let pack (type s) ?(guard = ignore) ?(space_extra = fun () -> []) ~caps
 (* --- the query surface, defined exactly once --- *)
 
 let caps (module B : BACKEND) = B.caps
-let backend e = (caps e).backend
+let backend e = backend_name (caps e).backend
 
 let alphabet (module B : BACKEND) =
   B.guard ();
@@ -148,7 +155,8 @@ let link_histogram (module B : BACKEND) ~buckets =
 let space (module B : BACKEND) =
   B.guard ();
   let report =
-    Space_report.make ~backend:B.caps.backend ~chars:(B.S.length B.store)
+    Space_report.make ~backend:(backend_name B.caps.backend)
+      ~chars:(B.S.length B.store)
       (B.S.space_components B.store @ B.space_extra ())
   in
   Space_report.set_gauges report;
@@ -177,7 +185,7 @@ let run_batch (module B : BACKEND) patterns =
   Telemetry.add c_batch_patterns (List.length patterns);
   Trace.span "engine.run_batch"
     [ Trace.Int ("patterns", List.length patterns);
-      Trace.Str ("backend", B.caps.backend) ]
+      Trace.Str ("backend", backend_name B.caps.backend) ]
   @@ fun () ->
   let alphabet = B.S.alphabet B.store in
   let results =

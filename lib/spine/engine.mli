@@ -7,9 +7,9 @@
     liveness [guard] into a first-class {!t}.  Every query in the
     repository — the CLI, the experiments, the batch path,
     cross-backend differential tests — goes through this handle; the
-    front-ends ({!Index}, {!Compact}, {!Persistent}, {!Disk},
-    {!Generalized}) only construct stores and offer the operations
-    specific to their storage.
+    front-ends ({!Compact}, {!Persistent}, {!Disk}, {!Generalized})
+    only construct stores and offer the operations specific to their
+    storage.
 
     Patterns are packed once, at this edge, into
     {!Bioseq.Packed_seq.Pattern.t} ({!pattern}, {!pattern_of_string});
@@ -19,15 +19,22 @@
     The paper closes (Section 8) by arguing SPINE's linearity makes it
     "more amenable for integration with database engines"; this layer
     is that integration surface: a database operator can hold an
-    [Engine.t] without caring whether the bytes live in a hashtable, the
-    Section 5 packed layout, a paged file, or a simulated disk. *)
+    [Engine.t] without caring whether the Section 5 bytes live in
+    memory, in a paged file, or on a simulated disk. *)
 
 (** {2 Capabilities} *)
 
+type backend =
+  | Compact     (** {!Compact}: the Section 5 layout in memory *)
+  | Persistent  (** {!Persistent}: that layout paged in a file *)
+  | Disk        (** {!Disk}: that layout paged on the simulated device *)
+
+val backend_name : backend -> string
+(** ["compact"], ["persistent"] or ["disk"]: the name the CLI, the
+    query log and the telemetry keys use. *)
+
 type caps = {
-  backend : string;
-  (** "fast", "compact", "persistent", "disk" — the constructor's name
-      for itself. *)
+  backend : backend;
   persistent : bool;  (** survives process restart *)
   paged : bool;       (** record accesses go through a buffer pool *)
 }
@@ -83,6 +90,7 @@ val pack :
 
 val caps : t -> caps
 val backend : t -> string
+(** [backend_name (caps t).backend]. *)
 
 val alphabet : t -> Bioseq.Alphabet.t
 val length : t -> int

@@ -5,23 +5,25 @@ type entry = {
 }
 
 type t = {
-  idx : Index.t;
+  idx : Compact.t;
+  engine : Engine.t;
   mutable entries : entry array;   (* ascending by start *)
 }
 
-let create alphabet = { idx = Index.create alphabet; entries = [||] }
+let create alphabet =
+  let idx = Compact_store.create ~separator:true alphabet in
+  { idx; engine = Compact.engine idx; entries = [||] }
 
 let count t = Array.length t.entries
 
 let add t ?name seq =
-  if not (Bioseq.Alphabet.equal
-            (Bioseq.Packed_seq.alphabet seq) (Fast_store.alphabet t.idx))
+  let alphabet = Compact_store.alphabet t.idx in
+  if not (Bioseq.Alphabet.equal (Bioseq.Packed_seq.alphabet seq) alphabet)
   then invalid_arg "Generalized.add: alphabet mismatch";
-  let sep = Bioseq.Alphabet.separator (Fast_store.alphabet t.idx) in
   (* separator BETWEEN strings only *)
-  if count t > 0 then Index.append t.idx sep;
-  let start = Fast_store.length t.idx in
-  Bioseq.Packed_seq.iteri seq ~f:(fun _ code -> Index.append t.idx code);
+  if count t > 0 then Compact.append t.idx (Bioseq.Alphabet.separator alphabet);
+  let start = Compact_store.length t.idx in
+  Bioseq.Packed_seq.iteri seq ~f:(fun _ code -> Compact.append t.idx code);
   let id = count t in
   let entry_name =
     match name with Some n -> n | None -> Printf.sprintf "s%d" id
@@ -32,13 +34,12 @@ let add t ?name seq =
   id
 
 let add_string t ?name s =
-  add t ?name (Bioseq.Packed_seq.of_string (Fast_store.alphabet t.idx) s)
+  add t ?name (Bioseq.Packed_seq.of_string (Compact_store.alphabet t.idx) s)
 
 let name t id = t.entries.(id).entry_name
 let string_length t id = t.entries.(id).len
 let index t = t.idx
-
-let engine t = Index.engine t.idx
+let engine t = t.engine
 
 type hit = {
   string_id : int;
@@ -58,7 +59,5 @@ let locate t gpos =
     invalid_arg "Generalized.locate: position on a separator or out of range";
   { string_id = !lo; pos = gpos - e.start }
 
-let occurrences t codes =
-  let e = engine t in
-  Engine.occurrences_pattern e (Engine.pattern e codes)
-  |> List.map (fun gpos -> locate t gpos)
+let occurrences t p =
+  Engine.occurrences_pattern t.engine p |> List.map (fun gpos -> locate t gpos)

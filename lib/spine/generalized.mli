@@ -24,22 +24,24 @@ val count : t -> int
 val name : t -> int -> string
 val string_length : t -> int -> int
 
-val index : t -> Index.t
-(** The underlying single-backbone index (for statistics etc.). *)
+val index : t -> Compact.t
+(** The underlying single-backbone index (for statistics etc.), built
+    with the [separator] layout. *)
 
 val engine : t -> Engine.t
-(** The underlying index packed as a capability-aware engine
-    ({!Index.engine}); positions it returns are global backbone
-    positions — translate with {!locate}. *)
+(** The underlying index packed once as a capability-aware engine
+    ({!Compact.engine}); positions it returns are global backbone
+    positions — translate with {!locate}.  Pack query patterns against
+    it ({!Engine.pattern}). *)
 
 type hit = {
   string_id : int;
   pos : int;      (** 0-based start within that string *)
 }
 
-val occurrences : t -> int array -> hit list
-(** All occurrences of the pattern across all indexed strings, ordered
-    by (id, position). *)
+val occurrences : t -> Bioseq.Packed_seq.Pattern.t -> hit list
+(** All occurrences of a packed pattern across all indexed strings,
+    ordered by (id, position). *)
 
 val locate : t -> int -> hit
 (** Translate a global 0-based backbone position to a per-string

@@ -253,14 +253,16 @@ let read_epoch_decl device =
 
    Slot layout (spanning whole pages from the slot base):
      +0   magic "SPNM"
-     +4   u32 format version (2)
+     +4   u32 format version (3 or 4)
      +8   u32 generation
      +12  u32 commit epoch: every data page of this generation is
               stamped with an epoch <= this
      +16  u32 flags (bit 0 = written by a clean close)
      +20  u32 payload length
      +24  u32 CRC-32C of the payload
-     +28  payload (symbols, length, table state, side tables)
+     +28  payload (symbols, length, table state, side tables; version 4
+              appends the overflow labels whose keys need more than
+              32 bits)
 
    The payload CRC guards the blob as a whole; each page additionally
    carries the device trailer, so a torn slot write is caught either
@@ -270,14 +272,17 @@ let meta_magic = "SPNM"
 
 (* version 3: the sequence region switched from one byte per character
    to the packed-row word layout, and the payload gained the cell
-   width *)
-let meta_version = 3
+   width.  Version 4 appends a section of overflow labels with keys of
+   2^32 and up (the wide RT4 rows of {!Compact_store}); a version 3
+   file has none and opens unchanged. *)
+let meta_version = 4
 let slot_header_bytes = 28
 
 type slot_meta = {
   sm_generation : int;
   sm_commit_epoch : int;
   sm_clean : bool;
+  sm_version : int;
   sm_payload : Bytes.t;
 }
 
@@ -311,7 +316,7 @@ let read_slot device slot =
       Error "bad metadata magic"
     else begin
       let version = get_u32 first 4 in
-      if version <> meta_version then
+      if version <> 3 && version <> meta_version then
         Error (Printf.sprintf "unsupported metadata version %d" version)
       else begin
         let generation = get_u32 first 8 in
@@ -338,7 +343,8 @@ let read_slot device slot =
             Error "metadata payload checksum mismatch"
           else
             Ok { sm_generation = generation; sm_commit_epoch = commit_epoch;
-                 sm_clean = flags land 1 = 1; sm_payload = payload }
+                 sm_clean = flags land 1 = 1; sm_version = version;
+                 sm_payload = payload }
         end
       end
     end
@@ -364,10 +370,22 @@ let payload_bytes t =
     u32 t.core.P.live_rows.(table)
   done;
   u32 t.core.P.migrations;
-  u32 (Xutil.Int_tbl.length t.core.P.overflow);
-  Xutil.Int_tbl.iter (fun k v -> u32 k; u32 v) t.core.P.overflow;
+  (* overflow keys of 2^32 and up go to the version 4 section *)
+  let wide k = k lsr 32 <> 0 in
+  let overflow = t.core.P.overflow in
+  let count p =
+    Xutil.Int_tbl.fold (fun k _ n -> if p k then n + 1 else n) overflow 0
+  in
+  u32 (count (fun k -> not (wide k)));
+  Xutil.Int_tbl.iter
+    (fun k v -> if not (wide k) then begin u32 k; u32 v end)
+    overflow;
   u32 (Xutil.Int_tbl.length t.core.P.anchors);
   Xutil.Int_tbl.iter (fun k v -> u32 k; u32 v) t.core.P.anchors;
+  u32 (count wide);
+  Xutil.Int_tbl.iter
+    (fun k v -> if wide k then begin u32 k; u32 (k lsr 32); u32 v end)
+    overflow;
   Buffer.to_bytes buf
 
 (* Reset the capture window at a commit point (and on reopen): nothing
@@ -604,6 +622,12 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
       let k = u32 () in
       Xutil.Int_tbl.replace anchors k (u32 ())
     done;
+    if m.sm_version >= 4 then
+      for _ = 1 to u32 () do
+        let lo = u32 () in
+        let k = lo lor (u32 () lsl 32) in
+        Xutil.Int_tbl.replace overflow k (u32 ())
+      done;
     (* clear crash debris beyond each region's committed prefix so this
        session's own appends can extend the tables into those pages *)
     if Pagestore.Device.checksums device then begin
@@ -718,10 +742,11 @@ let space_extra t () =
 
 let engine t =
   Engine.pack ~guard:(fun () -> check_open t) ~space_extra:(space_extra t)
-    ~caps:{ Engine.backend = "persistent"; persistent = true; paged = true }
+    ~caps:{ Engine.backend = Persistent; persistent = true; paged = true }
     (module P : Store_sig.S with type t = P.t)
     t.core
 
+let store t = t.core
 let device t = t.device
 let pool t = t.pool
 

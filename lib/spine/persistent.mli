@@ -98,11 +98,15 @@ val engine : t -> Engine.t
 
 val bytes_per_char : t -> float
 (** Live bytes of the Section 5 tables per indexed character, as
-    {!Compact.bytes_per_char}. *)
+    {!Compact_store.bytes_per_char}. *)
 
 val sequence : t -> Bioseq.Packed_seq.t
 (** The in-memory mirror of the indexed character codes (what scrub's
-    deep check rebuilds an oracle from). *)
+    deep check rebuilds its oracles from). *)
+
+val store : t -> Paged_store.P.t
+(** The paged Section 5 store itself, e.g. for {!Validate}.  Unguarded:
+    do not use it after {!close}. *)
 
 val device : t -> Pagestore.Device.t
 val pool : t -> Pagestore.Buffer_pool.t

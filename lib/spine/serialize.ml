@@ -75,10 +75,11 @@ let decode_legacy_sequence alphabet ~len bytes =
   done;
   seq
 
-let to_bytes (t : Index.t) =
-  let s = Index.store t in
-  let n = Fast_store.length s in
-  let alphabet = Fast_store.alphabet s in
+module S = Compact_store
+
+let to_bytes (t : Compact.t) =
+  let n = S.length t in
+  let alphabet = S.alphabet t in
   let buf = Buffer.create (n * 12) in
   Buffer.add_string buf magic;
   put_u8 buf version;
@@ -88,35 +89,45 @@ let to_bytes (t : Index.t) =
   put_u64 buf n;
   (* v3: the packed row IS the serialized form — cell width followed by
      the raw backing words, no per-code re-packing on snapshot *)
-  let seq = Fast_store.sequence s in
+  let seq = S.sequence t in
   put_u8 buf (Bioseq.Packed_seq.width seq);
   let packed = Bioseq.Packed_seq.packed_bits seq in
   put_u32 buf (Bytes.length packed);
   Buffer.add_bytes buf packed;
   for node = 1 to n do
-    let dest, lel = Index.link t node in
-    put_u32 buf dest;
-    put_u32 buf lel
+    put_u32 buf (S.link_dest t node);
+    put_u32 buf (S.link_lel t node)
   done;
-  put_u32 buf (Fast_store.rib_count s);
+  (* each record list is preceded by its count, known only once the
+     store has been walked *)
+  let records = Buffer.create 1024 and count = ref 0 in
+  let flush_records () =
+    put_u32 buf !count;
+    Buffer.add_buffer buf records;
+    Buffer.clear records;
+    count := 0
+  in
   for node = 0 to n do
-    Fast_store.fold_ribs s node ~init:() ~f:(fun () code dest pt ->
-        put_u32 buf node;
-        put_u8 buf code;
-        put_u32 buf dest;
-        put_u32 buf pt)
+    S.fold_ribs t node ~init:() ~f:(fun () code dest pt ->
+        incr count;
+        put_u32 records node;
+        put_u8 records code;
+        put_u32 records dest;
+        put_u32 records pt)
   done;
-  put_u32 buf (Fast_store.extrib_count s);
+  flush_records ();
   for node = 0 to n do
-    match Fast_store.find_extrib s node with
+    match S.find_extrib t node with
     | None -> ()
     | Some (dest, pt, prt, anchor) ->
-      put_u32 buf node;
-      put_u32 buf dest;
-      put_u32 buf pt;
-      put_u32 buf prt;
-      put_u32 buf anchor
+      incr count;
+      put_u32 records node;
+      put_u32 records dest;
+      put_u32 records pt;
+      put_u32 records prt;
+      put_u32 records anchor
   done;
+  flush_records ();
   (* whole-snapshot CRC-32C over everything above: one flipped bit
      anywhere in the image is rejected before any of it is decoded *)
   let body = Buffer.to_bytes buf in
@@ -200,21 +211,36 @@ let of_bytes data =
         corrupt ~page:r.pos "sequence payload decodes outside the alphabet"
     end
   in
-  let store = Fast_store.create ~capacity:(max 16 n) alphabet in
-  Bioseq.Packed_seq.iteri seq ~f:(fun _ code -> Fast_store.append_char store code);
+  (* Replay the records into a fresh Section 5 store.  The store's
+     row growth accepts ribs and extribs in any order; what it cannot
+     hold — a record off the backbone, a second rib under one label or
+     a second extrib at one node — is rejected here, typed, because a
+     version-1 image has no checksum to catch it. *)
+  let separator = S.carries_separator seq in
+  let store = S.create ~capacity:(max 16 n) ~separator alphabet in
+  Bioseq.Packed_seq.iteri seq ~f:(fun _ code -> S.append_char store code);
   for node = 1 to n do
     let dest = get_u32 r in
     let lel = get_u32 r in
-    Fast_store.set_link store node ~dest ~lel
+    if dest > n then
+      corrupt ~page:r.pos "link record references node beyond the backbone";
+    S.set_link store node ~dest ~lel
   done;
   let nribs = get_u32 r in
   need r (nribs * 13);
+  let top_code = Bioseq.Alphabet.size alphabet - if separator then 0 else 1 in
   for _ = 1 to nribs do
     let node = get_u32 r in
     let code = get_u8 r in
     let dest = get_u32 r in
     let pt = get_u32 r in
-    Fast_store.add_rib store node ~code ~dest ~pt
+    if node >= n || dest > n || code > top_code then
+      corrupt ~page:r.pos
+        "rib record references a node or label outside the index";
+    if code = S.char_at store node || Option.is_some (S.find_rib store node code)
+    then
+      corrupt ~page:r.pos "rib record duplicates an edge of node %d" node;
+    S.add_rib store node ~code ~dest ~pt
   done;
   let next = get_u32 r in
   need r (next * 20);
@@ -226,14 +252,16 @@ let of_bytes data =
     let anchor = get_u32 r in
     if node > n || dest > n || pt > n || prt > n || anchor > n then
       corrupt ~page:r.pos "extrib record references node beyond the backbone";
-    Fast_store.add_extrib store node ~dest ~pt ~prt ~anchor
+    if Option.is_some (S.find_extrib store node) then
+      corrupt ~page:r.pos "second extrib record for node %d" node;
+    S.add_extrib store node ~dest ~pt ~prt ~anchor
   done;
   (* a checksum-less v1 image must end exactly here: trailing bytes mean
      a v2 image whose version byte was corrupted to 1 — rejecting them
      keeps the flipped byte from silently bypassing the CRC *)
   if v = 1 && r.pos <> len then
     corrupt ~page:r.pos "trailing bytes after a version-1 snapshot";
-  Index.of_store store
+  store
 
 let to_file path t =
   let oc =

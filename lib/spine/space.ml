@@ -24,26 +24,4 @@ let naive_node_bytes alphabet =
     (fun acc f -> acc +. (f.bytes *. float_of_int f.count))
     0.0 (naive_node_fields alphabet)
 
-type breakdown = {
-  total_bytes : int;
-  bytes_per_char : float;
-  lt_bytes : int;
-  rt_bytes : int;
-  overflow_bytes : int;
-  string_bytes : int;
-}
-
-let measure c =
-  let s = Compact.space c in
-  let total =
-    s.Compact.lt_bytes + s.Compact.rt_bytes + s.Compact.overflow_bytes
-    + s.Compact.string_bytes
-  in
-  { total_bytes = total;
-    bytes_per_char = Compact.bytes_per_char c;
-    lt_bytes = s.Compact.lt_bytes;
-    rt_bytes = s.Compact.rt_bytes;
-    overflow_bytes = s.Compact.overflow_bytes;
-    string_bytes = s.Compact.string_bytes }
-
 let suffix_tree_model_bytes_per_char = 17.0

@@ -4,8 +4,8 @@
     per node for DNA; the optimisations of Section 5 (implicit vertebra
     destinations, 2-byte labels, fanout-segregated rib tables) bring the
     measured cost below 12 bytes per character.  This module exposes the
-    static Table 2 model and the per-component breakdown of a built
-    {!Compact} index. *)
+    static Table 2 model; {!Compact_store.space} measures a built
+    index. *)
 
 type field = {
   name : string;
@@ -20,18 +20,6 @@ val naive_node_fields : Bioseq.Alphabet.t -> field list
 
 val naive_node_bytes : Bioseq.Alphabet.t -> float
 (** Total of {!naive_node_fields} — 48.25 for DNA, as in Table 2. *)
-
-type breakdown = {
-  total_bytes : int;
-  bytes_per_char : float;
-  lt_bytes : int;
-  rt_bytes : int;
-  overflow_bytes : int;
-  string_bytes : int;
-}
-
-val measure : Compact.t -> breakdown
-(** Component breakdown of a built compact index. *)
 
 val suffix_tree_model_bytes_per_char : float
 (** The 17 bytes/char the paper attributes to standard suffix tree

@@ -4,14 +4,12 @@
 (** Storage abstraction for the SPINE index.
 
     The SPINE algorithms (online construction, valid-path search,
-    streaming matching) are written once, as functors over this
-    signature.  Two stores implement it:
-
-    - {!Fast_store}: hashtable-backed, optimised for in-memory speed;
-    - {!Compact_store}: the paper's Section 5 layout — a Link Table plus
-      fanout-segregated Rib Tables with 2-byte numeric labels and an
-      overflow table — which also powers the space accounting and, via
-      access tracing, the disk-resident experiments.
+    streaming matching, {!Validate}) are written once, as functors over
+    this signature.  One layout implements it: {!Compact_store}, the
+    paper's Section 5 Link Table plus fanout-segregated Rib Tables with
+    2-byte numeric labels and an overflow table, held in memory
+    ({!Compact}) or on buffer-pool pages ({!Paged_store}, behind
+    {!Persistent} and {!Disk}).
 
     Node/edge vocabulary follows the paper: node [i] represents the
     backbone prefix of length [i] (root is node 0); the vertebra out of

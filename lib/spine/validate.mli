@@ -1,4 +1,4 @@
-(** Structural invariant checker for SPINE indexes.
+(** Structural invariant checker for SPINE stores.
 
     Verifies, without any external oracle, every invariant the paper's
     structure guarantees by construction:
@@ -15,16 +15,21 @@
       characters spelled by the edge match the backbone at the
       destination ([char at dest - 1] equals the edge's label).
 
-    O(n * alphabet) — cheap enough to run after a bulk load or a
-    deserialize in production ([spine stats --check] in the CLI). *)
+    Written once over {!Store_sig.S}, so the in-memory {!Compact} store
+    and the paged stores of {!Persistent} and {!Disk} are checked by
+    the same code.  O(n * alphabet) field reads plus word-at-a-time
+    suffix compares — cheap enough to run after a bulk load, a
+    deserialize or a reopen. *)
 
 type violation = {
   where : string;   (** e.g. "link(42)", "rib(7,'c')" *)
   what : string;    (** human-readable description *)
 }
 
-val check : Index.t -> violation list
-(** Empty when the structure is sound. *)
+module Make (S : Store_sig.S) : sig
+  val check : S.t -> violation list
+  (** Empty when the structure is sound. *)
 
-val check_exn : Index.t -> unit
-(** @raise Failure listing the first violations if any. *)
+  val check_exn : S.t -> unit
+  (** @raise Failure listing the first violations if any. *)
+end

@@ -57,7 +57,7 @@ let test_hamming_oracle () =
   let rng = Bioseq.Rng.create 91 in
   for _ = 1 to 25 do
     let s = Oracles.random_string rng 3 (30 + Bioseq.Rng.int rng 150) in
-    let idx = Spine.Index.of_string byte s in
+    let idx = Spine.Compact.of_string byte s in
     for _ = 1 to 15 do
       let m = 4 + Bioseq.Rng.int rng 10 in
       let pat =
@@ -88,7 +88,7 @@ let test_edit_oracle () =
   let rng = Bioseq.Rng.create 92 in
   for _ = 1 to 15 do
     let s = Oracles.random_string rng 3 (30 + Bioseq.Rng.int rng 80) in
-    let idx = Spine.Index.of_string byte s in
+    let idx = Spine.Compact.of_string byte s in
     for _ = 1 to 10 do
       let m = 5 + Bioseq.Rng.int rng 8 in
       let pat = Oracles.random_string rng 3 m in
@@ -108,11 +108,11 @@ let test_exact_is_k0 () =
   let rng = Bioseq.Rng.create 93 in
   for _ = 1 to 10 do
     let s = Oracles.random_string rng 3 (50 + Bioseq.Rng.int rng 100) in
-    let idx = Spine.Index.of_string byte s in
+    let idx = Spine.Compact.of_string byte s in
     let m = 3 + Bioseq.Rng.int rng 5 in
     let p = Bioseq.Rng.int rng (String.length s - m) in
     let pat = codes_of (String.sub s p m) in
-    let exact = Codes.occurrences (Spine.Index.engine idx) pat in
+    let exact = Codes.occurrences (Spine.Compact.engine idx) pat in
     let approx =
       Align.Approx.hamming idx ~pattern:pat ~k:0
       |> List.map (fun h -> h.Align.Approx.pos)
@@ -121,7 +121,7 @@ let test_exact_is_k0 () =
   done
 
 let test_degenerate () =
-  let idx = Spine.Index.of_string byte "abcabc" in
+  let idx = Spine.Compact.of_string byte "abcabc" in
   Alcotest.check_raises "empty pattern"
     (Invalid_argument "Approx: empty pattern") (fun () ->
       ignore (Align.Approx.hamming idx ~pattern:[||] ~k:1));

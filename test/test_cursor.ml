@@ -6,7 +6,7 @@ module E = Spine.Engine
 
 let byte = Bioseq.Alphabet.byte
 
-let cursor_over s = E.cursor (Spine.Index.engine (Spine.Index.of_string byte s))
+let cursor_over s = E.cursor (Spine.Compact.engine (Spine.Compact.of_string byte s))
 
 let codes_of s = Array.init (String.length s) (fun i -> Char.code s.[i])
 

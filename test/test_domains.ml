@@ -7,8 +7,6 @@
 
 let byte = Bioseq.Alphabet.byte
 
-let codes_of s = Array.init (String.length s) (fun i -> Char.code s.[i])
-
 (* a deterministic text plus patterns that are present, absent and
    partially present *)
 let text =
@@ -28,13 +26,17 @@ let patterns =
 let query = Oracles.random_string (Bioseq.Rng.create 777) 4 50
 
 (* run the whole read surface once; the result is a plain comparable
-   value so domain answers can be checked against the oracle *)
-let snapshot e =
-  let ms_seq = Bioseq.Packed_seq.of_string byte query in
+   value so domain answers can be checked against the oracle.  [recode]
+   maps the a..d test strings into the engine's alphabet. *)
+let snapshot recode e =
+  let ms_seq =
+    Bioseq.Packed_seq.of_string (Spine.Engine.alphabet e) (recode query)
+  in
   let ms, stats = Spine.Engine.matching_statistics e ms_seq in
   List.map
     (fun p ->
-      let codes = codes_of p in
+      let p = recode p in
+      let codes = Option.get (Spine.Engine.encode e p) in
       ( Codes.contains_string e p,
         Codes.occurrences e codes |> List.sort compare,
         Codes.first_occurrence e codes ))
@@ -46,10 +48,10 @@ let snapshot e =
     Spine.Engine.length e,
     Spine.Engine.node_count e )
 
-let check_backend name e =
-  let oracle = snapshot e in
+let check_backend ?(recode = Fun.id) name e =
+  let oracle = snapshot recode e in
   let domains =
-    List.init 2 (fun _ -> Domain.spawn (fun () -> snapshot e))
+    List.init 2 (fun _ -> Domain.spawn (fun () -> snapshot recode e))
   in
   List.iteri
     (fun i d ->
@@ -59,10 +61,16 @@ let check_backend name e =
         (Domain.join d = oracle))
     domains
 
-let test_fast () =
-  let seq = Bioseq.Packed_seq.of_string byte text in
-  let idx = Spine.Index.of_seq seq in
-  check_backend "fast" (Spine.Index.engine idx)
+(* a multi-string index over the text's two halves, as DNA *)
+let test_generalized () =
+  let recode = String.map (fun c -> "acgt".[Char.code c - Char.code 'a']) in
+  let g = Spine.Generalized.create Bioseq.Alphabet.dna in
+  let half = String.length text / 2 in
+  ignore (Spine.Generalized.add_string g (recode (String.sub text 0 half)));
+  ignore
+    (Spine.Generalized.add_string g
+       (recode (String.sub text half (String.length text - half))));
+  check_backend ~recode "generalized" (Spine.Generalized.engine g)
 
 let test_compact () =
   let seq = Bioseq.Packed_seq.of_string byte text in
@@ -70,6 +78,7 @@ let test_compact () =
   check_backend "compact" (Spine.Compact.engine compact)
 
 let suite =
-  [ Alcotest.test_case "fast store shared across two domains" `Quick test_fast;
+  [ Alcotest.test_case "generalized index shared across two domains" `Quick
+      test_generalized;
     Alcotest.test_case "compact store shared across two domains" `Quick
       test_compact ]

@@ -3,29 +3,37 @@
    differential harness that justifies defining the API once. *)
 
 module E = Spine.Engine
+module Compact_valid = Spine.Validate.Make (Spine.Compact_store)
+module Paged_valid = Spine.Validate.Make (Spine.Paged_store.P)
 
 let byte = Bioseq.Alphabet.byte
 
 let codes_of s = Array.init (String.length s) (fun i -> Char.code s.[i])
 
-(* Build all four backends over [s], pack each as an engine, run [f]
-   over the (name, engine) list, then tear the persistent file down. *)
+(* Build all three backends over [s], check each store's invariants
+   (the persistent one again after a close and reopen), pack each as
+   an engine, run [f] over the (name, engine) list, then tear the
+   persistent file down. *)
 let with_engines_of alphabet s f =
   let seq = Bioseq.Packed_seq.of_string alphabet s in
-  let idx = Spine.Index.of_seq seq in
   let compact = Spine.Compact.of_seq seq in
   let disk = Spine.Disk.build seq in
   let path = Filename.temp_file "spine_engine" ".db" in
   let p = Spine.Persistent.create ~path alphabet in
   Spine.Persistent.append_string p s;
+  Compact_valid.check_exn compact;
+  Paged_valid.check_exn disk.Spine.Disk.store;
+  Paged_valid.check_exn (Spine.Persistent.store p);
+  Spine.Persistent.close p;
+  let p = Spine.Persistent.open_ ~path () in
+  Paged_valid.check_exn (Spine.Persistent.store p);
   Fun.protect
     ~finally:(fun () ->
       (try Spine.Persistent.close p with Spine_error.Error (Spine_error.Closed _) -> ());
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       f
-        [ ("fast", Spine.Index.engine idx)
-        ; ("compact", Spine.Compact.engine compact)
+        [ ("compact", Spine.Compact.engine compact)
         ; ("persistent", Spine.Persistent.engine p)
         ; ("disk", Spine.Disk.engine disk) ])
 
@@ -45,7 +53,7 @@ let test_caps () =
         engines)
 
 (* Random sequences and patterns: contains / occurrences /
-   matching_statistics must agree across all four engines and with the
+   matching_statistics must agree across all three engines and with the
    brute-force oracle. *)
 let test_differential () =
   let rng = Bioseq.Rng.create 20260805 in
@@ -131,9 +139,9 @@ let test_occurrences_batch_exposed () =
             (Codes.occurrences_many e pats))
         engines)
 
-(* Matching and structure statistics agree across all four engines:
+(* Matching and structure statistics agree across all three engines:
    maximal matches (deferred and immediate scans) against the oracle,
-   and every statistic against the fast engine. *)
+   and every statistic against the in-memory compact engine. *)
 let test_structure_parity () =
   let rng = Bioseq.Rng.create 20261017 in
   for _ = 1 to 6 do
@@ -181,8 +189,7 @@ let test_structure_parity () =
   done
 
 (* Engine cursors over compact / persistent / disk: random
-   advance/drop_front walks checked against an explicit window model —
-   the capability the fast store had and the others gain. *)
+   advance/drop_front walks checked against an explicit window model. *)
 let test_engine_cursors () =
   let rng = Bioseq.Rng.create 4242 in
   for _ = 1 to 6 do

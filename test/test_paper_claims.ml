@@ -19,7 +19,7 @@ let test_space_claim () =
   let n = Bioseq.Packed_seq.length seq in
   let spine_idx = Spine.Compact.of_seq seq in
   let st = Suffix_tree.build seq in
-  let spine_bpc = Spine.Compact.bytes_per_char spine_idx in
+  let spine_bpc = Spine.Compact_store.bytes_per_char spine_idx in
   let st_bpc = Suffix_tree.model_bytes_per_char st in
   if spine_bpc >= st_bpc then
     Alcotest.failf "SPINE %.2f B/char must beat ST %.2f" spine_bpc st_bpc;
@@ -53,7 +53,7 @@ let test_label_claim () =
       if m.Spine.Engine.max_lel >= 65_535 then
         Alcotest.failf "%s: LEL exceeds 2-byte labels" name;
       Alcotest.(check int) "no overflow entries needed" 0
-        (Spine.Compact.overflow_count idx))
+        (Spine.Compact_store.overflow_count idx))
     [ "ECO"; "CEL" ]
 
 (* Table 6 / Section 4.1: set-basis processing checks fewer suffixes *)
@@ -111,7 +111,7 @@ let test_memory_budget_claim () =
   let n = float_of_int (Bioseq.Packed_seq.length seq) in
   let spine_idx = Spine.Compact.of_seq seq in
   let st = Suffix_tree.build seq in
-  let spine_peak = Spine.Compact.bytes_per_char spine_idx *. n *. 1.05 in
+  let spine_peak = Spine.Compact_store.bytes_per_char spine_idx *. n *. 1.05 in
   let st_peak = Suffix_tree.model_bytes_per_char st *. n *. 1.25 in
   (* the paper's ~30% headroom: a budget exists that admits SPINE and
      rejects ST *)
@@ -124,7 +124,7 @@ let test_memory_budget_claim () =
 (* Section 4: batched dictionary search equals one-by-one search *)
 let test_batch_search () =
   let seq = genome "ECO" in
-  let e = Spine.Index.engine (Spine.Index.of_seq seq) in
+  let e = Spine.Compact.engine (Spine.Compact.of_seq seq) in
   let rng = Bioseq.Rng.create 301 in
   let patterns =
     List.init 30 (fun _ ->

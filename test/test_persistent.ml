@@ -24,7 +24,7 @@ let test_parity_with_memory () =
       let seq = Bioseq.Synthetic.genomic dna rng 15_000 in
       let p = Spine.Persistent.create ~path dna in
       Spine.Persistent.append_seq p seq;
-      let m = Spine.Index.engine (Spine.Index.of_seq seq) in
+      let m = Spine.Compact.engine (Spine.Compact.of_seq seq) in
       let pe = Spine.Persistent.engine p in
       Alcotest.(check int) "length" (E.length m) (E.length pe);
       for _ = 1 to 50 do
@@ -95,7 +95,7 @@ let test_tiny_pool () =
       let stats = Pagestore.Buffer_pool.stats (Spine.Persistent.pool p) in
       if stats.Pagestore.Buffer_pool.evictions = 0 then
         Alcotest.fail "expected evictions under a tiny pool";
-      let m = Spine.Index.engine (Spine.Index.of_seq seq) in
+      let m = Spine.Compact.engine (Spine.Compact.of_seq seq) in
       for _ = 1 to 20 do
         let len = 3 + Bioseq.Rng.int rng 8 in
         let pos = Bioseq.Rng.int rng (30_000 - len) in
@@ -253,6 +253,118 @@ let test_shadow_fallback () =
         (contains p2 "gtacgt");
       Spine.Persistent.close p2)
 
+module Paged_valid = Spine.Validate.Make (Spine.Paged_store.P)
+
+let byte = Bioseq.Alphabet.byte
+let get32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
+let set32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
+
+(* Rewrite each metadata slot of a closed file as a version 3 slot: the
+   version 4 payload minus its (empty) section of wide overflow keys.
+   Before that, check that every side-table key has the 64-keys-per-row
+   shape version 3 files use: an odd RT key [((row * 64 + slot) * 4 +
+   table) * 2 + 1] names slot 62 in the anchor table and a PT (< 60)
+   or the PRT (63) in the overflow table; LT keys are even.  (Version 3
+   has no fanout entries: its LT field held fanouts up to 31.)
+   Returns the number of anchors seen. *)
+let downgrade_to_v3 path =
+  let dev =
+    Pagestore.Device.create_file ~checksums:true ~page_size:4096 ~path ()
+  in
+  let anchors = ref 0 in
+  let key_slot k = (k - 1) / 2 / 4 mod 64 in
+  List.iter
+    (fun page ->
+      match Pagestore.Device.read_slot_any dev page with
+      | `Invalid -> ()
+      | `Valid (data, epoch) ->
+        if Bytes.sub_string data 0 4 = "SPNM" then begin
+          Alcotest.(check int) "written as version 4" 4 (get32 data 4);
+          let len = get32 data 20 in
+          let payload = Bytes.sub data 28 len in
+          let pos = ref (4 + get32 payload 0 + 60) in
+          let entries () =
+            let n = get32 payload !pos in
+            let keys = List.init n (fun i -> get32 payload (!pos + 4 + (8 * i))) in
+            pos := !pos + 4 + (8 * n);
+            keys
+          in
+          List.iter
+            (fun k ->
+              if k land 1 = 1 && not (key_slot k < 60 || key_slot k = 63)
+              then
+                Alcotest.failf "overflow key %d names slot %d" k (key_slot k))
+            (entries ());
+          List.iter
+            (fun k ->
+              incr anchors;
+              if k land 1 = 0 || key_slot k <> 62 then
+                Alcotest.failf "anchor key %d names slot %d" k (key_slot k))
+            (entries ());
+          Alcotest.(check int) "no wide keys" 0 (get32 payload !pos);
+          Alcotest.(check int) "wide section ends the payload" len (!pos + 4);
+          let v3 = Bytes.sub payload 0 !pos in
+          set32 data 4 3;
+          set32 data 20 !pos;
+          set32 data 24 (Xutil.Crc32c.bytes v3);
+          Bytes.fill data 28 len '\000';
+          Bytes.blit v3 0 data 28 !pos;
+          Pagestore.Device.set_epoch dev epoch;
+          Pagestore.Device.write dev page data
+        end)
+    [ 0; 4096 ];
+  Pagestore.Device.close dev;
+  !anchors
+
+(* A byte-alphabet file as version 3 wrote it — extribs (the paper's
+   example), a root with the largest fanout the LT field holds (31) —
+   opens, validates and answers like a suffix tree. *)
+let test_version3_file () =
+  let text =
+    "aaccacaaca" ^ String.init 30 (fun i -> Char.chr (65 + i)) ^ "acaacaac"
+  in
+  with_tmp (fun path ->
+      let p = Spine.Persistent.create ~path byte in
+      Spine.Persistent.append_string p text;
+      Spine.Persistent.close p;
+      if downgrade_to_v3 path = 0 then Alcotest.fail "no extrib anchors";
+      let p = Spine.Persistent.open_ ~path () in
+      Paged_valid.check_exn (Spine.Persistent.store p);
+      let seq = Bioseq.Packed_seq.of_string byte text in
+      let tree = Suffix_tree.build seq in
+      let n = String.length text in
+      for len = 1 to 6 do
+        for pos = 0 to n - len do
+          let pat = Array.init len (fun j -> Char.code text.[pos + j]) in
+          Alcotest.(check (list int))
+            (Printf.sprintf "occurrences of %S" (String.sub text pos len))
+            (List.sort Int.compare (Suffix_tree.occurrences tree pat))
+            (occurrences p pat)
+        done
+      done;
+      Spine.Persistent.close p)
+
+(* Version 4 keeps the overflow labels whose keys need more than 32
+   bits: PTs above 0xFFFF in the slots 60 and up of a wide RT4 row. *)
+let test_wide_keys_reopen () =
+  with_tmp (fun path ->
+      let p = Spine.Persistent.create ~path byte in
+      Spine.Persistent.append_string p "xy";
+      let store = Spine.Persistent.store p in
+      for code = 0 to 99 do
+        Spine.Paged_store.P.add_rib store 2 ~code ~dest:1 ~pt:(70_000 + code)
+      done;
+      Spine.Persistent.close p;
+      let p = Spine.Persistent.open_ ~path () in
+      let store = Spine.Persistent.store p in
+      for code = 0 to 99 do
+        Alcotest.(check (option (pair int int)))
+          (Printf.sprintf "rib %d after reopen" code)
+          (Some (1, 70_000 + code))
+          (Spine.Paged_store.P.find_rib store 2 code)
+      done;
+      Spine.Persistent.close p)
+
 let suite =
   [ Alcotest.test_case "parity with the in-memory index" `Quick
       test_parity_with_memory
@@ -267,4 +379,8 @@ let suite =
       test_corrupt_metadata
   ; Alcotest.test_case "shadow-slot fallback recovers previous generation"
       `Quick test_shadow_fallback
+  ; Alcotest.test_case "version 3 byte-alphabet file opens" `Quick
+      test_version3_file
+  ; Alcotest.test_case "wide overflow keys survive reopen" `Quick
+      test_wide_keys_reopen
   ]

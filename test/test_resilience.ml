@@ -326,7 +326,7 @@ let test_storm_parity () =
         P.append p (Bioseq.Packed_seq.get seq i)
       done;
       P.flush p;
-      let oracle = Spine.Index.engine (Spine.Index.of_seq seq) in
+      let oracle = Spine.Compact.engine (Spine.Compact.of_seq seq) in
       let fd = FD.create ~seed:9 [ FD.arm ~times:9 FD.Read_error ] in
       FD.attach fd (P.device p);
       let t =

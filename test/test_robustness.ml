@@ -50,7 +50,7 @@ let flip_bit path off mask =
 let test_serializer_fuzz () =
   let rng = Bioseq.Rng.create 401 in
   let seq = Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) 600 in
-  let idx = Spine.Index.of_seq seq in
+  let idx = Spine.Compact.of_seq seq in
   let original = Spine.Serialize.to_bytes idx in
   for _ = 1 to 600 do
     let data = Bytes.copy original in
@@ -143,7 +143,7 @@ let crash_matrix ?frames ~chunks ~require_evictions () =
           Bioseq.Packed_seq.of_codes dna
             (Array.init l (fun k -> Bioseq.Packed_seq.get seq k))
         in
-        (l, Spine.Index.engine (Spine.Index.of_seq prefix)))
+        (l, Spine.Compact.engine (Spine.Compact.of_seq prefix)))
       flush_points
   in
   (* count the workload's device writes once, fault-free *)
@@ -253,8 +253,8 @@ let test_eviction_overwrite_recovery () =
       let seq = crash_seq total in
       let code i = Bioseq.Packed_seq.get seq i in
       let oracle_at l =
-        Spine.Index.engine
-          (Spine.Index.of_seq
+        Spine.Compact.engine
+          (Spine.Compact.of_seq
              (Bioseq.Packed_seq.of_codes dna (Array.init l code)))
       in
       let p = P.create ~frames:8 ~path dna in
@@ -360,8 +360,10 @@ let test_flush_retry_generation () =
 
 (* The current writer emits v3 (the packed row's raw words), so legacy
    v1/v2 images — [Alphabet.bits] bits per symbol, MSB-first, v2 with a
-   CRC-32C trailer — are reconstructed here byte for byte. *)
-let legacy_image ~version idx =
+   CRC-32C trailer — are reconstructed here byte for byte.
+   [extra_ribs] and [extra_extribs] append hand-made records, to forge
+   images no index could have written. *)
+let legacy_image ?(extra_ribs = []) ?(extra_extribs = []) ~version idx =
   let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff)) in
   let put_u32 buf v =
     for k = 0 to 3 do put_u8 buf ((v lsr (8 * k)) land 0xff) done
@@ -369,9 +371,9 @@ let legacy_image ~version idx =
   let put_u64 buf v =
     for k = 0 to 7 do put_u8 buf ((v lsr (8 * k)) land 0xff) done
   in
-  let s = Spine.Index.store idx in
-  let n = Spine.Fast_store.length s in
-  let alphabet = Spine.Fast_store.alphabet s in
+  let module S = Spine.Compact_store in
+  let n = S.length idx in
+  let alphabet = S.alphabet idx in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "SPNE";
   put_u8 buf version;
@@ -384,7 +386,7 @@ let legacy_image ~version idx =
   put_u64 buf n;
   let bits = Bioseq.Alphabet.bits alphabet in
   let packed = Bytes.make ((n * bits + 7) / 8) '\000' in
-  Bioseq.Packed_seq.iteri (Spine.Fast_store.sequence s) ~f:(fun i code ->
+  Bioseq.Packed_seq.iteri (S.sequence idx) ~f:(fun i code ->
       for b = 0 to bits - 1 do
         if code land (1 lsl (bits - 1 - b)) <> 0 then begin
           let pos = (i * bits) + b in
@@ -396,29 +398,42 @@ let legacy_image ~version idx =
   put_u32 buf (Bytes.length packed);
   Buffer.add_bytes buf packed;
   for node = 1 to n do
-    let dest, lel = Spine.Index.link idx node in
-    put_u32 buf dest;
-    put_u32 buf lel
+    put_u32 buf (S.link_dest idx node);
+    put_u32 buf (S.link_lel idx node)
   done;
-  put_u32 buf (Spine.Fast_store.rib_count s);
-  for node = 0 to n do
-    Spine.Fast_store.fold_ribs s node ~init:() ~f:(fun () code dest pt ->
-        put_u32 buf node;
-        put_u8 buf code;
-        put_u32 buf dest;
-        put_u32 buf pt)
-  done;
-  put_u32 buf (Spine.Fast_store.extrib_count s);
-  for node = 0 to n do
-    match Spine.Fast_store.find_extrib s node with
-    | None -> ()
-    | Some (dest, pt, prt, anchor) ->
+  let ribs =
+    List.concat_map
+      (fun node ->
+        List.rev
+          (S.fold_ribs idx node ~init:[] ~f:(fun acc code dest pt ->
+               (node, code, dest, pt) :: acc)))
+      (List.init (n + 1) Fun.id)
+    @ extra_ribs
+  in
+  put_u32 buf (List.length ribs);
+  List.iter
+    (fun (node, code, dest, pt) ->
+      put_u32 buf node;
+      put_u8 buf code;
+      put_u32 buf dest;
+      put_u32 buf pt)
+    ribs;
+  let extribs =
+    List.filter_map
+      (fun node ->
+        Option.map (fun e -> (node, e)) (S.find_extrib idx node))
+      (List.init (n + 1) Fun.id)
+    @ extra_extribs
+  in
+  put_u32 buf (List.length extribs);
+  List.iter
+    (fun (node, (dest, pt, prt, anchor)) ->
       put_u32 buf node;
       put_u32 buf dest;
       put_u32 buf pt;
       put_u32 buf prt;
-      put_u32 buf anchor
-  done;
+      put_u32 buf anchor)
+    extribs;
   let body = Buffer.to_bytes buf in
   if version = 1 then body
   else begin
@@ -436,13 +451,14 @@ let legacy_image ~version idx =
 let test_serialize_v1_compat () =
   let rng = Bioseq.Rng.create 405 in
   let seq = Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) 400 in
-  let idx = Spine.Index.of_seq seq in
+  let idx = Spine.Compact.of_seq seq in
   let v1 = legacy_image ~version:1 idx in
   let v2 = legacy_image ~version:2 idx in
-  let e = Spine.Index.engine idx in
+  (* the oracle is a suffix tree: it shares no code with the loader *)
+  let tree = Suffix_tree.build seq in
   let check_parity tag loaded =
-    let loaded = Spine.Index.engine loaded in
-    Alcotest.(check int) (tag ^ " length") (E.length e) (E.length loaded);
+    let loaded = Spine.Compact.engine loaded in
+    Alcotest.(check int) (tag ^ " length") 400 (E.length loaded);
     for _ = 1 to 20 do
       let len = 3 + Bioseq.Rng.int rng 6 in
       let pos = Bioseq.Rng.int rng (400 - len) in
@@ -450,7 +466,7 @@ let test_serialize_v1_compat () =
         Array.init len (fun j -> Bioseq.Packed_seq.get seq (pos + j))
       in
       Alcotest.(check (list int)) (tag ^ " query parity")
-        (Codes.occurrences e pat)
+        (List.sort Int.compare (Suffix_tree.occurrences tree pat))
         (Codes.occurrences loaded pat)
     done
   in
@@ -475,12 +491,37 @@ let test_serialize_v1_compat () =
   | _ -> Alcotest.fail "future version accepted"
   | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
 
+(* A v1 image has no checksum, so a record the Section 5 store cannot
+   hold reaches the loader: a second rib under one label, a rib under
+   the vertebra's label, a rib off the backbone, a second extrib at one
+   node.  Each is a typed Corrupt, never an assertion or an index
+   error from inside the store. *)
+let test_serialize_v1_impossible_records () =
+  let idx = Spine.Compact.of_string dna "acgtacgtgacgttacgacg" in
+  let n = Spine.Compact_store.length idx in
+  (* node 4 carries a rib labelled t (3), node 10 an extrib *)
+  let rib = (4, 3, 14, 4) and extrib = (10, (18, 3, 1, 10)) in
+  let vertebra = (0, Spine.Compact_store.char_at idx 0, 1, 0) in
+  List.iter
+    (fun (what, image) ->
+      match Spine.Serialize.of_bytes image with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
+      | exception e ->
+        Alcotest.failf "%s: untyped %s" what (Printexc.to_string e))
+    [ ("duplicate rib", legacy_image ~extra_ribs:[ rib ] ~version:1 idx);
+      ("vertebra rib", legacy_image ~extra_ribs:[ vertebra ] ~version:1 idx);
+      ("rib off the backbone",
+       legacy_image ~extra_ribs:[ (n, 0, n, 0) ] ~version:1 idx);
+      ("second extrib",
+       legacy_image ~extra_extribs:[ extrib ] ~version:1 idx) ]
+
 (* --- seeded bit-flip trials over every written region ---------------- *)
 
 let test_bitflip_trials () =
   let rng = Bioseq.Rng.create 404 in
   let seq = Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) 600 in
-  let oracle = Spine.Index.engine (Spine.Index.of_seq seq) in
+  let oracle = Spine.Compact.engine (Spine.Compact.of_seq seq) in
   (* region base pages (see lib/spine/persistent.ml) *)
   let meta_span = 16384 and data_span = 262144 in
   let base_of = function
@@ -719,7 +760,7 @@ let test_parallel_queries () =
      must all see correct answers *)
   let rng = Bioseq.Rng.create 402 in
   let seq = Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) 20_000 in
-  let e = Spine.Index.engine (Spine.Index.of_seq seq) in
+  let e = Spine.Compact.engine (Spine.Compact.of_seq seq) in
   let queries =
     Array.init 64 (fun _ ->
         let len = 3 + Bioseq.Rng.int rng 10 in
@@ -756,6 +797,8 @@ let suite =
       `Quick test_flush_retry_generation
   ; Alcotest.test_case "snapshot v1 back-compat (and no CRC bypass)" `Quick
       test_serialize_v1_compat
+  ; Alcotest.test_case "snapshot v1 impossible records rejected typed" `Quick
+      test_serialize_v1_impossible_records
   ; Alcotest.test_case "seeded bit-flip trials: scrub + query safety" `Quick
       test_bitflip_trials
   ; Alcotest.test_case "typed pool exhaustion" `Quick test_pool_exhausted

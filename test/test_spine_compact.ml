@@ -1,63 +1,122 @@
-(* The compact Section 5 layout must behave identically to the
-   reference index: same structure (links, ribs, extribs), same search
-   answers, same statistics — plus its own space-accounting sanity. *)
+(* The compact Section 5 layout must carry exactly the structure the
+   independent hashtable store builds (links, ribs, extribs), answer
+   searches identically, and keep its own space accounting sane. *)
 
-module I = Spine.Index
+module H = Experiments.Hashtable_store
+module HQ = Spine.Search.Make (H)
+module HM = Spine.Matcher.Make (H)
+module HS = Spine.Stats.Make (H)
 module C = Spine.Compact
+module CS = Spine.Compact_store
 module E = Spine.Engine
+
+let link t node = CS.(link_dest t node, link_lel t node)
+let rib = CS.find_rib
 
 let byte = Bioseq.Alphabet.byte
 
-let check_parity rng sigma s =
-  let i = I.engine (I.of_string byte s) in
-  let c = C.engine (C.of_string byte s) in
-  (* structure-level parity via statistics *)
-  Alcotest.(check int) "node count" (E.node_count i) (E.node_count c);
-  let im = E.label_maxima i and cm = E.label_maxima c in
+let check_parity rng seq =
+  let alphabet = Bioseq.Packed_seq.alphabet seq in
+  let n = Bioseq.Packed_seq.length seq in
+  let s = Bioseq.Packed_seq.sub_string seq ~pos:0 ~len:(min 40 n) in
+  let h = H.of_seq seq in
+  let cs = C.of_seq seq in
+  let c = C.engine cs in
+  (* structure-level parity, edge for edge *)
+  Alcotest.(check int) "node count" (H.length h + 1) (E.node_count c);
+  for node = 0 to n do
+    if node > 0 then
+      Alcotest.(check (pair int int)) (Printf.sprintf "link(%d) of %S" node s)
+        (H.link_dest h node, H.link_lel h node) (link cs node);
+    for code = 0 to Bioseq.Alphabet.separator alphabet do
+      Alcotest.(check (option (pair int int)))
+        (Printf.sprintf "rib(%d,%d) of %S" node code s)
+        (H.find_rib h node code) (rib cs node code)
+    done;
+    let flat = Option.map (fun (d, pt, prt, a) -> [ d; pt; prt; a ]) in
+    Alcotest.(check (option (list int)))
+      (Printf.sprintf "extrib(%d) of %S" node s)
+      (flat (H.find_extrib h node))
+      (flat (Spine.Compact_store.find_extrib cs node))
+  done;
+  let hm = HS.label_maxima h and cm = E.label_maxima c in
   Alcotest.(check (triple int int int)) ("label maxima of " ^ s)
-    (im.E.max_pt, im.E.max_lel, im.E.max_prt)
+    (hm.Spine.Stats.max_pt, hm.Spine.Stats.max_lel, hm.Spine.Stats.max_prt)
     (cm.E.max_pt, cm.E.max_lel, cm.E.max_prt);
   Alcotest.(check (array int)) ("rib distribution of " ^ s)
-    (E.rib_distribution i) (E.rib_distribution c);
+    (HS.rib_distribution h) (E.rib_distribution c);
   Alcotest.(check (array int)) ("link histogram of " ^ s)
-    (E.link_histogram i ~buckets:8) (E.link_histogram c ~buckets:8);
-  (* search parity on random patterns *)
+    (HS.link_histogram h ~buckets:8) (E.link_histogram c ~buckets:8);
+  (* search parity: substrings of the text, half of them with one code
+     replaced (often absent) *)
+  let text_code () = Bioseq.Packed_seq.get seq (Bioseq.Rng.int rng n) in
   for _ = 1 to 40 do
-    let pat = Oracles.random_string rng sigma (1 + Bioseq.Rng.int rng 8) in
-    let codes = Array.init (String.length pat) (fun k -> Char.code pat.[k]) in
-    Alcotest.(check (list int)) (Printf.sprintf "occurrences %S in %S" pat s)
-      (Codes.occurrences i codes) (Codes.occurrences c codes)
+    let len = 1 + Bioseq.Rng.int rng (min 8 n) in
+    let pos = Bioseq.Rng.int rng (n - len + 1) in
+    let codes = Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k)) in
+    if Bioseq.Rng.int rng 2 = 0 then codes.(Bioseq.Rng.int rng len) <- text_code ();
+    Alcotest.(check (list int)) (Printf.sprintf "occurrences in %S" s)
+      (HQ.occurrences_pattern h (Bioseq.Packed_seq.Pattern.of_codes alphabet codes))
+      (Codes.occurrences c codes)
   done;
   (* matching parity *)
   let q =
-    Bioseq.Packed_seq.of_string byte
-      (Oracles.random_string rng sigma (10 + Bioseq.Rng.int rng 40))
+    Bioseq.Packed_seq.of_codes alphabet
+      (Array.init (10 + Bioseq.Rng.int rng 40) (fun _ -> text_code ()))
   in
-  let ims, _ = E.matching_statistics i q in
-  let cms, _ = E.matching_statistics c q in
-  Alcotest.(check (array int)) ("ms parity on " ^ s) ims cms
+  Alcotest.(check (array int)) ("ms parity on " ^ s)
+    (fst (HM.matching_statistics h q)) (fst (E.matching_statistics c q))
+
+let check_string_parity rng s = check_parity rng (Bioseq.Packed_seq.of_string byte s)
 
 let test_parity_random () =
   let rng = Bioseq.Rng.create 77 in
-  List.iter (fun s -> check_parity rng 3 s) Oracles.adversarial;
+  List.iter (check_string_parity rng) Oracles.adversarial;
   for _ = 1 to 20 do
-    let s = Oracles.random_string rng 3 (20 + Bioseq.Rng.int rng 150) in
-    check_parity rng 3 s
+    check_string_parity rng
+      (Oracles.random_string rng 3 (20 + Bioseq.Rng.int rng 150))
   done;
   (* wider alphabet exercises the wide RT4 and row migrations *)
   for _ = 1 to 10 do
-    let s = Oracles.random_string rng 10 (50 + Bioseq.Rng.int rng 200) in
-    check_parity rng 10 s
+    check_string_parity rng
+      (Oracles.random_string rng 10 (50 + Bioseq.Rng.int rng 200))
+  done;
+  (* fanouts above the LT's 5-bit field (an RT4 row of a large
+     alphabet) go through the overflow table *)
+  for _ = 1 to 3 do
+    check_string_parity rng
+      (Oracles.random_string rng 90 (300 + Bioseq.Rng.int rng 300))
+  done;
+  (* 5..8 symbols take 3-bit character labels, some of which straddle
+     two bytes of a row's label area *)
+  for size = 5 to 8 do
+    let alphabet =
+      Bioseq.Alphabet.make (String.init size (fun i -> Char.chr (97 + i)))
+    in
+    check_parity rng
+      (Bioseq.Packed_seq.of_string alphabet
+         (Oracles.random_string rng size (100 + Bioseq.Rng.int rng 200)))
+  done;
+  (* multi-string DNA texts label ribs with the separator code, which
+     needs the separator layout's wider character labels *)
+  let dna = Bioseq.Alphabet.dna in
+  let sep = Bioseq.Alphabet.separator dna in
+  for _ = 1 to 10 do
+    let codes =
+      Array.init (40 + Bioseq.Rng.int rng 150) (fun _ ->
+          if Bioseq.Rng.int rng 12 = 0 then sep else Bioseq.Rng.int rng 4)
+    in
+    check_parity rng (Bioseq.Packed_seq.of_codes dna codes)
   done
 
 let test_space_accounting () =
   let rng = Bioseq.Rng.create 78 in
   let s = Oracles.random_string rng 4 4000 in
   let c = C.of_string byte s in
-  let sp = C.space c in
+  let sp = CS.space c in
   Alcotest.(check int) "LT bytes = 6 per node (Figure 5's {LD/PTR, LEL})"
-    (6 * (4000 + 1)) sp.C.lt_bytes;
-  if sp.C.rt_bytes <= 0 then Alcotest.fail "no rib rows allocated";
+    (6 * (4000 + 1)) sp.CS.lt_bytes;
+  if sp.CS.rt_bytes <= 0 then Alcotest.fail "no rib rows allocated";
   (* live rows must equal the number of nodes with each fanout *)
   let dist = E.rib_distribution (C.engine c) in
   let nodes_with_fanout f =
@@ -68,7 +127,7 @@ let test_space_accounting () =
     Alcotest.(check int)
       (Printf.sprintf "live rows in RT%d" (table + 1))
       (nodes_with_fanout (table + 1))
-      (C.live_rows c table)
+      (CS.live_rows c table)
   done
 
 let test_overflow_labels () =
@@ -77,11 +136,11 @@ let test_overflow_labels () =
   let n = 70_000 in
   let s = String.make n 'a' in
   let c = C.of_string byte s in
-  let i = I.engine (I.of_string byte s) in
   let ce = C.engine c in
   Alcotest.(check int) "max lel with overflow"
-    (E.label_maxima i).E.max_lel (E.label_maxima ce).E.max_lel;
-  if C.overflow_count c = 0 then Alcotest.fail "expected overflow entries";
+    (HS.label_maxima (H.of_string byte s)).Spine.Stats.max_lel
+    (E.label_maxima ce).E.max_lel;
+  if CS.overflow_count c = 0 then Alcotest.fail "expected overflow entries";
   (* search still exact *)
   let pat = Array.make 120 (Char.code 'a') in
   Alcotest.(check int) "occurrence count"
@@ -126,6 +185,61 @@ let test_online_equals_batch () =
     Alcotest.(check int) "final length" (String.length s) (E.length e)
   done
 
+(* Only a [~separator:true] layout has label bits for the separator:
+   anywhere else it is refused before the store changes, rather than
+   stored masked (as code 0 on DNA). *)
+let test_separator_rejected () =
+  let dna = Bioseq.Alphabet.dna in
+  let c = C.of_string dna "acgt" in
+  (match C.append c (Bioseq.Alphabet.separator dna) with
+   | () -> Alcotest.fail "separator appended to a plain DNA store"
+   | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "store unchanged" 4 (CS.length c);
+  Alcotest.(check (list int)) "still answers" [ 1 ]
+    (Codes.occurrences (C.engine c) [| 1; 2 |]);
+  let g = CS.create ~separator:true dna in
+  C.append_string g "ac";
+  C.append g (Bioseq.Alphabet.separator dna);
+  Alcotest.(check int) "separator layout takes it" 3 (CS.length g)
+
+(* One node given 100 ribs with labels above 0xFFFF: the fanout
+   outgrows the LT's 5-bit field and slots 60 and up take the wide
+   keys, through every row migration, and each freed row leaves no
+   overflow entry behind. *)
+let test_wide_rows () =
+  let c = C.of_string byte "xy" in
+  let node = 2 in
+  for code = 0 to 99 do
+    CS.add_rib c node ~code ~dest:1 ~pt:(70_000 + code);
+    for k = 0 to code do
+      Alcotest.(check (option (pair int int)))
+        (Printf.sprintf "rib %d after %d" k code)
+        (Some (1, 70_000 + k)) (rib c node k)
+    done
+  done;
+  Alcotest.(check int) "fanout" 100
+    (CS.fold_ribs c node ~init:0 ~f:(fun n _ _ _ -> n + 1));
+  (* 100 PTs and the fanout; the RT1..RT3 rows it passed through were
+     freed with their entries *)
+  Alcotest.(check int) "overflow entries" 101 (CS.overflow_count c)
+
+(* Row sizes are part of every persistent file: [4 + 6k] bytes of LD
+   and slots, [k] packed labels of 1, 2, 3, 4 or 8 bits, a 2-byte PRT,
+   with [k] = 1, 2, 3 and max(4, size) slots. *)
+let test_row_layouts () =
+  let check ?separator name expect alphabet =
+    Alcotest.(check (array int)) name expect
+      (CS.layout_of ?separator alphabet).CS.row_bytes
+  in
+  check "dna" [| 13; 19; 25; 31 |] Bioseq.Alphabet.dna;
+  check "protein" [| 13; 20; 27; 146 |] Bioseq.Alphabet.protein;
+  check "byte" [| 13; 20; 27; 1791 |] byte;
+  (* 3-bit labels: 7 of them fill 21 bits, 3 bytes *)
+  check "7 symbols" [| 13; 19; 26; 51 |] (Bioseq.Alphabet.make "abcdefg");
+  (* in memory only: 5 codes with the separator, 3 bits each *)
+  check ~separator:true "dna with the separator" [| 13; 19; 26; 38 |]
+    Bioseq.Alphabet.dna
+
 let suite =
   [ Alcotest.test_case "compact/reference parity" `Quick test_parity_random
   ; Alcotest.test_case "space accounting" `Quick test_space_accounting
@@ -134,4 +248,10 @@ let suite =
       test_online_equals_batch
   ; Alcotest.test_case "overflowed LELs in the occurrence scan" `Quick
       test_overflow_scan
+  ; Alcotest.test_case "separator code rejected without its layout" `Quick
+      test_separator_rejected
+  ; Alcotest.test_case "wide RT4 rows keep their overflow labels" `Quick
+      test_wide_rows
+  ; Alcotest.test_case "row layouts of persisted alphabets" `Quick
+      test_row_layouts
   ]

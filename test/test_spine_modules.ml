@@ -4,7 +4,13 @@
 
 let dna = Bioseq.Alphabet.dna
 
+module V = Spine.Validate.Make (Spine.Compact_store)
+
 (* --- Generalized --- *)
+
+let generalized_occurrences g codes =
+  Spine.Generalized.occurrences g
+    (Spine.Engine.pattern (Spine.Generalized.engine g) codes)
 
 let test_generalized_basic () =
   let g = Spine.Generalized.create dna in
@@ -16,14 +22,14 @@ let test_generalized_basic () =
   Alcotest.(check string) "auto name" "s2" (Spine.Generalized.name g 2);
   Alcotest.(check int) "length" 8 (Spine.Generalized.string_length g 1);
   let codes s = Array.init (String.length s) (fun i -> Bioseq.Alphabet.encode dna s.[i]) in
-  let hits = Spine.Generalized.occurrences g (codes "acgt") in
+  let hits = generalized_occurrences g (codes "acgt") in
   Alcotest.(check (list (pair int int))) "acgt across strings"
     [ (0, 0); (0, 4); (1, 4) ]
     (List.map (fun { Spine.Generalized.string_id; pos } -> (string_id, pos)) hits);
   (* no match may span the separator: "gttt" straddles alpha|beta *)
   Alcotest.(check (list (pair int int))) "no cross-string match" []
     (List.map (fun { Spine.Generalized.string_id; pos } -> (string_id, pos))
-       (Spine.Generalized.occurrences g (codes "gttt")))
+       (generalized_occurrences g (codes "gttt")))
 
 let test_generalized_vs_individual () =
   let rng = Bioseq.Rng.create 61 in
@@ -51,7 +57,7 @@ let test_generalized_vs_individual () =
         |> List.sort compare
       in
       let got =
-        Spine.Generalized.occurrences g codes
+        generalized_occurrences g codes
         |> List.map (fun { Spine.Generalized.string_id; pos } -> (string_id, pos))
         |> List.sort compare
       in
@@ -79,36 +85,76 @@ let test_serialize_roundtrip () =
       for _ = 1 to 5 do
         let n = 50 + Bioseq.Rng.int rng 500 in
         let seq = Bioseq.Synthetic.genomic alphabet (Bioseq.Rng.split rng) n in
-        let idx = Spine.Index.of_seq seq in
+        let idx = Spine.Compact.of_seq seq in
         let loaded = Spine.Serialize.of_bytes (Spine.Serialize.to_bytes idx) in
-        let n = Spine.Fast_store.length idx in
-        Alcotest.(check int) "length" n (Spine.Fast_store.length loaded);
+        let n = Spine.Compact_store.length idx in
+        Alcotest.(check int) "length" n (Spine.Compact_store.length loaded);
         (* structural identity: links, ribs, extribs *)
+        let module S = Spine.Compact_store in
         for node = 1 to n do
           Alcotest.(check (pair int int)) "link"
-            (Spine.Index.link idx node) (Spine.Index.link loaded node)
+            (S.link_dest idx node, S.link_lel idx node)
+            (S.link_dest loaded node, S.link_lel loaded node)
         done;
+        let extrib t node =
+          Option.map (fun (d, pt, prt, anchor) -> [ d; pt; prt; anchor ])
+            (S.find_extrib t node)
+        in
         for node = 0 to n do
           for code = 0 to Bioseq.Alphabet.size alphabet - 1 do
             Alcotest.(check (option (pair int int))) "rib"
-              (Spine.Index.rib idx node code) (Spine.Index.rib loaded node code)
+              (S.find_rib idx node code) (S.find_rib loaded node code)
           done;
-          Alcotest.(check (option (triple int int int))) "extrib"
-            (Spine.Index.extrib idx node) (Spine.Index.extrib loaded node)
+          Alcotest.(check (option (list int))) "extrib"
+            (extrib idx node) (extrib loaded node)
         done;
         (* behavioural identity *)
         let q = Bioseq.Synthetic.mutate ~rate:0.2 (Bioseq.Rng.split rng) seq in
-        let ms e = fst (Spine.Engine.matching_statistics (Spine.Index.engine e) q) in
+        let ms e = fst (Spine.Engine.matching_statistics (Spine.Compact.engine e) q) in
         let ms1 = ms idx and ms2 = ms loaded in
         Alcotest.(check (array int)) "ms" ms1 ms2
       done)
     [ dna; Bioseq.Alphabet.protein ]
 
+(* A loaded v3 image re-serializes to the very same bytes, and the
+   replayed store is structurally valid.  a^70000 carries LELs and PTs
+   above 65534, which the load must route through the overflow table;
+   the generalized index needs the separator layout. *)
+let test_serialize_reserialize () =
+  let rng = Bioseq.Rng.create 64 in
+  let g = Spine.Generalized.create dna in
+  ignore (Spine.Generalized.add_string g "acgtacgggtacgt");
+  ignore (Spine.Generalized.add_string g "ttgacaccgtacgg");
+  let images =
+    [ ("dna", Spine.Compact.of_seq
+         (Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) 5000));
+      ("protein", Spine.Compact.of_seq
+         (Bioseq.Synthetic.genomic Bioseq.Alphabet.protein
+            (Bioseq.Rng.split rng) 3000));
+      ("a^70000", Spine.Compact.of_string dna (String.make 70_000 'a'));
+      ("generalized", Spine.Generalized.index g) ]
+  in
+  List.iter
+    (fun (name, idx) ->
+      let b = Spine.Serialize.to_bytes idx in
+      let loaded = Spine.Serialize.of_bytes b in
+      Alcotest.(check (list string)) (name ^ ": valid after load") []
+        (List.map
+           (fun v -> v.Spine.Validate.where ^ ": " ^ v.Spine.Validate.what)
+           (V.check loaded));
+      Alcotest.(check bool) (name ^ ": byte-identical re-serialization") true
+        (Bytes.equal b (Spine.Serialize.to_bytes loaded)))
+    images;
+  let big = List.assoc "a^70000" images in
+  Alcotest.(check bool) "a^70000 overflows its labels" true
+    (Spine.Compact_store.overflow_count
+       (Spine.Serialize.of_bytes (Spine.Serialize.to_bytes big)) > 0)
+
 let test_serialize_bad_input () =
   (match Spine.Serialize.of_bytes (Bytes.of_string "NOPE.....") with
    | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
    | _ -> Alcotest.fail "bad magic accepted");
-  let idx = Spine.Index.of_string dna "acgt" in
+  let idx = Spine.Compact.of_string dna "acgt" in
   let b = Spine.Serialize.to_bytes idx in
   let truncated = Bytes.sub b 0 (Bytes.length b - 3) in
   (match Spine.Serialize.of_bytes truncated with
@@ -116,13 +162,13 @@ let test_serialize_bad_input () =
    | _ -> Alcotest.fail "truncated input accepted")
 
 let test_serialize_file () =
-  let idx = Spine.Index.of_string dna "acgtacgtgacgt" in
+  let idx = Spine.Compact.of_string dna "acgtacgtgacgt" in
   let tmp = Filename.temp_file "spine_test" ".idx" in
   Spine.Serialize.to_file tmp idx;
   let loaded = Spine.Serialize.of_file tmp in
   Sys.remove tmp;
   Alcotest.(check bool) "query parity" true
-    (Codes.contains_string (Spine.Index.engine loaded) "gtgac")
+    (Codes.contains_string (Spine.Compact.engine loaded) "gtgac")
 
 (* --- Disk --- *)
 
@@ -176,11 +222,11 @@ let test_disk_pages_real_layout () =
   let rt_pages =
     List.init 4 (fun table ->
         pages
-          (Spine.Compact_store.rows_allocated (Spine.Compact.store c) table
-           * Spine.Compact.row_bytes c table))
+          (Spine.Compact_store.rows_allocated c table
+           * Spine.Compact_store.row_bytes c table))
   in
   let expected =
-    List.fold_left ( + ) (pages (Spine.Compact.space c).Spine.Compact.lt_bytes)
+    List.fold_left ( + ) (pages (Spine.Compact_store.space c).Spine.Compact_store.lt_bytes)
       rt_pages
   in
   Alcotest.(check int) "pool held the whole index" 0
@@ -205,14 +251,17 @@ let test_space_measured () =
      would falsify the paper's claim; we bound well below that. *)
   let seq = Bioseq.Corpus.load ~scale:0.1 Bioseq.Corpus.eco in
   let c = Spine.Compact.of_seq seq in
-  let b = Spine.Space.measure c in
-  if b.Spine.Space.bytes_per_char >= 13.5 then
-    Alcotest.failf "bytes/char too high: %.2f" b.Spine.Space.bytes_per_char;
-  if b.Spine.Space.bytes_per_char <= 8.0 then
-    Alcotest.failf "bytes/char suspiciously low: %.2f" b.Spine.Space.bytes_per_char;
-  Alcotest.(check int) "components sum" b.Spine.Space.total_bytes
-    (b.Spine.Space.lt_bytes + b.Spine.Space.rt_bytes
-     + b.Spine.Space.overflow_bytes + b.Spine.Space.string_bytes)
+  let bpc = Spine.Compact_store.bytes_per_char c in
+  if bpc >= 13.5 then Alcotest.failf "bytes/char too high: %.2f" bpc;
+  if bpc <= 8.0 then Alcotest.failf "bytes/char suspiciously low: %.2f" bpc;
+  let b = Spine.Compact_store.space c in
+  Alcotest.(check (float 1e-9)) "bytes/char is the components' sum per char"
+    (float_of_int
+       (b.Spine.Compact_store.lt_bytes + b.Spine.Compact_store.rt_bytes
+        + b.Spine.Compact_store.overflow_bytes
+        + b.Spine.Compact_store.string_bytes)
+     /. float_of_int (Bioseq.Packed_seq.length seq))
+    bpc
 
 (* --- Suffix trie yardstick --- *)
 
@@ -225,7 +274,7 @@ let test_trie_counts () =
   Alcotest.(check bool) "absent" false (Suffix_trie.contains trie "gg");
   Alcotest.(check bool) "foreign chars" false (Suffix_trie.contains trie "xyz");
   (* SPINE's node count beats the trie's by construction *)
-  let spine = Spine.Index.engine (Spine.Index.of_string dna "acgtacgt") in
+  let spine = Spine.Compact.engine (Spine.Compact.of_string dna "acgtacgt") in
   Alcotest.(check int) "spine nodes" 9 (Spine.Engine.node_count spine);
   Alcotest.(check bool) "trie much larger" true
     (Suffix_trie.node_count trie > 9)
@@ -256,4 +305,6 @@ let suite =
   ; Alcotest.test_case "trie: unary nodes" `Quick test_trie_unary
   ; Alcotest.test_case "disk: pages the Section 5 layout" `Quick
       test_disk_pages_real_layout
+  ; Alcotest.test_case "serialize: v3 re-serializes byte for byte" `Quick
+      test_serialize_reserialize
   ]

@@ -2,7 +2,14 @@
    Section 3.1 construction walkthrough), checked edge-for-edge against
    the hand-validated construction trace. *)
 
-module I = Spine.Index
+module I = Spine.Compact
+let link t node = Spine.Compact_store.(link_dest t node, link_lel t node)
+let rib = Spine.Compact_store.find_rib
+
+(* the extrib without its chain anchor, as Figure 3 labels it *)
+let extrib t node =
+  Option.map (fun (dest, pt, prt, _anchor) -> (dest, pt, prt))
+    (Spine.Compact_store.find_extrib t node)
 module E = Spine.Engine
 
 let dna_like = Bioseq.Alphabet.make "ac"
@@ -26,7 +33,7 @@ let test_links () =
     (fun (node, dest, lel) ->
       Alcotest.(check (pair int int))
         (Printf.sprintf "link of node %d" node)
-        (dest, lel) (I.link t node))
+        (dest, lel) (link t node))
     expected
 
 let test_ribs () =
@@ -40,14 +47,14 @@ let test_ribs () =
     (fun (node, code, dest, pt) ->
       Alcotest.(check (option (pair int int)))
         (Printf.sprintf "rib (%d, %d)" node code)
-        (Some (dest, pt)) (I.rib t node code))
+        (Some (dest, pt)) (rib t node code))
     expected;
   (* and no others *)
   let total =
     List.fold_left
       (fun acc node ->
         List.fold_left
-          (fun acc code -> if I.rib t node code <> None then acc + 1 else acc)
+          (fun acc code -> if rib t node code <> None then acc + 1 else acc)
           acc [ a; c ])
       0
       [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
@@ -59,13 +66,13 @@ let test_extribs () =
   (* "the extrib from Node 5 to Node 7 has a PRT of 1 and PT of 2" and
      its chain continuation created when appending the final character *)
   Alcotest.(check (option (triple int int int))) "extrib at 5"
-    (Some (7, 2, 1)) (I.extrib t 5);
+    (Some (7, 2, 1)) (extrib t 5);
   Alcotest.(check (option (triple int int int))) "extrib at 7"
-    (Some (10, 3, 1)) (I.extrib t 7);
+    (Some (10, 3, 1)) (extrib t 7);
   List.iter
     (fun node ->
       Alcotest.(check (option (triple int int int)))
-        (Printf.sprintf "no extrib at %d" node) None (I.extrib t node))
+        (Printf.sprintf "no extrib at %d" node) None (extrib t node))
     [ 0; 1; 2; 3; 4; 6; 8; 9; 10 ]
 
 let test_node_and_edge_counts () =

@@ -3,7 +3,9 @@
    menagerie. QCheck generators drive the randomised cases; they are
    registered as alcotest cases via QCheck_alcotest. *)
 
-module I = Spine.Index
+module I = Spine.Compact
+let link t node = Spine.Compact_store.(link_dest t node, link_lel t node)
+let rib = Spine.Compact_store.find_rib
 module E = Spine.Engine
 
 let byte = Bioseq.Alphabet.byte
@@ -88,7 +90,7 @@ let check_links s =
   let t = build s in
   for i = 1 to String.length s do
     let lel, dest = Oracles.let_suffix s i in
-    let got_dest, got_lel = I.link t i in
+    let got_dest, got_lel = link t i in
     if (lel, dest) <> (got_lel, got_dest) then
       failwith
         (Printf.sprintf
@@ -138,20 +140,20 @@ let check_prefix_partition s =
   let k = max 1 (n / 2) in
   let prefix = build (String.sub s 0 k) in
   for i = 1 to k do
-    if I.link prefix i <> I.link full i then
+    if link prefix i <> link full i then
       failwith (Printf.sprintf "prefix link mismatch at %d of %S" i s)
   done;
   for node = 0 to k do
     for code = 0 to 255 do
-      match I.rib prefix node code with
+      match rib prefix node code with
       | Some (dest, pt) ->
         (* every prefix rib exists unchanged in the full index *)
-        if I.rib full node code <> Some (dest, pt) then
+        if rib full node code <> Some (dest, pt) then
           failwith (Printf.sprintf "prefix rib mismatch at %d of %S" node s)
       | None ->
         (* a rib present in the full index but absent in the prefix one
            must point beyond the prefix *)
-        (match I.rib full node code with
+        (match rib full node code with
          | Some (dest, _) when dest <= k ->
            failwith
              (Printf.sprintf "full index has early rib missing in prefix \
@@ -184,7 +186,7 @@ module Binary_scan (S : Spine.Store_sig.S) = struct
       Xutil.Int_vec.fold buffer ~init:[] ~f:(fun acc x -> x :: acc) |> List.rev
 end
 
-module Fast_binary = Binary_scan (Spine.Fast_store)
+module Table_binary = Binary_scan (Experiments.Hashtable_store)
 module Compact_binary = Binary_scan (Spine.Compact_store)
 module Paged_binary = Binary_scan (Spine.Paged_store.P)
 
@@ -195,14 +197,12 @@ let tiny_pages =
 
 let check_binary_scan rng sigma s =
   (* the paper's binary-search target-node-buffer formulation must give
-     exactly the same end nodes as the engine's scan, on the fast, the
-     compact and the paged store *)
-  let fast = build s in
-  let compact_idx = Spine.Compact.of_string byte s in
-  let compact = Spine.Compact.store compact_idx in
+     exactly the same end nodes as the store's own scan, on the
+     hashtable, the compact and the paged store *)
+  let table = Experiments.Hashtable_store.of_string byte s in
+  let compact = build s in
   let disk = Spine.Disk.build ~config:tiny_pages (Bioseq.Packed_seq.of_string byte s) in
-  let fast_e = I.engine fast in
-  let compact_e = Spine.Compact.engine compact_idx in
+  let compact_e = I.engine compact in
   let disk_e = Spine.Disk.engine disk in
   for _ = 1 to 20 do
     let pat =
@@ -213,9 +213,11 @@ let check_binary_scan rng sigma s =
       end
       else Oracles.random_string rng sigma (1 + Bioseq.Rng.int rng 5)
     in
-    let p = E.pattern fast_e (codes_of pat) in
-    if E.end_nodes_pattern fast_e p <> Fast_binary.end_nodes fast p then
-      failwith (Printf.sprintf "fast binary scan mismatch for %S in %S" pat s);
+    let p = E.pattern compact_e (codes_of pat) in
+    if Table_binary.Q.end_nodes_pattern table p <> Table_binary.end_nodes table p
+    then
+      failwith
+        (Printf.sprintf "hashtable binary scan mismatch for %S in %S" pat s);
     if E.end_nodes_pattern compact_e p <> Compact_binary.end_nodes compact p
     then
       failwith (Printf.sprintf "compact binary scan mismatch for %S in %S" pat s);

@@ -9,7 +9,9 @@
    input that first exposed the bug (node 302 received link LEL 5
    instead of 4, which later produced search false positives). *)
 
-module I = Spine.Index
+module I = Spine.Compact
+let link t node = Spine.Compact_store.(link_dest t node, link_lel t node)
+module V = Spine.Validate.Make (Spine.Compact_store)
 
 let regression_string =
   "aggggaccccttgcatgggcgggcgcccatggcgcccagctaattgttttatttatggggccagga\
@@ -27,7 +29,7 @@ let regression_string =
 let check_all_links seq =
   let n = Bioseq.Packed_seq.length seq in
   let idx = I.of_seq seq in
-  Spine.Validate.check_exn idx;
+  V.check_exn idx;
   let st = Suffix_tree.build seq in
   let subcodes lo len =
     Array.init len (fun k -> Bioseq.Packed_seq.get seq (lo + k))
@@ -53,7 +55,7 @@ let check_all_links seq =
         | Some p -> p + lel
         | None -> assert false
     in
-    let got_dest, got_lel = I.link idx i in
+    let got_dest, got_lel = link idx i in
     if (got_dest, got_lel) <> (dest, lel) then
       Alcotest.failf "link mismatch at node %d: got (dest %d, lel %d), \
                       oracle (dest %d, lel %d)" i got_dest got_lel dest lel

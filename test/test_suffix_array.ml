@@ -73,7 +73,7 @@ let test_three_way_agreement () =
     let s = Oracles.random_string rng 4 (30 + Bioseq.Rng.int rng 100) in
     let sa = SA.of_string byte s in
     let st = Suffix_tree.of_string byte s in
-    let spine = Spine.Index.engine (Spine.Index.of_string byte s) in
+    let spine = Spine.Compact.engine (Spine.Compact.of_string byte s) in
     for _ = 1 to 20 do
       let pat = Oracles.random_string rng 4 (1 + Bioseq.Rng.int rng 8) in
       let codes = codes_of pat in

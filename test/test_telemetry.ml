@@ -244,7 +244,7 @@ let test_instrumented_build () =
   with_enabled true (fun () ->
       let build () =
         Telemetry.reset ();
-        ignore (Spine.Index.of_string Bioseq.Alphabet.dna "aaccacaaca");
+        ignore (Spine.Compact.of_string Bioseq.Alphabet.dna "aaccacaaca");
         List.filter
           (fun (name, _) -> String.length name >= 6 && String.sub name 0 6 = "build.")
           (Telemetry.snapshot ())

@@ -155,12 +155,12 @@ let test_instrumented_build () =
           (List.filter (fun e -> e.Trace.name = name) (Trace.events ()))
       in
       let seq = Bioseq.Packed_seq.of_string Bioseq.Alphabet.dna "aaccacaaca" in
-      let idx = Spine.Index.of_seq seq in
+      let idx = Spine.Compact.of_seq seq in
       (* the paper's worked example: 4 case-1 closings, 4 ribs, 2 extribs *)
       Alcotest.(check int) "case1 events" 4 (count "build.case1");
       Alcotest.(check int) "rib events" 4 (count "build.rib");
       Alcotest.(check int) "extrib events" 2 (count "build.extrib");
-      ignore (Codes.occurrences (Spine.Index.engine idx) [| 0; 1; 0 |]);
+      ignore (Codes.occurrences (Spine.Compact.engine idx) [| 0; 1; 0 |]);
       Alcotest.(check bool) "traversal steps recorded" true
         (count "step.vertebra" > 0 || count "step.rib" > 0);
       Alcotest.(check bool) "occurrence scan bracketed" true

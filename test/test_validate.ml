@@ -3,13 +3,16 @@
 
 let dna = Bioseq.Alphabet.dna
 
+module CS = Spine.Compact_store
+module V = Spine.Validate.Make (CS)
+
 let test_clean_indexes () =
   let rng = Bioseq.Rng.create 101 in
   (* adversarial byte strings *)
   List.iter
     (fun s ->
-      let idx = Spine.Index.of_string Bioseq.Alphabet.byte s in
-      Spine.Validate.check_exn idx)
+      let idx = Spine.Compact.of_string Bioseq.Alphabet.byte s in
+      V.check_exn idx)
     Oracles.adversarial;
   (* genomic strings *)
   for _ = 1 to 10 do
@@ -17,29 +20,29 @@ let test_clean_indexes () =
       Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng)
         (500 + Bioseq.Rng.int rng 3000)
     in
-    Spine.Validate.check_exn (Spine.Index.of_seq seq)
+    V.check_exn (Spine.Compact.of_seq seq)
   done;
   (* proteins *)
   let seq =
     Bioseq.Synthetic.genomic Bioseq.Alphabet.protein (Bioseq.Rng.split rng) 3000
   in
-  Spine.Validate.check_exn (Spine.Index.of_seq seq);
+  V.check_exn (Spine.Compact.of_seq seq);
   (* generalized (contains separators) *)
   let g = Spine.Generalized.create dna in
   ignore (Spine.Generalized.add_string g "acgtacgggt");
   ignore (Spine.Generalized.add_string g "ttgacaccgt");
-  Spine.Validate.check_exn (Spine.Generalized.index g);
+  V.check_exn (Spine.Generalized.index g);
   (* deserialized *)
-  let idx = Spine.Index.of_string dna "acgtacgtgacgtt" in
-  Spine.Validate.check_exn
+  let idx = Spine.Compact.of_string dna "acgtacgtgacgtt" in
+  V.check_exn
     (Spine.Serialize.of_bytes (Spine.Serialize.to_bytes idx))
 
 (* failure injection: corrupt one field through the raw store and make
    sure the checker notices *)
 let corrupt_and_check mutate expected_substring =
-  let idx = Spine.Index.of_string dna "acgtacgtgacgttacgacg" in
-  mutate (Spine.Index.store idx);
-  match Spine.Validate.check idx with
+  let idx = Spine.Compact.of_string dna "acgtacgtgacgttacgacg" in
+  mutate idx;
+  match V.check idx with
   | [] -> Alcotest.failf "corruption not detected (%s)" expected_substring
   | violations ->
     let found =
@@ -64,14 +67,14 @@ let corrupt_and_check mutate expected_substring =
 
 let test_detects_bad_link_dest () =
   corrupt_and_check
-    (fun s -> Spine.Fast_store.set_link s 5 ~dest:9 ~lel:2)
+    (fun s -> CS.set_link s 5 ~dest:9 ~lel:2)
     "not strictly upstream"
 
 let test_detects_bad_lel () =
   corrupt_and_check
     (fun s ->
-      let dest = Spine.Fast_store.link_dest s 10 in
-      Spine.Fast_store.set_link s 10 ~dest ~lel:(dest + 3))
+      let dest = CS.link_dest s 10 in
+      CS.set_link s 10 ~dest ~lel:(dest + 3))
     "out of range"
 
 let test_detects_wrong_suffix () =
@@ -80,17 +83,26 @@ let test_detects_wrong_suffix () =
     (fun s ->
       (* node 8's link with a dest whose context can't match: point the
          link at a node preceded by a different character *)
-      Spine.Fast_store.set_link s 8 ~dest:3 ~lel:3)
+      CS.set_link s 8 ~dest:3 ~lel:3)
     "differ"
 
 let test_detects_bad_rib () =
   corrupt_and_check
-    (fun s -> Spine.Fast_store.add_rib s 4 ~code:0 ~dest:2 ~pt:1)
+    (fun s -> CS.add_rib s 4 ~code:0 ~dest:2 ~pt:1)
     "downstream"
+
+(* The Section 5 layout appends a rib under a label the node already
+   carries instead of replacing it, and a lookup by label returns the
+   first; the checker walks every stored rib, so it still sees the
+   second (node 4 carries a rib labelled t = 3). *)
+let test_detects_duplicate_rib () =
+  corrupt_and_check
+    (fun s -> CS.add_rib s 4 ~code:3 ~dest:8 ~pt:4)
+    "a second rib with the same character label"
 
 let test_detects_bad_extrib () =
   corrupt_and_check
-    (fun s -> Spine.Fast_store.add_extrib s 6 ~dest:9 ~pt:2 ~prt:5 ~anchor:7)
+    (fun s -> CS.add_extrib s 6 ~dest:9 ~pt:2 ~prt:5 ~anchor:7)
     "PRT must be below PT"
 
 let suite =
@@ -101,6 +113,8 @@ let suite =
   ; Alcotest.test_case "detects broken suffix equality" `Quick
       test_detects_wrong_suffix
   ; Alcotest.test_case "detects upstream rib" `Quick test_detects_bad_rib
+  ; Alcotest.test_case "detects a second rib under one label" `Quick
+      test_detects_duplicate_rib
   ; Alcotest.test_case "detects inconsistent extrib labels" `Quick
       test_detects_bad_extrib
   ]

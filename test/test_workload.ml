@@ -10,7 +10,6 @@ let seq_of n =
    file which the cleanup removes. *)
 let with_engines n f =
   let seq = seq_of n in
-  let fast = Spine.Index.engine (Spine.Index.of_seq seq) in
   let compact = Spine.Compact.engine (Spine.Compact.of_seq seq) in
   let disk = Spine.Disk.engine (Spine.Disk.build seq) in
   let path = Filename.temp_file "test_workload" ".db" in
@@ -22,7 +21,7 @@ let with_engines n f =
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       f seq
-        [ ("fast", fast); ("compact", compact); ("disk", disk);
+        [ ("compact", compact); ("disk", disk);
           ("persistent", Spine.Persistent.engine p) ])
 
 let small_config =
@@ -81,7 +80,7 @@ let test_determinism () =
 
 let test_slow_ops_captured () =
   with_engines 400 (fun seq engines ->
-      let engine = List.assoc "fast" engines in
+      let engine = List.assoc "compact" engines in
       let r =
         Workload.run
           ~config:{ small_config with Workload.slowest = 5 }
@@ -122,7 +121,7 @@ let test_tick_hook () =
 
 let test_space_attribution () =
   (* ISSUE acceptance: >= 95% of the measured footprint attributed to
-     named components on all four backends (the built-in stores name
+     named components on all three backends (the built-in stores name
      everything, so this is exactly 1.0) *)
   with_engines 800 (fun _seq engines ->
       List.iter
@@ -159,8 +158,8 @@ let test_space_overlays () =
         (List.mem "bufferpool_frames" (components "disk"));
       Alcotest.(check bool) "persistent has pagestore overlay" true
         (List.mem "pagestore_pages" (components "persistent"));
-      Alcotest.(check bool) "fast has no overlay" false
-        (List.mem "pagestore_pages" (components "fast"));
+      Alcotest.(check bool) "compact has no overlay" false
+        (List.mem "pagestore_pages" (components "compact"));
       (* overlays are excluded from the index footprint *)
       let disk = Spine.Engine.space (List.assoc "disk" engines) in
       Alcotest.(check bool) "disk index < total" true
