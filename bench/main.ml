@@ -7,8 +7,8 @@
       Section 5 space accounting, the Section 5.2 protein runs and the
       ablations). `bench/main.exe table5` runs a single experiment;
       no arguments runs everything.  `micro` runs only the
-      micro-benchmarks, `micro:packed` (or `micro:pool`) only one
-      family, and either combines with experiment names.
+      micro-benchmarks, `micro:packed` (or `micro:pool`, `micro:instr`)
+      only one family, and either combines with experiment names.
 
    2. One Bechamel micro-benchmark group per table/figure, measuring
       the kernel operation each experiment times (construction,
@@ -118,6 +118,48 @@ let occ_pattern =
      let codes = Array.init 64 (Bioseq.Packed_seq.get data) in
      Spine.Engine.pattern (Lazy.force spine_engine) codes)
 
+(* --- instrumentation price (micro:instr) ---
+
+   One [Engine.contains_pattern] descent on the compact index, timed
+   in four modes: plain, with telemetry collection enabled, inside
+   [Engine.profiled], and with tracing on.  The 64 codes come from the
+   middle of the text, so the descent crosses ribs before its vertebra
+   runs.  Only the public Engine, Telemetry and Trace switches are
+   used, so the kernel times any revision of the instrumentation. *)
+
+let instr_pattern =
+  lazy
+    (let data = eco () in
+     let mid = Bioseq.Packed_seq.length data / 2 in
+     let codes =
+       Array.init 64 (fun k -> Bioseq.Packed_seq.get data (mid + k))
+     in
+     Spine.Engine.pattern (Lazy.force spine_engine) codes)
+
+let instr_descent () =
+  Spine.Engine.contains_pattern (Lazy.force spine_engine)
+    (Lazy.force instr_pattern)
+
+(* a mode's switch is on for the whole measurement, then restored *)
+let instr_switched name ~is_enabled ~set_enabled =
+  Test.make_with_resource ~name:("instr/" ^ name) Test.uniq
+    ~allocate:(fun () ->
+      let was = is_enabled () in
+      set_enabled true;
+      was)
+    ~free:set_enabled
+    (Staged.stage (fun _ -> instr_descent ()))
+
+let instr_tests =
+  [ Test.make ~name:"instr/plain" (Staged.stage instr_descent);
+    instr_switched "telemetry" ~is_enabled:Telemetry.is_enabled
+      ~set_enabled:Telemetry.set_enabled;
+    Test.make ~name:"instr/profiled"
+      (Staged.stage (fun () ->
+           Spine.Engine.profiled (Lazy.force spine_engine) instr_descent));
+    instr_switched "traced" ~is_enabled:Trace.is_enabled
+      ~set_enabled:Trace.set_enabled ]
+
 (* the cursor kernels time the functor directly, without the engine's
    per-step guard closure *)
 module Compact_cursor = Spine.Cursor.Make (Spine.Compact_store)
@@ -138,7 +180,10 @@ let resident_pool =
   lazy
     (let dev = Pagestore.Device.create ~page_size:pool_page_size () in
      let pool = Pagestore.Buffer_pool.create ~frames:4 dev in
-     let tab = Pagestore.Paged_bytes.make pool ~base_page:0 in
+     let tab =
+       Pagestore.Paged_bytes.make pool ~region:"bench" ~base_page:0
+         ~capacity:max_int
+     in
      Pagestore.Paged_bytes.set_u32 tab 64 0xC0FF_EE;
      (pool, tab))
 
@@ -155,7 +200,10 @@ let resident_lt =
   lazy
     (let dev = Pagestore.Device.create ~page_size:pool_page_size () in
      let pool = Pagestore.Buffer_pool.create ~frames:8 dev in
-     let lt = Pagestore.Paged_bytes.make pool ~base_page:0 in
+     let lt =
+       Pagestore.Paged_bytes.make pool ~region:"lt" ~base_page:0
+         ~capacity:max_int
+     in
      for i = 0 to lt_entries - 1 do
        let off = Pagestore.Paged_bytes.alloc lt Spine.Compact_store.lt_entry_bytes in
        Pagestore.Paged_bytes.set_u16 lt (off + 4) (i land 15)
@@ -286,6 +334,7 @@ let tests =
              ~min:12 (fun _ _ -> incr passed);
            !passed))
   ]
+  @ instr_tests
 
 (* Returns (name, estimated ns/run) per test so the trajectory artifact
    records what was printed.  [prefixes] restricts the run to tests

@@ -7,6 +7,7 @@ type t =
   | Closed of string
   | Timeout of { op : string; deadline_ns : int; elapsed_ns : int }
   | Overloaded of { op : string; state : string }
+  | Region_full of { region : string; capacity : int }
 
 exception Error of t
 
@@ -34,6 +35,9 @@ let to_string = function
       (float_of_int deadline_ns /. 1e6)
   | Overloaded { op; state } ->
     Printf.sprintf "%s shed: circuit breaker %s" op state
+  | Region_full { region; capacity } ->
+    Printf.sprintf "region %s is full: its %d bytes are allocated" region
+      capacity
 
 let raise_error e = raise (Error e)
 

@@ -36,6 +36,10 @@ type t =
       (** Load shed: the circuit breaker is open (or still probing in
           half-open) and the request was rejected without touching the
           engine.  [state] names the breaker state that shed it. *)
+  | Region_full of { region : string; capacity : int }
+      (** A paged table needed more than the [capacity] bytes of its
+          fixed page region ("lt", "rt0".."rt3", "seq"), so the index
+          cannot grow further at this page size. *)
 
 exception Error of t
 

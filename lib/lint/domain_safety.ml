@@ -913,16 +913,22 @@ let scan_file t ~source str =
 (* ------------------------------------------------------------------ *)
 (* Fixpoint over the call graph                                        *)
 
-(* The names of Engine's queries, plus the cursor's and Generalized's
-   [occurrences]. *)
-let query_surface =
-  [ "pattern"; "pattern_of_string"; "contains_pattern";
-    "find_first_pattern"; "end_nodes_pattern"; "occurrences_pattern";
-    "occurrences"; "occurrences_batch";
-    "occurrences_many"; "encode"; "matching_statistics";
-    "maximal_matches"; "label_maxima"; "rib_distribution"; "edge_counts";
-    "link_histogram"; "run_batch"; "cursor"; "space"; "alphabet";
-    "length"; "node_count"; "profiled" ]
+(* The query surface of an engine interface: every value whose first
+   parameter is the interface's own [t]. *)
+let query_roots (sg : Typedtree.signature) =
+  List.filter_map
+    (fun item ->
+      match item.Typedtree.sig_desc with
+      | Typedtree.Tsig_value vd -> (
+        match Types.get_desc vd.Typedtree.val_val.Types.val_type with
+        | Types.Tarrow (_, arg, _, _) -> (
+          match Types.get_desc arg with
+          | Types.Tconstr (Path.Pident id, [], _) when Ident.name id = "t" ->
+            Some (Ident.name vd.Typedtree.val_id)
+          | _ -> None)
+        | _ -> None)
+      | _ -> None)
+    sg.Typedtree.sig_items
 
 let resolve t c =
   match c.cl_callee with
@@ -1069,11 +1075,11 @@ let eff_site e =
   | fr :: _ -> (fr.fr_file, fr.fr_line)
   | [] -> ("", 0)
 
-let finalize t ~roots_in =
+let finalize t ~roots_in ~roots =
   fixpoint t;
   let roots =
     List.filter
-      (fun s -> List.mem s.s_name query_surface && roots_in s.s_file)
+      (fun s -> List.mem s.s_name roots && roots_in s.s_file)
       t.summaries
   in
   (* L9: one finding per distinct write site, first witness wins *)

@@ -65,13 +65,16 @@ type cert_row = {
   cm_witness : string;  (** why: escape chain or absorption site *)
 }
 
-val finalize : t -> roots_in:(string -> bool) -> l9 list * cert_row list
-(** Run the call-graph fixpoint and report.  [roots_in] selects which
-    scanned files may contribute query-surface roots (the driver
-    passes the [lib/spine/] prefix check, or everything for fixture
-    trees).  L9 findings are deduplicated by write site; the first
-    witness chain encountered is kept. *)
+val query_roots : Typedtree.signature -> string list
+(** The query surface of a compiled engine interface: the names of its
+    values whose first parameter is the interface's own [t]
+    ([contains_pattern], [matching_statistics], [cursor], ...). *)
 
-val query_surface : string list
-(** Basenames of the read operations treated as analysis roots
-    ([occurrences], [contains], [matching_statistics], ...). *)
+val finalize :
+  t -> roots_in:(string -> bool) -> roots:string list ->
+  l9 list * cert_row list
+(** Run the call-graph fixpoint and report.  Every function named in
+    [roots] ({!Lint.run} passes {!query_roots} of [engine.mli]) in a
+    file [roots_in] selects ([lib/spine/], or everything for fixture
+    trees) is a query root.  L9 findings are deduplicated by write
+    site; the first witness chain encountered is kept. *)

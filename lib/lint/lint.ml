@@ -434,7 +434,7 @@ let is_suppressed sup rule line =
 (* ------------------------------------------------------------------ *)
 (* The driver                                                          *)
 
-let walk_cmts root =
+let walk_cmts ?(suffix = ".cmt") root =
   let out = ref [] in
   let rec go dir =
     match Sys.readdir dir with
@@ -446,11 +446,26 @@ let walk_cmts root =
           match Sys.is_directory p with
           | exception Sys_error _ -> ()
           | true -> go p
-          | false -> if Filename.check_suffix p ".cmt" then out := p :: !out)
+          | false -> if Filename.check_suffix p suffix then out := p :: !out)
         entries
   in
   go root;
   List.sort String.compare !out
+
+(* The domain-safety roots: the queries of the compiled Engine
+   interface (lib/spine/engine.mli; any engine.mli for fixture trees). *)
+let engine_roots ~all_paths build_dir =
+  List.find_map
+    (fun path ->
+      match Cmt_format.read_cmt path with
+      | exception (Cmt_format.Error _ | Sys_error _ | Failure _) -> None
+      | { Cmt_format.cmt_sourcefile = Some src;
+          cmt_annots = Cmt_format.Interface sg; _ }
+        when (if all_paths then Filename.basename src = "engine.mli"
+              else src = "lib/spine/engine.mli") ->
+        Some (Domain_safety.query_roots sg)
+      | _ -> None)
+    (walk_cmts ~suffix:".cmti" build_dir)
 
 let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
     ?(domains = false) ~build_dir ~source_root () =
@@ -458,12 +473,22 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
     Stdlib.Error (Printf.sprintf "build dir %S does not exist" build_dir)
   else begin
     let cmts = walk_cmts build_dir in
-    if cmts = [] then
+    let roots =
+      if domains then engine_roots ~all_paths build_dir else Some []
+    in
+    match (cmts, roots) with
+    | [], _ ->
       Stdlib.Error
         (Printf.sprintf
            "no .cmt files under %S (build first: dune build @check)"
            build_dir)
-    else begin
+    | _, None ->
+      Stdlib.Error
+        (Printf.sprintf
+           "no compiled engine.mli under %S to root the domain-safety \
+            pass at (build first: dune build @check)"
+           build_dir)
+    | _, Some roots -> begin
       let flagged = ref [] and waived = ref [] and scanned = ref 0 in
       let rule_enabled r =
         (only = [] || List.mem r only) && not (List.mem r except)
@@ -573,7 +598,7 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
           let roots_in f =
             all_paths || String.starts_with ~prefix:"lib/spine/" f
           in
-          let l9s, rows = Domain_safety.finalize ds ~roots_in in
+          let l9s, rows = Domain_safety.finalize ds ~roots_in ~roots in
           if rule_enabled Shared_mutation then
             List.iter
               (fun (f : Domain_safety.l9) ->

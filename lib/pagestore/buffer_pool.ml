@@ -1,91 +1,15 @@
 (* Frames form an intrusive doubly-linked LRU list (indices into the
    frame arrays). [head] is most recently used, [tail] least. *)
 
-(* Global telemetry mirrors of the per-pool stats: cheap aggregate
-   counters experiments read across every pool a run creates. *)
-let c_hits = Telemetry.counter "pool.hits"
-let c_misses = Telemetry.counter "pool.misses"
-let c_evictions = Telemetry.counter "pool.evictions"
+(* Global counters next to the per-pool stats, for experiments that
+   read across every pool a run creates.  Hits, misses, evictions,
+   writebacks and I/O retries are hot events counted by [Probe]; the
+   rest are rare. *)
 let c_pinned_evictions = Telemetry.counter "pool.pinned_evictions"
-let c_writebacks = Telemetry.counter "pool.writebacks"
 let c_flushes = Telemetry.counter "pool.flushes"
-let c_io_retries = Telemetry.counter "pool.io_retries"
 let c_exhausted = Telemetry.counter "pool.exhausted"
 
 type replacement = [ `Lru | `Fifo ]
-
-(* --- per-query attribution ---------------------------------------- *)
-
-(* A scoped sink for the pool work one logical operation causes.  The
-   profiler installs a sink around a single query; every pool in the
-   process then charges that query's hits, misses, evictions and device
-   bytes to it — the same increments the global pool.*/device.* telemetry
-   receives, so per-query sums reconcile exactly with the global deltas
-   on a single-domain, fault-free run.  The slot is per-domain
-   ([Domain.DLS]), so parallel domains profile independent queries
-   without seeing each other's work. *)
-
-type attribution = {
-  mutable at_hits : int;
-  mutable at_misses : int;
-  mutable at_evictions : int;
-  mutable at_read_bytes : int;
-  mutable at_write_bytes : int;
-  mutable at_io_retries : int;
-  mutable at_injected_delay_ns : int;
-}
-
-let fresh_attribution () =
-  { at_hits = 0; at_misses = 0; at_evictions = 0;
-    at_read_bytes = 0; at_write_bytes = 0;
-    at_io_retries = 0; at_injected_delay_ns = 0 }
-
-let att_slot : attribution option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let with_attribution att f =
-  let r = Domain.DLS.get att_slot in
-  let prev = !r in
-  r := Some att;
-  Fun.protect ~finally:(fun () -> r := prev) f
-
-let att_hit () =
-  match !(Domain.DLS.get att_slot) with
-  | None -> ()
-  | Some a -> a.at_hits <- a.at_hits + 1
-
-let att_miss () =
-  match !(Domain.DLS.get att_slot) with
-  | None -> ()
-  | Some a -> a.at_misses <- a.at_misses + 1
-
-let att_evict () =
-  match !(Domain.DLS.get att_slot) with
-  | None -> ()
-  | Some a -> a.at_evictions <- a.at_evictions + 1
-
-let att_read n =
-  match !(Domain.DLS.get att_slot) with
-  | None -> ()
-  | Some a -> a.at_read_bytes <- a.at_read_bytes + n
-
-let att_write n =
-  match !(Domain.DLS.get att_slot) with
-  | None -> ()
-  | Some a -> a.at_write_bytes <- a.at_write_bytes + n
-
-let att_retry () =
-  match !(Domain.DLS.get att_slot) with
-  | None -> ()
-  | Some a -> a.at_io_retries <- a.at_io_retries + 1
-
-(* Charged by the latency injector (Latency_device): the injected
-   delay is pool traffic from the query's point of view, so it flows
-   through the same per-domain sink as the hits and misses. *)
-let note_injected_delay ns =
-  match !(Domain.DLS.get att_slot) with
-  | None -> ()
-  | Some a -> a.at_injected_delay_ns <- a.at_injected_delay_ns + ns
 
 type t = {
   dev : Device.t;
@@ -192,8 +116,7 @@ let with_io_retries page f =
     | Spine_error.Error (Spine_error.Io_failed { transient = true; _ })
       when attempt < max_io_attempts ->
       Deadline.check ();
-      Telemetry.incr c_io_retries;
-      att_retry ();
+      Probe.add Probe.io_retry 1;
       if Trace.on () then
         Trace.instant "pool.io_retry"
           [ Trace.Int ("page", page); Trace.Int ("attempt", attempt) ];
@@ -229,10 +152,9 @@ let writeback t f =
        if it raises, the frame stays dirty and nothing was overwritten *)
     (match t.on_writeback with Some h -> h page | None -> ());
     with_io_retries page (fun () -> Device.write t.dev page t.buffers.(f));
-    att_write (Device.page_size t.dev);
     t.dirty.(f) <- false;
     t.writebacks <- t.writebacks + 1;
-    Telemetry.incr c_writebacks
+    Probe.add Probe.pool_writeback 1
   end
 
 (* Choose a victim frame: least-recently-used unpinned, falling back to
@@ -281,14 +203,12 @@ let frame_for t page =
   match Xutil.Int_tbl.find_opt t.table page with
   | Some f ->
     t.hits <- t.hits + 1;
-    Telemetry.incr c_hits;
-    att_hit ();
+    Probe.add Probe.pool_hit 1;
     (match t.replacement with `Lru -> touch t f | `Fifo -> ());
     f
   | None ->
     t.misses <- t.misses + 1;
-    Telemetry.incr c_misses;
-    att_miss ();
+    Probe.add Probe.pool_miss 1;
     (* the fault span covers victim selection, the eviction writeback
        and the device read — everything the miss made the caller pay *)
     let tr = Trace.on () in
@@ -312,15 +232,13 @@ let frame_for t page =
         writeback t victim;
         Xutil.Int_tbl.remove t.table t.page_of.(victim);
         t.evictions <- t.evictions + 1;
-        Telemetry.incr c_evictions;
-        att_evict ();
+        Probe.add Probe.pool_eviction 1;
         unlink t victim;
         victim
       end
     in
     (match with_io_retries page (fun () -> Device.read t.dev page) with
      | data ->
-       att_read (Device.page_size t.dev);
        Bytes.blit data 0 t.buffers.(f) 0 (Bytes.length data)
      | exception e ->
        (* the frame was already claimed (victim evicted / free slot

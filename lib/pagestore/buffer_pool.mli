@@ -7,7 +7,11 @@
     and concludes that "retain as much as possible of the top part of the
     Link Table in memory" is a sufficient buffering strategy.  Passing
     [pin] marks pages as preferred residents: a pinned page is only
-    evicted when every frame holds a pinned page. *)
+    evicted when every frame holds a pinned page.
+
+    Besides its own {!stats}, every pool counts its hits, misses,
+    evictions, writebacks and I/O retries as {!Probe} events, which
+    feed the global [pool.*] counters and the per-query profiles. *)
 
 type t
 
@@ -67,8 +71,8 @@ val with_io_retries : int -> (unit -> 'a) -> 'a
 (** [with_io_retries page f] runs the device operation [f] on [page]
     with the pool's transient-I/O retry policy: a transient
     [Io_failed] is retried up to 4 attempts in all, each retry first
-    calling {!Deadline.check} and counting in [pool.io_retries] (and
-    the attribution sink); any other error, and the last transient one,
+    calling {!Deadline.check} and counting in [pool.io_retries]; any
+    other error, and the last transient one,
     propagates.  {!with_page} uses it for fills and writebacks; a
     caller that writes the device directly (metadata, journals) uses it
     to get the same policy. *)
@@ -95,45 +99,3 @@ val stats : t -> stats
 val reset_stats : t -> unit
 (** Zero every counter (frame contents are untouched). *)
 
-(** {2 Per-query attribution}
-
-    The pool's telemetry counters are process-global aggregates; the
-    attribution hook answers {e which query} caused the page traffic.
-    Installing a sink with {!with_attribution} charges every hit, miss,
-    eviction and device transfer that {e any} pool performs on the
-    calling domain, for the dynamic extent of the callback, to that
-    sink — the same increments the [pool.*] counters and the device
-    byte counters receive, so on a single-domain fault-free run the
-    per-query sinks sum exactly to the global telemetry deltas.
-    [Profile.profiled] is the intended caller. *)
-
-type attribution = {
-  mutable at_hits : int;
-  mutable at_misses : int;
-  mutable at_evictions : int;
-  mutable at_read_bytes : int;
-      (** device bytes read by miss fills ([page size] per fill;
-          injected-fault retries re-read but are charged once) *)
-  mutable at_write_bytes : int;
-      (** device bytes written by writebacks this operation forced *)
-  mutable at_io_retries : int;
-      (** transient-I/O retry passes this operation paid (mirrors the
-          [pool.io_retries] counter) *)
-  mutable at_injected_delay_ns : int;
-      (** latency the injector ({!Latency_device}) charged to this
-          operation's device traffic *)
-}
-
-val fresh_attribution : unit -> attribution
-(** An all-zero sink. *)
-
-val note_injected_delay : int -> unit
-(** Charge [ns] of injected device latency to the calling domain's
-    attribution sink (no-op without one) — {!Latency_device} calls this
-    so per-query profiles carry the delay they were subjected to. *)
-
-val with_attribution : attribution -> (unit -> 'a) -> 'a
-(** [with_attribution sink f] runs [f] with [sink] installed as the
-    calling domain's attribution target, restoring the previous target
-    (scopes nest by shadowing) even on exceptions.  Per-domain: other
-    domains' pool traffic is never charged to [sink]. *)

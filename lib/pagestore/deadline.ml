@@ -1,6 +1,6 @@
 (* Cooperative per-query deadlines (see deadline.mli).  The ambient
-   deadline lives in a Domain.DLS slot exactly like the profile and
-   attribution sinks: arming is one save/restore, a check is one DLS
+   deadline lives in a Domain.DLS slot, like the probe counts and the
+   open profile scopes: arming is one save/restore, a check is one DLS
    read plus a compare when armed, one DLS read when not — cheap enough
    for the paged hot paths to call unconditionally. *)
 

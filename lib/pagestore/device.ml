@@ -1,10 +1,7 @@
-(* Device-level telemetry: page and byte traffic aggregated across
-   every device a run creates (the per-device [stats] record stays the
-   scoped view). *)
-let c_reads = Telemetry.counter "device.read_pages"
-let c_writes = Telemetry.counter "device.write_pages"
-let c_read_bytes = Telemetry.counter "device.read_bytes"
-let c_write_bytes = Telemetry.counter "device.write_bytes"
+(* Device-level telemetry: page and byte traffic are [Probe] events,
+   aggregated across every device a run creates (the per-device [stats]
+   record stays the scoped view); integrity failures are rare and keep
+   counters of their own. *)
 let c_crc_errors = Telemetry.counter "device.crc_errors"
 let c_stale_epochs = Telemetry.counter "device.stale_epochs"
 
@@ -226,8 +223,8 @@ let unseal t page phys =
 
 let read t page =
   t.reads <- t.reads + 1;
-  Telemetry.incr c_reads;
-  Telemetry.add c_read_bytes t.page_size;
+  Probe.add Probe.device_read 1;
+  Probe.add Probe.device_read_bytes t.page_size;
   if Trace.on () then
     Trace.instant "device.read"
       [ Trace.Int ("page", page); Trace.Int ("bytes", t.page_size) ];
@@ -240,8 +237,8 @@ let write t page data =
   if Bytes.length data <> t.page_size then
     invalid_arg "Device.write: data is not exactly one page";
   t.writes <- t.writes + 1;
-  Telemetry.incr c_writes;
-  Telemetry.add c_write_bytes t.page_size;
+  Probe.add Probe.device_write 1;
+  Probe.add Probe.device_write_bytes t.page_size;
   if Trace.on () then
     Trace.instant "device.write"
       [ Trace.Int ("page", page); Trace.Int ("bytes", t.page_size) ];
@@ -275,8 +272,8 @@ let write t page data =
 
 let raw_slot t page =
   t.reads <- t.reads + 1;
-  Telemetry.incr c_reads;
-  Telemetry.add c_read_bytes t.page_size;
+  Probe.add Probe.device_read 1;
+  Probe.add Probe.device_read_bytes t.page_size;
   charge t page t.cost.read_us;
   read_phys t page
 
@@ -284,8 +281,8 @@ let write_raw_slot t page phys =
   if Bytes.length phys <> phys_size t then
     invalid_arg "Device.write_raw_slot: not exactly one physical slot";
   t.writes <- t.writes + 1;
-  Telemetry.incr c_writes;
-  Telemetry.add c_write_bytes t.page_size;
+  Probe.add Probe.device_write 1;
+  Probe.add Probe.device_write_bytes t.page_size;
   charge t page t.cost.write_us;
   if t.sync_writes then t.elapsed_us <- t.elapsed_us +. t.cost.sync_us;
   write_phys t page phys

@@ -76,7 +76,7 @@ let inject t ~what ~page base =
       t.injected_ns <- t.injected_ns + ns;
       Telemetry.incr c_ops;
       Telemetry.observe h_ns ns;
-      Buffer_pool.note_injected_delay ns;
+      Probe.add Probe.injected_delay_ns ns;
       if Trace.on () then
         Trace.instant "latency.inject"
           [ Trace.Str ("op", what); Trace.Int ("page", page);

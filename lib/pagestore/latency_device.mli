@@ -10,9 +10,9 @@
     sleeping, so a scenario can arm faults first and wrap latency
     around them.  Every injected delay is charged three ways: the
     [latency.injected_ops]/[latency.injected_ns] telemetry family, a
-    trace instant, and the calling query's attribution sink (so
-    per-query profiles report the delay they were subjected to, see
-    {!Buffer_pool.note_injected_delay}).
+    trace instant, and the {!Probe.injected_delay_ns} event of the
+    calling domain (so per-query profiles report the delay they were
+    subjected to).
 
     Sleeps cooperate with the ambient {!Deadline}: an injected delay is
     truncated at the deadline and an overrun query fails typed

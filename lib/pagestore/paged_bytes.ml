@@ -2,13 +2,15 @@
 
 type t = {
   pool : Buffer_pool.t;
+  region : string;
   base_page : int;
+  capacity : int;
   page_size : int;
   mutable used : int;
 }
 
-let make ?(used = 0) pool ~base_page =
-  { pool; base_page;
+let make ?(used = 0) pool ~region ~base_page ~capacity =
+  { pool; region; base_page; capacity;
     page_size = Device.page_size (Buffer_pool.device pool);
     used }
 
@@ -16,7 +18,10 @@ let used t = t.used
 
 let alloc t n =
   let off = t.used in
-  t.used <- t.used + n;
+  if off + n > t.capacity then
+    Spine_error.raise_error
+      (Spine_error.Region_full { region = t.region; capacity = t.capacity });
+  t.used <- off + n;
   off
 
 let page t off = t.base_page + (off / t.page_size)

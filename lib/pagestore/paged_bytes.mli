@@ -16,18 +16,23 @@
 
 type t
 
-val make : ?used:int -> Buffer_pool.t -> base_page:int -> t
-(** [make pool ~base_page] starts a table at device page [base_page]
-    with [used] bytes (default 0) already allocated — a reopened
-    region passes its recorded length.  Several tables share one pool
-    by using disjoint page ranges. *)
+val make :
+  ?used:int -> Buffer_pool.t -> region:string -> base_page:int ->
+  capacity:int -> t
+(** [make pool ~region ~base_page ~capacity] starts a table at device
+    page [base_page] that may grow to [capacity] bytes, with [used]
+    bytes (default 0) already allocated — a reopened region passes its
+    recorded length.  [region] names the table in errors.  Several
+    tables share one pool by using disjoint page ranges. *)
 
 val used : t -> int
 (** Bytes allocated so far. *)
 
 val alloc : t -> int -> int
 (** [alloc t n] reserves [n] more bytes, returning their offset.  No
-    page is touched: pages materialise on first access. *)
+    page is touched: pages materialise on first access.
+    @raise Spine_error.Error ([Region_full]) when the table would
+    outgrow its capacity; nothing is allocated then. *)
 
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit

@@ -1,19 +1,9 @@
-(* Per-operation cost profiles (see profile.mli).  The ambient profile
-   lives in a Domain.DLS slot: a bump is one DLS read plus one mutable
-   field store when a profile is active, and one DLS read plus a match
-   when not — cheap enough that the search/matcher/cursor inner loops
-   stay instrumented permanently, like the telemetry counters they
-   mirror. *)
+(* Per-operation cost profiles (see profile.mli).  A profile is the
+   difference between the calling domain's probe counts at the end and
+   at the start of its scope; nothing on the hot path knows profiles
+   exist. *)
 
-(* Process-global rollups of everything captured per query, so the
-   Prometheus exposition carries attributed totals next to the raw
-   pool.*/search.* aggregates. *)
 let c_queries = Telemetry.counter "profile.queries"
-let c_steps_total = Telemetry.counter "profile.steps_total"
-let c_scan_nodes = Telemetry.counter "profile.scan_nodes"
-let c_pool_misses = Telemetry.counter "profile.pool_misses"
-let c_read_bytes = Telemetry.counter "profile.device_read_bytes"
-let c_write_bytes = Telemetry.counter "profile.device_write_bytes"
 let h_wall = Telemetry.histogram "profile.wall_ns"
 
 type t = {
@@ -46,108 +36,60 @@ let make () =
     io_retries = 0; injected_delay_ns = 0;
     alloc_bytes = 0; wall_ns = 0 }
 
-(* The ambient profile of the calling domain; [None] outside any
-   [profiled] scope. *)
-let slot : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let active () = !(Domain.DLS.get slot) <> None
-
-let step_vertebra () =
-  match !(Domain.DLS.get slot) with
-  | None -> ()
-  | Some p -> p.vertebra_steps <- p.vertebra_steps + 1
-
-let step_rib () =
-  match !(Domain.DLS.get slot) with
-  | None -> ()
-  | Some p -> p.rib_steps <- p.rib_steps + 1
-
-let step_extrib () =
-  match !(Domain.DLS.get slot) with
-  | None -> ()
-  | Some p -> p.extrib_steps <- p.extrib_steps + 1
-
-let step_link () =
-  match !(Domain.DLS.get slot) with
-  | None -> ()
-  | Some p -> p.link_steps <- p.link_steps + 1
-
-let add_descent n =
-  match !(Domain.DLS.get slot) with
-  | None -> ()
-  | Some p -> p.descent_depth <- p.descent_depth + n
-
-let add_scan n =
-  match !(Domain.DLS.get slot) with
-  | None -> ()
-  | Some p -> p.scan_nodes <- p.scan_nodes + n
-
-let add_found n =
-  match !(Domain.DLS.get slot) with
-  | None -> ()
-  | Some p -> p.found <- p.found + n
-
-(* Bulk adders for the word-packed scan paths: one whole-word compare
-   extends the match by up to [codes_per_word] characters, so the
-   vertebra count is bumped by the run length in one store and the
-   word/scalar split is recorded alongside. *)
-let add_vertebras n =
-  match !(Domain.DLS.get slot) with
-  | None -> ()
-  | Some p -> p.vertebra_steps <- p.vertebra_steps + n
-
-let add_word_steps n =
-  match !(Domain.DLS.get slot) with
-  | None -> ()
-  | Some p -> p.word_steps <- p.word_steps + n
-
-let add_scalar_steps n =
-  match !(Domain.DLS.get slot) with
-  | None -> ()
-  | Some p -> p.scalar_steps <- p.scalar_steps + n
-
 let total_steps p =
   p.vertebra_steps + p.rib_steps + p.extrib_steps + p.link_steps
 
+(* The calling domain's open scopes, innermost first: the probe counts
+   from which each scope's own work is measured.  A closing scope adds
+   its work to the enclosing scope's baseline, so the enclosing
+   profile does not count it again (shadowing). *)
+let scopes : int array list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
 let profiled f =
-  let p = make () in
-  let att = Pagestore.Buffer_pool.fresh_attribution () in
-  let r = Domain.DLS.get slot in
-  let prev = !r in
-  r := Some p;
+  let stack = Domain.DLS.get scopes in
+  let base = Probe.local () in
+  stack := base :: !stack;
   let alloc0 = Gc.allocated_bytes () in
   let t0 = Xutil.Stopwatch.now_ns () in
   let finish () =
-    p.wall_ns <- Xutil.Stopwatch.now_ns () - t0;
-    p.alloc_bytes <-
-      int_of_float (Float.max 0.0 (Gc.allocated_bytes () -. alloc0));
-    p.pool_hits <- p.pool_hits + att.Pagestore.Buffer_pool.at_hits;
-    p.pool_misses <- p.pool_misses + att.Pagestore.Buffer_pool.at_misses;
-    p.pool_evictions <-
-      p.pool_evictions + att.Pagestore.Buffer_pool.at_evictions;
-    p.device_read_bytes <-
-      p.device_read_bytes + att.Pagestore.Buffer_pool.at_read_bytes;
-    p.device_write_bytes <-
-      p.device_write_bytes + att.Pagestore.Buffer_pool.at_write_bytes;
-    p.io_retries <- p.io_retries + att.Pagestore.Buffer_pool.at_io_retries;
-    p.injected_delay_ns <-
-      p.injected_delay_ns + att.Pagestore.Buffer_pool.at_injected_delay_ns;
-    r := prev
+    let wall_ns = Xutil.Stopwatch.now_ns () - t0 in
+    let alloc_bytes =
+      int_of_float (Float.max 0.0 (Gc.allocated_bytes () -. alloc0))
+    in
+    let now = Probe.local () in
+    (match !stack with
+     | _ :: (outer :: _ as rest) ->
+       Array.iteri (fun ev n -> outer.(ev) <- outer.(ev) + n - base.(ev)) now;
+       stack := rest
+     | _ -> stack := []);
+    let d (ev : Probe.event) = now.((ev :> int)) - base.((ev :> int)) in
+    { vertebra_steps = d Probe.vertebra;
+      rib_steps = d Probe.rib;
+      extrib_steps = d Probe.extrib;
+      link_steps = d Probe.link;
+      descent_depth = d Probe.descent;
+      scan_nodes = d Probe.scan_nodes;
+      found = d Probe.found;
+      word_steps = d Probe.word_steps;
+      scalar_steps = d Probe.scalar_steps;
+      pool_hits = d Probe.pool_hit;
+      pool_misses = d Probe.pool_miss;
+      pool_evictions = d Probe.pool_eviction;
+      device_read_bytes = d Probe.device_read_bytes;
+      device_write_bytes = d Probe.device_write_bytes;
+      io_retries = d Probe.io_retry;
+      injected_delay_ns = d Probe.injected_delay_ns;
+      alloc_bytes; wall_ns }
   in
-  match Pagestore.Buffer_pool.with_attribution att f with
+  match f () with
   | res ->
-    finish ();
+    let p = finish () in
     Telemetry.incr c_queries;
-    Telemetry.add c_steps_total (total_steps p);
-    Telemetry.add c_scan_nodes p.scan_nodes;
-    Telemetry.add c_pool_misses p.pool_misses;
-    Telemetry.add c_read_bytes p.device_read_bytes;
-    Telemetry.add c_write_bytes p.device_write_bytes;
     Telemetry.observe h_wall p.wall_ns;
     (res, p)
   | exception e ->
-    finish ();
+    ignore (finish ());
     raise e
 
 let absorb dst src =

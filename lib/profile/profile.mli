@@ -1,28 +1,25 @@
 (** Per-operation execution profiles.
 
-    Everything the observability stack measured before this module was
-    a process-global aggregate: the telemetry counters can say the
-    process did 40k rib steps and 900 page faults, not {e which query}
-    cost what.  A {!t} is the per-query answer: the traversal work by
-    edge family, the backbone descent depth and occurrence-scan length,
-    the buffer-pool and device traffic the query caused (attributed
-    through {!Pagestore.Buffer_pool.with_attribution}, not recovered
-    from global counter diffs), plus allocation and wall time.
+    The telemetry counters are process-global aggregates: they can say
+    the process did 40k rib steps and 900 page faults, not {e which
+    query} cost what.  A {!t} is the per-query answer: the traversal
+    work by edge family, the backbone descent depth and
+    occurrence-scan length, the buffer-pool and device traffic the
+    query caused, plus allocation and wall time.
 
-    The ambient profile is a {!Domain.DLS} slot.  The instrumented hot
-    paths ({!Spine.Search}, {!Spine.Matcher}, {!Spine.Cursor}, the
-    buffer pool) bump whatever profile is active on their domain; with
-    no active profile a bump is a DLS read and a match — cheap enough
-    to stay on permanently.  Scopes nest by {e shadowing}: a nested
+    A profile is derived from the calling domain's {!Probe} counts —
+    the same counts behind the [search.*], [pool.*] and [device.*]
+    counters — read when the scope opens and when it closes.  The hot
+    paths make one probe call per event and know nothing of profiles,
+    so per-query sums reconcile exactly with the global counter deltas,
+    and parallel domains profile independent queries without seeing
+    each other's work.  Scopes nest by {e shadowing}: a nested
     {!profiled} captures its own costs and the outer profile does not
     include them.
 
-    Completed profiles also feed process-global [profile.*] telemetry
-    rollups ([profile.queries], [profile.steps_total],
-    [profile.scan_nodes], [profile.pool_misses],
-    [profile.device_read_bytes], [profile.device_write_bytes],
-    [profile.wall_ns]) so attributed totals ride the Prometheus
-    exposition next to the raw aggregates. *)
+    Completed profiles also feed two process-global telemetry metrics,
+    the [profile.queries] counter and the [profile.wall_ns]
+    histogram. *)
 
 type t = {
   mutable vertebra_steps : int;  (** backbone edges followed *)
@@ -45,6 +42,8 @@ type t = {
   mutable pool_misses : int;     (** page faults this query caused *)
   mutable pool_evictions : int;
   mutable device_read_bytes : int;
+      (** bytes of every device read the query caused, retried
+          attempts included *)
   mutable device_write_bytes : int;
   mutable io_retries : int;
       (** transient-I/O retry passes the buffer pool paid for this
@@ -57,41 +56,14 @@ type t = {
 }
 
 val make : unit -> t
-(** An all-zero profile (not installed anywhere). *)
+(** An all-zero profile. *)
 
 val profiled : (unit -> 'a) -> 'a * t
-(** [profiled f] runs [f] with a fresh profile installed as the calling
-    domain's ambient profile and a fresh buffer-pool attribution sink
-    installed for its dynamic extent, and returns [f]'s result with the
-    completed profile.  The previous ambient profile (if any) is
-    restored afterwards, also on exceptions; on the exception path the
-    partial profile is discarded.  {!Spine.Engine.profiled} is the
-    guarded entry point queries should use. *)
-
-val active : unit -> bool
-(** Whether the calling domain currently has an ambient profile. *)
-
-(** {2 Instrumentation bumps}
-
-    Called by the traversal hot paths, exactly once per corresponding
-    global-telemetry increment so per-query sums reconcile with the
-    global deltas.  No-ops when no profile is active. *)
-
-val step_vertebra : unit -> unit
-val step_rib : unit -> unit
-val step_extrib : unit -> unit
-val step_link : unit -> unit
-val add_descent : int -> unit
-val add_scan : int -> unit
-val add_found : int -> unit
-
-val add_vertebras : int -> unit
-(** Bulk vertebra bump: a word-compare run of [n] matched characters
-    counts exactly as [n] single {!step_vertebra} calls, so profiles
-    stay comparable across packed and scalar scan paths. *)
-
-val add_word_steps : int -> unit
-val add_scalar_steps : int -> unit
+(** [profiled f] runs [f] as a profiled scope of the calling domain and
+    returns [f]'s result with the completed profile.  On exceptions the
+    partial profile is discarded, and the scope still shadows its
+    enclosing scope.  {!Spine.Engine.profiled} is the guarded entry
+    point queries should use. *)
 
 (** {2 Aggregation and (de)serialization} *)
 

@@ -21,31 +21,12 @@
     The hand-validated construction trace for the paper's example string
     [aaccacaaca] (Figure 3) is enforced by the test suite. *)
 
-(* Construction telemetry: CASE frequencies (Section 3), edge-creation
-   counts (the paper's Table 2/space accounting inputs) and the
-   upstream link-chain length per appended character.  Shared across
-   every store instantiation — the registry is process-global. *)
-let c_case1 = Telemetry.counter "build.case1"
-let c_case2 = Telemetry.counter "build.case2"
-let c_case3 = Telemetry.counter "build.case3"
-let c_case4 = Telemetry.counter "build.case4"
-let c_ribs = Telemetry.counter "build.ribs_created"
-let c_extribs = Telemetry.counter "build.extribs_created"
-let c_links = Telemetry.counter "build.links_created"
+(* Construction probes (see {!Probe}): CASE frequencies (Section 3)
+   and edge-creation counts, the paper's Table 2/space accounting
+   inputs.  CASE 3 is exactly one rib creation, and every appended
+   character gets exactly one link.  The upstream link-chain length
+   per appended character is a histogram. *)
 let h_upstream = Telemetry.histogram "build.upstream_hops"
-
-(* Trace events mirror the counters but keep the per-step context the
-   aggregates lose: which node each CASE fired at and where every new
-   edge went, inside the enclosing operation's timeline. *)
-let ev_case = function
-  | 1 -> "build.case1"
-  | 2 -> "build.case2"
-  | 3 -> "build.case3"
-  | _ -> "build.case4"
-
-let trace_case k ~node ~tail =
-  Trace.instant (ev_case k)
-    [ Trace.Int ("node", node); Trace.Int ("tail", tail) ]
 
 module Make (S : Store_sig.S) = struct
   (* CASE 4. [lel] is the LEL of the last traversed link: the length of
@@ -63,20 +44,18 @@ module Make (S : Store_sig.S) = struct
            LET-suffix, which is the extension of the longest previously
            extended suffix (PT of the last same-PRT edge) *)
         S.add_extrib t !cur ~dest:tail ~pt:lel ~prt:rib_pt ~anchor:rib_dest;
-        Telemetry.incr c_extribs;
+        Probe.add Probe.build_extrib 1;
         if Trace.on () then
           Trace.instant "build.extrib"
             [ Trace.Int ("node", !cur); Trace.Int ("dest", tail);
               Trace.Int ("pt", lel); Trace.Int ("prt", rib_pt) ];
         S.set_link t tail ~dest:!last_same_prt_dest ~lel:(!last_same_prt_pt + 1);
-        Telemetry.incr c_links;
         finished := true
       | Some (edest, ept, eprt, eanchor) ->
         let sibling = eprt = rib_pt && eanchor = rib_dest in
         if sibling && ept >= lel then begin
           (* a sibling extrib already extends this suffix length *)
           S.set_link t tail ~dest:edest ~lel:(lel + 1);
-          Telemetry.incr c_links;
           finished := true
         end
         else begin
@@ -90,11 +69,9 @@ module Make (S : Store_sig.S) = struct
 
   let append t c =
     S.append_char t c;
+    Probe.add Probe.build_link 1;
     let tail = S.length t in
-    if tail = 1 then begin
-      S.set_link t 1 ~dest:0 ~lel:0;
-      Telemetry.incr c_links
-    end
+    if tail = 1 then S.set_link t 1 ~dest:0 ~lel:0
     else begin
       let parent = tail - 1 in
       let m = ref (S.link_dest t parent) in
@@ -106,10 +83,8 @@ module Make (S : Store_sig.S) = struct
         hops := !hops + 1;
         if S.char_at t mv = c then begin
           (* CASE 1: vertebra out of [mv] carries [c] *)
-          Telemetry.incr c_case1;
-          if Trace.on () then trace_case 1 ~node:mv ~tail;
+          Probe.step Probe.build_case1 ~node:mv ~dest:tail;
           S.set_link t tail ~dest:(mv + 1) ~lel:(!lel + 1);
-          Telemetry.incr c_links;
           finished := true
         end
         else
@@ -117,32 +92,25 @@ module Make (S : Store_sig.S) = struct
           | Some (dest, pt) ->
             if pt >= !lel then begin
               (* CASE 2 *)
-              Telemetry.incr c_case2;
-              if Trace.on () then trace_case 2 ~node:mv ~tail;
-              S.set_link t tail ~dest ~lel:(!lel + 1);
-              Telemetry.incr c_links
+              Probe.step Probe.build_case2 ~node:mv ~dest:tail;
+              S.set_link t tail ~dest ~lel:(!lel + 1)
             end
             else begin
               (* CASE 4 *)
-              Telemetry.incr c_case4;
-              if Trace.on () then trace_case 4 ~node:mv ~tail;
+              Probe.step Probe.build_case4 ~node:mv ~dest:tail;
               handle_extrib t tail ~rib_dest:dest ~rib_pt:pt ~lel:!lel
             end;
             finished := true
           | None ->
             (* CASE 3 *)
-            Telemetry.incr c_case3;
-            if Trace.on () then begin
-              trace_case 3 ~node:mv ~tail;
+            Probe.step Probe.build_case3 ~node:mv ~dest:tail;
+            if Trace.on () then
               Trace.instant "build.rib"
                 [ Trace.Int ("node", mv); Trace.Int ("dest", tail);
-                  Trace.Int ("pt", !lel) ]
-            end;
+                  Trace.Int ("pt", !lel) ];
             S.add_rib t mv ~code:c ~dest:tail ~pt:!lel;
-            Telemetry.incr c_ribs;
             if mv = 0 then begin
               S.set_link t tail ~dest:0 ~lel:0;
-              Telemetry.incr c_links;
               finished := true
             end
             else begin

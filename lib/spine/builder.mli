@@ -9,19 +9,10 @@
     hand-validated construction trace for the paper's example string
     [aaccacaaca] (Figure 3) is enforced by the test suite. *)
 
-(** Construction telemetry: CASE frequencies (Section 3), edge-creation
-    counts (the paper's Table 2/space accounting inputs) and the
-    upstream link-chain length per appended character.  Shared across
-    every store instantiation — the registry is process-global. *)
-
-val c_case1 : Telemetry.counter
-val c_case2 : Telemetry.counter
-val c_case3 : Telemetry.counter
-val c_case4 : Telemetry.counter
-val c_ribs : Telemetry.counter
-val c_extribs : Telemetry.counter
-val c_links : Telemetry.counter
-val h_upstream : Telemetry.histogram
+(** Construction is counted through {!Probe}: [build.case1] ..
+    [build.case4], [build.ribs_created], [build.extribs_created] and
+    [build.links_created], plus the [build.upstream_hops] histogram of
+    the link-chain length walked per appended character. *)
 
 module Make (S : Store_sig.S) : sig
   val append : S.t -> int -> unit

@@ -65,10 +65,8 @@ module Make (St : Store_sig.S) = struct
       (* the k-suffix terminates at the first chain node whose LEL is
          below k *)
       while t.v <> 0 && t.len <= St.link_lel t.store t.v do
-        Telemetry.incr Search.c_link_hops;
-        Profile.step_link ();
         let dest = St.link_dest t.store t.v in
-        if Trace.on () then Search.trace_step "step.link" ~node:t.v ~dest;
+        Probe.step Probe.link ~node:t.v ~dest;
         t.v <- dest
       done
 

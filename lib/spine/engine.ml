@@ -163,10 +163,9 @@ let space (module B : BACKEND) =
   report
 
 (* The guarded profiling entry point: checks backend liveness once,
-   then runs [f] under a fresh ambient profile and buffer-pool
-   attribution sink (see Profile.profiled).  Queries issued inside [f]
-   against this engine — or any engine on the same domain — are charged
-   to the returned profile. *)
+   then runs [f] as a profiled scope (see Profile.profiled).  Queries
+   issued inside [f] against this engine — or any engine on the same
+   domain — are charged to the returned profile. *)
 let profiled (module B : BACKEND) f =
   B.guard ();
   Profile.profiled f

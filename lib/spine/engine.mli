@@ -145,9 +145,9 @@ val edge_counts : t -> edge_counts
 val link_histogram : t -> buckets:int -> int array
 
 val profiled : t -> (unit -> 'a) -> 'a * Profile.t
-(** [profiled e f] checks [e]'s guard, then runs [f] with a fresh
-    per-operation cost profile installed for the calling domain (see
-    {!Profile.profiled}): every traversal step, backbone scan node,
+(** [profiled e f] checks [e]'s guard, then runs [f] as a profiled
+    scope of the calling domain (see {!Profile.profiled}): every
+    traversal step, backbone scan node,
     occurrence and buffer-pool/device transfer performed inside [f] is
     attributed to the returned profile.  Scopes nest by shadowing. *)
 

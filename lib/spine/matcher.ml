@@ -10,13 +10,8 @@
     of suffixes, which is SPINE's advantage over the suffix tree's
     one-suffix-link-per-suffix walk (Section 4.1, Table 6). *)
 
-(* aliases taken before [Search] is shadowed by the applied functor *)
-let c_vertebra_hops = Search.c_vertebra_hops
-let c_extrib_hops = Search.c_extrib_hops
-let c_link_hops = Search.c_link_hops
-let c_word_steps = Search.c_word_steps
-let c_scalar_steps = Search.c_scalar_steps
-let trace_step = Search.trace_step
+(* taken before [Search] is shadowed by the applied functor *)
+let count_run = Search.count_run
 
 (* The result types are store-independent, so they are defined once
    here — every front-end and the engine share this single canonical
@@ -83,9 +78,7 @@ module Make (S : Store_sig.S) = struct
       | None -> best
       | Some (edest, ept, eprt, eanchor) ->
         st.nodes <- st.nodes + 1;
-        Telemetry.incr c_extrib_hops;
-        Profile.step_extrib ();
-        if Trace.on () then trace_step "step.extrib" ~node:cur ~dest:edest;
+        Probe.step Probe.extrib ~node:cur ~dest:edest;
         chase edest
           (if eprt = rib_pt && eanchor = rib_dest then max best ept else best)
     in
@@ -100,9 +93,7 @@ module Make (S : Store_sig.S) = struct
         | None -> assert false (* caller checked k <= max_threshold *)
         | Some (edest, ept, eprt, eanchor) ->
           st.nodes <- st.nodes + 1;
-          Telemetry.incr c_extrib_hops;
-          Profile.step_extrib ();
-          if Trace.on () then trace_step "step.extrib" ~node:cur ~dest:edest;
+          Probe.step Probe.extrib ~node:cur ~dest:edest;
           if eprt = rib_pt && eanchor = rib_dest && ept >= k then edest
           else chase edest
       in
@@ -143,10 +134,8 @@ module Make (S : Store_sig.S) = struct
           (* one backward link hop dispatches every remaining suffix
              terminating at [v] *)
           st.suffixes <- st.suffixes + 1;
-          Telemetry.incr c_link_hops;
-          Profile.step_link ();
           let dest = S.link_dest t st.v in
-          if Trace.on () then trace_step "step.link" ~node:st.v ~dest;
+          Probe.step Probe.link ~node:st.v ~dest;
           st.len <- lel;
           st.v <- dest;
           attempt ()
@@ -174,24 +163,10 @@ module Make (S : Store_sig.S) = struct
         Bioseq.Packed_seq.mismatch (S.sequence t) ~apos:st.v q ~bpos:i
           ~len:limit
       in
-      if run > 0 then begin
-        Telemetry.add c_vertebra_hops run;
-        Profile.add_vertebras run;
-        st.nodes <- st.nodes + run;
-        if Trace.on () then
-          Trace.instant "step.vertebra_run"
-            [ Trace.Int ("node", st.v); Trace.Int ("len", run) ];
-        st.v <- st.v + run;
-        st.len <- st.len + run
-      end;
-      if words > 0 then begin
-        Telemetry.add c_word_steps words;
-        Profile.add_word_steps words
-      end;
-      if scalars > 0 then begin
-        Telemetry.add c_scalar_steps scalars;
-        Profile.add_scalar_steps scalars
-      end;
+      count_run ~node:st.v ~run ~words ~scalars;
+      st.nodes <- st.nodes + run;
+      st.v <- st.v + run;
+      st.len <- st.len + run;
       run
     end
 

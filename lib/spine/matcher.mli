@@ -10,13 +10,6 @@
     of suffixes, which is SPINE's advantage over the suffix tree's
     one-suffix-link-per-suffix walk (Section 4.1, Table 6). *)
 
-val c_extrib_hops : Telemetry.counter
-(** = {!Search.c_extrib_hops}; alias taken before [Search] is shadowed
-    inside {!Make}. *)
-
-val c_link_hops : Telemetry.counter
-(** = {!Search.c_link_hops}. *)
-
 (** {2 Canonical result types}
 
     Store-independent, defined once here: every store instantiation,

@@ -22,11 +22,17 @@ let pin_top_lt pages page =
   && page >= region_base lt_region
   && page < region_base lt_region + pages
 
+let table pool ~name ~region ~used =
+  let device = Pagestore.Buffer_pool.device pool in
+  Pagestore.Paged_bytes.make pool ~region:name ~base_page:(region_base region)
+    ~capacity:(data_span * Pagestore.Device.page_size device) ~used
+
 let tables pool ~lt_used ~rt_used =
-  let table region used =
-    Pagestore.Paged_bytes.make pool ~base_page:(region_base region) ~used
-  in
-  (table lt_region lt_used, Array.mapi (fun i u -> table (rt_region i) u) rt_used)
+  ( table pool ~name:"lt" ~region:lt_region ~used:lt_used,
+    Array.mapi
+      (fun i used ->
+        table pool ~name:(Printf.sprintf "rt%d" i) ~region:(rt_region i) ~used)
+      rt_used )
 
 let create pool alphabet =
   let lt, rts = tables pool ~lt_used:0 ~rt_used:[| 0; 0; 0; 0 |] in

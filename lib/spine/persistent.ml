@@ -455,7 +455,7 @@ let create ?frames ?page_size ?pin_top_lt_pages ~path alphabet =
   (* declare epoch 1 before any data write carries it *)
   write_epoch_decl device 1;
   let core = Paged_store.create pool alphabet in
-  let seq_tab = Paged_bytes.make pool ~base_page:(region_base seq_region) in
+  let seq_tab = Paged_store.table pool ~name:"seq" ~region:seq_region ~used:0 in
   { core; seq_tab; device; pool; journal; file_path = path;
     disk_width = Bioseq.Packed_seq.width (P.sequence core); generation = 0;
     closed = false }
@@ -645,8 +645,7 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
        restored above, any crash debris page this touches surfaces as a
        typed Corrupt instead of phantom characters *)
     let seq_tab =
-      Paged_bytes.make pool ~base_page:(region_base seq_region)
-        ~used:seq_bytes
+      Paged_store.table pool ~name:"seq" ~region:seq_region ~used:seq_bytes
     in
     let packed = Bytes.create seq_bytes in
     for off = 0 to seq_bytes - 1 do

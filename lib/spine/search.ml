@@ -11,30 +11,20 @@
     ({!Store_sig.S.scan_links}); only passing nodes have their link
     destination read and tested for buffer membership. *)
 
-(* Traversal telemetry, one counter per edge family (the profile the
-   packed-trie literature attributes disk wins to).  [link_hops] is
-   shared with the matcher's backward-link walk and the cursor's
-   suffix-drop loop. *)
-let c_vertebra_hops = Telemetry.counter "search.vertebra_hops"
-let c_rib_hops = Telemetry.counter "search.rib_hops"
-let c_extrib_hops = Telemetry.counter "search.extrib_hops"
-let c_link_hops = Telemetry.counter "search.link_hops"
-let c_scan_nodes = Telemetry.counter "search.scan_nodes"
-let c_occurrences = Telemetry.counter "search.occurrences_found"
-
-(* The packed-scan split: whole-word compares vs per-character fallback
-   compares on the vertebra runs (descent, matching extension, cursor
-   advance).  A word step covers up to [Packed_seq.codes_per_word]
-   characters, so word_steps << vertebra_hops is the win being
-   measured. *)
-let c_word_steps = Telemetry.counter "search.word_steps"
-let c_scalar_steps = Telemetry.counter "search.scalar_steps"
-
-(* One trace instant per edge crossed, tagged with the edge family:
-   interleaved with the pool.fault spans of a routed store, the trace
-   shows exactly which traversal step faulted which page. *)
-let trace_step family ~node ~dest =
-  Trace.instant family [ Trace.Int ("node", node); Trace.Int ("dest", dest) ]
+(* Record one bulk vertebra run.  A run of [run] matched characters is
+   exactly [run] vertebra steps (vertebra edges carry no threshold
+   check, so word comparison is step-for-step equivalent to the scalar
+   walk); the word/scalar split is what the packed scan adds on top.
+   Shared with the matcher's streaming extension. *)
+let count_run ~node ~run ~words ~scalars =
+  if run > 0 then begin
+    Probe.add Probe.vertebra run;
+    if Trace.on () then
+      Trace.instant "step.vertebra_run"
+        [ Trace.Int ("node", node); Trace.Int ("len", run) ]
+  end;
+  if words > 0 then Probe.add Probe.word_steps words;
+  if scalars > 0 then Probe.add Probe.scalar_steps scalars
 
 module type S = sig
   type store
@@ -94,9 +84,7 @@ module Make (S : Store_sig.S) = struct
      Returns the destination node, or -1 when no valid edge exists. *)
   let step t node pl c =
     if node < S.length t && S.char_at t node = c then begin
-      Telemetry.incr c_vertebra_hops;
-      Profile.step_vertebra ();
-      if Trace.on () then trace_step "step.vertebra" ~node ~dest:(node + 1);
+      Probe.step Probe.vertebra ~node ~dest:(node + 1);
       node + 1
     end
     else
@@ -104,9 +92,7 @@ module Make (S : Store_sig.S) = struct
       | None -> -1
       | Some (dest, pt) ->
         if pl <= pt then begin
-          Telemetry.incr c_rib_hops;
-          Profile.step_rib ();
-          if Trace.on () then trace_step "step.rib" ~node ~dest;
+          Probe.step Probe.rib ~node ~dest;
           dest
         end
         else begin
@@ -116,36 +102,12 @@ module Make (S : Store_sig.S) = struct
             match S.find_extrib t cur with
             | None -> -1
             | Some (edest, ept, eprt, eanchor) ->
-              Telemetry.incr c_extrib_hops;
-              Profile.step_extrib ();
-              if Trace.on () then trace_step "step.extrib" ~node:cur ~dest:edest;
+              Probe.step Probe.extrib ~node:cur ~dest:edest;
               if eprt = pt && eanchor = dest && ept >= pl then edest
               else chase edest
           in
           chase dest
         end
-
-  (* Record one bulk vertebra run in the counters.  A run of [run]
-     matched characters is exactly [run] vertebra steps (vertebra edges
-     carry no threshold check, so word comparison is step-for-step
-     equivalent to the scalar walk); the word/scalar split is what the
-     packed refactor adds on top. *)
-  let count_run ~node ~run ~words ~scalars =
-    if run > 0 then begin
-      Telemetry.add c_vertebra_hops run;
-      Profile.add_vertebras run;
-      if Trace.on () then
-        Trace.instant "step.vertebra_run"
-          [ Trace.Int ("node", node); Trace.Int ("len", run) ]
-    end;
-    if words > 0 then begin
-      Telemetry.add c_word_steps words;
-      Profile.add_word_steps words
-    end;
-    if scalars > 0 then begin
-      Telemetry.add c_scalar_steps scalars;
-      Profile.add_scalar_steps scalars
-    end
 
   (* Bulk valid-path descent: node [node] is the end of a backbone
      prefix, so its outgoing vertebra run spells text[node..] — one
@@ -181,7 +143,7 @@ module Make (S : Store_sig.S) = struct
   let find_first_pattern t p =
     let m = Bioseq.Packed_seq.Pattern.length p in
     let node, consumed = extend t ~node:0 ~pl:0 p ~pos:0 in
-    Profile.add_descent consumed;
+    Probe.add Probe.descent consumed;
     if consumed >= m then Some node else None
 
   let contains_pattern t p = Option.is_some (find_first_pattern t p)
@@ -206,11 +168,10 @@ module Make (S : Store_sig.S) = struct
         Xutil.Int_tbl.replace targets node (j :: prev)
       in
       let min_first = ref max_int and min_len = ref max_int in
+      Probe.add Probe.found k;
       Array.iteri
         (fun j (first, len) ->
           Xutil.Int_vec.push buffers.(j) first;
-          Telemetry.incr c_occurrences;
-          Profile.add_found 1;
           add_target first j;
           if first < !min_first then min_first := first;
           if len < !min_len then min_len := len)
@@ -230,8 +191,7 @@ module Make (S : Store_sig.S) = struct
                 let _, len = firsts.(j) in
                 if lel >= len then begin
                   Xutil.Int_vec.push buffers.(j) node;
-                  Telemetry.incr c_occurrences;
-                  Profile.add_found 1;
+                  Probe.add Probe.found 1;
                   add_target node j
                 end)
               ids
@@ -245,8 +205,7 @@ module Make (S : Store_sig.S) = struct
          [S.length t - min_first] nodes, of which only the LEL-passing
          ones were read *)
       let covered = max 0 (S.length t - !min_first) in
-      Telemetry.add c_scan_nodes covered;
-      Profile.add_scan covered;
+      Probe.add Probe.scan_nodes covered;
       if tr then Trace.end_span ()
     end;
     buffers

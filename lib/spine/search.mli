@@ -11,32 +11,11 @@
     ({!Store_sig.S.scan_links}), and only passing nodes have their link
     destination read. *)
 
-(** Traversal telemetry, one counter per edge family.  [c_link_hops] is
-    shared with the matcher's backward-link walk and the cursor's
-    suffix-drop loop. *)
-
-val c_vertebra_hops : Telemetry.counter
-val c_rib_hops : Telemetry.counter
-val c_extrib_hops : Telemetry.counter
-val c_link_hops : Telemetry.counter
-val c_scan_nodes : Telemetry.counter
-val c_occurrences : Telemetry.counter
-
-val c_word_steps : Telemetry.counter
-(** Whole-word comparisons on vertebra runs (each covering up to
-    [Packed_seq.codes_per_word] characters); [c_word_steps] far below
-    [c_vertebra_hops] is the packed-scan win being measured. *)
-
-val c_scalar_steps : Telemetry.counter
-(** Per-character fallback comparisons on vertebra runs (span-boundary
-    tails, or whole spans when the pattern cannot pack at the text's
-    cell width). *)
-
-val trace_step : string -> node:int -> dest:int -> unit
-(** Record one edge crossing as a trace instant ([step.vertebra],
-    [step.rib], [step.extrib] or [step.link]); shared with the matcher
-    and the cursor.  Callers guard with {!Trace.on} so the disabled
-    path allocates nothing. *)
+val count_run : node:int -> run:int -> words:int -> scalars:int -> unit
+(** Count one word-packed vertebra run from [node]: [run] vertebra
+    steps, compared in [words] whole-word and [scalars] per-character
+    steps, plus a [step.vertebra_run] trace instant.  Shared with the
+    matcher's streaming extension. *)
 
 (** The search algorithm surface over one store type; [Make] produces
     it for any {!Store_sig.S} implementation.  Naming the signature

@@ -1,9 +1,12 @@
 (* The registry is a mutex-guarded hashtable keyed by metric name;
-   metrics themselves hold [Atomic.t] cells so a hot-path update is one
-   flag check plus one lock-free atomic store — no allocation, no
-   lookup, and safe to race from parallel domains sharing one
-   post-build index (the domain-safety contract spine-lint L9/L10
-   certifies).  Registration goes through the lock, but every metric is
+   metrics themselves hold [Atomic.t] cells so an update is one flag
+   check plus one lock-free atomic store — no allocation, no lookup,
+   and safe to race from parallel domains sharing one post-build index
+   (the domain-safety contract spine-lint L9/L10 certifies).  The hot
+   events do not come through here at all: they are counted per domain
+   by [Probe], whose global totals are registered below as ordinary
+   counters and brought up to date (for the calling domain) by every
+   read.  Registration goes through the lock, but every metric is
    registered once at module initialisation, never from the hot path. *)
 
 let enabled =
@@ -52,6 +55,14 @@ let register name make =
         Hashtbl.replace registry name m;
         m)
 
+(* the probe-backed counters: the cell is the event's global total *)
+let () =
+  List.iter
+    (fun (ev, name) ->
+      Hashtbl.replace registry name
+        (Counter { c_name = name; c_value = Probe.total ev }))
+    Probe.counters
+
 let kind_error name =
   invalid_arg
     (Printf.sprintf "Telemetry: %S already registered as another kind" name)
@@ -70,7 +81,9 @@ let incr c =
 let add c n =
   if Atomic.get enabled then ignore (Atomic.fetch_and_add c.c_value n)
 
-let counter_value c = Atomic.get c.c_value
+let counter_value c =
+  Probe.fold ();
+  Atomic.get c.c_value
 
 let gauge name =
   match
@@ -191,6 +204,7 @@ type value =
 type snapshot = (string * value) list
 
 let snapshot () =
+  Probe.fold ();
   Mutex.protect registry_lock (fun () ->
       Hashtbl.fold
         (fun name m acc ->
@@ -231,6 +245,7 @@ let diff later earlier =
     later
 
 let reset () =
+  Probe.fold ();
   Mutex.protect registry_lock (fun () ->
       Hashtbl.iter
         (fun _ m ->

@@ -1,12 +1,23 @@
 (** Process-global telemetry: named counters, gauges, log-bucketed
     histograms and nestable phase spans.
 
-    Every layer of the repro registers its metrics once at module
-    initialisation and bumps them from the hot path.  Collection is
-    gated on a single global flag ({!set_enabled}, or the
-    [SPINE_TELEMETRY=1] environment variable): when disabled, each
-    update is one flag check and no allocation, so instrumented code
-    can stay instrumented in production builds.
+    Two kinds of counter share one registry:
+
+    - {e probe-backed} counters ([search.*] traversal, [pool.hits] /
+      [misses] / [evictions] / [writebacks] / [io_retries],
+      [device.read_*] / [write_*], [build.case*] and
+      [build.*_created]; the list is {!Probe.counters}).  Their events
+      are counted per domain by {!Probe} and folded into the registry
+      by {!snapshot}, {!reset} and {!counter_value} (for the calling
+      domain) and when a domain exits.  They count whether collection
+      is enabled or not: a plain per-domain array add costs about what
+      the flag check did.
+    - every other metric — cold counters, gauges, histograms, spans —
+      is an atomic cell updated in place.  These are gated on a single
+      global flag ({!set_enabled}, or the [SPINE_TELEMETRY=1]
+      environment variable): when disabled, each update is one flag
+      check and no allocation, so instrumented code can stay
+      instrumented in production builds.
 
     Measurements are scoped with snapshots: take a {!snapshot} before
     and after the region of interest and {!diff} them, or {!reset}
@@ -32,8 +43,9 @@ val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
-(** [counter_value] reads the live value (test hook; snapshots are the
-    normal way to consume metrics). *)
+(** [counter_value] reads the live value, after folding the calling
+    domain's probe counts (test hook; snapshots are the normal way to
+    consume metrics). *)
 
 type gauge
 val gauge : string -> gauge
@@ -78,13 +90,18 @@ type snapshot = (string * value) list
 (** Sorted by metric name. *)
 
 val snapshot : unit -> snapshot
+(** Every registered metric, after folding the calling domain's probe
+    counts.  Probe counts of other live domains appear once those
+    domains fold them (or exit). *)
+
 val diff : snapshot -> snapshot -> snapshot
 (** [diff later earlier] subtracts counter/histogram/span values;
     gauges keep the later reading.  Metrics absent from [earlier] pass
     through unchanged. *)
 
 val reset : unit -> unit
-(** Zero every registered metric (registrations persist). *)
+(** Fold the calling domain's probe counts, then zero every registered
+    metric (registrations persist). *)
 
 val find : snapshot -> string -> value option
 

@@ -349,12 +349,35 @@ let test_pool_free_frames () =
   touch p 9;
   Alcotest.(check int) "the victim's frame was reused" 4 (evictions p)
 
+(* A paged table with no practical capacity bound. *)
+let paged_table ?used p ~base_page =
+  Pagestore.Paged_bytes.make ?used p ~region:"test" ~base_page
+    ~capacity:max_int
+
+(* A table cannot grow past its capacity: the allocation that would
+   spill into the next region's pages fails typed, naming the region,
+   and allocates nothing. *)
+let test_paged_bytes_capacity () =
+  let p = Pagestore.Buffer_pool.create ~frames:4 (mk_device ()) in
+  let a =
+    Pagestore.Paged_bytes.make p ~region:"lt" ~base_page:0 ~capacity:600
+  in
+  Alcotest.(check int) "first offset" 0 (Pagestore.Paged_bytes.alloc a 400);
+  Alcotest.(check int) "fills exactly" 400 (Pagestore.Paged_bytes.alloc a 200);
+  (match Pagestore.Paged_bytes.alloc a 1 with
+   | off -> Alcotest.failf "allocated offset %d past the capacity" off
+   | exception
+       Spine_error.Error (Spine_error.Region_full { region; capacity }) ->
+     Alcotest.(check string) "region named" "lt" region;
+     Alcotest.(check int) "capacity reported" 600 capacity);
+  Alcotest.(check int) "nothing allocated" 600 (Pagestore.Paged_bytes.used a)
+
 (* Fixed-width records laid out through [alloc]: 12-byte records on
    256-byte pages, so some records cross a page boundary. *)
 let test_paged_bytes_fields () =
   let d = mk_device () in
   let p = Pagestore.Buffer_pool.create ~frames:8 d in
-  let a = Pagestore.Paged_bytes.make p ~base_page:0 in
+  let a = paged_table p ~base_page:0 in
   let record = 12 in
   for i = 0 to 99 do
     let off = Pagestore.Paged_bytes.alloc a record in
@@ -380,14 +403,14 @@ let test_paged_bytes_fields () =
 let test_paged_bytes_persistence () =
   let d = mk_device () in
   let p = Pagestore.Buffer_pool.create ~frames:2 d in
-  let a = Pagestore.Paged_bytes.make p ~base_page:10 in
+  let a = paged_table p ~base_page:10 in
   for i = 0 to 199 do
     Pagestore.Paged_bytes.set_u32 a (Pagestore.Paged_bytes.alloc a 8) (i * 7)
   done;
   Pagestore.Buffer_pool.flush p;
   Pagestore.Buffer_pool.drop p;
   let reopened =
-    Pagestore.Paged_bytes.make p ~base_page:10 ~used:(200 * 8)
+    paged_table p ~base_page:10 ~used:(200 * 8)
   in
   Alcotest.(check int) "used carried over" (200 * 8)
     (Pagestore.Paged_bytes.used reopened);
@@ -403,7 +426,7 @@ let test_paged_bytes_straddle () =
   let page_size = 16 in
   let d = Pagestore.Device.create ~page_size () in
   let p = Pagestore.Buffer_pool.create ~frames:2 d in
-  let pb = Pagestore.Paged_bytes.make p ~base_page:0 in
+  let pb = paged_table p ~base_page:0 in
   let bt = Spine.Compact_store.Btab.create 0 in
   let size = 4 * page_size in
   ignore (Pagestore.Paged_bytes.alloc pb size);
@@ -451,7 +474,7 @@ let test_paged_bytes_straddle () =
 let test_paged_bytes_one_latch () =
   let d = mk_device () in
   let p = Pagestore.Buffer_pool.create ~frames:2 d in
-  let a = Pagestore.Paged_bytes.make p ~base_page:0 in
+  let a = paged_table p ~base_page:0 in
   let accesses () =
     let s = Pagestore.Buffer_pool.stats p in
     s.Pagestore.Buffer_pool.hits + s.Pagestore.Buffer_pool.misses
@@ -478,7 +501,7 @@ let test_paged_bytes_one_latch () =
 let column ~page_size ~frames ~count ~at v =
   let d = Pagestore.Device.create ~page_size () in
   let p = Pagestore.Buffer_pool.create ~frames d in
-  let pb = Pagestore.Paged_bytes.make p ~base_page:0 in
+  let pb = paged_table p ~base_page:0 in
   let bt = Spine.Compact_store.Btab.create 0 in
   for i = 0 to count - 1 do
     ignore (Pagestore.Paged_bytes.alloc pb 6);
@@ -566,8 +589,8 @@ let test_scan_u16_one_latch_per_page () =
 let test_scan_u16_callback_reads () =
   let d = Pagestore.Device.create ~page_size:16 () in
   let p = Pagestore.Buffer_pool.create ~frames:2 d in
-  let col = Pagestore.Paged_bytes.make p ~base_page:0 in
-  let other = Pagestore.Paged_bytes.make p ~base_page:100 in
+  let col = paged_table p ~base_page:0 in
+  let other = paged_table p ~base_page:100 in
   let count = 60 in
   for i = 0 to count - 1 do
     Pagestore.Paged_bytes.set_u16 col (Pagestore.Paged_bytes.alloc col 6 + 4) (i * 3);
@@ -632,4 +655,6 @@ let suite =
       test_scan_u16_one_latch_per_page
   ; Alcotest.test_case "paged column scan: callback reads other pages" `Quick
       test_scan_u16_callback_reads
+  ; Alcotest.test_case "paged bytes capacity is typed" `Quick
+      test_paged_bytes_capacity
   ]

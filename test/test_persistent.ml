@@ -365,6 +365,37 @@ let test_wide_keys_reopen () =
       done;
       Spine.Persistent.close p)
 
+(* Each page region holds [data_span] pages: at 8-byte pages the Link
+   Table's region fits 2^21 / 6 = 349,525 six-byte entries, one per
+   node, so 349,524 characters.  The next append must fail typed,
+   naming the region, instead of writing into the first Rib Table's
+   pages. *)
+let test_region_bound () =
+  let entries =
+    Spine.Paged_store.data_span * 8 / Spine.Compact_store.lt_entry_bytes
+  in
+  let rng = Bioseq.Rng.create 17 in
+  with_tmp (fun path ->
+      let p =
+        Spine.Persistent.create ~frames:(1 lsl 19) ~page_size:8 ~path dna
+      in
+      let appended = ref 0 in
+      (match
+         for _ = 1 to entries + 100 do
+           Spine.Persistent.append p (Bioseq.Rng.int rng 4);
+           incr appended
+         done
+       with
+       | () -> Alcotest.fail "the Link Table outgrew its region"
+       | exception
+           Spine_error.Error (Spine_error.Region_full { region; capacity })
+         ->
+         Alcotest.(check string) "the full region" "lt" region;
+         Alcotest.(check int) "its capacity"
+           (Spine.Paged_store.data_span * 8) capacity);
+      Alcotest.(check int) "every node that fits was appended" (entries - 1)
+        !appended)
+
 let suite =
   [ Alcotest.test_case "parity with the in-memory index" `Quick
       test_parity_with_memory
@@ -383,4 +414,5 @@ let suite =
       test_version3_file
   ; Alcotest.test_case "wide overflow keys survive reopen" `Quick
       test_wide_keys_reopen
+  ; Alcotest.test_case "a full region fails typed" `Slow test_region_bound
   ]

@@ -1,8 +1,10 @@
-(* Tests for per-query execution profiles: the scoped-attribution
-   reconciliation the ISSUE demands (per-query buffer-pool and device
-   counters summed over a multi-query batch equal the global telemetry
-   deltas exactly, single-domain), plus scope shadowing and the
-   fields round trip. *)
+(* Tests for per-query execution profiles: profiles and the global
+   counters are two views of the same per-domain probe counts, so the
+   per-query traversal, buffer-pool and device costs summed over a
+   multi-query batch equal the global telemetry deltas exactly — on
+   one domain, under injected I/O retries, and across two domains
+   sharing one engine.  Plus scope shadowing and the fields round
+   trip. *)
 
 let seq_of n =
   let rng = Bioseq.Rng.create 4242 in
@@ -33,60 +35,64 @@ let reconciled =
   ; ("pool.evictions", fun p -> p.Profile.pool_evictions)
   ; ("device.read_bytes", fun p -> p.Profile.device_read_bytes)
   ; ("device.write_bytes", fun p -> p.Profile.device_write_bytes)
+  ; ("search.word_steps", fun p -> p.Profile.word_steps)
+  ; ("search.scalar_steps", fun p -> p.Profile.scalar_steps)
+  ; ("pool.io_retries", fun p -> p.Profile.io_retries)
   ]
 
-(* The acceptance test: a multi-query batch on the disk backend with a
-   starved pool (so faults and evictions actually happen), every query
-   wrapped in Engine.profiled.  For each reconciled counter the sum of
-   the per-query attributions equals the global before/after delta
-   exactly — the profile explains ALL the work, not a sample of it. *)
+(* [k] patterns of [min] to [min] + 9 characters cut from [seq], so
+   every one is present. *)
+let planted ?(min = 3) seq ~seed k =
+  let rng = Bioseq.Rng.create seed in
+  let n = Bioseq.Packed_seq.length seq in
+  List.init k (fun _ ->
+      let len = min + Bioseq.Rng.int rng 10 in
+      let pos = Bioseq.Rng.int rng (n - len) in
+      Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k)))
+
+(* Every pattern as its own profiled query on [engine]: each profile
+   must agree with its query's answer, and for each reconciled counter
+   the sum of the profiles must equal the global before/after delta
+   exactly — the profiles explain ALL the work, not a sample of it. *)
+let reconcile engine patterns =
+  let before = Telemetry.snapshot () in
+  let profs =
+    List.map
+      (fun pat ->
+        let occ, prof =
+          Spine.Engine.profiled engine (fun () -> Codes.occurrences engine pat)
+        in
+        Alcotest.(check bool) "planted pattern found" true (occ <> []);
+        Alcotest.(check int) "profile.found = occurrences"
+          (List.length occ) prof.Profile.found;
+        prof)
+      patterns
+  in
+  let after = Telemetry.snapshot () in
+  List.iter
+    (fun (name, field) ->
+      let delta = counter_of after name - counter_of before name in
+      let attributed = List.fold_left (fun acc p -> acc + field p) 0 profs in
+      Alcotest.(check int)
+        (Printf.sprintf "%s delta fully attributed" name)
+        delta attributed)
+    reconciled;
+  profs
+
+let sum field profs = List.fold_left (fun acc p -> acc + field p) 0 profs
+
+(* A multi-query batch on the disk backend with a starved pool, so
+   faults and evictions actually happen. *)
 let test_attribution_sums () =
   with_telemetry (fun () ->
       let seq = seq_of 20_000 in
       let config = { Spine.Disk.default_config with Spine.Disk.frames = 8 } in
       let engine = Spine.Disk.engine (Spine.Disk.build ~config seq) in
-      let rng = Bioseq.Rng.create 11 in
-      let n = Bioseq.Packed_seq.length seq in
-      let patterns =
-        List.init 40 (fun _ ->
-            let len = 3 + Bioseq.Rng.int rng 10 in
-            let pos = Bioseq.Rng.int rng (n - len) in
-            Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k)))
-      in
-      let before = Telemetry.snapshot () in
-      let profs =
-        List.map
-          (fun pat ->
-            let occ, prof =
-              Spine.Engine.profiled engine (fun () ->
-                  Codes.occurrences engine pat)
-            in
-            (* planted patterns must be found, and the profile must
-               agree with the query's own answer *)
-            Alcotest.(check bool) "planted pattern found" true (occ <> []);
-            Alcotest.(check int) "profile.found = occurrences"
-              (List.length occ) prof.Profile.found;
-            prof)
-          patterns
-      in
-      let after = Telemetry.snapshot () in
-      List.iter
-        (fun (name, field) ->
-          let delta = counter_of after name - counter_of before name in
-          let attributed =
-            List.fold_left (fun acc p -> acc + field p) 0 profs
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "%s delta fully attributed" name)
-            delta attributed)
-        reconciled;
+      let profs = reconcile engine (planted seq ~seed:11 40) in
       (* the starved pool must have made the disk counters non-trivial,
          otherwise this reconciliation proves nothing about paging *)
-      let faults =
-        List.fold_left (fun acc p -> acc + p.Profile.pool_misses) 0 profs
-      in
       Alcotest.(check bool) "page faults attributed (starved pool)" true
-        (faults > 0))
+        (sum (fun p -> p.Profile.pool_misses) profs > 0))
 
 let test_scopes_shadow () =
   let seq = seq_of 2_000 in
@@ -104,7 +110,22 @@ let test_scopes_shadow () =
      only the work done outside the inner scope, which is none *)
   Alcotest.(check int) "outer not double-charged" 0
     (Profile.total_steps outer + outer.Profile.scan_nodes
-     + outer.Profile.found)
+     + outer.Profile.found);
+  (* work on both sides of a nested scope stays with the outer one *)
+  let other = Array.init 6 (fun k -> Bioseq.Packed_seq.get seq (100 + k)) in
+  let query () = ignore (Codes.occurrences engine pat) in
+  let (), alone = Spine.Engine.profiled engine query in
+  let (), outer =
+    Spine.Engine.profiled engine (fun () ->
+        query ();
+        ignore
+          (Spine.Engine.profiled engine (fun () ->
+               Codes.occurrences engine other));
+        query ())
+  in
+  Alcotest.(check (list (pair string int))) "outer keeps its own work"
+    (List.map (fun (k, v) -> (k, 2 * v)) (Profile.deterministic_fields alone))
+    (Profile.deterministic_fields outer)
 
 let test_fields_roundtrip () =
   let seq = seq_of 2_000 in
@@ -133,10 +154,100 @@ let test_absorb () =
   Alcotest.(check int) "absorb keeps dst-only" 100 a.Profile.device_read_bytes;
   Alcotest.(check int) "absorb adds src-only" 2 a.Profile.found
 
+(* The in-memory layout, with patterns long enough for whole-word
+   compares: traversal counters only, no pool or device. *)
+let test_attribution_compact () =
+  with_telemetry (fun () ->
+      let seq = seq_of 20_000 in
+      let engine = Spine.Compact.engine (Spine.Compact.of_seq seq) in
+      let profs = reconcile engine (planted ~min:30 seq ~seed:12 40) in
+      Alcotest.(check bool) "word compares attributed" true
+        (sum (fun p -> p.Profile.word_steps) profs > 0))
+
+(* Transient read errors on the starved disk backend: the pool retries
+   them, and each failed attempt still reads the device, so the
+   retries and the retried bytes land in the profile of the query that
+   paid for them. *)
+let test_attribution_retries () =
+  with_telemetry (fun () ->
+      let seq = seq_of 20_000 in
+      let config = { Spine.Disk.default_config with Spine.Disk.frames = 8 } in
+      let disk = Spine.Disk.build ~config seq in
+      let dev = Pagestore.Buffer_pool.device disk.Spine.Disk.pool in
+      Pagestore.Fault_device.attach
+        (Pagestore.Fault_device.create
+           Pagestore.Fault_device.
+             [ arm ~after:3 ~times:2 Read_error;
+               arm ~after:60 ~times:3 Read_error ])
+        dev;
+      let profs =
+        reconcile (Spine.Disk.engine disk) (planted seq ~seed:13 40)
+      in
+      Pagestore.Fault_device.detach dev;
+      let retries = sum (fun p -> p.Profile.io_retries) profs in
+      Alcotest.(check int) "every injected error retried" 5 retries;
+      Alcotest.(check int) "one device read per miss and per retry"
+        ((sum (fun p -> p.Profile.pool_misses) profs + retries)
+         * Pagestore.Device.page_size dev)
+        (sum (fun p -> p.Profile.device_read_bytes) profs))
+
+(* Two domains query one shared compact engine.  Each domain's
+   profiles are its own work, exactly what the same queries cost alone
+   on the main domain; once both are joined, the registry has folded
+   each domain's counts exactly once, and a second snapshot adds
+   nothing. *)
+let test_two_domains () =
+  with_telemetry (fun () ->
+      let seq = seq_of 20_000 in
+      let engine = Spine.Compact.engine (Spine.Compact.of_seq seq) in
+      let run patterns =
+        let total = Profile.make () in
+        List.iter
+          (fun pat ->
+            let _, p =
+              Spine.Engine.profiled engine (fun () ->
+                  Codes.occurrences engine pat)
+            in
+            Profile.absorb total p)
+          patterns;
+        total
+      in
+      let work = [ planted seq ~seed:21 30; planted seq ~seed:22 30 ] in
+      let alone = List.map run work in
+      let before = Telemetry.snapshot () in
+      let shared =
+        List.map (fun pats -> Domain.spawn (fun () -> run pats)) work
+        |> List.map Domain.join
+      in
+      List.iteri
+        (fun i (a, s) ->
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "domain %d profiles are its own work" i)
+            (Profile.deterministic_fields a)
+            (Profile.deterministic_fields s))
+        (List.combine alone shared);
+      let after = Telemetry.snapshot () in
+      let again = Telemetry.snapshot () in
+      List.iter
+        (fun (name, field) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: both domains folded once" name)
+            (sum field shared)
+            (counter_of after name - counter_of before name);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: a second snapshot adds nothing" name)
+            (counter_of after name) (counter_of again name))
+        reconciled)
+
 let suite =
   [ Alcotest.test_case "attribution sums reconcile (disk)" `Quick
       test_attribution_sums
   ; Alcotest.test_case "nested scopes shadow" `Quick test_scopes_shadow
   ; Alcotest.test_case "fields round trip" `Quick test_fields_roundtrip
   ; Alcotest.test_case "absorb" `Quick test_absorb
+  ; Alcotest.test_case "attribution sums reconcile (compact)" `Quick
+      test_attribution_compact
+  ; Alcotest.test_case "retried reads reconcile (disk, faults)" `Quick
+      test_attribution_retries
+  ; Alcotest.test_case "two domains, one fold each" `Quick test_two_domains
   ]
