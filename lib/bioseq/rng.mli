@@ -2,32 +2,7 @@
 
     All synthetic workloads in this repository are generated through this
     module rather than [Stdlib.Random] so that every experiment is exactly
-    reproducible from a seed.  The generator is SplitMix64, which is fast,
-    has a 64-bit state, and passes BigCrush. *)
+    reproducible from a seed.  It is {!Xutil.Splitmix}, the SplitMix64
+    generator the trace sampler and the fault and latency injectors share. *)
 
-type t
-(** Mutable generator state. *)
-
-val create : int -> t
-(** [create seed] returns a fresh generator deterministically derived from
-    [seed]. Two generators with the same seed produce identical streams. *)
-
-val copy : t -> t
-(** [copy t] duplicates the state so the copy can diverge from [t]. *)
-
-val next64 : t -> int64
-(** Next raw 64-bit output. *)
-
-val int : t -> int -> int
-(** [int t bound] is uniform in [\[0, bound)]. @raise Invalid_argument if
-    [bound <= 0]. *)
-
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-(** Fair coin. *)
-
-val split : t -> t
-(** [split t] derives an independent generator and advances [t]; used to
-    give sub-tasks their own streams without coupling their consumption. *)
+include module type of struct include Xutil.Splitmix end

@@ -99,15 +99,18 @@ let locked t f =
 
 let set_writeback_hook t h = locked t (fun () -> t.on_writeback <- h)
 
-(* Transient I/O errors (the kind the fault injector scripts) are
-   retried a few times before propagating; anything else — permanent
-   errors, corruption — passes straight through.  The "backoff" is
-   simulated like every other latency in the stack: each retry re-runs
-   the device operation, which charges its own cost.  A retry is new
-   work, so it first honours the ambient deadline: a storm of transient
-   errors fails typed ([Timeout]) once the budget is spent instead of
-   running out its attempts. *)
-let max_io_attempts = 4
+(* The only retry loop for transient I/O errors (the kind the fault
+   injector scripts): every page fill, dirty writeback, metadata write
+   and journal write goes through here, and a retry re-runs one page
+   operation, so it is idempotent, writes included.  Anything else —
+   permanent errors, corruption — passes straight through.  There is
+   no backoff sleep: the injector counts operations, not time, and
+   each retry re-runs the device operation, which charges its own
+   simulated cost.  A retry is new work, so it first honours the
+   ambient deadline: a storm of transient errors fails typed
+   ([Timeout]) once the budget is spent instead of running out its
+   attempts. *)
+let max_io_attempts = 16
 
 let with_io_retries page f =
   let rec go attempt =

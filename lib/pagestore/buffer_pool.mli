@@ -57,8 +57,9 @@ val with_page : t -> int -> dirty:bool -> (Bytes.t -> 'a) -> 'a
     one page should take them under a single call ({!Paged_bytes}
     does, per field).
 
-    Transient device errors (injected I/O faults) are retried a few
-    times before propagating; each retry first calls {!Deadline.check},
+    Transient device errors (injected I/O faults) are retried by
+    {!with_io_retries} before propagating; each retry first calls
+    {!Deadline.check},
     so an armed deadline that expires during a retry storm surfaces as
     a typed [Timeout] instead of further attempts.  Permanent errors
     and checksum failures pass through as raised.
@@ -69,13 +70,16 @@ val with_page : t -> int -> dirty:bool -> (Bytes.t -> 'a) -> 'a
 
 val with_io_retries : int -> (unit -> 'a) -> 'a
 (** [with_io_retries page f] runs the device operation [f] on [page]
-    with the pool's transient-I/O retry policy: a transient
-    [Io_failed] is retried up to 4 attempts in all, each retry first
+    with the stack's transient-I/O retry policy: a transient
+    [Io_failed] is retried up to 16 attempts in all, each retry first
     calling {!Deadline.check} and counting in [pool.io_retries]; any
-    other error, and the last transient one,
-    propagates.  {!with_page} uses it for fills and writebacks; a
-    caller that writes the device directly (metadata, journals) uses it
-    to get the same policy. *)
+    other error, and the last transient one, propagates.  This is the
+    {e only} retry loop for transient I/O: {!with_page} uses it for
+    fills and writebacks, a caller that writes the device directly
+    (metadata, journals) uses it to get the same policy, and
+    [Spine.Resilient] runs each call once on top of it.  A retry
+    re-runs one page operation, so it is idempotent, writes
+    included. *)
 
 val flush : t -> unit
 (** Write back every dirty frame. *)

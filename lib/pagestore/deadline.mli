@@ -6,8 +6,10 @@
     sleeps — call {!check} cooperatively.  Once the armed budget is
     overrun, {!check} raises a typed {!Spine_error.Error} ([Timeout]),
     so a paged query under injected latency or a retry storm aborts
-    promptly instead of hanging; the engine's resilience layer
-    ([Spine.Resilient]) arms it around every guarded call.
+    promptly instead of hanging.  {!Buffer_pool.with_io_retries}, the
+    stack's one transient-I/O retry loop, checks it before every
+    retry.  The engine's resilience layer ([Spine.Resilient]) arms it
+    around every guarded call.
 
     The slot is per-domain ([Domain.DLS]); parallel domains carry
     independent deadlines. *)

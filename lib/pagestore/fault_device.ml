@@ -39,7 +39,7 @@ type stats = {
 type t = {
   seed : int;
   arms : arm list;
-  mutable rng : int64;
+  rng : Xutil.Splitmix.t;
   mutable frozen : bool;
   mutable read_errors : int;
   mutable write_errors : int;
@@ -51,7 +51,9 @@ type t = {
 
 let create ?(seed = 1) arms =
   { seed; arms;
-    rng = Int64.of_int (if seed = 0 then 0x9E3779B9 else seed);
+    rng =
+      Xutil.Splitmix.of_state
+        (Int64.of_int (if seed = 0 then 0x9E3779B9 else seed));
     frozen = false;
     read_errors = 0; write_errors = 0; bit_flips = 0; torn_writes = 0;
     crashes = 0; dropped_writes = 0 }
@@ -64,22 +66,7 @@ let stats t =
     bit_flips = t.bit_flips; torn_writes = t.torn_writes;
     crashes = t.crashes; dropped_writes = t.dropped_writes }
 
-(* SplitMix64, same generator Trace uses for sampling decisions *)
-let next_rand t =
-  let z = Int64.add t.rng 0x9E3779B97F4A7C15L in
-  t.rng <- z;
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL in
-  (* mask to 62 bits: Int64.to_int of anything wider wraps negative on
-     64-bit OCaml, which would make rand_below return negative values *)
-  Int64.to_int
-    (Int64.logand
-       (Int64.logxor z (Int64.shift_right_logical z 31))
-       0x3FFF_FFFF_FFFF_FFFFL)
-
-let rand_below t n = if n <= 1 then 0 else next_rand t mod n
+let rand_below t n = if n <= 1 then 0 else Xutil.Splitmix.bits62 t.rng mod n
 
 let page_matches a page =
   match a.pages with

@@ -19,30 +19,19 @@ let default_config = { read_ns = 0; write_ns = 0; jitter_ns = 0; seed = 1 }
 type t = {
   config : config;
   sleep_ns : int -> unit;
-  mutable rng : int64;
+  rng : Xutil.Splitmix.t;
   mutable inner : Device.hooks option;
   mutable attached : Device.t option;
   mutable injected_ops : int;
   mutable injected_ns : int;
 }
 
-(* SplitMix64, the same generator Fault_device and Trace use *)
-let next_rand t =
-  let z = Int64.add t.rng 0x9E3779B97F4A7C15L in
-  t.rng <- z;
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL in
-  Int64.to_int
-    (Int64.logand
-       (Int64.logxor z (Int64.shift_right_logical z 31))
-       0x3FFF_FFFF_FFFF_FFFFL)
-
 let create ?(sleep_ns = fun ns -> Unix.sleepf (float_of_int ns /. 1e9))
     config =
   { config; sleep_ns;
-    rng = Int64.of_int (if config.seed = 0 then 0x9E3779B9 else config.seed);
+    rng =
+      Xutil.Splitmix.of_state
+        (Int64.of_int (if config.seed = 0 then 0x9E3779B9 else config.seed));
     inner = None; attached = None; injected_ops = 0; injected_ns = 0 }
 
 type stats = { ops : int; total_ns : int }
@@ -54,7 +43,7 @@ let delay_for t base =
   else begin
     let jitter =
       if t.config.jitter_ns <= 0 then 0
-      else next_rand t mod (t.config.jitter_ns + 1)
+      else Xutil.Splitmix.bits62 t.rng mod (t.config.jitter_ns + 1)
     in
     max 0 (base + jitter)
   end

@@ -125,10 +125,22 @@ let parse_latency obj =
       l_jitter_ns = us_to_ns (ji ~default:0 "jitter_us" obj);
     }
 
+(* Transient I/O is retried by the buffer pool alone, so these keys
+   have nothing to set.  Unknown keys are otherwise ignored; these are
+   rejected so a scenario written for a wrapper-level retry loop fails
+   loudly instead of silently losing its retry setting. *)
+let retry_keys = [ "max_attempts"; "backoff_base_us"; "backoff_max_ms"; "seed" ]
+
 let parse_resilience obj =
   match Json.member "resilience" obj with
   | None -> None
-  | Some (Json.Obj _ as r) ->
+  | Some (Json.Obj kvs as r) ->
+    List.iter
+      (fun (k, _) ->
+        if List.mem k retry_keys then
+          bad "resilience key %S is gone: transient I/O retry is owned by \
+               the buffer pool" k)
+      kvs;
     let d = Spine.Resilient.default_config in
     let ms_to_ns m = m * 1_000_000 in
     Some
@@ -138,16 +150,6 @@ let parse_resilience obj =
            if ms = 0 then None
            else if ms > 0 then Some (ms_to_ns ms)
            else d.Spine.Resilient.deadline_ns);
-        max_attempts =
-          ji ~default:d.Spine.Resilient.max_attempts "max_attempts" r;
-        backoff_base_ns =
-          (match jfopt "backoff_base_us" r with
-           | Some us -> int_of_float (us *. 1e3)
-           | None -> d.Spine.Resilient.backoff_base_ns);
-        backoff_max_ns =
-          (match jfopt "backoff_max_ms" r with
-           | Some ms -> int_of_float (ms *. 1e6)
-           | None -> d.Spine.Resilient.backoff_max_ns);
         breaker_failures =
           ji ~default:d.Spine.Resilient.breaker_failures "breaker_failures" r;
         breaker_cooldown_ns =
@@ -156,8 +158,6 @@ let parse_resilience obj =
            | None -> d.Spine.Resilient.breaker_cooldown_ns);
         breaker_probes =
           ji ~default:d.Spine.Resilient.breaker_probes "breaker_probes" r;
-        (* 0 = inherit the scenario seed, patched at run time *)
-        seed = ji ~default:0 "seed" r;
       }
   | Some _ -> bad "\"resilience\" must be an object"
 
@@ -311,8 +311,13 @@ type run_result = {
   r_stages : string list;
   r_checks : check_result list;
   r_counts : Spine.Resilient.counts option;
+  r_io_retries : int;
   r_report : Workload.report option;
 }
+
+(* the buffer pool's transient-I/O retries: a probe-backed counter,
+   so it counts whether telemetry is on or off *)
+let c_io_retries = Telemetry.counter "pool.io_retries"
 
 (* execution faults — a stage that cannot run at all *)
 exception Stuck of string
@@ -330,6 +335,7 @@ type st = {
   mutable fault : FD.t option;
   mutable latency : Pagestore.Latency_device.t option;
   mutable resilient : Spine.Resilient.t option;
+  mutable io_retries : int;    (* pool.io_retries across the last workload *)
   mutable report : Workload.report option;
   mutable qlog_records : Qlog.record list;
   mutable oracle : (int * Suffix_tree.t) option;  (* cached by length *)
@@ -445,15 +451,7 @@ let run_workload st (w : wstage) =
   in
   let requests = Workload.plan ~config (prefix_seq st) in
   let resilient =
-    match w.w_resilience with
-    | None -> None
-    | Some cfg ->
-      let cfg =
-        if cfg.Spine.Resilient.seed = 0 then
-          { cfg with Spine.Resilient.seed = st.seed }
-        else cfg
-      in
-      Some (Spine.Resilient.create ~config:cfg e)
+    Option.map (fun config -> Spine.Resilient.create ~config e) w.w_resilience
   in
   st.resilient <- resilient;
   st.wl_seq <- st.wl_seq + 1;
@@ -463,11 +461,13 @@ let run_workload st (w : wstage) =
     else None
   in
   Qlog.set_path qlog_path;
+  let retries_before = Telemetry.counter_value c_io_retries in
   let report, _profiles =
     Fun.protect
       ~finally:(fun () -> Qlog.set_path None)
       (fun () -> Workload.drive ?resilient ~config e requests)
   in
+  st.io_retries <- Telemetry.counter_value c_io_retries - retries_before;
   st.report <- Some report;
   match qlog_path with
   | None -> ()
@@ -738,6 +738,7 @@ let run ?seed ?dir t =
       fault = None;
       latency = None;
       resilient = None;
+      io_retries = 0;
       report = None;
       qlog_records = [];
       oracle = None;
@@ -790,6 +791,7 @@ let run ?seed ?dir t =
             r_stages = List.rev !ran;
             r_checks = List.rev !checks;
             r_counts = Option.map Spine.Resilient.counts st.resilient;
+            r_io_retries = st.io_retries;
             r_report = st.report;
           }
       | exception Stuck m -> Error m
@@ -819,10 +821,10 @@ let print r =
   | None -> ()
   | Some c ->
     Report.Say.printf
-      "resilience: calls=%d completed=%d retries=%d timeouts=%d shed=%d \
+      "resilience: calls=%d completed=%d io_retries=%d timeouts=%d shed=%d \
        failures=%d trips=%d recoveries=%d\n"
       c.Spine.Resilient.calls c.Spine.Resilient.completed
-      c.Spine.Resilient.retries c.Spine.Resilient.timeouts
+      r.r_io_retries c.Spine.Resilient.timeouts
       c.Spine.Resilient.shed c.Spine.Resilient.failures
       c.Spine.Resilient.breaker_trips c.Spine.Resilient.recoveries
 
@@ -839,11 +841,11 @@ let jsonl r =
        | None -> ""
        | Some c ->
          Printf.sprintf
-           ",\"resilience\":{\"calls\":%d,\"completed\":%d,\"retries\":%d,\
+           ",\"resilience\":{\"calls\":%d,\"completed\":%d,\"io_retries\":%d,\
             \"timeouts\":%d,\"shed\":%d,\"failures\":%d,\"breaker_trips\":%d,\
             \"recoveries\":%d}"
            c.Spine.Resilient.calls c.Spine.Resilient.completed
-           c.Spine.Resilient.retries c.Spine.Resilient.timeouts
+           r.r_io_retries c.Spine.Resilient.timeouts
            c.Spine.Resilient.shed c.Spine.Resilient.failures
            c.Spine.Resilient.breaker_trips c.Spine.Resilient.recoveries)
   in

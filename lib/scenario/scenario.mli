@@ -12,7 +12,7 @@
     {"stage": "latency", "read_us": 150, "write_us": 50, "jitter_us": 80}
     {"stage": "workload", "requests": 300, "rate": 2000,
      "mix": {"single": 6, "batch": 2, "cursor": 2}, "qlog": true,
-     "resilience": {"deadline_ms": 1000, "max_attempts": 4}}
+     "resilience": {"deadline_ms": 1000, "breaker_failures": 5}}
     {"stage": "crash", "chars": 4000, "chunks": 2, "after_writes": 30}
     {"stage": "expect", "parity": 200, "scrub": "clean",
      "p99_under": {"single": 50}, "replay": {"tolerance": 0.5},
@@ -37,10 +37,15 @@
     - {e workload} — drive the engine with a seeded {!Workload} mix
       (open loop when [rate] is present).  With a [resilience] object
       the requests route through a fresh {!Spine.Resilient} wrapper
-      (deadline, retry/backoff, circuit breaker) and typed rejections
-      become report dispositions.  [seed_offset] (default 1) decouples
-      the pattern stream from the fault/latency draws.  [qlog] records
-      the run for a later [replay] expectation.
+      (deadline, circuit breaker) and typed rejections become report
+      dispositions.  Its keys are [deadline_ms], [breaker_failures],
+      [breaker_cooldown_ms] and [breaker_probes]; the retry keys
+      [max_attempts], [backoff_base_us], [backoff_max_ms] and [seed]
+      are rejected, because transient I/O is retried by the buffer
+      pool ({!Pagestore.Buffer_pool.with_io_retries}).  [seed_offset]
+      (default 1) decouples the pattern stream from the fault/latency
+      draws.  [qlog] records the run for a later [replay]
+      expectation.
     - {e crash} — kill -9: arm a [Crash] fault [after_writes] device
       writes into appending [chars] more characters, stop at the
       freeze, abandon the handle, reopen, and truncate the oracle to
@@ -59,7 +64,7 @@
       report's dispositions agree).
 
     Every random draw — sequence, faults, latency jitter, workload
-    patterns, retry jitter, probe patterns — derives from the one
+    patterns, probe patterns — derives from the one
     scenario seed, so a run is reproducible end to end and a seed
     sweep is a different storm against the same expectations. *)
 
@@ -82,8 +87,6 @@ type wstage = {
   w_miss_fraction : float;
   w_seed_offset : int;
   w_resilience : Spine.Resilient.config option;
-      (** [seed = 0] in the parsed config means "inherit the scenario
-          seed" (patched at run time). *)
   w_qlog : bool;
 }
 
@@ -124,6 +127,9 @@ type run_result = {
   r_counts : Spine.Resilient.counts option;
       (** the last workload's resilience counters, when it had a
           policy *)
+  r_io_retries : int;
+      (** the [pool.io_retries] delta across the last workload: the
+          transient I/O errors the buffer pool absorbed *)
   r_report : Workload.report option;  (** the last workload's report *)
 }
 
@@ -140,8 +146,8 @@ val passed : run_result -> bool
 (** Every check passed (vacuously true with no expect stage). *)
 
 val print : run_result -> unit
-(** Expectation table plus a resilience-counter line through
-    {!Report.Table}. *)
+(** Expectation table plus a resilience-counter line (with
+    [io_retries]) through {!Report.Table}. *)
 
 val jsonl : run_result -> string list
 (** One summary object, then one object per check. *)

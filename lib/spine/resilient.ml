@@ -1,11 +1,11 @@
-(* Engine-level resilience (see resilient.mli): per-query deadlines,
-   bounded retry with exponential backoff + deterministic jitter, and a
-   circuit breaker with explicit degraded mode.  Every decision that is
-   not a clock reading is a pure function of (config, seed, outcome
-   sequence), so a scenario run is replayable. *)
+(* Engine-level resilience (see resilient.mli): a per-query deadline
+   and a circuit breaker with explicit degraded mode.  Transient I/O is
+   retried below, one page operation at a time, by
+   Pagestore.Buffer_pool.with_io_retries; a call here runs once.  Every
+   decision that is not a clock reading is a pure function of (config,
+   outcome sequence), so a scenario run is replayable. *)
 
 let c_calls = Telemetry.counter "resilience.calls"
-let c_retries = Telemetry.counter "resilience.retries"
 let c_timeouts = Telemetry.counter "resilience.timeouts"
 let c_shed = Telemetry.counter "resilience.shed"
 let c_failures = Telemetry.counter "resilience.failures"
@@ -24,29 +24,20 @@ let state_code = function Closed -> 0.0 | Open -> 1.0 | Half_open -> 2.0
 
 type config = {
   deadline_ns : int option;
-  max_attempts : int;
-  backoff_base_ns : int;
-  backoff_max_ns : int;
   breaker_failures : int;
   breaker_cooldown_ns : int;
   breaker_probes : int;
-  seed : int;
 }
 
 let default_config =
   { deadline_ns = Some 1_000_000_000;
-    max_attempts = 4;
-    backoff_base_ns = 1_000_000;
-    backoff_max_ns = 100_000_000;
     breaker_failures = 5;
     breaker_cooldown_ns = 200_000_000;
-    breaker_probes = 3;
-    seed = 1 }
+    breaker_probes = 3 }
 
 type counts = {
   calls : int;
   completed : int;
-  retries : int;
   timeouts : int;
   shed : int;
   failures : int;
@@ -58,19 +49,16 @@ type t = {
   engine : Engine.t;
   config : config;
   clock : unit -> int;
-  sleep_ns : int -> unit;
   (* breaker state and the local counter mirrors are shared mutable
      data; every access goes through [locked] so one wrapper can guard
      an engine queried from parallel domains *)
   lock : Mutex.t;
-  mutable rng : int64;
   mutable state : breaker_state;
   mutable opened_at : int;
   mutable consecutive_failures : int;
   mutable probe_successes : int;
   mutable n_calls : int;
   mutable n_completed : int;
-  mutable n_retries : int;
   mutable n_timeouts : int;
   mutable n_shed : int;
   mutable n_failures : int;
@@ -78,18 +66,14 @@ type t = {
   mutable n_recoveries : int;
 }
 
-let create ?(clock = Xutil.Stopwatch.now_ns)
-    ?(sleep_ns = fun ns -> Unix.sleepf (float_of_int ns /. 1e9))
-    ?(config = default_config) engine =
-  if config.max_attempts < 1 then
-    invalid_arg "Resilient.create: max_attempts < 1";
+let create ?(clock = Xutil.Stopwatch.now_ns) ?(config = default_config)
+    engine =
   Telemetry.set g_state (state_code Closed);
-  { engine; config; clock; sleep_ns;
+  { engine; config; clock;
     lock = Mutex.create ();
-    rng = Int64.of_int (if config.seed = 0 then 0x9E3779B9 else config.seed);
     state = Closed; opened_at = 0;
     consecutive_failures = 0; probe_successes = 0;
-    n_calls = 0; n_completed = 0; n_retries = 0; n_timeouts = 0;
+    n_calls = 0; n_completed = 0; n_timeouts = 0;
     n_shed = 0; n_failures = 0; n_trips = 0; n_recoveries = 0 }
 
 let engine t = t.engine
@@ -103,31 +87,9 @@ let breaker_state t = locked t (fun () -> t.state)
 
 let counts t =
   locked t (fun () ->
-      { calls = t.n_calls; completed = t.n_completed; retries = t.n_retries;
-        timeouts = t.n_timeouts; shed = t.n_shed; failures = t.n_failures;
-        breaker_trips = t.n_trips; recoveries = t.n_recoveries })
-
-(* SplitMix64, the same generator the fault and latency injectors use *)
-let next_rand t =
-  let z = Int64.add t.rng 0x9E3779B97F4A7C15L in
-  t.rng <- z;
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL in
-  Int64.to_int
-    (Int64.logand
-       (Int64.logxor z (Int64.shift_right_logical z 31))
-       0x3FFF_FFFF_FFFF_FFFFL)
-
-(* full-jitter capped exponential: base * 2^(attempt-1) bounded by
-   [backoff_max_ns], plus a deterministic uniform draw of up to half
-   the capped delay on top *)
-let backoff_delay t attempt =
-  let shift = min 20 (attempt - 1) in
-  let base = t.config.backoff_base_ns lsl shift in
-  let capped = min t.config.backoff_max_ns (max 1 base) in
-  capped + (next_rand t mod (capped / 2 + 1))
+      { calls = t.n_calls; completed = t.n_completed; timeouts = t.n_timeouts;
+        shed = t.n_shed; failures = t.n_failures; breaker_trips = t.n_trips;
+        recoveries = t.n_recoveries })
 
 let set_state t s =
   t.state <- s;
@@ -200,42 +162,12 @@ let record_failure t ~timed_out =
 
 let call t ~op f =
   admit t ~op;
-  let started = t.clock () in
-  let abs_deadline =
-    match t.config.deadline_ns with
-    | None -> None
-    | Some d -> Some (started + d)
-  in
-  let rec attempts n =
-    try f t.engine with
-    | Spine_error.Error (Spine_error.Io_failed { transient = true; _ })
-      when n < t.config.max_attempts ->
-      let delay = locked t (fun () -> backoff_delay t n) in
-      (match abs_deadline with
-       | Some dl when t.clock () + delay > dl ->
-         (* the backoff would cross the deadline: declare the timeout
-            now rather than sleeping into it *)
-         (match t.config.deadline_ns with
-          | Some d ->
-            Spine_error.timeout ~op ~deadline_ns:d
-              ~elapsed_ns:(t.clock () - started)
-          | None -> assert false)
-       | _ ->
-         locked t (fun () -> t.n_retries <- t.n_retries + 1);
-         Telemetry.incr c_retries;
-         if Trace.on () then
-           Trace.instant "resilience.retry"
-             [ Trace.Str ("op", op); Trace.Int ("attempt", n);
-               Trace.Int ("backoff_ns", delay) ];
-         t.sleep_ns delay;
-         attempts (n + 1))
-  in
+  let run () = f t.engine in
   let body () =
     match t.config.deadline_ns with
-    | None -> attempts 1
+    | None -> run ()
     | Some d ->
-      Pagestore.Deadline.with_deadline ~clock:t.clock ~op ~deadline_ns:d
-        (fun () -> attempts 1)
+      Pagestore.Deadline.with_deadline ~clock:t.clock ~op ~deadline_ns:d run
   in
   match body () with
   | v ->

@@ -1,4 +1,5 @@
-(** Engine-level resilience: deadlines, retry/backoff, circuit breaker.
+(** Engine-level resilience: a per-query deadline and a circuit
+    breaker.
 
     A {!t} wraps an {!Engine.t} with the degradation policy a query
     service needs under an adversarial environment (the chaos scenarios
@@ -8,12 +9,6 @@
       ({!Pagestore.Deadline}) checked in the paged hot paths and the
       latency injector's sleeps, so a query never hangs — it fails with
       a typed {!Spine_error.Error} ([Timeout]) and no partial result.
-    - {e Retry}: transient [Io_failed] errors (the kind
-      {!Pagestore.Fault_device} scripts and real devices produce) are
-      retried up to [max_attempts] with capped exponential backoff plus
-      a deterministic SplitMix64 full-jitter draw — a seeded fault
-      storm replays the exact same backoff schedule.  A retry whose
-      backoff would cross the deadline raises [Timeout] immediately.
     - {e Circuit breaker}: [breaker_failures] consecutive failures trip
       the breaker open; while open (and cooling down) every call is
       {e shed} with a typed [Overloaded] rejection without touching the
@@ -21,13 +16,19 @@
       admits probes; [breaker_probes] consecutive successes close it
       (a failure re-trips immediately).
 
+    A call runs [f] once.  Transient [Io_failed] errors are retried
+    below it, one page operation at a time, by
+    {!Pagestore.Buffer_pool.with_io_retries} (up to 16 attempts, each
+    behind a deadline check); an error that reaches {!call} has
+    already used that budget and counts as a failure.
+
     Every outcome feeds the [resilience.*] telemetry family
-    ([calls], [retries], [timeouts], [shed], [failures],
-    [breaker_trips], [recoveries] counters and the [breaker_state]
-    gauge: 0 closed / 1 open / 2 half-open) plus a per-instance
-    {!counts} mirror that scenario expectations reconcile against
-    per-query profiles.  State transitions are mutex-guarded, so one
-    wrapper may guard an engine shared across domains. *)
+    ([calls], [timeouts], [shed], [failures], [breaker_trips],
+    [recoveries] counters and the [breaker_state] gauge: 0 closed /
+    1 open / 2 half-open) plus a per-instance {!counts} mirror that
+    scenario expectations reconcile against per-query profiles.  State
+    transitions are mutex-guarded, so one wrapper may guard an engine
+    shared across domains. *)
 
 type breaker_state = Closed | Open | Half_open
 
@@ -37,49 +38,40 @@ val state_name : breaker_state -> string
 
 type config = {
   deadline_ns : int option;  (** per-call budget; [None] = no deadline *)
-  max_attempts : int;        (** total tries per call (>= 1) *)
-  backoff_base_ns : int;     (** first retry's base delay *)
-  backoff_max_ns : int;      (** cap on the exponential delay *)
   breaker_failures : int;    (** consecutive failures that trip open *)
   breaker_cooldown_ns : int; (** open time before half-open probing *)
   breaker_probes : int;      (** successes in half-open that close *)
-  seed : int;                (** jitter determinism *)
 }
 
 val default_config : config
-(** 1 s deadline, 4 attempts, 1 ms base / 100 ms cap backoff, trip at
-    5 consecutive failures, 200 ms cooldown, 3 probes, seed 1. *)
+(** 1 s deadline, trip at 5 consecutive failures, 200 ms cooldown,
+    3 probes. *)
 
 type t
 
-val create :
-  ?clock:(unit -> int) -> ?sleep_ns:(int -> unit) -> ?config:config ->
-  Engine.t -> t
-(** [clock] (default {!Xutil.Stopwatch.now_ns}) and [sleep_ns] (default
-    [Unix.sleepf]) exist so tests drive deadlines, backoff and cooldown
-    through a virtual clock.
-    @raise Invalid_argument when [config.max_attempts < 1]. *)
+val create : ?clock:(unit -> int) -> ?config:config -> Engine.t -> t
+(** [clock] (default {!Xutil.Stopwatch.now_ns}) exists so tests drive
+    deadlines and cooldown through a virtual clock. *)
 
 val engine : t -> Engine.t
 val config : t -> config
 
 val call : t -> op:string -> (Engine.t -> 'a) -> 'a
-(** [call t ~op f] runs [f] on the wrapped engine under the full
-    policy.  [op] names the operation in errors, traces and telemetry.
+(** [call t ~op f] runs [f] once on the wrapped engine under the
+    deadline and the breaker.  [op] names the operation in errors,
+    traces and telemetry.
     @raise Spine_error.Error ([Overloaded]) when the breaker sheds the
-    call; ([Timeout]) when the deadline is overrun (cooperatively
-    inside [f], or by a backoff that cannot fit); any error [f]'s last
-    attempt raised otherwise. *)
+    call; ([Timeout]) when the deadline is overrun inside [f]; any
+    error [f] raised otherwise. *)
 
 val breaker_state : t -> breaker_state
 
 type counts = {
   calls : int;       (** admission attempts (sheds included) *)
   completed : int;   (** calls that returned a result *)
-  retries : int;     (** backoff sleeps taken *)
   timeouts : int;
   shed : int;
-  failures : int;    (** non-timeout typed failures after retries *)
+  failures : int;    (** non-timeout typed failures *)
   breaker_trips : int;
   recoveries : int;  (** half-open → closed transitions *)
 }

@@ -80,7 +80,7 @@ type dstate = {
   mutable op_names : (int * string) list;  (* newest first; for exporters *)
   mutable span_stack : string list;
   mutable slow : slow_op list;  (* newest first *)
-  mutable rng : int64;          (* sampling RNG (SplitMix64) *)
+  mutable rng : Xutil.Splitmix.t;  (* sampling RNG *)
 }
 
 let state_key =
@@ -96,7 +96,7 @@ let state_key =
         op_names = [];
         span_stack = [];
         slow = [];
-        rng = Int64.of_int !seed })
+        rng = Xutil.Splitmix.of_state (Int64.of_int !seed) })
 
 let ds () = Domain.DLS.get state_key
 
@@ -136,26 +136,15 @@ let reset () =
   d.muted <- false;
   d.recording <- !enabled
 
-(* --- sampling RNG (SplitMix64, as lib/bioseq/rng.ml) --- *)
+(* --- sampling RNG --- *)
 
 let set_seed s =
   seed := s;
-  (ds ()).rng <- Int64.of_int s
-
-let next64 d =
-  let open Int64 in
-  d.rng <- add d.rng 0x9E3779B97F4A7C15L;
-  let z = d.rng in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-(* uniform in [0, 1) from the top 53 bits *)
-let draw d =
-  Int64.to_float (Int64.shift_right_logical (next64 d) 11) /. 9007199254740992.0
+  (ds ()).rng <- Xutil.Splitmix.of_state (Int64.of_int s)
 
 let sample_keeps d =
-  !sample_rate >= 1.0 || (!sample_rate > 0.0 && draw d < !sample_rate)
+  !sample_rate >= 1.0
+  || (!sample_rate > 0.0 && Xutil.Splitmix.float d.rng 1.0 < !sample_rate)
 
 (* --- recording --- *)
 

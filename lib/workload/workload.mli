@@ -63,7 +63,7 @@ type op_report = {
   max_ns : int;    (** exact (not bucketed) *)
   timeouts : int;  (** typed [Timeout] rejections (resilient runs) *)
   shed : int;      (** typed [Overloaded] rejections (breaker open) *)
-  failed : int;    (** other typed failures after the retry budget *)
+  failed : int;    (** other typed failures (the pool's retries spent) *)
 }
 (** Rejected requests are counted but kept out of the latency
     histogram: a shed request answering in microseconds must not fake a

@@ -4,7 +4,7 @@
     [clock : unit -> int] (nanoseconds) and most sleepers take a
     [sleep_ns : int -> unit]; a virtual clock provides a matched pair:
     {!sleep} {e advances} the clock instead of blocking, so a workload
-    run, a backoff schedule or an injected latency plan executes in
+    run, a breaker cooldown or an injected latency plan executes in
     zero wall time with byte-reproducible timestamps. *)
 
 type t

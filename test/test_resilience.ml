@@ -1,9 +1,9 @@
 (* Tests for the engine-level resilience layer (Spine.Resilient):
-   bounded retry with deterministic jitter, cooperative deadlines,
-   circuit-breaker transitions, exact parity after a transient-fault
-   storm — plus the open-loop pacing fix (injected clock end to end),
-   the typed SPINE_FAULTS parser, latency-injection attribution, and
-   the scenario DSL parser. *)
+   the buffer pool's exact retry budget under a wrapped call,
+   cooperative deadlines, circuit-breaker transitions, exact parity
+   after a transient-fault storm — plus the open-loop pacing fix
+   (injected clock end to end), the typed SPINE_FAULTS parser,
+   latency-injection attribution, and the scenario DSL parser. *)
 
 module VC = Xutil.Virtual_clock
 module R = Spine.Resilient
@@ -28,101 +28,67 @@ let with_tmp f =
   result
 
 let no_breaker =
-  {
-    R.default_config with
-    R.deadline_ns = None;
-    breaker_failures = 1000;
-    backoff_base_ns = 1_000_000;
-    backoff_max_ns = 100_000_000;
-    seed = 7;
-  }
+  { R.default_config with R.deadline_ns = None; breaker_failures = 1000 }
 
-(* a call that fails transiently [k] times, then succeeds *)
-let flaky k =
-  let calls = ref 0 in
-  ( calls,
-    fun _e ->
-      incr calls;
-      if !calls <= k then
-        Spine_error.io_failed ~op:Spine_error.Read ~page:0 ~transient:true
-          "injected transient"
-      else 42 )
+(* a small persistent index on disk, reopened with a cold starved pool
+   so every query reads the device *)
+let with_cold_persistent ~chars f =
+  with_tmp (fun path ->
+      let seq = seq_of chars in
+      (let p = P.create ~path dna in
+       P.append_seq p seq;
+       P.close p);
+      let p = P.open_ ~frames:4 ~path () in
+      Fun.protect ~finally:(fun () -> P.close p) (fun () -> f seq p))
 
-let make_virtual config =
-  let vc = VC.create () in
-  let sleeps = ref [] in
-  let sleep ns =
-    sleeps := ns :: !sleeps;
-    VC.sleep vc ns
-  in
-  let r k =
-    R.create ~clock:(VC.now vc) ~sleep_ns:sleep ~config (tiny_engine ())
-    |> fun t -> (t, k)
-  in
-  (vc, sleeps, r)
+(* --- the pool's retry budget under a wrapped call -------------------- *)
 
-(* --- retry/backoff --------------------------------------------------- *)
-
+(* The buffer pool is the only retry loop: a storm of 15 transient read
+   errors on one page fill is absorbed within its 16 attempts, one of
+   16 escapes typed after exactly 16 device reads, and the wrapper
+   runs each call once either way. *)
 let test_retry_bounded () =
-  let vc, sleeps, mk = make_virtual no_breaker in
-  ignore vc;
-  let t, _ = mk () in
-  let calls, f = flaky 2 in
-  let v = R.call t ~op:"q" f in
-  Alcotest.(check int) "result through retries" 42 v;
-  Alcotest.(check int) "attempts = failures + 1" 3 !calls;
-  Alcotest.(check int) "two backoff sleeps" 2 (List.length !sleeps);
-  let c = R.counts t in
-  Alcotest.(check int) "retries counted" 2 c.R.retries;
-  Alcotest.(check int) "no failures recorded (it recovered)" 0 c.R.failures;
-  Alcotest.(check int) "completed" 1 c.R.completed;
-  (* exhaustion: the budget is a hard bound *)
-  let calls, f = flaky 100 in
-  (match R.call t ~op:"q" f with
-   | _ -> Alcotest.fail "persistent fault must escape after the budget"
-   | exception Spine_error.Error (Spine_error.Io_failed _) -> ());
-  Alcotest.(check int) "exactly max_attempts tries"
-    no_breaker.R.max_attempts !calls;
-  Alcotest.(check int) "one typed failure" 1 (R.counts t).R.failures
-
-let test_backoff_deterministic () =
-  let run seed =
-    let vc, sleeps, _ = make_virtual no_breaker in
-    ignore vc;
-    let sleep ns =
-      sleeps := ns :: !sleeps
-    in
-    let t =
-      R.create ~clock:(fun () -> 0) ~sleep_ns:sleep
-        ~config:{ no_breaker with R.seed } (tiny_engine ())
-    in
-    let _, f = flaky 3 in
-    ignore (R.call t ~op:"q" f);
-    List.rev !sleeps
-  in
-  let a = run 7 and b = run 7 and c = run 8 in
-  Alcotest.(check (list int)) "same seed, same jitter schedule" a b;
-  Alcotest.(check bool) "different seed, different schedule" true (a <> c);
-  List.iteri
-    (fun i ns ->
-      let cap =
-        min no_breaker.R.backoff_max_ns (no_breaker.R.backoff_base_ns lsl i)
+  with_cold_persistent ~chars:3_000 (fun seq p ->
+      let t = R.create ~config:no_breaker (P.engine p) in
+      let pat = Array.init 6 (fun k -> Bioseq.Packed_seq.get seq k) in
+      let storm times =
+        Pagestore.Buffer_pool.drop (P.pool p);
+        FD.attach (FD.create [ FD.arm ~times FD.Read_error ]) (P.device p)
       in
-      Alcotest.(check bool)
-        (Printf.sprintf "backoff %d within [base, 1.5*cap]" i)
-        true
-        (ns >= cap && ns <= cap + (cap / 2)))
-    a
+      storm 15;
+      let occ, prof =
+        R.call t ~op:"q" (fun e ->
+            E.profiled e (fun () -> Codes.occurrences e pat))
+      in
+      Alcotest.(check bool) "query found its planted pattern" true
+        (occ <> []);
+      Alcotest.(check int) "every error retried by the pool" 15
+        prof.Profile.io_retries;
+      let c = R.counts t in
+      Alcotest.(check int) "completed" 1 c.R.completed;
+      Alcotest.(check int) "no failures recorded (it recovered)" 0
+        c.R.failures;
+      (* exhaustion: the pool's budget is a hard bound *)
+      storm 16;
+      let reads () =
+        (Pagestore.Device.stats (P.device p)).Pagestore.Device.reads
+      in
+      let before = reads () in
+      (match R.call t ~op:"q" (fun e -> Codes.occurrences e pat) with
+       | _ -> Alcotest.fail "a storm past the budget must escape"
+       | exception
+           Spine_error.Error (Spine_error.Io_failed { transient; _ }) ->
+         Alcotest.(check bool) "error marked transient" true transient);
+      Alcotest.(check int) "exactly 16 device reads" 16 (reads () - before);
+      Alcotest.(check int) "one typed failure" 1 (R.counts t).R.failures;
+      FD.detach (P.device p))
 
 let test_deadline_inside_call () =
   let vc = VC.create () in
   let config =
     { no_breaker with R.deadline_ns = Some 10_000_000 (* 10 ms *) }
   in
-  let t =
-    R.create ~clock:(VC.now vc) ~sleep_ns:(VC.sleep vc) ~config
-      (tiny_engine ())
-  in
+  let t = R.create ~clock:(VC.now vc) ~config (tiny_engine ()) in
   (* the engine work overruns the budget and hits a cooperative check,
      the way Buffer_pool.with_page and the latency injector do *)
   let f _e =
@@ -169,27 +135,7 @@ let test_pool_retry_deadline () =
   (match read () with
    | _ -> Alcotest.fail "a read under an injected storm must fail"
    | exception Spine_error.Error (Spine_error.Io_failed _) -> ());
-  Alcotest.(check int) "every attempt used without a deadline" 4 !attempts
-
-let test_backoff_crossing_deadline () =
-  let vc = VC.create () in
-  let config =
-    {
-      no_breaker with
-      R.deadline_ns = Some 1_000_000;
-      (* any backoff (>= 10 ms) overshoots the 1 ms budget *)
-      backoff_base_ns = 10_000_000;
-    }
-  in
-  let t =
-    R.create ~clock:(VC.now vc) ~sleep_ns:(VC.sleep vc) ~config
-      (tiny_engine ())
-  in
-  let calls, f = flaky 100 in
-  (match R.call t ~op:"q" (fun e -> ignore (f e)) with
-   | () -> Alcotest.fail "must time out"
-   | exception Spine_error.Error (Spine_error.Timeout _) -> ());
-  Alcotest.(check int) "no second attempt after a doomed backoff" 1 !calls
+  Alcotest.(check int) "every attempt used without a deadline" 16 !attempts
 
 (* A batch whose deadline expires inside the occurrence scan: every
    device read takes 1 ms of virtual time, and the budget runs out
@@ -236,7 +182,7 @@ let test_deadline_mid_scan () =
       (total - descent) total;
   let budget = descent + ((total - descent) / 2) in
   let t =
-    R.create ~clock:(VC.now vc) ~sleep_ns:(VC.sleep vc)
+    R.create ~clock:(VC.now vc)
       ~config:{ no_breaker with R.deadline_ns = Some (budget * 1_000_000) }
       e
   in
@@ -264,19 +210,13 @@ let test_breaker_transitions () =
   let vc = VC.create () in
   let config =
     {
-      R.default_config with
       R.deadline_ns = None;
-      max_attempts = 1;
       breaker_failures = 3;
       breaker_cooldown_ns = 100_000_000;
       breaker_probes = 2;
-      seed = 5;
     }
   in
-  let t =
-    R.create ~clock:(VC.now vc) ~sleep_ns:(VC.sleep vc) ~config
-      (tiny_engine ())
-  in
+  let t = R.create ~clock:(VC.now vc) ~config (tiny_engine ()) in
   let boom _e =
     Spine_error.io_failed ~op:Spine_error.Read ~page:0 ~transient:true "boom"
   in
@@ -329,11 +269,9 @@ let test_storm_parity () =
       let oracle = Spine.Compact.engine (Spine.Compact.of_seq seq) in
       let fd = FD.create ~seed:9 [ FD.arm ~times:9 FD.Read_error ] in
       FD.attach fd (P.device p);
-      let t =
-        R.create
-          ~config:{ R.default_config with R.backoff_base_ns = 10_000 }
-          (P.engine p)
-      in
+      let t = R.create (P.engine p) in
+      let retries = Telemetry.counter "pool.io_retries" in
+      let before = Telemetry.counter_value retries in
       let rng = Bioseq.Rng.create 77 in
       for _ = 1 to 40 do
         let len = 3 + Bioseq.Rng.int rng 8 in
@@ -352,8 +290,8 @@ let test_storm_parity () =
       let c = R.counts t in
       Alcotest.(check int) "every query completed" 40 c.R.completed;
       Alcotest.(check int) "zero failures after recovery" 0 c.R.failures;
-      Alcotest.(check bool) "the storm actually forced retries" true
-        (c.R.retries > 0);
+      Alcotest.(check bool) "the pool absorbed the whole storm" true
+        (Telemetry.counter_value retries - before >= 9);
       Alcotest.(check bool) "the storm is spent" true
         ((FD.stats fd).FD.read_errors > 0);
       P.close p)
@@ -516,12 +454,8 @@ let test_scenario_parse () =
 let suite =
   [ Alcotest.test_case "retry bounded + budget exhaustion" `Quick
       test_retry_bounded
-  ; Alcotest.test_case "backoff jitter deterministic per seed" `Quick
-      test_backoff_deterministic
   ; Alcotest.test_case "cooperative deadline inside a call" `Quick
       test_deadline_inside_call
-  ; Alcotest.test_case "backoff crossing the deadline" `Quick
-      test_backoff_crossing_deadline
   ; Alcotest.test_case "pool retries honour the deadline" `Quick
       test_pool_retry_deadline
   ; Alcotest.test_case "breaker trip / half-open / close" `Quick

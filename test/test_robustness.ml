@@ -323,7 +323,7 @@ let test_flush_retry_generation () =
       P.flush p;  (* generation 1 -> slot B *)
       Alcotest.(check int) "first flush commits generation 1" 1
         (P.generation p);
-      (* exhaust dev_write's 4 retries on every slot page: the next
+      (* exhaust dev_write's 16 attempts on every slot page: the next
          flush must fail without consuming generation 2 — otherwise the
          retry would target generation 3's slot, which is the one
          holding the last valid metadata *)
@@ -682,6 +682,57 @@ let test_transient_retry () =
         (contains p2 "gtacgtacgt");
       P.close p2)
 
+(* The writeback side of the pool's retry budget: a one-frame pool
+   evicts dirty page 5 to fill page 6, so every injected write error
+   lands on that writeback. *)
+let test_transient_writeback () =
+  let dev = Pagestore.Device.create ~checksums:true ~page_size:256 () in
+  let pool = Pagestore.Buffer_pool.create ~frames:1 dev in
+  let put page ch =
+    Pagestore.Buffer_pool.with_page pool page ~dirty:true (fun b ->
+        Bytes.set b 0 ch)
+  in
+  let on_device page = Bytes.get (Pagestore.Device.read dev page) 0 in
+  let evict_5 () =
+    Pagestore.Buffer_pool.with_page pool 6 ~dirty:false (fun _ -> ())
+  in
+  put 6 '6';
+  put 5 'a';
+  Pagestore.Buffer_pool.flush pool;
+  put 5 'b';
+  let f = FD.create [ FD.arm ~times:15 FD.Write_error ] in
+  FD.attach f dev;
+  evict_5 ();
+  FD.detach dev;
+  Alcotest.(check int) "15 write errors absorbed by the writeback" 15
+    (FD.stats f).FD.write_errors;
+  Alcotest.(check char) "the evicted page reads back intact" 'b'
+    (Pagestore.Buffer_pool.with_page pool 5 ~dirty:false (fun b ->
+         Bytes.get b 0));
+  (* one error past the budget: the eviction fails typed, the device
+     page keeps its old image and the frame keeps the newer one dirty *)
+  put 5 'c';
+  let writebacks () =
+    (Pagestore.Buffer_pool.stats pool).Pagestore.Buffer_pool.writebacks
+  in
+  let before = writebacks () in
+  FD.attach (FD.create [ FD.arm ~times:16 FD.Write_error ]) dev;
+  (match evict_5 () with
+   | () -> Alcotest.fail "a writeback storm past the budget must fail"
+   | exception Spine_error.Error (Spine_error.Io_failed { transient; op; _ })
+     ->
+     Alcotest.(check bool) "error marked transient" true transient;
+     Alcotest.(check bool) "error names the write" true
+       (op = Spine_error.Write)
+   | exception e ->
+     Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
+  FD.detach dev;
+  Alcotest.(check char) "device page unchanged" 'b' (on_device 5);
+  Alcotest.(check int) "no writeback counted" before (writebacks ());
+  Pagestore.Buffer_pool.flush pool;
+  Alcotest.(check char) "the frame stayed dirty: a flush writes it" 'c'
+    (on_device 5)
+
 (* --- torn metadata write: shadow-slot fallback ----------------------- *)
 
 let test_torn_metadata () =
@@ -804,6 +855,8 @@ let suite =
   ; Alcotest.test_case "typed pool exhaustion" `Quick test_pool_exhausted
   ; Alcotest.test_case "transient I/O errors are retried" `Quick
       test_transient_retry
+  ; Alcotest.test_case "transient writeback retries are bounded" `Quick
+      test_transient_writeback
   ; Alcotest.test_case "torn metadata write falls back to the shadow slot"
       `Quick test_torn_metadata
   ; Alcotest.test_case "SPINE_FAULTS grammar and auto-arming" `Quick

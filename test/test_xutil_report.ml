@@ -1,6 +1,7 @@
 (* Tests for the small substrates: Int_vec, Stopwatch, table/bar
-   formatting — plus a qcheck model test of the buffer pool (random
-   access traces vs a naive reference cache model). *)
+   formatting, the pinned SplitMix64 streams — plus a qcheck model test
+   of the buffer pool (random access traces vs a naive reference cache
+   model). *)
 
 let test_int_vec_basics () =
   let v = Xutil.Int_vec.create ~capacity:1 () in
@@ -117,6 +118,76 @@ let qcheck_pool_integrity =
       done;
       !ok)
 
+(* --- one SplitMix64 behind every seeded stream -------------------------- *)
+
+(* The first 8 draws of each seeded generator for seeds 1 and 42, as
+   recorded before the generators shared Xutil.Splitmix: seeded fault
+   plans, latency plans and synthetic corpora must replay bit for
+   bit. *)
+let rng_draws seed =
+  let r = Bioseq.Rng.create seed in
+  List.init 8 (fun _ -> Bioseq.Rng.next64 r)
+
+(* a latency plan with no base delay and jitter [max_int - 1] sleeps
+   each draw mod [max_int]: one read, one draw *)
+let latency_draws seed =
+  let dev = Pagestore.Device.create ~page_size:64 () in
+  Pagestore.Device.write dev 0 (Bytes.make 64 '\000');
+  let slept = ref [] in
+  let l =
+    Pagestore.Latency_device.create
+      ~sleep_ns:(fun ns -> slept := ns :: !slept)
+      { Pagestore.Latency_device.default_config with
+        Pagestore.Latency_device.jitter_ns = max_int - 1; seed }
+  in
+  Pagestore.Latency_device.attach l dev;
+  for _ = 1 to 8 do ignore (Pagestore.Device.read dev 0) done;
+  Pagestore.Latency_device.detach l;
+  List.rev !slept
+
+(* a bit flip draws a byte (mod the 4092 flippable bytes of a 4 KiB
+   page), then a bit: four flips onto zero pages read back as 8 draws *)
+let fault_draws seed =
+  let size = 4096 in
+  let dev = Pagestore.Device.create ~page_size:size () in
+  let module FD = Pagestore.Fault_device in
+  FD.attach (FD.create ~seed [ FD.arm ~times:4 FD.Bit_flip ]) dev;
+  for p = 0 to 3 do Pagestore.Device.write dev p (Bytes.make size '\000') done;
+  FD.detach dev;
+  List.concat_map
+    (fun p ->
+      let b = Pagestore.Device.raw_slot dev p in
+      let rec find i = if Bytes.get b i <> '\000' then i else find (i + 1) in
+      let rec log2 v = if v <= 1 then 0 else 1 + log2 (v lsr 1) in
+      let byte = find 0 in
+      [ byte; log2 (Char.code (Bytes.get b byte)) ])
+    [ 0; 1; 2; 3 ]
+
+let test_splitmix_streams () =
+  let check seed rng lat fault =
+    let name what = Printf.sprintf "%s, seed %d" what seed in
+    Alcotest.(check (list int64)) (name "Bioseq.Rng") rng (rng_draws seed);
+    Alcotest.(check (list int)) (name "Latency_device") lat
+      (latency_draws seed);
+    Alcotest.(check (list int)) (name "Fault_device") fault (fault_draws seed)
+  in
+  check 1
+    [ 0xBFEF8030DDC2D772L; 0x5F552CE482F2AA47L; 0x70335FC3DAF3D8A7L;
+      0xF440FE3B62C79D2CL; 0x33BA2F29E7C168BBL; 0x98843F48A94B7866L;
+      0x74AD4C24D41A25F8L; 0x2F9A1F13648EAB6EL ]
+    [ 1227844342346046657; 4533873174211652711; 4076781235000726878;
+      3585294735394392331; 3583551218699580857; 237859547582366336;
+      2349168632861703333; 425514363213284725 ]
+    [ 3081; 7; 3882; 3; 3677; 0; 2925; 5 ];
+  check 42
+    [ 0x989B3F130A063869L; 0x290DB4BF2570DED7L; 0x2A990BE63A01B2D5L;
+      0xC4B6B24EF01890EL; 0xFB16A06E52EC10A7L; 0x3C30FC5FD50692C3L;
+      0x4782C4B4C4FDF7C9L; 0x272404A0A3926552L ]
+    [ 4456085495900499605; 2949826092126892291; 527597730035375954;
+      1737512041830867860; 701532786141963250; 2180923070380825350;
+      4028864712777624925; 933993271705612196 ]
+    [ 2993; 3; 1538; 4; 2158; 6; 865; 4 ]
+
 let suite =
   [ Alcotest.test_case "int_vec basics" `Quick test_int_vec_basics
   ; Alcotest.test_case "int_vec binary search" `Quick
@@ -124,6 +195,8 @@ let suite =
   ; Alcotest.test_case "int_vec errors" `Quick test_int_vec_errors
   ; Alcotest.test_case "stopwatch" `Quick test_stopwatch
   ; Alcotest.test_case "table formatting" `Quick test_table_formatting
+  ; Alcotest.test_case "splitmix streams replay unchanged" `Quick
+      test_splitmix_streams
   ; QCheck_alcotest.to_alcotest qcheck_pool_model
   ; QCheck_alcotest.to_alcotest qcheck_pool_integrity
   ]
