@@ -1123,7 +1123,10 @@ let scrub_cmd =
   let page_size =
     Arg.(value & opt int Spine.Disk.default_config.Spine.Disk.page_size
          & info [ "page-size" ] ~docv:"BYTES"
-             ~doc:"Device page size the index was built with.")
+             ~doc:"Device page size for a file that records none (one \
+                   written before the page size was recorded, or whose \
+                   two metadata slots both have a damaged first page); \
+                   other files are read at the page size they record.")
   in
   let deep =
     Arg.(value & flag

@@ -112,20 +112,63 @@ let set_writeback_hook t h = locked t (fun () -> t.on_writeback <- h)
    attempts. *)
 let max_io_attempts = 16
 
-let with_io_retries page f =
-  let rec go attempt =
-    try f ()
-    with
-    | Spine_error.Error (Spine_error.Io_failed { transient = true; _ })
-      when attempt < max_io_attempts ->
+(* [e] failed attempt [attempt] of [f] on [page]: retry while the
+   budget lasts, or re-raise. *)
+let rec retry_after page attempt e f =
+  match e with
+  | Spine_error.Error (Spine_error.Io_failed { transient = true; _ })
+    when attempt < max_io_attempts -> begin
       Deadline.check ();
       Probe.add Probe.io_retry 1;
       if Trace.on () then
         Trace.instant "pool.io_retry"
           [ Trace.Int ("page", page); Trace.Int ("attempt", attempt) ];
-      go (attempt + 1)
-  in
-  go 1
+      match f () with
+      | r -> r
+      | exception e -> retry_after page (attempt + 1) e f
+    end
+  | e -> raise e
+
+let with_io_retries page f =
+  match f () with r -> r | exception e -> retry_after page 1 e f
+
+(* Longest run handed to the device at once, which bounds its staging
+   buffer. *)
+let max_run_pages = 64
+
+let iter_runs n ~page f =
+  let i = ref 0 in
+  while !i < n do
+    let j = ref (!i + 1) in
+    while !j < n && !j - !i < max_run_pages && page !j = page (!j - 1) + 1 do
+      incr j
+    done;
+    f !i (!j - !i);
+    i := !j
+  done
+
+(* The run form: one positioned write for the whole run while nothing
+   fails.  A page whose write fails counts that as its first attempt
+   and goes on page by page, every later page of the run too, each
+   with the budget above.  [written k] follows each page that is
+   stored, in order, so a caller knows how far a failed run got. *)
+let run_pages ~written dev page datas =
+  let n = Array.length datas in
+  match Device.write_run dev page datas with
+  | Ok () -> for k = 0 to n - 1 do written k done
+  | Error (k, e) ->
+    for j = 0 to k - 1 do written j done;
+    let write j () = Device.write dev (page + j) datas.(j) in
+    retry_after (page + k) 1 e (write k);
+    written k;
+    for j = k + 1 to n - 1 do
+      with_io_retries (page + j) (write j);
+      written j
+    done
+
+let write_run dev page datas =
+  iter_runs (Array.length datas) ~page:(fun k -> page + k) (fun i n ->
+      run_pages ~written:ignore dev (page + i) (Array.sub datas i n))
 
 let unlink t f =
   let p = t.prev.(f) and n = t.next.(f) in
@@ -147,6 +190,13 @@ let touch t f =
     push_front t f
   end
 
+(* A frame's image is on the device: it is clean, and counts as one
+   writeback. *)
+let written t f =
+  t.dirty.(f) <- false;
+  t.writebacks <- t.writebacks + 1;
+  Probe.add Probe.pool_writeback 1
+
 let writeback t f =
   if t.dirty.(f) then begin
     let page = t.page_of.(f) in
@@ -155,10 +205,33 @@ let writeback t f =
        if it raises, the frame stays dirty and nothing was overwritten *)
     (match t.on_writeback with Some h -> h page | None -> ());
     with_io_retries page (fun () -> Device.write t.dev page t.buffers.(f));
-    t.dirty.(f) <- false;
-    t.writebacks <- t.writebacks + 1;
-    Probe.add Probe.pool_writeback 1
+    written t f
   end
+
+(* Write back dirty frames [fs], which hold consecutive pages, as one
+   device run.  The hook still runs for every page before any of them
+   is written; if it raises on one, the pages before it are written
+   and the rest stay dirty, as page-at-a-time writebacks would leave
+   them. *)
+let writeback_run t fs =
+  let n = Array.length fs in
+  let page = t.page_of.(fs.(0)) in
+  let hooked = ref 0 in
+  let failure =
+    match t.on_writeback with
+    | None -> hooked := n; None
+    | Some h ->
+      (try
+         Array.iter (fun f -> h t.page_of.(f); incr hooked) fs;
+         None
+       with e -> Some (e, Printexc.get_raw_backtrace ()))
+  in
+  if !hooked > 0 then begin
+    let fs = if !hooked = n then fs else Array.sub fs 0 !hooked in
+    run_pages ~written:(fun k -> written t fs.(k)) t.dev page
+      (Array.map (fun f -> t.buffers.(f)) fs)
+  end;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failure
 
 (* Choose a victim frame: least-recently-used unpinned, falling back to
    least-recently-used pinned when everything resident is pinned. Frames
@@ -273,17 +346,27 @@ let with_page t page ~dirty f =
       if dirty then t.dirty.(frame) <- true;
       result)
 
+(* the dirty frames, in page order *)
+let dirty_frames t =
+  let fs = ref [] in
+  for f = 0 to t.frames - 1 do
+    if t.page_of.(f) >= 0 && t.dirty.(f) then fs := f :: !fs
+  done;
+  let fs = Array.of_list !fs in
+  Array.sort (fun a b -> Int.compare t.page_of.(a) t.page_of.(b)) fs;
+  fs
+
+let dirty_pages t =
+  locked t (fun () -> Array.map (fun f -> t.page_of.(f)) (dirty_frames t))
+
 let flush t =
   locked t (fun () ->
       Telemetry.incr c_flushes;
-      (* write back in page order, as any real writeback elevator would *)
-      let dirty = ref [] in
-      for f = 0 to t.frames - 1 do
-        if t.page_of.(f) >= 0 && t.dirty.(f) then dirty := f :: !dirty
-      done;
-      !dirty
-      |> List.sort (fun a b -> compare t.page_of.(a) t.page_of.(b))
-      |> List.iter (fun f -> writeback t f))
+      (* write back in page order, as any real writeback elevator
+         would, one device run per stretch of consecutive pages *)
+      let fs = dirty_frames t in
+      iter_runs (Array.length fs) ~page:(fun k -> t.page_of.(fs.(k)))
+        (fun i n -> writeback_run t (Array.sub fs i n)))
 
 let drop t =
   locked t (fun () ->

@@ -110,21 +110,26 @@ let charge t page full_cost =
 
 (* raw physical-slot transfer, below checksums and fault injection *)
 
-let read_phys t page =
+(* the physical slots of pages [page .. page + n - 1], concatenated *)
+let read_phys_run t page n =
   let size = phys_size t in
   match t.backend with
   | Mem pages ->
-    (match Xutil.Int_tbl.find_opt pages page with
-     | Some data -> Bytes.copy data
-     | None -> Bytes.make size '\000')
+    let buf = Bytes.make (n * size) '\000' in
+    for k = 0 to n - 1 do
+      match Xutil.Int_tbl.find_opt pages (page + k) with
+      | Some data -> Bytes.blit data 0 buf (k * size) size
+      | None -> ()
+    done;
+    buf
   | File fd ->
-    let buf = Bytes.make size '\000' in
+    let buf = Bytes.make (n * size) '\000' in
     (try
        ignore (Unix.lseek fd (page * size) Unix.SEEK_SET);
        (* short reads (holes / EOF) leave the zero fill in place *)
        let rec fill off =
-         if off < size then begin
-           let k = Unix.read fd buf off (size - off) in
+         if off < n * size then begin
+           let k = Unix.read fd buf off ((n * size) - off) in
            if k > 0 then fill (off + k)
          end
        in
@@ -134,22 +139,43 @@ let read_phys t page =
          (Unix.error_message err));
     buf
 
-let write_phys t page data =
+let read_phys t page = read_phys_run t page 1
+
+(* [count] consecutive physical slots from [page] on, packed in [buf];
+   only the slots with [keep.(k)] set are stored, one positioned write
+   per contiguous stretch of them *)
+let write_phys_run t page buf keep count =
   let size = phys_size t in
-  if not (Xutil.Int_tbl.mem t.written page) then
-    Xutil.Int_tbl.replace t.written page ();
-  match t.backend with
-  | Mem pages -> Xutil.Int_tbl.replace pages page (Bytes.copy data)
-  | File fd ->
-    (try
-       ignore (Unix.lseek fd (page * size) Unix.SEEK_SET);
-       let rec drain off =
-         if off < size then drain (off + Unix.write fd data off (size - off))
-       in
-       drain 0
-     with Unix.Unix_error (err, _, _) ->
-       Spine_error.io_failed ~op:Spine_error.Write ~page "%s"
-         (Unix.error_message err))
+  let k = ref 0 in
+  while !k < count do
+    if not keep.(!k) then incr k
+    else begin
+      let first = !k in
+      while !k < count && keep.(!k) do
+        if not (Xutil.Int_tbl.mem t.written (page + !k)) then
+          Xutil.Int_tbl.replace t.written (page + !k) ();
+        incr k
+      done;
+      match t.backend with
+      | Mem pages ->
+        for j = first to !k - 1 do
+          Xutil.Int_tbl.replace pages (page + j) (Bytes.sub buf (j * size) size)
+        done
+      | File fd ->
+        (try
+           ignore (Unix.lseek fd ((page + first) * size) Unix.SEEK_SET);
+           let stop = !k * size in
+           let rec drain off =
+             if off < stop then drain (off + Unix.write fd buf off (stop - off))
+           in
+           drain (first * size)
+         with Unix.Unix_error (err, _, _) ->
+           Spine_error.io_failed ~op:Spine_error.Write ~page:(page + first)
+             "%s" (Unix.error_message err))
+    end
+  done
+
+let write_phys t page phys = write_phys_run t page phys [| true |] 1
 
 (* trailer assembly / validation *)
 
@@ -165,13 +191,18 @@ let set_u32 b off v =
   Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xFF));
   Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xFF))
 
-let seal t data =
+(* the sealed physical image of [data], at [off] in [buf] *)
+let seal_into t data buf off =
   let ps = t.page_size in
-  let phys = Bytes.make (ps + trailer_bytes) '\000' in
-  Bytes.blit data 0 phys 0 ps;
-  set_u32 phys ps trailer_magic;
-  set_u32 phys (ps + 4) t.epoch;
-  set_u32 phys (ps + 8) (Xutil.Crc32c.digest phys ~pos:0 ~len:(ps + 8));
+  Bytes.blit data 0 buf off ps;
+  set_u32 buf (off + ps) trailer_magic;
+  set_u32 buf (off + ps + 4) t.epoch;
+  set_u32 buf (off + ps + 8) (Xutil.Crc32c.digest buf ~pos:off ~len:(ps + 8));
+  set_u32 buf (off + ps + 12) 0
+
+let seal t data =
+  let phys = Bytes.create (t.page_size + trailer_bytes) in
+  seal_into t data phys 0;
   phys
 
 let all_zero b lo hi =
@@ -233,9 +264,9 @@ let read t page =
   let phys = read_phys t page in
   if t.checksums then unseal t page phys else phys
 
-let write t page data =
-  if Bytes.length data <> t.page_size then
-    invalid_arg "Device.write: data is not exactly one page";
+(* One outgoing page's accounting, identical for a single write and
+   for each page of a run. *)
+let count_write t page =
   t.writes <- t.writes + 1;
   Probe.add Probe.device_write 1;
   Probe.add Probe.device_write_bytes t.page_size;
@@ -243,15 +274,19 @@ let write t page data =
     Trace.instant "device.write"
       [ Trace.Int ("page", page); Trace.Int ("bytes", t.page_size) ];
   charge t page t.cost.write_us;
-  if t.sync_writes then t.elapsed_us <- t.elapsed_us +. t.cost.sync_us;
-  let phys = if t.checksums then seal t data else Bytes.copy data in
+  if t.sync_writes then t.elapsed_us <- t.elapsed_us +. t.cost.sync_us
+
+(* What a write of the physical image [phys] leaves in page [page]'s
+   slot once the fault hook has ruled on it; [None] when the write is
+   lost.  A hook may also raise, failing the write. *)
+let landed t page phys =
   match t.hooks with
-  | None -> write_phys t page phys
+  | None -> Some phys
   | Some h ->
     (match h.on_write ~page ~phys with
-     | Write_through -> write_phys t page phys
-     | Tampered b -> write_phys t page b
-     | Dropped -> ()
+     | Write_through -> Some phys
+     | Tampered b -> Some b
+     | Dropped -> None
      | Torn keep ->
        (* first [keep] physical bytes land; the rest of the slot keeps
           its previous content — a torn sector write.  [keep] comes from
@@ -259,7 +294,51 @@ let write t page data =
        let old = read_phys t page in
        let keep = min (max 0 keep) (Bytes.length old) in
        Bytes.blit phys 0 old 0 keep;
-       write_phys t page old)
+       Some old)
+
+let check_page t data what =
+  if Bytes.length data <> t.page_size then
+    invalid_arg ("Device." ^ what ^ ": data is not exactly one page")
+
+let write t page data =
+  check_page t data "write";
+  count_write t page;
+  let phys = if t.checksums then seal t data else Bytes.copy data in
+  match landed t page phys with
+  | Some phys -> write_phys t page phys
+  | None -> ()
+
+let write_run t page datas =
+  let n = Array.length datas in
+  let size = phys_size t in
+  let buf = Bytes.create (n * size) in
+  let keep = Array.make n false in
+  let failure = ref None in
+  let k = ref 0 in
+  while Option.is_none !failure && !k < n do
+    let data = datas.(!k) and p = page + !k in
+    check_page t data "write_run";
+    count_write t p;
+    let off = !k * size in
+    (match t.hooks with
+     | None ->
+       if t.checksums then seal_into t data buf off
+       else Bytes.blit data 0 buf off size;
+       keep.(!k) <- true
+     | Some _ ->
+       let phys = if t.checksums then seal t data else Bytes.copy data in
+       (match landed t p phys with
+        | Some phys ->
+          Bytes.blit phys 0 buf off size;
+          keep.(!k) <- true
+        | None -> ()
+        | exception e -> failure := Some e));
+    if Option.is_none !failure then incr k
+  done;
+  (* the pages before a failed one are stored, as single writes would
+     have left them *)
+  write_phys_run t page buf keep !k;
+  match !failure with None -> Ok () | Some e -> Error (!k, e)
 
 (* raw physical-slot access: the preimage-journal primitives.  These
    bypass sealing, validation and fault hooks — they exist so a
@@ -270,12 +349,19 @@ let write t page data =
    capture or restore pays the same simulated latency as any other
    page transfer. *)
 
-let raw_slot t page =
+let count_raw_read t page =
   t.reads <- t.reads + 1;
   Probe.add Probe.device_read 1;
   Probe.add Probe.device_read_bytes t.page_size;
-  charge t page t.cost.read_us;
+  charge t page t.cost.read_us
+
+let raw_slot t page =
+  count_raw_read t page;
   read_phys t page
+
+let raw_run t page n =
+  for k = 0 to n - 1 do count_raw_read t (page + k) done;
+  read_phys_run t page n
 
 let write_raw_slot t page phys =
   if Bytes.length phys <> phys_size t then

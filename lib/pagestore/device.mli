@@ -92,6 +92,18 @@ val write : t -> int -> Bytes.t -> unit
     @raise Spine_error.Error ([Io_failed]) on an OS error or an
     injected write fault. *)
 
+val write_run :
+  t -> int -> Bytes.t array -> (unit, int * exn) result
+(** [write_run dev p datas] writes [datas.(k)] as page [p + k], in
+    order, with one positioned write per contiguous stretch of pages
+    instead of one per page.  Each page is counted, charged, traced and
+    shown to the fault hook exactly as {!write} would, in the same
+    order, so a fault plan or crash point sees a run as the single
+    writes it replaces.  [Error (k, e)] when page [p + k]'s write
+    raised [e]: pages [p .. p + k - 1] are stored, nothing from [p + k]
+    on is.
+    @raise Invalid_argument if a buffer is not exactly one page. *)
+
 (** {2 Epochs — crash-consistency support}
 
     Checksummed pages are stamped with the device's current epoch.  A
@@ -148,6 +160,11 @@ val hooks : t -> hooks option
 val raw_slot : t -> int -> Bytes.t
 (** The full physical slot ([phys_size] bytes: data plus trailer when
     checksummed), unvalidated; zero-filled if never written. *)
+
+val raw_run : t -> int -> int -> Bytes.t
+(** [raw_run dev p n]: the physical slots of pages [p .. p + n - 1]
+    concatenated, as [n] {!raw_slot} calls would return them (and
+    counted and charged as they would be), in one positioned read. *)
 
 val write_raw_slot : t -> int -> Bytes.t -> unit
 (** Store exact physical bytes (no sealing: the slot's trailer is

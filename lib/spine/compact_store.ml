@@ -143,6 +143,8 @@ let layout_of ?(separator = false) alphabet =
   let row_bytes = Array.map (fun off -> off + 2) prt_off in
   { slot_capacity; row_bytes; cl_area_off; prt_off; cl_bits; top_code }
 
+type side_table = Overflow | Anchors
+
 type space = {
   lt_bytes : int;
   rt_bytes : int;         (** live rows only *)
@@ -164,6 +166,8 @@ module Core (B : BYTES) = struct
     mutable overflow_count : int;
     anchors : int Xutil.Int_tbl.t;   (* row key -> extrib anchor *)
     mutable migrations : int;
+    mutable side_hook : (side_table -> int -> int -> unit) option;
+        (* the owner's change feed for the two side tables *)
   }
 
   (* [make] wires up an instance over existing tables; [fresh] also
@@ -175,7 +179,9 @@ module Core (B : BYTES) = struct
     { seq; lo = layout_of ?separator alphabet; lt; rts;
       freelist; live_rows; overflow;
       overflow_count = Xutil.Int_tbl.length overflow;
-      anchors; migrations }
+      anchors; migrations; side_hook = None }
+
+  let set_side_hook t f = t.side_hook <- Some f
 
   let init_root t = ignore (B.alloc t.lt lt_entry_bytes)
 
@@ -212,6 +218,27 @@ module Core (B : BYTES) = struct
     0x8000_0000 lor (table lsl 29) lor (fanout lsl 24)
     lor ((if extrib then 1 else 0) lsl 23) lor row
 
+  (* --- side tables ---
+     Every insert, update and removal in the overflow and anchor tables
+     is reported to the owner's hook through [side_changed] (a removal
+     as value -1); without a hook the report is one test. *)
+
+  let[@inline] side_changed t table key v =
+    match t.side_hook with None -> () | Some f -> f table key v
+
+  let set_overflow t key v =
+    if not (Xutil.Int_tbl.mem t.overflow key) then
+      t.overflow_count <- t.overflow_count + 1;
+    Xutil.Int_tbl.replace t.overflow key v;
+    side_changed t Overflow key v
+
+  let drop_overflow t key =
+    if Xutil.Int_tbl.mem t.overflow key then begin
+      Xutil.Int_tbl.remove t.overflow key;
+      t.overflow_count <- t.overflow_count - 1;
+      side_changed t Overflow key (-1)
+    end
+
   (* --- numeric labels with overflow --- *)
 
   let read_label t raw key =
@@ -221,15 +248,10 @@ module Core (B : BYTES) = struct
   let write_label t set key v =
     if v >= overflow_sentinel then begin
       set overflow_sentinel;
-      if not (Xutil.Int_tbl.mem t.overflow key) then
-        t.overflow_count <- t.overflow_count + 1;
-      Xutil.Int_tbl.replace t.overflow key v
+      set_overflow t key v
     end
     else begin
-      if Xutil.Int_tbl.mem t.overflow key then begin
-        Xutil.Int_tbl.remove t.overflow key;
-        t.overflow_count <- t.overflow_count - 1
-      end;
+      drop_overflow t key;
       set v
     end
 
@@ -339,12 +361,8 @@ module Core (B : BYTES) = struct
   (* a row's fanout only grows (a migrating node gets a new row), so
      an overflow entry is only ever added or updated *)
   let set_ptr t node ~table ~fanout ~extrib ~row =
-    if fanout > fanout_sentinel then begin
-      let key = fanout_key ~table ~row in
-      if not (Xutil.Int_tbl.mem t.overflow key) then
-        t.overflow_count <- t.overflow_count + 1;
-      Xutil.Int_tbl.replace t.overflow key fanout
-    end;
+    if fanout > fanout_sentinel then
+      set_overflow t (fanout_key ~table ~row) fanout;
     set_lt_payload t node
       (pack_ptr ~table ~fanout:(min fanout fanout_sentinel) ~extrib ~row)
 
@@ -352,7 +370,9 @@ module Core (B : BYTES) = struct
     Xutil.Int_tbl.find t.anchors (anchor_key ~table ~row)
 
   let set_row_anchor t table row v =
-    Xutil.Int_tbl.replace t.anchors (anchor_key ~table ~row) v
+    let key = anchor_key ~table ~row in
+    Xutil.Int_tbl.replace t.anchors key v;
+    side_changed t Anchors key v
 
   let alloc_row t table =
     t.live_rows.(table) <- t.live_rows.(table) + 1;
@@ -369,18 +389,16 @@ module Core (B : BYTES) = struct
   let free_row t table row =
     t.live_rows.(table) <- t.live_rows.(table) - 1;
     (* drop side-table entries still keyed to this row *)
-    let drop key =
-      if Xutil.Int_tbl.mem t.overflow key then begin
-        Xutil.Int_tbl.remove t.overflow key;
-        t.overflow_count <- t.overflow_count - 1
-      end
-    in
     for slot = 0 to t.lo.slot_capacity.(table) - 1 do
-      drop (rt_label_key ~table ~row ~slot)
+      drop_overflow t (rt_label_key ~table ~row ~slot)
     done;
-    drop (prt_key ~table ~row);
-    drop (fanout_key ~table ~row);
-    Xutil.Int_tbl.remove t.anchors (anchor_key ~table ~row);
+    drop_overflow t (prt_key ~table ~row);
+    drop_overflow t (fanout_key ~table ~row);
+    let anchor = anchor_key ~table ~row in
+    if Xutil.Int_tbl.mem t.anchors anchor then begin
+      Xutil.Int_tbl.remove t.anchors anchor;
+      side_changed t Anchors anchor (-1)
+    end;
     B.set_u32 t.rts.(table) (row_off t table row) t.freelist.(table);
     t.freelist.(table) <- row + 1
 

@@ -78,6 +78,10 @@ val layout_of : ?separator:bool -> Bioseq.Alphabet.t -> layout
     the widest table to also hold the alphabet's separator code, which
     a multi-string index ({!Generalized}) puts on ribs. *)
 
+(** The two side tables of {!Core}: overflowed numeric labels (and
+    saturated fanouts), and extrib anchors. *)
+type side_table = Overflow | Anchors
+
 type space = {
   lt_bytes : int;
   rt_bytes : int;         (** live rows only *)
@@ -103,6 +107,8 @@ module Core (B : BYTES) : sig
     mutable overflow_count : int;
     anchors : int Xutil.Int_tbl.t;   (** row key -> extrib anchor *)
     mutable migrations : int;
+    mutable side_hook : (side_table -> int -> int -> unit) option;
+        (** set by {!set_side_hook} *)
   }
 
   val make :
@@ -122,6 +128,14 @@ module Core (B : BYTES) : sig
 
   val init_root : t -> unit
   (** Allocate the root's LT entry (fresh instances only). *)
+
+  val set_side_hook : t -> (side_table -> int -> int -> unit) -> unit
+  (** [set_side_hook t f]: from now on every insert, update and removal
+      in the side tables calls [f table key value], in the order the
+      changes happen, with [value = -1] for a removal.  Replaying the
+      calls in order onto the tables as they stood rebuilds them
+      exactly.  {!Persistent} logs them; an instance without a hook
+      pays one test per change. *)
 
   (* the {!Store_sig.S} surface *)
   val alphabet : t -> Bioseq.Alphabet.t

@@ -10,7 +10,8 @@ let s_scrub = Telemetry.span "persistent.scrub"
 (* Page regions within the file: the metadata area (the two shadow
    slots and the epoch-declaration page, see below) below
    [Paged_store.meta_span], then the store's LT and RT regions, then
-   the sequence mirror and the preimage journal. *)
+   the sequence mirror and the side log sharing one region, then the
+   preimage journal. *)
 let meta_span = Paged_store.meta_span
 let data_span = Paged_store.data_span
 let region_base = Paged_store.region_base
@@ -18,6 +19,17 @@ let lt_region = Paged_store.lt_region
 let rt_region = Paged_store.rt_region
 let seq_region = 5
 let journal_region = 6
+
+(* The sequence mirror takes the first quarter of its region: at 2
+   bits a code that is 32M characters at 128-byte pages, and even 8-bit
+   codes (8 bytes per 7) fill it after the LT fills at 6 bytes a
+   character.  The side log (overflow labels and extrib anchors, see
+   below) takes the other three quarters, as two halves: the log lives
+   in one, and a compaction rewrites it into the other. *)
+let seq_span = data_span / 4
+let side_base = region_base seq_region + seq_span
+let side_half_span = (data_span - seq_span) / 2
+let side_half_base half = side_base + (half * side_half_span)
 
 (* Metadata is double-buffered: generation [g] goes to slot [g land 1],
    so a crash while writing the new generation always leaves the
@@ -41,7 +53,10 @@ let region_name page =
     | 2 -> "rt1"
     | 3 -> "rt2"
     | 4 -> "rt3"
-    | 5 -> "seq"
+    | 5 ->
+      if page < side_base then "seq"
+      else if page < side_half_base 1 then "side/a"
+      else "side/b"
     | 6 -> "journal"
     | _ -> "data"
 
@@ -52,24 +67,60 @@ let c_journal_restored = Telemetry.counter "persistent.journal.restored"
 
 let journal_magic = "SPNJ"
 let journal_base = region_base journal_region
-let journal_entries = data_span / 2
+
+(* An entry's header is [journal_header_bytes] long: one page at any
+   page size of 36 bytes or more, so an entry is two pages, and as many
+   pages as it takes below that. *)
+let journal_header_bytes = 36
+let journal_header_pages device =
+  let ps = Pagestore.Device.page_size device in
+  (journal_header_bytes + ps - 1) / ps
+
+let entry_pages device = journal_header_pages device + 1
+let journal_entries device = data_span / entry_pages device
 
 (* pages the journal protects: everything in the data regions *)
 let is_data_page page = page >= meta_span && page < journal_base
 
+(* The tables the journal protects: the LT and RT1..RT4 (regions 0 to
+   4), the sequence mirror (region 5) and the side log, whose first page
+   is that of the half its committed records are in. *)
+let journal_tables = 7
+let side_table_index = 6
+
 type journal = {
   j_device : Pagestore.Device.t;
-  j_committed : unit Xutil.Int_tbl.t;
-      (* pages whose on-disk image belongs to the committed generation *)
+  j_base : int array;       (* per journaled table: its first page *)
+  j_committed : int array;
+      (* per journaled table: its committed prefix in pages *)
   j_journaled : unit Xutil.Int_tbl.t;  (* captured since the last commit *)
   mutable j_next : int;
 }
 
 let journal_make device =
   { j_device = device;
-    j_committed = Xutil.Int_tbl.create 1024;
+    j_base =
+      Array.init journal_tables (fun i ->
+          if i = side_table_index then side_half_base 0 else region_base i);
+    j_committed = Array.make journal_tables 0;
     j_journaled = Xutil.Int_tbl.create 256;
     j_next = 0 }
+
+(* The side log: every change to the store's overflow and anchor side
+   tables, as a fixed-size record appended through the pool.
+     +0   u32 key, bits 0..31
+     +4   u16 key, bits 32..47 (keys stay below 2^43)
+     +6   u16 flags: bit 0 = anchor table (else overflow), bit 1 = removal
+     +8   u32 value (0 for a removal)
+   The metadata records which half of the region holds the log and how
+   many records are committed; reopening replays them in order, the
+   last write to a key winning. *)
+let side_record_bytes = 12
+
+(* Replaying stays within twice the live entries: a flush that finds
+   the log longer than that (and than this floor) rewrites it from the
+   tables first. *)
+let side_compact_floor = 1 lsl 14
 
 type t = {
   core : P.t;
@@ -77,6 +128,8 @@ type t = {
       (* vertebra codes in the packed-row layout of [Packed_seq]:
          8-byte little-endian words, [62 / width] codes each — the
          on-disk region is byte-for-byte the row's [packed_bits] *)
+  mutable side_tab : Paged_bytes.t;
+  mutable side_half : int;  (* the half [side_tab] lies in *)
   device : Pagestore.Device.t;
   pool : Pagestore.Buffer_pool.t;
   journal : journal;
@@ -105,6 +158,21 @@ let make_pool ?(frames = 256) ?(page_size = 4096) ?(pin_top_lt_pages = 0)
   in
   (device, pool)
 
+(* The sequence mirror and the side log, each in its share of the
+   region. *)
+let region_part pool ~name ~base ~span ~used =
+  let ps = Pagestore.Device.page_size (Pagestore.Buffer_pool.device pool) in
+  Paged_bytes.make pool ~region:name ~base_page:base ~capacity:(span * ps)
+    ~used
+
+let seq_table pool ~used =
+  region_part pool ~name:"seq" ~base:(region_base seq_region) ~span:seq_span
+    ~used
+
+let side_table pool ~half ~used =
+  region_part pool ~name:"side" ~base:(side_half_base half)
+    ~span:side_half_span ~used
+
 (* --- byte helpers over raw pages --- *)
 
 let get_u32 b off =
@@ -126,6 +194,13 @@ let dev_write device page data =
   Pagestore.Buffer_pool.with_io_retries page (fun () ->
       Pagestore.Device.write device page data)
 
+(* [bytes] as consecutive pages from [page] on, in device runs under the
+   same retry policy *)
+let dev_write_pages device page bytes =
+  let ps = Pagestore.Device.page_size device in
+  Pagestore.Buffer_pool.write_run device page
+    (Array.init (Bytes.length bytes / ps) (fun k -> Bytes.sub bytes (k * ps) ps))
+
 (* --- preimage journal ---
 
    Data pages are overwritten in place, so after a commit the buffer
@@ -137,18 +212,22 @@ let dev_write device page data =
    region; [open_] rolls every live entry back before recovery, so the
    last flushed state is restored byte for byte.
 
-   Entry [i] occupies two pages at [journal_base + 2i]:
+   Entry [i] occupies [entry_pages] pages at [journal_base + i *
+   entry_pages] (two at page sizes of 36 bytes and up):
 
-     data page  (+1): the preimage's data bytes;
-     header page (+0): magic "SPNJ", u32 entry index, u64 target page,
-                       the preimage's raw 16-byte trailer, and a
-                       CRC-32C over the preimage data page.
+     header (+0 ..): magic "SPNJ", u32 entry index, u64 target page,
+                     the preimage's raw 16-byte trailer, and a CRC-32C
+                     over the preimage data page;
+     data page (last): the preimage's data bytes.
 
-   The data page is written first; the header commits the entry.  The
-   header's own CRC binds header and data together: a crash between
-   the two (or a journal slot holding pages from different crashed
-   sessions) reads as an invalid entry, and an invalid entry's target
-   was by construction never overwritten.
+   An entry's pages go to the device in page order as one run.  The
+   header's CRC binds the data page to it, and every page of an entry
+   carries the same epoch (one session writes entry [i] once per
+   window): a crash part way through an entry, or a journal slot
+   holding pages from different crashed sessions, reads as an invalid
+   entry.  The pages of a capture batch all reach the device before
+   the caller overwrites any of its targets, so an invalid entry's
+   target, and every later entry's, was never overwritten.
 
    Entries are sealed at the session's write epoch, which a commit
    moves past — so the commit that makes the window's overwrites
@@ -159,74 +238,104 @@ let dev_write device page data =
    captures pages while the disk is in committed-or-journaled state),
    so rollback is idempotent across repeated crashes. *)
 
-(* Called by the buffer pool before every dirty writeback: first
-   overwrite of a committed page in this window copies its slot into
-   the journal.  Clean-path builds (no flush before close) never enter
-   the branch — the committed set is empty. *)
-let journal_capture j page =
-  if
-    is_data_page page
-    && Xutil.Int_tbl.mem j.j_committed page
-    && not (Xutil.Int_tbl.mem j.j_journaled page)
-  then begin
-    if j.j_next >= journal_entries then
-      Spine_error.io_failed ~op:Spine_error.Write ~page
-        "preimage journal full (%d entries since the last flush); flush to \
-         commit and reset it"
-        journal_entries;
-    let device = j.j_device in
-    let page_size = Pagestore.Device.page_size device in
-    let trailer = Pagestore.Device.phys_size device - page_size in
-    let phys = Pagestore.Device.raw_slot device page in
-    let data = Bytes.sub phys 0 page_size in
-    let hdr = Bytes.make page_size '\000' in
-    Bytes.blit_string journal_magic 0 hdr 0 4;
-    set_u32 hdr 4 j.j_next;
-    set_u32 hdr 8 (page land 0xFFFFFFFF);
-    set_u32 hdr 12 (page lsr 32);
-    Bytes.blit phys page_size hdr 16 trailer;
-    set_u32 hdr 32 (Xutil.Crc32c.bytes data);
-    let base = journal_base + (2 * j.j_next) in
-    dev_write device (base + 1) data;
-    dev_write device base hdr;  (* the header commits the entry *)
-    Xutil.Int_tbl.replace j.j_journaled page ();
-    j.j_next <- j.j_next + 1;
-    Telemetry.incr c_journal_captures
-  end
+let committed j page =
+  let rec go i =
+    i >= 0
+    && ((page >= j.j_base.(i) && page < j.j_base.(i) + j.j_committed.(i))
+        || go (i - 1))
+  in
+  is_data_page page && go (journal_tables - 1)
+
+let needs_capture j page =
+  committed j page && not (Xutil.Int_tbl.mem j.j_journaled page)
+
+(* Capture the preimages of [pages] (ascending; those that need it) as
+   the next journal entries: one raw read per stretch of consecutive
+   targets, then the entries' pages in runs.  Clean-path builds (no
+   flush before close) capture nothing — nothing is committed. *)
+let journal_capture j pages =
+  let pages =
+    Array.of_list (List.filter (needs_capture j) (Array.to_list pages))
+  in
+  let device = j.j_device in
+  let capacity = journal_entries device in
+  let m = min (Array.length pages) (capacity - j.j_next) in
+  if m > 0 then begin
+    let ps = Pagestore.Device.page_size device in
+    let phys = Pagestore.Device.phys_size device in
+    let hdr = journal_header_pages device * ps in
+    let entries = Bytes.make (m * (hdr + ps)) '\000' in
+    Pagestore.Buffer_pool.iter_runs m ~page:(fun k -> pages.(k)) (fun i n ->
+      let raw = Pagestore.Device.raw_run device pages.(i) n in
+      for k = i to i + n - 1 do
+        let src = (k - i) * phys and dst = k * (hdr + ps) in
+        Bytes.blit_string journal_magic 0 entries dst 4;
+        set_u32 entries (dst + 4) (j.j_next + k);
+        set_u32 entries (dst + 8) (pages.(k) land 0xFFFFFFFF);
+        set_u32 entries (dst + 12) (pages.(k) lsr 32);
+        Bytes.blit raw (src + ps) entries (dst + 16) (phys - ps);
+        set_u32 entries (dst + 32) (Xutil.Crc32c.digest raw ~pos:src ~len:ps);
+        Bytes.blit raw src entries (dst + hdr) ps
+      done);
+    dev_write_pages device
+      (journal_base + (j.j_next * entry_pages device))
+      entries;
+    for k = 0 to m - 1 do Xutil.Int_tbl.replace j.j_journaled pages.(k) () done;
+    j.j_next <- j.j_next + m;
+    Telemetry.add c_journal_captures m
+  end;
+  if m < Array.length pages then
+    Spine_error.io_failed ~op:Spine_error.Write ~page:pages.(m)
+      "preimage journal full (%d entries since the last flush); flush to \
+       commit and reset it"
+      capacity
 
 (* Roll back every live journal entry (epoch beyond [ceiling], the
    recovered generation's commit epoch): put each preimage slot back
    exactly as captured, original trailer included, so the restored
    pages re-validate under the recovered ceiling.  Stops at the first
-   invalid or obsolete entry — entries are written in order and each
-   precedes its target's overwrite, so nothing past that point ever
+   invalid or obsolete entry — a capture batch is on disk before any of
+   its targets is overwritten, so nothing past that point ever
    clobbered a committed page that is not also covered earlier. *)
 let journal_rollback device ~ceiling =
   let page_size = Pagestore.Device.page_size device in
+  let hdr_pages = journal_header_pages device in
+  let per = hdr_pages + 1 in
   let restored = ref 0 in
+  (* the entry's pages at one epoch beyond the ceiling, or [None] *)
+  let entry base =
+    let pages =
+      List.init per (fun k -> Pagestore.Device.read_slot_any device (base + k))
+    in
+    match pages with
+    | `Valid (_, e) :: _
+      when e > ceiling
+           && List.for_all
+                (function `Valid (_, e') -> e' = e | `Invalid -> false)
+                pages ->
+      Some
+        (Bytes.concat Bytes.empty
+           (List.map (function `Valid (b, _) -> b | `Invalid -> Bytes.empty)
+              pages))
+    | _ -> None
+  in
   (try
-     for i = 0 to journal_entries - 1 do
-       let base = journal_base + (2 * i) in
-       match Pagestore.Device.read_slot_any device base with
-       | `Valid (hdr, e)
-         when e > ceiling
-              && String.equal (Bytes.sub_string hdr 0 4) journal_magic
-              && get_u32 hdr 4 = i -> begin
-           let target = get_u32 hdr 8 lor (get_u32 hdr 12 lsl 32) in
-           match Pagestore.Device.read_slot_any device (base + 1) with
-           | `Valid (data, e')
-             when e' > ceiling && Xutil.Crc32c.bytes data = get_u32 hdr 32 ->
-             let phys =
-               Bytes.make (Pagestore.Device.phys_size device) '\000'
-             in
-             Bytes.blit data 0 phys 0 page_size;
-             Bytes.blit hdr 16 phys page_size
-               (Pagestore.Device.phys_size device - page_size);
-             Pagestore.Device.write_raw_slot device target phys;
-             incr restored;
-             Telemetry.incr c_journal_restored
-           | _ -> raise Exit
-         end
+     for i = 0 to journal_entries device - 1 do
+       match entry (journal_base + (i * per)) with
+       | Some b
+         when String.equal (Bytes.sub_string b 0 4) journal_magic
+              && get_u32 b 4 = i
+              && Xutil.Crc32c.digest b ~pos:(hdr_pages * page_size)
+                   ~len:page_size
+                 = get_u32 b 32 ->
+         let target = get_u32 b 8 lor (get_u32 b 12 lsl 32) in
+         let phys = Bytes.make (Pagestore.Device.phys_size device) '\000' in
+         Bytes.blit b (hdr_pages * page_size) phys 0 page_size;
+         Bytes.blit b 16 phys page_size
+           (Pagestore.Device.phys_size device - page_size);
+         Pagestore.Device.write_raw_slot device target phys;
+         incr restored;
+         Telemetry.incr c_journal_restored
        | _ -> raise Exit
      done
    with Exit -> ());
@@ -253,16 +362,27 @@ let read_epoch_decl device =
 
    Slot layout (spanning whole pages from the slot base):
      +0   magic "SPNM"
-     +4   u32 format version (3 or 4)
+     +4   u32 format version (3, 4 or 5)
      +8   u32 generation
      +12  u32 commit epoch: every data page of this generation is
               stamped with an epoch <= this
      +16  u32 flags (bit 0 = written by a clean close)
      +20  u32 payload length
      +24  u32 CRC-32C of the payload
-     +28  payload (symbols, length, table state, side tables; version 4
-              appends the overflow labels whose keys need more than
-              32 bits)
+     +28  u32 page size (version 5; versions 3 and 4 are 4096)
+     +32  payload (+28 before version 5)
+
+   Version 5's payload is the alphabet and the counters: symbols,
+   length, cell width, each RT's used bytes, freelist head and live
+   rows, the migration count, the side log's committed record count
+   and the half it lies in.  Versions 3 and 4 carried the side tables themselves there
+   (version 4 added the overflow labels whose keys need more than 32
+   bits), which made every commit re-serialize them whole.
+
+   [create] stamps slot A's first page with a generation-0 header that
+   is no slot at all but records the page size: slot A starts at byte
+   0 whatever the page size, so {!recorded_page_size} finds it there
+   before anything else about the file is known.
 
    The payload CRC guards the blob as a whole; each page additionally
    carries the device trailer, so a torn slot write is caught either
@@ -273,10 +393,12 @@ let meta_magic = "SPNM"
 (* version 3: the sequence region switched from one byte per character
    to the packed-row word layout, and the payload gained the cell
    width.  Version 4 appends a section of overflow labels with keys of
-   2^32 and up (the wide RT4 rows of {!Compact_store}); a version 3
-   file has none and opens unchanged. *)
-let meta_version = 4
-let slot_header_bytes = 28
+   2^32 and up (the wide RT4 rows of {!Compact_store}).  Version 5
+   moves both side tables to the side log and records the page size.
+   Versions 3 and 4 still open; the first commit after rewrites them as
+   version 5. *)
+let meta_version = 5
+let header_bytes version = if version >= 5 then 32 else 28
 
 type slot_meta = {
   sm_generation : int;
@@ -286,11 +408,14 @@ type slot_meta = {
   sm_payload : Bytes.t;
 }
 
-let write_slot device ~generation ~commit_epoch ~clean payload =
+let slot_image device ~generation ~commit_epoch ~clean payload =
   let page_size = Pagestore.Device.page_size device in
-  let total = slot_header_bytes + Bytes.length payload in
+  let hdr = header_bytes meta_version in
+  let total = hdr + Bytes.length payload in
   if total > slot_pages * page_size then
-    invalid_arg "Persistent: metadata exceeds slot capacity";
+    Spine_error.raise_error
+      (Spine_error.Region_full
+         { region = "meta"; capacity = (slot_pages * page_size) - hdr });
   let padded = (total + page_size - 1) / page_size * page_size in
   let all = Bytes.make padded '\000' in
   Bytes.blit_string meta_magic 0 all 0 4;
@@ -300,60 +425,154 @@ let write_slot device ~generation ~commit_epoch ~clean payload =
   set_u32 all 16 (if clean then 1 else 0);
   set_u32 all 20 (Bytes.length payload);
   set_u32 all 24 (Xutil.Crc32c.bytes payload);
-  Bytes.blit payload 0 all slot_header_bytes (Bytes.length payload);
-  let base = slot_base (generation land 1) in
-  for k = 0 to (padded / page_size) - 1 do
-    dev_write device (base + k) (Bytes.sub all (k * page_size) page_size)
-  done
+  set_u32 all 28 page_size;
+  Bytes.blit payload 0 all hdr (Bytes.length payload);
+  all
+
+let write_slot device ~generation ~commit_epoch ~clean payload =
+  dev_write_pages device
+    (slot_base (generation land 1))
+    (slot_image device ~generation ~commit_epoch ~clean payload)
+
+(* the page-size stamp in slot A (see the slot layout above) *)
+let write_page_size_stamp device =
+  dev_write_pages device (slot_base 0)
+    (slot_image device ~generation:0 ~commit_epoch:0 ~clean:false Bytes.empty)
+
+(* the first [n] bytes of slot [slot], read page by page *)
+let slot_bytes device slot n =
+  let page_size = Pagestore.Device.page_size device in
+  let out = Bytes.create n in
+  let pos = ref 0 in
+  let page = ref (slot_base slot) in
+  while !pos < n do
+    let b = Pagestore.Device.read device !page in
+    let chunk = min page_size (n - !pos) in
+    Bytes.blit b 0 out !pos chunk;
+    pos := !pos + chunk;
+    incr page
+  done;
+  out
 
 let read_slot device slot =
   let page_size = Pagestore.Device.page_size device in
   try
-    let first = Pagestore.Device.read device (slot_base slot) in
-    let magic = Bytes.sub_string first 0 4 in
+    let head = slot_bytes device slot 8 in
+    let magic = Bytes.sub_string head 0 4 in
+    let version = get_u32 head 4 in
     if String.equal magic "\000\000\000\000" then Error "slot never written"
     else if not (String.equal magic meta_magic) then
       Error "bad metadata magic"
+    else if version < 3 || version > meta_version then
+      Error (Printf.sprintf "unsupported metadata version %d" version)
     else begin
-      let version = get_u32 first 4 in
-      if version <> 3 && version <> meta_version then
-        Error (Printf.sprintf "unsupported metadata version %d" version)
+      let hdr = header_bytes version in
+      let first = slot_bytes device slot hdr in
+      let generation = get_u32 first 8 in
+      let commit_epoch = get_u32 first 12 in
+      let flags = get_u32 first 16 in
+      let len = get_u32 first 20 in
+      let crc = get_u32 first 24 in
+      let recorded = if version >= 5 then get_u32 first 28 else 4096 in
+      if version >= 5 && generation = 0 then Error "slot never written"
+      else if recorded <> page_size then
+        Error
+          (Printf.sprintf "written at %d-byte pages, read at %d" recorded
+             page_size)
+      else if len < 0 || len > (slot_pages * page_size) - hdr then
+        Error (Printf.sprintf "implausible metadata length %d" len)
       else begin
-        let generation = get_u32 first 8 in
-        let commit_epoch = get_u32 first 12 in
-        let flags = get_u32 first 16 in
-        let len = get_u32 first 20 in
-        let crc = get_u32 first 24 in
-        if len < 0 || len > (slot_pages * page_size) - slot_header_bytes then
-          Error (Printf.sprintf "implausible metadata length %d" len)
-        else begin
-          let payload = Bytes.create len in
-          let copied = min len (page_size - slot_header_bytes) in
-          Bytes.blit first slot_header_bytes payload 0 copied;
-          let pos = ref copied in
-          let page = ref (slot_base slot + 1) in
-          while !pos < len do
-            let b = Pagestore.Device.read device !page in
-            let chunk = min page_size (len - !pos) in
-            Bytes.blit b 0 payload !pos chunk;
-            pos := !pos + chunk;
-            incr page
-          done;
-          if Xutil.Crc32c.bytes payload <> crc then
-            Error "metadata payload checksum mismatch"
-          else
-            Ok { sm_generation = generation; sm_commit_epoch = commit_epoch;
-                 sm_clean = flags land 1 = 1; sm_version = version;
-                 sm_payload = payload }
-        end
+        let payload = Bytes.sub (slot_bytes device slot (hdr + len)) hdr len in
+        if Xutil.Crc32c.bytes payload <> crc then
+          Error "metadata payload checksum mismatch"
+        else
+          Ok { sm_generation = generation; sm_commit_epoch = commit_epoch;
+               sm_clean = flags land 1 = 1; sm_version = version;
+               sm_payload = payload }
       end
     end
   with Spine_error.Error e -> Error (Spine_error.to_string e)
 
+(* The page size a version 5 file records, read from the raw file.
+   Slot A's first page starts at byte 0 whatever the page size, and its
+   trailer (magic "SPCK", epoch, CRC-32C over data, magic and epoch)
+   follows its data, so the page size is the [ps] for which bytes [ps ..
+   ps + 12] seal bytes [0 .. ps - 1] — and the header, read at that
+   size, must record [ps] itself.  Every slot write records it, so when
+   that page is torn or damaged, slot B's first page, at byte [4096 *
+   (ps + 16)], is tried the same way for each [ps].  [None] when page 0
+   holds a version 3 or 4 header, or neither first page yields a size. *)
+let max_probed_page_size = 1 lsl 16
+
+(* up to [len] bytes of the file at byte [pos], fewer at its end *)
+let file_bytes fd pos len =
+  let buf = Bytes.create len in
+  let rec fill got =
+    if got = len then got
+    else
+      match Unix.read fd buf got (len - got) with
+      | 0 -> got
+      | k -> fill (got + k)
+  in
+  ignore (Unix.lseek fd pos Unix.SEEK_SET);
+  Bytes.sub buf 0 (fill 0)
+
+(* [raw] starts with a slot's first page at page size [ps]: sealed, and
+   the version 5 header there records [ps] *)
+let first_slot_page raw ps =
+  let len = Bytes.length raw in
+  (* logical byte [b] of the slot, stored at page size [ps] *)
+  let byte b =
+    let off = (b / ps * (ps + 16)) + (b mod ps) in
+    if off < len then Char.code (Bytes.get raw off) else -1
+  in
+  let u32 b =
+    let v = List.init 4 (fun k -> byte (b + k)) in
+    if List.mem (-1) v then -1
+    else List.fold_left (fun acc x -> (acc lsl 8) lor x) 0 (List.rev v)
+  in
+  ps + 12 <= len
+  && String.equal (Bytes.sub_string raw ps 4) "SPCK"
+  && Xutil.Crc32c.digest raw ~pos:0 ~len:(ps + 8) = get_u32 raw (ps + 8)
+  && String.init 4 (fun k -> Char.chr (max 0 (byte k))) = meta_magic
+  && u32 4 >= 5
+  && u32 28 = ps
+
+let recorded_page_size path =
+  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> None
+  | fd ->
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let head = file_bytes fd 0 (max_probed_page_size + 16) in
+    let legacy =
+      Bytes.length head >= 8
+      && String.equal (Bytes.sub_string head 0 4) meta_magic
+      && get_u32 head 4 < 5
+    in
+    let rec scan ps found =
+      if ps > max_probed_page_size then None
+      else if found ps then Some ps
+      else scan (ps + 1) found
+    in
+    (* slot B's header spans pages below 32-byte pages: read enough of
+       them for byte 31 *)
+    let slot_b ps =
+      let base = slot_base 1 * (ps + 16) in
+      Bytes.equal (file_bytes fd base 1) (Bytes.of_string "S")
+      && first_slot_page (file_bytes fd base (max (ps + 16) (32 * 17))) ps
+    in
+    if legacy then None
+    else
+      match scan 1 (first_slot_page head) with
+      | Some ps -> Some ps
+      | None -> scan 1 slot_b
+
 (* --- metadata payload --- *)
 
+let side_records t = Paged_bytes.used t.side_tab / side_record_bytes
+
 let payload_bytes t =
-  let buf = Buffer.create 1024 in
+  let buf = Buffer.create 128 in
   let u32 v = for k = 0 to 3 do Buffer.add_char buf (Char.chr ((v lsr (8 * k)) land 0xFF)) done in
   let alphabet = P.alphabet t.core in
   let symbols =
@@ -370,49 +589,103 @@ let payload_bytes t =
     u32 t.core.P.live_rows.(table)
   done;
   u32 t.core.P.migrations;
-  (* overflow keys of 2^32 and up go to the version 4 section *)
-  let wide k = k lsr 32 <> 0 in
-  let overflow = t.core.P.overflow in
-  let count p =
-    Xutil.Int_tbl.fold (fun k _ n -> if p k then n + 1 else n) overflow 0
-  in
-  u32 (count (fun k -> not (wide k)));
-  Xutil.Int_tbl.iter
-    (fun k v -> if not (wide k) then begin u32 k; u32 v end)
-    overflow;
-  u32 (Xutil.Int_tbl.length t.core.P.anchors);
-  Xutil.Int_tbl.iter (fun k v -> u32 k; u32 v) t.core.P.anchors;
-  u32 (count wide);
-  Xutil.Int_tbl.iter
-    (fun k v -> if wide k then begin u32 k; u32 (k lsr 32); u32 v end)
-    overflow;
+  u32 (side_records t);
+  u32 t.side_half;
   Buffer.to_bytes buf
 
 (* Reset the capture window at a commit point (and on reopen): nothing
-   is journaled yet, and the committed set becomes the used prefix of
-   every data region.  Data regions are append-only byte tables whose
-   rows are mutated in place, so an in-place overwrite can only ever
-   target a page inside a used prefix — this set is exact. *)
+   is journaled yet, and the committed pages of each table are its used
+   prefix.  Data regions are append-only byte tables whose rows are
+   mutated in place, so an in-place overwrite can only ever target a
+   page inside a used prefix — these bounds are exact. *)
 let journal_commit_window t =
   let j = t.journal in
   Xutil.Int_tbl.reset j.j_journaled;
   j.j_next <- 0;
-  Xutil.Int_tbl.reset j.j_committed;
   let page_size = Pagestore.Device.page_size t.device in
-  let add base used =
-    for k = 0 to ((used + page_size - 1) / page_size) - 1 do
-      Xutil.Int_tbl.replace j.j_committed (base + k) ()
-    done
-  in
+  let pages used = (used + page_size - 1) / page_size in
   let n = P.length t.core in
-  add (region_base lt_region) ((n + 1) * Compact_store.lt_entry_bytes);
+  j.j_committed.(0) <- pages ((n + 1) * Compact_store.lt_entry_bytes);
   for table = 0 to 3 do
-    add (region_base (rt_region table)) (Paged_bytes.used t.core.P.rts.(table))
+    j.j_committed.(1 + table) <- pages (Paged_bytes.used t.core.P.rts.(table))
   done;
-  add (region_base seq_region)
-    (Bioseq.Packed_seq.packed_byte_length (P.sequence t.core))
+  j.j_committed.(5) <-
+    pages (Bioseq.Packed_seq.packed_byte_length (P.sequence t.core));
+  j.j_base.(side_table_index) <- side_half_base t.side_half;
+  j.j_committed.(side_table_index) <- pages (Paged_bytes.used t.side_tab)
 
-(* A crashed session may have extended a region past the committed
+(* --- the side log --- *)
+
+let put_side_record tab table key v =
+  let off = Paged_bytes.alloc tab side_record_bytes in
+  let flags =
+    (match table with Compact_store.Overflow -> 0 | Compact_store.Anchors -> 1)
+    lor (if v < 0 then 2 else 0)
+  in
+  Paged_bytes.set_u32 tab off (key land 0xFFFF_FFFF);
+  Paged_bytes.set_u16 tab (off + 4) (key lsr 32);
+  Paged_bytes.set_u16 tab (off + 6) flags;
+  Paged_bytes.set_u32 tab (off + 8) (max v 0)
+
+(* Rewrite the log from the tables as they stand, one record per live
+   entry, into the half the committed records are not in.  Nothing
+   there is committed, so the rewrite needs no journal entries however
+   large the tables are, and a crash before the next commit leaves the
+   committed log as it was.  A second compaction before that commit
+   rewrites the same half again.  Tables larger than a half fail typed
+   ([Region_full] naming "side"). *)
+let compact_side t =
+  let half =
+    if t.journal.j_base.(side_table_index) = side_half_base 0 then 1 else 0
+  in
+  let tab = side_table t.pool ~half ~used:0 in
+  t.side_tab <- tab;
+  t.side_half <- half;
+  Xutil.Int_tbl.iter
+    (fun k v -> put_side_record tab Compact_store.Overflow k v)
+    t.core.P.overflow;
+  Xutil.Int_tbl.iter
+    (fun k v -> put_side_record tab Compact_store.Anchors k v)
+    t.core.P.anchors
+
+(* The store's side-table hook: append the change, or, when the log's
+   half is full, compact it (the tables already hold the change).  A
+   half the live entries alone nearly fill would compact at every
+   change, so past seven eighths it fails typed instead. *)
+let log_side t table key v =
+  let capacity = side_half_span * Pagestore.Device.page_size t.device in
+  if Paged_bytes.used t.side_tab + side_record_bytes <= capacity then
+    put_side_record t.side_tab table key v
+  else begin
+    compact_side t;
+    if Paged_bytes.used t.side_tab > capacity / 8 * 7 then
+      Spine_error.raise_error
+        (Spine_error.Region_full { region = "side"; capacity })
+  end
+
+(* Replay the first [records] records of the log in half [half] onto
+   empty tables. *)
+let replay_side tab ~half ~page_size ~records =
+  let overflow = Xutil.Int_tbl.create 16 in
+  let anchors = Xutil.Int_tbl.create 16 in
+  for r = 0 to records - 1 do
+    let off = r * side_record_bytes in
+    let key =
+      Paged_bytes.get_u32 tab off lor (Paged_bytes.get_u16 tab (off + 4) lsl 32)
+    in
+    let flags = Paged_bytes.get_u16 tab (off + 6) in
+    let v = Paged_bytes.get_u32 tab (off + 8) in
+    if flags land lnot 3 <> 0 then
+      Spine_error.corrupt ~region:"side"
+        ~page:(side_half_base half + (off / page_size))
+        "side-log record %d has flags 0x%x" r flags;
+    let table = if flags land 1 = 1 then anchors else overflow in
+    if flags land 2 <> 0 then Xutil.Int_tbl.remove table key
+    else Xutil.Int_tbl.replace table key v
+  done;
+  (overflow, anchors)
+
+(* A crashed session may have extended a table past the committed
    prefix.  Those pages hold no committed data (the journal only
    protects the prefix) but are stamped beyond the recovered ceiling,
    so a later append extending the table into one would fault its
@@ -422,13 +695,11 @@ let journal_commit_window t =
    [erase_hole_limit] consecutive holes, mirroring the scrub walk. *)
 let erase_hole_limit = 64
 
-let erase_stale_tail device ~base ~used_bytes =
+let erase_stale_tail ?(span = data_span) device ~base ~used_bytes =
   let page_size = Pagestore.Device.page_size device in
   let zero = Bytes.make page_size '\000' in
   let first = base + ((used_bytes + page_size - 1) / page_size) in
-  let limit =
-    min (base + data_span) (Pagestore.Device.physical_pages device)
-  in
+  let limit = min (base + span) (Pagestore.Device.physical_pages device) in
   let holes = ref 0 in
   let page = ref first in
   while !holes < erase_hole_limit && !page < limit do
@@ -443,32 +714,53 @@ let erase_stale_tail device ~base ~used_bytes =
 
 (* --- lifecycle --- *)
 
+let make_t ~core ~seq_tab ~side_tab ~side_half ~device ~pool ~path ~width
+    ~generation =
+  let journal = journal_make device in
+  let t =
+    { core; seq_tab; side_tab; side_half; device; pool; journal;
+      file_path = path;
+      disk_width = width; generation; closed = false }
+  in
+  Pagestore.Buffer_pool.set_writeback_hook pool
+    (Some (fun page -> journal_capture journal [| page |]));
+  P.set_side_hook core (log_side t);
+  t
+
 let create ?frames ?page_size ?pin_top_lt_pages ~path alphabet =
   let device, pool =
     make_pool ?frames ?page_size ?pin_top_lt_pages ~path ~truncate:true ()
   in
-  let journal = journal_make device in
-  Pagestore.Buffer_pool.set_writeback_hook pool
-    (Some (journal_capture journal));
+  (* the stamp is sealed at epoch 0, which no ceiling rejects *)
+  Pagestore.Device.set_epoch device 0;
+  write_page_size_stamp device;
   Pagestore.Device.set_epoch device 1;
   Pagestore.Device.set_max_valid_epoch device 0;
   (* declare epoch 1 before any data write carries it *)
   write_epoch_decl device 1;
   let core = Paged_store.create pool alphabet in
-  let seq_tab = Paged_store.table pool ~name:"seq" ~region:seq_region ~used:0 in
-  { core; seq_tab; device; pool; journal; file_path = path;
-    disk_width = Bioseq.Packed_seq.width (P.sequence core); generation = 0;
-    closed = false }
+  make_t ~core ~seq_tab:(seq_table pool ~used:0)
+    ~side_tab:(side_table pool ~half:0 ~used:0) ~side_half:0 ~device ~pool
+    ~path
+    ~width:(Bioseq.Packed_seq.width (P.sequence core)) ~generation:0
 
-(* Commit protocol: data pages first (journaling the preimage of any
-   committed page they overwrite), then the new metadata generation
+(* Commit protocol: data pages first, then the new metadata generation
    into the inactive slot, then raise the committed-epoch ceiling and
-   move to a fresh (pre-declared) epoch.  A crash at ANY point leaves
-   either the old generation recoverable (its slot untouched, its
-   ceiling unchanged, its overwritten pages restorable from the
+   move to a fresh (pre-declared) epoch.  The data pages go out in two
+   batches: first the journal entries for every committed page among
+   them, then the pages themselves, in runs.  A crash at ANY point
+   leaves either the old generation recoverable (its slot untouched,
+   its ceiling unchanged, its overwritten pages restorable from the
    journal) or the new one fully written. *)
 let flush_internal t ~clean =
   Telemetry.with_span s_flush (fun () ->
+      if
+        side_records t
+        > max side_compact_floor
+            (2 * (Xutil.Int_tbl.length t.core.P.overflow
+                  + Xutil.Int_tbl.length t.core.P.anchors))
+      then compact_side t;
+      journal_capture t.journal (Pagestore.Buffer_pool.dirty_pages t.pool);
       Pagestore.Buffer_pool.flush t.pool;
       let e = Pagestore.Device.epoch t.device in
       let gen = t.generation + 1 in
@@ -502,12 +794,11 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
   if not (Sys.file_exists path) then
     Spine_error.io_failed ~op:Spine_error.Read "Persistent.open_: %s does not exist"
       path;
+  let page_size = recorded_page_size path in
   let device, pool =
-    make_pool ?frames ?pin_top_lt_pages ~path ~truncate:false ()
+    make_pool ?frames ?page_size ?pin_top_lt_pages ~path ~truncate:false ()
   in
-  let journal = journal_make device in
-  Pagestore.Buffer_pool.set_writeback_hook pool
-    (Some (journal_capture journal));
+  let page_size = Pagestore.Device.page_size device in
   try
     (* read both shadow slots and the epoch declaration while epoch
        validation is still disabled: all three may carry epochs from
@@ -556,10 +847,12 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
     (* parse the payload *)
     let data = m.sm_payload in
     let pos = ref 0 in
+    let truncated () =
+      Spine_error.corrupt ~region:"meta" ~page:(slot_base (m.sm_generation land 1))
+        "metadata payload truncated at byte %d" !pos
+    in
     let u8 () =
-      if !pos >= Bytes.length data then
-        Spine_error.corrupt ~region:"meta" ~page:(slot_base (m.sm_generation land 1))
-          "metadata payload truncated at byte %d" !pos;
+      if !pos >= Bytes.length data then truncated ();
       let v = Char.code (Bytes.get data !pos) in
       incr pos;
       v
@@ -570,9 +863,7 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
       !v
     in
     let str n =
-      if n < 0 || !pos + n > Bytes.length data then
-        Spine_error.corrupt ~region:"meta" ~page:(slot_base (m.sm_generation land 1))
-          "metadata payload truncated at byte %d" !pos;
+      if n < 0 || !pos + n > Bytes.length data then truncated ();
       let s = Bytes.sub_string data !pos n in
       pos := !pos + n;
       s
@@ -610,25 +901,39 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
       live_rows.(table) <- u32 ()
     done;
     let migrations = u32 () in
-    let overflow = Xutil.Int_tbl.create 16 in
-    let n_ov = u32 () in
-    for _ = 1 to n_ov do
-      let k = u32 () in
-      Xutil.Int_tbl.replace overflow k (u32 ())
-    done;
-    let anchors = Xutil.Int_tbl.create 16 in
-    let n_an = u32 () in
-    for _ = 1 to n_an do
-      let k = u32 () in
-      Xutil.Int_tbl.replace anchors k (u32 ())
-    done;
-    if m.sm_version >= 4 then
-      for _ = 1 to u32 () do
-        let lo = u32 () in
-        let k = lo lor (u32 () lsl 32) in
-        Xutil.Int_tbl.replace overflow k (u32 ())
-      done;
-    (* clear crash debris beyond each region's committed prefix so this
+    (* version 5 names the log's committed records and its half;
+       versions 3 and 4 carry the side tables themselves *)
+    let side_log, side_half, legacy_tables =
+      if m.sm_version >= 5 then begin
+        let records = u32 () in
+        (records, u32 (), None)
+      end
+      else begin
+        let entries () =
+          let tbl = Xutil.Int_tbl.create 16 in
+          for _ = 1 to u32 () do
+            let k = u32 () in
+            Xutil.Int_tbl.replace tbl k (u32 ())
+          done;
+          tbl
+        in
+        let overflow = entries () in
+        let anchors = entries () in
+        if m.sm_version >= 4 then
+          for _ = 1 to u32 () do
+            let lo = u32 () in
+            let k = lo lor (u32 () lsl 32) in
+            Xutil.Int_tbl.replace overflow k (u32 ())
+          done;
+        (0, 0, Some (overflow, anchors))
+      end
+    in
+    let side_bytes = side_log * side_record_bytes in
+    if side_half > 1 || side_bytes > side_half_span * page_size then
+      Spine_error.corrupt ~region:"meta"
+        ~page:(slot_base (m.sm_generation land 1))
+        "implausible side log (%d records in half %d)" side_log side_half;
+    (* clear crash debris beyond each table's committed prefix so this
        session's own appends can extend the tables into those pages *)
     if Pagestore.Device.checksums device then begin
       erase_stale_tail device ~base:(region_base lt_region)
@@ -637,16 +942,20 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
         erase_stale_tail device ~base:(region_base (rt_region table))
           ~used_bytes:rt_used.(table)
       done;
-      erase_stale_tail device ~base:(region_base seq_region)
-        ~used_bytes:seq_bytes
+      erase_stale_tail ~span:seq_span device ~base:(region_base seq_region)
+        ~used_bytes:seq_bytes;
+      (* the other half too: a crashed session may have compacted the
+         log into it *)
+      for half = 0 to 1 do
+        erase_stale_tail ~span:side_half_span device ~base:(side_half_base half)
+          ~used_bytes:(if half = side_half then side_bytes else 0)
+      done
     end;
     (* rebuild the in-memory sequence mirror from the packed region —
        the raw words, no per-code re-decoding; with the ceiling
        restored above, any crash debris page this touches surfaces as a
        typed Corrupt instead of phantom characters *)
-    let seq_tab =
-      Paged_store.table pool ~name:"seq" ~region:seq_region ~used:seq_bytes
-    in
+    let seq_tab = seq_table pool ~used:seq_bytes in
     let packed = Bytes.create seq_bytes in
     for off = 0 to seq_bytes - 1 do
       Bytes.set packed off (Char.chr (Paged_bytes.get_u8 seq_tab off))
@@ -657,6 +966,12 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
         Spine_error.corrupt ~region:"seq" ~page:(region_base seq_region)
           "packed sequence region decodes outside the alphabet"
     in
+    let side_tab = side_table pool ~half:side_half ~used:side_bytes in
+    let overflow, anchors =
+      match legacy_tables with
+      | Some tables -> tables
+      | None -> replay_side side_tab ~half:side_half ~page_size ~records:side_log
+    in
     let lt, rts =
       Paged_store.tables pool
         ~lt_used:((n + 1) * Compact_store.lt_entry_bytes) ~rt_used
@@ -666,12 +981,15 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
         alphabet
     in
     let t =
-      { core; seq_tab; device; pool; journal; file_path = path;
-        disk_width = width; generation = m.sm_generation; closed = false }
+      make_t ~core ~seq_tab ~side_tab ~side_half ~device ~pool ~path ~width
+        ~generation:m.sm_generation
     in
     (* the recovered prefix is the committed state the journal must now
        protect against this session's own in-place overwrites *)
     journal_commit_window t;
+    (* a version 3 or 4 file's tables start the log; the next commit
+       writes version 5 *)
+    if Option.is_some legacy_tables then compact_side t;
     t
   with e ->
     Pagestore.Device.close device;
@@ -862,7 +1180,11 @@ let run_scrub ?(retune = true) device path =
       scan_region device ~name:"rt3" ~base:(region_base (rt_region 3))
         ~span:data_span;
       scan_region device ~name:"seq" ~base:(region_base seq_region)
-        ~span:data_span;
+        ~span:seq_span;
+      scan_region device ~name:"side/a" ~base:(side_half_base 0)
+        ~span:side_half_span;
+      scan_region device ~name:"side/b" ~base:(side_half_base 1)
+        ~span:side_half_span;
       scan_region ~stale_ok:true device ~name:"journal" ~base:journal_base
         ~span:data_span ]
   in
@@ -889,6 +1211,7 @@ let scrub ?(page_size = 4096) ~path () =
   if not (Sys.file_exists path) then
     Spine_error.io_failed ~op:Spine_error.Read "Persistent.scrub: %s does not exist"
       path;
+  let page_size = Option.value (recorded_page_size path) ~default:page_size in
   let device =
     Pagestore.Device.create_file ~checksums:true ~page_size ~path ()
   in

@@ -11,7 +11,12 @@
 
     File layout (page regions, sparse): a metadata area (two shadow
     slots and an epoch-declaration page), then the Link Table, the four
-    Rib Tables, the vertebra character codes and the preimage journal.
+    Rib Tables, one region shared by the vertebra character codes and
+    the side log (every change to the store's overflow and anchor side
+    tables, appended as it happens), and the preimage journal.  The
+    metadata holds only the alphabet, the counters and the side log's
+    committed length and place, so a commit costs what the appends changed, not
+    what the index holds.
 
     {2 Integrity and crash consistency}
 
@@ -26,7 +31,9 @@
     protected by a {e preimage journal}: the first post-commit
     overwrite of a committed page (a buffer-pool eviction of a dirty
     tail page, a rib-row mutation, the next flush itself) copies the
-    page's exact physical slot into the journal region first, and
+    page's exact physical slot into the journal region first — a flush
+    captures all of its committed pages as one batch before it writes
+    any of them — and
     {!open_} rolls those preimages back before recovery.  {!open_}
     picks the newest valid generation, falls back to the other slot
     when the newest write was torn, restores the journaled preimages,
@@ -52,11 +59,12 @@ val create :
 (** Start a new index in file [path] (truncating any previous content).
     [frames] bounds the buffer pool (default 256 pages of
     [page_size] = 4096 bytes); [pin_top_lt_pages] applies the paper's
-    keep-the-top-of-the-LT policy. *)
+    keep-the-top-of-the-LT policy.  The file records [page_size]. *)
 
 val open_ : ?frames:int -> ?pin_top_lt_pages:int -> path:string -> unit -> t
-(** Reopen a previously {!close}d (or crashed) index: recover the
-    newest valid metadata generation.
+(** Reopen a previously {!close}d (or crashed) index at the page size
+    the file records (4096 for files written before the page size was
+    recorded): recover the newest valid metadata generation.
     @raise Spine_error.Error ([Corrupt]) when neither shadow slot holds
     valid metadata, or recovery reads crash debris; ([Io_failed]) when
     the file is missing or unreadable. *)
@@ -71,10 +79,13 @@ val flush : t -> unit
     [flush], {!open_} on the same path recovers exactly this state even
     if the process dies without {!close} — later writes that land on
     committed pages are journaled first and rolled back on reopen.
-    The journal holds 2^17 preimages per commit window; a workload that
-    overwrites more distinct committed pages (512 MB) between flushes
-    gets a typed [Io_failed] telling it to flush, never a silently
-    unprotected overwrite. *)
+    The journal holds 2^17 preimages per commit window (at page sizes
+    of 36 bytes and up); a workload that overwrites more distinct
+    committed pages (512 MB at 4 KiB pages) between flushes gets a
+    typed [Io_failed] telling it to flush, never a silently unprotected
+    overwrite.
+    @raise Spine_error.Error ([Region_full], region "meta") when the
+    metadata outgrows a shadow slot. *)
 
 val path : t -> string
 
@@ -118,7 +129,9 @@ type slot_state =
   | Slot_invalid of string  (** why the slot cannot be recovered from *)
 
 type region_report = {
-  region : string;   (** "meta/slot-a", "lt", "rt0".."rt3", "seq", … *)
+  region : string;
+      (** "meta/slot-a", "lt", "rt0".."rt3", "seq", "side/a", "side/b",
+          "journal", … *)
   scanned : int;
   ok : int;
   unwritten : int;
@@ -147,5 +160,8 @@ val verify : t -> report
 val scrub : ?page_size:int -> path:string -> unit -> report
 (** Offline {!verify}: open the file read-only (no pool, no recovery),
     validate both metadata slots, walk every region.  Never raises on
-    damage — damage is the report's content.
+    damage — damage is the report's content.  The file is read at the
+    page size it records; [page_size] (default 4096) only serves a file
+    that records none (written before the page size was recorded, or
+    with the first pages of both slots damaged).
     @raise Spine_error.Error ([Io_failed]) when the file is missing. *)

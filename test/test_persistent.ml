@@ -259,8 +259,63 @@ let byte = Bioseq.Alphabet.byte
 let get32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
 let set32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
-(* Rewrite each metadata slot of a closed file as a version 3 slot: the
-   version 4 payload minus its (empty) section of wide overflow keys.
+let put32 buf v =
+  for k = 0 to 3 do Buffer.add_char buf (Char.chr ((v lsr (8 * k)) land 0xFF)) done
+
+(* Rewrite a closed 4 KiB-page file as version 4 wrote it.  The newest
+   metadata slot gets the version 4 header (28 bytes, no page size) and
+   payload: the version 5 payload without its trailing side-log length
+   and half, then the side tables themselves, read back through [open_] — the
+   overflow labels with 32-bit keys, the anchors, and the overflow
+   labels with wider keys.  The other slot's first page (the page-size
+   stamp, or an older generation) is zeroed, as in a file version 4
+   wrote.  Returns the newest generation. *)
+let downgrade_to_v4 path =
+  let p = Spine.Persistent.open_ ~path () in
+  let store = Spine.Persistent.store p in
+  let entries tbl =
+    List.sort compare (Xutil.Int_tbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  in
+  let overflow = entries store.Spine.Paged_store.P.overflow in
+  let anchors = entries store.Spine.Paged_store.P.anchors in
+  let generation = Spine.Persistent.generation p in
+  (* abandon the handle: nothing of this session reaches the slots *)
+  Pagestore.Device.close (Spine.Persistent.device p);
+  let dev =
+    Pagestore.Device.create_file ~checksums:true ~page_size:4096 ~path ()
+  in
+  let newest = (generation land 1) * 4096 in
+  (match Pagestore.Device.read_slot_any dev newest with
+   | `Invalid -> Alcotest.fail "the newest slot does not validate"
+   | `Valid (data, epoch) ->
+     Alcotest.(check int) "written as version 5" 5 (get32 data 4);
+     Alcotest.(check int) "records its page size" 4096 (get32 data 28);
+     let len = get32 data 20 in
+     let buf = Buffer.create 1024 in
+     Buffer.add_bytes buf (Bytes.sub data 32 (len - 8));
+     let narrow, wide = List.partition (fun (k, _) -> k lsr 32 = 0) overflow in
+     let section l = put32 buf (List.length l); List.iter (fun (k, v) -> put32 buf k; put32 buf v) l in
+     section narrow;
+     section anchors;
+     put32 buf (List.length wide);
+     List.iter (fun (k, v) -> put32 buf k; put32 buf (k lsr 32); put32 buf v) wide;
+     let v4 = Buffer.to_bytes buf in
+     if 28 + Bytes.length v4 > 4096 then Alcotest.fail "test payload spans pages";
+     let page = Bytes.make 4096 '\000' in
+     Bytes.blit data 0 page 0 20;
+     set32 page 4 4;
+     set32 page 20 (Bytes.length v4);
+     set32 page 24 (Xutil.Crc32c.bytes v4);
+     Bytes.blit v4 0 page 28 (Bytes.length v4);
+     Pagestore.Device.set_epoch dev epoch;
+     Pagestore.Device.write dev newest page;
+     Pagestore.Device.write dev (4096 - newest) (Bytes.make 4096 '\000'));
+  Pagestore.Device.close dev;
+  generation
+
+(* Rewrite the newest metadata slot of a closed file as a version 3
+   slot: first as version 4 ({!downgrade_to_v4}), then the version 4
+   payload minus its (empty) section of wide overflow keys.
    Before that, check that every side-table key has the 64-keys-per-row
    shape version 3 files use: an odd RT key [((row * 64 + slot) * 4 +
    table) * 2 + 1] names slot 62 in the anchor table and a PT (< 60)
@@ -268,6 +323,7 @@ let set32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
    has no fanout entries: its LT field held fanouts up to 31.)
    Returns the number of anchors seen. *)
 let downgrade_to_v3 path =
+  ignore (downgrade_to_v4 path : int);
   let dev =
     Pagestore.Device.create_file ~checksums:true ~page_size:4096 ~path ()
   in
@@ -365,25 +421,69 @@ let test_wide_keys_reopen () =
       done;
       Spine.Persistent.close p)
 
+(* A DNA index grown in chunks, a flush after each, from the start to
+   [total] chars; returns the index and the oracle over its text. *)
+let chunked_build ?frames ?page_size ~path ~chunk total =
+  let rng = Bioseq.Rng.create 20261018 in
+  let seq = Bioseq.Synthetic.genomic dna rng total in
+  let p = Spine.Persistent.create ?frames ?page_size ~path dna in
+  let pos = ref 0 in
+  while !pos < total do
+    let stop = min total (!pos + chunk) in
+    for i = !pos to stop - 1 do
+      Spine.Persistent.append p (Bioseq.Packed_seq.get seq i)
+    done;
+    Spine.Persistent.flush p;
+    pos := stop
+  done;
+  (p, seq)
+
+(* [probes] random substrings of [seq]'s first [len] chars answer as a
+   fresh in-memory build of that prefix does *)
+let check_parity ?(probes = 60) what p seq len =
+  let prefix =
+    Bioseq.Packed_seq.of_codes dna
+      (Array.init len (fun i -> Bioseq.Packed_seq.get seq i))
+  in
+  let oracle = Spine.Compact.engine (Spine.Compact.of_seq prefix) in
+  let rng = Bioseq.Rng.create (len + 1) in
+  Alcotest.(check int) (what ^ ": length") len (length p);
+  for _ = 1 to probes do
+    let plen = 3 + Bioseq.Rng.int rng 9 in
+    let pos = Bioseq.Rng.int rng (len - plen) in
+    let pat = Array.init plen (fun j -> Bioseq.Packed_seq.get seq (pos + j)) in
+    Alcotest.(check (list int)) (what ^ ": occurrences")
+      (Codes.occurrences oracle pat) (occurrences p pat)
+  done
+
 (* Each page region holds [data_span] pages: at 8-byte pages the Link
    Table's region fits 2^21 / 6 = 349,525 six-byte entries, one per
    node, so 349,524 characters.  The next append must fail typed,
    naming the region, instead of writing into the first Rib Table's
-   pages. *)
-let test_region_bound () =
+   pages.  With [flush_every], the same text is flushed every that many
+   chars and still reaches the Link Table's bound first: the side log
+   compacts into whichever half the committed log is not in, so no
+   compaction needs journal entries, and its live entries fit a half.
+   The last flushed state then reopens with parity. *)
+let region_bound ?flush_every () =
   let entries =
     Spine.Paged_store.data_span * 8 / Spine.Compact_store.lt_entry_bytes
   in
   let rng = Bioseq.Rng.create 17 in
+  let seq = Bioseq.Packed_seq.create dna in
   with_tmp (fun path ->
       let p =
         Spine.Persistent.create ~frames:(1 lsl 19) ~page_size:8 ~path dna
       in
-      let appended = ref 0 in
       (match
          for _ = 1 to entries + 100 do
-           Spine.Persistent.append p (Bioseq.Rng.int rng 4);
-           incr appended
+           let c = Bioseq.Rng.int rng 4 in
+           Spine.Persistent.append p c;
+           Bioseq.Packed_seq.append seq c;
+           match flush_every with
+           | Some n when Bioseq.Packed_seq.length seq mod n = 0 ->
+             Spine.Persistent.flush p
+           | _ -> ()
          done
        with
        | () -> Alcotest.fail "the Link Table outgrew its region"
@@ -394,7 +494,146 @@ let test_region_bound () =
          Alcotest.(check int) "its capacity"
            (Spine.Paged_store.data_span * 8) capacity);
       Alcotest.(check int) "every node that fits was appended" (entries - 1)
-        !appended)
+        (Bioseq.Packed_seq.length seq);
+      match flush_every with
+      | None -> ()
+      | Some n ->
+        (* abandon the failed session: the last flush recovers *)
+        Pagestore.Device.close (Spine.Persistent.device p);
+        let r = Spine.Persistent.scrub ~path () in
+        List.iter
+          (fun half ->
+            match
+              List.find_opt (fun g -> g.Spine.Persistent.region = half)
+                r.Spine.Persistent.regions
+            with
+            | Some g ->
+              Alcotest.(check bool) (half ^ " holds a log") true
+                (g.Spine.Persistent.ok > 0)
+            | None -> Alcotest.failf "no %s row in the scrub report" half)
+          [ "side/a"; "side/b" ];
+        let p = Spine.Persistent.open_ ~frames:(1 lsl 19) ~path () in
+        Paged_valid.check_exn (Spine.Persistent.store p);
+        check_parity "reopened" p seq ((entries - 1) / n * n);
+        Spine.Persistent.close p)
+
+let test_region_bound () = region_bound ()
+let test_flushed_to_the_region_bound () = region_bound ~flush_every:10_000 ()
+
+(* A version 4 file (side tables in the metadata payload) opens, takes
+   appends, and its first commit writes version 5: the tables move to
+   the side log and the slot records the page size. *)
+let test_version4_upgrade () =
+  with_tmp (fun path ->
+      let p, seq = chunked_build ~path ~chunk:1_500 3_000 in
+      Spine.Persistent.close p;
+      let generation = downgrade_to_v4 path in
+      let p = Spine.Persistent.open_ ~path () in
+      Alcotest.(check int) "the version 4 generation" generation
+        (Spine.Persistent.generation p);
+      Paged_valid.check_exn (Spine.Persistent.store p);
+      check_parity "version 4" p seq 3_000;
+      Alcotest.(check bool) "version 4 has extrib anchors" true
+        (Xutil.Int_tbl.length (Spine.Persistent.store p).Spine.Paged_store.P.anchors
+         > 0);
+      let more = Bioseq.Synthetic.genomic dna (Bioseq.Rng.create 5) 1_000 in
+      Spine.Persistent.append_seq p more;
+      Spine.Persistent.flush p;
+      (* abandon after the flush: the version 5 commit alone recovers *)
+      Pagestore.Device.close (Spine.Persistent.device p);
+      let full = Bioseq.Packed_seq.create dna in
+      Bioseq.Packed_seq.iteri seq ~f:(fun _ c -> Bioseq.Packed_seq.append full c);
+      Bioseq.Packed_seq.iteri more ~f:(fun _ c -> Bioseq.Packed_seq.append full c);
+      let p = Spine.Persistent.open_ ~path () in
+      Paged_valid.check_exn (Spine.Persistent.store p);
+      check_parity "upgraded" p full 4_000;
+      Spine.Persistent.close p;
+      let dev =
+        Pagestore.Device.create_file ~checksums:true ~page_size:4096 ~path ()
+      in
+      (match Pagestore.Device.read_slot_any dev (((generation + 2) land 1) * 4096) with
+       | `Valid (data, _) ->
+         Alcotest.(check int) "the newest slot is version 5" 5 (get32 data 4)
+       | `Invalid -> Alcotest.fail "the newest slot does not validate");
+      Pagestore.Device.close dev)
+
+(* At 8-byte pages a metadata slot holds 32,740 bytes.  Version 4 kept
+   8 bytes per extrib anchor in it, so an index with more than about
+   4,000 anchors could not commit; the side log has no such ceiling.
+   Grow past it a flush at a time, then reopen at the recorded page
+   size and check parity. *)
+let test_side_tables_outgrow_a_slot () =
+  let slot_bytes = (4096 * 8) - 28 in
+  with_tmp (fun path ->
+      let total = 34_000 in
+      let p, seq =
+        chunked_build ~frames:(1 lsl 16) ~page_size:8 ~path ~chunk:2_000 total
+      in
+      let anchors =
+        Xutil.Int_tbl.length (Spine.Persistent.store p).Spine.Paged_store.P.anchors
+      in
+      if anchors * 8 <= slot_bytes then
+        Alcotest.failf "only %d anchors: the test must pass the old ceiling"
+          anchors;
+      Spine.Persistent.close p;
+      let p = Spine.Persistent.open_ ~frames:(1 lsl 16) ~path () in
+      Alcotest.(check int) "reopened at the recorded page size" 8
+        (Pagestore.Device.page_size (Spine.Persistent.device p));
+      Alcotest.(check int) "anchors replayed" anchors
+        (Xutil.Int_tbl.length (Spine.Persistent.store p).Spine.Paged_store.P.anchors);
+      Paged_valid.check_exn (Spine.Persistent.store p);
+      check_parity "reopened" p seq total;
+      Spine.Persistent.close p)
+
+(* The page size is in the file: [open_] and [scrub] need not be told.
+   [scrub]'s own [page_size] only serves files without a version 5
+   slot. *)
+let test_recorded_page_size () =
+  with_tmp (fun path ->
+      let p, seq = chunked_build ~page_size:128 ~path ~chunk:1_000 2_000 in
+      Spine.Persistent.close p;
+      let r = Spine.Persistent.scrub ~page_size:4096 ~path () in
+      Alcotest.(check int) "scrub finds the generation" 3 r.Spine.Persistent.report_generation;
+      Alcotest.(check int) "and no damage" 0
+        (r.Spine.Persistent.damaged_pages + r.Spine.Persistent.stale_pages);
+      let p = Spine.Persistent.open_ ~path () in
+      Alcotest.(check int) "open_ reads 128-byte pages" 128
+        (Pagestore.Device.page_size (Spine.Persistent.device p));
+      check_parity "reopened" p seq 2_000;
+      Spine.Persistent.close p)
+
+(* The side log has a region too, in two halves.  Overflowed labels
+   churn it (each row migration drops and re-adds them), so it compacts
+   into the other half when its half fills; once the live entries alone
+   fill a half past seven eighths it refuses typed, naming the region.
+   At 8-byte pages that takes about 57,000 live overflow labels: rib
+   PTs above 0xFFFF, 150 on each node. *)
+let test_side_log_bound () =
+  let capacity = Spine.Paged_store.data_span / 4 * 3 / 2 * 8 in
+  with_tmp (fun path ->
+      let p = Spine.Persistent.create ~frames:(1 lsl 19) ~page_size:8 ~path byte in
+      let rng = Bioseq.Rng.create 23 in
+      Spine.Persistent.append_string p (Oracles.random_string rng 26 800);
+      let store = Spine.Persistent.store p in
+      match
+        for node = 1 to 800 do
+          for code = 0 to 149 do
+            Spine.Paged_store.P.add_rib store node ~code ~dest:1 ~pt:70_000
+          done
+        done
+      with
+      | () -> Alcotest.fail "the side log outgrew its region"
+      | exception
+          Spine_error.Error (Spine_error.Region_full { region; capacity = c })
+        ->
+        Alcotest.(check string) "the full region" "side" region;
+        Alcotest.(check int) "its capacity" capacity c;
+        let live =
+          Xutil.Int_tbl.length store.Spine.Paged_store.P.overflow
+          + Xutil.Int_tbl.length store.Spine.Paged_store.P.anchors
+        in
+        Alcotest.(check bool) "live entries fill 7/8 of it" true
+          (live * 12 > capacity / 8 * 7))
 
 let suite =
   [ Alcotest.test_case "parity with the in-memory index" `Quick
@@ -415,4 +654,14 @@ let suite =
   ; Alcotest.test_case "wide overflow keys survive reopen" `Quick
       test_wide_keys_reopen
   ; Alcotest.test_case "a full region fails typed" `Slow test_region_bound
+  ; Alcotest.test_case "version 4 file upgrades to version 5" `Quick
+      test_version4_upgrade
+  ; Alcotest.test_case "side tables outgrow a metadata slot" `Quick
+      test_side_tables_outgrow_a_slot
+  ; Alcotest.test_case "open_ and scrub read the page size" `Quick
+      test_recorded_page_size
+  ; Alcotest.test_case "a full side log fails typed" `Quick
+      test_side_log_bound
+  ; Alcotest.test_case "flushed chunks reach the region bound" `Slow
+      test_flushed_to_the_region_bound
   ]

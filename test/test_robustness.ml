@@ -93,8 +93,8 @@ let test_serializer_fuzz () =
 let crash_seq total =
   Bioseq.Synthetic.genomic dna (Bioseq.Rng.create 4040) total
 
-let run_crash_workload ?frames ~chunks ~seq path fault =
-  let p = P.create ?frames ~path dna in
+let run_crash_workload ?frames ?page_size ~chunks ~seq path fault =
+  let p = P.create ?frames ?page_size ~path dna in
   let frozen () =
     match fault with Some f -> FD.frozen f | None -> false
   in
@@ -127,7 +127,7 @@ let run_crash_workload ?frames ~chunks ~seq path fault =
    the sole metadata slot (nothing was ever fully committed); once
    [open_] succeeds, the journal rollback must have put the committed
    prefix back byte for byte, so queries may never fail OR lie. *)
-let crash_matrix ?frames ~chunks ~require_evictions () =
+let crash_matrix ?frames ?page_size ~chunks ~require_evictions () =
   let total = List.fold_left ( + ) 0 chunks in
   let seq = crash_seq total in
   (* flushed lengths and their in-memory oracles *)
@@ -149,7 +149,7 @@ let crash_matrix ?frames ~chunks ~require_evictions () =
   (* count the workload's device writes once, fault-free *)
   let total_writes, evictions =
     with_tmp (fun path ->
-        let p = P.create ?frames ~path dna in
+        let p = P.create ?frames ?page_size ~path dna in
         let count = ref 0 in
         Pagestore.Device.set_hooks (P.device p)
           (Some
@@ -187,7 +187,7 @@ let crash_matrix ?frames ~chunks ~require_evictions () =
   for k = 0 to total_writes - 1 do
     with_tmp (fun path ->
         let f = FD.create [ FD.arm ~after:k FD.Crash ] in
-        run_crash_workload ?frames ~chunks ~seq path (Some f);
+        run_crash_workload ?frames ?page_size ~chunks ~seq path (Some f);
         Alcotest.(check bool)
           (Printf.sprintf "crash %d froze the image" k)
           true (FD.frozen f);
@@ -239,6 +239,99 @@ let test_crash_matrix_evictions () =
   (* 2500 chars against 8 frames: the build keeps writing dirty
      committed pages back in place between flushes *)
   crash_matrix ~frames:8 ~chunks:[ 850; 850; 800 ] ~require_evictions:true ()
+
+(* The same matrices at 64-byte pages, which [open_] reads back from
+   the file: the side log, each flush's batch of journal captures and
+   its runs of data pages all span many pages, so a crash lands inside
+   every one of them. *)
+let test_crash_matrix_small_pages () =
+  crash_matrix ~page_size:64 ~chunks:[ 250; 200; 150 ]
+    ~require_evictions:false ()
+
+let test_crash_matrix_small_pages_evictions () =
+  crash_matrix ~page_size:64 ~frames:8 ~chunks:[ 250; 200; 150 ]
+    ~require_evictions:true ()
+
+(* A crash inside the flush that compacts the side log.  The first
+   flush commits about 10,000 log records in half A; the second finds
+   more than 16,384 and rewrites the live entries into half B before it
+   writes anything.  So a crash at any of that flush's writes into half
+   B must recover the first flush, from half A, and the recovered index
+   must then take the rest of the text, compacting into half B again
+   over the crashed session's debris. *)
+let test_crash_in_side_compaction () =
+  let first = 20_000 and total = 40_000 in
+  let seq = crash_seq total in
+  let side_b, side_end =
+    let open Spine.Paged_store in
+    (meta_span + (5 * data_span) + (data_span / 4 * 5 / 2),
+     meta_span + (6 * data_span))
+  in
+  let prefix l =
+    Spine.Compact.engine
+      (Spine.Compact.of_seq
+         (Bioseq.Packed_seq.of_codes dna
+            (Array.init l (fun k -> Bioseq.Packed_seq.get seq k))))
+  in
+  let oracles = [ (first, prefix first); (total, prefix total) ] in
+  let append p lo hi =
+    for i = lo to hi - 1 do P.append p (Bioseq.Packed_seq.get seq i) done
+  in
+  (* the second flush's writes into half B, by write index *)
+  let targets =
+    with_tmp (fun path ->
+        let p = P.create ~path dna in
+        let count = ref 0 and hits = ref [] and armed = ref false in
+        Pagestore.Device.set_hooks (P.device p)
+          (Some
+             { Pagestore.Device.on_read = (fun ~page:_ -> ())
+             ; on_write =
+                 (fun ~page ~phys:_ ->
+                   if !armed && page >= side_b && page < side_end then
+                     hits := !count :: !hits;
+                   incr count;
+                   Pagestore.Device.Write_through)
+             });
+        append p 0 first;
+        P.flush p;
+        append p first total;
+        armed := true;
+        P.flush p;
+        P.close p;
+        List.rev !hits)
+  in
+  Alcotest.(check bool) "the second flush compacts into half B" true
+    (List.length targets > 1);
+  let check_parity what p len =
+    let oracle = List.assoc len oracles in
+    let rng = Bioseq.Rng.create len in
+    for _ = 1 to 8 do
+      let plen = 3 + Bioseq.Rng.int rng 6 in
+      let pos = Bioseq.Rng.int rng (len - plen) in
+      let pat = Array.init plen (fun j -> Bioseq.Packed_seq.get seq (pos + j)) in
+      Alcotest.(check (list int)) what (Codes.occurrences oracle pat)
+        (occurrences p pat)
+    done
+  in
+  List.iter
+    (fun k ->
+      with_tmp (fun path ->
+          let f = FD.create [ FD.arm ~after:k FD.Crash ] in
+          run_crash_workload ~chunks:[ first; total - first ] ~seq path
+            (Some f);
+          Alcotest.(check bool) (Printf.sprintf "crash %d froze the image" k)
+            true (FD.frozen f);
+          let p = P.open_ ~path () in
+          Alcotest.(check int) (Printf.sprintf "crash %d: the first flush" k)
+            first (length p);
+          check_parity (Printf.sprintf "crash %d: parity" k) p first;
+          append p first total;
+          P.close p;
+          let p = P.open_ ~path () in
+          check_parity (Printf.sprintf "crash %d: parity after the rest" k) p
+            total;
+          P.close p))
+    targets
 
 (* --- eviction overwrite of committed pages + crash ------------------- *)
 
@@ -534,6 +627,8 @@ let test_bitflip_trials () =
     | "rt2" -> meta_span + (3 * data_span)
     | "rt3" -> meta_span + (4 * data_span)
     | "seq" -> meta_span + (5 * data_span)
+    | "side/a" -> meta_span + (5 * data_span) + (data_span / 4)
+    | "side/b" -> meta_span + (5 * data_span) + (data_span / 4 * 5 / 2)
     | "journal" -> meta_span + (6 * data_span)
     | r -> Alcotest.failf "unexpected region %S in scrub report" r
   in
@@ -735,9 +830,9 @@ let test_transient_writeback () =
 
 (* --- torn metadata write: shadow-slot fallback ----------------------- *)
 
-let test_torn_metadata () =
+let torn_metadata ?page_size () =
   with_tmp (fun path ->
-      let p = P.create ~path dna in
+      let p = P.create ?page_size ~path dna in
       P.append_string p "acgtacgtacgtacgt";
       P.flush p;  (* generation 1 -> slot B, intact *)
       (* tear the next metadata write (generation 2 -> slot A pages) *)
@@ -771,6 +866,13 @@ let test_torn_metadata () =
       let r2 = P.scrub ~path () in
       Alcotest.(check int) "damage gone after a fresh commit" 0
         r2.P.damaged_pages)
+
+let test_torn_metadata () = torn_metadata ()
+
+(* At any page size but 4 KiB, [open_] and [scrub] learn the page size
+   from the file; with slot A's first page torn they find it in slot
+   B's. *)
+let test_torn_metadata_small_pages () = torn_metadata ~page_size:128 ()
 
 (* --- the SPINE_FAULTS environment grammar ---------------------------- *)
 
@@ -836,6 +938,53 @@ let test_parallel_queries () =
         (Domain.join dom))
     domains
 
+(* The run form of a flush: consecutive dirty pages go to the device as
+   one run, and a transient error on one of them retries that page and
+   every later page of the run one at a time, each with the usual
+   budget, so the pages, the device's write count and the retry count
+   come out as single-page writebacks would leave them. *)
+let test_transient_run () =
+  let dev = Pagestore.Device.create ~checksums:true ~page_size:256 () in
+  let pool = Pagestore.Buffer_pool.create ~frames:8 dev in
+  let put page ch =
+    Pagestore.Buffer_pool.with_page pool page ~dirty:true (fun b ->
+        Bytes.set b 0 ch)
+  in
+  let on_device page = Bytes.get (Pagestore.Device.read dev page) 0 in
+  let writes () = (Pagestore.Device.stats dev).Pagestore.Device.writes in
+  List.iter (fun p -> put p (Char.chr (Char.code 'a' + p))) [ 0; 1; 2; 3; 4 ];
+  (* the third page of the run fails twice *)
+  let f = FD.create [ FD.arm ~pages:(2, 2) ~times:2 FD.Write_error ] in
+  FD.attach f dev;
+  let before = writes () in
+  Pagestore.Buffer_pool.flush pool;
+  FD.detach dev;
+  Alcotest.(check int) "both errors were injected" 2 (FD.stats f).FD.write_errors;
+  Alcotest.(check int) "five pages plus two retried attempts" 7
+    (writes () - before);
+  List.iter
+    (fun p ->
+      Alcotest.(check char) (Printf.sprintf "page %d on the device" p)
+        (Char.chr (Char.code 'a' + p)) (on_device p))
+    [ 0; 1; 2; 3; 4 ];
+  (* past the budget: the pages before the failing one are written and
+     clean, the failing one and the rest of the run stay dirty *)
+  List.iter (fun p -> put p 'z') [ 0; 1; 2; 3; 4 ];
+  FD.attach (FD.create [ FD.arm ~pages:(2, 2) ~times:16 FD.Write_error ]) dev;
+  (match Pagestore.Buffer_pool.flush pool with
+   | () -> Alcotest.fail "a storm past the budget must fail the flush"
+   | exception Spine_error.Error (Spine_error.Io_failed { transient; _ }) ->
+     Alcotest.(check bool) "error marked transient" true transient
+   | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
+  FD.detach dev;
+  Alcotest.(check (list char)) "pages before the failure landed"
+    [ 'z'; 'z'; 'c'; 'd'; 'e' ] (List.map on_device [ 0; 1; 2; 3; 4 ]);
+  Alcotest.(check (list int)) "the rest stayed dirty" [ 2; 3; 4 ]
+    (Array.to_list (Pagestore.Buffer_pool.dirty_pages pool));
+  Pagestore.Buffer_pool.flush pool;
+  Alcotest.(check (list char)) "a later flush writes them" [ 'z'; 'z'; 'z'; 'z'; 'z' ]
+    (List.map on_device [ 0; 1; 2; 3; 4 ])
+
 let suite =
   [ Alcotest.test_case "serializer fuzz: corrupt input fails loudly" `Quick
       test_serializer_fuzz
@@ -863,4 +1012,14 @@ let suite =
       test_env_faults
   ; Alcotest.test_case "concurrent read-only queries across domains" `Quick
       test_parallel_queries
+  ; Alcotest.test_case "crash-point matrix at 64-byte pages" `Quick
+      test_crash_matrix_small_pages
+  ; Alcotest.test_case "crash-point matrix at 64-byte pages, 8 frames" `Quick
+      test_crash_matrix_small_pages_evictions
+  ; Alcotest.test_case "transient errors inside a writeback run" `Quick
+      test_transient_run
+  ; Alcotest.test_case "torn metadata write at 128-byte pages" `Quick
+      test_torn_metadata_small_pages
+  ; Alcotest.test_case "crash inside a side-log compaction" `Quick
+      test_crash_in_side_compaction
   ]
