@@ -569,19 +569,6 @@ let workload_cmd =
 
 (* --- explain --- *)
 
-let qlog_json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let explain_cmd =
   let patterns =
     Arg.(non_empty & pos_all string []
@@ -658,7 +645,7 @@ let explain_cmd =
                 Printf.sprintf
                   "{\"explain\":\"%s\",\"backend\":\"%s\",\
                    \"occurrences\":%d,%s}"
-                  (qlog_json_escape pat) (qlog_json_escape backend_name)
+                  (Xutil.Json.escape pat) (Xutil.Json.escape backend_name)
                   count
                   (String.concat ","
                      (List.map
@@ -1144,20 +1131,6 @@ let scrub_cmd =
          & info [ "jsonl" ] ~docv:"FILE"
              ~doc:"Also write the per-region report as JSON lines.")
   in
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  in
   let write_jsonl path (r : P.report) =
     let oc = open_out path in
     let pages field =
@@ -1165,13 +1138,13 @@ let scrub_cmd =
         (List.map
            (fun (page, detail) ->
              Printf.sprintf "{\"page\":%d,\"detail\":\"%s\"}" page
-               (json_escape detail))
+               (Xutil.Json.escape detail))
            field)
     in
     Printf.fprintf oc
       "{\"path\":\"%s\",\"generation\":%d,\"commit_epoch\":%d,\
        \"clean\":%b,\"damaged_pages\":%d,\"stale_pages\":%d}\n"
-      (json_escape r.P.report_path) r.P.report_generation
+      (Xutil.Json.escape r.P.report_path) r.P.report_generation
       r.P.report_commit_epoch r.P.report_clean r.P.damaged_pages
       r.P.stale_pages;
     List.iter
@@ -1184,14 +1157,14 @@ let scrub_cmd =
             slot generation commit_epoch clean
         | P.Slot_invalid why ->
           Printf.fprintf oc "{\"slot\":%d,\"valid\":false,\"why\":\"%s\"}\n"
-            slot (json_escape why))
+            slot (Xutil.Json.escape why))
       r.P.slots;
     List.iter
       (fun reg ->
         Printf.fprintf oc
           "{\"region\":\"%s\",\"scanned\":%d,\"ok\":%d,\"unwritten\":%d,\
            \"damaged\":[%s],\"stale\":[%s]}\n"
-          (json_escape reg.P.region) reg.P.scanned reg.P.ok reg.P.unwritten
+          (Xutil.Json.escape reg.P.region) reg.P.scanned reg.P.ok reg.P.unwritten
           (pages reg.P.damaged)
           (pages
              (List.map

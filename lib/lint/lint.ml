@@ -633,28 +633,13 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
 (* ------------------------------------------------------------------ *)
 (* Exporters (formatting only; printing is the caller's business)      *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let jsonl findings =
   List.map
     (fun f ->
       Printf.sprintf
         "{\"rule\":\"%s\",\"severity\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"message\":\"%s\"}"
-        (rule_id f.rule) (severity_id f.severity) (json_escape f.file)
-        f.line f.col (json_escape f.message))
+        (rule_id f.rule) (severity_id f.severity) (Xutil.Json.escape f.file)
+        f.line f.col (Xutil.Json.escape f.message))
     findings
 
 let table_rows findings =
@@ -675,6 +660,6 @@ let cert_jsonl rows =
     (fun (r : Domain_safety.cert_row) ->
       Printf.sprintf
         "{\"module\":\"%s\",\"verdict\":\"%s\",\"witness\":\"%s\"}"
-        (json_escape r.cm_module) (json_escape r.cm_verdict)
-        (json_escape r.cm_witness))
+        (Xutil.Json.escape r.cm_module) (Xutil.Json.escape r.cm_verdict)
+        (Xutil.Json.escape r.cm_witness))
     rows

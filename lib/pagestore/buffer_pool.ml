@@ -197,22 +197,12 @@ let written t f =
   t.writebacks <- t.writebacks + 1;
   Probe.add Probe.pool_writeback 1
 
-let writeback t f =
-  if t.dirty.(f) then begin
-    let page = t.page_of.(f) in
-    (* the hook runs before the device write so a transaction layer can
-       journal the page's current on-disk image (see Spine.Persistent);
-       if it raises, the frame stays dirty and nothing was overwritten *)
-    (match t.on_writeback with Some h -> h page | None -> ());
-    with_io_retries page (fun () -> Device.write t.dev page t.buffers.(f));
-    written t f
-  end
-
 (* Write back dirty frames [fs], which hold consecutive pages, as one
-   device run.  The hook still runs for every page before any of them
-   is written; if it raises on one, the pages before it are written
-   and the rest stay dirty, as page-at-a-time writebacks would leave
-   them. *)
+   device run.  The hook runs for every page before any of them is
+   written, so a transaction layer can journal each page's current
+   on-disk image first (see Spine.Persistent); if it raises on one,
+   the pages before it are written and the rest stay dirty, as
+   page-at-a-time writebacks would leave them. *)
 let writeback_run t fs =
   let n = Array.length fs in
   let page = t.page_of.(fs.(0)) in
@@ -232,6 +222,8 @@ let writeback_run t fs =
       (Array.map (fun f -> t.buffers.(f)) fs)
   end;
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failure
+
+let writeback t f = if t.dirty.(f) then writeback_run t [| f |]
 
 (* Choose a victim frame: least-recently-used unpinned, falling back to
    least-recently-used pinned when everything resident is pinned. Frames

@@ -75,8 +75,8 @@ val with_io_retries : int -> (unit -> 'a) -> 'a
     calling {!Deadline.check} and counting in [pool.io_retries]; any
     other error, and the last transient one, propagates.  This is the
     {e only} retry loop for transient I/O: {!with_page} uses it for
-    fills and writebacks, a caller that writes the device directly
-    (metadata, journals) uses it to get the same policy, and
+    fills and writebacks, {!write_run} gives a caller that writes the
+    device directly (metadata, journals) the same policy, and
     [Spine.Resilient] runs each call once on top of it.  A retry
     re-runs one page operation, so it is idempotent, writes
     included. *)

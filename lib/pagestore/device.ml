@@ -179,17 +179,8 @@ let write_phys t page phys = write_phys_run t page phys [| true |] 1
 
 (* trailer assembly / validation *)
 
-let get_u32 b off =
-  Char.code (Bytes.get b off)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 3)) lsl 24)
-
-let set_u32 b off v =
-  Bytes.set b off (Char.chr (v land 0xFF));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xFF))
+let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
 (* the sealed physical image of [data], at [off] in [buf] *)
 let seal_into t data buf off =
@@ -300,15 +291,8 @@ let check_page t data what =
   if Bytes.length data <> t.page_size then
     invalid_arg ("Device." ^ what ^ ": data is not exactly one page")
 
-let write t page data =
-  check_page t data "write";
-  count_write t page;
-  let phys = if t.checksums then seal t data else Bytes.copy data in
-  match landed t page phys with
-  | Some phys -> write_phys t page phys
-  | None -> ()
-
-let write_run t page datas =
+(* [what] names the caller in the one-page check's message *)
+let write_pages what t page datas =
   let n = Array.length datas in
   let size = phys_size t in
   let buf = Bytes.create (n * size) in
@@ -317,7 +301,7 @@ let write_run t page datas =
   let k = ref 0 in
   while Option.is_none !failure && !k < n do
     let data = datas.(!k) and p = page + !k in
-    check_page t data "write_run";
+    check_page t data what;
     count_write t p;
     let off = !k * size in
     (match t.hooks with
@@ -339,6 +323,14 @@ let write_run t page datas =
      have left them *)
   write_phys_run t page buf keep !k;
   match !failure with None -> Ok () | Some e -> Error (!k, e)
+
+let write_run = write_pages "write_run"
+
+(* a single page is a run of one *)
+let write t page data =
+  match write_pages "write" t page [| data |] with
+  | Ok () -> ()
+  | Error (_, e) -> raise e
 
 (* raw physical-slot access: the preimage-journal primitives.  These
    bypass sealing, validation and fault hooks — they exist so a

@@ -86,8 +86,9 @@ val read : t -> int -> Bytes.t
 
 val write : t -> int -> Bytes.t -> unit
 (** [write dev p data] stores a copy of [data] as page [p] (sealed with
-    an epoch-stamped checksum trailer when enabled). Counts one write
-    (plus sync cost when enabled).
+    an epoch-stamped checksum trailer when enabled): a {!write_run} of
+    one page that raises what that run reports. Counts one write (plus
+    sync cost when enabled).
     @raise Invalid_argument if [data] is not exactly one page.
     @raise Spine_error.Error ([Io_failed]) on an OS error or an
     injected write fault. *)

@@ -71,19 +71,6 @@ let rotate_locked path =
 
 (* --- record rendering --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* FNV-1a 64-bit over the patterns (0x1f between patterns so ["ab";"c"]
    and ["a";"bc"] differ).  Int64 throughout: the offset basis exceeds
    OCaml's native 63-bit int literal range. *)
@@ -106,7 +93,7 @@ let render ~seq ~offset_ns ~op ~backend ~patterns ~hits ~found ~latency_ns
     ~costs =
   let pats =
     String.concat ","
-      (List.map (fun p -> Printf.sprintf "\"%s\"" (json_escape p)) patterns)
+      (List.map (fun p -> Printf.sprintf "\"%s\"" (Xutil.Json.escape p)) patterns)
   in
   let pattern_len =
     List.fold_left (fun acc p -> acc + String.length p) 0 patterns
@@ -122,7 +109,8 @@ let render ~seq ~offset_ns ~op ~backend ~patterns ~hits ~found ~latency_ns
      \"backend\":\"%s\",\"patterns\":[%s],\"pattern_len\":%d,\
      \"pattern_hash\":\"%s\",\"hits\":%d,\"found\":%d,\
      \"latency_ns\":%d,\"costs\":{%s}}"
-    seq offset_ns (json_escape op) (json_escape backend) pats pattern_len
+    seq offset_ns (Xutil.Json.escape op) (Xutil.Json.escape backend) pats
+    pattern_len
     (hash_patterns patterns) hits found latency_ns cost_fields
 
 let emit ~op ~backend ~patterns ~hits ~found ~latency_ns ~costs =

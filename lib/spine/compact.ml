@@ -4,9 +4,7 @@ module B = Builder.Make (S)
 type t = S.t
 
 let engine t =
-  Engine.pack
-    ~caps:{ Engine.backend = Compact; persistent = false; paged = false }
-    (module S : Store_sig.S with type t = t) t
+  Engine.pack ~backend:Compact (module S : Store_sig.S with type t = t) t
 
 (* --- construction --- *)
 

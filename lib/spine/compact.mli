@@ -18,7 +18,7 @@ type t = Compact_store.t
     directly, as do {!Serialize} and {!Validate}. *)
 
 val engine : t -> Engine.t
-(** Pack as a capability-aware engine (backend "compact").  Build once
+(** Pack as an engine (backend "compact").  Build once
     and reuse. *)
 
 (** {2 Construction} *)

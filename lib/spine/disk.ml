@@ -52,8 +52,7 @@ let space_extra t () =
     ("bufferpool_frames", Pagestore.Buffer_pool.frames t.pool * page) ]
 
 let engine t =
-  Engine.pack ~space_extra:(space_extra t)
-    ~caps:{ Engine.backend = Disk; persistent = false; paged = true }
+  Engine.pack ~space_extra:(space_extra t) ~backend:Disk
     (module Paged_store.P : Store_sig.S with type t = Paged_store.P.t)
     t.store
 

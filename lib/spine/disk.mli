@@ -43,9 +43,9 @@ val build : ?config:config -> Bioseq.Packed_seq.t -> t
     afterwards. *)
 
 val engine : t -> Engine.t
-(** Pack as a capability-aware engine (backend "disk", [paged] set):
-    every record access faults through the bounded buffer pool, exactly
-    like the paper's disk-resident experiments. *)
+(** Pack as an engine (backend "disk"): every record access faults
+    through the bounded buffer pool, exactly like the paper's
+    disk-resident experiments. *)
 
 val reset_io : t -> unit
 (** Flush and empty the pool and zero the device counters — call

@@ -1,4 +1,4 @@
-(* The capability-aware engine layer: the entire SPINE query surface,
+(* The engine layer: the entire SPINE query surface,
    written once, served by any storage backend packed as a first-class
    module.  See engine.mli for the architecture notes. *)
 
@@ -11,12 +11,6 @@ let backend_name = function
   | Compact -> "compact"
   | Persistent -> "persistent"
   | Disk -> "disk"
-
-type caps = {
-  backend : backend;
-  persistent : bool;
-  paged : bool;
-}
 
 type match_stats = Matcher.stats = {
   nodes_checked : int;
@@ -50,7 +44,7 @@ module type BACKEND = sig
   module C : Cursor.S with type store = S.t
 
   val store : S.t
-  val caps : caps
+  val backend : backend
   val guard : unit -> unit
   val space_extra : unit -> (string * int) list
 end
@@ -58,7 +52,7 @@ end
 type t = (module BACKEND)
 
 (* The query functors are applied here, once per packed store. *)
-let pack (type s) ?(guard = ignore) ?(space_extra = fun () -> []) ~caps
+let pack (type s) ?(guard = ignore) ?(space_extra = fun () -> []) ~backend
     (module S : Store_sig.S with type t = s) (store : s) : t =
   (module struct
     module S = S
@@ -68,15 +62,14 @@ let pack (type s) ?(guard = ignore) ?(space_extra = fun () -> []) ~caps
     module C = Cursor.Make (S)
 
     let store = store
-    let caps = caps
+    let backend = backend
     let guard = guard
     let space_extra = space_extra
   end)
 
 (* --- the query surface, defined exactly once --- *)
 
-let caps (module B : BACKEND) = B.caps
-let backend e = backend_name (caps e).backend
+let backend (module B : BACKEND) = backend_name B.backend
 
 let alphabet (module B : BACKEND) =
   B.guard ();
@@ -155,7 +148,7 @@ let link_histogram (module B : BACKEND) ~buckets =
 let space (module B : BACKEND) =
   B.guard ();
   let report =
-    Space_report.make ~backend:(backend_name B.caps.backend)
+    Space_report.make ~backend:(backend_name B.backend)
       ~chars:(B.S.length B.store)
       (B.S.space_components B.store @ B.space_extra ())
   in
@@ -184,7 +177,7 @@ let run_batch (module B : BACKEND) patterns =
   Telemetry.add c_batch_patterns (List.length patterns);
   Trace.span "engine.run_batch"
     [ Trace.Int ("patterns", List.length patterns);
-      Trace.Str ("backend", backend_name B.caps.backend) ]
+      Trace.Str ("backend", backend_name B.backend) ]
   @@ fun () ->
   let alphabet = B.S.alphabet B.store in
   let results =

@@ -1,10 +1,10 @@
-(** Capability-aware engine layer: the one SPINE query surface, served
-    by any backend.
+(** Engine layer: the one SPINE query surface, served by any
+    backend.
 
     The SPINE algorithms are functors over {!Store_sig.S}.  {!pack}
     applies them ({!Search}/{!Matcher}/{!Stats}/{!Cursor}) to one store
-    and bundles the result with a {!caps} capability record and a
-    liveness [guard] into a first-class {!t}.  Every query in the
+    and bundles the result with its {!backend} and a liveness [guard]
+    into a first-class {!t}.  Every query in the
     repository — the CLI, the experiments, the batch path,
     cross-backend differential tests — goes through this handle; the
     front-ends ({!Compact}, {!Persistent}, {!Disk}, {!Generalized})
@@ -22,7 +22,7 @@
     [Engine.t] without caring whether the Section 5 bytes live in
     memory, in a paged file, or on a simulated disk. *)
 
-(** {2 Capabilities} *)
+(** {2 Backends} *)
 
 type backend =
   | Compact     (** {!Compact}: the Section 5 layout in memory *)
@@ -32,12 +32,6 @@ type backend =
 val backend_name : backend -> string
 (** ["compact"], ["persistent"] or ["disk"]: the name the CLI, the
     query log and the telemetry keys use. *)
-
-type caps = {
-  backend : backend;
-  persistent : bool;  (** survives process restart *)
-  paged : bool;       (** record accesses go through a buffer pool *)
-}
 
 (** {2 Canonical result types}
 
@@ -74,7 +68,7 @@ type t
 val pack :
   ?guard:(unit -> unit) ->
   ?space_extra:(unit -> (string * int) list) ->
-  caps:caps ->
+  backend:backend ->
   (module Store_sig.S with type t = 's) -> 's -> t
 (** [pack (module S) store] packs a store with its instantiated
     algorithms into an engine.  [guard] (default none) raises when the
@@ -88,9 +82,8 @@ val pack :
 
 (** {2 The query surface} *)
 
-val caps : t -> caps
 val backend : t -> string
-(** [backend_name (caps t).backend]. *)
+(** [backend_name] of the backend the engine was packed with. *)
 
 val alphabet : t -> Bioseq.Alphabet.t
 val length : t -> int

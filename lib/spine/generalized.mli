@@ -29,7 +29,7 @@ val index : t -> Compact.t
     with the [separator] layout. *)
 
 val engine : t -> Engine.t
-(** The underlying index packed once as a capability-aware engine
+(** The underlying index packed once as an engine
     ({!Compact.engine}); positions it returns are global backbone
     positions — translate with {!locate}.  Pack query patterns against
     it ({!Engine.pattern}). *)

@@ -12,24 +12,8 @@ let s_scrub = Telemetry.span "persistent.scrub"
    [Paged_store.meta_span], then the store's LT and RT regions, then
    the sequence mirror and the side log sharing one region, then the
    preimage journal. *)
-let meta_span = Paged_store.meta_span
 let data_span = Paged_store.data_span
 let region_base = Paged_store.region_base
-let lt_region = Paged_store.lt_region
-let rt_region = Paged_store.rt_region
-let seq_region = 5
-let journal_region = 6
-
-(* The sequence mirror takes the first quarter of its region: at 2
-   bits a code that is 32M characters at 128-byte pages, and even 8-bit
-   codes (8 bytes per 7) fill it after the LT fills at 6 bytes a
-   character.  The side log (overflow labels and extrib anchors, see
-   below) takes the other three quarters, as two halves: the log lives
-   in one, and a compaction rewrites it into the other. *)
-let seq_span = data_span / 4
-let side_base = region_base seq_region + seq_span
-let side_half_span = (data_span - seq_span) / 2
-let side_half_base half = side_base + (half * side_half_span)
 
 (* Metadata is double-buffered: generation [g] goes to slot [g land 1],
    so a crash while writing the new generation always leaves the
@@ -40,25 +24,71 @@ let slot_pages = 4096
 let slot_base slot = slot * slot_pages
 let epoch_page = 2 * slot_pages
 
+(* The sequence mirror takes the first quarter of its region: at 2
+   bits a code that is 32M characters at 128-byte pages, and even 8-bit
+   codes (8 bytes per 7) fill it after the LT fills at 6 bytes a
+   character.  The side log (overflow labels and extrib anchors, see
+   below) takes the other three quarters, as two halves: the log lives
+   in one, and a compaction rewrites it into the other. *)
+let seq_span = data_span / 4
+let side_half_span = (data_span - seq_span) / 2
+
+(* The region table: every page region of the file, in page order,
+   declared once (docs/ROBUSTNESS.md shows it).  Region names, the
+   scrub walk, the debris erase on reopen and the journal's committed
+   bounds all derive from it.  A region that stores a [table] is
+   journaled: the preimage journal protects the table's committed
+   prefix, the pages below its used bytes at the last commit.  Pages
+   stamped beyond the committed ceiling are expected where [stale_ok]
+   holds — the declaration page runs one epoch ahead, and journal
+   entries only count while their epoch exceeds the ceiling; anywhere
+   else such a page is debris from a crashed session. *)
+type table = Lt | Rt of int | Seq | Side of int  (* the side log's half *)
+
+type region = {
+  name : string;
+  first : int;  (* first page *)
+  span : int;   (* in pages *)
+  table : table option;
+  stale_ok : bool;
+}
+
+let row ?table ?(stale_ok = false) name first span =
+  { name; first; span; table; stale_ok }
+
+let seq_row = row ~table:Seq "seq" (region_base 5) seq_span
+
+let side_row half =
+  row ~table:(Side half)
+    (if half = 0 then "side/a" else "side/b")
+    (seq_row.first + seq_span + (half * side_half_span))
+    side_half_span
+
+let journal_row = row ~stale_ok:true "journal" (region_base 6) data_span
+
+let regions =
+  [ row "meta/slot-a" (slot_base 0) slot_pages;
+    row "meta/slot-b" (slot_base 1) slot_pages;
+    row ~stale_ok:true "meta/epoch" epoch_page 1;
+    row ~table:Lt "lt" (region_base Paged_store.lt_region) data_span ]
+  @ List.init 4 (fun i ->
+        row ~table:(Rt i) (Printf.sprintf "rt%d" i)
+          (region_base (Paged_store.rt_region i)) data_span)
+  @ [ seq_row; side_row 0; side_row 1; journal_row ]
+
+(* the index in [regions] of the region holding [page], or -1 *)
+let region_index page =
+  let rec go i = function
+    | [] -> -1
+    | r :: rest ->
+      if page >= r.first && page < r.first + r.span then i else go (i + 1) rest
+  in
+  go 0 regions
+
 let region_name page =
-  if page < meta_span then
-    if page = epoch_page then "meta/epoch"
-    else if page < slot_pages then "meta/slot-a"
-    else if page < 2 * slot_pages then "meta/slot-b"
-    else "meta"
-  else
-    match (page - meta_span) / data_span with
-    | 0 -> "lt"
-    | 1 -> "rt0"
-    | 2 -> "rt1"
-    | 3 -> "rt2"
-    | 4 -> "rt3"
-    | 5 ->
-      if page < side_base then "seq"
-      else if page < side_half_base 1 then "side/a"
-      else "side/b"
-    | 6 -> "journal"
-    | _ -> "data"
+  match region_index page with
+  | -1 -> if page < Paged_store.meta_span then "meta" else "data"
+  | i -> (List.nth regions i).name
 
 (* Preimage-journal bookkeeping (the machinery itself lives further
    down, after the device-write helpers it needs). *)
@@ -66,7 +96,7 @@ let c_journal_captures = Telemetry.counter "persistent.journal.captures"
 let c_journal_restored = Telemetry.counter "persistent.journal.restored"
 
 let journal_magic = "SPNJ"
-let journal_base = region_base journal_region
+let journal_base = journal_row.first
 
 (* An entry's header is [journal_header_bytes] long: one page at any
    page size of 36 bytes or more, so an entry is two pages, and as many
@@ -77,32 +107,19 @@ let journal_header_pages device =
   (journal_header_bytes + ps - 1) / ps
 
 let entry_pages device = journal_header_pages device + 1
-let journal_entries device = data_span / entry_pages device
-
-(* pages the journal protects: everything in the data regions *)
-let is_data_page page = page >= meta_span && page < journal_base
-
-(* The tables the journal protects: the LT and RT1..RT4 (regions 0 to
-   4), the sequence mirror (region 5) and the side log, whose first page
-   is that of the half its committed records are in. *)
-let journal_tables = 7
-let side_table_index = 6
+let journal_entries device = journal_row.span / entry_pages device
 
 type journal = {
   j_device : Pagestore.Device.t;
-  j_base : int array;       (* per journaled table: its first page *)
   j_committed : int array;
-      (* per journaled table: its committed prefix in pages *)
+      (* per region: its committed prefix in pages (0 unless journaled) *)
   j_journaled : unit Xutil.Int_tbl.t;  (* captured since the last commit *)
   mutable j_next : int;
 }
 
 let journal_make device =
   { j_device = device;
-    j_base =
-      Array.init journal_tables (fun i ->
-          if i = side_table_index then side_half_base 0 else region_base i);
-    j_committed = Array.make journal_tables 0;
+    j_committed = Array.make (List.length regions) 0;
     j_journaled = Xutil.Int_tbl.create 256;
     j_next = 0 }
 
@@ -130,6 +147,7 @@ type t = {
          on-disk region is byte-for-byte the row's [packed_bits] *)
   mutable side_tab : Paged_bytes.t;
   mutable side_half : int;  (* the half [side_tab] lies in *)
+  mutable committed_half : int;  (* the half the committed log lies in *)
   device : Pagestore.Device.t;
   pool : Pagestore.Buffer_pool.t;
   journal : journal;
@@ -158,44 +176,30 @@ let make_pool ?(frames = 256) ?(page_size = 4096) ?(pin_top_lt_pages = 0)
   in
   (device, pool)
 
-(* The sequence mirror and the side log, each in its share of the
-   region. *)
-let region_part pool ~name ~base ~span ~used =
-  let ps = Pagestore.Device.page_size (Pagestore.Buffer_pool.device pool) in
-  Paged_bytes.make pool ~region:name ~base_page:base ~capacity:(span * ps)
-    ~used
+(* The sequence mirror and the side log, each a byte table over its
+   region.  Both halves of the side log report a full table under one
+   name. *)
+let side_log_name = "side"
 
-let seq_table pool ~used =
-  region_part pool ~name:"seq" ~base:(region_base seq_region) ~span:seq_span
-    ~used
+let region_table pool r ~name ~used =
+  let ps = Pagestore.Device.page_size (Pagestore.Buffer_pool.device pool) in
+  Paged_bytes.make pool ~region:name ~base_page:r.first
+    ~capacity:(r.span * ps) ~used
+
+let seq_table pool ~used = region_table pool seq_row ~name:seq_row.name ~used
 
 let side_table pool ~half ~used =
-  region_part pool ~name:"side" ~base:(side_half_base half)
-    ~span:side_half_span ~used
+  region_table pool (side_row half) ~name:side_log_name ~used
 
 (* --- byte helpers over raw pages --- *)
 
-let get_u32 b off =
-  Char.code (Bytes.get b off)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 3)) lsl 24)
+let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
-let set_u32 b off v =
-  Bytes.set b off (Char.chr (v land 0xFF));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xFF))
-
-(* Direct device writes (metadata and journal bypass the pool) go
-   through the pool's own transient-I/O retry loop: same attempts, same
-   deadline checks, same [pool.io_retries] accounting. *)
-let dev_write device page data =
-  Pagestore.Buffer_pool.with_io_retries page (fun () ->
-      Pagestore.Device.write device page data)
-
-(* [bytes] as consecutive pages from [page] on, in device runs under the
-   same retry policy *)
+(* Direct device writes (metadata and journal bypass the pool): [bytes]
+   as consecutive pages from [page] on, in device runs under the pool's
+   own transient-I/O retry loop — same attempts, same deadline checks,
+   same [pool.io_retries] accounting. *)
 let dev_write_pages device page bytes =
   let ps = Pagestore.Device.page_size device in
   Pagestore.Buffer_pool.write_run device page
@@ -239,12 +243,8 @@ let dev_write_pages device page bytes =
    so rollback is idempotent across repeated crashes. *)
 
 let committed j page =
-  let rec go i =
-    i >= 0
-    && ((page >= j.j_base.(i) && page < j.j_base.(i) + j.j_committed.(i))
-        || go (i - 1))
-  in
-  is_data_page page && go (journal_tables - 1)
+  let i = region_index page in
+  i >= 0 && page - (List.nth regions i).first < j.j_committed.(i)
 
 let needs_capture j page =
   committed j page && not (Xutil.Int_tbl.mem j.j_journaled page)
@@ -349,7 +349,7 @@ let write_epoch_decl device epoch =
   let b = Bytes.make (Pagestore.Device.page_size device) '\000' in
   Bytes.blit_string decl_magic 0 b 0 4;
   set_u32 b 4 epoch;
-  dev_write device epoch_page b
+  dev_write_pages device epoch_page b
 
 let read_epoch_decl device =
   match Pagestore.Device.read device epoch_page with
@@ -593,6 +593,13 @@ let payload_bytes t =
   u32 t.side_half;
   Buffer.to_bytes buf
 
+(* the bytes [table] uses; the side log's other half uses none *)
+let used_bytes t = function
+  | Lt -> (P.length t.core + 1) * Compact_store.lt_entry_bytes
+  | Rt i -> Paged_bytes.used t.core.P.rts.(i)
+  | Seq -> Bioseq.Packed_seq.packed_byte_length (P.sequence t.core)
+  | Side half -> if half = t.side_half then Paged_bytes.used t.side_tab else 0
+
 (* Reset the capture window at a commit point (and on reopen): nothing
    is journaled yet, and the committed pages of each table are its used
    prefix.  Data regions are append-only byte tables whose rows are
@@ -603,16 +610,14 @@ let journal_commit_window t =
   Xutil.Int_tbl.reset j.j_journaled;
   j.j_next <- 0;
   let page_size = Pagestore.Device.page_size t.device in
-  let pages used = (used + page_size - 1) / page_size in
-  let n = P.length t.core in
-  j.j_committed.(0) <- pages ((n + 1) * Compact_store.lt_entry_bytes);
-  for table = 0 to 3 do
-    j.j_committed.(1 + table) <- pages (Paged_bytes.used t.core.P.rts.(table))
-  done;
-  j.j_committed.(5) <-
-    pages (Bioseq.Packed_seq.packed_byte_length (P.sequence t.core));
-  j.j_base.(side_table_index) <- side_half_base t.side_half;
-  j.j_committed.(side_table_index) <- pages (Paged_bytes.used t.side_tab)
+  List.iteri
+    (fun i r ->
+      Option.iter
+        (fun table ->
+          j.j_committed.(i) <- (used_bytes t table + page_size - 1) / page_size)
+        r.table)
+    regions;
+  t.committed_half <- t.side_half
 
 (* --- the side log --- *)
 
@@ -635,9 +640,7 @@ let put_side_record tab table key v =
    rewrites the same half again.  Tables larger than a half fail typed
    ([Region_full] naming "side"). *)
 let compact_side t =
-  let half =
-    if t.journal.j_base.(side_table_index) = side_half_base 0 then 1 else 0
-  in
+  let half = 1 - t.committed_half in
   let tab = side_table t.pool ~half ~used:0 in
   t.side_tab <- tab;
   t.side_half <- half;
@@ -660,7 +663,7 @@ let log_side t table key v =
     compact_side t;
     if Paged_bytes.used t.side_tab > capacity / 8 * 7 then
       Spine_error.raise_error
-        (Spine_error.Region_full { region = "side"; capacity })
+        (Spine_error.Region_full { region = side_log_name; capacity })
   end
 
 (* Replay the first [records] records of the log in half [half] onto
@@ -676,8 +679,8 @@ let replay_side tab ~half ~page_size ~records =
     let flags = Paged_bytes.get_u16 tab (off + 6) in
     let v = Paged_bytes.get_u32 tab (off + 8) in
     if flags land lnot 3 <> 0 then
-      Spine_error.corrupt ~region:"side"
-        ~page:(side_half_base half + (off / page_size))
+      Spine_error.corrupt ~region:side_log_name
+        ~page:((side_row half).first + (off / page_size))
         "side-log record %d has flags 0x%x" r flags;
     let table = if flags land 1 = 1 then anchors else overflow in
     if flags land 2 <> 0 then Xutil.Int_tbl.remove table key
@@ -685,32 +688,104 @@ let replay_side tab ~half ~page_size ~records =
   done;
   (overflow, anchors)
 
+(* --- recovery and the region walk --- *)
+
+(* The one recovery step, shared by [open_] and the scrub: read both
+   shadow slots and pick the newest valid one.  With [retune], restore
+   its commit epoch as the device's ceiling and move the device to an
+   epoch no crashed session can have stamped a page with: every epoch
+   one may have used is bounded by what the declaration page and the
+   slots record, and +2 clears both the recovered ceiling and a torn
+   declaration; so no page is exempt from the scrub walk's ceiling
+   check.  The slots and the declaration are read before the
+   ceiling is set: all three may carry epochs from sessions later than
+   the one recovered to.  A live [verify] does not retune: its
+   session's uncommitted pages carry the current epoch and must stay
+   valid. *)
+let recover ?(retune = true) device =
+  let slots = [| read_slot device 0; read_slot device 1 |] in
+  let valid = List.filter_map Result.to_option (Array.to_list slots) in
+  let newest =
+    List.fold_left
+      (fun acc c ->
+        match acc with
+        | Some b when b.sm_generation >= c.sm_generation -> acc
+        | _ -> Some c)
+      None valid
+  in
+  (if retune then
+     match newest with
+     | Some m ->
+       let hints =
+         Option.to_list (read_epoch_decl device)
+         @ List.map (fun c -> c.sm_commit_epoch) valid
+       in
+       Pagestore.Device.set_max_valid_epoch device m.sm_commit_epoch;
+       Pagestore.Device.set_epoch device (List.fold_left max 0 hints + 2)
+     | None -> ());
+  (slots, newest)
+
+type region_report = {
+  region : string;
+  scanned : int;
+  ok : int;
+  unwritten : int;
+  damaged : (int * string) list;  (* page, diagnosis *)
+  stale : (int * int) list;       (* page, epoch beyond the ceiling *)
+}
+
+(* Data regions are append-only byte tables, so written pages form a
+   dense prefix of each region; scanning stops after a run of holes
+   instead of walking a gigabyte of sparse address space per region. *)
+let hole_run_limit = 64
+
+(* Classify the pages of region [r] from its page [from] on. *)
+let scan_region ?(from = 0) device r =
+  let base = r.first + from in
+  let cap = Pagestore.Device.physical_pages device in
+  let limit = min (r.span - from) (max 0 (cap - base)) in
+  let ok = ref 0 and unwritten = ref 0 in
+  let damaged = ref [] and stale = ref [] in
+  let holes = ref 0 in
+  let page = ref 0 in
+  while !page < limit && !holes <= hole_run_limit do
+    (match Pagestore.Device.verify_page device (base + !page) with
+     | `Ok _ -> incr ok; holes := 0
+     | `Unwritten -> incr unwritten; incr holes
+     | `Stale e ->
+       holes := 0;
+       if r.stale_ok then incr ok
+       else stale := (base + !page, e) :: !stale
+     | `Damaged d ->
+       holes := 0;
+       damaged := (base + !page, d) :: !damaged);
+    incr page
+  done;
+  { region = r.name; scanned = !page; ok = !ok; unwritten = !unwritten;
+    damaged = List.rev !damaged; stale = List.rev !stale }
+
 (* A crashed session may have extended a table past the committed
    prefix.  Those pages hold no committed data (the journal only
    protects the prefix) but are stamped beyond the recovered ceiling,
    so a later append extending the table into one would fault its
-   read-modify-write with a misleading [Corrupt].  Reset them to sealed
-   zero pages at the session's fresh epoch.  Allocation is sequential,
-   so debris forms a dense run just above the prefix: stop after
-   [erase_hole_limit] consecutive holes, mirroring the scrub walk. *)
-let erase_hole_limit = 64
-
-let erase_stale_tail ?(span = data_span) device ~base ~used_bytes =
-  let page_size = Pagestore.Device.page_size device in
-  let zero = Bytes.make page_size '\000' in
-  let first = base + ((used_bytes + page_size - 1) / page_size) in
-  let limit = min (base + span) (Pagestore.Device.physical_pages device) in
-  let holes = ref 0 in
-  let page = ref first in
-  while !holes < erase_hole_limit && !page < limit do
-    (match Pagestore.Device.verify_page device !page with
-     | `Unwritten -> incr holes
-     | `Ok _ -> holes := 0
-     | `Stale _ | `Damaged _ ->
-       holes := 0;
-       Pagestore.Device.write device !page zero);
-    incr page
-  done
+   read-modify-write with a misleading [Corrupt].  The walk from each
+   journaled region's committed end finds them (allocation is
+   sequential, so debris forms a dense run just above the prefix) —
+   from the first page of the side log's other half, which a crashed
+   session may have compacted the log into; reset them to sealed zero
+   pages at the session's fresh epoch. *)
+let erase_debris device committed_pages =
+  let zero = Bytes.make (Pagestore.Device.page_size device) '\000' in
+  List.iteri
+    (fun i r ->
+      if Option.is_some r.table then begin
+        let report = scan_region ~from:committed_pages.(i) device r in
+        List.iter
+          (fun page -> dev_write_pages device page zero)
+          (List.sort Int.compare
+             (List.map fst report.stale @ List.map fst report.damaged))
+      end)
+    regions
 
 (* --- lifecycle --- *)
 
@@ -718,8 +793,8 @@ let make_t ~core ~seq_tab ~side_tab ~side_half ~device ~pool ~path ~width
     ~generation =
   let journal = journal_make device in
   let t =
-    { core; seq_tab; side_tab; side_half; device; pool; journal;
-      file_path = path;
+    { core; seq_tab; side_tab; side_half; committed_half = side_half; device;
+      pool; journal; file_path = path;
       disk_width = width; generation; closed = false }
   in
   Pagestore.Buffer_pool.set_writeback_hook pool
@@ -800,31 +875,21 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
   in
   let page_size = Pagestore.Device.page_size device in
   try
-    (* read both shadow slots and the epoch declaration while epoch
-       validation is still disabled: all three may carry epochs from
-       sessions later than the one we will recover to *)
-    let slot_a = read_slot device 0 in
-    let slot_b = read_slot device 1 in
-    let candidates =
-      List.filter_map (function Ok m -> Some m | Error _ -> None)
-        [ slot_a; slot_b ]
-    in
+    let slots, newest = recover device in
     let m =
-      match candidates with
-      | [] ->
+      match newest with
+      | Some m -> m
+      | None ->
         let reason = function Error e -> e | Ok _ -> "valid" in
         Spine_error.raise_error
           (Spine_error.Corrupt
              { region = "meta"; page = 0;
                detail =
                  Printf.sprintf "no recoverable metadata (slot A: %s; slot B: %s)"
-                   (reason slot_a) (reason slot_b) })
-      | first :: rest ->
-        List.fold_left
-          (fun best c ->
-            if c.sm_generation > best.sm_generation then c else best)
-          first rest
+                   (reason slots.(0)) (reason slots.(1)) })
     in
+    (* declare the fresh epoch before any write carries it *)
+    write_epoch_decl device (Pagestore.Device.epoch device);
     (* undo the in-place overwrites a crashed session performed on
        committed pages after its last commit: every journal entry
        stamped beyond the recovered commit epoch holds the committed
@@ -833,17 +898,6 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
     let (_restored : int) =
       journal_rollback device ~ceiling:m.sm_commit_epoch
     in
-    (* every epoch any crashed session may have stamped pages with is
-       bounded by what the declaration page and the slots record; +2
-       clears both the recovered ceiling and a torn declaration *)
-    let hints =
-      (match read_epoch_decl device with Some e -> [ e ] | None -> [])
-      @ List.map (fun c -> c.sm_commit_epoch) candidates
-    in
-    let current = List.fold_left max 0 hints + 2 in
-    Pagestore.Device.set_max_valid_epoch device m.sm_commit_epoch;
-    Pagestore.Device.set_epoch device current;
-    write_epoch_decl device current;
     (* parse the payload *)
     let data = m.sm_payload in
     let pos = ref 0 in
@@ -933,24 +987,6 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
       Spine_error.corrupt ~region:"meta"
         ~page:(slot_base (m.sm_generation land 1))
         "implausible side log (%d records in half %d)" side_log side_half;
-    (* clear crash debris beyond each table's committed prefix so this
-       session's own appends can extend the tables into those pages *)
-    if Pagestore.Device.checksums device then begin
-      erase_stale_tail device ~base:(region_base lt_region)
-        ~used_bytes:((n + 1) * Compact_store.lt_entry_bytes);
-      for table = 0 to 3 do
-        erase_stale_tail device ~base:(region_base (rt_region table))
-          ~used_bytes:rt_used.(table)
-      done;
-      erase_stale_tail ~span:seq_span device ~base:(region_base seq_region)
-        ~used_bytes:seq_bytes;
-      (* the other half too: a crashed session may have compacted the
-         log into it *)
-      for half = 0 to 1 do
-        erase_stale_tail ~span:side_half_span device ~base:(side_half_base half)
-          ~used_bytes:(if half = side_half then side_bytes else 0)
-      done
-    end;
     (* rebuild the in-memory sequence mirror from the packed region —
        the raw words, no per-code re-decoding; with the ceiling
        restored above, any crash debris page this touches surfaces as a
@@ -963,7 +999,7 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
     let seq =
       try Bioseq.Packed_seq.of_packed_bits alphabet ~len:n ~width packed
       with Invalid_argument _ ->
-        Spine_error.corrupt ~region:"seq" ~page:(region_base seq_region)
+        Spine_error.corrupt ~region:seq_row.name ~page:seq_row.first
           "packed sequence region decodes outside the alphabet"
     in
     let side_tab = side_table pool ~half:side_half ~used:side_bytes in
@@ -985,8 +1021,11 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
         ~generation:m.sm_generation
     in
     (* the recovered prefix is the committed state the journal must now
-       protect against this session's own in-place overwrites *)
+       protect against this session's own in-place overwrites; clear
+       crash debris beyond it so this session's own appends can extend
+       the tables into those pages *)
     journal_commit_window t;
+    erase_debris device t.journal.j_committed;
     (* a version 3 or 4 file's tables start the log; the next commit
        writes version 5 *)
     if Option.is_some legacy_tables then compact_side t;
@@ -1059,7 +1098,7 @@ let space_extra t () =
 
 let engine t =
   Engine.pack ~guard:(fun () -> check_open t) ~space_extra:(space_extra t)
-    ~caps:{ Engine.backend = Persistent; persistent = true; paged = true }
+    ~backend:Persistent
     (module P : Store_sig.S with type t = P.t)
     t.core
 
@@ -1073,15 +1112,6 @@ type slot_state =
   | Slot_valid of { generation : int; commit_epoch : int; clean : bool }
   | Slot_invalid of string
 
-type region_report = {
-  region : string;
-  scanned : int;
-  ok : int;
-  unwritten : int;
-  damaged : (int * string) list;  (* page, diagnosis *)
-  stale : (int * int) list;       (* page, epoch beyond the ceiling *)
-}
-
 type report = {
   report_path : string;
   report_generation : int;   (* -1 when no metadata was recoverable *)
@@ -1093,42 +1123,11 @@ type report = {
   stale_pages : int;
 }
 
-(* Data regions are append-only byte tables, so written pages form a
-   dense prefix of each region; scanning stops after a run of holes
-   instead of walking a gigabyte of sparse address space per region. *)
-let hole_run_limit = 64
-
-let scan_region ?(stale_ok = false) device ~name ~base ~span =
-  let cap = Pagestore.Device.physical_pages device in
-  let limit = min span (max 0 (cap - base)) in
-  let ok = ref 0 and unwritten = ref 0 in
-  let damaged = ref [] and stale = ref [] in
-  let holes = ref 0 in
-  let page = ref 0 in
-  while !page < limit && !holes <= hole_run_limit do
-    (match Pagestore.Device.verify_page device (base + !page) with
-     | `Ok _ -> incr ok; holes := 0
-     | `Unwritten -> incr unwritten; incr holes
-     | `Stale e ->
-       holes := 0;
-       (* [stale_ok] regions live beyond the ceiling BY DESIGN: the
-          declaration page is one epoch ahead, and journal entries are
-          only meaningful while their epoch exceeds it; everywhere else
-          a beyond-ceiling epoch is debris from a crashed session *)
-       if stale_ok then incr ok
-       else stale := (base + !page, e) :: !stale
-     | `Damaged d ->
-       holes := 0;
-       damaged := (base + !page, d) :: !damaged);
-    incr page
-  done;
-  { region = name; scanned = !page; ok = !ok; unwritten = !unwritten;
-    damaged = List.rev !damaged; stale = List.rev !stale }
-
-let run_scrub ?(retune = true) device path =
+(* Offline scrub tunes the epoch check from the recovered metadata; a
+   live [verify] keeps the session's own settings. *)
+let run_scrub ?retune device path =
   Telemetry.with_span s_scrub @@ fun () ->
-  let slot_a = read_slot device 0 in
-  let slot_b = read_slot device 1 in
+  let slots, newest = recover ?retune device in
   let state = function
     | Ok m ->
       Slot_valid
@@ -1136,72 +1135,20 @@ let run_scrub ?(retune = true) device path =
           clean = m.sm_clean }
     | Error e -> Slot_invalid e
   in
-  let candidates =
-    List.filter_map (function Ok m -> Some m | Error _ -> None)
-      [ slot_a; slot_b ]
-  in
-  let best =
-    List.fold_left
-      (fun acc c ->
-        match acc with
-        | Some b when b.sm_generation >= c.sm_generation -> acc
-        | _ -> Some c)
-      None candidates
-  in
-  (* Offline scrub tunes the epoch check from the recovered metadata; a
-     live [verify] keeps the session's own settings (its uncommitted
-     pages carry the current epoch and must stay valid). *)
-  (if retune then
-     match best with
-     | Some m ->
-       let hints =
-         (match read_epoch_decl device with Some e -> [ e ] | None -> [])
-         @ List.map (fun c -> c.sm_commit_epoch) candidates
-       in
-       Pagestore.Device.set_max_valid_epoch device m.sm_commit_epoch;
-       (* an epoch no page can carry: pure ceiling check, nothing exempt *)
-       Pagestore.Device.set_epoch device (List.fold_left max 0 hints + 2)
-     | None -> ());
-  let regions =
-    [ scan_region device ~name:"meta/slot-a" ~base:(slot_base 0)
-        ~span:slot_pages;
-      scan_region device ~name:"meta/slot-b" ~base:(slot_base 1)
-        ~span:slot_pages;
-      scan_region ~stale_ok:true device ~name:"meta/epoch" ~base:epoch_page
-        ~span:1;
-      scan_region device ~name:"lt" ~base:(region_base lt_region)
-        ~span:data_span;
-      scan_region device ~name:"rt0" ~base:(region_base (rt_region 0))
-        ~span:data_span;
-      scan_region device ~name:"rt1" ~base:(region_base (rt_region 1))
-        ~span:data_span;
-      scan_region device ~name:"rt2" ~base:(region_base (rt_region 2))
-        ~span:data_span;
-      scan_region device ~name:"rt3" ~base:(region_base (rt_region 3))
-        ~span:data_span;
-      scan_region device ~name:"seq" ~base:(region_base seq_region)
-        ~span:seq_span;
-      scan_region device ~name:"side/a" ~base:(side_half_base 0)
-        ~span:side_half_span;
-      scan_region device ~name:"side/b" ~base:(side_half_base 1)
-        ~span:side_half_span;
-      scan_region ~stale_ok:true device ~name:"journal" ~base:journal_base
-        ~span:data_span ]
-  in
-  let damaged_pages =
-    List.fold_left (fun acc r -> acc + List.length r.damaged) 0 regions
-  in
-  let stale_pages =
-    List.fold_left (fun acc r -> acc + List.length r.stale) 0 regions
+  let regions = List.map (scan_region device) regions in
+  let count pages =
+    List.fold_left (fun acc r -> acc + List.length (pages r)) 0 regions
   in
   { report_path = path;
     report_generation =
-      (match best with Some m -> m.sm_generation | None -> -1);
+      (match newest with Some m -> m.sm_generation | None -> -1);
     report_commit_epoch =
-      (match best with Some m -> m.sm_commit_epoch | None -> -1);
-    report_clean = (match best with Some m -> m.sm_clean | None -> false);
-    slots = [ (0, state slot_a); (1, state slot_b) ];
-    regions; damaged_pages; stale_pages }
+      (match newest with Some m -> m.sm_commit_epoch | None -> -1);
+    report_clean = (match newest with Some m -> m.sm_clean | None -> false);
+    slots = List.mapi (fun i s -> (i, state s)) (Array.to_list slots);
+    regions;
+    damaged_pages = count (fun r -> r.damaged);
+    stale_pages = count (fun r -> r.stale) }
 
 let verify t =
   check_open t;

@@ -9,11 +9,13 @@
     suited to ("due to the simple linearity of SPINE's structure, it is
     easy to develop efficient buffering policies").
 
-    File layout (page regions, sparse): a metadata area (two shadow
-    slots and an epoch-declaration page), then the Link Table, the four
-    Rib Tables, one region shared by the vertebra character codes and
-    the side log (every change to the store's overflow and anchor side
-    tables, appended as it happens), and the preimage journal.  The
+    File layout (page regions, sparse, declared once in a region table;
+    docs/ROBUSTNESS.md, "Region table", lists it): a metadata area (two
+    shadow slots and an epoch-declaration page), then the Link Table,
+    the four Rib Tables, one region shared by the vertebra character
+    codes and the side log (every change to the store's overflow and
+    anchor side tables, appended as it happens), and the preimage
+    journal.  The
     metadata holds only the alphabet, the counters and the side log's
     committed length and place, so a commit costs what the appends changed, not
     what the index holds.
@@ -100,8 +102,7 @@ val append_string : t -> string -> unit
 val append_seq : t -> Bioseq.Packed_seq.t -> unit
 
 val engine : t -> Engine.t
-(** Pack as a capability-aware engine (backend "persistent",
-    [persistent] and [paged] set).  The engine carries the
+(** Pack as an engine (backend "persistent").  The engine carries the
     use-after-close guard: every query through it re-checks that the
     index is still open. *)
 

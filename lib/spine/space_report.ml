@@ -68,30 +68,17 @@ let rows t =
         Printf.sprintf "%.2f" (float_of_int (total_bytes t) /. float_of_int chars);
         "100.0%" ] ]
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let jsonl t =
   let comps =
     String.concat ","
       (List.map
-         (fun c -> Printf.sprintf "\"%s\":%d" (json_escape c.comp) c.bytes)
+         (fun c -> Printf.sprintf "\"%s\":%d" (Xutil.Json.escape c.comp) c.bytes)
          t.components)
   in
   Printf.sprintf
     "{\"backend\":\"%s\",\"chars\":%d,\"total_bytes\":%d,\
      \"index_bytes\":%d,\"bytes_per_char\":%.4f,\"components\":{%s}}"
-    (json_escape t.backend) t.chars (total_bytes t) (index_bytes t)
+    (Xutil.Json.escape t.backend) t.chars (total_bytes t) (index_bytes t)
     (bytes_per_char t) comps
 
 let set_gauges t =

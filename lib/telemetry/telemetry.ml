@@ -305,22 +305,10 @@ let print_table ?(title = "telemetry") ?(omit_zero = false) snap =
     Report.Table.print ~title ~headers:[ "metric"; "kind"; "value"; "detail" ]
       rows
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let jsonl snap =
   List.map
     (fun (name, v) ->
-      let name = json_escape name in
+      let name = Xutil.Json.escape name in
       match v with
       | Count n ->
         Printf.sprintf "{\"metric\":\"%s\",\"kind\":\"counter\",\"value\":%d}" name n

@@ -54,9 +54,16 @@ val set : gauge -> float -> unit
 type histogram
 val histogram : string -> histogram
 val observe : histogram -> int -> unit
-(** Log-bucketed: value [v >= 1] lands in bucket [floor(log2 v) + 1]
-    (i.e. the bucket covering [[2^(i-1), 2^i - 1]]); values [<= 0] land
-    in bucket 0. *)
+(** Log-bucketed: value [v] lands in bucket [bucket_of v]. *)
+
+val hist_buckets : int
+(** Number of histogram buckets: 63, enough for every positive int. *)
+
+val bucket_of : int -> int
+(** [v >= 1] lands in bucket [floor(log2 v) + 1] (i.e. the bucket
+    covering [[2^(i-1), 2^i - 1]]); values [<= 0] land in bucket 0.
+    Run-scoped reports (e.g. a workload's) bucket their own counts
+    with it, so their quantiles share the histograms' arithmetic. *)
 
 val hist_total : histogram -> int
 val hist_sum : histogram -> int

@@ -237,29 +237,19 @@ let slow_ops () = List.rev (ds ()).slow
 
 (* --- exporters --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let add_args buf args =
   Buffer.add_string buf "\"args\":{";
   List.iteri
     (fun i a ->
       if i > 0 then Buffer.add_char buf ',';
       match a with
-      | Int (k, v) -> Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape k) v)
+      | Int (k, v) ->
+        Buffer.add_string buf
+          (Printf.sprintf "\"%s\":%d" (Xutil.Json.escape k) v)
       | Str (k, v) ->
         Buffer.add_string buf
-          (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+          (Printf.sprintf "\"%s\":\"%s\"" (Xutil.Json.escape k)
+             (Xutil.Json.escape v)))
     args;
   Buffer.add_char buf '}'
 
@@ -280,14 +270,14 @@ let chrome_json () =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s #%d\"}}"
-           id (json_escape name) id))
+           id (Xutil.Json.escape name) id))
     (List.rev d.op_names);
   List.iter
     (fun e ->
       sep ();
       Buffer.add_string buf
         (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"spine\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
-           (json_escape e.name) (ph_id e.phase)
+           (Xutil.Json.escape e.name) (ph_id e.phase)
            (float_of_int e.ts_ns /. 1e3)
            e.op);
       if e.phase = Instant then Buffer.add_string buf ",\"s\":\"t\"";
@@ -306,7 +296,7 @@ let jsonl () =
       let buf = Buffer.create 96 in
       Buffer.add_string buf
         (Printf.sprintf "{\"ts_ns\":%d,\"ph\":\"%s\",\"name\":\"%s\",\"op\":%d"
-           e.ts_ns (ph_id e.phase) (json_escape e.name) e.op);
+           e.ts_ns (ph_id e.phase) (Xutil.Json.escape e.name) e.op);
       if e.args <> [] then begin
         Buffer.add_char buf ',';
         add_args buf e.args

@@ -62,22 +62,13 @@ type report = {
 
 (* --- per-op accumulation ---------------------------------------- *)
 
-(* Local mirror of the telemetry log-bucketing so the report is scoped
-   to this run even though the global histograms accumulate across
-   runs in one process. *)
-let n_buckets = 64
-
-let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let rec log2 v acc = if v <= 1 then acc else log2 (v lsr 1) (acc + 1) in
-    min (n_buckets - 1) (log2 v 0 + 1)
-  end
-
 type acc = {
   a_op : string;
   a_hist : Telemetry.histogram;  (* global: feeds the exposition formats *)
-  counts : int array;            (* local: feeds this run's report *)
+  counts : int array;
+      (* local, in the telemetry log buckets: feeds this run's report,
+         scoped to it though the global histograms accumulate across
+         runs in one process *)
   mutable count : int;
   mutable hits : int;
   mutable sum_ns : int;
@@ -92,13 +83,14 @@ type acc = {
 let acc backend op =
   { a_op = op;
     a_hist = Telemetry.histogram (Printf.sprintf "workload.%s.%s.ns" backend op);
-    counts = Array.make n_buckets 0;
+    counts = Array.make Telemetry.hist_buckets 0;
     count = 0; hits = 0; sum_ns = 0; max_ns = 0;
     timeouts = 0; shed = 0; failed = 0 }
 
 let record a ~hit ns =
   Telemetry.observe a.a_hist ns;
-  a.counts.(bucket_of ns) <- a.counts.(bucket_of ns) + 1;
+  let b = Telemetry.bucket_of ns in
+  a.counts.(b) <- a.counts.(b) + 1;
   a.count <- a.count + 1;
   if hit then a.hits <- a.hits + 1;
   a.sum_ns <- a.sum_ns + ns;
@@ -123,9 +115,13 @@ let report_of_acc a =
    arithmetic the replayed report uses, so a comparison never flags a
    bucketing artifact. *)
 let latency_quantiles ns_list =
-  let counts = Array.make n_buckets 0 in
+  let counts = Array.make Telemetry.hist_buckets 0 in
   let total = List.length ns_list in
-  List.iter (fun v -> counts.(bucket_of v) <- counts.(bucket_of v) + 1) ns_list;
+  List.iter
+    (fun v ->
+      let b = Telemetry.bucket_of v in
+      counts.(b) <- counts.(b) + 1)
+    ns_list;
   let q p = Telemetry.quantile ~counts ~total p in
   (q 0.5, q 0.9, q 0.99)
 

@@ -44,11 +44,6 @@ let test_caps () =
       List.iter
         (fun (name, e) ->
           Alcotest.(check string) "backend name" name (Spine.Engine.backend e);
-          let caps = Spine.Engine.caps e in
-          Alcotest.(check bool) (name ^ " persistent")
-            (name = "persistent") caps.Spine.Engine.persistent;
-          Alcotest.(check bool) (name ^ " paged")
-            (name = "persistent" || name = "disk") caps.Spine.Engine.paged;
           Alcotest.(check int) (name ^ " length") 10 (Spine.Engine.length e))
         engines)
 

@@ -635,6 +635,79 @@ let test_side_log_bound () =
         Alcotest.(check bool) "live entries fill 7/8 of it" true
           (live * 12 > capacity / 8 * 7))
 
+(* A crashed session's pages just past the committed end of every data
+   region are erased on reopen.  The region bases below are this test's
+   own reference (see lib/spine/persistent.ml), not the module's region
+   table, so a region the table leaves out keeps its debris and shows
+   up stale. *)
+let test_debris_erased_everywhere () =
+  let meta_span = 16384 and data_span = 262144 in
+  let seq_base = meta_span + (5 * data_span) in
+  let bases =
+    [ ("lt", meta_span);
+      ("rt0", meta_span + data_span);
+      ("rt1", meta_span + (2 * data_span));
+      ("rt2", meta_span + (3 * data_span));
+      ("rt3", meta_span + (4 * data_span));
+      ("seq", seq_base);
+      ("side/a", seq_base + (data_span / 4));
+      ("side/b", seq_base + (data_span / 4 * 5 / 2)) ]
+  in
+  with_tmp (fun path ->
+      let rng = Bioseq.Rng.create 207 in
+      let seq = Bioseq.Synthetic.genomic dna rng 6_000 in
+      let oracle = Spine.Compact.engine (Spine.Compact.of_seq seq) in
+      let p = Spine.Persistent.create ~path dna in
+      Spine.Persistent.append_seq p seq;
+      Spine.Persistent.flush p;
+      (* written pages form a dense prefix of each region, so its first
+         hole is just past the committed end; a page written there now
+         carries the session's epoch, beyond the committed ceiling *)
+      let dev = Spine.Persistent.device p in
+      let rec past_end page =
+        match Pagestore.Device.verify_page dev page with
+        | `Unwritten -> page
+        | _ -> past_end (page + 1)
+      in
+      let planted =
+        List.map
+          (fun (name, base) ->
+            let page = past_end base in
+            Pagestore.Device.write dev page (Bytes.make 4096 'x');
+            (name, page))
+          bases
+      in
+      (* the session dies without another commit *)
+      Pagestore.Device.close dev;
+      let stale (r : Spine.Persistent.report) =
+        List.concat_map
+          (fun (reg : Spine.Persistent.region_report) ->
+            List.map (fun (page, _) -> (reg.region, page)) reg.stale)
+          r.regions
+      in
+      Alcotest.(check (list (pair string int))) "scrub sees the debris"
+        planted (stale (Spine.Persistent.scrub ~path ()));
+      let p = Spine.Persistent.open_ ~path () in
+      Alcotest.(check (list (pair string int))) "reopen erased it" []
+        (stale (Spine.Persistent.verify p));
+      let check_queries p =
+        for _ = 1 to 30 do
+          let len = 3 + Bioseq.Rng.int rng 8 in
+          let pos = Bioseq.Rng.int rng (6_000 - len) in
+          let pat = Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k)) in
+          Alcotest.(check (list int)) "occurrences match the oracle"
+            (Codes.occurrences oracle pat) (occurrences p pat)
+        done
+      in
+      check_queries p;
+      (* the tables grow over the erased pages (the LT by 18,000 bytes) *)
+      Spine.Persistent.append_string p (String.make 3_000 'a');
+      Spine.Persistent.close p;
+      let p = Spine.Persistent.open_ ~path () in
+      Alcotest.(check int) "extended" 9_000 (length p);
+      check_queries p;
+      Spine.Persistent.close p)
+
 let suite =
   [ Alcotest.test_case "parity with the in-memory index" `Quick
       test_parity_with_memory
@@ -664,4 +737,6 @@ let suite =
       test_side_log_bound
   ; Alcotest.test_case "flushed chunks reach the region bound" `Slow
       test_flushed_to_the_region_bound
+  ; Alcotest.test_case "debris in every data region is erased" `Quick
+      test_debris_erased_everywhere
   ]
