@@ -172,7 +172,12 @@ module Compact_cursor = Spine.Cursor.Make (Spine.Compact_store)
    has one frame and alternates between two pages, so every call
    evicts a clean page and reads the other one back.  The column scan
    prices the occurrence scan's LEL walk: [scan_u16] over a resident
-   paged Link Table, one latch per page. *)
+   paged Link Table, one latch per page.  The CRC-32C kernels price
+   the checksum every miss, writeback and journal capture pays, over
+   what a page's trailer covers (128 or 4,096 data bytes plus the
+   trailer's magic and epoch).  The row record prices a rib step on a
+   paged store: [find_rib] on a resident RT row, one latch for the LT
+   entry and one for the row. *)
 
 let pool_page_size = 4096
 
@@ -209,6 +214,28 @@ let resident_lt =
        Pagestore.Paged_bytes.set_u16 lt (off + 4) (i land 15)
      done;
      lt)
+
+let crc_slot_136 = Bytes.init 136 (fun i -> Char.chr ((i * 31) land 0xFF))
+let crc_slot_4104 = Bytes.init 4104 (fun i -> Char.chr ((i * 31) land 0xFF))
+
+(* a small DNA store on 4 KiB pages, every page resident, and a
+   (node, code) pair whose rib is the row's last *)
+let resident_rib =
+  lazy
+    (let dev = Pagestore.Device.create ~page_size:pool_page_size () in
+     let pool = Pagestore.Buffer_pool.create ~frames:64 dev in
+     let store = Spine.Paged_store.create pool Bioseq.Alphabet.dna in
+     let seq = eco () in
+     for i = 0 to min 2_000 (Bioseq.Packed_seq.length seq) - 1 do
+       Spine.Paged_store.append store (Bioseq.Packed_seq.get seq i)
+     done;
+     let module P = Spine.Paged_store.P in
+     let rec pick node =
+       match P.fold_ribs store node ~init:[] ~f:(fun acc c _ _ -> c :: acc) with
+       | code :: _ :: _ -> (store, node, code)
+       | _ -> pick (node + 1)
+     in
+     pick 0)
 
 let tests =
   [ (* Table 2 is static accounting; its kernel is the space model *)
@@ -325,6 +352,14 @@ let tests =
            let pool, next = Lazy.force miss_pool in
            next := 1 - !next;
            Pagestore.Buffer_pool.with_page pool !next ~dirty:false Bytes.length))
+  ; Test.make ~name:"pool/crc32c-page-136"
+      (Staged.stage (fun () -> Xutil.Crc32c.bytes crc_slot_136))
+  ; Test.make ~name:"pool/crc32c-page-4104"
+      (Staged.stage (fun () -> Xutil.Crc32c.bytes crc_slot_4104))
+  ; Test.make ~name:"pool/paged-rt-row-record"
+      (Staged.stage (fun () ->
+           let store, node, code = Lazy.force resident_rib in
+           Spine.Paged_store.P.find_rib store node code))
   ; Test.make ~name:"pool/paged-lt-scan"
       (Staged.stage (fun () ->
            let lt = Lazy.force resident_lt in

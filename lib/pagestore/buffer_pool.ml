@@ -9,6 +9,11 @@ let c_pinned_evictions = Telemetry.counter "pool.pinned_evictions"
 let c_flushes = Telemetry.counter "pool.flushes"
 let c_exhausted = Telemetry.counter "pool.exhausted"
 
+(* a frame's dirty state, see [t] *)
+let clean = '\000'
+let queued = '\001'
+let stale = '\002'
+
 type replacement = [ `Lru | `Fifo ]
 
 type t = {
@@ -30,7 +35,15 @@ type t = {
   page_of : int array;          (* frame -> page id, -1 = free *)
   free : int array;             (* stack of free frames, [0, n_free) *)
   mutable n_free : int;
-  dirty : bool array;
+  (* Frame [f] is dirty when [state.[f] = queued].  Every frame that
+     went clean -> dirty is in [dirty_q.(0 .. n_queued - 1)], once;
+     one written back since is [stale] there until [dirty_frames]
+     drops it, and a frame not in the queue is [clean].  So a flush
+     costs O(frames dirtied since the last one), not O(frames), and the
+     state takes a byte per frame. *)
+  state : Bytes.t;
+  dirty_q : int array;
+  mutable n_queued : int;
   in_use : int array;           (* reentrancy latch count per frame *)
   prev : int array;
   next : int array;
@@ -55,7 +68,9 @@ let create ?(pin = fun _ -> false) ?(replacement = `Lru) ~frames dev =
     (* lowest frame on top, so frames fill in index order *)
     free = Array.init frames (fun i -> frames - 1 - i);
     n_free = frames;
-    dirty = Array.make frames false;
+    state = Bytes.make frames clean;
+    dirty_q = Array.make frames 0;
+    n_queued = 0;
     in_use = Array.make frames 0;
     prev = Array.make frames (-1);
     next = Array.make frames (-1);
@@ -67,6 +82,20 @@ let create ?(pin = fun _ -> false) ?(replacement = `Lru) ~frames dev =
 
 let device t = t.dev
 let frames t = t.frames
+
+let[@inline] is_dirty t f = Bytes.get t.state f = queued
+
+let mark_dirty t f =
+  let s = Bytes.get t.state f in
+  if s <> queued then begin
+    if s = clean then begin
+      t.dirty_q.(t.n_queued) <- f;
+      t.n_queued <- t.n_queued + 1
+    end;
+    Bytes.set t.state f queued
+  end
+
+let mark_clean t f = if is_dirty t f then Bytes.set t.state f stale
 
 (* reentrant per-domain critical section around the pool's mutable
    innards; [lock_owner] is only compared against the caller's own
@@ -193,7 +222,7 @@ let touch t f =
 (* A frame's image is on the device: it is clean, and counts as one
    writeback. *)
 let written t f =
-  t.dirty.(f) <- false;
+  mark_clean t f;
   t.writebacks <- t.writebacks + 1;
   Probe.add Probe.pool_writeback 1
 
@@ -223,7 +252,7 @@ let writeback_run t fs =
   end;
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failure
 
-let writeback t f = if t.dirty.(f) then writeback_run t [| f |]
+let writeback t f = if is_dirty t f then writeback_run t [| f |]
 
 (* Choose a victim frame: least-recently-used unpinned, falling back to
    least-recently-used pinned when everything resident is pinned. Frames
@@ -263,7 +292,7 @@ let find_victim t =
    on a full pool goes straight to [find_victim]. *)
 let release_frame t f =
   t.page_of.(f) <- -1;
-  t.dirty.(f) <- false;
+  mark_clean t f;
   t.free.(t.n_free) <- f;
   t.n_free <- t.n_free + 1
 
@@ -296,7 +325,7 @@ let frame_for t page =
         if tr then
           Trace.instant "pool.evict"
             [ Trace.Int ("page", t.page_of.(victim));
-              Trace.Int ("dirty", if t.dirty.(victim) then 1 else 0) ];
+              Trace.Int ("dirty", if is_dirty t victim then 1 else 0) ];
         writeback t victim;
         Xutil.Int_tbl.remove t.table t.page_of.(victim);
         t.evictions <- t.evictions + 1;
@@ -315,7 +344,6 @@ let frame_for t page =
        if tr then Trace.end_span ();
        raise e);
     t.page_of.(f) <- page;
-    t.dirty.(f) <- false;
     Xutil.Int_tbl.replace t.table page f;
     push_front t f;
     if tr then Trace.end_span ();
@@ -335,16 +363,22 @@ let with_page t page ~dirty f =
           raise e
       in
       t.in_use.(frame) <- t.in_use.(frame) - 1;
-      if dirty then t.dirty.(frame) <- true;
+      if dirty then mark_dirty t frame;
       result)
 
-(* the dirty frames, in page order *)
+(* the dirty frames, in page order; the stale entries leave the queue *)
 let dirty_frames t =
-  let fs = ref [] in
-  for f = 0 to t.frames - 1 do
-    if t.page_of.(f) >= 0 && t.dirty.(f) then fs := f :: !fs
+  let n = ref 0 in
+  for i = 0 to t.n_queued - 1 do
+    let f = t.dirty_q.(i) in
+    if is_dirty t f then begin
+      t.dirty_q.(!n) <- f;
+      incr n
+    end
+    else Bytes.set t.state f clean
   done;
-  let fs = Array.of_list !fs in
+  t.n_queued <- !n;
+  let fs = Array.sub t.dirty_q 0 !n in
   Array.sort (fun a b -> Int.compare t.page_of.(a) t.page_of.(b)) fs;
   fs
 
@@ -365,7 +399,8 @@ let drop t =
       flush t;
       Xutil.Int_tbl.reset t.table;
       Array.fill t.page_of 0 t.frames (-1);
-      Array.fill t.dirty 0 t.frames false;
+      Bytes.fill t.state 0 t.frames clean;
+      t.n_queued <- 0;
       for i = 0 to t.frames - 1 do t.free.(i) <- t.frames - 1 - i done;
       t.n_free <- t.frames;
       Array.fill t.prev 0 t.frames (-1);

@@ -97,7 +97,9 @@ val write_run : Device.t -> int -> Bytes.t array -> unit
 
 val dirty_pages : t -> int array
 (** The pages of the dirty frames, ascending: what {!flush} will
-    write. *)
+    write.  The pool queues each frame as it goes clean -> dirty, so
+    this and {!flush} cost O(d log d) for the d frames dirtied since
+    the last call, whatever the pool's size. *)
 
 val flush : t -> unit
 (** Write back every dirty frame, in page order: each stretch of up to

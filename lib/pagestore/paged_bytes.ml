@@ -78,6 +78,15 @@ let set_u32 t off v =
     set_u8 t (off + 3) (v lsr 24)
   end
 
+(* A record inside one page is one latch for all of its fields. *)
+let in_one_page t ~off ~len = (off mod t.page_size) + len <= t.page_size
+
+let read_record t ~off ~len f =
+  if not (in_one_page t ~off ~len) then
+    invalid_arg "Paged_bytes: record straddles a page boundary";
+  let pos = off mod t.page_size in
+  Buffer_pool.with_page t.pool (page t off) ~dirty:false (fun b -> f b pos)
+
 (* A column scan takes one latch per page: every field lying wholly
    inside the page is tested under that latch, and the hits, packed as
    [i lsl 16 lor raw], are reported once it is released, so [f] may

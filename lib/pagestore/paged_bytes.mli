@@ -10,9 +10,14 @@
     word; only a field that straddles a page boundary is assembled byte
     by byte, one pool access per byte.  Either way the sequence of
     distinct pages touched is the same, so misses, evictions and device
-    I/O do not depend on which path a field takes.  A column scan
-    ({!scan_u16}) takes one latch per page for all of the column's
-    in-page fields, not one per field. *)
+    I/O do not depend on which path a field takes.  A record read
+    ({!read_record}) that lies inside one page takes one latch for all
+    of its fields; a record that straddles a page boundary is declined
+    ({!in_one_page} is false) and its owner keeps reading it field by
+    field, so again only the number of latches, never the sequence of
+    distinct pages touched, depends on the path.
+    A column scan ({!scan_u16}) takes one latch per page for all of the
+    column's in-page fields, not one per field. *)
 
 type t
 
@@ -60,3 +65,17 @@ val scan_u16 :
     so [f] may itself touch other pages (of this or another table); a
     field that straddles a page boundary costs what {!get_u16} does.
     [f] must not write the scanned fields. *)
+
+val in_one_page : t -> off:int -> len:int -> bool
+(** [in_one_page t ~off ~len] holds when bytes [\[off, off + len)] lie
+    inside one page, so that {!read_record} serves them. *)
+
+val read_record : t -> off:int -> len:int -> (Bytes.t -> int -> 'a) -> 'a
+(** [read_record t ~off ~len f] latches the page holding bytes
+    [\[off, off + len)] once and returns [f b pos], where [b] is the
+    page buffer and [pos] the position of byte [off] in it.  [f] reads
+    the record's fields straight from [b] ([Bytes.get_uint16_le b
+    (pos + 4)] is what {!get_u16}[ t (off + 4)] returns) and must not
+    write [b] or keep it past its return.  It may touch other pages,
+    as the pool is reentrant.
+    @raise Invalid_argument when the range straddles a page boundary. *)

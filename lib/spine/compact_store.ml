@@ -64,6 +64,15 @@ module type BYTES = sig
     (int -> int -> unit) -> unit
   (** [f i raw] for each u16 at [off + i * stride], [i < count], with
       [raw >= min]. *)
+
+  val in_one_page : t -> off:int -> len:int -> bool
+  (** Whether [\[off, off + len)] lies inside one page, so a record
+      read saves the per-field latches.  In memory there is nothing to
+      save: [false], and the store reads fields directly. *)
+
+  val read_record : t -> off:int -> len:int -> (Bytes.t -> int -> 'a) -> 'a
+  (** [f b pos] with byte [off] at [pos] of buffer [b], under one
+      latch. *)
 end
 
 (* growable in-memory little-endian byte table *)
@@ -105,6 +114,11 @@ module Btab = struct
       let raw = Bytes.get_uint16_le t.data (off + (i * stride)) in
       if raw >= min then f i raw
     done
+
+  (* one buffer serves any range, but a callback costs more than the
+     direct field reads it would replace *)
+  let in_one_page _ ~off:_ ~len:_ = false
+  let read_record t ~off ~len:_ f = f t.data off
 end
 
 let lt_entry_bytes = 6
@@ -340,6 +354,46 @@ module Core (B : BYTES) = struct
       (B.set_u16 t.rts.(table) (row_off t table row + t.lo.prt_off.(table)))
       (prt_key ~table ~row) v
 
+  (* --- RT rows under one latch ---
+     The same fields again, in a buffer [b] that holds the row at
+     [base]: the page [B.read_record] latched once for the whole row.
+     Callers read the fields in the order the field-by-field path
+     does, so only the number of latches differs between the two. *)
+
+  let rec_rd b base slot =
+    Int32.to_int (Bytes.get_int32_le b (base + 4 + (6 * slot))) land 0xFFFF_FFFF
+
+  let rec_pt t b base table row slot =
+    read_label t
+      (Bytes.get_uint16_le b (base + 8 + (6 * slot)))
+      (rt_label_key ~table ~row ~slot)
+
+  let rec_prt t b base table row =
+    read_label t
+      (Bytes.get_uint16_le b (base + t.lo.prt_off.(table)))
+      (prt_key ~table ~row)
+
+  let rec_cl t b base table slot =
+    let bits = t.lo.cl_bits in
+    let base_bit = slot * bits in
+    let pos = base + t.lo.cl_area_off.(table) + (base_bit / 8) in
+    let shift = base_bit mod 8 in
+    let v =
+      if shift + bits <= 8 then Bytes.get_uint8 b pos
+      else Bytes.get_uint16_le b pos
+    in
+    (v lsr shift) land ((1 lsl bits) - 1)
+
+  (* [f] on row [row] of [table] under one latch, when the row lies
+     inside one page *)
+  let row_in_page t table row =
+    B.in_one_page t.rts.(table) ~off:(row_off t table row)
+      ~len:t.lo.row_bytes.(table)
+
+  let read_row t table row f =
+    B.read_record t.rts.(table) ~off:(row_off t table row)
+      ~len:t.lo.row_bytes.(table) f
+
   (* The LT payload's 5-bit fanout field saturates at [fanout_sentinel]:
      a row with a larger fanout (an RT4 row of an alphabet of 32 or more
      symbols) keeps it in the overflow table.  A saturated field with
@@ -439,13 +493,25 @@ module Core (B : BYTES) = struct
     else begin
       let table = ptr_table p and row = ptr_row p in
       let ribs = rib_count t p in
-      let rec scan slot =
-        if slot >= ribs then None
-        else if slot_cl t table row slot = code then
-          Some (slot_rd t table row slot, slot_pt t table row slot)
-        else scan (slot + 1)
-      in
-      scan 0
+      (* no rib, no row access: the extrib-only row stays untouched *)
+      if ribs = 0 then None
+      else if row_in_page t table row then
+        read_row t table row (fun b base ->
+            let rec scan slot =
+              if slot >= ribs then None
+              else if rec_cl t b base table slot = code then
+                Some (rec_rd b base slot, rec_pt t b base table row slot)
+              else scan (slot + 1)
+            in
+            scan 0)
+      else
+        let rec scan slot =
+          if slot >= ribs then None
+          else if slot_cl t table row slot = code then
+            Some (slot_rd t table row slot, slot_pt t table row slot)
+          else scan (slot + 1)
+        in
+        scan 0
     end
 
   let find_extrib t node =
@@ -454,8 +520,13 @@ module Core (B : BYTES) = struct
     else begin
       let table = ptr_table p and row = ptr_row p in
       let slot = t.lo.slot_capacity.(table) - 1 in
-      Some (slot_rd t table row slot, slot_pt t table row slot,
-            row_prt t table row, row_anchor t table row)
+      if row_in_page t table row then
+        read_row t table row (fun b base ->
+            Some (rec_rd b base slot, rec_pt t b base table row slot,
+                  rec_prt t b base table row, row_anchor t table row))
+      else
+        Some (slot_rd t table row slot, slot_pt t table row slot,
+              row_prt t table row, row_anchor t table row)
     end
 
   let table_for_fanout t f =
@@ -531,6 +602,8 @@ module Core (B : BYTES) = struct
     set_row_prt t table row prt;
     set_row_anchor t table row anchor
 
+  (* [f] runs under the row's latch on the record path: it must not
+     write the store *)
   let fold_ribs t node ~init ~f =
     let p = lt_payload t node in
     if p land 0x8000_0000 = 0 then init
@@ -538,11 +611,19 @@ module Core (B : BYTES) = struct
       let table = ptr_table p and row = ptr_row p in
       let ribs = rib_count t p in
       let acc = ref init in
-      for slot = 0 to ribs - 1 do
-        acc :=
-          f !acc (slot_cl t table row slot) (slot_rd t table row slot)
-            (slot_pt t table row slot)
-      done;
+      if ribs > 0 && row_in_page t table row then
+        read_row t table row (fun b base ->
+            for slot = 0 to ribs - 1 do
+              acc :=
+                f !acc (rec_cl t b base table slot) (rec_rd b base slot)
+                  (rec_pt t b base table row slot)
+            done)
+      else
+        for slot = 0 to ribs - 1 do
+          acc :=
+            f !acc (slot_cl t table row slot) (slot_rd t table row slot)
+              (slot_pt t table row slot)
+        done;
       !acc
     end
 

@@ -17,8 +17,8 @@
     of the paper's disk experiments. *)
 
 (** Byte-table abstraction the layout code is written against:
-    little-endian fixed-width accessors over one growable region, plus
-    one column scan. *)
+    little-endian fixed-width accessors over one growable region, one
+    column scan and one record read. *)
 module type BYTES = sig
   type t
 
@@ -46,6 +46,31 @@ module type BYTES = sig
       in-memory table reads it in one tight loop, and a paged table
       takes one pool latch per page of the column rather than one per
       field. *)
+
+  val in_one_page : t -> off:int -> len:int -> bool
+  (** [in_one_page t ~off ~len] holds when a record read of bytes
+      [\[off, off + len)] takes one latch in place of one per field:
+      the range lies inside one page of a paged table.  The in-memory
+      table answers [false]: it has no latch to save, and its fields
+      are cheaper to read directly than through a callback. *)
+
+  val read_record : t -> off:int -> len:int -> (Bytes.t -> int -> 'a) -> 'a
+  (** [read_record t ~off ~len f] is [f b pos], with [b] a buffer that
+      holds byte [off] of the table at [pos] (a page under one latch,
+      for a paged table), so that [f] reads the record's fields from
+      [b] directly.  [f] must not write [b].  A paged table serves only
+      ranges for which {!in_one_page} holds; the in-memory table serves
+      any.
+
+      The record rule of {!Core}: [find_rib], [find_extrib] and
+      [fold_ribs] read an RT row that lies inside one page under one
+      latch, field by field in the order the per-field path uses (a
+      node with no rib leaves its row untouched, as before); a row
+      that straddles a page boundary keeps the per-field path, one
+      latch per field.  So the sequence of distinct pages touched, and
+      with it every miss, eviction, writeback and device I/O, is the
+      same either way; only the pool's hit count falls.  Writes stay
+      field by field. *)
 end
 
 (** The in-memory instantiation's byte table. *)

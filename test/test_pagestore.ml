@@ -617,6 +617,125 @@ let test_scan_u16_callback_reads () =
   if (Pagestore.Buffer_pool.stats p).Pagestore.Buffer_pool.evictions = 0 then
     Alcotest.fail "the callback must have evicted the scanned pages"
 
+(* --- records --- *)
+
+(* Across the first page boundary of a table, at page sizes 8, 16 and
+   128: every range inside one page reads back, under one latch, what
+   [get_u8] returns; every range that straddles the boundary is
+   declined. *)
+let test_paged_bytes_records () =
+  List.iter
+    (fun page_size ->
+      let d = Pagestore.Device.create ~page_size () in
+      let p = Pagestore.Buffer_pool.create ~frames:2 d in
+      let t = paged_table p ~base_page:0 in
+      ignore (Pagestore.Paged_bytes.alloc t (4 * page_size));
+      for i = 0 to (4 * page_size) - 1 do
+        Pagestore.Paged_bytes.set_u8 t i ((i * 37) + 11)
+      done;
+      let accesses () =
+        let s = Pagestore.Buffer_pool.stats p in
+        s.Pagestore.Buffer_pool.hits + s.Pagestore.Buffer_pool.misses
+      in
+      for off = max 0 (page_size - 8) to page_size + 7 do
+        for len = 1 to min 8 page_size do
+          let where = Printf.sprintf "page %d, [%d, +%d)" page_size off len in
+          if (off mod page_size) + len <= page_size then begin
+            Alcotest.(check bool) (where ^ " in one page") true
+              (Pagestore.Paged_bytes.in_one_page t ~off ~len);
+            let before = accesses () in
+            let got =
+              Pagestore.Paged_bytes.read_record t ~off ~len (fun b pos ->
+                  List.init len (fun k -> Bytes.get_uint8 b (pos + k)))
+            in
+            Alcotest.(check int) (where ^ ": one latch") 1 (accesses () - before);
+            Alcotest.(check (list int)) where
+              (List.init len (fun k -> Pagestore.Paged_bytes.get_u8 t (off + k)))
+              got
+          end
+          else begin
+            Alcotest.(check bool) (where ^ " declined") false
+              (Pagestore.Paged_bytes.in_one_page t ~off ~len);
+            Alcotest.check_raises (where ^ " raises")
+              (Invalid_argument "Paged_bytes: record straddles a page boundary")
+              (fun () ->
+                Pagestore.Paged_bytes.read_record t ~off ~len (fun _ _ -> ()))
+          end
+        done
+      done)
+    [ 8; 16; 128 ]
+
+(* A rib step on a paged store is one LT entry and one RT row: two
+   pool accesses when the row lies inside one page (4 KiB pages, a
+   small text), and one per field when every row straddles (8-byte
+   pages). *)
+let test_paged_store_record_accesses () =
+  let accesses_of ~page_size =
+    let d = Pagestore.Device.create ~page_size () in
+    let p = Pagestore.Buffer_pool.create ~frames:64 d in
+    let store = Spine.Paged_store.create p Bioseq.Alphabet.dna in
+    Spine.Paged_store.append_seq store
+      (Bioseq.Packed_seq.of_string Bioseq.Alphabet.dna
+         "aaccacaacaaccacaacaaccacaacagtacgttgcaacgt");
+    let accesses () =
+      let s = Pagestore.Buffer_pool.stats p in
+      s.Pagestore.Buffer_pool.hits + s.Pagestore.Buffer_pool.misses
+    in
+    let module P = Spine.Paged_store.P in
+    (* the first node with two ribs, and its second rib's label *)
+    let rec pick node =
+      match P.fold_ribs store node ~init:[] ~f:(fun acc c _ _ -> c :: acc) with
+      | code :: _ :: _ -> (node, code)
+      | _ -> pick (node + 1)
+    in
+    let node, code = pick 0 in
+    let before = accesses () in
+    Alcotest.(check bool) "rib found" true
+      (Option.is_some (P.find_rib store node code));
+    let rib = accesses () - before in
+    let rec extrib_node node =
+      if Option.is_some (P.find_extrib store node) then node
+      else extrib_node (node + 1)
+    in
+    let enode = extrib_node 0 in
+    let before = accesses () in
+    ignore (P.find_extrib store enode);
+    (rib, accesses () - before)
+  in
+  let rib, extrib = accesses_of ~page_size:4096 in
+  Alcotest.(check int) "find_rib: LT entry + RT row" 2 rib;
+  Alcotest.(check int) "find_extrib: LT entry + RT row" 2 extrib;
+  let rib, extrib = accesses_of ~page_size:8 in
+  if rib <= 2 || extrib <= 2 then
+    Alcotest.failf "straddling rows should take the per-field path (%d, %d)"
+      rib extrib
+
+(* The dirty set is kept as frames go clean -> dirty and back: a page
+   dirtied twice counts once, and a flush, an eviction's writeback or
+   a drop takes it out. *)
+let test_pool_dirty_set () =
+  let d = mk_device () in
+  let p = Pagestore.Buffer_pool.create ~frames:3 d in
+  let touch ~dirty i = Pagestore.Buffer_pool.with_page p i ~dirty (fun _ -> ()) in
+  let dirty what expect =
+    Alcotest.(check (array int)) what expect (Pagestore.Buffer_pool.dirty_pages p)
+  in
+  touch ~dirty:true 7; touch ~dirty:true 3; touch ~dirty:false 5;
+  touch ~dirty:true 7;
+  dirty "ascending, once each" [| 3; 7 |];
+  Pagestore.Buffer_pool.flush p;
+  dirty "flushed" [||];
+  touch ~dirty:true 5; touch ~dirty:true 3;
+  (* 7 then 5 are the least recently used: two misses evict them *)
+  touch ~dirty:false 8; touch ~dirty:false 9;
+  dirty "evicted page written back" [| 3 |];
+  Alcotest.(check int) "two flushed, one evicted" 3
+    (Pagestore.Buffer_pool.stats p).Pagestore.Buffer_pool.writebacks;
+  touch ~dirty:true 9;
+  dirty "a clean frame dirtied again" [| 3; 9 |];
+  Pagestore.Buffer_pool.drop p;
+  dirty "dropped" [||]
+
 let suite =
   [ Alcotest.test_case "device read/write roundtrip" `Quick test_device_roundtrip
   ; Alcotest.test_case "device counters" `Quick test_device_counters
@@ -657,4 +776,9 @@ let suite =
       test_scan_u16_callback_reads
   ; Alcotest.test_case "paged bytes capacity is typed" `Quick
       test_paged_bytes_capacity
+  ; Alcotest.test_case "paged bytes records: in-page only, field parity" `Quick
+      test_paged_bytes_records
+  ; Alcotest.test_case "paged store: a rib step is two pool accesses" `Quick
+      test_paged_store_record_accesses
+  ; Alcotest.test_case "pool dirty set" `Quick test_pool_dirty_set
   ]

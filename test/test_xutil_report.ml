@@ -188,6 +188,58 @@ let test_splitmix_streams () =
       4028864712777624925; 933993271705612196 ]
     [ 2993; 3; 1538; 4; 2158; 6; 865; 4 ]
 
+(* CRC-32C: the published check value and the RFC 3720 (iSCSI) B.4
+   vectors, then every alignment and length against a bytewise
+   reference kept here, so a faster digest can only ever reproduce the
+   same checksums (every page trailer on disk carries one). *)
+let crc_reference ?(seed = 0) data ~pos ~len =
+  let c = ref (seed lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get data i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32c_known_answers () =
+  let check name expect data =
+    Alcotest.(check int) name expect (Xutil.Crc32c.bytes data)
+  in
+  Alcotest.(check int) "check value" 0xE3069283
+    (Xutil.Crc32c.string "123456789");
+  check "32 x 00" 0x8A9136AA (Bytes.make 32 '\000');
+  check "32 x FF" 0x62A8AB43 (Bytes.make 32 '\255');
+  check "00..1F" 0x46DD794E (Bytes.init 32 Char.chr);
+  check "1F..00" 0x113FDB5C (Bytes.init 32 (fun i -> Char.chr (31 - i)));
+  check "empty" 0 Bytes.empty
+
+let test_crc32c_reference () =
+  let rng = Xutil.Splitmix.create 7 in
+  let data =
+    Bytes.init 320 (fun _ -> Char.chr (Xutil.Splitmix.int rng 256))
+  in
+  for pos = 0 to 15 do
+    for len = 0 to 300 do
+      let expect = crc_reference data ~pos ~len in
+      if Xutil.Crc32c.digest data ~pos ~len <> expect then
+        Alcotest.failf "pos %d len %d: %08x, reference %08x" pos len
+          (Xutil.Crc32c.digest data ~pos ~len) expect
+    done
+  done;
+  (* chaining: the digest of a prefix seeds the digest of the rest *)
+  for cut = 0 to 300 do
+    let whole = Xutil.Crc32c.digest data ~pos:3 ~len:300 in
+    let head = Xutil.Crc32c.digest data ~pos:3 ~len:cut in
+    let chained =
+      Xutil.Crc32c.digest ~seed:head data ~pos:(3 + cut) ~len:(300 - cut)
+    in
+    if chained <> whole then Alcotest.failf "seeded split at %d" cut
+  done;
+  Alcotest.check_raises "range out of bounds"
+    (Invalid_argument "Crc32c.digest: range out of bounds") (fun () ->
+      ignore (Xutil.Crc32c.digest data ~pos:300 ~len:21))
+
 let suite =
   [ Alcotest.test_case "int_vec basics" `Quick test_int_vec_basics
   ; Alcotest.test_case "int_vec binary search" `Quick
@@ -199,4 +251,7 @@ let suite =
       test_splitmix_streams
   ; QCheck_alcotest.to_alcotest qcheck_pool_model
   ; QCheck_alcotest.to_alcotest qcheck_pool_integrity
+  ; Alcotest.test_case "crc32c known answers" `Quick test_crc32c_known_answers
+  ; Alcotest.test_case "crc32c matches a bytewise reference" `Quick
+      test_crc32c_reference
   ]
