@@ -86,6 +86,16 @@ let with_stats stats f =
       (Telemetry.snapshot ());
   code
 
+(* An index file written by [spine build], loaded into memory without
+   writing to it.  Typed errors propagate: the handler at the bottom
+   prints them.  Loading is setup, like parsing an input: its page
+   reads are not the run that --stats reports, so the telemetry starts
+   afresh after it. *)
+let load_compact path =
+  let idx = Spine.Persistent.load ~path in
+  Telemetry.reset ();
+  idx
+
 (* --- build --- *)
 
 let build_cmd =
@@ -93,51 +103,35 @@ let build_cmd =
     Arg.(required & opt (some string) None
          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output index file.")
   in
-  let backend =
-    Arg.(value
-         & opt (enum [ ("compact", `Compact); ("persistent", `Persistent) ])
-             `Compact
-         & info [ "backend"; "b" ] ~docv:"BACKEND"
-             ~doc:"Output format: compact (a checksummed snapshot for \
-                   in-memory loading) or persistent (a paged, \
-                   crash-consistent index file that `spine query \
-                   --backend persistent -i` and `spine scrub` operate \
-                   on).")
-  in
-  let run alphabet fasta synthetic scale text out backend stats =
-    with_stats stats @@ fun () ->
+  let run alphabet fasta synthetic scale text out stats =
     match Result.bind (alphabet_of_string alphabet) (fun alphabet ->
         load_sequence ~alphabet ~fasta ~synthetic ~scale ~text)
     with
     | Error e -> prerr_endline e; 1
     | Ok seq ->
-      (match backend with
-       | `Compact ->
-         let idx, secs =
-           Xutil.Stopwatch.time (fun () -> Spine.Compact.of_seq seq)
-         in
-         Spine.Serialize.to_file out idx;
-         Printf.printf "indexed %d chars in %.2fs -> %s\n"
-           (Bioseq.Packed_seq.length seq) secs out;
-         0
-       | `Persistent ->
-         let secs =
-           Xutil.Stopwatch.time (fun () ->
-               let p =
-                 Spine.Persistent.create ~path:out
-                   (Bioseq.Packed_seq.alphabet seq)
-               in
-               Spine.Persistent.append_seq p seq;
-               Spine.Persistent.close p)
-           |> snd
-         in
-         Printf.printf "indexed %d chars in %.2fs -> %s\n"
-           (Bioseq.Packed_seq.length seq) secs out;
-         0)
+      if stats then Telemetry.set_enabled true;
+      let built, secs =
+        Xutil.Stopwatch.time (fun () ->
+            let idx = Spine.Compact.of_seq seq in
+            (* --stats reports the construction; writing the file is a
+               few page runs and one commit *)
+            let built = Telemetry.snapshot () in
+            Spine.Persistent.close (Spine.Persistent.of_compact ~path:out idx);
+            built)
+      in
+      Printf.printf "indexed %d chars in %.2fs -> %s\n"
+        (Bioseq.Packed_seq.length seq) secs out;
+      if stats then
+        Telemetry.print_table ~title:"telemetry" ~omit_zero:true built;
+      0
   in
-  Cmd.v (Cmd.info "build" ~doc:"Build a SPINE index and save it.")
+  Cmd.v
+    (Cmd.info "build"
+       ~doc:"Build a SPINE index in memory and save it as a persistent \
+             index file, which every -i reader loads and `spine scrub` \
+             checks.")
     Term.(const run $ alphabet_arg $ fasta_arg $ synthetic_arg $ scale_arg
-          $ text_arg $ out $ backend $ stats_arg)
+          $ text_arg $ out $ stats_arg)
 
 (* --- query --- *)
 
@@ -211,9 +205,9 @@ let page_size_arg =
 let index_opt_arg =
   Arg.(value & opt (some string) None
        & info [ "index"; "i" ] ~docv:"FILE"
-           ~doc:"Existing index file: a snapshot (backend compact) or a \
-                 persistent index file (backend persistent). \
-                 Alternative to the input sources.")
+           ~doc:"Existing index file from spine build, loaded into \
+                 memory (backend compact) or opened in place (backend \
+                 persistent).  Alternative to the input sources.")
 
 (* The full engine-acquisition story shared by query, stats --space,
    explain and replay: an existing index file (--index, compact or
@@ -228,17 +222,16 @@ let acquire_engine ~alphabet ~fasta ~synthetic ~scale ~text ~seq_str ~backend
   | Some _, true ->
     Error "provide either --index or an input source, not both"
   | Some file, false ->
-    (match backend with
-     | `Compact -> Ok (Spine.Compact.engine (Spine.Serialize.of_file file), ignore)
-     | `Persistent ->
-       (try
-          let p = Spine.Persistent.open_ ~frames ~path:file () in
-          Ok (Spine.Persistent.engine p,
-              fun () -> Spine.Persistent.close p)
-        with Spine_error.Error e -> Error (Spine_error.to_string e))
-     | `Disk ->
-       Error "--backend disk builds from an input source \
-              (--text, --fasta, --synthetic, --seq), not --index")
+    (try
+       match backend with
+       | `Compact -> Ok (Spine.Compact.engine (load_compact file), ignore)
+       | `Persistent ->
+         let p = Spine.Persistent.open_ ~frames ~path:file () in
+         Ok (Spine.Persistent.engine p, fun () -> Spine.Persistent.close p)
+       | `Disk ->
+         Error "--backend disk builds from an input source \
+                (--text, --fasta, --synthetic, --seq), not --index"
+     with Spine_error.Error e -> Error ("spine: " ^ Spine_error.to_string e))
   | None, _ ->
     Result.map
       (engine_of_source ~backend ~frames ~page_size)
@@ -253,13 +246,6 @@ let query_cmd =
          & info [] ~docv:"PATTERN"
              ~doc:"Pattern(s) to search for; several patterns share one \
                    batched backbone scan.")
-  in
-  let index =
-    Arg.(value & opt (some string) None
-         & info [ "index"; "i" ] ~docv:"FILE"
-             ~doc:"Existing index file: a snapshot (backend compact) or \
-                   a persistent index file (backend persistent). \
-                   Alternative to the input sources.")
   in
   let limit =
     Arg.(value & opt int 20
@@ -332,8 +318,8 @@ let query_cmd =
        ~doc:"Find all occurrences of one or more patterns through any \
              storage backend (one batched backbone scan).")
     Term.(const run $ alphabet_arg $ fasta_arg $ synthetic_arg $ scale_arg
-          $ text_arg $ seq_literal_arg $ backend_arg $ index $ patterns
-          $ limit $ frames $ page_size $ stats_arg)
+          $ text_arg $ seq_literal_arg $ backend_arg $ index_opt_arg
+          $ patterns $ limit $ frames $ page_size $ stats_arg)
 
 (* --- stats --- *)
 
@@ -341,8 +327,8 @@ let stats_cmd =
   let index =
     Arg.(value & opt (some string) None
          & info [ "index"; "i" ] ~docv:"FILE"
-             ~doc:"Index file (a compact snapshot from spine build). \
-                   Required unless --space builds from an input source.")
+             ~doc:"Index file from spine build.  Required unless \
+                   --space builds from an input source.")
   in
   let space =
     Arg.(value & flag
@@ -388,7 +374,7 @@ let stats_cmd =
           0)
   in
   let structure_run index =
-    let idx = Spine.Serialize.of_file index in
+    let idx = load_compact index in
     let e = Spine.Compact.engine idx in
     let { Spine.Engine.vertebras; ribs; extribs; links } =
       Spine.Engine.edge_counts e
@@ -854,7 +840,7 @@ let match_cmd =
   in
   let run index query_file threshold stats =
     with_stats stats @@ fun () ->
-    let e = Spine.Compact.engine (Spine.Serialize.of_file index) in
+    let e = Spine.Compact.engine (load_compact index) in
     match Bioseq.Fasta.read_file (Spine.Engine.alphabet e) query_file with
     | [] -> prerr_endline "query FASTA contains no records"; 1
     | { Bioseq.Fasta.seq = query; _ } :: _ ->
@@ -879,8 +865,8 @@ let match_cmd =
   Cmd.v
     (Cmd.info "match"
        ~doc:"Find maximal matching substrings between index and query.")
-    Term.(const run $ index_arg ~doc:"Index file." $ query_file $ threshold
-          $ stats_arg)
+    Term.(const run $ index_arg ~doc:"Index file from spine build."
+          $ query_file $ threshold $ stats_arg)
 
 (* --- approx --- *)
 
@@ -896,14 +882,15 @@ let approx_cmd =
   let edit_flag =
     Arg.(value & flag
          & info [ "edit" ]
-             ~doc:"Use edit distance (insertions/deletions/substitutions)                    instead of mismatches only.")
+             ~doc:"Use edit distance (insertions/deletions/substitutions) \
+                   instead of mismatches only.")
   in
   let limit =
     Arg.(value & opt int 20
          & info [ "limit" ] ~docv:"N" ~doc:"Print at most N hits.")
   in
   let run index pattern errors edit_flag limit =
-    let idx = Spine.Serialize.of_file index in
+    let idx = load_compact index in
     let alphabet = Spine.Compact_store.alphabet idx in
     match
       Array.init (String.length pattern)
@@ -916,23 +903,21 @@ let approx_cmd =
         if edit_flag then Align.Approx.edit idx ~pattern:codes ~k:errors
         else Align.Approx.hamming idx ~pattern:codes ~k:errors
       in
-      Printf.printf "%d hit(s) within %d %s
-" (List.length hits) errors
+      Printf.printf "%d hit(s) within %d %s\n" (List.length hits) errors
         (if edit_flag then "edit(s)" else "mismatch(es)");
       List.iteri
         (fun i { Align.Approx.pos; errors; match_len } ->
           if i < limit then
-            Printf.printf "  position %d (%d error(s), %d chars)
-"
-              pos errors match_len)
+            Printf.printf "  position %d (%d error(s), %d chars)\n" pos
+              errors match_len)
         hits;
       0
   in
   Cmd.v
     (Cmd.info "approx"
        ~doc:"Approximate (k-mismatch / k-edit) pattern search.")
-    Term.(const run $ index_arg ~doc:"Index file." $ pattern $ errors
-          $ edit_flag $ limit)
+    Term.(const run $ index_arg ~doc:"Index file from spine build."
+          $ pattern $ errors $ edit_flag $ limit)
 
 (* --- align --- *)
 
@@ -961,20 +946,17 @@ let align_cmd =
        | { Bioseq.Fasta.seq = r; _ } :: _, { Bioseq.Fasta.seq = q; _ } :: _ ->
          let chained, summary = Align.align ~threshold r q in
          Printf.printf
-           "anchors %d  unique %d  chained %d  bases %d  coverage %.1f%%
-"
+           "anchors %d  unique %d  chained %d  bases %d  coverage %.1f%%\n"
            summary.Align.anchors summary.Align.unique summary.Align.chained
            summary.Align.chained_bases (100.0 *. summary.Align.coverage);
          List.iteri
            (fun i { Align.ref_pos; query_pos; len } ->
              if i < 25 then
-               Printf.printf "  ref %d..%d = query %d..%d (%d)
-" ref_pos
+               Printf.printf "  ref %d..%d = query %d..%d (%d)\n" ref_pos
                  (ref_pos + len - 1) query_pos (query_pos + len - 1) len)
            chained;
          if List.length chained > 25 then
-           Printf.printf "  ... (%d more segments)
-"
+           Printf.printf "  ... (%d more segments)\n"
              (List.length chained - 25);
          0)
   in
@@ -1310,7 +1292,7 @@ let scrub_cmd =
        ~doc:"Walk every page of a persistent index file, validate \
              checksums, epochs and metadata slots, and report damage \
              per region.")
-    Term.(const run $ index_arg ~doc:"Persistent index file."
+    Term.(const run $ index_arg ~doc:"Index file from spine build."
           $ page_size $ deep $ jsonl_out $ frames)
 
 (* --- scenario --- *)

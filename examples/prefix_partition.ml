@@ -2,7 +2,7 @@
    properties the paper highlights in Section 1: SPINE grows only at
    the tail, so (a) the index is usable after every appended character
    and (b) the index of a prefix is literally the initial fragment of
-   the index. Also demonstrates serialization round-trips.
+   the index. Also saves the index to a file and loads it back.
 
      dune exec examples/prefix_partition.exe
 *)
@@ -50,18 +50,19 @@ let () =
   (* a suffix tree cannot be truncated this way: node creation order is
      not logical order. SPINE's property falls out of tail-only growth. *)
 
-  (* serialization round-trip *)
+  (* persistence round-trip: the in-memory tables go to an index file
+     as page runs and load back as a page-by-page copy *)
   let tmp = Filename.temp_file "spine" ".idx" in
-  Spine.Serialize.to_file tmp idx;
-  let loaded = Spine.Compact.engine (Spine.Serialize.of_file tmp) in
+  Spine.Persistent.close (Spine.Persistent.of_compact ~path:tmp idx);
+  let loaded = Spine.Persistent.load ~path:tmp in
   let pat =
     Spine.Engine.pattern e
       (Array.init 10 (fun i -> Bioseq.Packed_seq.get stream (1000 + i)))
   in
-  Printf.printf "serialized to %s (%d bytes); reloaded index agrees on a \
-                 10-mer query: %b\n"
-    tmp (let ic = open_in_bin tmp in let n = in_channel_length ic in
-         close_in ic; n)
+  Printf.printf "saved to %s; the reloaded index (%.2f bytes/char) \
+                 agrees on a 10-mer query: %b\n"
+    tmp
+    (Spine.Compact_store.bytes_per_char loaded)
     (Spine.Engine.occurrences_pattern e pat
-     = Spine.Engine.occurrences_pattern loaded pat);
+     = Spine.Engine.occurrences_pattern (Spine.Compact.engine loaded) pat);
   Sys.remove tmp

@@ -282,7 +282,7 @@ let mismatch_pattern t ~pos (p : Pattern.t) ~ppos ~len =
    The packed row IS the serialized form: [used words] 64-bit
    little-endian words, each carrying [62 / width] codes in its low
    bits and zeros above (tail padding included).  No re-packing on
-   snapshot or page-out. *)
+   save, load or page-out. *)
 
 let used_words t =
   let cpw = chars_per_word t.width in

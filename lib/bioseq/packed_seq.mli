@@ -7,8 +7,8 @@
     word.  The scan paths compare whole words ({!mismatch},
     {!compare_span}: XOR plus count-trailing-zeros) and fall back to
     per-code reads only at span boundaries; {!packed_bits} is a raw
-    dump of the words, so snapshots and the persistent sequence region
-    store the row as-is with no re-packing.
+    dump of the words, so the persistent sequence region stores the
+    row as-is with no re-packing.
 
     The module is a checked unsafe boundary (spine-lint L11): {!get}
     and every span operation validate their bounds once at the edge,
@@ -106,7 +106,7 @@ val mismatch_pattern :
     row at the text's width on first use.
     @raise Invalid_argument if either span overruns. *)
 
-(** {2 Serialized form and space accounting} *)
+(** {2 Stored form and space accounting} *)
 
 val packed_bits : t -> Bytes.t
 (** The raw backing words of the used prefix, 8 bytes per word,

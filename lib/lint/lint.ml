@@ -77,7 +77,7 @@ let rule_doc = function
      library code; time through Xutil.Stopwatch's monotonic clock"
   | Bare_failwith ->
     "no bare failwith/Failure raises in the typed-error storage stack \
-     (lib/pagestore, lib/spine persistent/serialize); raise a typed \
+     (lib/pagestore, lib/spine/persistent.ml); raise a typed \
      Spine_error instead"
   | Shared_mutation ->
     "no write reachable from the engine's query surface may touch \
@@ -127,7 +127,7 @@ let mli_prefixes = [ "lib/spine/"; "lib/pagestore/" ]
 
 (* the storage vertical that raises typed Spine_error values *)
 let typed_error_prefixes =
-  [ "lib/pagestore/"; "lib/spine/persistent.ml"; "lib/spine/serialize.ml" ]
+  [ "lib/pagestore/"; "lib/spine/persistent.ml" ]
 
 let starts_with_any prefixes file =
   List.exists (fun p -> String.starts_with ~prefix:p file) prefixes

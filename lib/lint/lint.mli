@@ -44,8 +44,8 @@ type rule =
           clock. *)
   | Bare_failwith
       (** L8: no bare [failwith]/[Failure] raises in the typed-error
-          storage stack ([lib/pagestore], [lib/spine/persistent.ml],
-          [lib/spine/serialize.ml]); failures there are typed
+          storage stack ([lib/pagestore] and
+          [lib/spine/persistent.ml]); failures there are typed
           [Spine_error.Error] values. *)
   | Shared_mutation
       (** L9: no write reachable from the engine's query surface

@@ -49,6 +49,7 @@ type t = {
   mutable epoch : int;            (* stamp applied to outgoing pages *)
   mutable max_valid_epoch : int;  (* committed ceiling; -1 = no check *)
   mutable region_of : int -> string;
+  mutable committed : int -> bool;  (* pages that must have been written *)
   mutable hooks : hooks option;
   mutable allocated : int;      (* distinct pages written (file backend) *)
   written : unit Xutil.Int_tbl.t;
@@ -65,6 +66,7 @@ let make ?(cost = default_cost) ?(sync_writes = false) ?(checksums = false)
   { page_size; cost; sync_writes; checksums; backend;
     epoch = 1; max_valid_epoch = -1;
     region_of = (fun _ -> "data");
+    committed = (fun _ -> false);
     hooks = None;
     allocated = 0;
     written = Xutil.Int_tbl.create 1024;
@@ -73,9 +75,13 @@ let make ?(cost = default_cost) ?(sync_writes = false) ?(checksums = false)
 let create ?cost ?sync_writes ?checksums ~page_size () =
   make ?cost ?sync_writes ?checksums ~page_size (Mem (Xutil.Int_tbl.create 1024))
 
-let create_file ?cost ?sync_writes ?checksums ~page_size ~path () =
+let create_file ?cost ?sync_writes ?checksums ?(read_only = false) ~page_size
+    ~path () =
+  let flags =
+    if read_only then [ Unix.O_RDONLY ] else [ Unix.O_RDWR; Unix.O_CREAT ]
+  in
   let fd =
-    try Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
+    try Unix.openfile path flags 0o644
     with Unix.Unix_error (err, _, _) ->
       Spine_error.io_failed ~op:Spine_error.Read "%s: %s" path
         (Unix.error_message err)
@@ -96,6 +102,7 @@ let set_epoch t e = t.epoch <- e
 let max_valid_epoch t = t.max_valid_epoch
 let set_max_valid_epoch t e = t.max_valid_epoch <- e
 let set_region_namer t f = t.region_of <- f
+let set_committed t f = t.committed <- f
 let set_hooks t h = t.hooks <- h
 let hooks t = t.hooks
 
@@ -202,11 +209,14 @@ let all_zero b lo hi =
 
 (* Classify a physical slot without raising: shared by [read] (which
    turns damage into typed errors) and the scrub walk (which reports). *)
-let inspect t phys =
+let inspect t page phys =
   let ps = t.page_size in
   if all_zero phys ps (ps + trailer_bytes) then
-    if all_zero phys 0 ps then `Unwritten
-    else `Damaged "nonzero data in a page with no trailer"
+    if not (all_zero phys 0 ps) then
+      `Damaged "nonzero data in a page with no trailer"
+    else if t.committed page then
+      `Damaged "never written, inside committed data (a hole or a cut file)"
+    else `Unwritten
   else begin
     let magic = get_u32 phys ps in
     let e = get_u32 phys (ps + 4) in
@@ -221,7 +231,7 @@ let inspect t phys =
   end
 
 let unseal t page phys =
-  match inspect t phys with
+  match inspect t page phys with
   | `Unwritten | `Ok _ -> Bytes.sub phys 0 t.page_size
   | `Damaged detail ->
     Telemetry.incr c_crc_errors;
@@ -369,7 +379,7 @@ let read_slot_any t page =
   if not t.checksums then `Invalid
   else begin
     let phys = raw_slot t page in
-    match inspect t phys with
+    match inspect t page phys with
     | `Ok e | `Stale e -> `Valid (Bytes.sub phys 0 t.page_size, e)
     | `Unwritten | `Damaged _ -> `Invalid
   end
@@ -387,7 +397,7 @@ let physical_pages t =
 let verify_page t page =
   if not t.checksums then `Ok 0
   else
-    match inspect t (read_phys t page) with
+    match inspect t page (read_phys t page) with
     | `Unwritten -> `Unwritten
     | `Ok e -> `Ok e
     | `Stale e -> `Stale e
@@ -409,3 +419,4 @@ let stats (t : t) =
     sequential = t.sequential; elapsed_us = t.elapsed_us }
 
 let pages_allocated t = Xutil.Int_tbl.length t.written
+let written t page = Xutil.Int_tbl.mem t.written page

@@ -26,7 +26,8 @@
     bit, a torn sector, or debris from a crashed session (a page whose
     epoch exceeds the committed ceiling, see {!set_max_valid_epoch}) is
     detected instead of silently decoded.  A never-written slot reads
-    as zeroes, exactly like the unchecksummed device.
+    as zeroes, exactly like the unchecksummed device, unless
+    {!set_committed} names it.
 
     {2 Fault injection}
 
@@ -55,8 +56,8 @@ val create :
     and [checksums] default to [false]. *)
 
 val create_file :
-  ?cost:cost -> ?sync_writes:bool -> ?checksums:bool -> page_size:int ->
-  path:string -> unit -> t
+  ?cost:cost -> ?sync_writes:bool -> ?checksums:bool -> ?read_only:bool ->
+  page_size:int -> path:string -> unit -> t
 (** A device backed by a real file (created if absent, reopened
     otherwise): page [p] lives at byte offset [p * slot] where [slot]
     is [page_size] plus the 16-byte trailer when [checksums] is set.
@@ -64,6 +65,8 @@ val create_file :
     testbed regardless of the actual storage — but the data is durable,
     which is what {!Spine.Persistent} builds on.  Page ids must stay
     below 2^40 (sparse files handle the gaps).
+    With [read_only] (default [false]) the file is opened for reading
+    only and must exist; a write then fails with [Io_failed].
     @raise Spine_error.Error ([Io_failed]) if the file cannot be
     opened. *)
 
@@ -81,8 +84,8 @@ val read : t -> int -> Bytes.t
 (** [read dev p] returns a copy of page [p]'s contents (zero-filled if
     never written). Counts one read.
     @raise Spine_error.Error ([Corrupt]) when checksums are enabled and
-    the slot fails validation; ([Io_failed]) on an OS error or an
-    injected read fault. *)
+    the slot fails validation or is a committed page never written;
+    ([Io_failed]) on an OS error or an injected read fault. *)
 
 val write : t -> int -> Bytes.t -> unit
 (** [write dev p data] stores a copy of [data] as page [p] (sealed with
@@ -125,6 +128,13 @@ val set_max_valid_epoch : t -> int -> unit
 val set_region_namer : t -> (int -> string) -> unit
 (** Name the on-disk region a page belongs to ("lt", "seq", …) for
     [Corrupt] error payloads and scrub reports. Default: ["data"]. *)
+
+val set_committed : t -> (int -> bool) -> unit
+(** Name the pages that hold committed data, and so were written
+    (default: none).  A never-written slot among them is damage, not a
+    hole: {!read} raises [Corrupt] for it instead of returning zeroes,
+    and {!verify_page} reports it [`Damaged] — a file cut short or
+    holed inside its data fails loudly. *)
 
 (** {2 Fault hooks} *)
 
@@ -204,3 +214,6 @@ val reset_stats : t -> unit
 
 val pages_allocated : t -> int
 (** Number of distinct pages ever written. *)
+
+val written : t -> int -> bool
+(** Whether page [p] was written through this device. *)

@@ -15,7 +15,7 @@
 type t = Compact_store.t
 (** Transparently the underlying store: its Section 5 space accounting
     ({!Compact_store.space}, {!Compact_store.bytes_per_char}) applies
-    directly, as do {!Serialize} and {!Validate}. *)
+    directly, as do {!Validate} and {!Persistent.of_compact}. *)
 
 val engine : t -> Engine.t
 (** Pack as an engine (backend "compact").  Build once

@@ -83,13 +83,14 @@ module Btab = struct
   }
 
   let create capacity = { data = Bytes.make (max capacity 8) '\000'; len = 0 }
+  let of_bytes data = { data; len = Bytes.length data }
 
   let used t = t.len
 
   let ensure t extra =
     let needed = t.len + extra in
     if needed > Bytes.length t.data then begin
-      let cap = ref (Bytes.length t.data) in
+      let cap = ref (max 8 (Bytes.length t.data)) in
       while !cap < needed do cap := !cap * 2 done;
       let ndata = Bytes.make !cap '\000' in
       Bytes.blit t.data 0 ndata 0 t.len;

@@ -80,6 +80,10 @@ module Btab : sig
   val create : int -> t
   (** [create capacity] allocates an empty table (capacity is a size
       hint). *)
+
+  val of_bytes : Bytes.t -> t
+  (** [of_bytes b] is a table whose used bytes are [b], taken over
+      without a copy: how {!Persistent.to_compact} loads a region. *)
 end
 
 val lt_entry_bytes : int
@@ -117,9 +121,9 @@ type space = {
 }
 
 (** The store logic, written once over {!BYTES}.  The state record is
-    exposed so {!Persistent} can serialize the side tables and
-    per-table counters; treat the fields as read-only outside this
-    module and {!Persistent}. *)
+    exposed so {!Persistent} can log the side tables, record the
+    per-table counters and copy the tables to and from its file; treat
+    the fields as read-only outside this module and {!Persistent}. *)
 module Core (B : BYTES) : sig
   type t = {
     seq : Bioseq.Packed_seq.t;

@@ -161,10 +161,10 @@ let check_open t =
   if t.closed then Spine_error.raise_error (Spine_error.Closed "persistent index")
 
 let make_pool ?(frames = 256) ?(page_size = 4096) ?(pin_top_lt_pages = 0)
-    ~path ~truncate () =
+    ?read_only ~path ~truncate () =
   if truncate && Sys.file_exists path then Sys.remove path;
   let device =
-    Pagestore.Device.create_file ~checksums:true ~page_size ~path ()
+    Pagestore.Device.create_file ~checksums:true ?read_only ~page_size ~path ()
   in
   Pagestore.Device.set_region_namer device region_name;
   (match Pagestore.Fault_device.of_env () with
@@ -191,19 +191,47 @@ let seq_table pool ~used = region_table pool seq_row ~name:seq_row.name ~used
 let side_table pool ~half ~used =
   region_table pool (side_row half) ~name:side_log_name ~used
 
+(* The used bytes of a paged table, copied a page at a time: one latch,
+   and on a miss one checked device read, per page. *)
+let table_bytes ~page_size tab =
+  let used = Paged_bytes.used tab in
+  let out = Bytes.create used in
+  let off = ref 0 in
+  while !off < used do
+    let len = min page_size (used - !off) in
+    Paged_bytes.read_record tab ~off:!off ~len (fun b pos ->
+        Bytes.blit b pos out !off len);
+    off := !off + len
+  done;
+  out
+
+(* Whether a layout is the separator one of {!Compact_store.layout_of}. *)
+let separator_layout lo alphabet =
+  lo.Compact_store.top_code = Bioseq.Alphabet.size alphabet
+
 (* --- byte helpers over raw pages --- *)
 
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
 let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
-(* Direct device writes (metadata and journal bypass the pool): [bytes]
-   as consecutive pages from [page] on, in device runs under the pool's
-   own transient-I/O retry loop — same attempts, same deadline checks,
-   same [pool.io_retries] accounting. *)
-let dev_write_pages device page bytes =
+(* Direct device writes (metadata, journal and {!of_compact}'s tables
+   bypass the pool): [len] bytes of [src] from [pos] on as consecutive
+   pages from [page] on, the last page's tail zeroed as a fresh page
+   is, in device runs under the pool's own transient-I/O retry loop —
+   same attempts, same deadline checks, same [pool.io_retries]
+   accounting.  Only one run's pages are copied at a time. *)
+let dev_write_pages ?(pos = 0) ?len device page src =
+  let len = Option.value len ~default:(Bytes.length src - pos) in
   let ps = Pagestore.Device.page_size device in
-  Pagestore.Buffer_pool.write_run device page
-    (Array.init (Bytes.length bytes / ps) (fun k -> Bytes.sub bytes (k * ps) ps))
+  Pagestore.Buffer_pool.iter_runs ((len + ps - 1) / ps)
+    ~page:(fun k -> page + k)
+    (fun i n ->
+      Pagestore.Buffer_pool.write_run device (page + i)
+        (Array.init n (fun k ->
+             let off = (i + k) * ps in
+             let b = Bytes.make ps '\000' in
+             Bytes.blit src (pos + off) b 0 (min ps (len - off));
+             b)))
 
 (* --- preimage journal ---
 
@@ -242,12 +270,24 @@ let dev_write_pages device page bytes =
    captures pages while the disk is in committed-or-journaled state),
    so rollback is idempotent across repeated crashes. *)
 
-let committed j page =
+(* whether [page] lies in its region's committed prefix, [prefix]
+   giving each region's in pages *)
+let in_prefix prefix page =
   let i = region_index page in
-  i >= 0 && page - (List.nth regions i).first < j.j_committed.(i)
+  i >= 0 && page - (List.nth regions i).first < prefix.(i)
+
+(* per region, the pages under [used table] bytes (0 unless journaled) *)
+let prefix_pages ~page_size used =
+  Array.of_list
+    (List.map
+       (fun r ->
+         match r.table with
+         | Some table -> (used table + page_size - 1) / page_size
+         | None -> 0)
+       regions)
 
 let needs_capture j page =
-  committed j page && not (Xutil.Int_tbl.mem j.j_journaled page)
+  in_prefix j.j_committed page && not (Xutil.Int_tbl.mem j.j_journaled page)
 
 (* Capture the preimages of [pages] (ascending; those that need it) as
    the next journal entries: one raw read per stretch of consecutive
@@ -297,49 +337,54 @@ let journal_capture j pages =
    invalid or obsolete entry — a capture batch is on disk before any of
    its targets is overwritten, so nothing past that point ever
    clobbered a committed page that is not also covered earlier. *)
-let journal_rollback device ~ceiling =
+(* Entry [i] when it is live (every page at one epoch beyond
+   [ceiling]) and whole: its target page and the preimage slot. *)
+let journal_entry device ~ceiling i =
   let page_size = Pagestore.Device.page_size device in
   let hdr_pages = journal_header_pages device in
-  let per = hdr_pages + 1 in
-  let restored = ref 0 in
-  (* the entry's pages at one epoch beyond the ceiling, or [None] *)
-  let entry base =
-    let pages =
-      List.init per (fun k -> Pagestore.Device.read_slot_any device (base + k))
-    in
-    match pages with
-    | `Valid (_, e) :: _
-      when e > ceiling
-           && List.for_all
-                (function `Valid (_, e') -> e' = e | `Invalid -> false)
-                pages ->
-      Some
-        (Bytes.concat Bytes.empty
-           (List.map (function `Valid (b, _) -> b | `Invalid -> Bytes.empty)
-              pages))
-    | _ -> None
+  let base = journal_base + (i * entry_pages device) in
+  let pages =
+    List.init (hdr_pages + 1) (fun k ->
+        Pagestore.Device.read_slot_any device (base + k))
   in
-  (try
-     for i = 0 to journal_entries device - 1 do
-       match entry (journal_base + (i * per)) with
-       | Some b
-         when String.equal (Bytes.sub_string b 0 4) journal_magic
-              && get_u32 b 4 = i
-              && Xutil.Crc32c.digest b ~pos:(hdr_pages * page_size)
-                   ~len:page_size
-                 = get_u32 b 32 ->
-         let target = get_u32 b 8 lor (get_u32 b 12 lsl 32) in
-         let phys = Bytes.make (Pagestore.Device.phys_size device) '\000' in
-         Bytes.blit b (hdr_pages * page_size) phys 0 page_size;
-         Bytes.blit b 16 phys page_size
-           (Pagestore.Device.phys_size device - page_size);
-         Pagestore.Device.write_raw_slot device target phys;
-         incr restored;
-         Telemetry.incr c_journal_restored
-       | _ -> raise Exit
-     done
-   with Exit -> ());
-  !restored
+  match pages with
+  | `Valid (_, e) :: _
+    when e > ceiling
+         && List.for_all
+              (function `Valid (_, e') -> e' = e | `Invalid -> false)
+              pages ->
+    let b =
+      Bytes.concat Bytes.empty
+        (List.map (function `Valid (b, _) -> b | `Invalid -> Bytes.empty)
+           pages)
+    in
+    if
+      String.equal (Bytes.sub_string b 0 4) journal_magic
+      && get_u32 b 4 = i
+      && Xutil.Crc32c.digest b ~pos:(hdr_pages * page_size) ~len:page_size
+         = get_u32 b 32
+    then begin
+      let phys = Bytes.make (Pagestore.Device.phys_size device) '\000' in
+      Bytes.blit b (hdr_pages * page_size) phys 0 page_size;
+      Bytes.blit b 16 phys page_size
+        (Pagestore.Device.phys_size device - page_size);
+      Some (get_u32 b 8 lor (get_u32 b 12 lsl 32), phys)
+    end
+    else None
+  | _ -> None
+
+let journal_rollback device ~ceiling =
+  let rec go i =
+    if i >= journal_entries device then i
+    else
+      match journal_entry device ~ceiling i with
+      | Some (target, phys) ->
+        Pagestore.Device.write_raw_slot device target phys;
+        Telemetry.incr c_journal_restored;
+        go (i + 1)
+      | None -> i
+  in
+  go 0
 
 (* --- epoch-declaration page --- *)
 
@@ -366,7 +411,8 @@ let read_epoch_decl device =
      +8   u32 generation
      +12  u32 commit epoch: every data page of this generation is
               stamped with an epoch <= this
-     +16  u32 flags (bit 0 = written by a clean close)
+     +16  u32 flags (bit 0 = written by a clean close, bit 1 = the
+              store has the separator layout of a multi-string index)
      +20  u32 payload length
      +24  u32 CRC-32C of the payload
      +28  u32 page size (version 5; versions 3 and 4 are 4096)
@@ -404,11 +450,12 @@ type slot_meta = {
   sm_generation : int;
   sm_commit_epoch : int;
   sm_clean : bool;
+  sm_separator : bool;
   sm_version : int;
   sm_payload : Bytes.t;
 }
 
-let slot_image device ~generation ~commit_epoch ~clean payload =
+let slot_image device ~generation ~commit_epoch ~flags payload =
   let page_size = Pagestore.Device.page_size device in
   let hdr = header_bytes meta_version in
   let total = hdr + Bytes.length payload in
@@ -422,22 +469,22 @@ let slot_image device ~generation ~commit_epoch ~clean payload =
   set_u32 all 4 meta_version;
   set_u32 all 8 generation;
   set_u32 all 12 commit_epoch;
-  set_u32 all 16 (if clean then 1 else 0);
+  set_u32 all 16 flags;
   set_u32 all 20 (Bytes.length payload);
   set_u32 all 24 (Xutil.Crc32c.bytes payload);
   set_u32 all 28 page_size;
   Bytes.blit payload 0 all hdr (Bytes.length payload);
   all
 
-let write_slot device ~generation ~commit_epoch ~clean payload =
+let write_slot device ~generation ~commit_epoch ~flags payload =
   dev_write_pages device
     (slot_base (generation land 1))
-    (slot_image device ~generation ~commit_epoch ~clean payload)
+    (slot_image device ~generation ~commit_epoch ~flags payload)
 
 (* the page-size stamp in slot A (see the slot layout above) *)
 let write_page_size_stamp device =
   dev_write_pages device (slot_base 0)
-    (slot_image device ~generation:0 ~commit_epoch:0 ~clean:false Bytes.empty)
+    (slot_image device ~generation:0 ~commit_epoch:0 ~flags:0 Bytes.empty)
 
 (* the first [n] bytes of slot [slot], read page by page *)
 let slot_bytes device slot n =
@@ -487,7 +534,8 @@ let read_slot device slot =
           Error "metadata payload checksum mismatch"
         else
           Ok { sm_generation = generation; sm_commit_epoch = commit_epoch;
-               sm_clean = flags land 1 = 1; sm_version = version;
+               sm_clean = flags land 1 = 1;
+               sm_separator = flags land 2 = 2; sm_version = version;
                sm_payload = payload }
       end
     end
@@ -610,13 +658,8 @@ let journal_commit_window t =
   Xutil.Int_tbl.reset j.j_journaled;
   j.j_next <- 0;
   let page_size = Pagestore.Device.page_size t.device in
-  List.iteri
-    (fun i r ->
-      Option.iter
-        (fun table ->
-          j.j_committed.(i) <- (used_bytes t table + page_size - 1) / page_size)
-        r.table)
-    regions;
+  let prefix = prefix_pages ~page_size (used_bytes t) in
+  Array.blit prefix 0 j.j_committed 0 (Array.length prefix);
   t.committed_half <- t.side_half
 
 (* --- the side log --- *)
@@ -639,8 +682,7 @@ let put_side_record tab table key v =
    committed log as it was.  A second compaction before that commit
    rewrites the same half again.  Tables larger than a half fail typed
    ([Region_full] naming "side"). *)
-let compact_side t =
-  let half = 1 - t.committed_half in
+let write_side_log t ~half =
   let tab = side_table t.pool ~half ~used:0 in
   t.side_tab <- tab;
   t.side_half <- half;
@@ -650,6 +692,8 @@ let compact_side t =
   Xutil.Int_tbl.iter
     (fun k v -> put_side_record tab Compact_store.Anchors k v)
     t.core.P.anchors
+
+let compact_side t = write_side_log t ~half:(1 - t.committed_half)
 
 (* The store's side-table hook: append the change, or, when the log's
    half is full, compact it (the tables already hold the change).  A
@@ -687,6 +731,121 @@ let replay_side tab ~half ~page_size ~records =
     else Xutil.Int_tbl.replace table key v
   done;
   (overflow, anchors)
+
+(* --- the committed state a metadata slot records --- *)
+
+type payload = {
+  alphabet : Bioseq.Alphabet.t;
+  length : int;
+  width : int;  (* the sequence region's cell width *)
+  rt_used : int array;
+  freelist : int array;
+  live_rows : int array;
+  migrations : int;
+  side_log : int;  (* committed side-log records *)
+  side_half : int;
+  legacy_tables : (int Xutil.Int_tbl.t * int Xutil.Int_tbl.t) option;
+      (* the overflow and anchor tables a version 3 or 4 slot carries *)
+}
+
+let parse_payload ~page_size m =
+  let data = m.sm_payload in
+  let page = slot_base (m.sm_generation land 1) in
+  let pos = ref 0 in
+  let truncated () =
+    Spine_error.corrupt ~region:"meta" ~page
+      "metadata payload truncated at byte %d" !pos
+  in
+  let u8 () =
+    if !pos >= Bytes.length data then truncated ();
+    let v = Char.code (Bytes.get data !pos) in
+    incr pos;
+    v
+  in
+  let u32 () =
+    let v = ref 0 in
+    for k = 0 to 3 do v := !v lor (u8 () lsl (8 * k)) done;
+    !v
+  in
+  let str n =
+    if n < 0 || !pos + n > Bytes.length data then truncated ();
+    let s = Bytes.sub_string data !pos n in
+    pos := !pos + n;
+    s
+  in
+  let symbols = str (u32 ()) in
+  let alphabet =
+    match
+      List.find_opt
+        (fun a ->
+          String.equal
+            (String.init (Bioseq.Alphabet.size a)
+               (fun c -> Bioseq.Alphabet.decode a c))
+            symbols)
+        [ Bioseq.Alphabet.dna; Bioseq.Alphabet.protein; Bioseq.Alphabet.byte ]
+    with
+    | Some a -> a
+    | None -> Bioseq.Alphabet.make symbols
+  in
+  let length = u32 () in
+  let width = u32 () in
+  if width <> 2 && width <> 4 && width <> 8 then
+    Spine_error.corrupt ~region:"meta" ~page
+      "implausible sequence cell width %d" width;
+  let rt_used = Array.make 4 0 in
+  let freelist = Array.make 4 0 in
+  let live_rows = Array.make 4 0 in
+  for table = 0 to 3 do
+    rt_used.(table) <- u32 ();
+    freelist.(table) <- u32 ();
+    live_rows.(table) <- u32 ()
+  done;
+  let migrations = u32 () in
+  (* version 5 names the log's committed records and its half;
+     versions 3 and 4 carry the side tables themselves *)
+  let side_log, side_half, legacy_tables =
+    if m.sm_version >= 5 then begin
+      let records = u32 () in
+      (records, u32 (), None)
+    end
+    else begin
+      let entries () =
+        let tbl = Xutil.Int_tbl.create 16 in
+        for _ = 1 to u32 () do
+          let k = u32 () in
+          Xutil.Int_tbl.replace tbl k (u32 ())
+        done;
+        tbl
+      in
+      let overflow = entries () in
+      let anchors = entries () in
+      if m.sm_version >= 4 then
+        for _ = 1 to u32 () do
+          let lo = u32 () in
+          let k = lo lor (u32 () lsl 32) in
+          Xutil.Int_tbl.replace overflow k (u32 ())
+        done;
+      (0, 0, Some (overflow, anchors))
+    end
+  in
+  if side_half > 1 || side_log * side_record_bytes > side_half_span * page_size
+  then
+    Spine_error.corrupt ~region:"meta" ~page
+      "implausible side log (%d records in half %d)" side_log side_half;
+  { alphabet; length; width; rt_used; freelist; live_rows; migrations;
+    side_log; side_half; legacy_tables }
+
+let seq_bytes p =
+  let cpw = 62 / p.width in
+  (p.length + cpw - 1) / cpw * 8
+
+(* the bytes [table] uses at the commit [p] records *)
+let committed_bytes p = function
+  | Lt -> (p.length + 1) * Compact_store.lt_entry_bytes
+  | Rt i -> p.rt_used.(i)
+  | Seq -> seq_bytes p
+  | Side half ->
+    if half = p.side_half then p.side_log * side_record_bytes else 0
 
 (* --- recovery and the region walk --- *)
 
@@ -739,11 +898,13 @@ type region_report = {
    instead of walking a gigabyte of sparse address space per region. *)
 let hole_run_limit = 64
 
-(* Classify the pages of region [r] from its page [from] on. *)
-let scan_region ?(from = 0) device r =
+(* Classify the pages of region [r] from its page [from] on: those the
+   file covers, and the first [committed] pages of the region even when
+   the file is cut short. *)
+let scan_region ?(from = 0) ?(committed = 0) device r =
   let base = r.first + from in
   let cap = Pagestore.Device.physical_pages device in
-  let limit = min (r.span - from) (max 0 (cap - base)) in
+  let limit = min (r.span - from) (max (cap - base) (committed - from)) in
   let ok = ref 0 and unwritten = ref 0 in
   let damaged = ref [] and stale = ref [] in
   let holes = ref 0 in
@@ -799,10 +960,14 @@ let make_t ~core ~seq_tab ~side_tab ~side_half ~device ~pool ~path ~width
   in
   Pagestore.Buffer_pool.set_writeback_hook pool
     (Some (fun page -> journal_capture journal [| page |]));
+  (* every committed page was written: a hole among them is damage *)
+  Pagestore.Device.set_committed device (in_prefix journal.j_committed);
   P.set_side_hook core (log_side t);
   t
 
-let create ?frames ?page_size ?pin_top_lt_pages ~path alphabet =
+(* A new file holding no generation yet: the page-size stamp, and
+   epoch 1 declared before any data write carries it. *)
+let new_file ?frames ?page_size ?pin_top_lt_pages ~path () =
   let device, pool =
     make_pool ?frames ?page_size ?pin_top_lt_pages ~path ~truncate:true ()
   in
@@ -811,13 +976,86 @@ let create ?frames ?page_size ?pin_top_lt_pages ~path alphabet =
   write_page_size_stamp device;
   Pagestore.Device.set_epoch device 1;
   Pagestore.Device.set_max_valid_epoch device 0;
-  (* declare epoch 1 before any data write carries it *)
   write_epoch_decl device 1;
+  (device, pool)
+
+let create ?frames ?page_size ?pin_top_lt_pages ~path alphabet =
+  let device, pool = new_file ?frames ?page_size ?pin_top_lt_pages ~path () in
   let core = Paged_store.create pool alphabet in
   make_t ~core ~seq_tab:(seq_table pool ~used:0)
     ~side_tab:(side_table pool ~half:0 ~used:0) ~side_half:0 ~device ~pool
     ~path
     ~width:(Bioseq.Packed_seq.width (P.sequence core)) ~generation:0
+
+(* The Section 5 tables of an in-memory index go to the device as
+   sequential page runs, bypassing the pool, which holds none of their
+   pages; the side log goes through the pool into half 0.  Nothing is
+   committed yet, so nothing is journaled, and the first flush or close
+   writes generation 1. *)
+let of_compact ~path (c : Compact.t) =
+  let module C = Compact_store in
+  let device, pool = new_file ~path () in
+  let ps = Pagestore.Device.page_size device in
+  let seq = Bioseq.Packed_seq.copy c.C.seq in
+  let used tab = C.Btab.used tab in
+  let write r src ~pos ~len =
+    if len > r.span * ps then
+      Spine_error.raise_error
+        (Spine_error.Region_full { region = r.name; capacity = r.span * ps });
+    dev_write_pages device r.first src ~pos ~len
+  in
+  let write_tab r tab =
+    C.Btab.read_record tab ~off:0 ~len:(used tab) (fun b pos ->
+        write r b ~pos ~len:(used tab))
+  in
+  List.iter
+    (fun r ->
+      match r.table with
+      | Some Lt -> write_tab r c.C.lt
+      | Some (Rt i) -> write_tab r c.C.rts.(i)
+      | Some Seq ->
+        let bits = Bioseq.Packed_seq.packed_bits seq in
+        write r bits ~pos:0 ~len:(Bytes.length bits)
+      | Some (Side _) | None -> ())
+    regions;
+  let lt, rts =
+    Paged_store.tables pool ~lt_used:(used c.C.lt)
+      ~rt_used:(Array.map used c.C.rts)
+  in
+  let core =
+    P.make ~freelist:(Array.copy c.C.freelist)
+      ~live_rows:(Array.copy c.C.live_rows)
+      ~overflow:(Xutil.Int_tbl.copy c.C.overflow)
+      ~anchors:(Xutil.Int_tbl.copy c.C.anchors) ~migrations:c.C.migrations
+      ~separator:(separator_layout c.C.lo (C.alphabet c))
+      ~seq ~lt ~rts (C.alphabet c)
+  in
+  let t =
+    make_t ~core
+      ~seq_tab:(seq_table pool ~used:(Bioseq.Packed_seq.packed_byte_length seq))
+      ~side_tab:(side_table pool ~half:0 ~used:0) ~side_half:0 ~device ~pool
+      ~path ~width:(Bioseq.Packed_seq.width seq) ~generation:0
+  in
+  write_side_log t ~half:0;
+  t
+
+(* Every page a commit takes into a table's committed prefix must be
+   on the file, so that a hole there reads as damage.  A page no write
+   reached (the untouched tail of a table's last row) goes out as a
+   sealed zero page, which it reads as.  Pages of the old prefix are
+   on the file already, and those above it that are, this session
+   wrote: a crashed session's debris there was erased on reopen. *)
+let fill_prefix t =
+  let page_size = Pagestore.Device.page_size t.device in
+  let fresh = prefix_pages ~page_size (used_bytes t) in
+  let zero = Bytes.make page_size '\000' in
+  List.iteri
+    (fun i r ->
+      for k = t.journal.j_committed.(i) to fresh.(i) - 1 do
+        if not (Pagestore.Device.written t.device (r.first + k)) then
+          dev_write_pages t.device (r.first + k) zero
+      done)
+    regions
 
 (* Commit protocol: data pages first, then the new metadata generation
    into the inactive slot, then raise the committed-epoch ceiling and
@@ -837,9 +1075,14 @@ let flush_internal t ~clean =
       then compact_side t;
       journal_capture t.journal (Pagestore.Buffer_pool.dirty_pages t.pool);
       Pagestore.Buffer_pool.flush t.pool;
+      fill_prefix t;
       let e = Pagestore.Device.epoch t.device in
       let gen = t.generation + 1 in
-      write_slot t.device ~generation:gen ~commit_epoch:e ~clean
+      let flags =
+        (if clean then 1 else 0)
+        lor if separator_layout t.core.P.lo (P.alphabet t.core) then 2 else 0
+      in
+      write_slot t.device ~generation:gen ~commit_epoch:e ~flags
         (payload_bytes t);
       (* the slot write is the commit point; bump the in-memory
          generation only once it is durable, so a failed attempt leaves
@@ -864,14 +1107,19 @@ let close t =
   t.closed <- true;
   Pagestore.Device.close t.device
 
-let open_ ?frames ?pin_top_lt_pages ~path () =
+(* Reopen [path] at its newest committed generation.  A [read_only]
+   open writes nothing: no epoch declaration, no journal rollback (a
+   file that needs one is refused) and no debris erase; it serves
+   {!load}, which closes it without a commit. *)
+let attach ~read_only ?frames ?pin_top_lt_pages ~path () =
   Telemetry.with_span s_open @@ fun () ->
   if not (Sys.file_exists path) then
     Spine_error.io_failed ~op:Spine_error.Read "Persistent.open_: %s does not exist"
       path;
   let page_size = recorded_page_size path in
   let device, pool =
-    make_pool ?frames ?page_size ?pin_top_lt_pages ~path ~truncate:false ()
+    make_pool ?frames ?page_size ?pin_top_lt_pages ~read_only ~path
+      ~truncate:false ()
   in
   let page_size = Pagestore.Device.page_size device in
   try
@@ -888,151 +1136,81 @@ let open_ ?frames ?pin_top_lt_pages ~path () =
                  Printf.sprintf "no recoverable metadata (slot A: %s; slot B: %s)"
                    (reason slots.(0)) (reason slots.(1)) })
     in
-    (* declare the fresh epoch before any write carries it *)
-    write_epoch_decl device (Pagestore.Device.epoch device);
-    (* undo the in-place overwrites a crashed session performed on
-       committed pages after its last commit: every journal entry
-       stamped beyond the recovered commit epoch holds the committed
-       preimage of its target, so restoring them puts the flushed
-       generation back on disk byte for byte *)
-    let (_restored : int) =
-      journal_rollback device ~ceiling:m.sm_commit_epoch
-    in
-    (* parse the payload *)
-    let data = m.sm_payload in
-    let pos = ref 0 in
-    let truncated () =
-      Spine_error.corrupt ~region:"meta" ~page:(slot_base (m.sm_generation land 1))
-        "metadata payload truncated at byte %d" !pos
-    in
-    let u8 () =
-      if !pos >= Bytes.length data then truncated ();
-      let v = Char.code (Bytes.get data !pos) in
-      incr pos;
-      v
-    in
-    let u32 () =
-      let v = ref 0 in
-      for k = 0 to 3 do v := !v lor (u8 () lsl (8 * k)) done;
-      !v
-    in
-    let str n =
-      if n < 0 || !pos + n > Bytes.length data then truncated ();
-      let s = Bytes.sub_string data !pos n in
-      pos := !pos + n;
-      s
-    in
-    let symbols = str (u32 ()) in
-    let alphabet =
-      match
-        List.find_opt
-          (fun a ->
-            String.equal
-              (String.init (Bioseq.Alphabet.size a)
-                 (fun c -> Bioseq.Alphabet.decode a c))
-              symbols)
-          [ Bioseq.Alphabet.dna; Bioseq.Alphabet.protein; Bioseq.Alphabet.byte ]
-      with
-      | Some a -> a
-      | None -> Bioseq.Alphabet.make symbols
-    in
-    let n = u32 () in
-    let width = u32 () in
-    if width <> 2 && width <> 4 && width <> 8 then
-      Spine_error.corrupt ~region:"meta"
-        ~page:(slot_base (m.sm_generation land 1))
-        "implausible sequence cell width %d" width;
-    let seq_bytes =
-      let cpw = 62 / width in
-      (n + cpw - 1) / cpw * 8
-    in
-    let rt_used = Array.make 4 0 in
-    let freelist = Array.make 4 0 in
-    let live_rows = Array.make 4 0 in
-    for table = 0 to 3 do
-      rt_used.(table) <- u32 ();
-      freelist.(table) <- u32 ();
-      live_rows.(table) <- u32 ()
-    done;
-    let migrations = u32 () in
-    (* version 5 names the log's committed records and its half;
-       versions 3 and 4 carry the side tables themselves *)
-    let side_log, side_half, legacy_tables =
-      if m.sm_version >= 5 then begin
-        let records = u32 () in
-        (records, u32 (), None)
-      end
-      else begin
-        let entries () =
-          let tbl = Xutil.Int_tbl.create 16 in
-          for _ = 1 to u32 () do
-            let k = u32 () in
-            Xutil.Int_tbl.replace tbl k (u32 ())
-          done;
-          tbl
-        in
-        let overflow = entries () in
-        let anchors = entries () in
-        if m.sm_version >= 4 then
-          for _ = 1 to u32 () do
-            let lo = u32 () in
-            let k = lo lor (u32 () lsl 32) in
-            Xutil.Int_tbl.replace overflow k (u32 ())
-          done;
-        (0, 0, Some (overflow, anchors))
-      end
-    in
-    let side_bytes = side_log * side_record_bytes in
-    if side_half > 1 || side_bytes > side_half_span * page_size then
-      Spine_error.corrupt ~region:"meta"
-        ~page:(slot_base (m.sm_generation land 1))
-        "implausible side log (%d records in half %d)" side_log side_half;
+    let ceiling = m.sm_commit_epoch in
+    if read_only then begin
+      if Option.is_some (journal_entry device ~ceiling 0) then
+        Spine_error.io_failed ~op:Spine_error.Read
+          "%s: a crashed session's overwrites must be rolled back first; \
+           open the file for writing (spine scrub --deep) to recover it"
+          path
+    end
+    else begin
+      (* declare the fresh epoch before any write carries it *)
+      write_epoch_decl device (Pagestore.Device.epoch device);
+      (* undo the in-place overwrites a crashed session performed on
+         committed pages after its last commit: every journal entry
+         stamped beyond the recovered commit epoch holds the committed
+         preimage of its target, so restoring them puts the flushed
+         generation back on disk byte for byte *)
+      ignore (journal_rollback device ~ceiling : int)
+    end;
+    let p = parse_payload ~page_size m in
+    (* every committed page was written: a hole among them is damage *)
+    Pagestore.Device.set_committed device
+      (in_prefix (prefix_pages ~page_size (committed_bytes p)));
     (* rebuild the in-memory sequence mirror from the packed region —
        the raw words, no per-code re-decoding; with the ceiling
        restored above, any crash debris page this touches surfaces as a
        typed Corrupt instead of phantom characters *)
-    let seq_tab = seq_table pool ~used:seq_bytes in
-    let packed = Bytes.create seq_bytes in
-    for off = 0 to seq_bytes - 1 do
-      Bytes.set packed off (Char.chr (Paged_bytes.get_u8 seq_tab off))
-    done;
+    let seq_tab = seq_table pool ~used:(seq_bytes p) in
     let seq =
-      try Bioseq.Packed_seq.of_packed_bits alphabet ~len:n ~width packed
+      try
+        Bioseq.Packed_seq.of_packed_bits p.alphabet ~len:p.length ~width:p.width
+          (table_bytes ~page_size seq_tab)
       with Invalid_argument _ ->
         Spine_error.corrupt ~region:seq_row.name ~page:seq_row.first
           "packed sequence region decodes outside the alphabet"
     in
-    let side_tab = side_table pool ~half:side_half ~used:side_bytes in
+    let side_tab =
+      side_table pool ~half:p.side_half
+        ~used:(committed_bytes p (Side p.side_half))
+    in
     let overflow, anchors =
-      match legacy_tables with
+      match p.legacy_tables with
       | Some tables -> tables
-      | None -> replay_side side_tab ~half:side_half ~page_size ~records:side_log
+      | None ->
+        replay_side side_tab ~half:p.side_half ~page_size ~records:p.side_log
     in
     let lt, rts =
-      Paged_store.tables pool
-        ~lt_used:((n + 1) * Compact_store.lt_entry_bytes) ~rt_used
+      Paged_store.tables pool ~lt_used:(committed_bytes p Lt) ~rt_used:p.rt_used
     in
     let core =
-      P.make ~freelist ~live_rows ~overflow ~anchors ~migrations ~seq ~lt ~rts
-        alphabet
+      P.make ~freelist:p.freelist ~live_rows:p.live_rows ~overflow ~anchors
+        ~migrations:p.migrations ~separator:m.sm_separator ~seq ~lt ~rts
+        p.alphabet
     in
     let t =
-      make_t ~core ~seq_tab ~side_tab ~side_half ~device ~pool ~path ~width
-        ~generation:m.sm_generation
+      make_t ~core ~seq_tab ~side_tab ~side_half:p.side_half ~device ~pool ~path
+        ~width:p.width ~generation:m.sm_generation
     in
     (* the recovered prefix is the committed state the journal must now
        protect against this session's own in-place overwrites; clear
        crash debris beyond it so this session's own appends can extend
        the tables into those pages *)
     journal_commit_window t;
-    erase_debris device t.journal.j_committed;
-    (* a version 3 or 4 file's tables start the log; the next commit
-       writes version 5 *)
-    if Option.is_some legacy_tables then compact_side t;
+    if not read_only then begin
+      erase_debris device t.journal.j_committed;
+      (* a version 3 or 4 file's tables start the log; the next commit
+         writes version 5 *)
+      if Option.is_some p.legacy_tables then compact_side t
+    end;
     t
   with e ->
     Pagestore.Device.close device;
     raise e
+
+let open_ ?frames ?pin_top_lt_pages ~path () =
+  attach ~read_only:false ?frames ?pin_top_lt_pages ~path ()
 
 let path t = t.file_path
 let generation t = t.generation
@@ -1082,6 +1260,29 @@ let append_seq t seq =
   Telemetry.with_span s_build (fun () ->
       Bioseq.Packed_seq.iteri seq ~f:(fun _ c -> append t c))
 
+(* Every table is copied a page at a time; the side tables, counters
+   and sequence are already in memory. *)
+let to_compact t =
+  check_open t;
+  let c = t.core in
+  let page_size = Pagestore.Device.page_size t.device in
+  let btab tab = Compact_store.Btab.of_bytes (table_bytes ~page_size tab) in
+  let alphabet = P.alphabet c in
+  Compact_store.make ~freelist:(Array.copy c.P.freelist)
+    ~live_rows:(Array.copy c.P.live_rows)
+    ~overflow:(Xutil.Int_tbl.copy c.P.overflow)
+    ~anchors:(Xutil.Int_tbl.copy c.P.anchors) ~migrations:c.P.migrations
+    ~separator:(separator_layout c.P.lo alphabet)
+    ~seq:(Bioseq.Packed_seq.copy c.P.seq) ~lt:(btab c.P.lt)
+    ~rts:(Array.map btab c.P.rts) alphabet
+
+(* The read-only handle is never committed, only released. *)
+let load ~path =
+  let t = attach ~read_only:true ~path () in
+  Fun.protect
+    ~finally:(fun () -> Pagestore.Device.close t.device)
+    (fun () -> to_compact t)
+
 let bytes_per_char t = check_open t; P.bytes_per_char t.core
 let sequence t = check_open t; P.sequence t.core
 
@@ -1123,11 +1324,12 @@ type report = {
   stale_pages : int;
 }
 
-(* Offline scrub tunes the epoch check from the recovered metadata; a
-   live [verify] keeps the session's own settings. *)
-let run_scrub ?retune device path =
+(* Offline scrub tunes the epoch check and names the committed pages
+   from the recovered metadata; a live [verify] keeps the session's own
+   settings. *)
+let run_scrub ~live device path =
   Telemetry.with_span s_scrub @@ fun () ->
-  let slots, newest = recover ?retune device in
+  let slots, newest = recover ~retune:(not live) device in
   let state = function
     | Ok m ->
       Slot_valid
@@ -1135,7 +1337,21 @@ let run_scrub ?retune device path =
           clean = m.sm_clean }
     | Error e -> Slot_invalid e
   in
-  let regions = List.map (scan_region device) regions in
+  (* a committed page is scanned even past the file's end *)
+  let committed =
+    match newest with
+    | Some m -> (
+      let page_size = Pagestore.Device.page_size device in
+      match parse_payload ~page_size m with
+      | p -> prefix_pages ~page_size (committed_bytes p)
+      | exception Spine_error.Error _ -> Array.make (List.length regions) 0)
+    | None -> Array.make (List.length regions) 0
+  in
+  if not live then
+    Pagestore.Device.set_committed device (in_prefix committed);
+  let regions =
+    List.mapi (fun i r -> scan_region ~committed:committed.(i) device r) regions
+  in
   let count pages =
     List.fold_left (fun acc r -> acc + List.length (pages r)) 0 regions
   in
@@ -1152,7 +1368,7 @@ let run_scrub ?retune device path =
 
 let verify t =
   check_open t;
-  run_scrub ~retune:false t.device t.file_path
+  run_scrub ~live:true t.device t.file_path
 
 let scrub ?(page_size = 4096) ~path () =
   if not (Sys.file_exists path) then
@@ -1160,11 +1376,12 @@ let scrub ?(page_size = 4096) ~path () =
       path;
   let page_size = Option.value (recorded_page_size path) ~default:page_size in
   let device =
-    Pagestore.Device.create_file ~checksums:true ~page_size ~path ()
+    Pagestore.Device.create_file ~checksums:true ~read_only:true ~page_size
+      ~path ()
   in
   Pagestore.Device.set_region_namer device region_name;
   let result =
-    try run_scrub device path
+    try run_scrub ~live:false device path
     with e -> Pagestore.Device.close device; raise e
   in
   Pagestore.Device.close device;

@@ -44,10 +44,12 @@
     returned as phantom data.  {!verify}/{!scrub} walk the file and
     report per-region damage.
 
-    Construction remains online: {!append} extends the index and the
-    file together.  Queries go through {!engine}: the shared SPINE
-    algorithms instantiated over the paged storage, so every page they
-    touch goes through the pool.
+    This file is the one on-disk form of an index: [spine build] builds
+    in memory and writes it with {!of_compact}, and the in-memory
+    backend loads it back with {!to_compact}.  Construction also works
+    online: {!append} extends the index and the file together.  Queries
+    go through {!engine}: the shared SPINE algorithms instantiated over
+    the paged storage, so every page they touch goes through the pool.
 
     Setting the [SPINE_FAULTS] environment variable arms a
     deterministic {!Pagestore.Fault_device} plan on the backing device
@@ -62,6 +64,37 @@ val create :
     [frames] bounds the buffer pool (default 256 pages of
     [page_size] = 4096 bytes); [pin_top_lt_pages] applies the paper's
     keep-the-top-of-the-LT policy.  The file records [page_size]. *)
+
+val of_compact : path:string -> Compact.t -> t
+(** [of_compact ~path c] starts a new index in file [path], as {!create}
+    does with its defaults, holding a copy of the in-memory index [c]:
+    its Link Table, Rib Tables and sequence go to the file as
+    sequential page runs, and its side tables as side-log records.  These are the bytes an online
+    build of the same text through {!append} holds.  Until the first
+    {!flush} or {!close} commits it, the file holds no generation.  A
+    multi-string ({!Generalized}) index keeps its separator layout,
+    which the metadata records.
+    @raise Spine_error.Error ([Region_full]) when a table outgrows its
+    region. *)
+
+val to_compact : t -> Compact.t
+(** An in-memory copy of the open index, sharing nothing with it: each
+    table is copied a page at a time through the pool, every page
+    checked as it is read, and the side tables and counters are taken
+    as {!open_} recovered them.  [t] stays open.
+    @raise Spine_error.Error ([Corrupt]) when a page fails its check. *)
+
+val load : path:string -> Compact.t
+(** [load ~path] is {!to_compact} of the file's newest committed
+    generation, read without writing: the file is opened read-only,
+    and nothing is declared, rolled back or committed, so a read-only
+    file loads, and concurrent loads of one file do not interfere.  A
+    committed page that was never written (a file cut short, or with a
+    hole) fails as damage.
+    @raise Spine_error.Error ([Corrupt]) when no metadata is
+    recoverable or a page fails its check; ([Io_failed]) when the file
+    is missing or unreadable, or a crashed session left overwrites
+    that only a writing {!open_} can roll back. *)
 
 val open_ : ?frames:int -> ?pin_top_lt_pages:int -> path:string -> unit -> t
 (** Reopen a previously {!close}d (or crashed) index at the page size
@@ -160,7 +193,9 @@ val verify : t -> report
 
 val scrub : ?page_size:int -> path:string -> unit -> report
 (** Offline {!verify}: open the file read-only (no pool, no recovery),
-    validate both metadata slots, walk every region.  Never raises on
+    validate both metadata slots, walk every region — each table's
+    committed prefix even past the file's end, a never-written page
+    there counting as damaged.  Never raises on
     damage — damage is the report's content.  The file is read at the
     page size it records; [page_size] (default 4096) only serves a file
     that records none (written before the page size was recorded, or

@@ -18,8 +18,8 @@
     Written once over {!Store_sig.S}, so the in-memory {!Compact} store
     and the paged stores of {!Persistent} and {!Disk} are checked by
     the same code.  O(n * alphabet) field reads plus word-at-a-time
-    suffix compares — cheap enough to run after a bulk load, a
-    deserialize or a reopen. *)
+    suffix compares — cheap enough to run after a bulk load, a load
+    from an index file or a reopen. *)
 
 type violation = {
   where : string;   (** e.g. "link(42)", "rib(7,'c')" *)

@@ -384,6 +384,11 @@ let test_version3_file () =
       Spine.Persistent.append_string p text;
       Spine.Persistent.close p;
       if downgrade_to_v3 path = 0 then Alcotest.fail "no extrib anchors";
+      (* a read-only load takes the side tables from the version 3 slot *)
+      Alcotest.(check (list string)) "loads as Compact.of_seq" []
+        (Index_file.differences
+           (Spine.Compact.of_seq (Bioseq.Packed_seq.of_string byte text))
+           (Spine.Persistent.load ~path));
       let p = Spine.Persistent.open_ ~path () in
       Paged_valid.check_exn (Spine.Persistent.store p);
       let seq = Bioseq.Packed_seq.of_string byte text in
@@ -708,6 +713,57 @@ let test_debris_erased_everywhere () =
       check_queries p;
       Spine.Persistent.close p)
 
+(* The file an online build leaves loads as the very tables the
+   in-memory build of the same text makes.  The load and a scrub only
+   read the file: its modification time stays put. *)
+let test_online_build_loads () =
+  List.iter
+    (fun (name, seq) ->
+      Index_file.with_path (fun path ->
+          let p =
+            Spine.Persistent.create ~path (Bioseq.Packed_seq.alphabet seq)
+          in
+          Spine.Persistent.append_seq p seq;
+          Spine.Persistent.close p;
+          Unix.utimes path 1.0 1.0;
+          Alcotest.(check (list string)) (name ^ ": same as Compact.of_seq") []
+            (Index_file.differences (Spine.Compact.of_seq seq)
+               (Spine.Persistent.load ~path));
+          let r = Spine.Persistent.scrub ~path () in
+          Alcotest.(check int) (name ^ ": scrubs clean") 0
+            (r.Spine.Persistent.damaged_pages + r.Spine.Persistent.stale_pages);
+          Alcotest.(check (float 0.)) (name ^ ": not written to") 1.0
+            (Unix.stat path).Unix.st_mtime))
+    (Index_file.texts ())
+
+(* A file written by [of_compact] is a live index: it grows online
+   through a flush, reopens, and holds what a build of the whole text
+   holds. *)
+let test_of_compact_grows_online () =
+  let rng = Bioseq.Rng.create 215 in
+  let text = Bioseq.Synthetic.genomic dna rng 6000 in
+  let part a b =
+    Bioseq.Packed_seq.of_string dna
+      (Bioseq.Packed_seq.sub_string text ~pos:a ~len:(b - a))
+  in
+  Index_file.with_path (fun path ->
+      let p =
+        Spine.Persistent.of_compact ~path (Spine.Compact.of_seq (part 0 3000))
+      in
+      Spine.Persistent.append_seq p (part 3000 4500);
+      Spine.Persistent.flush p;
+      Spine.Persistent.append_seq p (part 4500 5000);
+      Spine.Persistent.close p;
+      let p = Spine.Persistent.open_ ~path () in
+      Spine.Persistent.append_seq p (part 5000 6000);
+      Spine.Persistent.close p;
+      let r = Spine.Persistent.scrub ~path () in
+      Alcotest.(check int) "scrubs clean" 0
+        (r.Spine.Persistent.damaged_pages + r.Spine.Persistent.stale_pages);
+      Alcotest.(check (list string)) "same as a build of the whole text" []
+        (Index_file.differences (Spine.Compact.of_seq text)
+           (Spine.Persistent.load ~path)))
+
 let suite =
   [ Alcotest.test_case "parity with the in-memory index" `Quick
       test_parity_with_memory
@@ -739,4 +795,8 @@ let suite =
       test_flushed_to_the_region_bound
   ; Alcotest.test_case "debris in every data region is erased" `Quick
       test_debris_erased_everywhere
+  ; Alcotest.test_case "online build loads as of_seq" `Quick
+      test_online_build_loads
+  ; Alcotest.test_case "an of_compact file grows online" `Quick
+      test_of_compact_grows_online
   ]

@@ -1,7 +1,7 @@
 (* Robustness: the fault-injection suite.
 
-   - serializer fuzzing: with the whole-snapshot checksum, ANY byte
-     change must be rejected with a typed error, never decoded;
+   - a built index file with a byte flipped in any written page: the
+     load fails typed, never decodes the damage;
    - a crash-point matrix: the persistent index is killed (writes
      frozen) at every single device write of a multi-flush workload and
      reopened — each reopen must recover a flushed generation exactly
@@ -44,44 +44,6 @@ let flip_bit path off mask =
   ignore (Unix.LargeFile.lseek fd (Int64.of_int off) Unix.SEEK_SET);
   ignore (Unix.write fd b 0 1);
   Unix.close fd
-
-(* --- serializer fuzzing --------------------------------------------- *)
-
-let test_serializer_fuzz () =
-  let rng = Bioseq.Rng.create 401 in
-  let seq = Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) 600 in
-  let idx = Spine.Compact.of_seq seq in
-  let original = Spine.Serialize.to_bytes idx in
-  for _ = 1 to 600 do
-    let data = Bytes.copy original in
-    (* corrupt 1-4 random bytes *)
-    for _ = 0 to Bioseq.Rng.int rng 4 do
-      Bytes.set data
-        (Bioseq.Rng.int rng (Bytes.length data))
-        (Char.chr (Bioseq.Rng.int rng 256))
-    done;
-    if Bytes.equal data original then
-      (* the mutation happened to write the bytes already there *)
-      ignore (Spine.Serialize.of_bytes data)
-    else
-      match Spine.Serialize.of_bytes data with
-      | _ ->
-        Alcotest.fail
-          "corrupted snapshot accepted: the whole-image checksum missed it"
-      | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
-      | exception e ->
-        Alcotest.failf "unexpected exception from corrupted input: %s"
-          (Printexc.to_string e)
-  done;
-  (* truncations at every length must fail typed *)
-  for len = 0 to min 120 (Bytes.length original - 1) do
-    match Spine.Serialize.of_bytes (Bytes.sub original 0 len) with
-    | _ -> Alcotest.failf "truncation to %d bytes accepted" len
-    | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
-    | exception e ->
-      Alcotest.failf "unexpected exception on truncation: %s"
-        (Printexc.to_string e)
-  done
 
 (* --- crash-point recovery matrix ------------------------------------ *)
 
@@ -376,6 +338,12 @@ let test_eviction_overwrite_recovery () =
        | None -> Alcotest.fail "no journal region in the scrub report");
       (* abandon the dirty handle (kill -9): no flush, no close *)
       Pagestore.Device.close (P.device p);
+      (* a read-only load cannot roll the overwrites back: it refuses *)
+      (match P.load ~path with
+       | exception
+           Spine_error.Error
+             (Spine_error.Io_failed { op = Spine_error.Read; _ }) -> ()
+       | _ -> Alcotest.fail "a load read past a crashed session's overwrites");
       let p2 = P.open_ ~frames:8 ~path () in
       Alcotest.(check int) "recovered the last flushed generation" 2
         (P.generation p2);
@@ -394,6 +362,8 @@ let test_eviction_overwrite_recovery () =
       (* the recovered index keeps working: extend and commit again *)
       for i = committed to total - 1 do P.append p2 (code i) done;
       P.close p2;
+      Alcotest.(check int) "a load after recovery" total
+        (Spine.Compact_store.length (P.load ~path));
       let p3 = P.open_ ~path () in
       Alcotest.(check int) "full length after re-append" total (length p3);
       let oracle_full = oracle_at total in
@@ -449,189 +419,40 @@ let test_flush_retry_generation () =
         (contains p2 "gtacgtacgt");
       P.close p2)
 
-(* --- snapshot legacy-version back-compatibility ---------------------- *)
-
-(* The current writer emits v3 (the packed row's raw words), so legacy
-   v1/v2 images — [Alphabet.bits] bits per symbol, MSB-first, v2 with a
-   CRC-32C trailer — are reconstructed here byte for byte.
-   [extra_ribs] and [extra_extribs] append hand-made records, to forge
-   images no index could have written. *)
-let legacy_image ?(extra_ribs = []) ?(extra_extribs = []) ~version idx =
-  let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff)) in
-  let put_u32 buf v =
-    for k = 0 to 3 do put_u8 buf ((v lsr (8 * k)) land 0xff) done
-  in
-  let put_u64 buf v =
-    for k = 0 to 7 do put_u8 buf ((v lsr (8 * k)) land 0xff) done
-  in
-  let module S = Spine.Compact_store in
-  let n = S.length idx in
-  let alphabet = S.alphabet idx in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "SPNE";
-  put_u8 buf version;
-  let symbols =
-    String.init (Bioseq.Alphabet.size alphabet) (fun c ->
-        Bioseq.Alphabet.decode alphabet c)
-  in
-  put_u32 buf (String.length symbols);
-  Buffer.add_string buf symbols;
-  put_u64 buf n;
-  let bits = Bioseq.Alphabet.bits alphabet in
-  let packed = Bytes.make ((n * bits + 7) / 8) '\000' in
-  Bioseq.Packed_seq.iteri (S.sequence idx) ~f:(fun i code ->
-      for b = 0 to bits - 1 do
-        if code land (1 lsl (bits - 1 - b)) <> 0 then begin
-          let pos = (i * bits) + b in
-          let byte = pos / 8 and off = pos mod 8 in
-          Bytes.set packed byte
-            (Char.chr (Char.code (Bytes.get packed byte) lor (0x80 lsr off)))
-        end
-      done);
-  put_u32 buf (Bytes.length packed);
-  Buffer.add_bytes buf packed;
-  for node = 1 to n do
-    put_u32 buf (S.link_dest idx node);
-    put_u32 buf (S.link_lel idx node)
-  done;
-  let ribs =
-    List.concat_map
-      (fun node ->
-        List.rev
-          (S.fold_ribs idx node ~init:[] ~f:(fun acc code dest pt ->
-               (node, code, dest, pt) :: acc)))
-      (List.init (n + 1) Fun.id)
-    @ extra_ribs
-  in
-  put_u32 buf (List.length ribs);
-  List.iter
-    (fun (node, code, dest, pt) ->
-      put_u32 buf node;
-      put_u8 buf code;
-      put_u32 buf dest;
-      put_u32 buf pt)
-    ribs;
-  let extribs =
-    List.filter_map
-      (fun node ->
-        Option.map (fun e -> (node, e)) (S.find_extrib idx node))
-      (List.init (n + 1) Fun.id)
-    @ extra_extribs
-  in
-  put_u32 buf (List.length extribs);
-  List.iter
-    (fun (node, (dest, pt, prt, anchor)) ->
-      put_u32 buf node;
-      put_u32 buf dest;
-      put_u32 buf pt;
-      put_u32 buf prt;
-      put_u32 buf anchor)
-    extribs;
-  let body = Buffer.to_bytes buf in
-  if version = 1 then body
-  else begin
-    let out = Bytes.create (Bytes.length body + 4) in
-    Bytes.blit body 0 out 0 (Bytes.length body);
-    let crc = Xutil.Crc32c.bytes body in
-    for k = 0 to 3 do
-      Bytes.set out
-        (Bytes.length body + k)
-        (Char.chr ((crc lsr (8 * k)) land 0xff))
-    done;
-    out
-  end
-
-let test_serialize_v1_compat () =
-  let rng = Bioseq.Rng.create 405 in
-  let seq = Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) 400 in
-  let idx = Spine.Compact.of_seq seq in
-  let v1 = legacy_image ~version:1 idx in
-  let v2 = legacy_image ~version:2 idx in
-  (* the oracle is a suffix tree: it shares no code with the loader *)
-  let tree = Suffix_tree.build seq in
-  let check_parity tag loaded =
-    let loaded = Spine.Compact.engine loaded in
-    Alcotest.(check int) (tag ^ " length") 400 (E.length loaded);
-    for _ = 1 to 20 do
-      let len = 3 + Bioseq.Rng.int rng 6 in
-      let pos = Bioseq.Rng.int rng (400 - len) in
-      let pat =
-        Array.init len (fun j -> Bioseq.Packed_seq.get seq (pos + j))
-      in
-      Alcotest.(check (list int)) (tag ^ " query parity")
-        (List.sort Int.compare (Suffix_tree.occurrences tree pat))
-        (Codes.occurrences loaded pat)
-    done
-  in
-  check_parity "v1" (Spine.Serialize.of_bytes v1);
-  check_parity "v2" (Spine.Serialize.of_bytes v2);
-  check_parity "v3" (Spine.Serialize.of_bytes (Spine.Serialize.to_bytes idx));
-  (* flipping a v2 image's version byte to 1 must NOT bypass the CRC:
-     the unconsumed trailer is rejected as trailing garbage *)
-  let masquerade = Bytes.copy v2 in
-  Bytes.set masquerade 4 '\001';
-  (match Spine.Serialize.of_bytes masquerade with
-   | _ -> Alcotest.fail "v2 image accepted as v1 (CRC bypassed)"
-   | exception Spine_error.Error (Spine_error.Corrupt _) -> ());
-  (* truncated v1 images still fail typed *)
-  (match Spine.Serialize.of_bytes (Bytes.sub v1 0 (Bytes.length v1 - 3)) with
-   | _ -> Alcotest.fail "truncated v1 image accepted"
-   | exception Spine_error.Error (Spine_error.Corrupt _) -> ());
-  (* versions beyond the current one are still rejected *)
-  let future = Spine.Serialize.to_bytes idx in
-  Bytes.set future 4 '\007';
-  match Spine.Serialize.of_bytes future with
-  | _ -> Alcotest.fail "future version accepted"
-  | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
-
-(* A v1 image has no checksum, so a record the Section 5 store cannot
-   hold reaches the loader: a second rib under one label, a rib under
-   the vertebra's label, a rib off the backbone, a second extrib at one
-   node.  Each is a typed Corrupt, never an assertion or an index
-   error from inside the store. *)
-let test_serialize_v1_impossible_records () =
-  let idx = Spine.Compact.of_string dna "acgtacgtgacgttacgacg" in
-  let n = Spine.Compact_store.length idx in
-  (* node 4 carries a rib labelled t (3), node 10 an extrib *)
-  let rib = (4, 3, 14, 4) and extrib = (10, (18, 3, 1, 10)) in
-  let vertebra = (0, Spine.Compact_store.char_at idx 0, 1, 0) in
-  List.iter
-    (fun (what, image) ->
-      match Spine.Serialize.of_bytes image with
-      | _ -> Alcotest.failf "%s accepted" what
-      | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
-      | exception e ->
-        Alcotest.failf "%s: untyped %s" what (Printexc.to_string e))
-    [ ("duplicate rib", legacy_image ~extra_ribs:[ rib ] ~version:1 idx);
-      ("vertebra rib", legacy_image ~extra_ribs:[ vertebra ] ~version:1 idx);
-      ("rib off the backbone",
-       legacy_image ~extra_ribs:[ (n, 0, n, 0) ] ~version:1 idx);
-      ("second extrib",
-       legacy_image ~extra_extribs:[ extrib ] ~version:1 idx) ]
-
 (* --- seeded bit-flip trials over every written region ---------------- *)
+
+(* region base pages at 4 KiB pages (see lib/spine/persistent.ml) *)
+let base_of region =
+  let meta_span = 16384 and data_span = 262144 in
+  match region with
+  | "meta/slot-a" -> 0
+  | "meta/slot-b" -> 4096
+  | "meta/epoch" -> 2 * 4096
+  | "lt" -> meta_span
+  | "rt0" -> meta_span + (1 * data_span)
+  | "rt1" -> meta_span + (2 * data_span)
+  | "rt2" -> meta_span + (3 * data_span)
+  | "rt3" -> meta_span + (4 * data_span)
+  | "seq" -> meta_span + (5 * data_span)
+  | "side/a" -> meta_span + (5 * data_span) + (data_span / 4)
+  | "side/b" -> meta_span + (5 * data_span) + (data_span / 4 * 5 / 2)
+  | "journal" -> meta_span + (6 * data_span)
+  | r -> Alcotest.failf "unexpected region %S in scrub report" r
+
+(* The written pages of a clean file: a dense prefix of each region. *)
+let written_pages path =
+  let r = P.scrub ~path () in
+  Alcotest.(check int) "clean build scrubs clean" 0
+    (r.P.damaged_pages + r.P.stale_pages);
+  List.concat_map
+    (fun reg ->
+      List.init reg.P.ok (fun i -> (reg.P.region, base_of reg.P.region + i)))
+    r.P.regions
 
 let test_bitflip_trials () =
   let rng = Bioseq.Rng.create 404 in
   let seq = Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) 600 in
   let oracle = Spine.Compact.engine (Spine.Compact.of_seq seq) in
-  (* region base pages (see lib/spine/persistent.ml) *)
-  let meta_span = 16384 and data_span = 262144 in
-  let base_of = function
-    | "meta/slot-a" -> 0
-    | "meta/slot-b" -> 4096
-    | "meta/epoch" -> 2 * 4096
-    | "lt" -> meta_span
-    | "rt0" -> meta_span + (1 * data_span)
-    | "rt1" -> meta_span + (2 * data_span)
-    | "rt2" -> meta_span + (3 * data_span)
-    | "rt3" -> meta_span + (4 * data_span)
-    | "seq" -> meta_span + (5 * data_span)
-    | "side/a" -> meta_span + (5 * data_span) + (data_span / 4)
-    | "side/b" -> meta_span + (5 * data_span) + (data_span / 4 * 5 / 2)
-    | "journal" -> meta_span + (6 * data_span)
-    | r -> Alcotest.failf "unexpected region %S in scrub report" r
-  in
   let build path =
     let p = P.create ~path dna in
     P.append_seq p seq;
@@ -642,14 +463,9 @@ let test_bitflip_trials () =
   let candidates =
     with_tmp (fun path ->
         build path;
-        let r = P.scrub ~path () in
-        Alcotest.(check int) "clean build scrubs clean" 0
-          (r.P.damaged_pages + r.P.stale_pages);
         Alcotest.(check bool) "clean build is a clean shutdown" true
-          r.P.report_clean;
-        List.concat_map
-          (fun reg -> List.init reg.P.ok (fun i -> base_of reg.P.region + i))
-          r.P.regions)
+          (P.scrub ~path ()).P.report_clean;
+        List.map snd (written_pages path))
   in
   Alcotest.(check bool) "several written pages to attack" true
     (List.length candidates > 3);
@@ -691,6 +507,72 @@ let test_bitflip_trials () =
           done;
           (try P.close p with Spine_error.Error _ -> ()))
   done
+
+(* --- a flipped byte in every written page of a built file ------------ *)
+
+(* [spine build] writes the file with [of_compact], and every reader
+   loads it with [Persistent.load], so every page of it is read on the
+   way in.  A byte changed anywhere in a written page's data or
+   checked trailer must fail that load with a typed [Corrupt]: nothing
+   else, and never a wrong index.  Only a page the load does not need
+   may be damaged without failing it: the page-size stamp in slot A and
+   the epoch declaration, and the load is then exact. *)
+let test_built_file_flips () =
+  let rng = Bioseq.Rng.create 401 in
+  let idx =
+    Spine.Compact.of_seq
+      (Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) 3000)
+  in
+  Index_file.with_path (fun path ->
+      Index_file.save path idx;
+      let pages = written_pages path in
+      Alcotest.(check bool) "every table region written" true
+        (List.for_all
+           (fun r -> List.mem_assoc r pages)
+           [ "lt"; "rt0"; "rt1"; "seq"; "side/a" ]);
+      List.iter
+        (fun (region, page) ->
+          for _ = 1 to 3 do
+            Index_file.save path idx;
+            let off = (page * phys_page) + Bioseq.Rng.int rng (4096 + 12) in
+            flip_bit path off (1 lsl Bioseq.Rng.int rng 8);
+            match Spine.Persistent.load ~path with
+            | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
+            | exception e ->
+              Alcotest.failf "%s page %d: untyped %s" region page
+                (Printexc.to_string e)
+            | loaded ->
+              if not (List.mem region [ "meta/slot-a"; "meta/epoch" ]) then
+                Alcotest.failf "%s page %d: damage loaded" region page;
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s page %d: exact load" region page) []
+                (Index_file.differences idx loaded)
+          done)
+        pages;
+      (* every page of a table's committed prefix was written, so a file
+         cut short or holed there fails the load and the scrub instead
+         of reading zeros *)
+      let lt =
+        List.filter_map (fun (r, p) -> if r = "lt" then Some p else None) pages
+      in
+      let damaged what cut =
+        Index_file.save path idx;
+        cut ();
+        (match Spine.Persistent.load ~path with
+         | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
+         | exception e ->
+           Alcotest.failf "%s: untyped %s" what (Printexc.to_string e)
+         | _ -> Alcotest.failf "%s: loaded" what);
+        Alcotest.(check bool) (what ^ ": scrub reports damage") true
+          ((P.scrub ~path ()).P.damaged_pages > 0)
+      in
+      damaged "cut after the first LT page" (fun () ->
+          Unix.truncate path ((List.hd lt + 1) * phys_page));
+      damaged "a hole in the LT" (fun () ->
+          let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+          ignore (Unix.lseek fd (List.nth lt 1 * phys_page) Unix.SEEK_SET);
+          ignore (Unix.write fd (Bytes.make phys_page '\000') 0 phys_page);
+          Unix.close fd))
 
 (* --- typed pool exhaustion ------------------------------------------- *)
 
@@ -986,8 +868,8 @@ let test_transient_run () =
     (List.map on_device [ 0; 1; 2; 3; 4 ])
 
 let suite =
-  [ Alcotest.test_case "serializer fuzz: corrupt input fails loudly" `Quick
-      test_serializer_fuzz
+  [ Alcotest.test_case "byte flips in a built file" `Quick
+      test_built_file_flips
   ; Alcotest.test_case "crash-point recovery matrix" `Quick test_crash_matrix
   ; Alcotest.test_case "crash-point matrix under eviction pressure" `Quick
       test_crash_matrix_evictions
@@ -995,10 +877,6 @@ let suite =
       test_eviction_overwrite_recovery
   ; Alcotest.test_case "failed metadata write does not burn a generation"
       `Quick test_flush_retry_generation
-  ; Alcotest.test_case "snapshot v1 back-compat (and no CRC bypass)" `Quick
-      test_serialize_v1_compat
-  ; Alcotest.test_case "snapshot v1 impossible records rejected typed" `Quick
-      test_serialize_v1_impossible_records
   ; Alcotest.test_case "seeded bit-flip trials: scrub + query safety" `Quick
       test_bitflip_trials
   ; Alcotest.test_case "typed pool exhaustion" `Quick test_pool_exhausted

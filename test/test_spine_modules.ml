@@ -1,6 +1,6 @@
 (* Tests for the modules layered on the core index: generalized
-   multi-string indexing, serialization, the disk driver, the space
-   model, and the suffix trie yardstick. *)
+   multi-string indexing, the index file round trip, the disk driver,
+   the space model, and the suffix trie yardstick. *)
 
 let dna = Bioseq.Alphabet.dna
 
@@ -76,99 +76,90 @@ let test_generalized_locate_errors () =
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "separator position must be rejected")
 
-(* --- Serialize --- *)
+(* --- The persistent index file --- *)
 
-let test_serialize_roundtrip () =
+(* The texts of {!Index_file.texts}, and generalized indexes, which
+   have the separator layout: one of two strings, and one of a single
+   string, whose text holds no separator to tell the layout by. *)
+let file_inputs () =
+  let generalized strings =
+    let g = Spine.Generalized.create dna in
+    List.iter (fun s -> ignore (Spine.Generalized.add_string g s)) strings;
+    Spine.Generalized.index g
+  in
+  List.map
+    (fun (name, seq) -> (name, Spine.Compact.of_seq seq))
+    (Index_file.texts ())
+  @ [ ("generalized", generalized [ "acgtacgggtacgt"; "ttgacaccgtacgg" ]);
+      ("generalized, one string", generalized [ "acgtacgggtacgtttgacaccg" ]) ]
+
+let test_file_roundtrip () =
   let rng = Bioseq.Rng.create 62 in
   List.iter
-    (fun alphabet ->
-      for _ = 1 to 5 do
-        let n = 50 + Bioseq.Rng.int rng 500 in
-        let seq = Bioseq.Synthetic.genomic alphabet (Bioseq.Rng.split rng) n in
-        let idx = Spine.Compact.of_seq seq in
-        let loaded = Spine.Serialize.of_bytes (Spine.Serialize.to_bytes idx) in
-        let n = Spine.Compact_store.length idx in
-        Alcotest.(check int) "length" n (Spine.Compact_store.length loaded);
-        (* structural identity: links, ribs, extribs *)
-        let module S = Spine.Compact_store in
-        for node = 1 to n do
-          Alcotest.(check (pair int int)) "link"
-            (S.link_dest idx node, S.link_lel idx node)
-            (S.link_dest loaded node, S.link_lel loaded node)
-        done;
-        let extrib t node =
-          Option.map (fun (d, pt, prt, anchor) -> [ d; pt; prt; anchor ])
-            (S.find_extrib t node)
-        in
-        for node = 0 to n do
-          for code = 0 to Bioseq.Alphabet.size alphabet - 1 do
-            Alcotest.(check (option (pair int int))) "rib"
-              (S.find_rib idx node code) (S.find_rib loaded node code)
-          done;
-          Alcotest.(check (option (list int))) "extrib"
-            (extrib idx node) (extrib loaded node)
-        done;
-        (* behavioural identity *)
-        let q = Bioseq.Synthetic.mutate ~rate:0.2 (Bioseq.Rng.split rng) seq in
-        let ms e = fst (Spine.Engine.matching_statistics (Spine.Compact.engine e) q) in
-        let ms1 = ms idx and ms2 = ms loaded in
-        Alcotest.(check (array int)) "ms" ms1 ms2
-      done)
-    [ dna; Bioseq.Alphabet.protein ]
-
-(* A loaded v3 image re-serializes to the very same bytes, and the
-   replayed store is structurally valid.  a^70000 carries LELs and PTs
-   above 65534, which the load must route through the overflow table;
-   the generalized index needs the separator layout. *)
-let test_serialize_reserialize () =
-  let rng = Bioseq.Rng.create 64 in
-  let g = Spine.Generalized.create dna in
-  ignore (Spine.Generalized.add_string g "acgtacgggtacgt");
-  ignore (Spine.Generalized.add_string g "ttgacaccgtacgg");
-  let images =
-    [ ("dna", Spine.Compact.of_seq
-         (Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) 5000));
-      ("protein", Spine.Compact.of_seq
-         (Bioseq.Synthetic.genomic Bioseq.Alphabet.protein
-            (Bioseq.Rng.split rng) 3000));
-      ("a^70000", Spine.Compact.of_string dna (String.make 70_000 'a'));
-      ("generalized", Spine.Generalized.index g) ]
-  in
-  List.iter
     (fun (name, idx) ->
-      let b = Spine.Serialize.to_bytes idx in
-      let loaded = Spine.Serialize.of_bytes b in
+      let loaded = Index_file.round_trip idx in
+      Alcotest.(check (list string)) (name ^ ": same Section 5 state") []
+        (Index_file.differences idx loaded);
       Alcotest.(check (list string)) (name ^ ": valid after load") []
         (List.map
            (fun v -> v.Spine.Validate.where ^ ": " ^ v.Spine.Validate.what)
            (V.check loaded));
-      Alcotest.(check bool) (name ^ ": byte-identical re-serialization") true
-        (Bytes.equal b (Spine.Serialize.to_bytes loaded)))
-    images;
-  let big = List.assoc "a^70000" images in
-  Alcotest.(check bool) "a^70000 overflows its labels" true
-    (Spine.Compact_store.overflow_count
-       (Spine.Serialize.of_bytes (Spine.Serialize.to_bytes big)) > 0)
+      let seq = Spine.Compact_store.sequence idx in
+      let q = Bioseq.Synthetic.mutate ~rate:0.2 (Bioseq.Rng.split rng) seq in
+      let ms e =
+        fst (Spine.Engine.matching_statistics (Spine.Compact.engine e) q)
+      in
+      Alcotest.(check (array int)) (name ^ ": matching statistics") (ms idx)
+        (ms loaded);
+      if String.equal name "a^70000" then
+        Alcotest.(check bool) "a^70000 overflows its labels" true
+          (Spine.Compact_store.overflow_count loaded > 0))
+    (file_inputs ())
 
-let test_serialize_bad_input () =
-  (match Spine.Serialize.of_bytes (Bytes.of_string "NOPE.....") with
-   | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
-   | _ -> Alcotest.fail "bad magic accepted");
-  let idx = Spine.Compact.of_string dna "acgt" in
-  let b = Spine.Serialize.to_bytes idx in
-  let truncated = Bytes.sub b 0 (Bytes.length b - 3) in
-  (match Spine.Serialize.of_bytes truncated with
-   | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
-   | _ -> Alcotest.fail "truncated input accepted")
+(* A loaded index is a working in-memory store: it keeps growing online
+   into the very tables a build of the longer text makes, from empty
+   Rib Tables too (a 3-char prefix has none). *)
+let test_file_load_then_append () =
+  let rng = Bioseq.Rng.create 65 in
+  let text = Bioseq.Synthetic.genomic dna rng 4000 in
+  List.iter
+    (fun len ->
+      let prefix = Bioseq.Packed_seq.sub_string text ~pos:0 ~len in
+      let loaded =
+        Index_file.round_trip (Spine.Compact.of_string dna prefix)
+      in
+      for i = len to 3999 do
+        Spine.Compact.append loaded (Bioseq.Packed_seq.get text i)
+      done;
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d-char prefix: same as a build of the whole text"
+           len)
+        []
+        (Index_file.differences (Spine.Compact.of_seq text) loaded))
+    [ 3; 2500 ]
 
-let test_serialize_file () =
-  let idx = Spine.Compact.of_string dna "acgtacgtgacgt" in
-  let tmp = Filename.temp_file "spine_test" ".idx" in
-  Spine.Serialize.to_file tmp idx;
-  let loaded = Spine.Serialize.of_file tmp in
-  Sys.remove tmp;
-  Alcotest.(check bool) "query parity" true
-    (Codes.contains_string (Spine.Compact.engine loaded) "gtgac")
+(* Anything but an index file fails typed before a byte of it is
+   trusted, and is left as it was. *)
+let test_file_bad_input () =
+  let old_snapshot =
+    (* the header of a snapshot in the record format of earlier releases *)
+    "SPNE\003\004\000\000\000acgt\010\000\000\000\000\000\000\000"
+  in
+  List.iter
+    (fun (what, contents) ->
+      Index_file.with_path (fun path ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc contents);
+          (match Spine.Persistent.load ~path with
+           | _ -> Alcotest.failf "%s loaded" what
+           | exception Spine_error.Error (Spine_error.Corrupt _) -> ()
+           | exception e ->
+             Alcotest.failf "%s: untyped %s" what (Printexc.to_string e));
+          Alcotest.(check string) (what ^ " left as it was") contents
+            (In_channel.with_open_bin path In_channel.input_all)))
+    [ ("an empty file", "");
+      ("a junk file", String.make 5000 'x');
+      ("an old snapshot", old_snapshot) ]
 
 (* --- Disk --- *)
 
@@ -291,11 +282,12 @@ let suite =
       test_generalized_vs_individual
   ; Alcotest.test_case "generalized: locate errors" `Quick
       test_generalized_locate_errors
-  ; Alcotest.test_case "serialize: structural roundtrip" `Quick
-      test_serialize_roundtrip
-  ; Alcotest.test_case "serialize: bad input rejected" `Quick
-      test_serialize_bad_input
-  ; Alcotest.test_case "serialize: file roundtrip" `Quick test_serialize_file
+  ; Alcotest.test_case "index file: state round trip" `Quick
+      test_file_roundtrip
+  ; Alcotest.test_case "index file: non-index rejected" `Quick
+      test_file_bad_input
+  ; Alcotest.test_case "index file: load then append" `Quick
+      test_file_load_then_append
   ; Alcotest.test_case "disk: build and search parity" `Quick
       test_disk_build_and_search
   ; Alcotest.test_case "disk: pinned tiny pool" `Quick test_disk_pinning_config
@@ -305,6 +297,4 @@ let suite =
   ; Alcotest.test_case "trie: unary nodes" `Quick test_trie_unary
   ; Alcotest.test_case "disk: pages the Section 5 layout" `Quick
       test_disk_pages_real_layout
-  ; Alcotest.test_case "serialize: v3 re-serializes byte for byte" `Quick
-      test_serialize_reserialize
   ]

@@ -32,10 +32,9 @@ let test_clean_indexes () =
   ignore (Spine.Generalized.add_string g "acgtacgggt");
   ignore (Spine.Generalized.add_string g "ttgacaccgt");
   V.check_exn (Spine.Generalized.index g);
-  (* deserialized *)
+  (* loaded from an index file *)
   let idx = Spine.Compact.of_string dna "acgtacgtgacgtt" in
-  V.check_exn
-    (Spine.Serialize.of_bytes (Spine.Serialize.to_bytes idx))
+  V.check_exn (Index_file.round_trip idx)
 
 (* failure injection: corrupt one field through the raw store and make
    sure the checker notices *)
