@@ -86,6 +86,16 @@ let with_stats stats f =
       (Telemetry.snapshot ());
   code
 
+(* Every --jsonl and --report-jsonl sink: JSON lines to FILE, or to
+   stdout for "-"; nothing without the option. *)
+let write_jsonl dest lines =
+  match dest with
+  | None -> ()
+  | Some "-" -> List.iter print_endline lines
+  | Some path ->
+    Out_channel.with_open_text path (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+
 (* An index file written by [spine build], loaded into memory without
    writing to it.  Typed errors propagate: the handler at the bottom
    prints them.  Loading is setup, like parsing an input: its page
@@ -167,7 +177,7 @@ let seq_of_literal alphabet s =
     s;
   seq
 
-(* Shared by query, stats --space and workload: build the chosen
+(* Shared by query, stats --space, workload and trace: build the chosen
    backend from an in-memory sequence and pack it into an engine,
    returning a cleanup to run when done (persistent uses a scratch
    file). *)
@@ -364,13 +374,7 @@ let stats_cmd =
                  (Spine.Space_report.bytes_per_char report))
             ~headers:[ "component"; "bytes"; "bytes/char"; "share" ]
             (Spine.Space_report.rows report);
-          (match jsonl_out with
-           | Some "-" -> print_endline (Spine.Space_report.jsonl report)
-           | Some path ->
-             let oc = open_out path in
-             output_string oc (Spine.Space_report.jsonl report ^ "\n");
-             close_out oc
-           | None -> ());
+          write_jsonl jsonl_out [ Spine.Space_report.jsonl report ];
           0)
   in
   let structure_run index =
@@ -531,14 +535,7 @@ let workload_cmd =
           (match metrics with
            | Some path -> write_metrics path metrics_format
            | None -> ());
-          (match report_jsonl with
-           | Some "-" -> List.iter print_endline (Workload.jsonl report)
-           | Some path ->
-             let oc = open_out path in
-             List.iter (fun l -> output_string oc (l ^ "\n"))
-               (Workload.jsonl report);
-             close_out oc
-           | None -> ());
+          write_jsonl report_jsonl (Workload.jsonl report);
           0)
   in
   Cmd.v
@@ -625,27 +622,19 @@ let explain_cmd =
                    Printf.sprintf "%.3f"
                      (float_of_int p.Profile.wall_ns /. 1e6) ])
                results);
-          let jsonl_lines () =
-            List.map
-              (fun (pat, count, p) ->
-                Printf.sprintf
-                  "{\"explain\":\"%s\",\"backend\":\"%s\",\
-                   \"occurrences\":%d,%s}"
-                  (Xutil.Json.escape pat) (Xutil.Json.escape backend_name)
-                  count
-                  (String.concat ","
-                     (List.map
-                        (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v)
-                        (Profile.fields p))))
-              results
-          in
-          (match jsonl_out with
-           | Some "-" -> List.iter print_endline (jsonl_lines ())
-           | Some path ->
-             let oc = open_out path in
-             List.iter (fun l -> output_string oc (l ^ "\n")) (jsonl_lines ());
-             close_out oc
-           | None -> ());
+          write_jsonl jsonl_out
+            (List.map
+               (fun (pat, count, p) ->
+                 Printf.sprintf
+                   "{\"explain\":\"%s\",\"backend\":\"%s\",\
+                    \"occurrences\":%d,%s}"
+                   (Xutil.Json.escape pat) (Xutil.Json.escape backend_name)
+                   count
+                   (String.concat ","
+                      (List.map
+                         (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v)
+                         (Profile.fields p))))
+               results);
           if !bad then 1 else 0)
   in
   Cmd.v
@@ -725,14 +714,7 @@ let replay_cmd =
              | Error e -> Printf.eprintf "replay: %s\n" e; 2
              | Ok outcome ->
                Replay.print outcome;
-               (match report_jsonl with
-                | Some "-" -> List.iter print_endline (Replay.jsonl outcome)
-                | Some path ->
-                  let oc = open_out path in
-                  List.iter (fun l -> output_string oc (l ^ "\n"))
-                    (Replay.jsonl outcome);
-                  close_out oc
-                | None -> ());
+               write_jsonl report_jsonl (Replay.jsonl outcome);
                (match Bench_gate.failures outcome.Replay.rp_comparisons with
                 | [] ->
                   Printf.printf
@@ -974,13 +956,6 @@ let trace_cmd =
              ~doc:"Pattern to search after building (repeatable); each \
                    query is traced as its own operation.")
   in
-  let disk =
-    Arg.(value & flag
-         & info [ "disk" ]
-             ~doc:"Build and query through the simulated disk stack so \
-                   the trace includes page faults, evictions and device \
-                   transfers.")
-  in
   let out =
     Arg.(value & opt string "spine_trace.json"
          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Trace output file.")
@@ -1009,19 +984,8 @@ let trace_cmd =
          & info [ "capacity" ] ~docv:"N"
              ~doc:"Event ring capacity (overrides SPINE_TRACE_CAPACITY).")
   in
-  let frames =
-    Arg.(value & opt int Spine.Disk.default_config.Spine.Disk.frames
-         & info [ "frames" ] ~docv:"N"
-             ~doc:"Buffer-pool frames for --disk; small values make \
-                   query-time page faults visible in the trace.")
-  in
-  let page_size =
-    Arg.(value & opt int Spine.Disk.default_config.Spine.Disk.page_size
-         & info [ "page-size" ] ~docv:"BYTES"
-             ~doc:"Device page size for --disk.")
-  in
-  let run alphabet fasta synthetic scale text seq_str queries disk out format
-      sample slow_us capacity frames page_size =
+  let run alphabet fasta synthetic scale text seq_str queries backend out
+      format sample slow_us capacity frames page_size =
     match
       Result.bind (alphabet_of_string alphabet) (fun alphabet ->
           match seq_str with
@@ -1035,19 +999,12 @@ let trace_cmd =
       Option.iter Trace.set_slow_us slow_us;
       Option.iter Trace.set_capacity capacity;
       Trace.reset ();
-      let engine =
+      let engine, cleanup =
         Trace.with_op "build"
           [ Trace.Int ("length", Bioseq.Packed_seq.length seq) ]
-          (fun () ->
-            if disk then
-              Spine.Disk.engine
-                (Spine.Disk.build
-                   ~config:
-                     { Spine.Disk.default_config with
-                       Spine.Disk.frames; page_size }
-                   seq)
-            else Spine.Compact.engine (Spine.Compact.of_seq seq))
+          (fun () -> engine_of_source ~backend ~frames ~page_size seq)
       in
+      Fun.protect ~finally:cleanup @@ fun () ->
       let bad = ref false in
       List.iter
         (fun pattern ->
@@ -1082,21 +1039,13 @@ let trace_cmd =
        ~doc:"Build (and optionally query) under per-operation event \
              tracing and export the trace.")
     Term.(const run $ alphabet_arg $ fasta_arg $ synthetic_arg $ scale_arg
-          $ text_arg $ seq_literal_arg $ queries $ disk $ out $ format $ sample
-          $ slow_us $ capacity $ frames $ page_size)
+          $ text_arg $ seq_literal_arg $ queries $ backend_arg $ out $ format
+          $ sample $ slow_us $ capacity $ frames_arg $ page_size_arg)
 
 (* --- scrub --- *)
 
 let scrub_cmd =
   let module P = Spine.Persistent in
-  let page_size =
-    Arg.(value & opt int Spine.Disk.default_config.Spine.Disk.page_size
-         & info [ "page-size" ] ~docv:"BYTES"
-             ~doc:"Device page size for a file that records none (one \
-                   written before the page size was recorded, or whose \
-                   two metadata slots both have a damaged first page); \
-                   other files are read at the page size they record.")
-  in
   let deep =
     Arg.(value & flag
          & info [ "deep" ]
@@ -1111,10 +1060,10 @@ let scrub_cmd =
   let jsonl_out =
     Arg.(value & opt (some string) None
          & info [ "jsonl" ] ~docv:"FILE"
-             ~doc:"Also write the per-region report as JSON lines.")
+             ~doc:"Also write the per-region report as JSON lines (- for \
+                   stdout).")
   in
-  let write_jsonl path (r : P.report) =
-    let oc = open_out path in
+  let jsonl_lines (r : P.report) =
     let pages field =
       String.concat ","
         (List.map
@@ -1123,37 +1072,36 @@ let scrub_cmd =
                (Xutil.Json.escape detail))
            field)
     in
-    Printf.fprintf oc
+    Printf.sprintf
       "{\"path\":\"%s\",\"generation\":%d,\"commit_epoch\":%d,\
-       \"clean\":%b,\"damaged_pages\":%d,\"stale_pages\":%d}\n"
+       \"clean\":%b,\"damaged_pages\":%d,\"stale_pages\":%d}"
       (Xutil.Json.escape r.P.report_path) r.P.report_generation
       r.P.report_commit_epoch r.P.report_clean r.P.damaged_pages
-      r.P.stale_pages;
-    List.iter
-      (fun (slot, state) ->
-        match state with
-        | P.Slot_valid { generation; commit_epoch; clean } ->
-          Printf.fprintf oc
-            "{\"slot\":%d,\"valid\":true,\"generation\":%d,\
-             \"commit_epoch\":%d,\"clean\":%b}\n"
-            slot generation commit_epoch clean
-        | P.Slot_invalid why ->
-          Printf.fprintf oc "{\"slot\":%d,\"valid\":false,\"why\":\"%s\"}\n"
-            slot (Xutil.Json.escape why))
-      r.P.slots;
-    List.iter
-      (fun reg ->
-        Printf.fprintf oc
-          "{\"region\":\"%s\",\"scanned\":%d,\"ok\":%d,\"unwritten\":%d,\
-           \"damaged\":[%s],\"stale\":[%s]}\n"
-          (Xutil.Json.escape reg.P.region) reg.P.scanned reg.P.ok reg.P.unwritten
-          (pages reg.P.damaged)
-          (pages
-             (List.map
-                (fun (page, epoch) -> (page, Printf.sprintf "epoch %d" epoch))
-                reg.P.stale)))
-      r.P.regions;
-    close_out oc
+      r.P.stale_pages
+    :: List.map
+         (fun (slot, state) ->
+           match state with
+           | P.Slot_valid { generation; commit_epoch; clean } ->
+             Printf.sprintf
+               "{\"slot\":%d,\"valid\":true,\"generation\":%d,\
+                \"commit_epoch\":%d,\"clean\":%b}"
+               slot generation commit_epoch clean
+           | P.Slot_invalid why ->
+             Printf.sprintf "{\"slot\":%d,\"valid\":false,\"why\":\"%s\"}"
+               slot (Xutil.Json.escape why))
+         r.P.slots
+    @ List.map
+        (fun reg ->
+          Printf.sprintf
+            "{\"region\":\"%s\",\"scanned\":%d,\"ok\":%d,\"unwritten\":%d,\
+             \"damaged\":[%s],\"stale\":[%s]}"
+            (Xutil.Json.escape reg.P.region) reg.P.scanned reg.P.ok
+            reg.P.unwritten (pages reg.P.damaged)
+            (pages
+               (List.map
+                  (fun (page, epoch) -> (page, Printf.sprintf "epoch %d" epoch))
+                  reg.P.stale)))
+        r.P.regions
   in
   let deep_check path frames =
     match P.open_ ~frames ~path () with
@@ -1221,8 +1169,8 @@ let scrub_cmd =
             Printf.printf "deep: %s\n" (Spine_error.to_string e);
             1)
   in
-  let run index page_size deep jsonl_out frames =
-    match P.scrub ~page_size ~path:index () with
+  let run index deep jsonl_out frames =
+    match P.scrub ~path:index () with
     | exception Spine_error.Error e ->
       prerr_endline (Spine_error.to_string e);
       2
@@ -1266,7 +1214,7 @@ let scrub_cmd =
                 reg.P.region page epoch)
             reg.P.stale)
         r.P.regions;
-      Option.iter (fun path -> write_jsonl path r) jsonl_out;
+      write_jsonl jsonl_out (jsonl_lines r);
       let deep_rc =
         if deep && r.P.report_generation >= 0 then deep_check index frames
         else 0
@@ -1293,7 +1241,7 @@ let scrub_cmd =
              checksums, epochs and metadata slots, and report damage \
              per region.")
     Term.(const run $ index_arg ~doc:"Index file from spine build."
-          $ page_size $ deep $ jsonl_out $ frames)
+          $ deep $ jsonl_out $ frames)
 
 (* --- scenario --- *)
 
@@ -1328,14 +1276,7 @@ let scenario_run_cmd =
        | Error e -> Printf.eprintf "scenario: %s: %s\n" sc.Scenario.sc_name e; 2
        | Ok result ->
          Scenario.print result;
-         (match report_jsonl with
-          | Some "-" -> List.iter print_endline (Scenario.jsonl result)
-          | Some path ->
-            let oc = open_out path in
-            List.iter (fun l -> output_string oc (l ^ "\n"))
-              (Scenario.jsonl result);
-            close_out oc
-          | None -> ());
+         write_jsonl report_jsonl (Scenario.jsonl result);
          if Scenario.passed result then begin
            Printf.printf "scenario: %s: ok (%d expectation(s))\n"
              result.Scenario.r_name

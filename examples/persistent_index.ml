@@ -11,10 +11,7 @@ let () =
   let genome = Bioseq.Synthetic.genomic Bioseq.Alphabet.dna rng 60_000 in
 
   (* session 1: build with a modest buffer pool and close *)
-  let p =
-    Spine.Persistent.create ~frames:64 ~pin_top_lt_pages:8 ~path
-      Bioseq.Alphabet.dna
-  in
+  let p = Spine.Persistent.create ~frames:64 ~path Bioseq.Alphabet.dna in
   Spine.Persistent.append_seq p genome;
   Printf.printf "built %d bp into %s (%.2f B/char on disk)\n"
     (Spine.Engine.length (Spine.Persistent.engine p)) path

@@ -83,7 +83,7 @@ module Btab : sig
 
   val of_bytes : Bytes.t -> t
   (** [of_bytes b] is a table whose used bytes are [b], taken over
-      without a copy: how {!Persistent.to_compact} loads a region. *)
+      without a copy: how {!Persistent.load} loads a region. *)
 end
 
 val lt_entry_bytes : int

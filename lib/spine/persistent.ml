@@ -160,8 +160,8 @@ type t = {
 let check_open t =
   if t.closed then Spine_error.raise_error (Spine_error.Closed "persistent index")
 
-let make_pool ?(frames = 256) ?(page_size = 4096) ?(pin_top_lt_pages = 0)
-    ?read_only ~path ~truncate () =
+let make_pool ?(frames = 256) ?(page_size = 4096) ?read_only ~path
+    ~truncate () =
   if truncate && Sys.file_exists path then Sys.remove path;
   let device =
     Pagestore.Device.create_file ~checksums:true ?read_only ~page_size ~path ()
@@ -170,11 +170,7 @@ let make_pool ?(frames = 256) ?(page_size = 4096) ?(pin_top_lt_pages = 0)
   (match Pagestore.Fault_device.of_env () with
    | Some plan -> Pagestore.Fault_device.attach plan device
    | None -> ());
-  let pool =
-    Pagestore.Buffer_pool.create
-      ~pin:(Paged_store.pin_top_lt pin_top_lt_pages) ~frames device
-  in
-  (device, pool)
+  (device, Pagestore.Buffer_pool.create ~frames device)
 
 (* The sequence mirror and the side log, each a byte table over its
    region.  Both halves of the side log report a full table under one
@@ -407,7 +403,7 @@ let read_epoch_decl device =
 
    Slot layout (spanning whole pages from the slot base):
      +0   magic "SPNM"
-     +4   u32 format version (3, 4 or 5)
+     +4   u32 format version (5)
      +8   u32 generation
      +12  u32 commit epoch: every data page of this generation is
               stamped with an epoch <= this
@@ -415,15 +411,13 @@ let read_epoch_decl device =
               store has the separator layout of a multi-string index)
      +20  u32 payload length
      +24  u32 CRC-32C of the payload
-     +28  u32 page size (version 5; versions 3 and 4 are 4096)
-     +32  payload (+28 before version 5)
+     +28  u32 page size
+     +32  payload
 
-   Version 5's payload is the alphabet and the counters: symbols,
-   length, cell width, each RT's used bytes, freelist head and live
-   rows, the migration count, the side log's committed record count
-   and the half it lies in.  Versions 3 and 4 carried the side tables themselves there
-   (version 4 added the overflow labels whose keys need more than 32
-   bits), which made every commit re-serialize them whole.
+   The payload is the alphabet and the counters: symbols, length, cell
+   width, each RT's used bytes, freelist head and live rows, the
+   migration count, the side log's committed record count and the half
+   it lies in.
 
    [create] stamps slot A's first page with a generation-0 header that
    is no slot at all but records the page size: slot A starts at byte
@@ -436,33 +430,29 @@ let read_epoch_decl device =
 
 let meta_magic = "SPNM"
 
-(* version 3: the sequence region switched from one byte per character
-   to the packed-row word layout, and the payload gained the cell
-   width.  Version 4 appends a section of overflow labels with keys of
-   2^32 and up (the wide RT4 rows of {!Compact_store}).  Version 5
-   moves both side tables to the side log and records the page size.
-   Versions 3 and 4 still open; the first commit after rewrites them as
-   version 5. *)
+(* The only version read: a slot of any other version does not
+   validate.  Versions 3 and 4 (side tables in the payload, no page
+   size) are upgraded by one open and close under a release that still
+   reads them. *)
 let meta_version = 5
-let header_bytes version = if version >= 5 then 32 else 28
+let header_bytes = 32
 
 type slot_meta = {
   sm_generation : int;
   sm_commit_epoch : int;
   sm_clean : bool;
   sm_separator : bool;
-  sm_version : int;
   sm_payload : Bytes.t;
 }
 
 let slot_image device ~generation ~commit_epoch ~flags payload =
   let page_size = Pagestore.Device.page_size device in
-  let hdr = header_bytes meta_version in
-  let total = hdr + Bytes.length payload in
+  let total = header_bytes + Bytes.length payload in
   if total > slot_pages * page_size then
     Spine_error.raise_error
       (Spine_error.Region_full
-         { region = "meta"; capacity = (slot_pages * page_size) - hdr });
+         { region = "meta";
+           capacity = (slot_pages * page_size) - header_bytes });
   let padded = (total + page_size - 1) / page_size * page_size in
   let all = Bytes.make padded '\000' in
   Bytes.blit_string meta_magic 0 all 0 4;
@@ -473,7 +463,7 @@ let slot_image device ~generation ~commit_epoch ~flags payload =
   set_u32 all 20 (Bytes.length payload);
   set_u32 all 24 (Xutil.Crc32c.bytes payload);
   set_u32 all 28 page_size;
-  Bytes.blit payload 0 all hdr (Bytes.length payload);
+  Bytes.blit payload 0 all header_bytes (Bytes.length payload);
   all
 
 let write_slot device ~generation ~commit_epoch ~flags payload =
@@ -510,46 +500,48 @@ let read_slot device slot =
     if String.equal magic "\000\000\000\000" then Error "slot never written"
     else if not (String.equal magic meta_magic) then
       Error "bad metadata magic"
-    else if version < 3 || version > meta_version then
+    else if version <> meta_version then
       Error (Printf.sprintf "unsupported metadata version %d" version)
     else begin
-      let hdr = header_bytes version in
-      let first = slot_bytes device slot hdr in
+      let first = slot_bytes device slot header_bytes in
       let generation = get_u32 first 8 in
       let commit_epoch = get_u32 first 12 in
       let flags = get_u32 first 16 in
       let len = get_u32 first 20 in
       let crc = get_u32 first 24 in
-      let recorded = if version >= 5 then get_u32 first 28 else 4096 in
-      if version >= 5 && generation = 0 then Error "slot never written"
+      let recorded = get_u32 first 28 in
+      if generation = 0 then Error "slot never written"
       else if recorded <> page_size then
         Error
           (Printf.sprintf "written at %d-byte pages, read at %d" recorded
              page_size)
-      else if len < 0 || len > (slot_pages * page_size) - hdr then
+      else if len < 0 || len > (slot_pages * page_size) - header_bytes then
         Error (Printf.sprintf "implausible metadata length %d" len)
       else begin
-        let payload = Bytes.sub (slot_bytes device slot (hdr + len)) hdr len in
+        let payload =
+          Bytes.sub
+            (slot_bytes device slot (header_bytes + len))
+            header_bytes len
+        in
         if Xutil.Crc32c.bytes payload <> crc then
           Error "metadata payload checksum mismatch"
         else
           Ok { sm_generation = generation; sm_commit_epoch = commit_epoch;
                sm_clean = flags land 1 = 1;
-               sm_separator = flags land 2 = 2; sm_version = version;
-               sm_payload = payload }
+               sm_separator = flags land 2 = 2; sm_payload = payload }
       end
     end
   with Spine_error.Error e -> Error (Spine_error.to_string e)
 
-(* The page size a version 5 file records, read from the raw file.
+(* The page size the file records, read from the raw file.
    Slot A's first page starts at byte 0 whatever the page size, and its
    trailer (magic "SPCK", epoch, CRC-32C over data, magic and epoch)
    follows its data, so the page size is the [ps] for which bytes [ps ..
    ps + 12] seal bytes [0 .. ps - 1] — and the header, read at that
    size, must record [ps] itself.  Every slot write records it, so when
    that page is torn or damaged, slot B's first page, at byte [4096 *
-   (ps + 16)], is tried the same way for each [ps].  [None] when page 0
-   holds a version 3 or 4 header, or neither first page yields a size. *)
+   (ps + 16)], is tried the same way for each [ps].  [None] when neither
+   first page yields a size. *)
 let max_probed_page_size = 1 lsl 16
 
 (* up to [len] bytes of the file at byte [pos], fewer at its end *)
@@ -566,7 +558,7 @@ let file_bytes fd pos len =
   Bytes.sub buf 0 (fill 0)
 
 (* [raw] starts with a slot's first page at page size [ps]: sealed, and
-   the version 5 header there records [ps] *)
+   the header there records [ps] *)
 let first_slot_page raw ps =
   let len = Bytes.length raw in
   (* logical byte [b] of the slot, stored at page size [ps] *)
@@ -583,7 +575,7 @@ let first_slot_page raw ps =
   && String.equal (Bytes.sub_string raw ps 4) "SPCK"
   && Xutil.Crc32c.digest raw ~pos:0 ~len:(ps + 8) = get_u32 raw (ps + 8)
   && String.init 4 (fun k -> Char.chr (max 0 (byte k))) = meta_magic
-  && u32 4 >= 5
+  && u32 4 = meta_version
   && u32 28 = ps
 
 let recorded_page_size path =
@@ -592,11 +584,6 @@ let recorded_page_size path =
   | fd ->
     Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
     let head = file_bytes fd 0 (max_probed_page_size + 16) in
-    let legacy =
-      Bytes.length head >= 8
-      && String.equal (Bytes.sub_string head 0 4) meta_magic
-      && get_u32 head 4 < 5
-    in
     let rec scan ps found =
       if ps > max_probed_page_size then None
       else if found ps then Some ps
@@ -609,11 +596,9 @@ let recorded_page_size path =
       Bytes.equal (file_bytes fd base 1) (Bytes.of_string "S")
       && first_slot_page (file_bytes fd base (max (ps + 16) (32 * 17))) ps
     in
-    if legacy then None
-    else
-      match scan 1 (first_slot_page head) with
-      | Some ps -> Some ps
-      | None -> scan 1 slot_b
+    match scan 1 (first_slot_page head) with
+    | Some ps -> Some ps
+    | None -> scan 1 slot_b
 
 (* --- metadata payload --- *)
 
@@ -744,8 +729,6 @@ type payload = {
   migrations : int;
   side_log : int;  (* committed side-log records *)
   side_half : int;
-  legacy_tables : (int Xutil.Int_tbl.t * int Xutil.Int_tbl.t) option;
-      (* the overflow and anchor tables a version 3 or 4 slot carries *)
 }
 
 let parse_payload ~page_size m =
@@ -801,39 +784,14 @@ let parse_payload ~page_size m =
     live_rows.(table) <- u32 ()
   done;
   let migrations = u32 () in
-  (* version 5 names the log's committed records and its half;
-     versions 3 and 4 carry the side tables themselves *)
-  let side_log, side_half, legacy_tables =
-    if m.sm_version >= 5 then begin
-      let records = u32 () in
-      (records, u32 (), None)
-    end
-    else begin
-      let entries () =
-        let tbl = Xutil.Int_tbl.create 16 in
-        for _ = 1 to u32 () do
-          let k = u32 () in
-          Xutil.Int_tbl.replace tbl k (u32 ())
-        done;
-        tbl
-      in
-      let overflow = entries () in
-      let anchors = entries () in
-      if m.sm_version >= 4 then
-        for _ = 1 to u32 () do
-          let lo = u32 () in
-          let k = lo lor (u32 () lsl 32) in
-          Xutil.Int_tbl.replace overflow k (u32 ())
-        done;
-      (0, 0, Some (overflow, anchors))
-    end
-  in
+  let side_log = u32 () in
+  let side_half = u32 () in
   if side_half > 1 || side_log * side_record_bytes > side_half_span * page_size
   then
     Spine_error.corrupt ~region:"meta" ~page
       "implausible side log (%d records in half %d)" side_log side_half;
   { alphabet; length; width; rt_used; freelist; live_rows; migrations;
-    side_log; side_half; legacy_tables }
+    side_log; side_half }
 
 let seq_bytes p =
   let cpw = 62 / p.width in
@@ -967,10 +925,8 @@ let make_t ~core ~seq_tab ~side_tab ~side_half ~device ~pool ~path ~width
 
 (* A new file holding no generation yet: the page-size stamp, and
    epoch 1 declared before any data write carries it. *)
-let new_file ?frames ?page_size ?pin_top_lt_pages ~path () =
-  let device, pool =
-    make_pool ?frames ?page_size ?pin_top_lt_pages ~path ~truncate:true ()
-  in
+let new_file ?frames ?page_size ~path () =
+  let device, pool = make_pool ?frames ?page_size ~path ~truncate:true () in
   (* the stamp is sealed at epoch 0, which no ceiling rejects *)
   Pagestore.Device.set_epoch device 0;
   write_page_size_stamp device;
@@ -979,8 +935,8 @@ let new_file ?frames ?page_size ?pin_top_lt_pages ~path () =
   write_epoch_decl device 1;
   (device, pool)
 
-let create ?frames ?page_size ?pin_top_lt_pages ~path alphabet =
-  let device, pool = new_file ?frames ?page_size ?pin_top_lt_pages ~path () in
+let create ?frames ?page_size ~path alphabet =
+  let device, pool = new_file ?frames ?page_size ~path () in
   let core = Paged_store.create pool alphabet in
   make_t ~core ~seq_tab:(seq_table pool ~used:0)
     ~side_tab:(side_table pool ~half:0 ~used:0) ~side_half:0 ~device ~pool
@@ -1111,15 +1067,14 @@ let close t =
    open writes nothing: no epoch declaration, no journal rollback (a
    file that needs one is refused) and no debris erase; it serves
    {!load}, which closes it without a commit. *)
-let attach ~read_only ?frames ?pin_top_lt_pages ~path () =
+let attach ~read_only ?frames ~path () =
   Telemetry.with_span s_open @@ fun () ->
   if not (Sys.file_exists path) then
     Spine_error.io_failed ~op:Spine_error.Read "Persistent.open_: %s does not exist"
       path;
   let page_size = recorded_page_size path in
   let device, pool =
-    make_pool ?frames ?page_size ?pin_top_lt_pages ~read_only ~path
-      ~truncate:false ()
+    make_pool ?frames ?page_size ~read_only ~path ~truncate:false ()
   in
   let page_size = Pagestore.Device.page_size device in
   try
@@ -1176,10 +1131,7 @@ let attach ~read_only ?frames ?pin_top_lt_pages ~path () =
         ~used:(committed_bytes p (Side p.side_half))
     in
     let overflow, anchors =
-      match p.legacy_tables with
-      | Some tables -> tables
-      | None ->
-        replay_side side_tab ~half:p.side_half ~page_size ~records:p.side_log
+      replay_side side_tab ~half:p.side_half ~page_size ~records:p.side_log
     in
     let lt, rts =
       Paged_store.tables pool ~lt_used:(committed_bytes p Lt) ~rt_used:p.rt_used
@@ -1198,19 +1150,13 @@ let attach ~read_only ?frames ?pin_top_lt_pages ~path () =
        crash debris beyond it so this session's own appends can extend
        the tables into those pages *)
     journal_commit_window t;
-    if not read_only then begin
-      erase_debris device t.journal.j_committed;
-      (* a version 3 or 4 file's tables start the log; the next commit
-         writes version 5 *)
-      if Option.is_some p.legacy_tables then compact_side t
-    end;
+    if not read_only then erase_debris device t.journal.j_committed;
     t
   with e ->
     Pagestore.Device.close device;
     raise e
 
-let open_ ?frames ?pin_top_lt_pages ~path () =
-  attach ~read_only:false ?frames ?pin_top_lt_pages ~path ()
+let open_ ?frames ~path () = attach ~read_only:false ?frames ~path ()
 
 let path t = t.file_path
 let generation t = t.generation
@@ -1260,28 +1206,21 @@ let append_seq t seq =
   Telemetry.with_span s_build (fun () ->
       Bioseq.Packed_seq.iteri seq ~f:(fun _ c -> append t c))
 
-(* Every table is copied a page at a time; the side tables, counters
-   and sequence are already in memory. *)
-let to_compact t =
-  check_open t;
+(* Every table is copied a page at a time.  The read-only handle is
+   released, never committed, so the in-memory index takes over the
+   side tables, counters and sequence it recovered. *)
+let load ~path =
+  let t = attach ~read_only:true ~path () in
+  Fun.protect ~finally:(fun () -> Pagestore.Device.close t.device)
+  @@ fun () ->
   let c = t.core in
   let page_size = Pagestore.Device.page_size t.device in
   let btab tab = Compact_store.Btab.of_bytes (table_bytes ~page_size tab) in
   let alphabet = P.alphabet c in
-  Compact_store.make ~freelist:(Array.copy c.P.freelist)
-    ~live_rows:(Array.copy c.P.live_rows)
-    ~overflow:(Xutil.Int_tbl.copy c.P.overflow)
-    ~anchors:(Xutil.Int_tbl.copy c.P.anchors) ~migrations:c.P.migrations
-    ~separator:(separator_layout c.P.lo alphabet)
-    ~seq:(Bioseq.Packed_seq.copy c.P.seq) ~lt:(btab c.P.lt)
-    ~rts:(Array.map btab c.P.rts) alphabet
-
-(* The read-only handle is never committed, only released. *)
-let load ~path =
-  let t = attach ~read_only:true ~path () in
-  Fun.protect
-    ~finally:(fun () -> Pagestore.Device.close t.device)
-    (fun () -> to_compact t)
+  Compact_store.make ~freelist:c.P.freelist ~live_rows:c.P.live_rows
+    ~overflow:c.P.overflow ~anchors:c.P.anchors ~migrations:c.P.migrations
+    ~separator:(separator_layout c.P.lo alphabet) ~seq:c.P.seq
+    ~lt:(btab c.P.lt) ~rts:(Array.map btab c.P.rts) alphabet
 
 let bytes_per_char t = check_open t; P.bytes_per_char t.core
 let sequence t = check_open t; P.sequence t.core
@@ -1370,11 +1309,11 @@ let verify t =
   check_open t;
   run_scrub ~live:true t.device t.file_path
 
-let scrub ?(page_size = 4096) ~path () =
+let scrub ~path () =
   if not (Sys.file_exists path) then
     Spine_error.io_failed ~op:Spine_error.Read "Persistent.scrub: %s does not exist"
       path;
-  let page_size = Option.value (recorded_page_size path) ~default:page_size in
+  let page_size = Option.value (recorded_page_size path) ~default:4096 in
   let device =
     Pagestore.Device.create_file ~checksums:true ~read_only:true ~page_size
       ~path ()

@@ -46,7 +46,7 @@
 
     This file is the one on-disk form of an index: [spine build] builds
     in memory and writes it with {!of_compact}, and the in-memory
-    backend loads it back with {!to_compact}.  Construction also works
+    backend loads it back with {!load}.  Construction also works
     online: {!append} extends the index and the file together.  Queries
     go through {!engine}: the shared SPINE algorithms instantiated over
     the paged storage, so every page they touch goes through the pool.
@@ -58,12 +58,10 @@
 type t
 
 val create :
-  ?frames:int -> ?page_size:int -> ?pin_top_lt_pages:int ->
-  path:string -> Bioseq.Alphabet.t -> t
+  ?frames:int -> ?page_size:int -> path:string -> Bioseq.Alphabet.t -> t
 (** Start a new index in file [path] (truncating any previous content).
     [frames] bounds the buffer pool (default 256 pages of
-    [page_size] = 4096 bytes); [pin_top_lt_pages] applies the paper's
-    keep-the-top-of-the-LT policy.  The file records [page_size]. *)
+    [page_size] = 4096 bytes).  The file records [page_size]. *)
 
 val of_compact : path:string -> Compact.t -> t
 (** [of_compact ~path c] starts a new index in file [path], as {!create}
@@ -77,16 +75,10 @@ val of_compact : path:string -> Compact.t -> t
     @raise Spine_error.Error ([Region_full]) when a table outgrows its
     region. *)
 
-val to_compact : t -> Compact.t
-(** An in-memory copy of the open index, sharing nothing with it: each
-    table is copied a page at a time through the pool, every page
-    checked as it is read, and the side tables and counters are taken
-    as {!open_} recovered them.  [t] stays open.
-    @raise Spine_error.Error ([Corrupt]) when a page fails its check. *)
-
 val load : path:string -> Compact.t
-(** [load ~path] is {!to_compact} of the file's newest committed
-    generation, read without writing: the file is opened read-only,
+(** [load ~path] is an in-memory copy of the file's newest committed
+    generation, each table copied a page at a time, every page checked
+    as it is read.  The file is read without writing: it is opened read-only,
     and nothing is declared, rolled back or committed, so a read-only
     file loads, and concurrent loads of one file do not interfere.  A
     committed page that was never written (a file cut short, or with a
@@ -96,13 +88,15 @@ val load : path:string -> Compact.t
     is missing or unreadable, or a crashed session left overwrites
     that only a writing {!open_} can roll back. *)
 
-val open_ : ?frames:int -> ?pin_top_lt_pages:int -> path:string -> unit -> t
+val open_ : ?frames:int -> path:string -> unit -> t
 (** Reopen a previously {!close}d (or crashed) index at the page size
-    the file records (4096 for files written before the page size was
-    recorded): recover the newest valid metadata generation.
+    the file records: recover the newest valid metadata generation.
+    Only metadata version 5 is read; a slot of another version counts
+    as invalid.
     @raise Spine_error.Error ([Corrupt]) when neither shadow slot holds
-    valid metadata, or recovery reads crash debris; ([Io_failed]) when
-    the file is missing or unreadable. *)
+    valid metadata (the detail names each slot's fault, e.g.
+    "unsupported metadata version 4"), or recovery reads crash debris;
+    ([Io_failed]) when the file is missing or unreadable. *)
 
 val close : t -> unit
 (** Flush everything (pages + metadata, marked as a clean shutdown) and
@@ -191,13 +185,12 @@ val verify : t -> report
     (checksum, epoch).  Read-only and advisory: it reflects the
     on-disk image, so {!flush} first for a post-commit view. *)
 
-val scrub : ?page_size:int -> path:string -> unit -> report
+val scrub : path:string -> unit -> report
 (** Offline {!verify}: open the file read-only (no pool, no recovery),
     validate both metadata slots, walk every region — each table's
     committed prefix even past the file's end, a never-written page
     there counting as damaged.  Never raises on
     damage — damage is the report's content.  The file is read at the
-    page size it records; [page_size] (default 4096) only serves a file
-    that records none (written before the page size was recorded, or
-    with the first pages of both slots damaged).
+    page size it records, or at 4096 bytes when neither slot's first
+    page yields one (both damaged, or not a version 5 file).
     @raise Spine_error.Error ([Io_failed]) when the file is missing. *)

@@ -259,154 +259,9 @@ let byte = Bioseq.Alphabet.byte
 let get32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
 let set32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
-let put32 buf v =
-  for k = 0 to 3 do Buffer.add_char buf (Char.chr ((v lsr (8 * k)) land 0xFF)) done
-
-(* Rewrite a closed 4 KiB-page file as version 4 wrote it.  The newest
-   metadata slot gets the version 4 header (28 bytes, no page size) and
-   payload: the version 5 payload without its trailing side-log length
-   and half, then the side tables themselves, read back through [open_] — the
-   overflow labels with 32-bit keys, the anchors, and the overflow
-   labels with wider keys.  The other slot's first page (the page-size
-   stamp, or an older generation) is zeroed, as in a file version 4
-   wrote.  Returns the newest generation. *)
-let downgrade_to_v4 path =
-  let p = Spine.Persistent.open_ ~path () in
-  let store = Spine.Persistent.store p in
-  let entries tbl =
-    List.sort compare (Xutil.Int_tbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-  in
-  let overflow = entries store.Spine.Paged_store.P.overflow in
-  let anchors = entries store.Spine.Paged_store.P.anchors in
-  let generation = Spine.Persistent.generation p in
-  (* abandon the handle: nothing of this session reaches the slots *)
-  Pagestore.Device.close (Spine.Persistent.device p);
-  let dev =
-    Pagestore.Device.create_file ~checksums:true ~page_size:4096 ~path ()
-  in
-  let newest = (generation land 1) * 4096 in
-  (match Pagestore.Device.read_slot_any dev newest with
-   | `Invalid -> Alcotest.fail "the newest slot does not validate"
-   | `Valid (data, epoch) ->
-     Alcotest.(check int) "written as version 5" 5 (get32 data 4);
-     Alcotest.(check int) "records its page size" 4096 (get32 data 28);
-     let len = get32 data 20 in
-     let buf = Buffer.create 1024 in
-     Buffer.add_bytes buf (Bytes.sub data 32 (len - 8));
-     let narrow, wide = List.partition (fun (k, _) -> k lsr 32 = 0) overflow in
-     let section l = put32 buf (List.length l); List.iter (fun (k, v) -> put32 buf k; put32 buf v) l in
-     section narrow;
-     section anchors;
-     put32 buf (List.length wide);
-     List.iter (fun (k, v) -> put32 buf k; put32 buf (k lsr 32); put32 buf v) wide;
-     let v4 = Buffer.to_bytes buf in
-     if 28 + Bytes.length v4 > 4096 then Alcotest.fail "test payload spans pages";
-     let page = Bytes.make 4096 '\000' in
-     Bytes.blit data 0 page 0 20;
-     set32 page 4 4;
-     set32 page 20 (Bytes.length v4);
-     set32 page 24 (Xutil.Crc32c.bytes v4);
-     Bytes.blit v4 0 page 28 (Bytes.length v4);
-     Pagestore.Device.set_epoch dev epoch;
-     Pagestore.Device.write dev newest page;
-     Pagestore.Device.write dev (4096 - newest) (Bytes.make 4096 '\000'));
-  Pagestore.Device.close dev;
-  generation
-
-(* Rewrite the newest metadata slot of a closed file as a version 3
-   slot: first as version 4 ({!downgrade_to_v4}), then the version 4
-   payload minus its (empty) section of wide overflow keys.
-   Before that, check that every side-table key has the 64-keys-per-row
-   shape version 3 files use: an odd RT key [((row * 64 + slot) * 4 +
-   table) * 2 + 1] names slot 62 in the anchor table and a PT (< 60)
-   or the PRT (63) in the overflow table; LT keys are even.  (Version 3
-   has no fanout entries: its LT field held fanouts up to 31.)
-   Returns the number of anchors seen. *)
-let downgrade_to_v3 path =
-  ignore (downgrade_to_v4 path : int);
-  let dev =
-    Pagestore.Device.create_file ~checksums:true ~page_size:4096 ~path ()
-  in
-  let anchors = ref 0 in
-  let key_slot k = (k - 1) / 2 / 4 mod 64 in
-  List.iter
-    (fun page ->
-      match Pagestore.Device.read_slot_any dev page with
-      | `Invalid -> ()
-      | `Valid (data, epoch) ->
-        if Bytes.sub_string data 0 4 = "SPNM" then begin
-          Alcotest.(check int) "written as version 4" 4 (get32 data 4);
-          let len = get32 data 20 in
-          let payload = Bytes.sub data 28 len in
-          let pos = ref (4 + get32 payload 0 + 60) in
-          let entries () =
-            let n = get32 payload !pos in
-            let keys = List.init n (fun i -> get32 payload (!pos + 4 + (8 * i))) in
-            pos := !pos + 4 + (8 * n);
-            keys
-          in
-          List.iter
-            (fun k ->
-              if k land 1 = 1 && not (key_slot k < 60 || key_slot k = 63)
-              then
-                Alcotest.failf "overflow key %d names slot %d" k (key_slot k))
-            (entries ());
-          List.iter
-            (fun k ->
-              incr anchors;
-              if k land 1 = 0 || key_slot k <> 62 then
-                Alcotest.failf "anchor key %d names slot %d" k (key_slot k))
-            (entries ());
-          Alcotest.(check int) "no wide keys" 0 (get32 payload !pos);
-          Alcotest.(check int) "wide section ends the payload" len (!pos + 4);
-          let v3 = Bytes.sub payload 0 !pos in
-          set32 data 4 3;
-          set32 data 20 !pos;
-          set32 data 24 (Xutil.Crc32c.bytes v3);
-          Bytes.fill data 28 len '\000';
-          Bytes.blit v3 0 data 28 !pos;
-          Pagestore.Device.set_epoch dev epoch;
-          Pagestore.Device.write dev page data
-        end)
-    [ 0; 4096 ];
-  Pagestore.Device.close dev;
-  !anchors
-
-(* A byte-alphabet file as version 3 wrote it — extribs (the paper's
-   example), a root with the largest fanout the LT field holds (31) —
-   opens, validates and answers like a suffix tree. *)
-let test_version3_file () =
-  let text =
-    "aaccacaaca" ^ String.init 30 (fun i -> Char.chr (65 + i)) ^ "acaacaac"
-  in
-  with_tmp (fun path ->
-      let p = Spine.Persistent.create ~path byte in
-      Spine.Persistent.append_string p text;
-      Spine.Persistent.close p;
-      if downgrade_to_v3 path = 0 then Alcotest.fail "no extrib anchors";
-      (* a read-only load takes the side tables from the version 3 slot *)
-      Alcotest.(check (list string)) "loads as Compact.of_seq" []
-        (Index_file.differences
-           (Spine.Compact.of_seq (Bioseq.Packed_seq.of_string byte text))
-           (Spine.Persistent.load ~path));
-      let p = Spine.Persistent.open_ ~path () in
-      Paged_valid.check_exn (Spine.Persistent.store p);
-      let seq = Bioseq.Packed_seq.of_string byte text in
-      let tree = Suffix_tree.build seq in
-      let n = String.length text in
-      for len = 1 to 6 do
-        for pos = 0 to n - len do
-          let pat = Array.init len (fun j -> Char.code text.[pos + j]) in
-          Alcotest.(check (list int))
-            (Printf.sprintf "occurrences of %S" (String.sub text pos len))
-            (List.sort Int.compare (Suffix_tree.occurrences tree pat))
-            (occurrences p pat)
-        done
-      done;
-      Spine.Persistent.close p)
-
-(* Version 4 keeps the overflow labels whose keys need more than 32
-   bits: PTs above 0xFFFF in the slots 60 and up of a wide RT4 row. *)
+(* Overflow labels whose keys need more than 32 bits — PTs above 0xFFFF
+   in the slots 60 and up of a wide RT4 row — come back through the
+   side log. *)
 let test_wide_keys_reopen () =
   with_tmp (fun path ->
       let p = Spine.Persistent.create ~path byte in
@@ -525,50 +380,14 @@ let region_bound ?flush_every () =
 let test_region_bound () = region_bound ()
 let test_flushed_to_the_region_bound () = region_bound ~flush_every:10_000 ()
 
-(* A version 4 file (side tables in the metadata payload) opens, takes
-   appends, and its first commit writes version 5: the tables move to
-   the side log and the slot records the page size. *)
-let test_version4_upgrade () =
-  with_tmp (fun path ->
-      let p, seq = chunked_build ~path ~chunk:1_500 3_000 in
-      Spine.Persistent.close p;
-      let generation = downgrade_to_v4 path in
-      let p = Spine.Persistent.open_ ~path () in
-      Alcotest.(check int) "the version 4 generation" generation
-        (Spine.Persistent.generation p);
-      Paged_valid.check_exn (Spine.Persistent.store p);
-      check_parity "version 4" p seq 3_000;
-      Alcotest.(check bool) "version 4 has extrib anchors" true
-        (Xutil.Int_tbl.length (Spine.Persistent.store p).Spine.Paged_store.P.anchors
-         > 0);
-      let more = Bioseq.Synthetic.genomic dna (Bioseq.Rng.create 5) 1_000 in
-      Spine.Persistent.append_seq p more;
-      Spine.Persistent.flush p;
-      (* abandon after the flush: the version 5 commit alone recovers *)
-      Pagestore.Device.close (Spine.Persistent.device p);
-      let full = Bioseq.Packed_seq.create dna in
-      Bioseq.Packed_seq.iteri seq ~f:(fun _ c -> Bioseq.Packed_seq.append full c);
-      Bioseq.Packed_seq.iteri more ~f:(fun _ c -> Bioseq.Packed_seq.append full c);
-      let p = Spine.Persistent.open_ ~path () in
-      Paged_valid.check_exn (Spine.Persistent.store p);
-      check_parity "upgraded" p full 4_000;
-      Spine.Persistent.close p;
-      let dev =
-        Pagestore.Device.create_file ~checksums:true ~page_size:4096 ~path ()
-      in
-      (match Pagestore.Device.read_slot_any dev (((generation + 2) land 1) * 4096) with
-       | `Valid (data, _) ->
-         Alcotest.(check int) "the newest slot is version 5" 5 (get32 data 4)
-       | `Invalid -> Alcotest.fail "the newest slot does not validate");
-      Pagestore.Device.close dev)
-
-(* At 8-byte pages a metadata slot holds 32,740 bytes.  Version 4 kept
-   8 bytes per extrib anchor in it, so an index with more than about
-   4,000 anchors could not commit; the side log has no such ceiling.
+(* At 8-byte pages a metadata slot holds 32,736 bytes.  Were the side
+   tables kept there, at 8 bytes per extrib anchor, an index with more
+   than about 4,000 anchors could not commit; the side log has no such
+   ceiling.
    Grow past it a flush at a time, then reopen at the recorded page
    size and check parity. *)
 let test_side_tables_outgrow_a_slot () =
-  let slot_bytes = (4096 * 8) - 28 in
+  let slot_bytes = (4096 * 8) - 32 in
   with_tmp (fun path ->
       let total = 34_000 in
       let p, seq =
@@ -590,14 +409,12 @@ let test_side_tables_outgrow_a_slot () =
       check_parity "reopened" p seq total;
       Spine.Persistent.close p)
 
-(* The page size is in the file: [open_] and [scrub] need not be told.
-   [scrub]'s own [page_size] only serves files without a version 5
-   slot. *)
+(* The page size is in the file: [open_] and [scrub] need not be told. *)
 let test_recorded_page_size () =
   with_tmp (fun path ->
       let p, seq = chunked_build ~page_size:128 ~path ~chunk:1_000 2_000 in
       Spine.Persistent.close p;
-      let r = Spine.Persistent.scrub ~page_size:4096 ~path () in
+      let r = Spine.Persistent.scrub ~path () in
       Alcotest.(check int) "scrub finds the generation" 3 r.Spine.Persistent.report_generation;
       Alcotest.(check int) "and no damage" 0
         (r.Spine.Persistent.damaged_pages + r.Spine.Persistent.stale_pages);
@@ -764,6 +581,73 @@ let test_of_compact_grows_online () =
         (Index_file.differences (Spine.Compact.of_seq text)
            (Spine.Persistent.load ~path)))
 
+(* Only metadata version 5 is read.  Both slots of a closed file are
+   forged as version 4 — the version word rewritten, each page resealed
+   at its own epoch — and then [load] and [open_] each fail typed,
+   naming the version, and [scrub] finds no generation to recover.
+   None of them writes: the slots' bytes, the file's length and its
+   modification time stay as they were. *)
+let test_other_versions_refused () =
+  with_tmp (fun path ->
+      let p = Spine.Persistent.create ~path dna in
+      Spine.Persistent.append_string p "acgtacgtacgt";
+      Spine.Persistent.flush p;  (* generation 1 -> slot B *)
+      Spine.Persistent.close p;  (* generation 2 -> slot A *)
+      let dev =
+        Pagestore.Device.create_file ~checksums:true ~page_size:4096 ~path ()
+      in
+      List.iter
+        (fun page ->
+          match Pagestore.Device.read_slot_any dev page with
+          | `Invalid -> Alcotest.fail "a metadata slot does not validate"
+          | `Valid (data, epoch) ->
+            Alcotest.(check int) "written as version 5" 5 (get32 data 4);
+            set32 data 4 4;
+            Pagestore.Device.set_epoch dev epoch;
+            Pagestore.Device.write dev page data)
+        [ 0; 4096 ];
+      Pagestore.Device.close dev;
+      Unix.utimes path 1.0 1.0;
+      let image () =
+        In_channel.with_open_bin path (fun ic ->
+            let page off =
+              In_channel.seek ic (Int64.of_int off);
+              really_input_string ic phys_page
+            in
+            (page (slot_off 0), page (slot_off 1), In_channel.length ic))
+      in
+      let before = image () in
+      let why = "unsupported metadata version 4" in
+      let refused what f =
+        match f () with
+        | exception Spine_error.Error (Spine_error.Corrupt { detail; _ }) ->
+          Alcotest.(check string) (what ^ ": the diagnosis")
+            (Printf.sprintf "no recoverable metadata (slot A: %s; slot B: %s)"
+               why why)
+            detail
+        | exception e ->
+          Alcotest.failf "%s: wrong exception %s" what (Printexc.to_string e)
+        | () -> Alcotest.failf "%s accepted a version 4 file" what
+      in
+      refused "load" (fun () -> ignore (Spine.Persistent.load ~path));
+      refused "open_" (fun () ->
+          Spine.Persistent.close (Spine.Persistent.open_ ~path ()));
+      let r = Spine.Persistent.scrub ~path () in
+      Alcotest.(check int) "scrub: no generation" (-1)
+        r.Spine.Persistent.report_generation;
+      List.iter
+        (fun (slot, state) ->
+          match state with
+          | Spine.Persistent.Slot_invalid w ->
+            Alcotest.(check string) (Printf.sprintf "scrub: slot %d" slot) why w
+          | Spine.Persistent.Slot_valid _ ->
+            Alcotest.failf "scrub: slot %d validates" slot)
+        r.Spine.Persistent.slots;
+      Alcotest.(check bool) "the slots and the length are unchanged" true
+        (before = image ());
+      Alcotest.(check (float 0.)) "not written to" 1.0
+        (Unix.stat path).Unix.st_mtime)
+
 let suite =
   [ Alcotest.test_case "parity with the in-memory index" `Quick
       test_parity_with_memory
@@ -778,13 +662,9 @@ let suite =
       test_corrupt_metadata
   ; Alcotest.test_case "shadow-slot fallback recovers previous generation"
       `Quick test_shadow_fallback
-  ; Alcotest.test_case "version 3 byte-alphabet file opens" `Quick
-      test_version3_file
   ; Alcotest.test_case "wide overflow keys survive reopen" `Quick
       test_wide_keys_reopen
   ; Alcotest.test_case "a full region fails typed" `Slow test_region_bound
-  ; Alcotest.test_case "version 4 file upgrades to version 5" `Quick
-      test_version4_upgrade
   ; Alcotest.test_case "side tables outgrow a metadata slot" `Quick
       test_side_tables_outgrow_a_slot
   ; Alcotest.test_case "open_ and scrub read the page size" `Quick
@@ -799,4 +679,6 @@ let suite =
       test_online_build_loads
   ; Alcotest.test_case "an of_compact file grows online" `Quick
       test_of_compact_grows_online
+  ; Alcotest.test_case "other metadata versions are refused unchanged" `Quick
+      test_other_versions_refused
   ]

@@ -55,8 +55,23 @@ let flip_bit path off mask =
 let crash_seq total =
   Bioseq.Synthetic.genomic dna (Bioseq.Rng.create 4040) total
 
-let run_crash_workload ?frames ?page_size ~chunks ~seq path fault =
-  let p = P.create ?frames ?page_size ~path dna in
+(* The workload's index: a fresh one at [page_size], or, with [base],
+   the file [of_compact] writes of the first [base] chars (at the
+   default page size), closed and reopened. *)
+let start_index ?frames ?page_size ?(base = 0) ~seq path =
+  if base = 0 then P.create ?frames ?page_size ~path dna
+  else begin
+    let prefix =
+      Bioseq.Packed_seq.of_codes dna
+        (Array.init base (fun k -> Bioseq.Packed_seq.get seq k))
+    in
+    P.close (P.of_compact ~path (Spine.Compact.of_seq prefix));
+    P.open_ ?frames ~path ()
+  end
+
+let run_crash_workload ?frames ?page_size ?(base = 0) ~chunks ~seq path
+    fault =
+  let p = start_index ?frames ?page_size ~base ~seq path in
   let frozen () =
     match fault with Some f -> FD.frozen f | None -> false
   in
@@ -68,7 +83,7 @@ let run_crash_workload ?frames ?page_size ~chunks ~seq path fault =
      a small pool it may even trip over its own stale re-reads.  Stop
      at the first sign of the freeze and abandon the handle — exactly
      what kill -9 leaves behind. *)
-  let pos = ref 0 in
+  let pos = ref base in
   match
     List.iter
       (fun n ->
@@ -86,16 +101,18 @@ let run_crash_workload ?frames ?page_size ~chunks ~seq path fault =
 (* Freeze the image at every write of the workload, reopen, and demand
    recovery of a flushed prefix with exact query parity.  A typed
    [Corrupt] on reopen is tolerated only for crashes that can destroy
-   the sole metadata slot (nothing was ever fully committed); once
-   [open_] succeeds, the journal rollback must have put the committed
-   prefix back byte for byte, so queries may never fail OR lie. *)
-let crash_matrix ?frames ?page_size ~chunks ~require_evictions () =
-  let total = List.fold_left ( + ) 0 chunks in
+   the sole metadata slot (nothing was ever fully committed), so never
+   over a [base] file; once [open_] succeeds, the journal rollback must
+   have put the committed prefix back byte for byte, so queries may
+   never fail OR lie. *)
+let crash_matrix ?frames ?page_size ?(base = 0) ~chunks ~require_evictions ()
+    =
+  let total = List.fold_left ( + ) base chunks in
   let seq = crash_seq total in
   (* flushed lengths and their in-memory oracles *)
   let flush_points =
     List.rev
-      (List.fold_left (fun acc n -> (List.hd acc + n) :: acc) [ 0 ] chunks)
+      (List.fold_left (fun acc n -> (List.hd acc + n) :: acc) [ base ] chunks)
   in
   let flush_points = List.filter (fun l -> l > 0) flush_points in
   let oracles =
@@ -111,7 +128,7 @@ let crash_matrix ?frames ?page_size ~chunks ~require_evictions () =
   (* count the workload's device writes once, fault-free *)
   let total_writes, evictions =
     with_tmp (fun path ->
-        let p = P.create ?frames ?page_size ~path dna in
+        let p = start_index ?frames ?page_size ~base ~seq path in
         let count = ref 0 in
         Pagestore.Device.set_hooks (P.device p)
           (Some
@@ -121,7 +138,7 @@ let crash_matrix ?frames ?page_size ~chunks ~require_evictions () =
                    incr count;
                    Pagestore.Device.Write_through)
              });
-        let pos = ref 0 in
+        let pos = ref base in
         List.iter
           (fun n ->
             for _ = 1 to n do
@@ -149,15 +166,15 @@ let crash_matrix ?frames ?page_size ~chunks ~require_evictions () =
   for k = 0 to total_writes - 1 do
     with_tmp (fun path ->
         let f = FD.create [ FD.arm ~after:k FD.Crash ] in
-        run_crash_workload ?frames ?page_size ~chunks ~seq path (Some f);
+        run_crash_workload ?frames ?page_size ~base ~chunks ~seq path (Some f);
         Alcotest.(check bool)
           (Printf.sprintf "crash %d froze the image" k)
           true (FD.frozen f);
         match P.open_ ?frames ~path () with
-        | exception Spine_error.Error (Spine_error.Corrupt _) ->
+        | exception Spine_error.Error (Spine_error.Corrupt _) when base = 0 ->
           incr clean_failures
         | exception e ->
-          Alcotest.failf "crash at write %d: untyped exception on reopen: %s"
+          Alcotest.failf "crash at write %d: reopen raised %s"
             k (Printexc.to_string e)
         | p ->
           let len = length p in
@@ -212,6 +229,14 @@ let test_crash_matrix_small_pages () =
 
 let test_crash_matrix_small_pages_evictions () =
   crash_matrix ~page_size:64 ~frames:8 ~chunks:[ 250; 200; 150 ]
+    ~require_evictions:true ()
+
+(* The file [spine build] writes, taken up online: [of_compact] writes
+   the first 850 chars and [close] commits them; a session reopens it
+   with 8 frames and appends two more flushed chunks, and the image
+   freezes at each of that session's device writes. *)
+let test_crash_matrix_of_compact () =
+  crash_matrix ~base:850 ~frames:8 ~chunks:[ 850; 800 ]
     ~require_evictions:true ()
 
 (* A crash inside the flush that compacts the side log.  The first
@@ -900,4 +925,6 @@ let suite =
       test_torn_metadata_small_pages
   ; Alcotest.test_case "crash inside a side-log compaction" `Quick
       test_crash_in_side_compaction
+  ; Alcotest.test_case "crash-point matrix over an of_compact file" `Quick
+      test_crash_matrix_of_compact
   ]

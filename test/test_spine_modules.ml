@@ -78,9 +78,14 @@ let test_generalized_locate_errors () =
 
 (* --- The persistent index file --- *)
 
-(* The texts of {!Index_file.texts}, and generalized indexes, which
-   have the separator layout: one of two strings, and one of a single
-   string, whose text holds no separator to tell the layout by. *)
+(* The texts of {!Index_file.texts}; a byte-alphabet text with extribs
+   (the paper's example) and a root of fanout 31; and generalized
+   indexes, which have the separator layout: one of two strings, and
+   one of a single string, whose text holds no separator to tell the
+   layout by. *)
+let wide_root_text =
+  "aaccacaaca" ^ String.init 30 (fun i -> Char.chr (65 + i)) ^ "acaacaac"
+
 let file_inputs () =
   let generalized strings =
     let g = Spine.Generalized.create dna in
@@ -90,7 +95,9 @@ let file_inputs () =
   List.map
     (fun (name, seq) -> (name, Spine.Compact.of_seq seq))
     (Index_file.texts ())
-  @ [ ("generalized", generalized [ "acgtacgggtacgt"; "ttgacaccgtacgg" ]);
+  @ [ ("wide root",
+       Spine.Compact.of_string Bioseq.Alphabet.byte wide_root_text);
+      ("generalized", generalized [ "acgtacgggtacgt"; "ttgacaccgtacgg" ]);
       ("generalized, one string", generalized [ "acgtacgggtacgtttgacaccg" ]) ]
 
 let test_file_roundtrip () =
@@ -113,7 +120,14 @@ let test_file_roundtrip () =
         (ms loaded);
       if String.equal name "a^70000" then
         Alcotest.(check bool) "a^70000 overflows its labels" true
-          (Spine.Compact_store.overflow_count loaded > 0))
+          (Spine.Compact_store.overflow_count loaded > 0);
+      if String.equal name "wide root" then begin
+        let e = Spine.Compact.engine loaded in
+        Alcotest.(check bool) "wide root has extribs" true
+          ((Spine.Engine.edge_counts e).Spine.Engine.extribs > 0);
+        Alcotest.(check int) "wide root: one node of 31 ribs" 1
+          (Spine.Engine.rib_distribution e).(31)
+      end)
     (file_inputs ())
 
 (* A loaded index is a working in-memory store: it keeps growing online
