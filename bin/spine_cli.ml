@@ -14,9 +14,24 @@ let alphabet_arg =
   let doc = "Alphabet: dna, protein or byte." in
   Arg.(value & opt string "dna" & info [ "alphabet"; "a" ] ~docv:"ALPHA" ~doc)
 
-let load_sequence ~alphabet ~fasta ~synthetic ~scale ~text =
-  match fasta, synthetic, text with
-  | Some path, None, None ->
+(* The characters of [s] in [alphabet], skipping any outside it. *)
+let seq_of_literal alphabet s =
+  let seq = Bioseq.Packed_seq.create alphabet in
+  String.iter
+    (fun c ->
+      match Bioseq.Alphabet.encode_opt alphabet c with
+      | Some code -> Bioseq.Packed_seq.append seq code
+      | None -> ())
+    s;
+  seq
+
+(* Every source-reading command: the alphabet name, then a --seq
+   literal if given, else exactly one of --fasta, --synthetic, --text. *)
+let sequence_of_source ?seq_str ~alphabet ~fasta ~synthetic ~scale ~text () =
+  Result.bind (alphabet_of_string alphabet) @@ fun alphabet ->
+  match seq_str, fasta, synthetic, text with
+  | Some s, _, _, _ -> Ok (seq_of_literal alphabet s)
+  | None, Some path, None, None ->
     (match Bioseq.Fasta.read_file alphabet path with
      | [] -> Error "FASTA file contains no records"
      | records ->
@@ -27,23 +42,16 @@ let load_sequence ~alphabet ~fasta ~synthetic ~scale ~text =
            Bioseq.Packed_seq.iteri s ~f:(fun _ c -> Bioseq.Packed_seq.append seq c))
          records;
        Ok seq)
-  | None, Some name, None ->
+  | None, None, Some name, None ->
     (match Bioseq.Corpus.find name with
      | Some corpus -> Ok (Bioseq.Corpus.load ~scale corpus)
      | None -> Error (Printf.sprintf "unknown corpus %S" name))
-  | None, None, Some path ->
+  | None, None, None, Some path ->
     let ic = open_in_bin path in
     let contents = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    let seq = Bioseq.Packed_seq.create alphabet in
-    String.iter
-      (fun c ->
-        match Bioseq.Alphabet.encode_opt alphabet c with
-        | Some code -> Bioseq.Packed_seq.append seq code
-        | None -> ())
-      contents;
-    Ok seq
-  | _ ->
+    Ok (seq_of_literal alphabet contents)
+  | None, _, _, _ ->
     Error "provide exactly one of --fasta, --synthetic, --text"
 
 let fasta_arg =
@@ -114,9 +122,7 @@ let build_cmd =
          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output index file.")
   in
   let run alphabet fasta synthetic scale text out stats =
-    match Result.bind (alphabet_of_string alphabet) (fun alphabet ->
-        load_sequence ~alphabet ~fasta ~synthetic ~scale ~text)
-    with
+    match sequence_of_source ~alphabet ~fasta ~synthetic ~scale ~text () with
     | Error e -> prerr_endline e; 1
     | Ok seq ->
       if stats then Telemetry.set_enabled true;
@@ -166,16 +172,6 @@ let seq_literal_arg =
        & info [ "seq" ] ~docv:"STRING"
            ~doc:"Index this literal string (alternative to --fasta, \
                  --synthetic, --text).")
-
-let seq_of_literal alphabet s =
-  let seq = Bioseq.Packed_seq.create alphabet in
-  String.iter
-    (fun c ->
-      match Bioseq.Alphabet.encode_opt alphabet c with
-      | Some code -> Bioseq.Packed_seq.append seq code
-      | None -> ())
-    s;
-  seq
 
 (* Shared by query, stats --space, workload and trace: build the chosen
    backend from an in-memory sequence and pack it into an engine,
@@ -245,10 +241,7 @@ let acquire_engine ~alphabet ~fasta ~synthetic ~scale ~text ~seq_str ~backend
   | None, _ ->
     Result.map
       (engine_of_source ~backend ~frames ~page_size)
-      (Result.bind (alphabet_of_string alphabet) (fun alphabet ->
-           match seq_str with
-           | Some s -> Ok (seq_of_literal alphabet s)
-           | None -> load_sequence ~alphabet ~fasta ~synthetic ~scale ~text))
+      (sequence_of_source ?seq_str ~alphabet ~fasta ~synthetic ~scale ~text ())
 
 let query_cmd =
   let patterns =
@@ -464,8 +457,7 @@ let workload_cmd =
   let slowest =
     Arg.(value & opt int Workload.default_config.Workload.slowest
          & info [ "slowest" ] ~docv:"K"
-             ~doc:"Report the K slowest requests from the trace slow-op \
-                   log.")
+             ~doc:"Report the K slowest requests of the run.")
   in
   let metrics =
     Arg.(value & opt (some string) None
@@ -501,10 +493,7 @@ let workload_cmd =
       (mix_s, mix_b, mix_c) rate slowest metrics metrics_format metrics_every
       report_jsonl =
     match
-      Result.bind (alphabet_of_string alphabet) (fun alphabet ->
-          match seq_str with
-          | Some s -> Ok (seq_of_literal alphabet s)
-          | None -> load_sequence ~alphabet ~fasta ~synthetic ~scale ~text)
+      sequence_of_source ?seq_str ~alphabet ~fasta ~synthetic ~scale ~text ()
     with
     | Error e -> prerr_endline e; 1
     | Ok seq ->
@@ -515,7 +504,6 @@ let workload_cmd =
               cursor_steps; miss_fraction;
               mix = { Workload.single = mix_s; batch = mix_b; cursor = mix_c };
               rate;
-              slow_us = Workload.default_config.Workload.slow_us;
               slowest;
               tick_every = (if metrics = None then 0 else metrics_every) }
           in
@@ -967,37 +955,14 @@ let trace_cmd =
              ~doc:"Trace format: chrome (trace-event JSON for Perfetto / \
                    chrome://tracing) or jsonl.")
   in
-  let sample =
-    Arg.(value & opt (some float) None
-         & info [ "sample" ] ~docv:"RATE"
-             ~doc:"Per-operation sampling probability in [0,1] \
-                   (overrides SPINE_TRACE_SAMPLE).")
-  in
-  let slow_us =
-    Arg.(value & opt (some int) None
-         & info [ "slow-us" ] ~docv:"US"
-             ~doc:"Slow-operation threshold in microseconds (overrides \
-                   SPINE_TRACE_SLOW_US).")
-  in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity" ] ~docv:"N"
-             ~doc:"Event ring capacity (overrides SPINE_TRACE_CAPACITY).")
-  in
   let run alphabet fasta synthetic scale text seq_str queries backend out
-      format sample slow_us capacity frames page_size =
+      format frames page_size =
     match
-      Result.bind (alphabet_of_string alphabet) (fun alphabet ->
-          match seq_str with
-          | Some s -> Ok (seq_of_literal alphabet s)
-          | None -> load_sequence ~alphabet ~fasta ~synthetic ~scale ~text)
+      sequence_of_source ?seq_str ~alphabet ~fasta ~synthetic ~scale ~text ()
     with
     | Error e -> prerr_endline e; 1
     | Ok seq ->
       Trace.set_enabled true;
-      Option.iter Trace.set_sample_rate sample;
-      Option.iter Trace.set_slow_us slow_us;
-      Option.iter Trace.set_capacity capacity;
       Trace.reset ();
       let engine, cleanup =
         Trace.with_op "build"
@@ -1037,10 +1002,17 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Build (and optionally query) under per-operation event \
-             tracing and export the trace.")
+             tracing and export the trace."
+       ~envs:
+         [ Cmd.Env.info "SPINE_TRACE_SAMPLE"
+             ~doc:"Per-operation sampling probability in [0,1].";
+           Cmd.Env.info "SPINE_TRACE_SLOW_US"
+             ~doc:"Slow-operation threshold in microseconds.";
+           Cmd.Env.info "SPINE_TRACE_CAPACITY"
+             ~doc:"Event ring capacity." ])
     Term.(const run $ alphabet_arg $ fasta_arg $ synthetic_arg $ scale_arg
           $ text_arg $ seq_literal_arg $ queries $ backend_arg $ out $ format
-          $ sample $ slow_us $ capacity $ frames_arg $ page_size_arg)
+          $ frames_arg $ page_size_arg)
 
 (* --- scrub --- *)
 

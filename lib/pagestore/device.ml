@@ -42,7 +42,6 @@ let trailer_magic = 0x4B435053 (* "SPCK" little-endian *)
 
 type t = {
   page_size : int;
-  cost : cost;
   sync_writes : bool;
   checksums : bool;
   backend : backend;
@@ -60,10 +59,9 @@ type t = {
   mutable elapsed_us : float;
 }
 
-let make ?(cost = default_cost) ?(sync_writes = false) ?(checksums = false)
-    ~page_size backend =
+let make ?(sync_writes = false) ?(checksums = false) ~page_size backend =
   if page_size <= 0 then invalid_arg "Device.create: page_size must be positive";
-  { page_size; cost; sync_writes; checksums; backend;
+  { page_size; sync_writes; checksums; backend;
     epoch = 1; max_valid_epoch = -1;
     region_of = (fun _ -> "data");
     committed = (fun _ -> false);
@@ -72,10 +70,10 @@ let make ?(cost = default_cost) ?(sync_writes = false) ?(checksums = false)
     written = Xutil.Int_tbl.create 1024;
     last_page = -2; reads = 0; writes = 0; sequential = 0; elapsed_us = 0.0 }
 
-let create ?cost ?sync_writes ?checksums ~page_size () =
-  make ?cost ?sync_writes ?checksums ~page_size (Mem (Xutil.Int_tbl.create 1024))
+let create ?sync_writes ?checksums ~page_size () =
+  make ?sync_writes ?checksums ~page_size (Mem (Xutil.Int_tbl.create 1024))
 
-let create_file ?cost ?sync_writes ?checksums ?(read_only = false) ~page_size
+let create_file ?sync_writes ?checksums ?(read_only = false) ~page_size
     ~path () =
   let flags =
     if read_only then [ Unix.O_RDONLY ] else [ Unix.O_RDWR; Unix.O_CREAT ]
@@ -86,7 +84,7 @@ let create_file ?cost ?sync_writes ?checksums ?(read_only = false) ~page_size
       Spine_error.io_failed ~op:Spine_error.Read "%s: %s" path
         (Unix.error_message err)
   in
-  make ?cost ?sync_writes ?checksums ~page_size (File fd)
+  make ?sync_writes ?checksums ~page_size (File fd)
 
 let close t =
   match t.backend with
@@ -110,7 +108,7 @@ let charge t page full_cost =
   let sequential = page = t.last_page || page = t.last_page + 1 in
   if sequential then begin
     t.sequential <- t.sequential + 1;
-    t.elapsed_us <- t.elapsed_us +. t.cost.sequential_us
+    t.elapsed_us <- t.elapsed_us +. default_cost.sequential_us
   end
   else t.elapsed_us <- t.elapsed_us +. full_cost;
   t.last_page <- page
@@ -260,7 +258,7 @@ let read t page =
   if Trace.on () then
     Trace.instant "device.read"
       [ Trace.Int ("page", page); Trace.Int ("bytes", t.page_size) ];
-  charge t page t.cost.read_us;
+  charge t page default_cost.read_us;
   (match t.hooks with Some h -> h.on_read ~page | None -> ());
   let phys = read_phys t page in
   if t.checksums then unseal t page phys else phys
@@ -274,8 +272,8 @@ let count_write t page =
   if Trace.on () then
     Trace.instant "device.write"
       [ Trace.Int ("page", page); Trace.Int ("bytes", t.page_size) ];
-  charge t page t.cost.write_us;
-  if t.sync_writes then t.elapsed_us <- t.elapsed_us +. t.cost.sync_us
+  charge t page default_cost.write_us;
+  if t.sync_writes then t.elapsed_us <- t.elapsed_us +. default_cost.sync_us
 
 (* What a write of the physical image [phys] leaves in page [page]'s
    slot once the fault hook has ruled on it; [None] when the write is
@@ -355,7 +353,7 @@ let count_raw_read t page =
   t.reads <- t.reads + 1;
   Probe.add Probe.device_read 1;
   Probe.add Probe.device_read_bytes t.page_size;
-  charge t page t.cost.read_us
+  charge t page default_cost.read_us
 
 let raw_slot t page =
   count_raw_read t page;
@@ -371,8 +369,8 @@ let write_raw_slot t page phys =
   t.writes <- t.writes + 1;
   Probe.add Probe.device_write 1;
   Probe.add Probe.device_write_bytes t.page_size;
-  charge t page t.cost.write_us;
-  if t.sync_writes then t.elapsed_us <- t.elapsed_us +. t.cost.sync_us;
+  charge t page default_cost.write_us;
+  if t.sync_writes then t.elapsed_us <- t.elapsed_us +. default_cost.sync_us;
   write_phys t page phys
 
 let read_slot_any t page =

@@ -9,11 +9,11 @@
     which depends only on the I/O trace — identical across machines and
     runs, unlike wall-clock disk timings.
 
-    Cost model: a page read costs [cost.read_us] microseconds, a page
-    write [cost.write_us]; when [sync_writes] is set every write also
-    pays [cost.sync_us], mirroring the paper's [O_SYNC] setup.
-    Sequential accesses (page adjacent to the previous access) cost
-    [cost.sequential_us] instead of the full seek, which is what rewards
+    Cost model ({!default_cost}, the same for every device): a page
+    read costs [read_us] microseconds, a page write [write_us]; when
+    [sync_writes] is set every write also pays [sync_us], mirroring the
+    paper's [O_SYNC] setup.  Sequential accesses (page adjacent to the
+    previous access) cost [sequential_us] instead of the full seek, which is what rewards
     SPINE's append-mostly, top-skewed access pattern.
 
     {2 Integrity}
@@ -50,13 +50,12 @@ val default_cost : cost
 type t
 
 val create :
-  ?cost:cost -> ?sync_writes:bool -> ?checksums:bool -> page_size:int ->
-  unit -> t
+  ?sync_writes:bool -> ?checksums:bool -> page_size:int -> unit -> t
 (** Fresh in-memory device; pages are [page_size] bytes. [sync_writes]
     and [checksums] default to [false]. *)
 
 val create_file :
-  ?cost:cost -> ?sync_writes:bool -> ?checksums:bool -> ?read_only:bool ->
+  ?sync_writes:bool -> ?checksums:bool -> ?read_only:bool ->
   page_size:int -> path:string -> unit -> t
 (** A device backed by a real file (created if absent, reopened
     otherwise): page [p] lives at byte offset [p * slot] where [slot]

@@ -54,16 +54,10 @@ val set : gauge -> float -> unit
 type histogram
 val histogram : string -> histogram
 val observe : histogram -> int -> unit
-(** Log-bucketed: value [v] lands in bucket [bucket_of v]. *)
-
-val hist_buckets : int
-(** Number of histogram buckets: 63, enough for every positive int. *)
-
-val bucket_of : int -> int
-(** [v >= 1] lands in bucket [floor(log2 v) + 1] (i.e. the bucket
-    covering [[2^(i-1), 2^i - 1]]); values [<= 0] land in bucket 0.
-    Run-scoped reports (e.g. a workload's) bucket their own counts
-    with it, so their quantiles share the histograms' arithmetic. *)
+(** Log-bucketed: [v >= 1] lands in bucket [floor(log2 v) + 1] (the
+    bucket covering [[2^(i-1), 2^i - 1]], see {!bucket_bounds});
+    values [<= 0] land in bucket 0.  63 buckets cover every positive
+    int. *)
 
 val hist_total : histogram -> int
 val hist_sum : histogram -> int

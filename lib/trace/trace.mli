@@ -82,10 +82,6 @@ val set_seed : int -> unit
 val set_slow_us : int -> unit
 (** Slow-op threshold in microseconds; [<= 0] disables the log. *)
 
-val slow_us : unit -> int
-(** The current slow-op threshold, for save/restore around a scoped
-    run (the workload runner lowers it for the duration of a run). *)
-
 val set_capacity : int -> unit
 (** Resize the ring (clamped to [>= 1]).  Discards buffered events. *)
 

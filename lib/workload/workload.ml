@@ -15,7 +15,6 @@ type config = {
   miss_fraction : float;
   mix : mix;
   rate : float option;
-  slow_us : int;
   slowest : int;
   tick_every : int;
 }
@@ -30,7 +29,6 @@ let default_config =
     miss_fraction = 0.1;
     mix = { single = 6; batch = 2; cursor = 2 };
     rate = None;
-    slow_us = 1;
     slowest = 10;
     tick_every = 0 }
 
@@ -62,19 +60,18 @@ type report = {
 
 (* --- per-op accumulation ---------------------------------------- *)
 
+(* One record per completed request: its latency and its request
+   index.  The report's quantiles and its slowest list are read off
+   this record, so they cover exactly this run even though the global
+   histograms accumulate across runs in one process. *)
 type acc = {
   a_op : string;
   a_hist : Telemetry.histogram;  (* global: feeds the exposition formats *)
-  counts : int array;
-      (* local, in the telemetry log buckets: feeds this run's report,
-         scoped to it though the global histograms accumulate across
-         runs in one process *)
-  mutable count : int;
+  lat_ns : Xutil.Int_vec.t;
+  req : Xutil.Int_vec.t;
   mutable hits : int;
-  mutable sum_ns : int;
-  mutable max_ns : int;
   (* typed rejections under a resilience policy; kept out of the
-     latency buckets so sheds cannot fake a fast percentile *)
+     latency record so sheds cannot fake a fast percentile *)
   mutable timeouts : int;
   mutable shed : int;
   mutable failed : int;
@@ -83,47 +80,59 @@ type acc = {
 let acc backend op =
   { a_op = op;
     a_hist = Telemetry.histogram (Printf.sprintf "workload.%s.%s.ns" backend op);
-    counts = Array.make Telemetry.hist_buckets 0;
-    count = 0; hits = 0; sum_ns = 0; max_ns = 0;
-    timeouts = 0; shed = 0; failed = 0 }
+    lat_ns = Xutil.Int_vec.create ();
+    req = Xutil.Int_vec.create ();
+    hits = 0; timeouts = 0; shed = 0; failed = 0 }
 
-let record a ~hit ns =
+let record a ~hit ~request ns =
   Telemetry.observe a.a_hist ns;
-  let b = Telemetry.bucket_of ns in
-  a.counts.(b) <- a.counts.(b) + 1;
-  a.count <- a.count + 1;
-  if hit then a.hits <- a.hits + 1;
-  a.sum_ns <- a.sum_ns + ns;
-  if ns > a.max_ns then a.max_ns <- ns
+  Xutil.Int_vec.push a.lat_ns ns;
+  Xutil.Int_vec.push a.req request;
+  if hit then a.hits <- a.hits + 1
+
+(* Nearest rank over an ascending array: the smallest value with at
+   least [pct] percent of the values at or below it, at index
+   [ceil (pct * n / 100) - 1] in integer arithmetic; 0 when empty. *)
+let quantiles sorted =
+  let n = Array.length sorted in
+  let rank pct =
+    if n = 0 then 0.0 else float_of_int sorted.((((pct * n) + 99) / 100) - 1)
+  in
+  (rank 50, rank 90, rank 99)
 
 let report_of_acc a =
-  let q = Telemetry.quantile ~counts:a.counts ~total:a.count in
+  let sorted = Xutil.Int_vec.blit_to_array a.lat_ns in
+  Array.sort compare sorted;
+  let count = Array.length sorted in
+  let p50_ns, p90_ns, p99_ns = quantiles sorted in
   { op = a.a_op;
-    count = a.count;
+    count;
     hits = a.hits;
-    mean_ns = (if a.count = 0 then 0.0 else float_of_int a.sum_ns /. float_of_int a.count);
-    p50_ns = q 0.5;
-    p90_ns = q 0.9;
-    p99_ns = q 0.99;
-    max_ns = a.max_ns;
+    mean_ns =
+      (if count = 0 then 0.0
+       else float_of_int (Array.fold_left ( + ) 0 sorted) /. float_of_int count);
+    p50_ns; p90_ns; p99_ns;
+    max_ns = (if count = 0 then 0 else sorted.(count - 1));
     timeouts = a.timeouts;
     shed = a.shed;
     failed = a.failed }
 
-(* Same bucketing applied to a bare latency list — the replay gate uses
-   it to quantile the *recorded* side of a comparison with exactly the
-   arithmetic the replayed report uses, so a comparison never flags a
-   bucketing artifact. *)
+(* The [k] largest latencies over every op's record, slowest first,
+   equal latencies in request order. *)
+let slowest_of accs k =
+  List.concat_map
+    (fun a ->
+      List.init (Xutil.Int_vec.length a.lat_ns) (fun j ->
+          { s_op = a.a_op; s_request = Xutil.Int_vec.get a.req j;
+            s_ns = Xutil.Int_vec.get a.lat_ns j }))
+    accs
+  |> List.sort (fun a b -> compare (b.s_ns, a.s_request) (a.s_ns, b.s_request))
+  |> List.filteri (fun i _ -> i < k)
+
+(* The replay gate quantiles the *recorded* side of a comparison with
+   exactly the function the replayed report uses. *)
 let latency_quantiles ns_list =
-  let counts = Array.make Telemetry.hist_buckets 0 in
-  let total = List.length ns_list in
-  List.iter
-    (fun v ->
-      let b = Telemetry.bucket_of v in
-      counts.(b) <- counts.(b) + 1)
-    ns_list;
-  let q p = Telemetry.quantile ~counts ~total p in
-  (q 0.5, q 0.9, q 0.99)
+  quantiles (List.sort compare ns_list |> Array.of_list)
 
 (* --- request generation ----------------------------------------- *)
 
@@ -270,22 +279,12 @@ let drive ?(clock = Xutil.Stopwatch.now_ns)
       (`Batch, Profile.make ());
       (`Cursor, Profile.make ()) ]
   in
-  (* Scoped observability: collection on and the slow-op threshold low
-     for the duration of the run, everything restored afterwards. *)
+  (* The global histograms collect for the duration of the run; the
+     prior state is restored afterwards.  Tracing is left as it was. *)
   let telemetry_was = Telemetry.is_enabled () in
-  let trace_was = Trace.is_enabled () in
-  let slow_was = Trace.slow_us () in
-  let slow_before = List.length (Trace.slow_ops ()) in
   Telemetry.set_enabled true;
-  Trace.set_enabled true;
-  Trace.set_slow_us (max 1 cfg.slow_us);
-  let restore () =
-    Telemetry.set_enabled telemetry_was;
-    Trace.set_enabled trace_was;
-    Trace.set_slow_us slow_was
-  in
   let t_start = clock () in
-  Fun.protect ~finally:restore (fun () ->
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled telemetry_was) (fun () ->
       List.iter
         (fun req ->
           let i = req.r_index in
@@ -351,7 +350,7 @@ let drive ?(clock = Xutil.Stopwatch.now_ns)
           (match outcome with
            | `Done ((hit, hits, found), prof) ->
              let ns = clock () - due in
-             record a ~hit ns;
+             record a ~hit ~request:i ns;
              Profile.absorb (List.assq op profs) prof;
              if Qlog.active () then begin
                let pats =
@@ -372,21 +371,6 @@ let drive ?(clock = Xutil.Stopwatch.now_ns)
           | _ -> ())
         requests;
       let wall_ns = max 1 (clock () - t_start) in
-      let request_arg args =
-        List.fold_left
-          (fun r a -> match a with Trace.Int ("request", v) -> v | _ -> r)
-          (-1) args
-      in
-      let slowest =
-        Trace.slow_ops ()
-        |> List.filteri (fun i _ -> i >= slow_before)
-        |> List.map (fun (s : Trace.slow_op) ->
-               { s_op = s.Trace.so_name;
-                 s_request = request_arg s.Trace.so_args;
-                 s_ns = s.Trace.so_ns })
-        |> List.sort (fun a b -> compare b.s_ns a.s_ns)
-        |> List.filteri (fun i _ -> i < max 0 cfg.slowest)
-      in
       let report =
         { backend;
           total_requests = total;
@@ -394,7 +378,7 @@ let drive ?(clock = Xutil.Stopwatch.now_ns)
           achieved_rps = float_of_int total /. (float_of_int wall_ns /. 1e9);
           offered_rps = cfg.rate;
           ops = List.map (fun (_, a) -> report_of_acc a) accs;
-          slowest }
+          slowest = slowest_of (List.map snd accs) cfg.slowest }
       in
       (report, List.map (fun (k, p) -> (op_name k, p)) profs))
 
@@ -434,7 +418,7 @@ let print r =
              string_of_int o.shed; string_of_int o.failed ])
          r.ops);
   if r.slowest <> [] then
-    Report.Table.print ~title:"Slowest requests (trace slow-op log)"
+    Report.Table.print ~title:"Slowest requests"
       ~headers:[ "rank"; "op"; "request"; "ms" ]
       (List.mapi
          (fun i s ->

@@ -1,13 +1,15 @@
 (** Synthetic query workloads over one {!Spine.Engine.t}.
 
     The runner drives an engine with a deterministic, seeded mix of
-    query operations and records per-request latency three ways at
-    once: into the process-global telemetry histograms
-    ([workload.<backend>.<op>.ns], so the exposition formats see them),
-    into a run-local accumulator (so the returned {!report} covers
-    exactly this run even when the process has run workloads before),
-    and through {!Trace.with_op} (so the trace slow-op log captures the
-    slowest individual requests with their request ids).
+    query operations and times each request once.  The latency goes
+    into the process-global telemetry histogram
+    ([workload.<backend>.<op>.ns], so the exposition formats see it)
+    and into a run-local record of (latency, request index) pairs: the
+    returned {!report}'s quantiles, maximum and slowest list are exact
+    values over that record, covering exactly this run even when the
+    process has run workloads before.  Each request also runs under
+    {!Trace.with_op}, so a traced process ([SPINE_TRACE=1]) tags its
+    events per request; the runner never switches tracing on itself.
 
     Operation kinds:
     - {e single} — one pattern, full occurrence resolution;
@@ -41,9 +43,6 @@ type config = {
           schedule, so falling behind is charged as queueing delay
           (coordinated-omission correction).  [None]: closed loop,
           back-to-back. *)
-  slow_us : int;
-      (** Trace slow-op threshold during the run (min 1 so the log
-          catches everything measurable); restored afterwards. *)
   slowest : int;         (** how many slowest requests to report *)
   tick_every : int;      (** invoke [on_tick] every N requests; 0 = never *)
 }
@@ -59,20 +58,23 @@ type op_report = {
   mean_ns : float;
   p50_ns : float;
   p90_ns : float;
-  p99_ns : float;  (** interpolated, see {!Telemetry.quantile} *)
-  max_ns : int;    (** exact (not bucketed) *)
+  p99_ns : float;
+      (** p50/p90/p99 are nearest-rank values over the run's recorded
+          latencies: the smallest latency with at least that share of
+          the requests at or below it *)
+  max_ns : int;
   timeouts : int;  (** typed [Timeout] rejections (resilient runs) *)
   shed : int;      (** typed [Overloaded] rejections (breaker open) *)
   failed : int;    (** other typed failures (the pool's retries spent) *)
 }
 (** Rejected requests are counted but kept out of the latency
-    histogram: a shed request answering in microseconds must not fake a
+    record: a shed request answering in microseconds must not fake a
     fast percentile.  On a run without a resilience policy the three
     rejection counts are zero and [count] covers every request. *)
 
 type slow = {
   s_op : string;
-  s_request : int;  (** request index within the run, -1 if unknown *)
+  s_request : int;  (** the request's [r_index] *)
   s_ns : int;
 }
 
@@ -83,7 +85,9 @@ type report = {
   achieved_rps : float;
   offered_rps : float option;  (** the configured open-loop rate *)
   ops : op_report list;
-  slowest : slow list;  (** descending by duration, at most [slowest] *)
+  slowest : slow list;
+      (** the [slowest] largest latencies of the run across all ops,
+          descending (ties in request order) *)
 }
 
 (** {1 Planned requests}
@@ -122,7 +126,8 @@ val drive :
   report * (string * Profile.t) list
 (** [drive ~config engine requests] executes a request stream: each
     request runs under {!Spine.Engine.profiled} and {!Trace.with_op},
-    feeds the per-op latency accumulators, and — when {!Qlog.active} —
+    records its latency and index in the run's per-op
+    record, and — when {!Qlog.active} —
     appends a qlog record with its decoded patterns, outcome counts and
     cost profile.  Returns the run report plus the per-op sums of the
     execution profiles (ops with zero requests have all-zero profiles).
@@ -146,15 +151,16 @@ val run :
   ?on_tick:(int -> unit) -> Spine.Engine.t ->
   Bioseq.Packed_seq.t -> report
 (** [run engine seq] is [drive] over [plan]: drives [engine] with
-    patterns drawn from [seq].  Telemetry and tracing are force-enabled
-    for the duration (prior state restored); [on_tick done] fires every
+    patterns drawn from [seq].  Telemetry is force-enabled for the
+    duration (prior state restored); [on_tick done] fires every
     [tick_every] completed requests — the CLI uses it to emit periodic
     metrics snapshots. *)
 
 val latency_quantiles : int list -> float * float * float
-(** [(p50, p90, p99)] of a latency sample through the same log-bucket
-    mirror the per-op report uses — the replay gate quantiles the
-    recorded side with this so both sides share one bucketing. *)
+(** [(p50, p90, p99)] of a latency sample by the nearest-rank rule the
+    per-op report uses; [0.] each for an empty sample.  The replay gate
+    quantiles the recorded side with this, so both sides of a
+    comparison share one arithmetic. *)
 
 val print : report -> unit
 (** Render through {!Report.Table}: a latency table (count, hits, mean

@@ -1,6 +1,7 @@
 (* Tests for the workload runner and the engine space accounting it
-   reports: deterministic request generation, report shape, slow-op
-   capture, and component attribution across every backend. *)
+   reports: deterministic request generation, report shape, exact
+   quantiles and slowest list, and component attribution across every
+   backend. *)
 
 let seq_of n =
   let rng = Bioseq.Rng.create 99 in
@@ -78,7 +79,7 @@ let test_determinism () =
       Alcotest.(check bool) "hits present" true
         (List.exists (fun (_, _, h) -> h > 0) (shape c)))
 
-let test_slow_ops_captured () =
+let test_slowest_requests () =
   with_engines 400 (fun seq engines ->
       let engine = List.assoc "compact" engines in
       let r =
@@ -86,8 +87,6 @@ let test_slow_ops_captured () =
           ~config:{ small_config with Workload.slowest = 5 }
           engine seq
       in
-      (* the threshold is forced >= 1us, so some request slower than
-         1us always exists on a real machine *)
       Alcotest.(check bool) "slowest non-empty" true (r.Workload.slowest <> []);
       Alcotest.(check bool) "at most K" true
         (List.length r.Workload.slowest <= 5);
@@ -102,6 +101,141 @@ let test_slow_ops_captured () =
           Alcotest.(check bool) "request id recovered" true
             (s.Workload.s_request >= 0 && s.Workload.s_request < 60))
         r.Workload.slowest)
+
+(* The definition, independent of the runner's arithmetic: the smallest
+   latency with at least [pct] percent of the sample at or below it. *)
+let nearest_rank lats pct =
+  let n = List.length lats in
+  List.find
+    (fun v -> 100 * List.length (List.filter (fun x -> x <= v) lats) >= pct * n)
+    (List.sort compare lats)
+
+(* A closed-loop clock that charges request [i] exactly [lats.(i)]: the
+   runner reads it once at the start of the run, then at each request's
+   start and end. *)
+let scripted_clock lats =
+  let t = ref 0 and calls = ref 0 in
+  fun () ->
+    incr calls;
+    let c = !calls in
+    if c >= 3 && c mod 2 = 1 && (c - 3) / 2 < Array.length lats then
+      t := !t + lats.((c - 3) / 2);
+    !t
+
+let closed_loop_exact () =
+  let seq = seq_of 600 in
+  let engine = Spine.Compact.engine (Spine.Compact.of_seq seq) in
+  let n = 100 in
+  (* distinct latencies in a scrambled order *)
+  let lats = Array.init n (fun i -> (((i * 37) mod 101) + 1) * 1000) in
+  let config =
+    { small_config with Workload.requests = n; slowest = 5 }
+  in
+  let requests = Workload.plan ~config seq in
+  let report, _ =
+    Workload.drive ~clock:(scripted_clock lats) ~config engine requests
+  in
+  let op_of (r : Workload.request) =
+    match r.Workload.r_payload with
+    | Workload.Single _ -> "single"
+    | Workload.Batch _ -> "batch"
+    | Workload.Cursor _ -> "cursor"
+  in
+  List.iter
+    (fun (o : Workload.op_report) ->
+      let mine =
+        List.filter_map
+          (fun (r : Workload.request) ->
+            if op_of r = o.Workload.op then Some lats.(r.Workload.r_index)
+            else None)
+          requests
+      in
+      let name q = o.Workload.op ^ " " ^ q in
+      Alcotest.(check int) (name "count") (List.length mine) o.Workload.count;
+      Alcotest.(check bool) (name "has requests") true (mine <> []);
+      let exact q pct got =
+        Alcotest.(check (float 0.0)) (name q)
+          (float_of_int (nearest_rank mine pct)) got
+      in
+      exact "p50" 50 o.Workload.p50_ns;
+      exact "p90" 90 o.Workload.p90_ns;
+      exact "p99" 99 o.Workload.p99_ns;
+      Alcotest.(check int) (name "max") (List.fold_left max 0 mine)
+        o.Workload.max_ns;
+      Alcotest.(check (float 1e-6)) (name "mean")
+        (float_of_int (List.fold_left ( + ) 0 mine)
+         /. float_of_int (List.length mine))
+        o.Workload.mean_ns)
+    report.Workload.ops;
+  let expected =
+    List.map
+      (fun (r : Workload.request) ->
+        (lats.(r.Workload.r_index), r.Workload.r_index, op_of r))
+      requests
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare b a)
+    |> List.filteri (fun i _ -> i < 5)
+  in
+  Alcotest.(check (list (triple int int string))) "the five largest, named"
+    expected
+    (List.map
+       (fun s -> (s.Workload.s_ns, s.Workload.s_request, s.Workload.s_op))
+       report.Workload.slowest)
+
+(* Open loop: latency runs from each request's scheduled start, and the
+   slowest list reads the same record, so its head is the max of its
+   op.  A jittery clock (one read in seven jumps 2.5 ms) makes requests
+   fall behind the 1 ms schedule and queue. *)
+let open_loop_slowest () =
+  let seq = seq_of 600 in
+  let engine = Spine.Compact.engine (Spine.Compact.of_seq seq) in
+  let t = ref 0 and calls = ref 0 in
+  let clock () =
+    incr calls;
+    t := !t + (if !calls mod 7 = 0 then 2_500_000 else 30_000);
+    !t
+  in
+  let config =
+    { small_config with Workload.requests = 40; rate = Some 1000.0; slowest = 3 }
+  in
+  let report, _ =
+    Workload.drive ~clock ~sleep_ns:(fun ns -> t := !t + ns) ~config engine
+      (Workload.plan ~config seq)
+  in
+  match report.Workload.slowest with
+  | [] -> Alcotest.fail "no slowest requests"
+  | top :: _ ->
+    Alcotest.(check int) "slowest head is the run's max"
+      (List.fold_left
+         (fun m (o : Workload.op_report) -> max m o.Workload.max_ns)
+         0 report.Workload.ops)
+      top.Workload.s_ns;
+    (match
+       List.find_opt
+         (fun (o : Workload.op_report) -> o.Workload.op = top.Workload.s_op)
+         report.Workload.ops
+     with
+     | None -> Alcotest.failf "slowest head names no op: %S" top.Workload.s_op
+     | Some o ->
+       Alcotest.(check int) "and its op's max" o.Workload.max_ns
+         top.Workload.s_ns)
+
+let test_exact_latencies () =
+  closed_loop_exact ();
+  open_loop_slowest ()
+
+let test_no_tracing_side_effect () =
+  let was = Trace.is_enabled () in
+  Trace.set_enabled false;
+  Trace.reset ();
+  Fun.protect
+    ~finally:(fun () -> Trace.set_enabled was)
+    (fun () ->
+      let seq = seq_of 400 in
+      let engine = Spine.Compact.engine (Spine.Compact.of_seq seq) in
+      ignore (Workload.run ~config:small_config engine seq);
+      Alcotest.(check bool) "tracing still off" false (Trace.is_enabled ());
+      Alcotest.(check int) "no events recorded" 0
+        (List.length (Trace.events ())))
 
 let test_tick_hook () =
   with_engines 300 (fun seq engines ->
@@ -284,7 +418,11 @@ let test_replay_determinism () =
 let suite =
   [ Alcotest.test_case "runner shape (all backends)" `Quick test_runner_shape
   ; Alcotest.test_case "determinism" `Quick test_determinism
-  ; Alcotest.test_case "slow ops captured" `Quick test_slow_ops_captured
+  ; Alcotest.test_case "slow ops captured" `Quick test_slowest_requests
+  ; Alcotest.test_case "exact quantiles and slowest list" `Quick
+      test_exact_latencies
+  ; Alcotest.test_case "no tracing side effect" `Quick
+      test_no_tracing_side_effect
   ; Alcotest.test_case "tick hook" `Quick test_tick_hook
   ; Alcotest.test_case "space attribution" `Quick test_space_attribution
   ; Alcotest.test_case "space overlays" `Quick test_space_overlays
