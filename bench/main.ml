@@ -170,9 +170,11 @@ module Compact_cursor = Spine.Cursor.Make (Spine.Compact_store)
    (one pool latch and one word read), a bare [with_page] hit on a
    resident page, and a miss on the in-memory device.  The miss pool
    has one frame and alternates between two pages, so every call
-   evicts a clean page and reads the other one back.  The column scan
-   prices the occurrence scan's LEL walk: [scan_u16] over a resident
-   paged Link Table, one latch per page.  The CRC-32C kernels price
+   evicts a clean page and reads the other one back.  The two Link
+   Table scans price the occurrence scan's inner loop, [scan_lt] with
+   a sparse target bitmap: over a resident paged table (one latch per
+   page) and over the in-memory one (one loop of direct reads), the
+   same 4,096 entries.  The CRC-32C kernels price
    the checksum every miss, writeback and journal capture pays, over
    what a page's trailer covers (128 or 4,096 data bytes plus the
    trailer's magic and epoch).  The row record prices a rib step on a
@@ -197,9 +199,26 @@ let miss_pool =
     (let dev = Pagestore.Device.create ~page_size:pool_page_size () in
      (Pagestore.Buffer_pool.create ~frames:1 dev, ref 0))
 
-(* 4,096 six-byte LT entries (6 pages, all resident) with LELs cycling
-   through 0..15; the scan asks for LEL >= 12, so a quarter pass *)
+(* 4,096 six-byte LT entries (6 pages, all resident when paged): LELs
+   cycling through 0..15 and each link landing on half its node id.
+   The scan asks for LEL >= 12, so a quarter pass the LEL filter, and
+   the bitmap marks the nodes 7 mod 256, so 16 of those (entries 14
+   and 15 mod 512) are candidates. *)
 let lt_entries = 4096
+
+let lt_marks =
+  let m = Bytes.make ((lt_entries + 7) / 8) '\000' in
+  for node = 0 to lt_entries - 1 do
+    if node land 255 = 7 then Xutil.Node_bits.set m node
+  done;
+  m
+
+let fill_lt ~alloc ~set_u32 ~set_u16 =
+  for i = 0 to lt_entries - 1 do
+    let off = alloc Spine.Compact_store.lt_entry_bytes in
+    set_u32 off (i / 2);
+    set_u16 (off + 4) (i land 15)
+  done
 
 let resident_lt =
   lazy
@@ -209,11 +228,21 @@ let resident_lt =
        Pagestore.Paged_bytes.make pool ~region:"lt" ~base_page:0
          ~capacity:max_int
      in
-     for i = 0 to lt_entries - 1 do
-       let off = Pagestore.Paged_bytes.alloc lt Spine.Compact_store.lt_entry_bytes in
-       Pagestore.Paged_bytes.set_u16 lt (off + 4) (i land 15)
-     done;
+     fill_lt ~alloc:(Pagestore.Paged_bytes.alloc lt)
+       ~set_u32:(Pagestore.Paged_bytes.set_u32 lt)
+       ~set_u16:(Pagestore.Paged_bytes.set_u16 lt);
      lt)
+
+let compact_lt =
+  lazy
+    (let lt = Spine.Compact_store.Btab.create 0 in
+     fill_lt ~alloc:(Spine.Compact_store.Btab.alloc lt)
+       ~set_u32:(Spine.Compact_store.Btab.set_u32 lt)
+       ~set_u16:(Spine.Compact_store.Btab.set_u16 lt);
+     lt)
+
+(* no LEL overflows in these tables *)
+let no_overflow _ = assert false
 
 let crc_slot_136 = Bytes.init 136 (fun i -> Char.chr ((i * 31) land 0xFF))
 let crc_slot_4104 = Bytes.init 4104 (fun i -> Char.chr ((i * 31) land 0xFF))
@@ -363,11 +392,19 @@ let tests =
   ; Test.make ~name:"pool/paged-lt-scan"
       (Staged.stage (fun () ->
            let lt = Lazy.force resident_lt in
-           let passed = ref 0 in
-           Pagestore.Paged_bytes.scan_u16 lt ~off:4
-             ~stride:Spine.Compact_store.lt_entry_bytes ~count:lt_entries
-             ~min:12 (fun _ _ -> incr passed);
-           !passed))
+           let found = ref 0 in
+           Pagestore.Paged_bytes.scan_lt lt ~off:0 ~count:lt_entries
+             ~min_lel:12 ~overflow:no_overflow ~marks:lt_marks
+             (fun _ _ _ -> incr found);
+           !found))
+  ; Test.make ~name:"pool/compact-lt-scan"
+      (Staged.stage (fun () ->
+           let lt = Lazy.force compact_lt in
+           let found = ref 0 in
+           Spine.Compact_store.Btab.scan_lt lt ~off:0 ~count:lt_entries
+             ~min_lel:12 ~overflow:no_overflow ~marks:lt_marks
+             (fun _ _ _ -> incr found);
+           !found))
   ]
   @ instr_tests
 

@@ -51,10 +51,13 @@ module Store = struct
   let link_dest t i = Xutil.Int_vec.get t.link_dest i
   let link_lel t i = Xutil.Int_vec.get t.link_lel i
 
-  let scan_links t ~from ~min_lel f =
+  let scan_links t ~from ~min_lel ~marks f =
     for node = from to length t do
       let lel = Xutil.Int_vec.get t.link_lel node in
-      if lel >= min_lel then f node lel
+      if lel >= min_lel then begin
+        let dest = Xutil.Int_vec.get t.link_dest node in
+        if Xutil.Node_bits.mem marks dest then f node lel dest
+      end
     done
 
   let set_link t i ~dest ~lel =

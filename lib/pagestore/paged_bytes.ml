@@ -87,40 +87,93 @@ let read_record t ~off ~len f =
   let pos = off mod t.page_size in
   Buffer_pool.with_page t.pool (page t off) ~dirty:false (fun b -> f b pos)
 
-(* A column scan takes one latch per page: every field lying wholly
-   inside the page is tested under that latch, and the hits, packed as
-   [i lsl 16 lor raw], are reported once it is released, so [f] may
-   latch other pages itself.  A field that straddles a page boundary
-   falls back to [get_u16]. *)
-let scan_u16 t ~off ~stride ~count ~min f =
+(* The Link Table scan takes one latch per page.  Under it, every
+   entry whose LEL lies inside the page is filtered on its stored LEL
+   (an overflow sentinel 0xFFFF always passes: its true value comes
+   from [overflow] later) and the passing ones are collected, with
+   their payload when it lies in the page too.  Once the latch is
+   released the collected entries are resolved in order: true LEL,
+   then the payload (read with [get_u32] when it lies on the previous
+   page), then the bitmap test, so the bits [f] set for later entries
+   of the page count.
+
+   The pages touched, collapsed to runs of one page, stay those of
+   latching the page for its LELs and then reading each passing
+   entry's payload with [get_u32] ahead of whatever [f] reads for it:
+   a payload read that would repeat the page just latched is skipped,
+   and one that follows a call of [f], which may have latched other
+   pages, is replayed by latching this page again.  So misses and
+   evictions are those of that field-by-field order.  An entry whose
+   LEL straddles a page boundary is read field by field. *)
+let lt_entry = 6
+let sentinel = 0xFFFF
+
+let scan_lt t ~off ~count ~min_lel ~overflow ~marks f =
   let ps = t.page_size in
-  let hits = Array.make ((ps / stride) + 1) 0 in
+  let min_raw = Int.min min_lel sentinel in
+  (* per collected entry: [i lsl 16 lor raw], and the payload or -1
+     when it starts on the previous page *)
+  let hits = Array.make ((ps / lt_entry) + 1) 0 in
+  let payloads = Array.make ((ps / lt_entry) + 1) 0 in
+  let resolve i raw payload here pg =
+    (* [here]: the last page touched is [pg], the page of the entry's
+       LEL; the result is the same after this entry *)
+    let lel = if raw = sentinel then overflow i else raw in
+    if lel < min_lel then here
+    else begin
+      let p, here =
+        if payload >= 0 then begin
+          if not here then
+            Buffer_pool.with_page t.pool pg ~dirty:false ignore;
+          (payload, true)
+        end
+        else
+          let o = off + (i * lt_entry) in
+          (get_u32 t o, page t (o + 3) = pg)
+      in
+      if p land 0x8000_0000 <> 0 || Xutil.Node_bits.mem marks p then begin
+        f i lel p;
+        false
+      end
+      else here
+    end
+  in
   let i = ref 0 in
   while !i < count do
-    let o = off + (!i * stride) in
+    let o = off + (!i * lt_entry) + 4 in
     let pos = o mod ps in
     if pos + 2 > ps then begin
       let raw = get_u16 t o in
-      if raw >= min then f !i raw;
+      if raw >= min_raw then ignore (resolve !i raw (-1) false (page t o));
       incr i
     end
     else begin
-      let first = !i and start = o - pos in
-      let last = Int.min (count - 1) ((start + ps - 2 - off) / stride) in
+      let first = !i and start = o - pos and pg = page t o in
+      let last =
+        Int.min (count - 1) ((start + ps - 2 - off - 4) / lt_entry)
+      in
       let n =
-        Buffer_pool.with_page t.pool (page t o) ~dirty:false (fun b ->
+        Buffer_pool.with_page t.pool pg ~dirty:false (fun b ->
             let n = ref 0 in
             for j = first to last do
-              let raw = Bytes.get_uint16_le b (off + (j * stride) - start) in
-              if raw >= min then begin
+              let at = off + (j * lt_entry) - start in
+              let raw = Bytes.get_uint16_le b (at + 4) in
+              if raw >= min_raw then begin
                 hits.(!n) <- (j lsl 16) lor raw;
+                payloads.(!n) <-
+                  (if at >= 0 then
+                     Int32.to_int (Bytes.get_int32_le b at) land 0xFFFF_FFFF
+                   else -1);
                 incr n
               end
             done;
             !n)
       in
+      let here = ref true in
       for h = 0 to n - 1 do
-        f (hits.(h) lsr 16) (hits.(h) land 0xFFFF)
+        here :=
+          resolve (hits.(h) lsr 16) (hits.(h) land 0xFFFF) payloads.(h)
+            !here pg
       done;
       i := last + 1
     end

@@ -16,8 +16,8 @@
     ({!in_one_page} is false) and its owner keeps reading it field by
     field, so again only the number of latches, never the sequence of
     distinct pages touched, depends on the path.
-    A column scan ({!scan_u16}) takes one latch per page for all of the
-    column's in-page fields, not one per field. *)
+    A Link Table scan ({!scan_lt}) takes one latch per page for all of
+    the page's entries, not one per field. *)
 
 type t
 
@@ -53,18 +53,32 @@ val get_u32 : t -> int -> int
 val set_u32 : t -> int -> int -> unit
 (** [set_u32 t off v] stores the low 32 bits of [v]. *)
 
-val scan_u16 :
-  t -> off:int -> stride:int -> count:int -> min:int ->
-  (int -> int -> unit) -> unit
-(** [scan_u16 t ~off ~stride ~count ~min f] calls [f i raw], in
-    ascending [i], for every u16 field at [off + i * stride]
-    ([0 <= i < count], [stride > 0]) whose value [raw] is at least
-    [min].  The fields
-    lying inside one page are read under a single
-    {!Buffer_pool.with_page} and reported after that latch is released,
-    so [f] may itself touch other pages (of this or another table); a
-    field that straddles a page boundary costs what {!get_u16} does.
-    [f] must not write the scanned fields. *)
+val scan_lt :
+  t -> off:int -> count:int -> min_lel:int -> overflow:(int -> int) ->
+  marks:Bytes.t -> (int -> int -> int -> unit) -> unit
+(** [scan_lt t ~off ~count ~min_lel ~overflow ~marks f] walks [count]
+    Link Table entries of 6 bytes from [off] (entry [i]: a u32 payload
+    at [off + 6 * i], then its u16 LEL) and calls [f i lel payload], in
+    ascending [i], for each entry whose LEL is at least [min_lel]
+    (a stored 0xFFFF is the overflow sentinel, read as [overflow i])
+    and whose payload either has bit 31 set or has its bit set in
+    [marks] ({!Xutil.Node_bits}) when the walk reaches the entry.
+    That is {!Spine.Compact_store.BYTES.scan_lt}'s contract.
+
+    The entries whose LEL lies inside one page are filtered and their
+    payloads collected under a single {!Buffer_pool.with_page}; the
+    bits are tested and [f] is called after that latch is released, in
+    entry order, so [f] may itself touch other pages (of this or
+    another table) and a bit it sets counts for the later entries of
+    the same page.  A payload that starts on the previous page, and an
+    entry whose LEL straddles a page boundary, cost what {!get_u32} and
+    {!get_u16} do.  The distinct pages touched, in order and with
+    [f]'s accesses, are those of latching each page for its LELs and
+    reading every passing entry's payload with {!get_u32} before
+    calling [f]: a payload read that follows a call of [f] is replayed
+    as one more latch of the page.  So misses, evictions and device
+    I/O are those of that order and only the hit count falls.  [f]
+    must not write the scanned entries. *)
 
 val in_one_page : t -> off:int -> len:int -> bool
 (** [in_one_page t ~off ~len] holds when bytes [\[off, off + len)] lie

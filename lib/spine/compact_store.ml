@@ -59,11 +59,12 @@ module type BYTES = sig
   val get_u32 : t -> int -> int
   val set_u32 : t -> int -> int -> unit
 
-  val scan_u16 :
-    t -> off:int -> stride:int -> count:int -> min:int ->
-    (int -> int -> unit) -> unit
-  (** [f i raw] for each u16 at [off + i * stride], [i < count], with
-      [raw >= min]. *)
+  val scan_lt :
+    t -> off:int -> count:int -> min_lel:int -> overflow:(int -> int) ->
+    marks:Bytes.t -> (int -> int -> int -> unit) -> unit
+  (** [f i lel payload] for each LT entry at [off + 6 * i], [i < count],
+      with [lel >= min_lel] (a stored 0xFFFF read as [overflow i]) and
+      either bit 31 of [payload] set or [payload]'s bit in [marks]. *)
 
   val in_one_page : t -> off:int -> len:int -> bool
   (** Whether [\[off, off + len)] lies inside one page, so a record
@@ -74,6 +75,9 @@ module type BYTES = sig
   (** [f b pos] with byte [off] at [pos] of buffer [b], under one
       latch. *)
 end
+
+let lt_entry_bytes = 6
+let overflow_sentinel = 0xFFFF
 
 (* growable in-memory little-endian byte table *)
 module Btab = struct
@@ -110,10 +114,21 @@ module Btab = struct
   let get_u32 t off = Int32.to_int (Bytes.get_int32_le t.data off) land 0xFFFF_FFFF
   let set_u32 t off v = Bytes.set_int32_le t.data off (Int32.of_int v)
 
-  let scan_u16 t ~off ~stride ~count ~min f =
+  (* the occurrence scan's inner loop: LEL filter, payload read and
+     bitmap test with no callback but for candidates *)
+  let scan_lt t ~off ~count ~min_lel ~overflow ~marks f =
+    let data = t.data and min_raw = Int.min min_lel overflow_sentinel in
     for i = 0 to count - 1 do
-      let raw = Bytes.get_uint16_le t.data (off + (i * stride)) in
-      if raw >= min then f i raw
+      let o = off + (i * lt_entry_bytes) in
+      let raw = Bytes.get_uint16_le data (o + 4) in
+      if raw >= min_raw then begin
+        let lel = if raw = overflow_sentinel then overflow i else raw in
+        if lel >= min_lel then begin
+          let p = Int32.to_int (Bytes.get_int32_le data o) land 0xFFFF_FFFF in
+          if p land 0x8000_0000 <> 0 || Xutil.Node_bits.mem marks p then
+            f i lel p
+        end
+      end
     done
 
   (* one buffer serves any range, but a callback costs more than the
@@ -121,9 +136,6 @@ module Btab = struct
   let in_one_page _ ~off:_ ~len:_ = false
   let read_record t ~off ~len:_ f = f t.data off
 end
-
-let lt_entry_bytes = 6
-let overflow_sentinel = 0xFFFF
 
 (* layout constants derived from the alphabet, shared by every
    instantiation *)
@@ -465,17 +477,19 @@ module Core (B : BYTES) = struct
 
   let link_lel = lt_lel
 
-  (* The LEL column walk: the raw u16 is filtered in the byte table
-     against [min_lel] capped at the sentinel, so an overflowed LEL
-     (raw = sentinel) always reaches the overflow table and is compared
-     at its true value. *)
-  let scan_links t ~from ~min_lel f =
-    B.scan_u16 t.lt ~off:(lt_off from + 4) ~stride:lt_entry_bytes
-      ~count:(length t + 1 - from) ~min:(min min_lel overflow_sentinel)
-      (fun i raw ->
-        let node = from + i in
-        let lel = read_label t raw (lt_lel_key node) in
-        if lel >= min_lel then f node lel)
+  (* The Link Table walk: the byte table filters on LEL (an overflowed
+     one resolved through the overflow table), reads the payload and
+     tests a link destination's bit itself; a row-holding payload comes
+     back here, and its LD field is read as [link_dest] reads it. *)
+  let scan_links t ~from ~min_lel ~marks f =
+    B.scan_lt t.lt ~off:(lt_off from) ~count:(length t + 1 - from) ~min_lel
+      ~overflow:(fun i -> Xutil.Int_tbl.find t.overflow (lt_lel_key (from + i)))
+      ~marks
+      (fun i lel p ->
+        if p land 0x8000_0000 = 0 then f (from + i) lel p
+        else
+          let dest = row_ld t (ptr_table p) (ptr_row p) in
+          if Xutil.Node_bits.mem marks dest then f (from + i) lel dest)
 
   let set_link t node ~dest ~lel =
     set_lt_lel t node lel;

@@ -18,7 +18,7 @@
 
 (** Byte-table abstraction the layout code is written against:
     little-endian fixed-width accessors over one growable region, one
-    column scan and one record read. *)
+    Link Table scan and one record read. *)
 module type BYTES = sig
   type t
 
@@ -35,17 +35,38 @@ module type BYTES = sig
   val get_u32 : t -> int -> int
   val set_u32 : t -> int -> int -> unit
 
-  val scan_u16 :
-    t -> off:int -> stride:int -> count:int -> min:int ->
-    (int -> int -> unit) -> unit
-  (** [scan_u16 t ~off ~stride ~count ~min f] reads the u16 column
-      [off + i * stride] for [i] in [0 .. count - 1] ([stride > 0]) and
-      calls [f i raw], in ascending [i], for each field whose raw value
-      is at least [min].  [f] must not write the table.  It is the Link
-      Table's LEL column walk behind {!Store_sig.S.scan_links}: the
-      in-memory table reads it in one tight loop, and a paged table
-      takes one pool latch per page of the column rather than one per
-      field. *)
+  val scan_lt :
+    t -> off:int -> count:int -> min_lel:int -> overflow:(int -> int) ->
+    marks:Bytes.t -> (int -> int -> int -> unit) -> unit
+  (** [scan_lt t ~off ~count ~min_lel ~overflow ~marks f] walks the
+      [count] Link Table entries at [off + 6 * i] ({!lt_entry_bytes}
+      each: a u32 payload, then a u16 LEL) and calls [f i lel payload],
+      in ascending [i], for each entry whose LEL is at least [min_lel]
+      and whose payload is a candidate:
+      - a payload with bit 31 clear is the link destination itself,
+        and a candidate when its bit in [marks] ({!Xutil.Node_bits}) is
+        set;
+      - a payload with bit 31 set names the node's RT row (Figure 5's
+        PTR case) and is always a candidate: the caller reads the
+        row's LD field and tests its bit.
+
+      An LEL stored as {!overflow_sentinel} is compared at its true
+      value [overflow i]; [f] receives the true value.  The bitmap is
+      live: each entry's bit is tested when the walk reaches it, after
+      [f] has run for every earlier candidate, so a bit [f] sets counts
+      for every later entry.  [f] must not write the table.
+
+      It is the occurrence scan's inner loop behind
+      {!Store_sig.S.scan_links}, the one column-scan primitive: the
+      in-memory table runs it as one loop of direct reads, calling
+      back only for candidates.  A paged table takes one pool latch
+      per page, filters that page's entries by LEL and collects their
+      payloads under it, then tests the bits in entry order after
+      releasing it, so [f] may latch other pages.  The sequence of
+      distinct pages it touches, [f]'s reads included, is that of
+      latching each page for its LELs and then reading every passing
+      entry's payload with {!get_u32} before the row it may name; only
+      the pool's hit count is lower. *)
 
   val in_one_page : t -> off:int -> len:int -> bool
   (** [in_one_page t ~off ~len] holds when a record read of bytes
@@ -174,7 +195,9 @@ module Core (B : BYTES) : sig
   val append_char : t -> int -> unit
   val link_dest : t -> int -> int
   val link_lel : t -> int -> int
-  val scan_links : t -> from:int -> min_lel:int -> (int -> int -> unit) -> unit
+  val scan_links :
+    t -> from:int -> min_lel:int -> marks:Bytes.t ->
+    (int -> int -> int -> unit) -> unit
   val set_link : t -> int -> dest:int -> lel:int -> unit
   val find_rib : t -> int -> int -> (int * int) option
   val add_rib : t -> int -> code:int -> dest:int -> pt:int -> unit

@@ -7,9 +7,10 @@
     occurrence.  Remaining occurrences are recovered with the paper's
     target-node-buffer scan: one sequential pass over the backbone,
     admitting every node whose link has sufficient LEL and points into
-    the buffer.  The store filters on LEL next to its data
-    ({!Store_sig.S.scan_links}); only passing nodes have their link
-    destination read and tested for buffer membership. *)
+    the buffer.  The whole admission test runs inside the store
+    ({!Store_sig.S.scan_links}): its Link Table walk reads each node's
+    LEL and link destination together and tests the destination
+    against the buffer's bitmap, handing over only the candidates. *)
 
 (* Record one bulk vertebra run.  A run of [run] matched characters is
    exactly [run] vertebra steps (vertebra edges carry no threshold
@@ -52,8 +53,9 @@ module type S = sig
     store -> Bioseq.Packed_seq.Pattern.t list -> int list array
 end
 
-(* Per-domain scratch bitmap over node ids, a superset filter in front
-   of the scan's authoritative target table: a set bit may cost one
+(* Per-domain scratch bitmap over node ids ({!Xutil.Node_bits}): the
+   store's scan tests link destinations against it, in front of the
+   scan's authoritative target table.  A set bit may cost one
    hashtable probe, a clear bit proves the node is no target.  It
    grows on demand and every scan clears the bits it set, by walking
    its result buffers, so no scan allocates O(n) bytes. *)
@@ -66,11 +68,14 @@ let scratch_marks nodes =
     r := Bytes.make (max need (2 * Bytes.length !r)) '\000';
   !r
 
-let mark m node =
-  let i = node lsr 3 in
-  Bytes.set m i (Char.chr (Bytes.get_uint8 m i lor (1 lsl (node land 7))))
-
-let marked m node = Bytes.get_uint8 m (node lsr 3) land (1 lsl (node land 7)) <> 0
+(* A result buffer's end nodes, each shifted by [-shift], as one
+   ascending list built from the buffer's tail. *)
+let shifted_list buffer ~shift =
+  let acc = ref [] in
+  for i = Xutil.Int_vec.length buffer - 1 downto 0 do
+    acc := (Xutil.Int_vec.get buffer i - shift) :: !acc
+  done;
+  !acc
 
 let unmark m buffers =
   Array.iter
@@ -151,9 +156,9 @@ module Make (S : Store_sig.S) = struct
   (* The deferred, batched occurrence scan: given the first-occurrence
      end node and length of several patterns, find every occurrence of
      all of them in one sequential backbone pass.  The store hands over
-     only nodes whose LEL reaches the shortest pattern; [targets] maps
-     a buffered node to the patterns whose buffer it belongs to, behind
-     the [marks] bitmap. *)
+     only nodes whose LEL reaches the shortest pattern and whose link
+     lands on a node set in [marks]; [targets] maps a buffered node to
+     the patterns whose buffer it belongs to. *)
   let occurrences_batch t firsts =
     let k = Array.length firsts in
     let buffers = Array.init k (fun _ -> Xutil.Int_vec.create ()) in
@@ -161,7 +166,7 @@ module Make (S : Store_sig.S) = struct
       let targets : int list Xutil.Int_tbl.t = Xutil.Int_tbl.create 64 in
       let marks = scratch_marks (S.length t + 1) in
       let add_target node j =
-        mark marks node;
+        Xutil.Node_bits.set marks node;
         let prev =
           Option.value ~default:[] (Xutil.Int_tbl.find_opt targets node)
         in
@@ -180,51 +185,49 @@ module Make (S : Store_sig.S) = struct
       if tr then
         Trace.begin_span "search.scan"
           [ Trace.Int ("patterns", k); Trace.Int ("from", !min_first) ];
-      let admit node lel =
-        let d = S.link_dest t node in
-        if marked marks d then
-          match Xutil.Int_tbl.find_opt targets d with
-          | None -> ()
-          | Some ids ->
-            List.iter
-              (fun j ->
-                let _, len = firsts.(j) in
-                if lel >= len then begin
-                  Xutil.Int_vec.push buffers.(j) node;
-                  Probe.add Probe.found 1;
-                  add_target node j
-                end)
-              ids
+      let admit node lel d =
+        match Xutil.Int_tbl.find_opt targets d with
+        | None -> ()
+        | Some ids ->
+          List.iter
+            (fun j ->
+              let _, len = firsts.(j) in
+              if lel >= len then begin
+                Xutil.Int_vec.push buffers.(j) node;
+                Probe.add Probe.found 1;
+                add_target node j
+              end)
+            ids
       in
-      (match S.scan_links t ~from:(!min_first + 1) ~min_lel:!min_len admit with
+      (match
+         S.scan_links t ~from:(!min_first + 1) ~min_lel:!min_len ~marks admit
+       with
        | () -> unmark marks buffers
        | exception e ->
          unmark marks buffers;
          raise e);
       (* one batched bump covers the whole scan: it covered exactly
-         [S.length t - min_first] nodes, of which only the LEL-passing
-         ones were read *)
+         [S.length t - min_first] nodes *)
       let covered = max 0 (S.length t - !min_first) in
       Probe.add Probe.scan_nodes covered;
       if tr then Trace.end_span ()
     end;
     buffers
 
-  (* All end nodes of [p], ascending: the paper's single-pattern search
-     followed by the downstream link scan. *)
-  let end_nodes_pattern t p =
+  (* The end nodes of [p], ascending, each shifted by [-shift]: the
+     paper's single-pattern search followed by the downstream link
+     scan. *)
+  let shifted_ends t p ~shift =
     match find_first_pattern t p with
     | None -> []
     | Some first ->
       let len = Bioseq.Packed_seq.Pattern.length p in
-      let buffers = occurrences_batch t [| (first, len) |] in
-      Xutil.Int_vec.fold buffers.(0) ~init:[] ~f:(fun acc x -> x :: acc)
-      |> List.rev
+      shifted_list (occurrences_batch t [| (first, len) |]).(0) ~shift
+
+  let end_nodes_pattern t p = shifted_ends t p ~shift:0
 
   let occurrences_pattern t p =
-    List.map
-      (fun e -> e - Bioseq.Packed_seq.Pattern.length p)
-      (end_nodes_pattern t p)
+    shifted_ends t p ~shift:(Bioseq.Packed_seq.Pattern.length p)
 
   (* Dictionary search: find the first occurrence of each pattern
      individually (cheap valid-path walks), then resolve every
@@ -248,10 +251,7 @@ module Make (S : Store_sig.S) = struct
     List.iteri
       (fun i (e, len) ->
         if e >= 0 then begin
-          results.(i) <-
-            Xutil.Int_vec.fold buffers.(!next) ~init:[]
-              ~f:(fun acc e -> (e - len) :: acc)
-            |> List.rev;
+          results.(i) <- shifted_list buffers.(!next) ~shift:len;
           incr next
         end)
       firsts;

@@ -7,9 +7,10 @@
     occurrence.  Remaining occurrences are recovered with the paper's
     target-node-buffer scan: one sequential pass over the backbone,
     admitting every node whose link has sufficient LEL and points into
-    the buffer.  The LEL test runs inside the store
-    ({!Store_sig.S.scan_links}), and only passing nodes have their link
-    destination read. *)
+    the buffer.  Both tests run inside the store
+    ({!Store_sig.S.scan_links}): its Link Table walk reads each node's
+    LEL and link destination together, tests the destination against
+    the buffer's bitmap, and hands over only the candidates. *)
 
 val count_run : node:int -> run:int -> words:int -> scalars:int -> unit
 (** Count one word-packed vertebra run from [node]: [run] vertebra

@@ -44,14 +44,24 @@ module type S = sig
   val link_dest : t -> int -> int
   val link_lel : t -> int -> int
 
-  val scan_links : t -> from:int -> min_lel:int -> (int -> int -> unit) -> unit
-  (** [scan_links t ~from ~min_lel f] calls [f node lel], in ascending
-      node order, for every node in [from .. length t] ([from >= 0])
-      whose link LEL is at least [min_lel] (exactly those nodes).  This
-      is the occurrence scan's "sufficient LEL" test run next to the
-      data: the stores walk their LEL column and hand over only the
-      passing nodes, so the scan reads a link destination only where
-      it can matter. *)
+  val scan_links :
+    t -> from:int -> min_lel:int -> marks:Bytes.t ->
+    (int -> int -> int -> unit) -> unit
+  (** [scan_links t ~from ~min_lel ~marks f] calls [f node lel dest],
+      in ascending node order, for every node in [from .. length t]
+      ([from >= 0]) whose link LEL is at least [min_lel] and whose link
+      destination [dest] has its bit set in [marks]
+      ({!Xutil.Node_bits}; the bitmap must hold a bit for every node)
+      — exactly those nodes.  This is the occurrence scan's whole
+      admission test run next to the data: the stores walk their link
+      column, read the LEL and the destination together and hand over
+      only the candidates.
+
+      The bitmap is live during the scan: a node's [dest] bit is
+      tested when the walk reaches it, after [f] has run for every
+      earlier node, so a bit [f] sets (the scan marks each hit as a
+      new target) counts for every later node.  [f] must not write the
+      store. *)
 
   val set_link : t -> int -> dest:int -> lel:int -> unit
 

@@ -493,121 +493,220 @@ let test_paged_bytes_one_latch () =
   costs "get_u32 (miss)" (fun () ->
       Alcotest.(check int) "value" 7 (Pagestore.Paged_bytes.get_u32 a 100))
 
-(* --- column scans --- *)
+(* --- the Link Table scan --- *)
 
-(* [count] stride-6 records of u16 values [v i] at field offset [at],
-   written to a paged table (over [page_size]-byte pages) and to the
-   in-memory byte table; returns both. *)
-let column ~page_size ~frames ~count ~at v =
-  let d = Pagestore.Device.create ~page_size () in
-  let p = Pagestore.Buffer_pool.create ~frames d in
-  let pb = paged_table p ~base_page:0 in
-  let bt = Spine.Compact_store.Btab.create 0 in
-  for i = 0 to count - 1 do
-    ignore (Pagestore.Paged_bytes.alloc pb 6);
-    ignore (Spine.Compact_store.Btab.alloc bt 6);
-    Pagestore.Paged_bytes.set_u16 pb ((i * 6) + at) (v i);
-    Spine.Compact_store.Btab.set_u16 bt ((i * 6) + at) (v i)
+module Btab = Spine.Compact_store.Btab
+module Pb = Pagestore.Paged_bytes
+
+let is_row p = p land 0x8000_0000 <> 0
+
+(* Deterministic LT entries [(payload, stored LEL)] over [count]
+   nodes: a third of the payloads name an RT row (bit 31 set), the
+   rest are link destinations below [count]; one LEL in ten is the
+   overflow sentinel, whose true value [overflow i] is at least
+   0xFFFF. *)
+let lt_entries ~seed count =
+  let rng = Random.State.make [| seed |] in
+  Array.init count (fun _ ->
+      let payload =
+        if Random.State.int rng 3 = 0 then
+          0x8000_0000 lor Random.State.int rng 0x80_0000
+        else Random.State.int rng count
+      in
+      let lel =
+        if Random.State.int rng 10 = 0 then 0xFFFF
+        else Random.State.int rng 0xFFFF
+      in
+      (payload, lel))
+
+let lt_overflow i = 0xFFFF + ((i * 7919) mod 20_000)
+
+(* The entries after [at] bytes of padding, written to a paged table
+   (over [page_size]-byte pages, in [pool]) and to an in-memory one. *)
+let lt_tables pool ~at entries =
+  let pb = paged_table pool ~base_page:0 in
+  let bt = Btab.create 0 in
+  ignore (Pb.alloc pb at);
+  ignore (Btab.alloc bt at);
+  Array.iter
+    (fun (payload, lel) ->
+      let o = Pb.alloc pb Spine.Compact_store.lt_entry_bytes in
+      ignore (Btab.alloc bt Spine.Compact_store.lt_entry_bytes);
+      Pb.set_u32 pb o payload;
+      Pb.set_u16 pb (o + 4) lel;
+      Btab.set_u32 bt o payload;
+      Btab.set_u16 bt (o + 4) lel)
+    entries;
+  (pb, bt)
+
+(* The contract, entry by entry: the candidates in order, with the
+   bitmap tested as each entry is reached. *)
+let lt_reference entries ~from ~min_lel ~marks f =
+  for i = 0 to Array.length entries - from - 1 do
+    let payload, raw = entries.(from + i) in
+    let lel = if raw = 0xFFFF then lt_overflow (from + i) else raw in
+    if lel >= min_lel && (is_row payload || Xutil.Node_bits.mem marks payload)
+    then f i lel payload
+  done
+
+let random_marks ~seed count =
+  let rng = Random.State.make [| seed |] in
+  let m = Bytes.make ((count + 7) / 8) '\000' in
+  for node = 0 to count - 1 do
+    if Random.State.int rng 4 = 0 then Xutil.Node_bits.set m node
   done;
-  (p, pb, bt)
+  m
 
-let hits scan =
-  let acc = ref [] in
-  scan (fun i raw -> acc := (i, raw) :: !acc);
-  List.rev !acc
+(* A callback that records each candidate and, like the occurrence
+   scan marking its hits, sets the bits of the link destinations of
+   the next two entries, so they become candidates only when the walk
+   tests the live bitmap. *)
+let recording entries ~from marks =
+  let seen = ref [] in
+  let f i lel payload =
+    seen := (i, lel, payload) :: !seen;
+    for k = from + i + 1 to min (Array.length entries - 1) (from + i + 2) do
+      let p, _ = entries.(k) in
+      if not (is_row p) then Xutil.Node_bits.set marks p
+    done
+  in
+  (seen, f)
 
-(* Every field offset inside a 6-byte record, on pages that records
-   straddle (8 and 16 bytes; odd offsets also split the field itself):
-   the paged and the in-memory scan both report exactly the written
-   values that pass the filter. *)
-let test_scan_u16_parity () =
-  let count = 50 in
-  let v i = (i * 7919) land 0xFFFF in
+(* On pages that entries straddle in every way (8 and 16 bytes, the
+   LEL itself split at odd paddings) and on wider ones, the paged and
+   the in-memory scan hand over exactly the reference's candidates,
+   overflowed LELs and row payloads included, also when the callback
+   marks entries further down the same page. *)
+let test_scan_lt_parity () =
+  let count = 80 in
+  let entries = lt_entries ~seed:11 count in
+  let run scan ~from ~min_lel ~seed =
+    let marks = random_marks ~seed count in
+    let seen, f = recording entries ~from marks in
+    scan ~from ~min_lel ~marks f;
+    List.rev !seen
+  in
   List.iter
     (fun page_size ->
-      for at = 0 to 4 do
-        let _, pb, bt = column ~page_size ~frames:2 ~count ~at v in
+      for at = 0 to 5 do
+        let pool =
+          Pagestore.Buffer_pool.create ~frames:2
+            (Pagestore.Device.create ~page_size ())
+        in
+        let pb, bt = lt_tables pool ~at entries in
         List.iter
-          (fun (from, min) ->
+          (fun (from, min_lel) ->
             let label =
-              Printf.sprintf "page %d, field at %d, from %d, min %d"
-                page_size at from min
+              Printf.sprintf "page %d, padding %d, from %d, min_lel %d"
+                page_size at from min_lel
             in
-            let off = (from * 6) + at and count = count - from in
+            let off = at + (6 * from) and count = count - from in
+            let overflow i = lt_overflow (from + i) in
             let expected =
-              List.filter_map
-                (fun i -> if v (from + i) >= min then Some (i, v (from + i)) else None)
-                (List.init count Fun.id)
+              run (lt_reference entries) ~from ~min_lel ~seed:page_size
             in
             let btab =
-              hits (Spine.Compact_store.Btab.scan_u16 bt ~off ~stride:6 ~count ~min)
+              run
+                (fun ~from:_ ~min_lel ~marks f ->
+                  Btab.scan_lt bt ~off ~count ~min_lel ~overflow ~marks f)
+                ~from ~min_lel ~seed:page_size
             in
             let paged =
-              hits (Pagestore.Paged_bytes.scan_u16 pb ~off ~stride:6 ~count ~min)
+              run
+                (fun ~from:_ ~min_lel ~marks f ->
+                  Pb.scan_lt pb ~off ~count ~min_lel ~overflow ~marks f)
+                ~from ~min_lel ~seed:page_size
             in
-            Alcotest.(check (list (pair int int))) ("btab " ^ label) expected btab;
-            Alcotest.(check (list (pair int int))) ("paged " ^ label) expected paged)
-          [ (0, 0); (0, 30_000); (3, 50_000); (7, 0x10000); (count, 0) ]
+            let triple = Alcotest.(list (triple int int int)) in
+            Alcotest.check triple ("btab " ^ label) expected btab;
+            Alcotest.check triple ("paged " ^ label) expected paged)
+          [ (0, 0); (0, 30_000); (3, 50_000); (7, 0xFFFF); (5, 0x10000);
+            (2, 80_000); (80, 0) ]
       done)
-    [ 8; 16 ]
+    [ 8; 16; 64; 128 ]
 
-(* One latch per page: the scan's pool accesses are the pages holding
-   an in-page field, plus the two byte latches of each field that
-   straddles a page. *)
-let test_scan_u16_one_latch_per_page () =
-  let page_size = 8 and count = 40 and at = 3 in
-  let p, pb, _ = column ~page_size ~frames:4 ~count ~at (fun i -> i) in
-  let field i = (i * 6) + at in
-  let straddles i = (field i mod page_size) + 2 > page_size in
+(* One latch per page: with nothing passing, the scan's pool accesses
+   are the pages holding an in-page LEL plus the two byte latches of
+   each LEL that straddles a page.  With every entry passing but none a
+   candidate, only the payloads that start on an earlier page than
+   their LEL add reads, what [get_u32] costs for them. *)
+let test_scan_lt_one_latch_per_page () =
+  let page_size = 16 and count = 40 and at = 1 in
+  let entries = Array.init count (fun i -> (count + i, i + 1)) in
+  let pool =
+    Pagestore.Buffer_pool.create ~frames:4 (Pagestore.Device.create ~page_size ())
+  in
+  let pb, _ = lt_tables pool ~at entries in
+  let lel i = at + (6 * i) + 4 and payload i = at + (6 * i) in
+  let straddles i = (lel i mod page_size) + 2 > page_size in
   let fields = List.init count Fun.id in
   let straddling = List.length (List.filter straddles fields) in
   let pages =
     List.sort_uniq compare
       (List.filter_map
-         (fun i -> if straddles i then None else Some (field i / page_size))
+         (fun i -> if straddles i then None else Some (lel i / page_size))
          fields)
   in
-  let spanned = (field (count - 1) + 1) / page_size + 1 in
-  if straddling = 0 then Alcotest.fail "the layout must split some fields";
-  Alcotest.(check int) "every spanned page holds an in-page field" spanned
-    (List.length pages);
+  let payload_reads =
+    List.fold_left
+      (fun acc i ->
+        let first = payload i / page_size and last = (payload i + 3) / page_size in
+        if straddles i then acc + 1
+        else if first = lel i / page_size then acc
+        else acc + if first = last then 1 else 4)
+      0 fields
+  in
+  let pages = List.length pages in
+  if straddling = 0 then Alcotest.fail "the layout must split some LELs";
+  if pages >= count - straddling then
+    Alcotest.fail "the layout must put several LELs on a page";
   let accesses () =
-    let s = Pagestore.Buffer_pool.stats p in
+    let s = Pagestore.Buffer_pool.stats pool in
     s.Pagestore.Buffer_pool.hits + s.Pagestore.Buffer_pool.misses
   in
-  let before = accesses () in
-  let n = ref 0 in
-  Pagestore.Paged_bytes.scan_u16 pb ~off:at ~stride:6 ~count ~min:0 (fun _ _ ->
-      incr n);
-  Alcotest.(check int) "every field reported" count !n;
-  Alcotest.(check int) "pool accesses" (spanned + (2 * straddling))
-    (accesses () - before)
+  let marks = Bytes.make ((2 * count + 7) / 8) '\000' in
+  let scan min_lel =
+    let before = accesses () and n = ref 0 in
+    Pb.scan_lt pb ~off:at ~count ~min_lel ~overflow:lt_overflow ~marks
+      (fun _ _ _ -> incr n);
+    Alcotest.(check int) "no candidate" 0 !n;
+    accesses () - before
+  in
+  Alcotest.(check int) "nothing passes" (pages + (2 * straddling))
+    (scan (count + 1));
+  Alcotest.(check int) "everything passes, no candidate"
+    (pages + (2 * straddling) + payload_reads)
+    (scan 0)
 
 (* The callback runs outside the scan's latch: reading another table
    through a 2-frame pool from inside it evicts the scanned page, and
    both tables still read back correctly. *)
-let test_scan_u16_callback_reads () =
+let test_scan_lt_callback_reads () =
   let d = Pagestore.Device.create ~page_size:16 () in
   let p = Pagestore.Buffer_pool.create ~frames:2 d in
   let col = paged_table p ~base_page:0 in
   let other = paged_table p ~base_page:100 in
   let count = 60 in
   for i = 0 to count - 1 do
-    Pagestore.Paged_bytes.set_u16 col (Pagestore.Paged_bytes.alloc col 6 + 4) (i * 3);
-    Pagestore.Paged_bytes.set_u32 other (Pagestore.Paged_bytes.alloc other 4)
-      (1_000_000 + i)
+    let o = Pb.alloc col 6 in
+    Pb.set_u32 col o (0x8000_0000 lor i);
+    Pb.set_u16 col (o + 4) (i * 3);
+    Pb.set_u32 other (Pb.alloc other 4) (1_000_000 + i)
   done;
   let seen = ref [] in
-  Pagestore.Paged_bytes.scan_u16 col ~off:4 ~stride:6 ~count ~min:30 (fun i raw ->
+  Pb.scan_lt col ~off:0 ~count ~min_lel:30 ~overflow:lt_overflow
+    ~marks:Bytes.empty (fun i lel payload ->
       (* two far pages of the other table: both frames change hands *)
-      let far = Pagestore.Paged_bytes.get_u32 other (4 * (count - 1 - i)) in
-      let near = Pagestore.Paged_bytes.get_u32 other (4 * i) in
-      seen := (i, raw, far, near) :: !seen);
+      let far = Pb.get_u32 other (4 * (count - 1 - i)) in
+      let near = Pb.get_u32 other (4 * i) in
+      seen := (i, lel, payload, far, near) :: !seen);
   let expected =
     List.filter_map
       (fun i ->
         if i * 3 >= 30 then
-          Some (i, i * 3, 1_000_000 + count - 1 - i, 1_000_000 + i)
+          Some
+            (i, i * 3, 0x8000_0000 lor i, 1_000_000 + count - 1 - i,
+             1_000_000 + i)
         else None)
       (List.init count Fun.id)
   in
@@ -616,6 +715,173 @@ let test_scan_u16_callback_reads () =
     (expected = List.rev !seen);
   if (Pagestore.Buffer_pool.stats p).Pagestore.Buffer_pool.evictions = 0 then
     Alcotest.fail "the callback must have evicted the scanned pages"
+
+(* The page order the scan keeps: latch each page once for the LELs
+   lying inside it, then, for every passing entry, read its payload
+   with [get_u32] and call [f] on candidates.  [read_record] stands in
+   for the page latch. *)
+let lt_field_order pb ~page_size ~off ~count ~min_lel ~overflow ~marks f =
+  let visit i raw =
+    let lel = if raw = 0xFFFF then overflow i else raw in
+    if lel >= min_lel then begin
+      let p = Pb.get_u32 pb (off + (6 * i)) in
+      if is_row p || Xutil.Node_bits.mem marks p then f i lel p
+    end
+  in
+  let i = ref 0 in
+  while !i < count do
+    let o = off + (6 * !i) + 4 in
+    let pos = o mod page_size in
+    if pos + 2 > page_size then begin
+      visit !i (Pb.get_u16 pb o);
+      incr i
+    end
+    else begin
+      let first = !i in
+      let last = min (count - 1) ((o - pos + page_size - 2 - off - 4) / 6) in
+      let raws =
+        Pb.read_record pb ~off:o ~len:((6 * (last - first)) + 2) (fun b at ->
+            Array.init (last - first + 1) (fun k ->
+                Bytes.get_uint16_le b (at + (6 * k))))
+      in
+      Array.iteri (fun k raw -> visit (first + k) raw) raws;
+      i := last + 1
+    end
+  done
+
+(* Misses and evictions do not depend on the scan's latching: on tiny
+   pools, with a callback that reads a row of another table for every
+   row payload (as the store's row LD read does) and marks entries
+   further down, the device reads the same pages in the same order as
+   under the field-by-field order, and the scan takes fewer latches. *)
+let test_scan_lt_page_order () =
+  let count = 120 in
+  let entries =
+    Array.map (fun (p, lel) -> (p, lel land 0xFF)) (lt_entries ~seed:5 count)
+  in
+  List.iter
+    (fun (page_size, frames, at) ->
+      let run scan =
+        let d = Pagestore.Device.create ~page_size () in
+        let pool = Pagestore.Buffer_pool.create ~frames d in
+        let pb, _ = lt_tables pool ~at entries in
+        let rows = paged_table pool ~base_page:10_000 in
+        ignore (Pb.alloc rows (13 * 64));
+        Pagestore.Buffer_pool.drop pool;
+        Pagestore.Buffer_pool.reset_stats pool;
+        let reads = ref [] in
+        Pagestore.Device.set_hooks d
+          (Some
+             { Pagestore.Device.on_read = (fun ~page -> reads := page :: !reads);
+               on_write = (fun ~page:_ ~phys:_ -> Pagestore.Device.Write_through) });
+        let marks = random_marks ~seed:page_size count in
+        let seen, record = recording entries ~from:0 marks in
+        scan pb ~off:at ~count ~min_lel:96 ~overflow:lt_overflow ~marks
+          (fun i lel p ->
+            if is_row p then
+              ignore (Pb.get_u32 rows (13 * (p land 63)));
+            record i lel p);
+        let s = Pagestore.Buffer_pool.stats pool in
+        (List.rev !reads, s.Pagestore.Buffer_pool.evictions,
+         s.Pagestore.Buffer_pool.hits, List.rev !seen)
+      in
+      let label = Printf.sprintf "page %d, %d frames, padding %d" page_size frames at in
+      let reads, evictions, hits, seen =
+        run (fun pb -> lt_field_order pb ~page_size)
+      in
+      let reads', evictions', hits', seen' = run Pb.scan_lt in
+      Alcotest.(check (list int)) ("device reads " ^ label) reads reads';
+      Alcotest.(check int) ("evictions " ^ label) evictions evictions';
+      Alcotest.(check bool) ("candidates " ^ label) true (seen = seen');
+      if hits' > hits then
+        Alcotest.failf "%s: %d hits, more than the field order's %d" label
+          hits' hits)
+    [ (8, 1, 0); (8, 2, 1); (16, 2, 3); (16, 3, 0); (64, 2, 5); (64, 3, 2);
+      (128, 2, 0); (128, 4, 4) ]
+
+(* The store's Link Table walk hands over exactly the nodes a
+   field-by-field reference picks ([link_lel] and [link_dest] per node,
+   then the bit test), in memory and over 8- to 128-byte pages behind a
+   4-frame pool: random bitmaps, row-holding payloads (the DNA text
+   gives many nodes ribs), overflowed LELs, and a callback that marks
+   the link destinations of the next nodes, which become candidates
+   only through the live bitmap. *)
+let test_scan_links_reference () =
+  let rng = Random.State.make [| 17 |] in
+  let n = 700 in
+  let text = String.init n (fun _ -> "acgt".[Random.State.int rng 4]) in
+  let seq = Bioseq.Packed_seq.of_string Bioseq.Alphabet.dna text in
+  let compact = Spine.Compact.of_seq seq in
+  (* overflowed LELs on every eleventh node, rows or not *)
+  let overflowed node = node mod 11 = 3 in
+  let edit set_link dest =
+    for node = 1 to n do
+      if overflowed node then
+        set_link node ~dest:(dest node) ~lel:(0xFFFF + (node * 13 mod 9000))
+    done
+  in
+  let module CS = Spine.Compact_store in
+  let module P = Spine.Paged_store.P in
+  let dests = Array.init (n + 1) (fun node -> CS.link_dest compact node) in
+  edit (CS.set_link compact) (Array.get dests);
+  let has_row node =
+    CS.find_extrib compact node <> None
+    || CS.fold_ribs compact node ~init:false ~f:(fun _ _ _ _ -> true)
+  in
+  if not (List.exists (fun node -> overflowed node && has_row node)
+            (List.init n succ))
+  then Alcotest.fail "some overflowed node must hold a row";
+  let run scan ~from ~min_lel ~seed =
+    let marks = random_marks ~seed (n + 1) in
+    let seen = ref [] in
+    scan ~from ~min_lel ~marks (fun node lel dest ->
+        seen := (node, lel, dest) :: !seen;
+        for k = node + 1 to min n (node + 3) do
+          Xutil.Node_bits.set marks dests.(k)
+        done);
+    List.rev !seen
+  in
+  let reference link_lel link_dest ~from ~min_lel ~marks f =
+    for node = from to n do
+      let lel = link_lel node and dest = link_dest node in
+      if lel >= min_lel && Xutil.Node_bits.mem marks dest then f node lel dest
+    done
+  in
+  let cases =
+    [ (0, 0); (1, 2); (37, 5); (0, 9); (350, 3); (0, 0xFFFF); (5, 0x10000);
+      (0, 70_000); (n, 0); (n + 1, 0) ]
+  in
+  let first = run (reference (CS.link_lel compact) (CS.link_dest compact))
+      ~from:0 ~min_lel:0 ~seed:0 in
+  let initial = random_marks ~seed:0 (n + 1) in
+  if not (List.exists (fun (_, _, d) -> not (Xutil.Node_bits.mem initial d)) first)
+  then Alcotest.fail "the callback's marks must admit some node";
+  let check what scan link_lel link_dest =
+    List.iter
+      (fun (from, min_lel) ->
+        let label = Printf.sprintf "%s, from %d, min_lel %d" what from min_lel in
+        let expected =
+          run (reference link_lel link_dest) ~from ~min_lel ~seed:from
+        in
+        Alcotest.(check (list (triple int int int))) label expected
+          (run scan ~from ~min_lel ~seed:from))
+      cases
+  in
+  check "compact" (CS.scan_links compact) (CS.link_lel compact)
+    (CS.link_dest compact);
+  List.iter
+    (fun page_size ->
+      let pool =
+        Pagestore.Buffer_pool.create ~frames:4
+          (Pagestore.Device.create ~page_size ())
+      in
+      let paged = Spine.Paged_store.create pool Bioseq.Alphabet.dna in
+      Spine.Paged_store.append_seq paged seq;
+      edit (P.set_link paged) (Array.get dests);
+      check
+        (Printf.sprintf "paged at %d-byte pages" page_size)
+        (P.scan_links paged) (P.link_lel paged) (P.link_dest paged))
+    [ 8; 16; 64; 128 ]
 
 (* --- records --- *)
 
@@ -769,11 +1035,15 @@ let suite =
       test_paged_bytes_straddle
   ; Alcotest.test_case "paged bytes one latch per in-page field" `Quick
       test_paged_bytes_one_latch
-  ; Alcotest.test_case "paged column scan parity" `Quick test_scan_u16_parity
+  ; Alcotest.test_case "paged column scan parity" `Quick test_scan_lt_parity
   ; Alcotest.test_case "paged column scan: one latch per page" `Quick
-      test_scan_u16_one_latch_per_page
+      test_scan_lt_one_latch_per_page
   ; Alcotest.test_case "paged column scan: callback reads other pages" `Quick
-      test_scan_u16_callback_reads
+      test_scan_lt_callback_reads
+  ; Alcotest.test_case "paged column scan: page order of the field walk" `Quick
+      test_scan_lt_page_order
+  ; Alcotest.test_case "store link scan matches the field reference" `Quick
+      test_scan_links_reference
   ; Alcotest.test_case "paged bytes capacity is typed" `Quick
       test_paged_bytes_capacity
   ; Alcotest.test_case "paged bytes records: in-page only, field parity" `Quick
