@@ -150,13 +150,13 @@ let demote_arg =
 
 let only_arg =
   let doc =
-    "Run only $(docv) (repeatable; rule id or l1..l11 alias). \
+    "Run only $(docv) (repeatable; rule id or l1..l12 alias). \
      Default: every rule."
   in
   Arg.(value & opt_all string [] & info [ "only" ] ~docv:"RULE" ~doc)
 
 let except_arg =
-  let doc = "Skip $(docv) (repeatable; rule id or l1..l11 alias)." in
+  let doc = "Skip $(docv) (repeatable; rule id or l1..l12 alias)." in
   Arg.(value & opt_all string [] & info [ "except" ] ~docv:"RULE" ~doc)
 
 let domains_arg =

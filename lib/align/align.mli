@@ -24,11 +24,13 @@ val maximal_match_anchors :
     position. The [engine] selects which index implementation does the
     work; both return identical anchor sets (tested). *)
 
+(* spine-lint: allow unused-export -- tests feed it hand-built anchors *)
 val unique_anchors : anchor list -> anchor list
 (** MUM filtering: keep anchors whose matched substring occurs exactly
     once on each side among the reported anchors (unique ref position
     AND unique query position). *)
 
+(* spine-lint: allow unused-export -- tests feed it hand-built anchors *)
 val chain : anchor list -> anchor list
 (** Heaviest consistent chain: the subset of anchors strictly
     increasing in both coordinates that maximises total matched length,

@@ -77,8 +77,6 @@ let hamming_hits idx ~pattern ~k =
 
 let hamming idx ~pattern ~k = hamming_hits idx ~pattern ~k
 
-let hamming_count idx ~pattern ~k = List.length (hamming_hits idx ~pattern ~k)
-
 (* Banded edit-distance verification: the best (distance, data length)
    over alignments of the whole pattern against data starting at [s]. *)
 let banded_edit seq n pattern s k =

@@ -30,6 +30,3 @@ val edit : Spine.Compact.t -> pattern:int array -> k:int -> hit list
     position the smallest edit distance (and the shortest such
     data-side length). Verification is banded DP of width [2k + 1].
     @raise Invalid_argument if [k < 0] or the pattern is empty. *)
-
-val hamming_count : Spine.Compact.t -> pattern:int array -> k:int -> int
-(** [List.length (hamming ...)] without building the list. *)

@@ -42,13 +42,12 @@ type entry = {
 
 type baseline = { schema : string; entries : entry list }
 
-val of_string : string -> (baseline, string) result
-(** Parse an artifact.  Every top-level array of [{"name": …, "<unit>":
-    <number|null>}] objects contributes entries, so schema growth (a
-    new group) needs no parser change.  [Error] on malformed JSON or a
-    missing ["schema"] field. *)
-
 val load : path:string -> (baseline, string) result
+(** Read and parse an artifact.  Every top-level array of
+    [{"name": …, "<unit>": <number|null>}] objects contributes
+    entries, so schema growth (a new group) needs no parser change.
+    [Error] on an unreadable file, malformed JSON or a missing
+    ["schema"] field. *)
 
 (** {1 Comparison} *)
 

@@ -41,7 +41,6 @@ let byte =
 let size t = String.length t.symbols
 let bits t = t.bits
 let payload_bits t = t.payload_bits
-let name t = t.name
 let separator t = size t
 
 let encode_opt t c =
@@ -60,8 +59,3 @@ let decode t code =
   else t.symbols.[code]
 
 let equal a b = a.symbols = b.symbols
-
-let fold_symbols t ~init ~f =
-  let acc = ref init in
-  for code = 0 to size t - 1 do acc := f !acc code done;
-  !acc

@@ -39,9 +39,6 @@ val payload_bits : t -> int
     accounting figure (2 for DNA, 5 for protein, 8 for bytes; Table 2's
     0.25-byte CharacterLabel row is [payload_bits / 8] for DNA). *)
 
-val name : t -> string
-(** Human-readable name used in reports. *)
-
 val encode : t -> char -> int
 (** [encode a c] is the code of character [c].
     @raise Invalid_argument if [c] is not in the alphabet. *)
@@ -58,6 +55,3 @@ val separator : t -> int
 
 val equal : t -> t -> bool
 (** Structural equality of alphabets. *)
-
-val fold_symbols : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Fold over all symbol codes in increasing order. *)

@@ -117,7 +117,3 @@ let scaled_length ~scale c =
 let load ?(scale = 0.1) c =
   let n = scaled_length ~scale c in
   Synthetic.genomic ~profile:c.profile c.alphabet (Rng.create c.seed) n
-
-let query_variant ?(scale = 0.1) ?(divergence = 0.05) c =
-  let base = load ~scale c in
-  Synthetic.mutate ~rate:divergence (Rng.create (c.seed + 5000)) base

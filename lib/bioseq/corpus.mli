@@ -27,28 +27,14 @@ val eco : t
 (** C.elegans genome, 15.5 M characters. *)
 val cel : t
 
-(** Human chromosome 21, 28.5 M characters. *)
-val hc21 : t
-
-(** Human chromosome 19, 57.5 M characters. *)
-val hc19 : t
-
 (** E.coli proteome, 1.5 M residues. *)
 val eco_r : t
-
-(** Yeast proteome, 3.1 M residues. *)
-val yeast_r : t
-
-(** Drosophila proteome, 7.5 M residues. *)
-val dros_r : t
 
 val dna : t list
 (** [eco; cel; hc21; hc19], the order used by the paper's figures. *)
 
 val proteins : t list
 (** [eco_r; yeast_r; dros_r]. *)
-
-val all : t list
 
 val find : string -> t option
 (** Case-insensitive lookup by name. *)
@@ -67,9 +53,3 @@ val load : ?scale:float -> t -> Packed_seq.t
 (** Generate the synthetic stand-in string (default [scale = 0.1]).
     Deterministic: same corpus and scale always produce the same
     string. *)
-
-val query_variant : ?scale:float -> ?divergence:float -> t -> Packed_seq.t
-(** A mutated copy of the corpus string (default 5 % divergence),
-    standing in for the "related genome" query side of the paper's
-    cross-matching experiments when a pair like ECO/CEL is wanted at
-    matched repetitiveness. Deterministic per corpus. *)

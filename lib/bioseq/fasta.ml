@@ -39,7 +39,7 @@ let parse_string alphabet text =
     end
     else
       match !current with
-      | None -> failwith "Fasta.parse_string: sequence data before first header"
+      | None -> failwith "Fasta.read_file: sequence data before first header"
       | Some (_, seq) -> String.iter (add_char seq) line
   in
   String.split_on_char '\n' text |> List.iter handle_line;
@@ -56,27 +56,3 @@ let read_file alphabet path =
   in
   close_in ic;
   parse_string alphabet contents
-
-let to_string records =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun { header; seq } ->
-      Buffer.add_char buf '>';
-      Buffer.add_string buf header;
-      Buffer.add_char buf '\n';
-      let len = Packed_seq.length seq in
-      let pos = ref 0 in
-      while !pos < len do
-        let chunk = min 70 (len - !pos) in
-        Buffer.add_string buf (Packed_seq.sub_string seq ~pos:!pos ~len:chunk);
-        Buffer.add_char buf '\n';
-        pos := !pos + chunk
-      done)
-    records;
-  Buffer.contents buf
-
-let write_file path records =
-  let oc = open_out_bin path in
-  (try output_string oc (to_string records)
-   with e -> close_out oc; raise e);
-  close_out oc

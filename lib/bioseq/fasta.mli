@@ -12,15 +12,5 @@ type record = {
   seq : Packed_seq.t;
 }
 
-val parse_string : Alphabet.t -> string -> record list
-(** Parse a full FASTA document. Data before the first header is
-    rejected. @raise Failure on malformed input. *)
-
 val read_file : Alphabet.t -> string -> record list
 (** Read and parse a file. *)
-
-val to_string : record list -> string
-(** Render records back to FASTA, wrapping sequence lines at 70
-    characters. *)
-
-val write_file : string -> record list -> unit

@@ -55,7 +55,6 @@ let create ?(capacity = 64) alphabet =
 let alphabet t = t.alphabet
 let length t = t.len
 let width t = t.width
-let codes_per_word t = chars_per_word t.width
 
 let unsafe_get t i =
   let cpw = chars_per_word t.width in
@@ -124,8 +123,6 @@ let sub_string t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.len then
     invalid_arg "Packed_seq.sub_string";
   String.init len (fun i -> Alphabet.decode t.alphabet (unsafe_get t (pos + i)))
-
-let to_string t = sub_string t ~pos:0 ~len:t.len
 
 (* --- word-at-a-time span comparison --- *)
 
@@ -222,7 +219,6 @@ module Pattern = struct
 
   type t = {
     codes : int array;
-    p_alphabet : Alphabet.t;
     max_code : int;  (* -1 when empty *)
     min_code : int;  (* 0 when empty *)
     mutable cached : row option;
@@ -230,16 +226,14 @@ module Pattern = struct
            compared against; re-packed lazily when widths change *)
   }
 
-  let of_codes alphabet codes =
+  let of_codes codes =
     { codes = Array.copy codes;
-      p_alphabet = alphabet;
       max_code = Array.fold_left max (-1) codes;
       min_code = Array.fold_left min 0 codes;
       cached = None }
 
   let length p = Array.length p.codes
   let get p i = p.codes.(i)
-  let alphabet p = p.p_alphabet
 end
 
 (* per-code fallback against a raw pattern (codes that cannot be
@@ -335,18 +329,6 @@ let of_packed_bits alphabet ~len ~width bytes =
         invalid_arg "Packed_seq.of_packed_bits: code outside the alphabet"
     done;
   t
-
-let packed_bytes_per_char t =
-  if t.len = 0 then 0.0
-  else float_of_int (packed_byte_length t) /. float_of_int t.len
-
-let equal a b =
-  Alphabet.equal a.alphabet b.alphabet
-  && a.len = b.len
-  && (a.len = 0
-      ||
-      let m, _, _ = mismatch a ~apos:0 b ~bpos:0 ~len:a.len in
-      m = a.len)
 
 let copy t =
   let uw = used_words t + 1 in

@@ -37,9 +37,6 @@ val length : t -> int
 val width : t -> int
 (** Current cell width in bits: 2, 4 or 8. *)
 
-val codes_per_word : t -> int
-(** Codes per backing word at the current width ([62 / width]). *)
-
 val get : t -> int -> int
 (** [get t i] is the code at position [i] (0-based).  This is the safe
     boundary accessor: @raise Invalid_argument when [i] is outside
@@ -49,14 +46,8 @@ val append : t -> int -> unit
 (** Append one code (separator allowed), growing — and if the code
     needs a wider cell, re-packing — the row as needed. *)
 
-val append_string : t -> string -> unit
-(** Encode and append every character of the argument. *)
-
 val sub_string : t -> pos:int -> len:int -> string
 (** Decode a slice back to characters. *)
-
-val to_string : t -> string
-(** Decode the whole sequence. *)
 
 (** {2 Word-at-a-time span comparison}
 
@@ -87,7 +78,7 @@ val compare_span : t -> apos:int -> t -> bpos:int -> len:int -> bool
 module Pattern : sig
   type t
 
-  val of_codes : Alphabet.t -> int array -> t
+  val of_codes : int array -> t
   (** Accepts any int codes (never raises): out-of-alphabet codes
       simply never match, exactly like the unpacked search path. *)
 
@@ -95,8 +86,6 @@ module Pattern : sig
 
   val get : t -> int -> int
   (** The [i]-th pattern code (safe array access). *)
-
-  val alphabet : t -> Alphabet.t
 end
 
 val mismatch_pattern :
@@ -121,13 +110,6 @@ val of_packed_bits : Alphabet.t -> len:int -> width:int -> Bytes.t -> t
 
 val packed_byte_length : t -> int
 (** Bytes of {!packed_bits} output: [used words * 8]. *)
-
-val packed_bytes_per_char : t -> float
-(** Space accounting: bytes per indexed code of the packed row
-    (~0.258 for a 2-bit DNA row: 31 codes per 8-byte word). *)
-
-val equal : t -> t -> bool
-(** Same alphabet and same code sequence (cell widths may differ). *)
 
 val copy : t -> t
 

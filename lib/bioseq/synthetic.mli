@@ -43,14 +43,12 @@ type repeat_profile = {
   long_copy_factor : int;
 }
 
-val default_repeats : repeat_profile
-(** A profile calibrated so the resulting SPINE statistics fall in the
-    paper's reported ranges (28–35 % of nodes carrying downstream edges,
-    label maxima a few thousand at the megabase scale). *)
-
 val genomic :
   ?profile:repeat_profile -> Alphabet.t -> Rng.t -> int -> Packed_seq.t
-(** Repeat-injected Markov text of the requested length. *)
+(** Repeat-injected Markov text of the requested length.  The default
+    profile is calibrated so the resulting SPINE statistics fall in the
+    paper's reported ranges (28–35 % of nodes carrying downstream
+    edges, label maxima a few thousand at the megabase scale). *)
 
 val mutate :
   rate:float -> Rng.t -> Packed_seq.t -> Packed_seq.t

@@ -115,9 +115,7 @@ let build seq =
 
 let of_string alphabet s = build (Bioseq.Packed_seq.of_string alphabet s)
 
-let length t = t.n
 let state_count t = Int_vec.length t.len
-let transition_count t = Int_vec.length t.cell_code
 
 let walk t codes =
   let m = Array.length codes in
@@ -165,13 +163,3 @@ let count_occurrences t codes =
   else
     let v = walk t codes in
     if v < 0 then 0 else (occurrence_table t).(v)
-
-let model_bytes_per_char t =
-  (* per state: length u32, suffix link u32, 4 x (target u32 + 2-bit
-     label packed into one shared byte) — 25 bytes, times the measured
-     states-per-character ratio; lands in the paper's quoted ballpark *)
-  if t.n = 0 then 0.0
-  else float_of_int (state_count t * 25) /. float_of_int t.n
-
-let paper_dawg_bytes_per_char = 34.0
-let paper_cdawg_bytes_per_char = 22.0

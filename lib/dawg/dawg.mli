@@ -18,34 +18,19 @@ val build : Bioseq.Packed_seq.t -> t
 (** Online construction, O(n * alphabet) with the sibling-list
     transition representation used here. *)
 
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val of_string : Bioseq.Alphabet.t -> string -> t
-
-val length : t -> int
-(** Characters indexed. *)
 
 val state_count : t -> int
 (** Between [n + 1] and [2n - 1] — more than SPINE's [n + 1], the
     paper's "unable to achieve complete horizontal compaction". *)
 
-val transition_count : t -> int
-
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val contains : t -> string -> bool
 
-val contains_codes : t -> int array -> bool
-
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val count_occurrences : t -> int array -> int
 (** Number of occurrences of the pattern, from endpos-set sizes — note
     that unlike SPINE the automaton cannot {e locate} them without
     auxiliary structures, the paper's "they lack position
     information". *)
-
-val model_bytes_per_char : t -> float
-(** The paper quotes ~34 bytes per indexed character for DNA DAWGs;
-    this model prices our state records at C field widths
-    (length, suffix link, 4 transition slots). *)
-
-val paper_dawg_bytes_per_char : float
-(** 34.0 — the figure the paper cites from Kurtz. *)
-
-val paper_cdawg_bytes_per_char : float
-(** 22.0 — compact DAWGs, also cited. *)

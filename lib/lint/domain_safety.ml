@@ -244,12 +244,6 @@ and classify_decl ~depth ~visited env p args =
 
 let classify_type env ty = classify ~depth:0 ~visited:[] env ty
 
-let mutability_to_string = function
-  | Immutable -> "immutable"
-  | Mutable w -> "mutable (" ^ w ^ ")"
-  | Guarded w -> "guarded (" ^ w ^ ")"
-  | Unknown -> "unknown"
-
 (* ------------------------------------------------------------------ *)
 (* Value roots and effects                                             *)
 

@@ -25,16 +25,6 @@ type mutability =
   | Guarded of string  (** shareable by construction: Atomic/Mutex/DLS *)
   | Unknown            (** abstract type; not judged *)
 
-val classify_type : Env.t -> Types.type_expr -> mutability
-(** Type-level mutability, seen through [Envaux]-rebuilt environments:
-    aliases and manifests are expanded, record/variant declarations
-    are looked through (depth-limited), [mutable] fields, [ref],
-    [array], [bytes], [Hashtbl.t]-likes and the repo's own mutable
-    abstract types ([Xutil.Int_vec.t], ...) classify as [Mutable];
-    [Atomic.t]/[Mutex.t]/[Domain.DLS.key] as [Guarded]. *)
-
-val mutability_to_string : mutability -> string
-
 type t
 (** Accumulated function summaries across scanned files. *)
 

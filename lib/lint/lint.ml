@@ -25,11 +25,12 @@ type rule =
   | Shared_mutation
   | Global_mutable
   | Unguarded_unsafe
+  | Unused_export
 
 let all_rules =
   [ Poly_compare; Obj_magic; Catch_all; Direct_stdout; Missing_mli;
     Partial_call; Raw_clock; Bare_failwith; Shared_mutation;
-    Global_mutable; Unguarded_unsafe ]
+    Global_mutable; Unguarded_unsafe; Unused_export ]
 
 let rule_id = function
   | Poly_compare -> "poly-compare"
@@ -43,6 +44,7 @@ let rule_id = function
   | Shared_mutation -> "shared-mutation"
   | Global_mutable -> "global-mutable"
   | Unguarded_unsafe -> "unguarded-unsafe"
+  | Unused_export -> "unused-export"
 
 let rule_of_id s =
   match String.lowercase_ascii s with
@@ -57,6 +59,7 @@ let rule_of_id s =
   | "shared-mutation" | "l9" -> Some Shared_mutation
   | "global-mutable" | "l10" -> Some Global_mutable
   | "unguarded-unsafe" | "l11" -> Some Unguarded_unsafe
+  | "unused-export" | "l12" -> Some Unused_export
   | _ -> None
 
 let rule_doc = function
@@ -92,11 +95,14 @@ let rule_doc = function
     "no Array.unsafe_*/Bytes.unsafe_* outside modules that declare \
      themselves a checked boundary with [@@@spine.checked_boundary \
      \"reason\"]"
+  | Unused_export ->
+    "every val of a lib/ interface has a caller in lib/, bin/, bench/ or \
+     examples/ (a val only test/ calls is a test-only warning)"
 
 let default_severity = function
   | Poly_compare | Obj_magic | Catch_all | Missing_mli | Raw_clock
   | Bare_failwith | Shared_mutation | Global_mutable | Unguarded_unsafe
-    -> Error
+  | Unused_export -> Error
   | Direct_stdout | Partial_call -> Warning
 
 let severity_id = function Error -> "error" | Warning -> "warning"
@@ -148,7 +154,7 @@ let rule_in_scope ~all_paths rule file =
   | Shared_mutation -> String.starts_with ~prefix:"lib/spine/" file
   | Global_mutable ->
     starts_with_any [ "lib/spine/"; "lib/pagestore/" ] file
-  | Unguarded_unsafe -> String.starts_with ~prefix:"lib/" file
+  | Unguarded_unsafe | Unused_export -> String.starts_with ~prefix:"lib/" file
 
 (* ------------------------------------------------------------------ *)
 (* Identifier classification                                           *)
@@ -362,10 +368,122 @@ let collect_structure ~wants str =
   List.rev !found
 
 (* ------------------------------------------------------------------ *)
+(* L12: exports and their uses                                         *)
+
+(* The module types a functor of [sg] returns.  Their members are
+   exports; a module type only taken as a parameter states what a
+   caller must provide, so nothing has to call its members. *)
+let returned_modtypes (sg : Typedtree.signature) =
+  let open Typedtree in
+  let rec result mty =
+    match mty.mty_desc with
+    | Tmty_functor (_, r) | Tmty_with (r, _) -> result r
+    | Tmty_ident (Path.Pident id, _) -> [ Ident.name id ]
+    | _ -> []
+  in
+  List.concat_map
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_module { md_type = { mty_desc = Tmty_functor (_, r); _ }; _ } ->
+        result r
+      | _ -> [])
+    sg.sig_items
+
+(* every [val] of an interface, qualified below the unit name: those of
+   submodules, functor results and returned module types included *)
+let rec sig_exports prefix (sg : Typedtree.signature) =
+  let open Typedtree in
+  let returned = returned_modtypes sg in
+  List.concat_map
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_value vd ->
+        [ (prefix ^ vd.val_name.txt, vd.val_val.Types.val_uid, vd.val_loc) ]
+      | Tsig_module { md_name = { txt = Some m; _ }; md_type; _ } ->
+        mty_exports (prefix ^ m ^ ".") md_type
+      | Tsig_modtype { mtd_name = { txt = m; _ }; mtd_type = Some mty; _ }
+        when List.mem m returned ->
+        mty_exports (prefix ^ m ^ ".") mty
+      | _ -> [])
+    sg.sig_items
+
+and mty_exports prefix (mty : Typedtree.module_type) =
+  match mty.mty_desc with
+  | Tmty_signature sg -> sig_exports prefix sg
+  | Tmty_functor (_, r) -> mty_exports prefix r
+  | _ -> []
+
+let env_of summary =
+  match Envaux.env_of_only_summary summary with
+  | exception (Envaux.Error _ | Env.Error _ | Persistent_env.Error _) -> None
+  | env -> Some env
+
+let sig_values env mty =
+  match Env.scrape_alias env mty with
+  | exception Not_found -> []
+  | Types.Mty_signature sg ->
+    List.filter_map
+      (function Types.Sig_value (id, vd, _) -> Some (id, vd) | _ -> None)
+      sg
+  | _ -> []
+
+(* A module passed where [target] is expected (a functor argument, a
+   packed first-class module) uses each of its values [target] names. *)
+let values_named env ~target arg =
+  let wanted = List.map (fun (id, _) -> Ident.name id) (sig_values env target) in
+  List.filter_map
+    (fun (id, (vd : Types.value_description)) ->
+      if List.mem (Ident.name id) wanted then Some vd.val_uid else None)
+    (sig_values env arg)
+
+(* the uid of every exported value [str] uses *)
+let collect_uses str =
+  let used = ref [] in
+  let open Typedtree in
+  let expr sub e =
+    (match e.exp_desc with
+    | Texp_ident (_, _, vd) -> used := vd.Types.val_uid :: !used
+    | Texp_letop { let_; ands; _ } ->
+      List.iter
+        (fun b -> used := b.bop_op_val.Types.val_uid :: !used)
+        (let_ :: ands)
+    | Texp_pack me -> (
+      (* the packed module itself, under the package type's coercion *)
+      let rec packed me =
+        match me.mod_desc with Tmod_constraint (m, _, _, _) -> packed m | _ -> me
+      in
+      match (Types.get_desc e.exp_type, env_of e.exp_env) with
+      | Types.Tpackage (p, _), Some env ->
+        used :=
+          values_named env ~target:(Types.Mty_ident p) (packed me).mod_type
+          @ !used
+      | _ -> ())
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let module_expr sub me =
+    (match me.mod_desc with
+    | Tmod_apply (f, arg, _) -> (
+      match env_of me.mod_env with
+      | Some env -> (
+        match Env.scrape_alias env f.mod_type with
+        | exception Not_found -> ()
+        | Types.Mty_functor (Types.Named (_, target), _) ->
+          used := values_named env ~target arg.mod_type @ !used
+        | _ -> ())
+      | None -> ())
+    | _ -> ());
+    Tast_iterator.default_iterator.module_expr sub me
+  in
+  let iter = { Tast_iterator.default_iterator with expr; module_expr } in
+  iter.structure iter str;
+  !used
+
+(* ------------------------------------------------------------------ *)
 (* Suppression comments                                                *)
 
 type suppressions = {
-  by_line : (int, rule list) Hashtbl.t;
+  by_line : (int, rule list * string) Hashtbl.t;  (* rules, reason *)
   file_wide : rule list;
 }
 
@@ -380,15 +498,23 @@ let find_substring hay needle =
   in
   go 0
 
+let after s i = String.sub s i (String.length s - i)
+
+(* [allow <rules> [-- <reason>]]; the reason is "" when absent *)
 let parse_directive line =
   match find_substring line "spine-lint:" with
   | None -> None
   | Some i ->
     let rest =
-      let tail = String.sub line (i + 11) (String.length line - i - 11) in
+      let tail = after line (i + 11) in
       match find_substring tail "*)" with
       | Some j -> String.sub tail 0 j
       | None -> tail
+    in
+    let rest, reason =
+      match find_substring rest "--" with
+      | Some j -> (String.sub rest 0 j, String.trim (after rest (j + 2)))
+      | None -> (rest, "")
     in
     let tokens =
       String.split_on_char ' ' rest
@@ -399,7 +525,7 @@ let parse_directive line =
     (match tokens with
     | directive :: rules
       when directive = "allow" || directive = "allow-file" ->
-      Some (directive, List.filter_map rule_of_id rules)
+      Some (directive, List.filter_map rule_of_id rules, reason)
     | _ -> None)
 
 let load_suppressions path =
@@ -413,8 +539,9 @@ let load_suppressions path =
       | None -> ()
       | Some line ->
         (match parse_directive line with
-        | Some ("allow", rules) -> Hashtbl.replace by_line n rules
-        | Some ("allow-file", rules) -> file_wide := rules @ !file_wide
+        | Some ("allow", rules, reason) ->
+          Hashtbl.replace by_line n (rules, reason)
+        | Some ("allow-file", rules, _) -> file_wide := rules @ !file_wide
         | _ -> ());
         go (n + 1)
     in
@@ -423,13 +550,16 @@ let load_suppressions path =
     { by_line; file_wide = !file_wide }
 
 (* a finding is waived by a directive on its own line or on the line
-   directly above, or by a file-wide directive *)
-let is_suppressed sup rule line =
-  List.mem rule sup.file_wide
-  || List.mem rule
-       (Option.value ~default:[] (Hashtbl.find_opt sup.by_line line))
-  || List.mem rule
-       (Option.value ~default:[] (Hashtbl.find_opt sup.by_line (line - 1)))
+   directly above, or by a file-wide directive; [Some reason] when it
+   is *)
+let waiver sup rule line =
+  let on n =
+    match Hashtbl.find_opt sup.by_line n with
+    | Some (rules, reason) when List.mem rule rules -> Some reason
+    | _ -> None
+  in
+  if List.mem rule sup.file_wide then Some ""
+  else match on line with Some r -> Some r | None -> on (line - 1)
 
 (* ------------------------------------------------------------------ *)
 (* The driver                                                          *)
@@ -500,14 +630,25 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
       let sups : (string, suppressions) Hashtbl.t = Hashtbl.create 64 in
       (* a module built in several modes leaves several cmts; scan once *)
       let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-      let emit sup rule (line, col) file message =
+      let emit ?(severity = Error) sup rule (line, col) file message =
         let severity =
-          if List.mem rule demote then Warning else default_severity rule
+          if List.mem rule demote || default_severity rule = Warning then
+            Warning
+          else severity
         in
         let f = { rule; severity; file; line; col; message } in
-        if is_suppressed sup rule line then waived := f :: !waived
-        else flagged := f :: !flagged
+        match waiver sup rule line with
+        | None -> flagged := f :: !flagged
+        | Some "" -> waived := f :: !waived
+        | Some reason ->
+          waived := { f with message = message ^ " (waived: " ^ reason ^ ")" }
+                    :: !waived
       in
+      (* L12: the uid of each lib/ export, and the units using each uid *)
+      let l12 = rule_enabled Unused_export in
+      let exports = ref [] in
+      let users : string list Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 4096 in
+      let callers_seen = ref all_paths in
       List.iter
         (fun cmt_path ->
           match Cmt_format.read_cmt cmt_path with
@@ -525,7 +666,7 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
                 && (all_paths || String.starts_with ~prefix:"lib/" src)
               in
               if
-                (List.exists wants all_rules || feeds_summaries)
+                (List.exists wants all_rules || feeds_summaries || l12)
                 && Sys.file_exists src_on_disk
                 && not (Hashtbl.mem seen src)
               then begin
@@ -548,17 +689,35 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
                 | Cmt_format.Implementation str ->
                   (* point cmi resolution at the load path recorded
                      when this module was compiled, so alias expansion
-                     in [specializable] can see through .mli types;
-                     dune records the entries relative to the build
-                     context root, so anchor them to [build_dir] *)
+                     in [specializable] and L12's functor arguments
+                     can see through .mli types; the entries are
+                     relative to where the compiler ran (dune's build
+                     context root), which is [source_root] or
+                     [build_dir] depending on the invocation, so try
+                     both (a missing directory is skipped) *)
                   Load_path.init ~auto_include:Load_path.no_auto_include
-                    (List.map
+                    (List.concat_map
                        (fun p ->
                          if Filename.is_relative p then
-                           Filename.concat build_dir p
-                         else p)
+                           [ Filename.concat source_root p;
+                             Filename.concat build_dir p ]
+                         else [ p ])
                        cmt.Cmt_format.cmt_loadpath);
                   Envaux.reset_cache ();
+                  if l12 then begin
+                    let unit = Filename.remove_extension src in
+                    if not (String.starts_with ~prefix:"lib/" src) then
+                      callers_seen := true;
+                    List.iter
+                      (fun uid ->
+                        let us =
+                          Option.value ~default:[]
+                            (Shape.Uid.Tbl.find_opt users uid)
+                        in
+                        if not (List.mem unit us) then
+                          Shape.Uid.Tbl.replace users uid (unit :: us))
+                      (collect_uses str)
+                  end;
                   List.iter
                     (fun { r_rule; r_loc; r_msg } ->
                       let pos = r_loc.Location.loc_start in
@@ -590,6 +749,54 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
                 | _ -> ()
               end))
         cmts;
+      if l12 then
+        List.iter
+          (fun cmti_path ->
+            match Cmt_format.read_cmt cmti_path with
+            | exception (Cmt_format.Error _ | Sys_error _ | Failure _) -> ()
+            | { Cmt_format.cmt_sourcefile = Some src;
+                cmt_annots = Cmt_format.Interface sg; _ }
+              when rule_in_scope ~all_paths Unused_export src
+                   && not (Hashtbl.mem seen src) ->
+              Hashtbl.replace seen src ();
+              let unit =
+                String.capitalize_ascii
+                  (Filename.basename (Filename.remove_extension src))
+              in
+              exports := (src, sig_exports (unit ^ ".") sg) :: !exports
+            | _ -> ())
+          (walk_cmts ~suffix:".cmti" build_dir);
+      (* an export is judged only against a scan that holds callers: a
+         lone library directory has none to show *)
+      let is_test u =
+        if all_paths then
+          String.starts_with ~prefix:"test_" (Filename.basename u)
+        else String.starts_with ~prefix:"test/" u
+      in
+      if !callers_seen then
+        List.iter
+          (fun (src, decls) ->
+            let unit = Filename.remove_extension src in
+            let sup = load_suppressions (Filename.concat source_root src) in
+            List.iter
+              (fun (name, uid, (loc : Location.t)) ->
+                let others =
+                  List.filter (fun u -> u <> unit)
+                    (Option.value ~default:[]
+                       (Shape.Uid.Tbl.find_opt users uid))
+                in
+                let pos = loc.loc_start in
+                let at = (pos.pos_lnum, pos.pos_cnum - pos.pos_bol) in
+                if others = [] then
+                  emit sup Unused_export at src
+                    (Printf.sprintf "%s is exported but no other unit uses it"
+                       name)
+                else if List.for_all is_test others then
+                  emit ~severity:Warning sup Unused_export at src
+                    (Printf.sprintf "%s is used only from tests (test-only)"
+                       name))
+              decls)
+          !exports;
       (* the cross-file fixpoint: L9 findings and the certification
          table for every module exposing query-surface roots *)
       let certification =

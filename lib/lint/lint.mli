@@ -10,11 +10,12 @@
     Any finding can be silenced at the offending line (or the line
     above it) with
 
-    {v (* spine-lint: allow <rule> [<rule> ...] *) v}
+    {v (* spine-lint: allow <rule> [<rule> ...] [-- <reason>] *) v}
 
     or for a whole file with [(* spine-lint: allow-file <rule> *)].
     Suppressed findings are still collected and reported separately so
-    the waiver surface stays visible.  See docs/STATIC_ANALYSIS.md. *)
+    the waiver surface stays visible; a line waiver's reason is
+    appended to its finding's message.  See docs/STATIC_ANALYSIS.md. *)
 
 module Domain_safety : module type of Domain_safety
 (** The interprocedural domain-safety pass (rules L9/L10/L11), re-
@@ -64,6 +65,16 @@ type rule =
       (** L11: no [Array.unsafe_*]/[Bytes.unsafe_*]/
           [Bigarray...unsafe_*] in library code outside modules that
           declare [@@@spine.checked_boundary "reason"]. *)
+  | Unused_export
+      (** L12: every [val] of a [lib/] interface — a submodule's, a
+          functor result's and a functor-returned module type's
+          included; a parameter-only module type's members are
+          requirements and never judged — has a use outside its own
+          unit: an identifier resolving to its declaration, or a
+          module passed to a functor or packed as a first-class module
+          where the target signature names it.  No use at all is an
+          error; uses from [test/] alone are a "test-only" warning.
+          Judged only when the scan holds units outside [lib/]. *)
 
 val all_rules : rule list
 
@@ -72,8 +83,8 @@ val rule_id : rule -> string
     ["poly-compare"], ["obj-magic"], ["catch-all"], ["stdout"],
     ["missing-mli"], ["partial-call"], ["raw-clock"],
     ["bare-failwith"], ["shared-mutation"], ["global-mutable"],
-    ["unguarded-unsafe"].  The short aliases ["l1"].["l11"] are
-    accepted by {!rule_of_id}. *)
+    ["unguarded-unsafe"], ["unused-export"].  The short aliases
+    ["l1"].["l12"] are accepted by {!rule_of_id}. *)
 
 val rule_of_id : string -> rule option
 val rule_doc : rule -> string
@@ -113,8 +124,9 @@ val run :
     checks of rule L5) resolve against — with dune this is the build
     context root, since both cmts and copied sources live there.
     [all_paths] disables path scoping so fixture trees outside [lib/]
-    can be linted (tests use this).  [demote] downgrades the listed
-    rules to [Warning].  [only]/[except] restrict which rules run
+    can be linted (tests use this); L12 then judges every interface
+    and counts a unit named [test_*] as test code.  [demote]
+    downgrades the listed rules to [Warning].  [only]/[except] restrict which rules run
     ([only = []] means all).  [domains] enables the interprocedural
     domain-safety pass: per-function summaries are collected from
     every library module, rule L9 fires on writes escaping the query

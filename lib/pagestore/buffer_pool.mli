@@ -57,29 +57,19 @@ val with_page : t -> int -> dirty:bool -> (Bytes.t -> 'a) -> 'a
     one page should take them under a single call ({!Paged_bytes}
     does, per field).
 
-    Transient device errors (injected I/O faults) are retried by
-    {!with_io_retries} before propagating; each retry first calls
-    {!Deadline.check},
-    so an armed deadline that expires during a retry storm surfaces as
-    a typed [Timeout] instead of further attempts.  Permanent errors
-    and checksum failures pass through as raised.
+    Transient device errors (injected I/O faults) are retried before
+    propagating — the stack's one transient-I/O retry loop: a
+    transient [Io_failed] is retried up to 16 attempts in all, each
+    retry first calling {!Deadline.check} and counting in
+    [pool.io_retries], so an armed deadline that expires during a
+    retry storm surfaces as a typed [Timeout] instead of further
+    attempts.  A retry re-runs one page operation, so it is
+    idempotent, writes included.  Permanent errors and checksum
+    failures pass through as raised.
     @raise Spine_error.Error ([Pool_exhausted]) when every frame is
     latched by a live caller (after one writeback-and-rescan pass);
     ([Timeout]) when the ambient deadline is overrun on entry or before
     a retry; ([Corrupt] / [Io_failed]) propagated from the device. *)
-
-val with_io_retries : int -> (unit -> 'a) -> 'a
-(** [with_io_retries page f] runs the device operation [f] on [page]
-    with the stack's transient-I/O retry policy: a transient
-    [Io_failed] is retried up to 16 attempts in all, each retry first
-    calling {!Deadline.check} and counting in [pool.io_retries]; any
-    other error, and the last transient one, propagates.  This is the
-    {e only} retry loop for transient I/O: {!with_page} uses it for
-    fills and writebacks, {!write_run} gives a caller that writes the
-    device directly (metadata, journals) the same policy, and
-    [Spine.Resilient] runs each call once on top of it.  A retry
-    re-runs one page operation, so it is idempotent, writes
-    included. *)
 
 val iter_runs : int -> page:(int -> int) -> (int -> int -> unit) -> unit
 (** [iter_runs n ~page f] splits items [0 .. n - 1], whose pages
@@ -90,7 +80,7 @@ val iter_runs : int -> page:(int -> int) -> (int -> int -> unit) -> unit
 val write_run : Device.t -> int -> Bytes.t array -> unit
 (** [write_run dev p datas] writes [datas.(k)] as page [p + k], as
     {!Device.write_run}s of up to 64 pages under the same retry policy
-    as {!with_io_retries}: one positioned write per run while nothing
+    as {!with_page}: one positioned write per run while nothing
     fails; from a page whose write fails on, page by page, each page
     with the full budget (the failed run counts as that page's first
     attempt). *)

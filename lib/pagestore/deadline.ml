@@ -14,9 +14,6 @@ type ctx = {
 let slot : ctx option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let armed () =
-  match !(Domain.DLS.get slot) with None -> false | Some _ -> true
-
 let remaining_ns () =
   match !(Domain.DLS.get slot) with
   | None -> None

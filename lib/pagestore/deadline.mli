@@ -6,9 +6,9 @@
     sleeps — call {!check} cooperatively.  Once the armed budget is
     overrun, {!check} raises a typed {!Spine_error.Error} ([Timeout]),
     so a paged query under injected latency or a retry storm aborts
-    promptly instead of hanging.  {!Buffer_pool.with_io_retries}, the
-    stack's one transient-I/O retry loop, checks it before every
-    retry.  The engine's resilience layer ([Spine.Resilient]) arms it
+    promptly instead of hanging.  The buffer pool's transient-I/O
+    retry loop, the stack's only one, checks it before every retry.
+    The engine's resilience layer ([Spine.Resilient]) arms it
     around every guarded call.
 
     The slot is per-domain ([Domain.DLS]); parallel domains carry
@@ -27,8 +27,6 @@ val check : unit -> unit
     @raise Spine_error.Error ([Timeout]) when the armed deadline is
     overrun; the payload carries the arming operation name, the budget
     and the elapsed time. *)
-
-val armed : unit -> bool
 
 val remaining_ns : unit -> int option
 (** Budget left on the ambient deadline (negative once overrun);

@@ -92,12 +92,10 @@ let close t =
   | File fd -> Unix.close fd
 
 let page_size t = t.page_size
-let checksums t = t.checksums
 let phys_size t = if t.checksums then t.page_size + trailer_bytes else t.page_size
 
 let epoch t = t.epoch
 let set_epoch t e = t.epoch <- e
-let max_valid_epoch t = t.max_valid_epoch
 let set_max_valid_epoch t e = t.max_valid_epoch <- e
 let set_region_namer t f = t.region_of <- f
 let set_committed t f = t.committed <- f

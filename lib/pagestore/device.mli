@@ -9,12 +9,14 @@
     which depends only on the I/O trace — identical across machines and
     runs, unlike wall-clock disk timings.
 
-    Cost model ({!default_cost}, the same for every device): a page
-    read costs [read_us] microseconds, a page write [write_us]; when
-    [sync_writes] is set every write also pays [sync_us], mirroring the
+    Cost model (the same for every device, calibrated to an
+    early-2000s IDE disk): a page read costs 8 ms, a write 9 ms; when
+    [sync_writes] is set every write also pays 4 ms, mirroring the
     paper's [O_SYNC] setup.  Sequential accesses (page adjacent to the
-    previous access) cost [sequential_us] instead of the full seek, which is what rewards
-    SPINE's append-mostly, top-skewed access pattern.
+    previous access) cost 0.1 ms instead of the full seek, which is
+    what rewards SPINE's append-mostly, top-skewed access pattern.
+    Absolute values only scale the reported times; relative results
+    depend only on the trace.
 
     {2 Integrity}
 
@@ -34,18 +36,6 @@
     {!set_hooks} installs an observer that can fail reads, and tamper
     with / tear / drop writes — {!Fault_device} builds its deterministic
     fault plans on top of this. *)
-
-type cost = {
-  read_us : float;        (** random page read *)
-  write_us : float;       (** random page write *)
-  sequential_us : float;  (** read or write adjacent to previous access *)
-  sync_us : float;        (** extra cost per synchronous write *)
-}
-
-val default_cost : cost
-(** Calibrated to an early-2000s IDE disk: 8 ms random, 0.1 ms
-    sequential, 4 ms sync overhead. Absolute values only scale the
-    reported times; relative results depend only on the trace. *)
 
 type t
 
@@ -74,7 +64,6 @@ val close : t -> unit
 
 val page_size : t -> int
 
-val checksums : t -> bool
 val phys_size : t -> int
 (** Bytes per physical slot: [page_size] plus the trailer when
     checksummed. *)
@@ -121,7 +110,6 @@ val write_run :
 
 val epoch : t -> int
 val set_epoch : t -> int -> unit
-val max_valid_epoch : t -> int
 val set_max_valid_epoch : t -> int -> unit
 
 val set_region_namer : t -> (int -> string) -> unit
@@ -167,14 +155,12 @@ val hooks : t -> hooks option
     primitives bypass sealing, trailer validation and fault hooks, but
     still pay the normal simulated latency and count in {!stats}. *)
 
-val raw_slot : t -> int -> Bytes.t
-(** The full physical slot ([phys_size] bytes: data plus trailer when
-    checksummed), unvalidated; zero-filled if never written. *)
-
 val raw_run : t -> int -> int -> Bytes.t
-(** [raw_run dev p n]: the physical slots of pages [p .. p + n - 1]
-    concatenated, as [n] {!raw_slot} calls would return them (and
-    counted and charged as they would be), in one positioned read. *)
+(** [raw_run dev p n]: the full physical slots of pages
+    [p .. p + n - 1] ([phys_size] bytes each: data plus trailer when
+    checksummed), unvalidated and zero-filled if never written,
+    concatenated, in one positioned read; each slot counts and is
+    charged as one raw read. *)
 
 val write_raw_slot : t -> int -> Bytes.t -> unit
 (** Store exact physical bytes (no sealing: the slot's trailer is

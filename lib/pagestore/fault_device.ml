@@ -58,7 +58,6 @@ let create ?(seed = 1) arms =
     read_errors = 0; write_errors = 0; bit_flips = 0; torn_writes = 0;
     crashes = 0; dropped_writes = 0 }
 
-let seed t = t.seed
 let frozen t = t.frozen
 
 let stats t =

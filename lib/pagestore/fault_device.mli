@@ -48,13 +48,12 @@ val create : ?seed:int -> arm list -> t
 val attach : t -> Device.t -> unit
 (** Install the plan as the device's fault hooks (replacing any). *)
 
+(* spine-lint: allow unused-export -- tests remove a fault plan mid-run *)
 val detach : Device.t -> unit
 
 val frozen : t -> bool
 (** True once a [Torn_write] or [Crash] arm fired: the device image is
     fixed, all further writes are dropped. *)
-
-val seed : t -> int
 
 type stats = {
   read_errors : int;
@@ -65,6 +64,7 @@ type stats = {
   dropped_writes : int;  (** writes swallowed after the freeze *)
 }
 
+(* spine-lint: allow unused-export -- tests count the injected faults *)
 val stats : t -> stats
 
 (** {2 The [SPINE_FAULTS] grammar}
@@ -75,10 +75,12 @@ val stats : t -> stats
 val of_spec : Fault_spec.t -> t
 (** Instantiate a typed spec (seed defaulting as {!create}). *)
 
+(* spine-lint: allow unused-export -- tests parse specs without the variable *)
 val parse : string -> (t, string) result
 (** [Fault_spec.parse] rendered through {!Fault_spec.error_to_string} —
     the historical message strings, byte for byte. *)
 
+(* spine-lint: allow unused-export -- tests set and clear the variable *)
 val env_var : string
 (** ["SPINE_FAULTS"]. *)
 

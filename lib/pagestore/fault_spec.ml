@@ -132,33 +132,3 @@ let parse spec =
         go seed (a :: arms) rest
   in
   go None [] items
-
-let kind_name = function
-  | Read_error -> "read_error"
-  | Write_error -> "write_error"
-  | Bit_flip -> "flip"
-  | Torn_write _ -> "torn"
-  | Crash -> "crash"
-
-let arm_to_string a =
-  let b = Buffer.create 32 in
-  Buffer.add_string b (kind_name a.s_kind);
-  (match a.s_kind with
-   | Torn_write keep when keep <> 0 ->
-     Buffer.add_string b (Printf.sprintf ":keep=%d" keep)
-   | _ -> ());
-  (match a.s_pages with
-   | None -> ()
-   | Some (lo, hi) when lo = hi ->
-     Buffer.add_string b (Printf.sprintf ":page=%d" lo)
-   | Some (lo, hi) -> Buffer.add_string b (Printf.sprintf ":page=%d-%d" lo hi));
-  if a.s_after <> 0 then Buffer.add_string b (Printf.sprintf ":after=%d" a.s_after);
-  if a.s_times <> 1 then Buffer.add_string b (Printf.sprintf ":times=%d" a.s_times);
-  Buffer.contents b
-
-let to_string t =
-  let seed = match t.seed with
-    | None -> []
-    | Some s -> [ Printf.sprintf "seed=%d" s ]
-  in
-  String.concat ";" (seed @ List.map arm_to_string t.arms)

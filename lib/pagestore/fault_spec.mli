@@ -49,7 +49,3 @@ val error_to_string : error -> string
     byte for byte. *)
 
 val parse : string -> (t, error) result
-
-val to_string : t -> string
-(** Render back into the grammar ([parse (to_string t)] is [Ok t] up to
-    defaulted options). *)

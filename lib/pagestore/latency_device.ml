@@ -14,16 +14,12 @@ type config = {
   seed : int;
 }
 
-let default_config = { read_ns = 0; write_ns = 0; jitter_ns = 0; seed = 1 }
-
 type t = {
   config : config;
   sleep_ns : int -> unit;
   rng : Xutil.Splitmix.t;
   mutable inner : Device.hooks option;
   mutable attached : Device.t option;
-  mutable injected_ops : int;
-  mutable injected_ns : int;
 }
 
 let create ?(sleep_ns = fun ns -> Unix.sleepf (float_of_int ns /. 1e9))
@@ -32,11 +28,7 @@ let create ?(sleep_ns = fun ns -> Unix.sleepf (float_of_int ns /. 1e9))
     rng =
       Xutil.Splitmix.of_state
         (Int64.of_int (if config.seed = 0 then 0x9E3779B9 else config.seed));
-    inner = None; attached = None; injected_ops = 0; injected_ns = 0 }
-
-type stats = { ops : int; total_ns : int }
-
-let stats t = { ops = t.injected_ops; total_ns = t.injected_ns }
+    inner = None; attached = None }
 
 let delay_for t base =
   if base <= 0 && t.config.jitter_ns <= 0 then 0
@@ -61,8 +53,6 @@ let inject t ~what ~page base =
     in
     if ns > 0 then begin
       t.sleep_ns ns;
-      t.injected_ops <- t.injected_ops + 1;
-      t.injected_ns <- t.injected_ns + ns;
       Telemetry.incr c_ops;
       Telemetry.observe h_ns ns;
       Probe.add Probe.injected_delay_ns ns;

@@ -25,9 +25,6 @@ type config = {
   seed : int;
 }
 
-val default_config : config
-(** All-zero delays, seed 1 — attach is then a no-op wrapper. *)
-
 type t
 
 val create : ?sleep_ns:(int -> unit) -> config -> t
@@ -41,10 +38,3 @@ val attach : t -> Device.t -> unit
 
 val detach : t -> unit
 (** Restore the hooks captured by {!attach} (no-op when unattached). *)
-
-type stats = {
-  ops : int;       (** operations that actually slept *)
-  total_ns : int;  (** total injected (post-truncation) delay *)
-}
-
-val stats : t -> stats

@@ -36,9 +36,6 @@ let make () =
     io_retries = 0; injected_delay_ns = 0;
     alloc_bytes = 0; wall_ns = 0 }
 
-let total_steps p =
-  p.vertebra_steps + p.rib_steps + p.extrib_steps + p.link_steps
-
 (* The calling domain's open scopes, innermost first: the probe counts
    from which each scope's own work is measured.  A closing scope adds
    its work to the enclosing scope's baseline, so the enclosing

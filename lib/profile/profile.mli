@@ -34,7 +34,7 @@ type t = {
   mutable found : int;           (** occurrences reported *)
   mutable word_steps : int;
       (** whole-word packed comparisons on the scan paths (each covers
-          up to [Packed_seq.codes_per_word] characters) *)
+          up to [62 / width] characters) *)
   mutable scalar_steps : int;
       (** per-character fallback comparisons (span tails, mixed-width
           rows) *)
@@ -69,9 +69,6 @@ val profiled : (unit -> 'a) -> 'a * t
 
 val absorb : t -> t -> unit
 (** [absorb dst src] adds every field of [src] into [dst]. *)
-
-val total_steps : t -> int
-(** Sum of the four edge-family step counts. *)
 
 val fields : t -> (string * int) list
 (** Every field as [(name, value)], in schema order — the profile

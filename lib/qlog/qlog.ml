@@ -50,9 +50,6 @@ let set_path p =
       sink.sk_seq <- 0;
       sink.sk_t0 <- None)
 
-let set_max_bytes n =
-  Mutex.protect lock (fun () -> if n > 0 then sink.sk_max_bytes <- n)
-
 let open_locked path =
   let oc =
     open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path

@@ -19,9 +19,9 @@
     the {!Profile.fields} of the request's execution profile.
 
     The log is size-capped: when appending a record would push the file
-    past the cap ([SPINE_QLOG_MAX_BYTES], default 16 MiB, or
-    {!set_max_bytes}), the current file is rotated to [path ^ ".1"]
-    (replacing any previous rotation) and a fresh file is started.
+    past the cap ([SPINE_QLOG_MAX_BYTES], default 16 MiB), the current
+    file is rotated to [path ^ ".1"] (replacing any previous rotation)
+    and a fresh file is started.
 
     The sink is process-global and mutex-guarded: concurrent domains
     interleave whole records, never bytes.  [spine replay] re-drives a
@@ -47,10 +47,6 @@ val set_path : string option -> unit
 (** Redirect the sink: closes any open log file, resets the sequence
     number and arrival clock, and starts logging to the new path
     ([None] disables logging).  Appends if the file exists. *)
-
-val set_max_bytes : int -> unit
-(** Override the rotation cap (bytes, must be positive; silently
-    ignored otherwise). *)
 
 val emit :
   op:string ->

@@ -42,7 +42,7 @@
       [breaker_cooldown_ms] and [breaker_probes]; the retry keys
       [max_attempts], [backoff_base_us], [backoff_max_ms] and [seed]
       are rejected, because transient I/O is retried by the buffer
-      pool ({!Pagestore.Buffer_pool.with_io_retries}).  [seed_offset]
+      pool ({!Pagestore.Buffer_pool.with_page}).  [seed_offset]
       (default 1) decouples the pattern stream from the fault/latency
       draws.  [qlog] records the run for a later [replay]
       expectation.

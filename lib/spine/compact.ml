@@ -10,7 +10,6 @@ let engine t =
 
 let create ?capacity alphabet = S.create ?capacity alphabet
 let append = B.append
-let append_string = B.append_string
 
 let of_seq seq =
   let t =
@@ -22,6 +21,6 @@ let of_seq seq =
 
 let of_string alphabet s =
   let t = create ~capacity:(max 16 (String.length s)) alphabet in
-  append_string t s;
+  B.append_string t s;
   t
 

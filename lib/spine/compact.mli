@@ -33,8 +33,6 @@ val append : t -> int -> unit
     appends — construction is online, and the index of a prefix is the
     initial fragment of the index (prefix-partitionability). *)
 
-val append_string : t -> string -> unit
-
 val of_seq : Bioseq.Packed_seq.t -> t
 (** Index a whole sequence (with the [separator] layout if it holds the
     separator code). *)

@@ -667,9 +667,6 @@ module Core (B : BYTES) = struct
         (s.lt_bytes + s.rt_bytes + s.overflow_bytes + s.string_bytes)
       /. float_of_int (length t)
 
-  let live_rows t table = t.live_rows.(table)
-  let row_bytes t table = t.lo.row_bytes.(table)
-  let rows_allocated t table = B.used t.rts.(table) / t.lo.row_bytes.(table)
   let overflow_count t = t.overflow_count
 
   (* The Section 5 layout maps cleanly onto the component vocabulary:

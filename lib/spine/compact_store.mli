@@ -50,11 +50,12 @@ module type BYTES = sig
         PTR case) and is always a candidate: the caller reads the
         row's LD field and tests its bit.
 
-      An LEL stored as {!overflow_sentinel} is compared at its true
-      value [overflow i]; [f] receives the true value.  The bitmap is
-      live: each entry's bit is tested when the walk reaches it, after
-      [f] has run for every earlier candidate, so a bit [f] sets counts
-      for every later entry.  [f] must not write the table.
+      An LEL stored as the overflow sentinel ([0xFFFF]) is compared at
+      its true value [overflow i]; [f] receives the true value.  The
+      bitmap is live: each entry's bit is tested when the walk reaches
+      it, after [f] has run for every earlier candidate, so a bit [f]
+      sets counts for every later entry.  [f] must not write the
+      table.
 
       It is the occurrence scan's inner loop behind
       {!Store_sig.S.scan_links}, the one column-scan primitive: the
@@ -108,7 +109,6 @@ module Btab : sig
 end
 
 val lt_entry_bytes : int
-val overflow_sentinel : int
 
 (** Layout constants derived from the alphabet, shared by every
     instantiation. *)
@@ -122,11 +122,6 @@ type layout = {
   (** The largest code a rib label can hold: [size - 1], or the
       separator [size] with [~separator:true]. *)
 }
-
-val layout_of : ?separator:bool -> Bioseq.Alphabet.t -> layout
-(** [separator] (default [false]) widens the rib character labels and
-    the widest table to also hold the alphabet's separator code, which
-    a multi-string index ({!Generalized}) puts on ribs. *)
 
 (** The two side tables of {!Core}: overflowed numeric labels (and
     saturated fanouts), and extrib anchors. *)
@@ -214,11 +209,6 @@ module Core (B : BYTES) : sig
   (** Total live bytes per indexed character; the paper's headline
       "less than 12 bytes" metric. *)
 
-  val live_rows : t -> int -> int
-  (** Live rows in RT1..RT4 ([0..3]). *)
-
-  val row_bytes : t -> int -> int
-  val rows_allocated : t -> int -> int
   val overflow_count : t -> int
 
   val space_components : t -> (string * int) list
@@ -234,5 +224,7 @@ val carries_separator : Bioseq.Packed_seq.t -> bool
     [separator] layout. *)
 
 val create : ?capacity:int -> ?separator:bool -> Bioseq.Alphabet.t -> t
-(** An empty store with the root allocated; [separator] as in
-    {!layout_of}. *)
+(** An empty store with the root allocated.  [separator] (default
+    [false]) widens the rib character labels and the widest table to
+    also hold the alphabet's separator code, which a multi-string
+    index ({!Generalized}) puts on ribs. *)

@@ -7,8 +7,8 @@
     store is {!Paged_store} — the Section 5 Link Table and Rib Table
     bytes of {!Compact}, each table in its own page region, the very
     store {!Persistent} keeps in a file — over an in-memory
-    {!Pagestore.Device} that charges {!Pagestore.Device.default_cost}
-    per page and the [O_SYNC] cost per write, as the paper's setup did.
+    {!Pagestore.Device} that charges its calibrated disk cost per page
+    and the [O_SYNC] cost per write, as the paper's setup did.
 
     The paper's buffering policy — "retain as much as possible of the
     top part of the Link Table in memory", justified by Figure 8's

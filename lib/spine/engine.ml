@@ -97,7 +97,7 @@ let encode (module B : BACKEND) s =
 
 let pattern (module B : BACKEND) codes =
   B.guard ();
-  Bioseq.Packed_seq.Pattern.of_codes (B.S.alphabet B.store) codes
+  Bioseq.Packed_seq.Pattern.of_codes codes
 
 let pattern_of_string e s = Option.map (pattern e) (encode e s)
 
@@ -108,10 +108,6 @@ let contains_pattern (module B : BACKEND) p =
 let find_first_pattern (module B : BACKEND) p =
   B.guard ();
   B.Q.find_first_pattern B.store p
-
-let end_nodes_pattern (module B : BACKEND) p =
-  B.guard ();
-  B.Q.end_nodes_pattern B.store p
 
 let occurrences_pattern (module B : BACKEND) p =
   B.guard ();
@@ -179,10 +175,9 @@ let run_batch (module B : BACKEND) patterns =
     [ Trace.Int ("patterns", List.length patterns);
       Trace.Str ("backend", backend_name B.backend) ]
   @@ fun () ->
-  let alphabet = B.S.alphabet B.store in
   let results =
     B.Q.occurrences_many B.store
-      (List.map (Bioseq.Packed_seq.Pattern.of_codes alphabet) patterns)
+      (List.map Bioseq.Packed_seq.Pattern.of_codes patterns)
   in
   List.mapi
     (fun i pattern ->

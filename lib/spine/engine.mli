@@ -29,10 +29,6 @@ type backend =
   | Persistent  (** {!Persistent}: that layout paged in a file *)
   | Disk        (** {!Disk}: that layout paged on the simulated device *)
 
-val backend_name : backend -> string
-(** ["compact"], ["persistent"] or ["disk"]: the name the CLI, the
-    query log and the telemetry keys use. *)
-
 (** {2 Canonical result types}
 
     Aliases of the single definitions in {!Matcher} and {!Stats}. *)
@@ -112,9 +108,6 @@ val contains_pattern : t -> Bioseq.Packed_seq.Pattern.t -> bool
 
 val find_first_pattern : t -> Bioseq.Packed_seq.Pattern.t -> int option
 (** End node of the first occurrence, or [None]. *)
-
-val end_nodes_pattern : t -> Bioseq.Packed_seq.Pattern.t -> int list
-(** All end nodes, ascending. *)
 
 val occurrences_pattern : t -> Bioseq.Packed_seq.Pattern.t -> int list
 (** 0-based start positions, ascending. *)

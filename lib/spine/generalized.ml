@@ -33,12 +33,7 @@ let add t ?name seq =
       [| { entry_name; start; len = Bioseq.Packed_seq.length seq } |];
   id
 
-let add_string t ?name s =
-  add t ?name (Bioseq.Packed_seq.of_string (Compact_store.alphabet t.idx) s)
-
 let name t id = t.entries.(id).entry_name
-let string_length t id = t.entries.(id).len
-let index t = t.idx
 let engine t = t.engine
 
 type hit = {

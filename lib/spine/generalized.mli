@@ -16,23 +16,16 @@ val add : t -> ?name:string -> Bioseq.Packed_seq.t -> int
 (** Append one more string to the index (online); returns its id.
     @raise Invalid_argument if the sequence's alphabet differs. *)
 
-val add_string : t -> ?name:string -> string -> int
-
 val count : t -> int
 (** Number of strings indexed. *)
 
 val name : t -> int -> string
-val string_length : t -> int -> int
-
-val index : t -> Compact.t
-(** The underlying single-backbone index (for statistics etc.), built
-    with the [separator] layout. *)
 
 val engine : t -> Engine.t
 (** The underlying index packed once as an engine
     ({!Compact.engine}); positions it returns are global backbone
-    positions — translate with {!locate}.  Pack query patterns against
-    it ({!Engine.pattern}). *)
+    positions, which {!occurrences} translates to per-string ones.
+    Pack query patterns against it ({!Engine.pattern}). *)
 
 type hit = {
   string_id : int;
@@ -42,8 +35,3 @@ type hit = {
 val occurrences : t -> Bioseq.Packed_seq.Pattern.t -> hit list
 (** All occurrences of a packed pattern across all indexed strings,
     ordered by (id, position). *)
-
-val locate : t -> int -> hit
-(** Translate a global 0-based backbone position to a per-string
-    position. @raise Invalid_argument if the position falls on a
-    separator or out of range. *)

@@ -12,6 +12,7 @@
 
 (* taken before [Search] is shadowed by the applied functor *)
 let count_run = Search.count_run
+let shifted_list = Search.shifted_list
 
 (* The result types are store-independent, so they are defined once
    here — every front-end and the engine share this single canonical
@@ -33,12 +34,10 @@ module type S = sig
 
   type state
 
-  val make : store -> state
   val resume : store -> node:int -> len:int -> state
   val consume : state -> int -> unit
   val node_of : state -> int
   val len_of : state -> int
-  val stats_of : state -> stats
 
   val matching_statistics :
     store -> Bioseq.Packed_seq.t -> int array * stats
@@ -226,25 +225,23 @@ module Make (S : Store_sig.S) = struct
     done;
     let reported = Array.of_list !reported in
     (* a node id is the end of a prefix, so end node [e] corresponds to
-       the 0-based data position [e - 1] *)
-    let ends_of buffer =
-      Xutil.Int_vec.fold buffer ~init:[] ~f:(fun acc e -> (e - 1) :: acc)
-      |> List.rev
-    in
+       the 0-based data position [e - 1]: [~shift:1] *)
     let matches =
       if immediate then
         (* ablation mode: a separate backbone scan per match *)
         Array.map
           (fun (i, len, first) ->
             let buf = Search.occurrences_batch t [| (first, len) |] in
-            { query_end = i; length = len; data_ends = ends_of buf.(0) })
+            { query_end = i; length = len;
+              data_ends = shifted_list buf.(0) ~shift:1 })
           reported
       else begin
         let firsts = Array.map (fun (_, len, first) -> (first, len)) reported in
         let buffers = Search.occurrences_batch t firsts in
         Array.mapi
           (fun j (i, len, _) ->
-            { query_end = i; length = len; data_ends = ends_of buffers.(j) })
+            { query_end = i; length = len;
+              data_ends = shifted_list buffers.(j) ~shift:1 })
           reported
       end
     in

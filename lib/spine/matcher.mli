@@ -43,9 +43,6 @@ module type S = sig
       the {e store} across domains is safe while each domain makes its
       own states ({!make}/{!resume}). *)
 
-  val make : store -> state
-  (** A state for the empty match, at the root. *)
-
   val resume : store -> node:int -> len:int -> state
   (** A state positioned mid-match (work counters zeroed): how
       {!Cursor.S.longest_extension} borrows the streaming step for its
@@ -60,9 +57,6 @@ module type S = sig
 
   val len_of : state -> int
   (** Current match length. *)
-
-  val stats_of : state -> stats
-  (** Immutable snapshot of the work counters. *)
 
   val matching_statistics :
     store -> Bioseq.Packed_seq.t -> int array * stats

@@ -30,14 +30,6 @@ val pin_top_lt : int -> int -> bool
     pages — the paper's "retain the top of the Link Table" policy as a
     {!Pagestore.Buffer_pool.create} [~pin] predicate. *)
 
-val table :
-  Pagestore.Buffer_pool.t -> name:string -> region:int -> used:int ->
-  Pagestore.Paged_bytes.t
-(** The table of region [region] (named [name] in errors), with [used]
-    bytes already allocated.  Its capacity is the region's
-    [data_span] pages: allocating past it raises a typed
-    [Region_full] instead of running into the next region. *)
-
 val tables :
   Pagestore.Buffer_pool.t -> lt_used:int -> rt_used:int array ->
   Pagestore.Paged_bytes.t * Pagestore.Paged_bytes.t array

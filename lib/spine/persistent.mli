@@ -118,6 +118,7 @@ val flush : t -> unit
 
 val path : t -> string
 
+(* spine-lint: allow unused-export -- crash tests read the generation *)
 val generation : t -> int
 (** Metadata generation last committed or recovered (0 for a fresh,
     never-flushed index). *)

@@ -76,9 +76,6 @@ let create ?(clock = Xutil.Stopwatch.now_ns) ?(config = default_config)
     n_calls = 0; n_completed = 0; n_timeouts = 0;
     n_shed = 0; n_failures = 0; n_trips = 0; n_recoveries = 0 }
 
-let engine t = t.engine
-let config t = t.config
-
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f

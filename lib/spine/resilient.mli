@@ -17,8 +17,8 @@
       (a failure re-trips immediately).
 
     A call runs [f] once.  Transient [Io_failed] errors are retried
-    below it, one page operation at a time, by
-    {!Pagestore.Buffer_pool.with_io_retries} (up to 16 attempts, each
+    below it, one page operation at a time, by the buffer pool
+    ({!Pagestore.Buffer_pool.with_page}: up to 16 attempts, each
     behind a deadline check); an error that reaches {!call} has
     already used that budget and counts as a failure.
 
@@ -52,9 +52,6 @@ type t
 val create : ?clock:(unit -> int) -> ?config:config -> Engine.t -> t
 (** [clock] (default {!Xutil.Stopwatch.now_ns}) exists so tests drive
     deadlines and cooldown through a virtual clock. *)
-
-val engine : t -> Engine.t
-val config : t -> config
 
 val call : t -> op:string -> (Engine.t -> 'a) -> 'a
 (** [call t ~op f] runs [f] once on the wrapped engine under the

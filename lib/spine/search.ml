@@ -45,7 +45,6 @@ module type S = sig
     store -> Bioseq.Packed_seq.Pattern.t -> int option
 
   val contains_pattern : store -> Bioseq.Packed_seq.Pattern.t -> bool
-  val end_nodes_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
   val occurrences_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
   val occurrences_batch : store -> (int * int) array -> Xutil.Int_vec.t array
 
@@ -214,20 +213,15 @@ module Make (S : Store_sig.S) = struct
     end;
     buffers
 
-  (* The end nodes of [p], ascending, each shifted by [-shift]: the
-     paper's single-pattern search followed by the downstream link
-     scan. *)
-  let shifted_ends t p ~shift =
+  (* The start positions of [p], ascending: the paper's single-pattern
+     search followed by the downstream link scan, each end node
+     shifted back by the pattern length. *)
+  let occurrences_pattern t p =
     match find_first_pattern t p with
     | None -> []
     | Some first ->
       let len = Bioseq.Packed_seq.Pattern.length p in
-      shifted_list (occurrences_batch t [| (first, len) |]).(0) ~shift
-
-  let end_nodes_pattern t p = shifted_ends t p ~shift:0
-
-  let occurrences_pattern t p =
-    shifted_ends t p ~shift:(Bioseq.Packed_seq.Pattern.length p)
+      shifted_list (occurrences_batch t [| (first, len) |]).(0) ~shift:len
 
   (* Dictionary search: find the first occurrence of each pattern
      individually (cheap valid-path walks), then resolve every

@@ -18,6 +18,10 @@ val count_run : node:int -> run:int -> words:int -> scalars:int -> unit
     steps, plus a [step.vertebra_run] trace instant.  Shared with the
     matcher's streaming extension. *)
 
+val shifted_list : Xutil.Int_vec.t -> shift:int -> int list
+(** A result buffer's end nodes, each shifted by [-shift], as one
+    ascending list.  Shared with the matcher's maximal matches. *)
+
 (** The search algorithm surface over one store type; [Make] produces
     it for any {!Store_sig.S} implementation.  Naming the signature
     lets {!Engine} pack an instantiated search module together with its
@@ -44,9 +48,6 @@ module type S = sig
       [None]. *)
 
   val contains_pattern : store -> Bioseq.Packed_seq.Pattern.t -> bool
-
-  val end_nodes_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
-  (** All end nodes of the pattern, ascending. *)
 
   val occurrences_pattern : store -> Bioseq.Packed_seq.Pattern.t -> int list
   (** 0-based start positions, ascending. *)

@@ -23,5 +23,3 @@ let naive_node_bytes alphabet =
   List.fold_left
     (fun acc f -> acc +. (f.bytes *. float_of_int f.count))
     0.0 (naive_node_fields alphabet)
-
-let suffix_tree_model_bytes_per_char = 17.0

@@ -20,8 +20,3 @@ val naive_node_fields : Bioseq.Alphabet.t -> field list
 
 val naive_node_bytes : Bioseq.Alphabet.t -> float
 (** Total of {!naive_node_fields} — 48.25 for DNA, as in Table 2. *)
-
-val suffix_tree_model_bytes_per_char : float
-(** The 17 bytes/char the paper attributes to standard suffix tree
-    implementations, used when relating measured sizes back to the
-    paper's claims. *)

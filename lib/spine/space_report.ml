@@ -40,19 +40,6 @@ let index_bytes t =
 let bytes_per_char t =
   float_of_int (index_bytes t) /. float_of_int (max 1 t.chars)
 
-let attributed_fraction t =
-  (* every byte in the report is attributed to a named component, so
-     this is 1.0 unless a constructor adds an explicit "other" bucket *)
-  let total = total_bytes t in
-  if total = 0 then 1.0
-  else
-    let named =
-      List.fold_left
-        (fun acc c -> if c.comp = "other" then acc else acc + c.bytes)
-        0 t.components
-    in
-    float_of_int named /. float_of_int total
-
 let rows t =
   let total = max 1 (total_bytes t) in
   let chars = max 1 t.chars in

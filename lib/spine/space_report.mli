@@ -23,26 +23,16 @@ type t = {
 
 val make : backend:string -> chars:int -> (string * int) list -> t
 
-val total_bytes : t -> int
-(** Sum over every component, storage overlays included. *)
-
-val index_bytes : t -> int
-(** Sum over the index components only: [pagestore_*] /
-    [bufferpool_*] overlays cache or mirror bytes already attributed
-    to a store component, so they are excluded from the index
-    footprint proper. *)
-
 val bytes_per_char : t -> float
-(** [index_bytes / chars] — comparable to the paper's "less than 12
-    bytes per indexed character" headline. *)
-
-val attributed_fraction : t -> float
-(** Fraction of {!total_bytes} attributed to a named component (i.e.
-    anything but an explicit ["other"] bucket).  [1.0] for every
-    report the built-in stores produce. *)
+(** The index components' bytes per indexed character — comparable to
+    the paper's "less than 12 bytes per indexed character" headline.
+    [pagestore_*] / [bufferpool_*] overlays cache or mirror bytes
+    already attributed to a store component, so they are excluded
+    from the index footprint proper. *)
 
 val rows : t -> string list list
-(** [[component; bytes; bytes/char; share]] rows plus a total row, for
+(** [[component; bytes; bytes/char; share]] rows plus a total row (the
+    sum over every component, storage overlays included), for
     {!Report.Table.print}-style rendering. *)
 
 val jsonl : t -> string

@@ -72,18 +72,4 @@ module Make (S : Store_sig.S) = struct
         end
     done;
     List.rev !out
-
-  let check_exn t =
-    match check t with
-    | [] -> ()
-    | violations ->
-      let head =
-        violations
-        |> List.filteri (fun i _ -> i < 5)
-        |> List.map (fun v -> Printf.sprintf "%s: %s" v.where v.what)
-        |> String.concat "; "
-      in
-      failwith
-        (Printf.sprintf "Spine.Validate: %d violation(s): %s"
-           (List.length violations) head)
 end

@@ -30,6 +30,4 @@ module Make (S : Store_sig.S) : sig
   val check : S.t -> violation list
   (** Empty when the structure is sound. *)
 
-  val check_exn : S.t -> unit
-  (** @raise Failure listing the first violations if any. *)
 end

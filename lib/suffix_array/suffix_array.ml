@@ -106,14 +106,5 @@ let occurrences t pattern =
     List.sort compare !out
   end
 
-let contains t s =
-  let alphabet = Bioseq.Packed_seq.alphabet t.seq in
-  match
-    Array.init (String.length s)
-      (fun i -> Bioseq.Alphabet.encode alphabet s.[i])
-  with
-  | pattern -> occurrences t pattern <> []
-  | exception Invalid_argument _ -> false
-
 let model_bytes_per_char t =
   if length t = 0 then 0.0 else 6.0

@@ -13,23 +13,26 @@ type t
 val build : Bioseq.Packed_seq.t -> t
 (** O(n log n) prefix-doubling construction. *)
 
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val of_string : Bioseq.Alphabet.t -> string -> t
 
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val length : t -> int
 
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val suffix_at : t -> int -> int
 (** [suffix_at t r] is the start position of the rank-[r] suffix. *)
 
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val lcp : t -> int array
 (** Kasai LCP array: [lcp.(r)] is the longest common prefix length of
     the rank-[r] and rank-[r-1] suffixes ([lcp.(0) = 0]). Computed
     lazily and cached. *)
 
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val occurrences : t -> int array -> int list
 (** Start positions of all occurrences, ascending, by binary search for
     the pattern's rank range. O(m log n + occ). *)
-
-val contains : t -> string -> bool
 
 val model_bytes_per_char : t -> float
 (** 4-byte suffix array entry plus 2-byte bucketed LCP per character —

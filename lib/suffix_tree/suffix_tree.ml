@@ -198,8 +198,6 @@ let build ?trace seq =
 
 let of_string ?trace alphabet s = build ?trace (Bioseq.Packed_seq.of_string alphabet s)
 
-let sequence t = t.seq
-
 let node_count t = Int_vec.length t.start
 let internal_count t = t.internal_nodes
 let leaf_count t = t.leaves
@@ -214,12 +212,6 @@ let model_bytes_per_char t =
   else
     float_of_int ((16 * internal_count t) + (4 * leaf_count t))
     /. float_of_int t.n
-
-let raw_bytes_per_char t =
-  (* what THIS array-of-int-vectors implementation costs per character
-     with 4-byte fields: six fields per node *)
-  if t.n = 0 then 0.0
-  else float_of_int (node_count t * 24) /. float_of_int t.n
 
 (* Walk the pattern from the root; returns the locus. *)
 let find_codes t pattern =

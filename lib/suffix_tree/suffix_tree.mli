@@ -25,9 +25,8 @@ val build : ?trace:trace -> Bioseq.Packed_seq.t -> t
 (** Build the suffix tree of the whole sequence (with a unique virtual
     terminator, so every suffix ends at a leaf). *)
 
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val of_string : ?trace:trace -> Bioseq.Alphabet.t -> string -> t
-
-val sequence : t -> Bioseq.Packed_seq.t
 
 (** {2 Structure metrics} *)
 
@@ -35,7 +34,7 @@ val node_count : t -> int
 (** All nodes: root + internal + leaves.  Up to [2n + 1], the paper's
     "number of nodes may go up to double the length of the string". *)
 
-val internal_count : t -> int
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val leaf_count : t -> int
 
 val model_bytes_per_char : t -> float
@@ -47,15 +46,10 @@ val model_bytes_per_char : t -> float
 
 (** {2 Search} *)
 
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val contains : t -> string -> bool
 
 val contains_codes : t -> int array -> bool
-
-val find_codes : t -> int array -> (int * int) option
-(** Locus of a pattern: [(node, below)]. When [below = 0] the match ends
-    exactly at [node]; otherwise it ends [below] characters into the
-    edge label entering [node]. [None] if the pattern is not a
-    substring. *)
 
 val occurrences : t -> int array -> int list
 (** Sorted starting positions of every occurrence of the pattern,
@@ -100,7 +94,3 @@ val maximal_matches :
     cannot be extended by the next query character (or the query ends),
     exactly the paper's "as soon as the first mismatch is found, the
     length matched till now is reported". *)
-
-val raw_bytes_per_char : t -> float
-(** Bytes per character of this OCaml implementation's own node layout
-    (six 4-byte fields per node), for the honest-accounting ablation. *)

@@ -40,7 +40,6 @@ let build seq =
 let of_string alphabet s = build (Bioseq.Packed_seq.of_string alphabet s)
 
 let node_count t = t.nodes
-let edge_count t = t.nodes - 1
 
 let contains_codes t codes =
   let rec go node i =

@@ -12,22 +12,22 @@ type t
 val build : Bioseq.Packed_seq.t -> t
 (** Build the trie of all suffixes. O(n^2) time and space. *)
 
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val of_string : Bioseq.Alphabet.t -> string -> t
 
 val node_count : t -> int
 (** Number of nodes including the root. *)
 
-val edge_count : t -> int
-
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val contains : t -> string -> bool
 (** Substring test: does a root path spell the argument? *)
 
-val contains_codes : t -> int array -> bool
-
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val count_unary : t -> int
 (** Nodes with exactly one child — the nodes vertical compaction (suffix
     trees) merges away. *)
 
+(* spine-lint: allow unused-export -- the tests' reference oracle *)
 val distinct_substrings : t -> int
 (** Number of distinct non-empty substrings of the data string, which is
     exactly [node_count - 1]: every trie node's root path spells a

@@ -42,7 +42,7 @@ val word_steps : event
 val scalar_steps : event
 (** [search.word_steps] and [search.scalar_steps]: the compares of the
     word-packed vertebra runs, whole-word (each covering up to
-    [Packed_seq.codes_per_word] characters) and per-character (span
+    [62 / width] characters) and per-character (span
     tails, mixed-width rows). *)
 
 val descent : event

@@ -159,19 +159,6 @@ let quantile ~counts ~total q =
     find 0 0
   end
 
-let hist_total h = Atomic.get h.h_total
-let hist_sum h = Atomic.get h.h_sum
-
-let hist_quantile h q =
-  quantile ~counts:(Array.map Atomic.get h.h_counts) ~total:(Atomic.get h.h_total) q
-
-let hist_max h =
-  let rec last j =
-    if j < 0 then 0
-    else if Atomic.get h.h_counts.(j) > 0 then snd (bucket_bounds j)
-    else last (j - 1)
-  in
-  last (hist_buckets - 1)
 
 let span name =
   match

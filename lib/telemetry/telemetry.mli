@@ -55,20 +55,8 @@ type histogram
 val histogram : string -> histogram
 val observe : histogram -> int -> unit
 (** Log-bucketed: [v >= 1] lands in bucket [floor(log2 v) + 1] (the
-    bucket covering [[2^(i-1), 2^i - 1]], see {!bucket_bounds});
-    values [<= 0] land in bucket 0.  63 buckets cover every positive
-    int. *)
-
-val hist_total : histogram -> int
-val hist_sum : histogram -> int
-
-val hist_quantile : histogram -> float -> float
-(** [hist_quantile h q] is the interpolated [q]-quantile ([q] clamped to
-    [[0, 1]]) of the live histogram; see {!quantile}. *)
-
-val hist_max : histogram -> int
-(** Upper bound of the highest occupied bucket (the recorded maximum is
-    somewhere in that bucket); [0] when empty. *)
+    bucket covering [[2^(i-1), 2^i - 1]]); values [<= 0] land in
+    bucket 0.  63 buckets cover every positive int. *)
 
 type span
 val span : string -> span
@@ -106,18 +94,6 @@ val reset : unit -> unit
 
 val find : snapshot -> string -> value option
 
-val bucket_bounds : int -> int * int
-(** [bucket_bounds i] is the inclusive [(lo, hi)] value range of
-    histogram bucket [i]. *)
-
-val quantile : counts:int array -> total:int -> float -> float
-(** Interpolated quantile over log-bucket counts (a snapshot's
-    [Dist.counts], or any array indexed like one): locate the bucket
-    holding rank [round (q * total)] (clamped to at least 1) and place
-    the value linearly within that bucket's [(lo, hi)] range.  Exact
-    for the single-value buckets 0 and 1; [q = 1] returns the ceiling
-    of the highest occupied bucket; [0] when [total <= 0]. *)
-
 (** {1 Exporters} *)
 
 val print_table : ?title:string -> ?omit_zero:bool -> snapshot -> unit
@@ -125,29 +101,29 @@ val print_table : ?title:string -> ?omit_zero:bool -> snapshot -> unit
     [false]) drops metrics whose every value is zero — the CLI uses it
     to print only what a run actually touched. *)
 
-val jsonl : snapshot -> string list
-(** One JSON object per metric, e.g.
+val write_jsonl : path:string -> snapshot -> unit
+(** Write one JSON object per metric to [path], e.g.
     [{"metric":"pool.hits","kind":"counter","value":42}].  Histograms
     carry [total], [sum], interpolated [p50]/[p90]/[p99]/[max] and the
-    non-empty [[lo, hi, count]] buckets. *)
+    non-empty [[lo, hi, count]] buckets.  A quantile locates the
+    bucket holding rank [round (q * total)] (at least 1) and places
+    the value linearly within that bucket's range: exact for the
+    single-value buckets 0 and 1, the bucket ceiling for [max].
 
-val write_jsonl : path:string -> snapshot -> unit
-(** Write {!jsonl} lines to [path] {e atomically}: the content goes to
+    The file is written {e atomically}: the content goes to
     [path ^ ".tmp"] and is renamed into place, so a concurrent reader
     sees either the previous complete file or the new one, never a
     torn write. *)
 
-val prometheus : ?prefix:string -> snapshot -> string list
-(** The snapshot in the Prometheus text exposition format.  Metric
-    names are [prefix] (default ["spine_"]) plus the registry name with
-    every non-[[a-zA-Z0-9_]] character replaced by [_].  Counters and
-    gauges map directly; a histogram becomes cumulative
-    [_bucket{le="…"}] samples at its occupied bucket ceilings plus
-    [_sum]/[_count], with the interpolated quantiles as a companion
-    [<name>_quantile{q="…"}] gauge; a span becomes the two counters
-    [<name>_calls] and [<name>_ns_total].  Every emitted family is
-    preceded by its [# HELP] and [# TYPE] lines. *)
-
 val write_prometheus : ?prefix:string -> path:string -> snapshot -> unit
-(** Write {!prometheus} lines to [path] with the same write-to-temp +
-    atomic-rename discipline as {!write_jsonl}. *)
+(** Write the snapshot to [path] in the Prometheus text exposition
+    format, with the same write-to-temp + atomic-rename discipline as
+    {!write_jsonl}.  Metric names are [prefix] (default ["spine_"])
+    plus the registry name with every non-[[a-zA-Z0-9_]] character
+    replaced by [_].  Counters and gauges map directly; a histogram
+    becomes cumulative [_bucket{le="…"}] samples at its occupied
+    bucket ceilings plus [_sum]/[_count], with the interpolated
+    quantiles as a companion [<name>_quantile{q="…"}] gauge; a span
+    becomes the two counters [<name>_calls] and [<name>_ns_total].
+    Every emitted family is preceded by its [# HELP] and [# TYPE]
+    lines. *)

@@ -112,7 +112,6 @@ let on () = (ds ()).recording
 let set_sample_rate r = sample_rate := min 1.0 (max 0.0 r)
 let set_slow_us us = slow_ns := us * 1000
 let set_clock f = clock := f
-let capacity () = Array.length (ds ()).ring
 
 let set_capacity n =
   ring_capacity := max 1 n;

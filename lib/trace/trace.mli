@@ -69,24 +69,27 @@ val on : unit -> bool
 
 (** {1 Configuration} *)
 
+(* spine-lint: allow unused-export -- tests pin the sampling rate *)
 val set_sample_rate : float -> unit
 (** Clamped to [\[0, 1\]].  Sampling is per {!with_op} operation: a
     sampled-out operation records no events at all (its slow-op
     summary is still kept). *)
 
+(* spine-lint: allow unused-export -- tests pin the sampling seed *)
 val set_seed : int -> unit
 (** Reset the sampling RNG (SplitMix64) to a deterministic state: the
     same seed and operation sequence reproduce the same keep/drop
     pattern. *)
 
+(* spine-lint: allow unused-export -- tests pin the slow-op threshold *)
 val set_slow_us : int -> unit
 (** Slow-op threshold in microseconds; [<= 0] disables the log. *)
 
+(* spine-lint: allow unused-export -- tests shrink the ring to wrap it *)
 val set_capacity : int -> unit
 (** Resize the ring (clamped to [>= 1]).  Discards buffered events. *)
 
-val capacity : unit -> int
-
+(* spine-lint: allow unused-export -- tests swap in a deterministic clock *)
 val set_clock : (unit -> int) -> unit
 (** Replace the timestamp source (test hook; tests restore
     [Xutil.Stopwatch.now_ns] afterwards).  Deterministic clocks make
@@ -126,39 +129,27 @@ val with_op : string -> arg list -> (unit -> 'a) -> 'a
 (** {1 Reading back} *)
 
 val events : unit -> event list
-(** Buffered events, oldest first (at most {!capacity}). *)
+(** Buffered events, oldest first (at most the ring capacity). *)
 
 val dropped : unit -> int
 (** Events overwritten by head-drop since the last {!reset}. *)
 
-type slow_op = {
-  so_op : int;  (** operation id *)
-  so_name : string;
-  so_args : arg list;
-  so_ns : int;  (** duration *)
-  so_sampled : bool;  (** whether its events went to the ring *)
-}
-
-val slow_ops : unit -> slow_op list
-(** Chronological.  Retained regardless of sampling and ring wrap. *)
-
 (** {1 Exporters} *)
 
-val chrome_json : unit -> string
-(** The buffered events as one Chrome trace-event JSON object
-    ([{"traceEvents":[...]}]) loadable in [chrome://tracing] and
-    Perfetto.  Spans become [B]/[E] pairs, instants become [i]; each
-    operation renders as its own track (its id is the [tid]), with a
-    [thread_name] metadata record carrying the operation name. *)
-
 val write_chrome : path:string -> unit
-
-val jsonl : unit -> string list
-(** One JSON object per event, e.g.
-    [{"ts_ns":1042,"ph":"i","name":"step.rib","op":3,"args":{"node":7,"dest":9}}]. *)
+(** Write the buffered events to [path] as one Chrome trace-event JSON
+    object ([{"traceEvents":[...]}]) loadable in [chrome://tracing]
+    and Perfetto.  Spans become [B]/[E] pairs, instants become [i];
+    each operation renders as its own track (its id is the [tid]),
+    with a [thread_name] metadata record carrying the operation
+    name. *)
 
 val write_jsonl : path:string -> unit
+(** Write one JSON object per event to [path], e.g.
+    [{"ts_ns":1042,"ph":"i","name":"step.rib","op":3,"args":{"node":7,"dest":9}}]. *)
 
 val slow_rows : unit -> string list list
-(** [[op; name; duration ms; sampled; args]] rows for
-    {!Report.Table.print}-style rendering of the slow-op log. *)
+(** The slow-op log, chronological and retained regardless of
+    sampling and ring wrap, as [[op; name; duration ms; sampled
+    ("yes"/"no"); args]] rows for {!Report.Table.print}-style
+    rendering. *)

@@ -29,19 +29,6 @@ type outcome = {
   rp_comparisons : Bench_gate.comparison list;  (** recorded vs replayed *)
 }
 
-val of_records :
-  ?closed_loop:bool ->
-  alphabet:Bioseq.Alphabet.t ->
-  Qlog.record list ->
-  (Workload.request list, string) result
-(** Rebuild the request stream.  ["single"] and ["cursor"] records
-    need exactly one pattern, ["batch"] any number; patterns are
-    re-encoded in [alphabet].  [closed_loop] (default false) discards
-    the recorded arrival offsets so requests run back-to-back;
-    otherwise the recorded inter-arrival gaps are honored.  [Error] on
-    an unknown op, a pattern/op arity mismatch, or a character outside
-    the alphabet. *)
-
 val drive_records :
   ?clock:(unit -> int) ->
   ?sleep_ns:(int -> unit) ->
@@ -51,12 +38,19 @@ val drive_records :
   engine:Spine.Engine.t ->
   Qlog.record list ->
   (outcome, string) result
-(** Replay [records] against [engine] and compare.  [tolerance]
+(** Replay [records] against [engine] and compare.  The request
+    stream is rebuilt from the records: ["single"] and ["cursor"]
+    records need exactly one pattern, ["batch"] any number; patterns
+    are re-encoded in the engine's alphabet.  [closed_loop] (default
+    false) discards the recorded arrival offsets so requests run
+    back-to-back; otherwise the recorded inter-arrival gaps are
+    honored.  [tolerance]
     (default [0.25]) is the relative regression budget per
     {!Bench_gate.compare_baselines}; [latency_floor_ns] (default
     [1e6], i.e. 1 ms) is the ["ns"]-unit noise floor.  The replayed
     run inherits {!Workload.drive}'s injectable [clock]/[sleep_ns].
-    [Error] only on a malformed stream ({!of_records}); a regression
+    [Error] only on a malformed stream (an unknown op, a pattern/op
+    arity mismatch, or a character outside the alphabet); a regression
     is {e not} an error — inspect
     [Bench_gate.failures outcome.rp_comparisons]. *)
 

@@ -62,4 +62,3 @@ let digest ?(seed = 0) data ~pos ~len =
 
 let bytes data = digest data ~pos:0 ~len:(Bytes.length data)
 
-let string s = bytes (Bytes.unsafe_of_string s)

@@ -13,6 +13,3 @@ val digest : ?seed:int -> Bytes.t -> pos:int -> len:int -> int
 
 val bytes : Bytes.t -> int
 (** Digest of a whole buffer. *)
-
-val string : string -> int
-(** Digest of a whole string. *)

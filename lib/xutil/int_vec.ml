@@ -12,8 +12,6 @@ type t = {
 let create ?(capacity = 16) () =
   { data = Array.make (max capacity 1) 0; len = 0 }
 
-let make n v = { data = Array.make (max n 1) v; len = n }
-
 let length t = t.len
 
 let get t i =
@@ -37,10 +35,6 @@ let pop t =
   if t.len = 0 then invalid_arg "Int_vec.pop: empty";
   t.len <- t.len - 1;
   Array.unsafe_get t.data t.len
-
-let truncate t n =
-  if n < 0 || n > t.len then invalid_arg "Int_vec.truncate";
-  t.len <- n
 
 let clear t = t.len <- 0
 

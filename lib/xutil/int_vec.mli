@@ -9,9 +9,6 @@ type t
 
 val create : ?capacity:int -> unit -> t
 
-val make : int -> int -> t
-(** [make n v] is a vector of length [n] filled with [v]. *)
-
 val length : t -> int
 
 val get : t -> int -> int
@@ -25,10 +22,6 @@ val push : t -> int -> unit
 val pop : t -> int
 (** Remove and return the last element. @raise Invalid_argument if empty. *)
 
-val truncate : t -> int -> unit
-(** [truncate t n] shortens the vector to [n] elements.
-    @raise Invalid_argument if [n] exceeds the current length. *)
-
 val clear : t -> unit
 
 val blit_to_array : t -> int array
@@ -38,6 +31,7 @@ val iter : t -> f:(int -> unit) -> unit
 
 val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 
+(* spine-lint: allow unused-export -- the tests' binary-search reference scan *)
 val binary_search : t -> int -> int option
 (** [binary_search t v] finds the index of [v] assuming the vector is
     sorted ascending; [None] if absent: the target-node-buffer lookup

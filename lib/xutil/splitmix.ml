@@ -10,8 +10,6 @@ let of_state state = { state }
 
 let create seed = { state = mix (Int64.of_int seed) }
 
-let copy t = { state = t.state }
-
 let next64 t =
   t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
   mix t.state
@@ -27,8 +25,6 @@ let int t bound =
 let float t bound =
   let raw = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
   bound *. (raw /. 9007199254740992.0 (* 2^53 *))
-
-let bool t = Int64.logand (next64 t) 1L = 1L
 
 let split t = { state = mix (next64 t) }
 

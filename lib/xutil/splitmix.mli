@@ -4,27 +4,19 @@
     latency plans.  It is fast, has a 64-bit state, and passes
     BigCrush.  Each step adds the golden-ratio gamma
     [0x9E3779B97F4A7C15] to the state; a draw is the finaliser
-    ({!mix}) of the new state. *)
+    (Stafford's variant 13, a bijection on 64 bits) of the new
+    state. *)
 
 type t
 (** Mutable generator state. *)
 
 val create : int -> t
-(** [create seed] starts from the finalised seed, [mix seed].  Two
+(** [create seed] starts from the finalised seed.  Two
     generators with the same seed produce identical streams. *)
 
 val of_state : int64 -> t
 (** A generator whose state is exactly the given word (no finaliser):
     how the trace sampler and the fault and latency plans seed. *)
-
-val copy : t -> t
-(** [copy t] duplicates the state so the copy can diverge from [t]. *)
-
-val mix : int64 -> int64
-(** The finaliser (Stafford's variant 13), a bijection on 64 bits. *)
-
-val next64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)] (from the top 62 bits).
@@ -33,9 +25,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)] (from the top 53
     bits). *)
-
-val bool : t -> bool
-(** Fair coin. *)
 
 val split : t -> t
 (** [split t] derives an independent generator and advances [t]; used to

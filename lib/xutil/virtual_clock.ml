@@ -5,4 +5,3 @@ type t = { mutable now : int }
 let create ?(start = 0) () = { now = start }
 let now t () = t.now
 let advance t ns = if ns > 0 then t.now <- t.now + ns
-let sleep t ns = advance t ns

@@ -51,4 +51,4 @@ let differences (a : Spine.Compact.t) (b : Spine.Compact.t) =
   @ diff "freelist" (a.S.freelist = b.S.freelist)
   @ diff "live rows" (a.S.live_rows = b.S.live_rows)
   @ diff "migrations" (a.S.migrations = b.S.migrations)
-  @ diff "sequence" (Bioseq.Packed_seq.equal a.S.seq b.S.seq)
+  @ diff "sequence" (Oracles.same_seq a.S.seq b.S.seq)

@@ -89,6 +89,70 @@ let test_unguarded_unsafe () =
   check_int "checked-boundary module not flagged" 0
     (count "checked_mod.ml" Lint.Unguarded_unsafe)
 
+(* L12's verdicts in one interface: the export each finding names (the
+   first word of its message) and its severity, in line order *)
+let l12_in file =
+  List.filter_map
+    (fun f ->
+      if f.Lint.rule = Lint.Unused_export && in_file file f then
+        Some
+          ( List.hd (String.split_on_char ' ' f.Lint.message),
+            Lint.severity_id f.Lint.severity )
+      else None)
+    (Lazy.force result).Lint.findings
+
+let check_l12 what expected file =
+  Alcotest.(check (list (pair string string))) what expected (l12_in file)
+
+let test_unused_export () =
+  check_l12 "unused export flagged, test-only one warned"
+    [ ("L12_api.unused", "error"); ("L12_api.for_tests", "warning") ]
+    "l12_api.mli"
+
+let test_l12_clean () =
+  check_l12 "every export has a caller" [] "l12_clean.mli"
+
+let test_l12_functor_argument () =
+  check_l12 "a functor argument uses what the parameter names"
+    [ ("L12_arg.spare", "error") ]
+    "l12_arg.mli"
+
+let test_l12_first_class () =
+  check_l12 "a packed module uses what the package type names"
+    [ ("L12_packed.extra", "error") ]
+    "l12_packed.mli"
+
+let test_l12_parameter_signature () =
+  (* NEED.need is a requirement; S.run is used through the functor's
+     result, S.idle is not *)
+  check_l12 "only the returned module type's unused member"
+    [ ("L12_param.S.idle", "error") ]
+    "l12_param.mli"
+
+let test_l12_test_only () =
+  match
+    List.filter
+      (fun f -> f.Lint.severity = Lint.Warning && in_file "l12_api.mli" f)
+      (Lazy.force result).Lint.findings
+  with
+  | [ f ] ->
+    Alcotest.(check string) "named test-only"
+      "L12_api.for_tests is used only from tests (test-only)" f.Lint.message
+  | l -> Alcotest.failf "expected one test-only warning, got %d" (List.length l)
+
+let test_l12_waiver () =
+  match
+    List.filter
+      (fun f -> f.Lint.rule = Lint.Unused_export && in_file "l12_api.mli" f)
+      (Lazy.force result).Lint.suppressed
+  with
+  | [ f ] ->
+    Alcotest.(check string) "suppressed with its reason"
+      "L12_api.waived is exported but no other unit uses it (waived: \
+       fixture: a waived export)"
+      f.Lint.message
+  | l -> Alcotest.failf "expected one waived export, got %d" (List.length l)
+
 let dfindings_in file =
   List.filter
     (fun f -> f.Lint.rule = Lint.Shared_mutation && in_file file f)
@@ -242,7 +306,8 @@ let () =
           Alcotest.test_case "bare-failwith" `Quick test_bare_failwith;
           Alcotest.test_case "global-mutable" `Quick test_global_mutable;
           Alcotest.test_case "unguarded-unsafe" `Quick test_unguarded_unsafe;
-          Alcotest.test_case "shared-mutation" `Quick test_shared_mutation ] );
+          Alcotest.test_case "shared-mutation" `Quick test_shared_mutation;
+          Alcotest.test_case "unused-export" `Quick test_unused_export ] );
       ( "behaviour",
         [ Alcotest.test_case "clean module" `Quick test_clean;
           Alcotest.test_case "suppressions" `Quick test_suppressed;
@@ -250,4 +315,15 @@ let () =
           Alcotest.test_case "rule ids" `Quick test_rule_ids;
           Alcotest.test_case "certification" `Quick test_certification;
           Alcotest.test_case "only/except" `Quick test_only_except;
-          Alcotest.test_case "exporters" `Quick test_exporters ] ) ]
+          Alcotest.test_case "exporters" `Quick test_exporters;
+          Alcotest.test_case "unused-export: clean module" `Quick
+            test_l12_clean;
+          Alcotest.test_case "unused-export: functor argument" `Quick
+            test_l12_functor_argument;
+          Alcotest.test_case "unused-export: first-class module" `Quick
+            test_l12_first_class;
+          Alcotest.test_case "unused-export: parameter signature" `Quick
+            test_l12_parameter_signature;
+          Alcotest.test_case "unused-export: test-only" `Quick
+            test_l12_test_only;
+          Alcotest.test_case "unused-export: waiver" `Quick test_l12_waiver ] ) ]

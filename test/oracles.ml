@@ -86,3 +86,17 @@ let adversarial =
   ; "abcdefghijklmnop"               (* all distinct *)
   ; "aabbaabbaaabbb"
   ]
+
+(* A packed sequence decoded character by character. *)
+let seq_string s =
+  Bioseq.Packed_seq.sub_string s ~pos:0 ~len:(Bioseq.Packed_seq.length s)
+
+(* Same alphabet and the same codes, compared one code at a time. *)
+let same_seq a b =
+  let module P = Bioseq.Packed_seq in
+  Bioseq.Alphabet.equal (P.alphabet a) (P.alphabet b)
+  && P.length a = P.length b
+  && List.for_all (fun i -> P.get a i = P.get b i) (List.init (P.length a) Fun.id)
+
+(* A fair coin: the low bit of the generator's next draw. *)
+let coin rng = Bioseq.Rng.bits62 rng land 1 = 1

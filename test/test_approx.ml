@@ -61,7 +61,7 @@ let test_hamming_oracle () =
     for _ = 1 to 15 do
       let m = 4 + Bioseq.Rng.int rng 10 in
       let pat =
-        if Bioseq.Rng.bool rng && String.length s > m then begin
+        if Oracles.coin rng && String.length s > m then begin
           (* a mutated slice of the data, so hits exist *)
           let p = Bioseq.Rng.int rng (String.length s - m) in
           String.mapi

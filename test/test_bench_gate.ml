@@ -50,8 +50,18 @@ let test_json_errors () =
   fails {|"unterminated|};
   fails "nulle"
 
+(* an artifact as the gate reads it: from a file *)
+let of_string text =
+  let path = Filename.temp_file "spine_bench_gate" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc text);
+      Bench_gate.load ~path)
+
 let test_artifact_entries () =
-  match Bench_gate.of_string (artifact ()) with
+  match of_string (artifact ()) with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok b ->
     Alcotest.(check string) "schema" "spine-bench/1" b.Bench_gate.schema;
@@ -76,14 +86,14 @@ let test_artifact_entries () =
       ((find "match/compact").Bench_gate.value = None)
 
 let test_missing_schema () =
-  match Bench_gate.of_string {|{"experiments": []}|} with
+  match of_string {|{"experiments": []}|} with
   | Ok _ -> Alcotest.fail "missing schema should be rejected"
   | Error _ -> ()
 
 (* --- comparison --- *)
 
 let baseline s =
-  match Bench_gate.of_string s with
+  match of_string s with
   | Ok b -> b
   | Error e -> Alcotest.failf "baseline parse failed: %s" e
 

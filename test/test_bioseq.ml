@@ -3,14 +3,15 @@
 
 let test_alphabet_roundtrip () =
   List.iter
-    (fun a ->
+    (fun (name, a) ->
       for code = 0 to Bioseq.Alphabet.size a - 1 do
         let c = Bioseq.Alphabet.decode a code in
         Alcotest.(check int)
-          (Printf.sprintf "%s roundtrip %d" (Bioseq.Alphabet.name a) code)
+          (Printf.sprintf "%s roundtrip %d" name code)
           code (Bioseq.Alphabet.encode a c)
       done)
-    [ Bioseq.Alphabet.dna; Bioseq.Alphabet.protein; Bioseq.Alphabet.byte ]
+    [ ("dna", Bioseq.Alphabet.dna); ("protein", Bioseq.Alphabet.protein);
+      ("byte", Bioseq.Alphabet.byte) ]
 
 let test_alphabet_bits () =
   (* 4 symbols + separator needs 3 bits; the paper's 2-bit figure is the
@@ -51,9 +52,9 @@ let test_packed_roundtrip () =
           (fun i c -> Alcotest.(check int) "get" c (Bioseq.Packed_seq.get seq i))
           codes;
         (* string roundtrip *)
-        let s = Bioseq.Packed_seq.to_string seq in
+        let s = Oracles.seq_string seq in
         Alcotest.(check bool) "string roundtrip" true
-          (Bioseq.Packed_seq.equal seq (Bioseq.Packed_seq.of_string a s));
+          (Oracles.same_seq seq (Bioseq.Packed_seq.of_string a s));
         (* word-packed roundtrip: the serialized form is the raw words *)
         let packed = Bioseq.Packed_seq.packed_bits seq in
         Alcotest.(check int) "packed length" (Bytes.length packed)
@@ -63,7 +64,7 @@ let test_packed_roundtrip () =
             ~width:(Bioseq.Packed_seq.width seq) packed
         in
         Alcotest.(check bool) "bit roundtrip" true
-          (Bioseq.Packed_seq.equal seq back)
+          (Oracles.same_seq seq back)
       done)
     [ Bioseq.Alphabet.dna; Bioseq.Alphabet.protein ]
 
@@ -95,8 +96,9 @@ let test_packed_widening () =
   let seq = Bioseq.Packed_seq.create a in
   for i = 0 to 99 do Bioseq.Packed_seq.append seq (i mod 4) done;
   Alcotest.(check int) "dna starts 2-bit" 2 (Bioseq.Packed_seq.width seq);
+  (* a 62-bit word holds [62 / width] codes *)
   Alcotest.(check int) "31 codes per word" 31
-    (Bioseq.Packed_seq.codes_per_word seq);
+    (62 / Bioseq.Packed_seq.width seq);
   Bioseq.Packed_seq.append seq (Bioseq.Alphabet.separator a);
   Alcotest.(check int) "separator widens to 4-bit" 4
     (Bioseq.Packed_seq.width seq);
@@ -142,7 +144,7 @@ let test_packed_mismatch_oracle () =
     done;
     Alcotest.(check int) "mismatch vs oracle" !oracle m;
     (* step accounting covers every matched position *)
-    let cpw = Bioseq.Packed_seq.codes_per_word s in
+    let cpw = 62 / Bioseq.Packed_seq.width s in
     Alcotest.(check bool) "steps cover the match" true
       ((words * cpw) + scalars >= m)
   done
@@ -161,14 +163,14 @@ let test_packed_pattern_oracle () =
       let codes =
         Array.init plen (fun i -> Bioseq.Packed_seq.get s (pos + i))
       in
-      let p = Bioseq.Packed_seq.Pattern.of_codes a codes in
+      let p = Bioseq.Packed_seq.Pattern.of_codes codes in
       let m, _, _ =
         Bioseq.Packed_seq.mismatch_pattern s ~pos p ~ppos:0 ~len:plen
       in
       Alcotest.(check int) "substring fully matches" plen m;
       let codes' = Array.copy codes in
       codes'.(plen - 1) <- (codes'.(plen - 1) + 1) mod 4;
-      let p' = Bioseq.Packed_seq.Pattern.of_codes a codes' in
+      let p' = Bioseq.Packed_seq.Pattern.of_codes codes' in
       let m', _, _ =
         Bioseq.Packed_seq.mismatch_pattern s ~pos p' ~ppos:0 ~len:plen
       in
@@ -176,7 +178,7 @@ let test_packed_pattern_oracle () =
     done
   done;
   (* out-of-alphabet pattern codes never match but never raise *)
-  let p = Bioseq.Packed_seq.Pattern.of_codes a [| 99; -1 |] in
+  let p = Bioseq.Packed_seq.Pattern.of_codes [| 99; -1 |] in
   let m, _, _ = Bioseq.Packed_seq.mismatch_pattern s ~pos:0 p ~ppos:0 ~len:2 in
   Alcotest.(check int) "unpackable codes match nothing" 0 m
 
@@ -202,6 +204,15 @@ let test_rng_bounds () =
     if f < 0.0 || f >= 2.5 then Alcotest.failf "float out of bounds: %f" f
   done
 
+(* FASTA text as the parser reads it: from a file *)
+let parse_fasta alphabet text =
+  let path = Filename.temp_file "spine_fasta" ".fa" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+      Bioseq.Fasta.read_file alphabet path)
+
 let test_fasta_roundtrip () =
   let dna = Bioseq.Alphabet.dna in
   let records =
@@ -211,38 +222,51 @@ let test_fasta_roundtrip () =
         seq = Bioseq.Packed_seq.of_string dna (String.make 200 'g') }
     ]
   in
-  let text = Bioseq.Fasta.to_string records in
-  let parsed = Bioseq.Fasta.parse_string dna text in
+  let text =
+    String.concat ""
+      (List.map
+         (fun r ->
+           let s = Oracles.seq_string r.Bioseq.Fasta.seq in
+           (* sequence lines wrapped at 70 characters *)
+           let lines =
+             List.init
+               ((String.length s + 69) / 70)
+               (fun i -> String.sub s (i * 70) (min 70 (String.length s - (i * 70))))
+           in
+           String.concat "\n" ((">" ^ r.Bioseq.Fasta.header) :: lines) ^ "\n")
+         records)
+  in
+  let parsed = parse_fasta dna text in
   Alcotest.(check int) "record count" 2 (List.length parsed);
   List.iter2
     (fun a b ->
       Alcotest.(check string) "header" a.Bioseq.Fasta.header b.Bioseq.Fasta.header;
       Alcotest.(check bool) "seq" true
-        (Bioseq.Packed_seq.equal a.Bioseq.Fasta.seq b.Bioseq.Fasta.seq))
+        (Oracles.same_seq a.Bioseq.Fasta.seq b.Bioseq.Fasta.seq))
     records parsed
 
 let test_fasta_tolerance () =
   let dna = Bioseq.Alphabet.dna in
   (* upper case, Ns, CRLF line endings *)
   let text = ">x desc\r\nACGT\r\nNNacgtNN\r\n" in
-  match Bioseq.Fasta.parse_string dna text with
+  match parse_fasta dna text with
   | [ { Bioseq.Fasta.header; seq } ] ->
     Alcotest.(check string) "header" "x desc" header;
     Alcotest.(check string) "normalised seq" "acgtacgt"
-      (Bioseq.Packed_seq.to_string seq)
+      (Oracles.seq_string seq)
   | _ -> Alcotest.fail "expected one record"
 
 let test_fasta_errors () =
-  (match Bioseq.Fasta.parse_string Bioseq.Alphabet.dna "acgt\n" with
+  (match parse_fasta Bioseq.Alphabet.dna "acgt\n" with
    | exception Failure _ -> ()
    | _ -> Alcotest.fail "data before header must be rejected")
 
 let test_generators_deterministic () =
   let mk seed = Bioseq.Synthetic.genomic Bioseq.Alphabet.dna (Bioseq.Rng.create seed) 5000 in
   Alcotest.(check bool) "same seed same string" true
-    (Bioseq.Packed_seq.equal (mk 9) (mk 9));
+    (Oracles.same_seq (mk 9) (mk 9));
   Alcotest.(check bool) "different seed different string" false
-    (Bioseq.Packed_seq.equal (mk 9) (mk 10))
+    (Oracles.same_seq (mk 9) (mk 10))
 
 let test_generator_lengths () =
   let rng = Bioseq.Rng.create 4 in
@@ -260,9 +284,9 @@ let test_fibonacci_and_periodic () =
   let fib = Bioseq.Synthetic.fibonacci Bioseq.Alphabet.dna 13 in
   (* the fibonacci word begins a b a a b a b a a b a a b *)
   Alcotest.(check string) "fibonacci prefix" "acaacacaacaac"
-    (Bioseq.Packed_seq.to_string fib);
+    (Oracles.seq_string fib);
   let p = Bioseq.Synthetic.periodic Bioseq.Alphabet.dna ~period:"acg" 8 in
-  Alcotest.(check string) "periodic" "acgacgac" (Bioseq.Packed_seq.to_string p)
+  Alcotest.(check string) "periodic" "acgacgac" (Oracles.seq_string p)
 
 let test_mutate_rate () =
   let rng = Bioseq.Rng.create 6 in
@@ -281,7 +305,7 @@ let test_corpus () =
   let s = Bioseq.Corpus.load ~scale:0.001 Bioseq.Corpus.eco in
   Alcotest.(check int) "scaled length" 3500 (Bioseq.Packed_seq.length s);
   let s2 = Bioseq.Corpus.load ~scale:0.001 Bioseq.Corpus.eco in
-  Alcotest.(check bool) "deterministic" true (Bioseq.Packed_seq.equal s s2);
+  Alcotest.(check bool) "deterministic" true (Oracles.same_seq s s2);
   Alcotest.(check int) "clamped minimum" 1000
     (Bioseq.Corpus.scaled_length ~scale:0.0000001 Bioseq.Corpus.eco)
 

@@ -64,12 +64,13 @@ let check_backend ?(recode = Fun.id) name e =
 (* a multi-string index over the text's two halves, as DNA *)
 let test_generalized () =
   let recode = String.map (fun c -> "acgt".[Char.code c - Char.code 'a']) in
+  let dna s = Bioseq.Packed_seq.of_string Bioseq.Alphabet.dna (recode s) in
   let g = Spine.Generalized.create Bioseq.Alphabet.dna in
   let half = String.length text / 2 in
-  ignore (Spine.Generalized.add_string g (recode (String.sub text 0 half)));
+  ignore (Spine.Generalized.add g (dna (String.sub text 0 half)));
   ignore
-    (Spine.Generalized.add_string g
-       (recode (String.sub text half (String.length text - half))));
+    (Spine.Generalized.add g
+       (dna (String.sub text half (String.length text - half))));
   check_backend ~recode "generalized" (Spine.Generalized.engine g)
 
 let test_compact () =

@@ -132,7 +132,7 @@ let test_batch_search () =
         let pos =
           Bioseq.Rng.int rng (Bioseq.Packed_seq.length seq - len)
         in
-        if Bioseq.Rng.bool rng then
+        if Oracles.coin rng then
           Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k))
         else Array.init len (fun _ -> Bioseq.Rng.int rng 4))
   in

@@ -121,7 +121,7 @@ let test_small_pages_oracle () =
     for _ = 1 to 60 do
       let len = 1 + Bioseq.Rng.int rng 8 in
       let pat =
-        if Bioseq.Rng.bool rng then String.sub s (Bioseq.Rng.int rng (n - len)) len
+        if Oracles.coin rng then String.sub s (Bioseq.Rng.int rng (n - len)) len
         else Oracles.random_string rng 4 len
       in
       Alcotest.(check (list int))
@@ -373,7 +373,7 @@ let region_bound ?flush_every () =
             | None -> Alcotest.failf "no %s row in the scrub report" half)
           [ "side/a"; "side/b" ];
         let p = Spine.Persistent.open_ ~frames:(1 lsl 19) ~path () in
-        Paged_valid.check_exn (Spine.Persistent.store p);
+        Codes.valid (Paged_valid.check (Spine.Persistent.store p));
         check_parity "reopened" p seq ((entries - 1) / n * n);
         Spine.Persistent.close p)
 
@@ -405,7 +405,7 @@ let test_side_tables_outgrow_a_slot () =
         (Pagestore.Device.page_size (Spine.Persistent.device p));
       Alcotest.(check int) "anchors replayed" anchors
         (Xutil.Int_tbl.length (Spine.Persistent.store p).Spine.Paged_store.P.anchors);
-      Paged_valid.check_exn (Spine.Persistent.store p);
+      Codes.valid (Paged_valid.check (Spine.Persistent.store p));
       check_parity "reopened" p seq total;
       Spine.Persistent.close p)
 

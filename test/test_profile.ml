@@ -94,6 +94,10 @@ let test_attribution_sums () =
       Alcotest.(check bool) "page faults attributed (starved pool)" true
         (sum (fun p -> p.Profile.pool_misses) profs > 0))
 
+let total_steps p =
+  p.Profile.vertebra_steps + p.Profile.rib_steps + p.Profile.extrib_steps
+  + p.Profile.link_steps
+
 let test_scopes_shadow () =
   let seq = seq_of 2_000 in
   let engine = Spine.Compact.engine (Spine.Compact.of_seq seq) in
@@ -105,11 +109,11 @@ let test_scopes_shadow () =
   in
   Alcotest.(check bool) "inner did work" true (inner_occ <> []);
   Alcotest.(check bool) "inner profile charged" true
-    (Profile.total_steps inner > 0 || inner.Profile.scan_nodes > 0);
+    (total_steps inner > 0 || inner.Profile.scan_nodes > 0);
   (* the nested scope shadowed the outer one: the outer profile holds
      only the work done outside the inner scope, which is none *)
   Alcotest.(check int) "outer not double-charged" 0
-    (Profile.total_steps outer + outer.Profile.scan_nodes
+    (total_steps outer + outer.Profile.scan_nodes
      + outer.Profile.found);
   (* work on both sides of a nested scope stays with the outer one *)
   let other = Array.init 6 (fun k -> Bioseq.Packed_seq.get seq (100 + k)) in

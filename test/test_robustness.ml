@@ -784,8 +784,14 @@ let test_torn_metadata_small_pages () = torn_metadata ~page_size:128 ()
 (* --- the SPINE_FAULTS environment grammar ---------------------------- *)
 
 let test_env_faults () =
-  (match FD.parse "seed=7;flip:after=3;read_error:page=0-16:times=2" with
-   | Ok f -> Alcotest.(check int) "seed parsed" 7 (FD.seed f)
+  let spec = "seed=7;flip:after=3;read_error:page=0-16:times=2" in
+  (match Pagestore.Fault_spec.parse spec with
+   | Ok s ->
+     Alcotest.(check (option int)) "seed parsed" (Some 7) s.Pagestore.Fault_spec.seed
+   | Error e ->
+     Alcotest.failf "valid spec rejected: %s" (Pagestore.Fault_spec.error_to_string e));
+  (match FD.parse spec with
+   | Ok _ -> ()
    | Error e -> Alcotest.failf "valid spec rejected: %s" e);
   (match FD.parse "torn:keep=100;crash:after=9" with
    | Ok _ -> ()

@@ -56,7 +56,7 @@ let check_parity rng seq =
     let codes = Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k)) in
     if Bioseq.Rng.int rng 2 = 0 then codes.(Bioseq.Rng.int rng len) <- text_code ();
     Alcotest.(check (list int)) (Printf.sprintf "occurrences in %S" s)
-      (HQ.occurrences_pattern h (Bioseq.Packed_seq.Pattern.of_codes alphabet codes))
+      (HQ.occurrences_pattern h (Bioseq.Packed_seq.Pattern.of_codes codes))
       (Codes.occurrences c codes)
   done;
   (* matching parity *)
@@ -127,7 +127,7 @@ let test_space_accounting () =
     Alcotest.(check int)
       (Printf.sprintf "live rows in RT%d" (table + 1))
       (nodes_with_fanout (table + 1))
-      (CS.live_rows c table)
+      c.CS.live_rows.(table)
   done
 
 let test_overflow_labels () =
@@ -198,7 +198,7 @@ let test_separator_rejected () =
   Alcotest.(check (list int)) "still answers" [ 1 ]
     (Codes.occurrences (C.engine c) [| 1; 2 |]);
   let g = CS.create ~separator:true dna in
-  C.append_string g "ac";
+  String.iter (fun ch -> C.append g (Bioseq.Alphabet.encode dna ch)) "ac";
   C.append g (Bioseq.Alphabet.separator dna);
   Alcotest.(check int) "separator layout takes it" 3 (CS.length g)
 
@@ -229,7 +229,7 @@ let test_wide_rows () =
 let test_row_layouts () =
   let check ?separator name expect alphabet =
     Alcotest.(check (array int)) name expect
-      (CS.layout_of ?separator alphabet).CS.row_bytes
+      (CS.create ?separator alphabet).CS.lo.CS.row_bytes
   in
   check "dna" [| 13; 19; 25; 31 |] Bioseq.Alphabet.dna;
   check "protein" [| 13; 20; 27; 146 |] Bioseq.Alphabet.protein;

@@ -47,7 +47,7 @@ let check_first_occurrence rng sigma s =
   let e = engine s in
   for _ = 1 to 50 do
     let pat =
-      if Bioseq.Rng.bool rng && String.length s > 2 then begin
+      if Oracles.coin rng && String.length s > 2 then begin
         let len = 1 + Bioseq.Rng.int rng (min 8 (String.length s)) in
         let p = Bioseq.Rng.int rng (String.length s - len + 1) in
         String.sub s p len
@@ -66,7 +66,7 @@ let check_all_occurrences rng sigma s =
   let e = engine s in
   for _ = 1 to 40 do
     let pat =
-      if Bioseq.Rng.bool rng && String.length s > 2 then begin
+      if Oracles.coin rng && String.length s > 2 then begin
         let len = 1 + Bioseq.Rng.int rng (min 6 (String.length s)) in
         let p = Bioseq.Rng.int rng (String.length s - len + 1) in
         String.sub s p len
@@ -206,7 +206,7 @@ let check_binary_scan rng sigma s =
   let disk_e = Spine.Disk.engine disk in
   for _ = 1 to 20 do
     let pat =
-      if String.length s > 3 && Bioseq.Rng.bool rng then begin
+      if String.length s > 3 && Oracles.coin rng then begin
         let len = 1 + Bioseq.Rng.int rng (min 6 (String.length s)) in
         let p = Bioseq.Rng.int rng (String.length s - len + 1) in
         String.sub s p len
@@ -214,14 +214,23 @@ let check_binary_scan rng sigma s =
       else Oracles.random_string rng sigma (1 + Bioseq.Rng.int rng 5)
     in
     let p = E.pattern compact_e (codes_of pat) in
-    if Table_binary.Q.end_nodes_pattern table p <> Table_binary.end_nodes table p
+    (* end nodes, shifted back by the pattern length to start positions *)
+    let starts ends = List.map (fun e -> e - String.length pat) ends in
+    if
+      Table_binary.Q.occurrences_pattern table p
+      <> starts (Table_binary.end_nodes table p)
     then
       failwith
         (Printf.sprintf "hashtable binary scan mismatch for %S in %S" pat s);
-    if E.end_nodes_pattern compact_e p <> Compact_binary.end_nodes compact p
+    if
+      E.occurrences_pattern compact_e p
+      <> starts (Compact_binary.end_nodes compact p)
     then
       failwith (Printf.sprintf "compact binary scan mismatch for %S in %S" pat s);
-    if E.end_nodes_pattern disk_e p <> Paged_binary.end_nodes disk.store p then
+    if
+      E.occurrences_pattern disk_e p
+      <> starts (Paged_binary.end_nodes disk.store p)
+    then
       failwith (Printf.sprintf "paged binary scan mismatch for %S in %S" pat s)
   done;
   true

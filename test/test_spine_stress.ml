@@ -29,7 +29,7 @@ let regression_string =
 let check_all_links seq =
   let n = Bioseq.Packed_seq.length seq in
   let idx = I.of_seq seq in
-  V.check_exn idx;
+  Codes.valid (V.check idx);
   let st = Suffix_tree.build seq in
   let subcodes lo len =
     Array.init len (fun k -> Bioseq.Packed_seq.get seq (lo + k))
@@ -75,10 +75,14 @@ let check_ms_parity rng seq =
     ms_st ms_spine
 
 let genomic_profile =
-  { Bioseq.Synthetic.default_repeats with
-    Bioseq.Synthetic.repeat_prob = 0.01;
+  { Bioseq.Synthetic.repeat_prob = 0.01;
     mean_repeat_len = 30;
-    clean_copy_prob = 0.3 }
+    mutation_rate = 0.03;
+    order = 2;
+    skew = 0.0;
+    clean_copy_prob = 0.3;
+    long_copy_prob = 0.04;
+    long_copy_factor = 12 }
 
 let test_regression_links () =
   check_all_links (Bioseq.Packed_seq.of_string Bioseq.Alphabet.dna regression_string)

@@ -26,7 +26,7 @@ let check_occurrences rng s =
   for _ = 1 to 30 do
     let len = 1 + Bioseq.Rng.int rng (min 6 n) in
     let pat =
-      if Bioseq.Rng.bool rng && n >= len then
+      if Oracles.coin rng && n >= len then
         let p = Bioseq.Rng.int rng (n - len + 1) in
         String.sub s p len
       else Oracles.random_string rng 3 len

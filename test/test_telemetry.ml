@@ -7,6 +7,47 @@ let with_enabled b f =
   Telemetry.set_enabled b;
   Fun.protect ~finally:(fun () -> Telemetry.set_enabled prev) f
 
+(* The exporters' output, read back from the file a program writes. *)
+let exported write =
+  let path = Filename.temp_file "spine_telemetry" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write ~path;
+      In_channel.with_open_text path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> ""))
+
+let jsonl snap = exported (fun ~path -> Telemetry.write_jsonl ~path snap)
+
+let prometheus snap =
+  exported (fun ~path -> Telemetry.write_prometheus ~path snap)
+
+(* [field line key] is the raw value of [key] in one flat JSONL line *)
+let field line key =
+  let tag = Printf.sprintf "\"%s\":" key in
+  let tl = String.length tag in
+  let rec find i =
+    if i + tl > String.length line then Alcotest.failf "no %s in %s" key line
+    else if String.sub line i tl = tag then i + tl
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let rec stop j =
+    if j >= String.length line || line.[j] = ',' || line.[j] = '}' then j
+    else stop (j + 1)
+  in
+  String.sub line start (stop start - start)
+
+(* the exported JSONL line of one metric of the live registry *)
+let live_line name =
+  match Telemetry.find (Telemetry.snapshot ()) name with
+  | Some v -> (
+    match jsonl [ (name, v) ] with
+    | [ line ] -> line
+    | _ -> Alcotest.failf "one line expected for %s" name)
+  | None -> Alcotest.failf "no metric %s in snapshot" name
+
 let count_of name =
   match Telemetry.find (Telemetry.snapshot ()) name with
   | Some (Telemetry.Count n) -> n
@@ -75,10 +116,14 @@ let test_histogram_buckets () =
         Alcotest.(check int) "bucket 3 (v=4..7)" 2 counts.(3);
         Alcotest.(check int) "bucket 4 (v=8)" 1 counts.(4);
         Alcotest.(check int) "bucket 7 (v=100)" 1 counts.(7);
-        Alcotest.(check (pair int int)) "bounds of bucket 3" (4, 7)
-          (Telemetry.bucket_bounds 3);
-        Alcotest.(check (pair int int)) "bounds of bucket 0" (0, 0)
-          (Telemetry.bucket_bounds 0)
+        (* the exported [lo, hi, count] triples carry each bucket's
+           bounds: bucket 0 is [0, 0], bucket 3 is [4, 7] *)
+        let line = live_line "test.hist_buckets" in
+        let buckets = "[[0,0,1],[1,1,1],[2,3,2],[4,7,2],[8,15,1],[64,127,1]]" in
+        Alcotest.(check string) "exported bucket bounds" buckets
+          (String.sub line
+             (String.length line - String.length buckets - 1)
+             (String.length buckets))
       | _ -> Alcotest.fail "histogram missing from snapshot")
 
 let test_snapshot_diff_reset () =
@@ -145,60 +190,50 @@ let test_jsonl_golden () =
     [ {|{"metric":"a.count","kind":"counter","value":3}|};
       {|{"metric":"b.dist","kind":"histogram","total":3,"sum":7,"p50":1,"p90":7,"p99":7,"max":7,"buckets":[[1,1,2],[4,7,1]]}|};
       {|{"metric":"c.span","kind":"span","calls":2,"total_ns":1500}|} ]
-    (Telemetry.jsonl snap)
+    (jsonl snap)
 
+(* Interpolated quantiles, as the exporters report them: [p50], [p90],
+   [p99] and [max] of a histogram with the given (bucket, count)s. *)
 let test_quantiles () =
-  (* empty: everything is 0 *)
-  let empty = Array.make 63 0 in
-  Alcotest.(check (float 0.0)) "empty p50" 0.0
-    (Telemetry.quantile ~counts:empty ~total:0 0.5);
+  let quantiles buckets =
+    let counts = Array.make 63 0 in
+    List.iter (fun (i, c) -> counts.(i) <- c) buckets;
+    let total = List.fold_left (fun acc (_, c) -> acc + c) 0 buckets in
+    match jsonl [ ("q", Telemetry.Dist { counts; total; sum = 0 }) ] with
+    | [ line ] -> List.map (field line) [ "p50"; "p90"; "p99"; "max" ]
+    | _ -> Alcotest.fail "one line expected"
+  in
+  let check what expected buckets =
+    Alcotest.(check (list string)) what expected (quantiles buckets)
+  in
+  check "empty: everything is 0" [ "0"; "0"; "0"; "0" ] [];
   (* single-value buckets (0 and 1) are exact at every quantile *)
-  let ones = Array.make 63 0 in
-  ones.(1) <- 5;
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "all-ones q=%g" q)
-        1.0
-        (Telemetry.quantile ~counts:ones ~total:5 q))
-    [ 0.01; 0.5; 0.99; 1.0 ];
+  check "all ones" [ "1"; "1"; "1"; "1" ] [ (1, 5) ];
   (* interpolation inside one wide bucket: 10 observations in [4, 7]
-     spread linearly across the bucket's range *)
-  let wide = Array.make 63 0 in
-  wide.(3) <- 10;
-  Alcotest.(check (float 1e-9)) "wide p50 interpolates" (4.0 +. (0.5 *. 3.0))
-    (Telemetry.quantile ~counts:wide ~total:10 0.5);
-  Alcotest.(check (float 1e-9)) "wide q=1 is the ceiling" 7.0
-    (Telemetry.quantile ~counts:wide ~total:10 1.0);
+     spread linearly across the bucket's range; max is the ceiling *)
+  check "wide bucket interpolates" [ "5.5"; "6.7"; "7"; "7" ] [ (3, 10) ];
   (* two buckets: rank selection crosses the boundary *)
-  let two = Array.make 63 0 in
-  two.(1) <- 2;
-  two.(3) <- 1;
-  Alcotest.(check (float 0.0)) "two-bucket p50 stays low" 1.0
-    (Telemetry.quantile ~counts:two ~total:3 0.5);
-  Alcotest.(check (float 0.0)) "two-bucket p99 reaches the top" 7.0
-    (Telemetry.quantile ~counts:two ~total:3 0.99);
-  (* out-of-range q clamps instead of raising *)
-  Alcotest.(check (float 0.0)) "q clamps below" 1.0
-    (Telemetry.quantile ~counts:two ~total:3 (-1.0));
-  Alcotest.(check (float 0.0)) "q clamps above" 7.0
-    (Telemetry.quantile ~counts:two ~total:3 2.0)
+  check "two buckets" [ "1"; "7"; "7"; "7" ] [ (1, 2); (3, 1) ]
 
+(* A live histogram's total, sum, max and p50 reach the exporters. *)
 let test_hist_accessors () =
   with_enabled true (fun () ->
-      let h = Telemetry.histogram "test.hist_accessors" in
+      let _ = Telemetry.histogram "test.hist_accessors" in
       Telemetry.reset ();
-      Alcotest.(check int) "empty total" 0 (Telemetry.hist_total h);
-      Alcotest.(check int) "empty max" 0 (Telemetry.hist_max h);
-      List.iter (Telemetry.observe h) [ 1; 1; 6; 100 ];
-      Alcotest.(check int) "total" 4 (Telemetry.hist_total h);
-      Alcotest.(check int) "sum" 108 (Telemetry.hist_sum h);
-      (* 100 lives in bucket [64, 127]: the max accessor reports the
-         bucket ceiling, an upper bound on the true maximum *)
-      Alcotest.(check int) "max is the bucket ceiling" 127
-        (Telemetry.hist_max h);
-      Alcotest.(check (float 0.0)) "p50 exact in bucket 1" 1.0
-        (Telemetry.hist_quantile h 0.5))
+      let line () = live_line "test.hist_accessors" in
+      Alcotest.(check string) "empty total" "0" (field (line ()) "total");
+      Alcotest.(check string) "empty max" "0" (field (line ()) "max");
+      List.iter
+        (Telemetry.observe (Telemetry.histogram "test.hist_accessors"))
+        [ 1; 1; 6; 100 ];
+      let line = line () in
+      Alcotest.(check string) "total" "4" (field line "total");
+      Alcotest.(check string) "sum" "108" (field line "sum");
+      (* 100 lives in bucket [64, 127]: max reports the bucket
+         ceiling, an upper bound on the true maximum *)
+      Alcotest.(check string) "max is the bucket ceiling" "127"
+        (field line "max");
+      Alcotest.(check string) "p50 exact in bucket 1" "1" (field line "p50"))
 
 let test_prometheus_golden () =
   let counts = Array.make 63 0 in
@@ -236,7 +271,7 @@ let test_prometheus_golden () =
       "# HELP spine_g_level g.level (gauge)";
       "# TYPE spine_g_level gauge";
       "spine_g_level 2.5" ]
-    (Telemetry.prometheus snap)
+    (prometheus snap)
 
 let test_instrumented_build () =
   (* end-to-end determinism: constructing the paper's running example

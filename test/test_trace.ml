@@ -26,6 +26,15 @@ let fake_clock step =
       t := !t + step;
       !t)
 
+(* an exporter's output, read back from the file it writes *)
+let exported write =
+  let path = Filename.temp_file "spine_trace" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write ~path;
+      In_channel.with_open_text path In_channel.input_all)
+
 let names () = List.map (fun e -> e.Trace.name) (Trace.events ())
 
 let test_ring_wraparound () =
@@ -107,16 +116,16 @@ let test_slow_op_retention () =
       (* raise the threshold: a 1 ms op is no longer slow *)
       Trace.set_slow_us 2_000;
       Trace.with_op "fast_enough" [] (fun () -> ());
-      match Trace.slow_ops () with
-      | [ a; b ] ->
-        Alcotest.(check string) "first slow op" "slow" a.Trace.so_name;
-        Alcotest.(check bool) "its events were recorded" true
-          a.Trace.so_sampled;
-        Alcotest.(check bool) "duration kept" true (a.Trace.so_ns >= 500_000);
+      match Trace.slow_rows () with
+      | [ [ _; a_name; a_ms; a_sampled; a_args ]; [ _; b_name; _; b_sampled; _ ] ]
+        ->
+        Alcotest.(check string) "first slow op" "slow" a_name;
+        Alcotest.(check string) "its events were recorded" "yes" a_sampled;
+        Alcotest.(check string) "duration kept" "1.000 ms" a_ms;
+        Alcotest.(check string) "args kept" "k=7" a_args;
         Alcotest.(check string) "sampled-out op retained" "slow_unsampled"
-          b.Trace.so_name;
-        Alcotest.(check bool) "marked as sampled out" false
-          b.Trace.so_sampled
+          b_name;
+        Alcotest.(check string) "marked as sampled out" "no" b_sampled
       | l -> Alcotest.failf "expected 2 slow ops, got %d" (List.length l))
 
 let test_chrome_golden () =
@@ -134,7 +143,7 @@ let test_chrome_golden () =
            \"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"s\":\"x\"}},"
         ^ "{\"name\":\"op\",\"cat\":\"spine\",\"ph\":\"E\",\"ts\":4.000,\
            \"pid\":1,\"tid\":1}]}")
-        (Trace.chrome_json ()))
+        (exported (fun ~path -> Trace.write_chrome ~path)))
 
 let test_jsonl_golden () =
   with_trace (fun () ->
@@ -146,7 +155,9 @@ let test_jsonl_golden () =
           "{\"ts_ns\":20,\"ph\":\"i\",\"name\":\"step.rib\",\"op\":1,\
            \"args\":{\"node\":3}}";
           "{\"ts_ns\":40,\"ph\":\"E\",\"name\":\"q\",\"op\":1}" ]
-        (Trace.jsonl ()))
+        (exported (fun ~path -> Trace.write_jsonl ~path)
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")))
 
 let test_instrumented_build () =
   with_trace (fun () ->

@@ -12,7 +12,7 @@ let test_clean_indexes () =
   List.iter
     (fun s ->
       let idx = Spine.Compact.of_string Bioseq.Alphabet.byte s in
-      V.check_exn idx)
+      Codes.valid (V.check idx))
     Oracles.adversarial;
   (* genomic strings *)
   for _ = 1 to 10 do
@@ -20,21 +20,18 @@ let test_clean_indexes () =
       Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng)
         (500 + Bioseq.Rng.int rng 3000)
     in
-    V.check_exn (Spine.Compact.of_seq seq)
+    Codes.valid (V.check (Spine.Compact.of_seq seq))
   done;
   (* proteins *)
   let seq =
     Bioseq.Synthetic.genomic Bioseq.Alphabet.protein (Bioseq.Rng.split rng) 3000
   in
-  V.check_exn (Spine.Compact.of_seq seq);
+  Codes.valid (V.check (Spine.Compact.of_seq seq));
   (* generalized (contains separators) *)
-  let g = Spine.Generalized.create dna in
-  ignore (Spine.Generalized.add_string g "acgtacgggt");
-  ignore (Spine.Generalized.add_string g "ttgacaccgt");
-  V.check_exn (Spine.Generalized.index g);
+  Codes.valid (V.check (Codes.generalized dna [ "acgtacgggt"; "ttgacaccgt" ]));
   (* loaded from an index file *)
   let idx = Spine.Compact.of_string dna "acgtacgtgacgtt" in
-  V.check_exn (Index_file.round_trip idx)
+  Codes.valid (V.check (Index_file.round_trip idx))
 
 (* failure injection: corrupt one field through the raw store and make
    sure the checker notices *)
