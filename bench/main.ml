@@ -112,6 +112,13 @@ let descent_input =
      let codes = Array.init 256 (Bioseq.Packed_seq.get data) in
      (codes, Spine.Engine.pattern (Lazy.force spine_engine) codes))
 
+(* a lookup's fixed cost around the descent: a 106-code window of the
+   indexed string, packed fresh per run as every engine request is *)
+let edge_codes =
+  lazy
+    (let data = eco () in
+     Array.init 106 (fun i -> Bioseq.Packed_seq.get data (1000 + i)))
+
 let occ_pattern =
   lazy
     (let data = eco () in
@@ -345,6 +352,16 @@ let tests =
            let a, b = Lazy.force protein_pair in
            Bioseq.Packed_seq.mismatch a ~apos:0 b ~bpos:0
              ~len:(Bioseq.Packed_seq.length a)))
+  ; (* a span shorter than one word: a single masked word step *)
+    Test.make ~name:"packed/short-span-mismatch-20"
+      (Staged.stage (fun () ->
+           let a, b = Lazy.force dna_pair in
+           Bioseq.Packed_seq.mismatch a ~apos:5 b ~bpos:5 ~len:20))
+  ; Test.make ~name:"packed/pattern-edge-106"
+      (Staged.stage (fun () ->
+           let e = Lazy.force spine_engine in
+           Spine.Engine.contains_pattern e
+             (Spine.Engine.pattern e (Lazy.force edge_codes))))
   ; Test.make ~name:"packed/mixed-width-fallback-64kib"
       (Staged.stage (fun () ->
            let a, b = Lazy.force mixed_pair in

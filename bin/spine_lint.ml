@@ -1,7 +1,8 @@
 (* spine-lint entry point: scan the .cmt files under a build dir and
    report rule violations.  Exit 0 when clean, 1 on unsuppressed
    findings (or, with --domains, an UNSAFE certification verdict),
-   2 on environmental failure (no build dir / no cmts). *)
+   2 on environmental failure (no build dir, no cmts, or a load path
+   that resolves under neither root). *)
 
 open Cmdliner
 

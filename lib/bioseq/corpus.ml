@@ -112,7 +112,7 @@ let find_exn name =
   | None -> invalid_arg (Printf.sprintf "Corpus.find_exn: unknown corpus %S" name)
 
 let scaled_length ~scale c =
-  max 1000 (int_of_float (float_of_int c.paper_length *. scale))
+  Int.max 1000 (int_of_float (float_of_int c.paper_length *. scale))
 
 let load ?(scale = 0.1) c =
   let n = scaled_length ~scale c in

@@ -49,19 +49,27 @@ let zero_words n =
 
 let create ?(capacity = 64) alphabet =
   let width = initial_width alphabet in
-  let wcap = max 2 ((max capacity 1 / chars_per_word width) + 2) in
+  let wcap = Int.max 2 ((Int.max capacity 1 / chars_per_word width) + 2) in
   { alphabet; words = zero_words wcap; len = 0; width }
 
 let alphabet t = t.alphabet
 let length t = t.len
 let width t = t.width
 
-let unsafe_get t i =
-  let cpw = chars_per_word t.width in
+(* The code at [i] of a row packed [cpw] codes of [width] bits per
+   word.  Callers pass the three widths' constants through a [match]
+   (see [unsafe_get]), so once inlined every division here is by a
+   constant — a multiply and a shift, never a runtime [idiv]. *)
+let[@inline] code_at (words : words) ~cpw ~width i =
   let wi = i / cpw in
-  let r = i - (wi * cpw) in
-  (Array1.unsafe_get t.words wi lsr (r * t.width))
-  land ((1 lsl t.width) - 1)
+  (Array1.unsafe_get words wi lsr ((i - (wi * cpw)) * width))
+  land ((1 lsl width) - 1)
+
+let unsafe_get t i =
+  match t.width with
+  | 2 -> code_at t.words ~cpw:31 ~width:2 i
+  | 4 -> code_at t.words ~cpw:15 ~width:4 i
+  | _ -> code_at t.words ~cpw:7 ~width:8 i
 
 let get t i =
   if i < 0 || i >= t.len then
@@ -82,7 +90,7 @@ let ensure_words t needed =
    a sequence's lifetime (2 -> 4 -> 8). *)
 let widen t nw =
   let cpw = chars_per_word nw in
-  let nwords = max 2 ((t.len + cpw - 1) / cpw + 1) in
+  let nwords = Int.max 2 ((t.len + cpw - 1) / cpw + 1) in
   let nbuf = zero_words nwords in
   for i = 0 to t.len - 1 do
     let code = unsafe_get t i in
@@ -94,28 +102,34 @@ let widen t nw =
   t.words <- nbuf;
   t.width <- nw
 
+(* OR [code] into the virgin cell [i], one word index per width as in
+   [code_at] *)
+let[@inline] put_at t ~cpw ~width i code =
+  let wi = i / cpw in
+  ensure_words t (wi + 2);
+  Array1.unsafe_set t.words wi
+    (Array1.unsafe_get t.words wi lor (code lsl ((i - (wi * cpw)) * width)))
+
 let append t code =
   if code < 0 || code > Alphabet.separator t.alphabet then
     invalid_arg "Packed_seq.append: code out of range";
   if code >= 1 lsl t.width then widen t (width_for code);
-  let cpw = chars_per_word t.width in
-  let wi = t.len / cpw in
-  let r = t.len - (wi * cpw) in
-  ensure_words t (wi + 2);
-  Array1.unsafe_set t.words wi
-    (Array1.unsafe_get t.words wi lor (code lsl (r * t.width)));
+  (match t.width with
+  | 2 -> put_at t ~cpw:31 ~width:2 t.len code
+  | 4 -> put_at t ~cpw:15 ~width:4 t.len code
+  | _ -> put_at t ~cpw:7 ~width:8 t.len code);
   t.len <- t.len + 1
 
 let append_string t s =
   String.iter (fun c -> append t (Alphabet.encode t.alphabet c)) s
 
 let of_string alphabet s =
-  let t = create ~capacity:(max 1 (String.length s)) alphabet in
+  let t = create ~capacity:(Int.max 1 (String.length s)) alphabet in
   append_string t s;
   t
 
 let of_codes alphabet codes =
-  let t = create ~capacity:(max 1 (Array.length codes)) alphabet in
+  let t = create ~capacity:(Int.max 1 (Array.length codes)) alphabet in
   Array.iter (fun c -> append t c) codes;
   t
 
@@ -126,22 +140,19 @@ let sub_string t ~pos ~len =
 
 (* --- word-at-a-time span comparison --- *)
 
-(* [usable] bits of codes starting at code index [i] (two word loads,
-   one shift-or, one mask), zero-padded past the end of the sequence.
-   Precondition: 0 <= i < t.len; the spare zero word makes the second
-   load safe even when [i] sits in the last used word. *)
-let load_word t i =
-  let width = t.width in
-  let cpw = chars_per_word width in
-  let u = cpw * width in
+(* The [cpw * width] usable bits of the codes from code index [i] on
+   (two word loads, one shift-or, one mask), zero-padded past the end
+   of the row; constant divisions as in [code_at].  Precondition:
+   0 <= i < row length; the spare zero word makes the second load safe
+   even when [i] sits in the last used word. *)
+let[@inline] load_at (words : words) ~cpw ~width i =
   let wi = i / cpw in
-  let r = i - (wi * cpw) in
-  let lo = Array1.unsafe_get t.words wi in
-  if r = 0 then lo
+  let b = (i - (wi * cpw)) * width in
+  let lo = Array1.unsafe_get words wi in
+  if b = 0 then lo
   else
-    let b = r * width in
-    ((lo lsr b) lor (Array1.unsafe_get t.words (wi + 1) lsl (u - b)))
-    land ((1 lsl u) - 1)
+    ((lo lsr b) lor (Array1.unsafe_get words (wi + 1) lsl ((cpw * width) - b)))
+    land ((1 lsl (cpw * width)) - 1)
 
 (* number of trailing zero bits; [x] must be non-zero *)
 let ntz x =
@@ -159,36 +170,48 @@ let check_span a ~apos b ~bpos ~len =
     || bpos + len > b.len
   then invalid_arg "Packed_seq.mismatch: span out of range"
 
-(* per-code tail/fallback comparison over two sequences *)
-let scalar_mismatch a ~apos b ~bpos ~len ~from ~words =
-  let k = ref from in
+(* per-code comparison of two rows of different cell widths *)
+let scalar_mismatch a ~apos b ~bpos ~len =
+  let k = ref 0 in
   let res = ref (-1) in
   while !res < 0 && !k < len do
     if unsafe_get a (apos + !k) = unsafe_get b (bpos + !k) then incr k
     else res := !k
   done;
   let m = if !res < 0 then len else !res in
-  (m, words, m - from + (if m < len then 1 else 0))
+  (m, 0, m + (if m < len then 1 else 0))
+
+(* Word-at-a-time comparison of two rows of one cell width: every step
+   XORs two windows, and the last partial window is masked to the
+   codes left, so a span of [len] codes takes at most [ceil (len / cpw)]
+   word steps and no per-code step. *)
+let[@inline] word_mismatch (aw : words) ~apos (bw : words) ~bpos ~len ~cpw
+    ~width =
+  let k = ref 0 in
+  let words = ref 0 in
+  let res = ref (-1) in
+  while !res < 0 && !k < len do
+    let x =
+      load_at aw ~cpw ~width (apos + !k) lxor load_at bw ~cpw ~width (bpos + !k)
+    in
+    let left = len - !k in
+    let x = if left < cpw then x land ((1 lsl (left * width)) - 1) else x in
+    incr words;
+    if x = 0 then k := !k + cpw else res := !k + (ntz x / width)
+  done;
+  ((if !res < 0 then len else !res), !words, 0)
 
 let mismatch a ~apos b ~bpos ~len =
   check_span a ~apos b ~bpos ~len;
   if a.width <> b.width then
     (* mixed cell widths (one sequence widened past the other): the
        packed rows are not directly comparable, fall back per code *)
-    scalar_mismatch a ~apos b ~bpos ~len ~from:0 ~words:0
-  else begin
-    let cpw = chars_per_word a.width in
-    let k = ref 0 in
-    let words = ref 0 in
-    let res = ref (-1) in
-    while !res < 0 && len - !k >= cpw do
-      let x = load_word a (apos + !k) lxor load_word b (bpos + !k) in
-      incr words;
-      if x = 0 then k := !k + cpw else res := !k + (ntz x / a.width)
-    done;
-    if !res >= 0 then (!res, !words, 0)
-    else scalar_mismatch a ~apos b ~bpos ~len ~from:!k ~words:!words
-  end
+    scalar_mismatch a ~apos b ~bpos ~len
+  else
+    match a.width with
+    | 2 -> word_mismatch a.words ~apos b.words ~bpos ~len ~cpw:31 ~width:2
+    | 4 -> word_mismatch a.words ~apos b.words ~bpos ~len ~cpw:15 ~width:4
+    | _ -> word_mismatch a.words ~apos b.words ~bpos ~len ~cpw:7 ~width:8
 
 let compare_span a ~apos b ~bpos ~len =
   let m, _, _ = mismatch a ~apos b ~bpos ~len in
@@ -196,23 +219,26 @@ let compare_span a ~apos b ~bpos ~len =
 
 (* --- patterns: pre-packed query strings --- *)
 
-(* build a row directly at a forced width; caller guarantees every
-   code fits [width] *)
+(* build a row directly at a forced width, one word at a time with a
+   running shift; caller guarantees every code fits [width] *)
 let row_of_codes alphabet ~pwidth codes =
   let cpw = chars_per_word pwidth in
+  let full = cpw * pwidth in
   let n = Array.length codes in
-  let t =
-    { alphabet; width = pwidth; len = 0;
-      words = zero_words (max 2 ((n + cpw - 1) / cpw + 1)) }
-  in
+  let words = zero_words (Int.max 2 (((n + cpw - 1) / cpw) + 1)) in
+  let wi = ref 0 and acc = ref 0 and shift = ref 0 in
   for i = 0 to n - 1 do
-    let wi = i / cpw in
-    let r = i - (wi * cpw) in
-    Array1.unsafe_set t.words wi
-      (Array1.unsafe_get t.words wi lor (Array.unsafe_get codes i lsl (r * pwidth)))
+    acc := !acc lor (Array.unsafe_get codes i lsl !shift);
+    shift := !shift + pwidth;
+    if !shift = full then begin
+      Array1.unsafe_set words !wi !acc;
+      incr wi;
+      acc := 0;
+      shift := 0
+    end
   done;
-  t.len <- n;
-  t
+  if !shift > 0 then Array1.unsafe_set words !wi !acc;
+  { alphabet; width = pwidth; len = n; words }
 
 module Pattern = struct
   type row = t
@@ -227,10 +253,13 @@ module Pattern = struct
   }
 
   let of_codes codes =
-    { codes = Array.copy codes;
-      max_code = Array.fold_left max (-1) codes;
-      min_code = Array.fold_left min 0 codes;
-      cached = None }
+    let hi = ref (-1) and lo = ref 0 in
+    for i = 0 to Array.length codes - 1 do
+      let c = Array.unsafe_get codes i in
+      if c > !hi then hi := c;
+      if c < !lo then lo := c
+    done;
+    { codes = Array.copy codes; max_code = !hi; min_code = !lo; cached = None }
 
   let length p = Array.length p.codes
   let get p i = p.codes.(i)
@@ -305,7 +334,7 @@ let of_packed_bits alphabet ~len ~width bytes =
   if Bytes.length bytes < nw * 8 then
     invalid_arg "Packed_seq.of_packed_bits: payload shorter than length";
   let umask = (1 lsl (cpw * width)) - 1 in
-  let t = { alphabet; width; len; words = zero_words (max 2 (nw + 1)) } in
+  let t = { alphabet; width; len; words = zero_words (Int.max 2 (nw + 1)) } in
   for w = 0 to nw - 1 do
     let v = ref 0 in
     for k = 0 to 7 do
@@ -332,7 +361,7 @@ let of_packed_bits alphabet ~len ~width bytes =
 
 let copy t =
   let uw = used_words t + 1 in
-  let nbuf = zero_words (max 2 uw) in
+  let nbuf = zero_words (Int.max 2 uw) in
   Array1.blit (Array1.sub t.words 0 uw) (Array1.sub nbuf 0 uw);
   { alphabet = t.alphabet; words = nbuf; len = t.len; width = t.width }
 

@@ -5,8 +5,8 @@
     a DNA separator appears, 8 for proteins/bytes) into native 63-bit
     integer words, [62 / width] codes per word — 31 DNA characters per
     word.  The scan paths compare whole words ({!mismatch},
-    {!compare_span}: XOR plus count-trailing-zeros) and fall back to
-    per-code reads only at span boundaries; {!packed_bits} is a raw
+    {!compare_span}: XOR plus count-trailing-zeros), the last partial
+    word masked to the codes left; {!packed_bits} is a raw
     dump of the words, so the persistent sequence region stores the
     row as-is with no re-packing.
 
@@ -52,14 +52,22 @@ val sub_string : t -> pos:int -> len:int -> string
 (** {2 Word-at-a-time span comparison}
 
     The hot-path primitives behind the backbone descent, the
-    matching-statistics extension and the cursor walk.  All three
-    return [(match_len, word_steps, scalar_steps)]: the length of the
-    longest common prefix of the two spans, the number of whole-word
-    comparisons performed, and the number of per-code fallback
-    comparisons performed (boundary tails, or every comparison when the
-    two rows' cell widths differ and the packed forms are not directly
-    comparable).  The step counts are deterministic for fixed inputs —
-    they feed the [word_steps]/[scalar_steps] profile counters. *)
+    matching-statistics extension and the cursor walk.  Both
+    {!mismatch} and {!mismatch_pattern} return
+    [(match_len, word_steps, scalar_steps)]: the length of the longest
+    common prefix of the two spans, the number of word comparisons
+    performed, and the number of per-code comparisons performed.  When
+    the two rows share a cell width, a span of [len] codes is compared
+    a word at a time, the last partial word masked to the codes left,
+    so it takes at most [ceil (len / codes_per_word)] word steps
+    (stopping at the word that holds the first difference) and no
+    per-code step.  Per-code steps remain only when the cell widths
+    differ (the packed forms are not directly comparable) or a
+    pattern holds a code that cannot be packed at the text's width.
+    Word indexes come from a match on the three cell widths, so no
+    comparison pays a runtime division.  The step counts are
+    deterministic for fixed inputs — they feed the
+    [word_steps]/[scalar_steps] profile counters. *)
 
 val mismatch : t -> apos:int -> t -> bpos:int -> len:int -> int * int * int
 (** [mismatch a ~apos b ~bpos ~len] compares [a.[apos..apos+len)]

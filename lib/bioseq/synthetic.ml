@@ -1,6 +1,6 @@
 let uniform alphabet rng n =
   let size = Alphabet.size alphabet in
-  let seq = Packed_seq.create ~capacity:(max 1 n) alphabet in
+  let seq = Packed_seq.create ~capacity:(Int.max 1 n) alphabet in
   for _ = 1 to n do Packed_seq.append seq (Rng.int rng size) done;
   seq
 
@@ -15,9 +15,9 @@ let make_transitions alphabet rng ~order ~skew =
   for ctx = 0 to contexts - 1 do
     let weights =
       Array.init size (fun _ ->
-          let u = max 1e-9 (Rng.float rng 1.0) in
+          let u = Float.max 1e-9 (Rng.float rng 1.0) in
           (* heavier skew -> heavier tail *)
-          u ** (1.0 /. max 1e-6 (1.0 -. skew)))
+          u ** (1.0 /. Float.max 1e-6 (1.0 -. skew)))
     in
     let total = Array.fold_left ( +. ) 0.0 weights in
     let acc = ref 0.0 in
@@ -41,7 +41,7 @@ let markov ?(order = 2) ?(skew = 0.6) alphabet rng n =
   let size = Alphabet.size alphabet in
   let table = make_transitions alphabet rng ~order ~skew in
   let contexts = Array.length table in
-  let seq = Packed_seq.create ~capacity:(max 1 n) alphabet in
+  let seq = Packed_seq.create ~capacity:(Int.max 1 n) alphabet in
   let ctx = ref 0 in
   for _ = 1 to n do
     let sym = sample_row rng table.(!ctx) in
@@ -75,7 +75,7 @@ let default_repeats =
 
 let geometric rng mean =
   (* mean of a geometric with success prob p is 1/p *)
-  let p = 1.0 /. float_of_int (max 1 mean) in
+  let p = 1.0 /. float_of_int (Int.max 1 mean) in
   let rec go n =
     if n > 50 * mean then n
     else if Rng.float rng 1.0 < p then n
@@ -89,7 +89,7 @@ let genomic ?(profile = default_repeats) alphabet rng n =
     make_transitions alphabet rng ~order:profile.order ~skew:profile.skew
   in
   let contexts = Array.length table in
-  let seq = Packed_seq.create ~capacity:(max 1 n) alphabet in
+  let seq = Packed_seq.create ~capacity:(Int.max 1 n) alphabet in
   let ctx = ref 0 in
   let emit sym =
     Packed_seq.append seq sym;
@@ -111,10 +111,10 @@ let genomic ?(profile = default_repeats) alphabet rng n =
         if Rng.float rng 1.0 < profile.clean_copy_prob then 0.0
         else profile.mutation_rate
       in
-      let seg_len = min (geometric rng mean) len_so_far in
+      let seg_len = Int.min (geometric rng mean) len_so_far in
       let src = Rng.int rng (len_so_far - seg_len + 1) in
       let budget = n - len_so_far in
-      let seg_len = min seg_len budget in
+      let seg_len = Int.min seg_len budget in
       for i = 0 to seg_len - 1 do
         let sym = Packed_seq.get seq (src + i) in
         let sym =
@@ -131,7 +131,9 @@ let genomic ?(profile = default_repeats) alphabet rng n =
 let mutate ~rate rng s =
   let alphabet = Packed_seq.alphabet s in
   let size = Alphabet.size alphabet in
-  let out = Packed_seq.create ~capacity:(max 1 (Packed_seq.length s)) alphabet in
+  let out =
+    Packed_seq.create ~capacity:(Int.max 1 (Packed_seq.length s)) alphabet
+  in
   Packed_seq.iteri s ~f:(fun _ code ->
       let code =
         if code < size && Rng.float rng 1.0 < rate then Rng.int rng size
@@ -143,7 +145,7 @@ let mutate ~rate rng s =
 let fibonacci alphabet n =
   if Alphabet.size alphabet < 2 then
     invalid_arg "Synthetic.fibonacci: alphabet too small";
-  let seq = Packed_seq.create ~capacity:(max 1 n) alphabet in
+  let seq = Packed_seq.create ~capacity:(Int.max 1 n) alphabet in
   (* iterative fibonacci-word morphism: 0 -> 01, 1 -> 0, grown in memory *)
   let prev = ref [| 0 |] and cur = ref [| 0; 1 |] in
   while Array.length !cur < n do
@@ -151,14 +153,14 @@ let fibonacci alphabet n =
     prev := !cur;
     cur := next
   done;
-  for i = 0 to min n (Array.length !cur) - 1 do
+  for i = 0 to Int.min n (Array.length !cur) - 1 do
     Packed_seq.append seq !cur.(i)
   done;
   seq
 
 let periodic alphabet ~period n =
   if String.length period = 0 then invalid_arg "Synthetic.periodic: empty period";
-  let seq = Packed_seq.create ~capacity:(max 1 n) alphabet in
+  let seq = Packed_seq.create ~capacity:(Int.max 1 n) alphabet in
   for i = 0 to n - 1 do
     let c = period.[i mod String.length period] in
     Packed_seq.append seq (Alphabet.encode alphabet c)

@@ -64,8 +64,8 @@ let rule_of_id s =
 
 let rule_doc = function
   | Poly_compare ->
-    "no polymorphic compare/=/Hashtbl.hash or polymorphic Hashtbl on \
-     hot-path libraries (lib/spine, lib/pagestore, lib/bioseq)"
+    "no polymorphic compare/=/min/max/Hashtbl.hash or polymorphic \
+     Hashtbl on hot-path libraries (lib/spine, lib/pagestore, lib/bioseq)"
   | Obj_magic -> "no Obj.magic/Obj.repr/Obj.obj in library code"
   | Catch_all -> "no catch-all `try ... with _ ->` swallowing exceptions"
   | Direct_stdout ->
@@ -233,6 +233,18 @@ let is_poly_op p =
   | Some [ "Stdlib"; op ] -> List.mem op poly_ops
   | _ -> false
 
+(* [Stdlib.min]/[Stdlib.max] are ordinary functions, not primitives the
+   compiler specialises: every call compares generically, at [int] too *)
+let classify_minmax = function
+  | [ "Stdlib"; ("min" | "max") as f ] ->
+    Some
+      (Printf.sprintf
+         "Stdlib.%s is a polymorphic function: it compares generically at \
+          every type, int included (use Int.%s, or a monomorphic \
+          comparison)"
+         f f)
+  | _ -> None
+
 (* stringly errors in the storage stack: both [failwith "..."] and the
    spelled-out [raise (Failure "...")] *)
 let classify_failwith = function
@@ -316,13 +328,16 @@ let collect_structure ~wants str =
       | Some parts -> (
         (match classify_hashtbl parts with
         | Some msg -> record Poly_compare e.exp_loc msg
-        | None ->
-          if is_poly_op p then
-            record Poly_compare e.exp_loc
-              (Printf.sprintf
-                 "polymorphic %s passed as a first-class function \
-                  (hashes/compares generically at every call)"
-                 (Path.last p)));
+        | None -> (
+          match classify_minmax parts with
+          | Some msg -> record Poly_compare e.exp_loc msg
+          | None ->
+            if is_poly_op p then
+              record Poly_compare e.exp_loc
+                (Printf.sprintf
+                   "polymorphic %s passed as a first-class function \
+                    (hashes/compares generically at every call)"
+                   (Path.last p))));
         (match classify_obj parts with
         | Some msg -> record Obj_magic e.exp_loc msg
         | None -> ());
@@ -418,27 +433,43 @@ let env_of summary =
   | exception (Envaux.Error _ | Env.Error _ | Persistent_env.Error _) -> None
   | env -> Some env
 
+(* [None] when the module type cannot be expanded to a signature: its
+   .cmi is not on the load path *)
 let sig_values env mty =
   match Env.scrape_alias env mty with
-  | exception Not_found -> []
+  | exception Not_found -> None
   | Types.Mty_signature sg ->
-    List.filter_map
-      (function Types.Sig_value (id, vd, _) -> Some (id, vd) | _ -> None)
-      sg
-  | _ -> []
+    Some
+      (List.filter_map
+         (function Types.Sig_value (id, vd, _) -> Some (id, vd) | _ -> None)
+         sg)
+  | Types.Mty_functor _ -> Some []
+  | Types.Mty_ident _ | Types.Mty_alias _ -> None
 
 (* A module passed where [target] is expected (a functor argument, a
-   packed first-class module) uses each of its values [target] names. *)
+   packed first-class module) uses each of its values [target] names;
+   [None] when either side cannot be expanded. *)
 let values_named env ~target arg =
-  let wanted = List.map (fun (id, _) -> Ident.name id) (sig_values env target) in
-  List.filter_map
-    (fun (id, (vd : Types.value_description)) ->
-      if List.mem (Ident.name id) wanted then Some vd.val_uid else None)
-    (sig_values env arg)
+  match (sig_values env target, sig_values env arg) with
+  | Some wanted, Some given ->
+    let wanted = List.map (fun (id, _) -> Ident.name id) wanted in
+    Some
+      (List.filter_map
+         (fun (id, (vd : Types.value_description)) ->
+           if List.mem (Ident.name id) wanted then Some vd.val_uid else None)
+         given)
+  | _ -> None
 
-(* the uid of every exported value [str] uses *)
+(* the uid of every exported value [str] uses, and whether some functor
+   argument or packed module could not be expanded (its uses are then
+   missing from the list) *)
 let collect_uses str =
   let used = ref [] in
+  let unresolved = ref false in
+  let add = function
+    | Some uids -> used := uids @ !used
+    | None -> unresolved := true
+  in
   let open Typedtree in
   let expr sub e =
     (match e.exp_desc with
@@ -454,9 +485,8 @@ let collect_uses str =
       in
       match (Types.get_desc e.exp_type, env_of e.exp_env) with
       | Types.Tpackage (p, _), Some env ->
-        used :=
-          values_named env ~target:(Types.Mty_ident p) (packed me).mod_type
-          @ !used
+        add (values_named env ~target:(Types.Mty_ident p) (packed me).mod_type)
+      | Types.Tpackage _, None -> unresolved := true
       | _ -> ())
     | _ -> ());
     Tast_iterator.default_iterator.expr sub e
@@ -467,17 +497,18 @@ let collect_uses str =
       match env_of me.mod_env with
       | Some env -> (
         match Env.scrape_alias env f.mod_type with
-        | exception Not_found -> ()
+        | exception Not_found -> unresolved := true
         | Types.Mty_functor (Types.Named (_, target), _) ->
-          used := values_named env ~target arg.mod_type @ !used
-        | _ -> ())
-      | None -> ())
+          add (values_named env ~target arg.mod_type)
+        | Types.Mty_functor (Types.Unit, _) -> ()
+        | _ -> unresolved := true)
+      | None -> unresolved := true)
     | _ -> ());
     Tast_iterator.default_iterator.module_expr sub me
   in
   let iter = { Tast_iterator.default_iterator with expr; module_expr } in
   iter.structure iter str;
-  !used
+  (!used, !unresolved)
 
 (* ------------------------------------------------------------------ *)
 (* Suppression comments                                                *)
@@ -649,6 +680,15 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
       let exports = ref [] in
       let users : string list Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 4096 in
       let callers_seen = ref all_paths in
+      (* the first unit whose L12 uses could not be expanded because a
+         load-path directory of it exists under neither root *)
+      let lost_dir = ref None in
+      let under_roots p =
+        if Filename.is_relative p then
+          [ Filename.concat source_root p; Filename.concat build_dir p ]
+        else [ p ]
+      in
+      let resolves p = List.exists Sys.file_exists (under_roots p) in
       List.iter
         (fun cmt_path ->
           match Cmt_format.read_cmt cmt_path with
@@ -696,18 +736,22 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
                      [build_dir] depending on the invocation, so try
                      both (a missing directory is skipped) *)
                   Load_path.init ~auto_include:Load_path.no_auto_include
-                    (List.concat_map
-                       (fun p ->
-                         if Filename.is_relative p then
-                           [ Filename.concat source_root p;
-                             Filename.concat build_dir p ]
-                         else [ p ])
-                       cmt.Cmt_format.cmt_loadpath);
+                    (List.concat_map under_roots cmt.Cmt_format.cmt_loadpath);
                   Envaux.reset_cache ();
                   if l12 then begin
                     let unit = Filename.remove_extension src in
                     if not (String.starts_with ~prefix:"lib/" src) then
                       callers_seen := true;
+                    let uses, unresolved = collect_uses str in
+                    (* uses hidden behind a load path that resolves
+                       under neither root would read as unused exports *)
+                    if unresolved && Option.is_none !lost_dir then
+                      lost_dir :=
+                        Option.map
+                          (fun dir -> (src, dir))
+                          (List.find_opt
+                             (fun p -> not (resolves p))
+                             cmt.Cmt_format.cmt_loadpath);
                     List.iter
                       (fun uid ->
                         let us =
@@ -716,7 +760,7 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
                         in
                         if not (List.mem unit us) then
                           Shape.Uid.Tbl.replace users uid (unit :: us))
-                      (collect_uses str)
+                      uses
                   end;
                   List.iter
                     (fun { r_rule; r_loc; r_msg } ->
@@ -827,13 +871,24 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
           | c -> c)
         | c -> c
       in
-      Stdlib.Ok
-        {
-          findings = List.sort order !flagged;
-          suppressed = List.sort order !waived;
-          files_scanned = !scanned;
-          certification;
-        }
+      match !lost_dir with
+      | Some (src, dir) ->
+        (* an environmental failure, not a verdict: no finding stands *)
+        Stdlib.Error
+          (Printf.sprintf
+             "unused-export cannot expand a functor argument or packed \
+              module in %s: its load path directory %S exists under \
+              neither --source-root %S nor --build-dir %S (point them at \
+              the directory the compiler ran in, e.g. _build/default)"
+             src dir source_root build_dir)
+      | None ->
+        Stdlib.Ok
+          {
+            findings = List.sort order !flagged;
+            suppressed = List.sort order !waived;
+            files_scanned = !scanned;
+            certification;
+          }
     end
   end
 

@@ -25,10 +25,12 @@ type severity = Error | Warning
 
 type rule =
   | Poly_compare
-      (** L1: no polymorphic [compare]/[=]/[Hashtbl.hash]/[Hashtbl] on
-          hot-path libraries.  Comparisons whose argument type the
-          compiler specialises (int, char, bool, unit, string, bytes,
-          float, int32, int64, nativeint) are fine. *)
+      (** L1: no polymorphic [compare]/[=]/[min]/[max]/[Hashtbl.hash]/
+          [Hashtbl] on hot-path libraries.  Comparisons whose argument
+          type the compiler specialises (int, char, bool, unit, string,
+          bytes, float, int32, int64, nativeint) are fine; [Stdlib.min]
+          and [Stdlib.max] are ordinary functions, flagged at every
+          type. *)
   | Obj_magic     (** L2: no [Obj.magic]/[Obj.repr]/[Obj.obj]. *)
   | Catch_all     (** L3: no [try ... with _ ->] swallowing exceptions. *)
   | Direct_stdout
@@ -131,8 +133,9 @@ val run :
     domain-safety pass: per-function summaries are collected from
     every library module, rule L9 fires on writes escaping the query
     surface, and [certification] is populated.  [Error _] is returned
-    only for environmental failures (unreadable build dir), never for
-    findings. *)
+    only for environmental failures (unreadable build dir, or an L12
+    functor argument or packed module whose load-path directory exists
+    under neither root), never for findings. *)
 
 val jsonl : finding list -> string list
 (** One JSON object per finding, in the style of the telemetry

@@ -289,7 +289,7 @@ let landed t page phys =
           its previous content — a torn sector write.  [keep] comes from
           user-controlled fault plans, so clamp it into the slot. *)
        let old = read_phys t page in
-       let keep = min (max 0 keep) (Bytes.length old) in
+       let keep = Int.min (Int.max 0 keep) (Bytes.length old) in
        Bytes.blit phys 0 old 0 keep;
        Some old)
 
@@ -385,7 +385,7 @@ let read_slot_any t page =
 let physical_pages t =
   match t.backend with
   | Mem pages ->
-    Xutil.Int_tbl.fold (fun page _ acc -> max acc (page + 1)) pages 0
+    Xutil.Int_tbl.fold (fun page _ acc -> Int.max acc (page + 1)) pages 0
   | File fd ->
     let size = Unix.lseek fd 0 Unix.SEEK_END in
     (size + phys_size t - 1) / phys_size t

@@ -105,7 +105,7 @@ let flip_one_bit t phys =
   let b = Bytes.copy phys in
   (* stay clear of the trailer's 4 reserved bytes: a flip there is the
      one spot integrity checking deliberately does not cover *)
-  let span = max 1 (Bytes.length b - 4) in
+  let span = Int.max 1 (Bytes.length b - 4) in
   let byte = rand_below t span in
   let bit = rand_below t 8 in
   Bytes.set b byte

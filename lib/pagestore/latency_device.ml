@@ -37,7 +37,7 @@ let delay_for t base =
       if t.config.jitter_ns <= 0 then 0
       else Xutil.Splitmix.bits62 t.rng mod (t.config.jitter_ns + 1)
     in
-    max 0 (base + jitter)
+    Int.max 0 (base + jitter)
   end
 
 let inject t ~what ~page base =
@@ -49,7 +49,7 @@ let inject t ~what ~page base =
     let ns =
       match Deadline.remaining_ns () with
       | None -> ns
-      | Some rem -> min ns (max 0 rem)
+      | Some rem -> Int.min ns (Int.max 0 rem)
     in
     if ns > 0 then begin
       t.sleep_ns ns;

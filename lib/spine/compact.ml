@@ -13,14 +13,14 @@ let append = B.append
 
 let of_seq seq =
   let t =
-    S.create ~capacity:(max 16 (Bioseq.Packed_seq.length seq))
+    S.create ~capacity:(Int.max 16 (Bioseq.Packed_seq.length seq))
       ~separator:(S.carries_separator seq) (Bioseq.Packed_seq.alphabet seq)
   in
   B.append_seq t seq;
   t
 
 let of_string alphabet s =
-  let t = create ~capacity:(max 16 (String.length s)) alphabet in
+  let t = create ~capacity:(Int.max 16 (String.length s)) alphabet in
   B.append_string t s;
   t
 

@@ -86,7 +86,8 @@ module Btab = struct
     mutable len : int;         (* bytes in use *)
   }
 
-  let create capacity = { data = Bytes.make (max capacity 8) '\000'; len = 0 }
+  let create capacity =
+    { data = Bytes.make (Int.max capacity 8) '\000'; len = 0 }
   let of_bytes data = { data; len = Bytes.length data }
 
   let used t = t.len
@@ -94,7 +95,7 @@ module Btab = struct
   let ensure t extra =
     let needed = t.len + extra in
     if needed > Bytes.length t.data then begin
-      let cap = ref (max 8 (Bytes.length t.data)) in
+      let cap = ref (Int.max 8 (Bytes.length t.data)) in
       while !cap < needed do cap := !cap * 2 done;
       let ndata = Bytes.make !cap '\000' in
       Bytes.blit t.data 0 ndata 0 t.len;
@@ -153,13 +154,13 @@ let layout_of ?(separator = false) alphabet =
      index also labels ribs with the separator code σ *)
   let size = Bioseq.Alphabet.size alphabet in
   let top_code = if separator then size else size - 1 in
-  let mf = max 4 (top_code + 1) in
+  let mf = Int.max 4 (top_code + 1) in
   let slot_capacity = [| 1; 2; 3; mf |] in
   let cl_bits =
     (* the bits [top_code] needs; 3 stays 3 (a label may straddle two
        bytes), anything above 4 takes a whole byte *)
     let rec bits b = if top_code lsr b = 0 then b else bits (b + 1) in
-    match max 1 (bits 0) with b when b <= 4 -> b | _ -> 8
+    match Int.max 1 (bits 0) with b when b <= 4 -> b | _ -> 8
   in
   let cl_area_off = Array.map (fun k -> 4 + (6 * k)) slot_capacity in
   let prt_off =
@@ -431,7 +432,7 @@ module Core (B : BYTES) = struct
     if fanout > fanout_sentinel then
       set_overflow t (fanout_key ~table ~row) fanout;
     set_lt_payload t node
-      (pack_ptr ~table ~fanout:(min fanout fanout_sentinel) ~extrib ~row)
+      (pack_ptr ~table ~fanout:(Int.min fanout fanout_sentinel) ~extrib ~row)
 
   let row_anchor t table row =
     Xutil.Int_tbl.find t.anchors (anchor_key ~table ~row)

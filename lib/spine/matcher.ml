@@ -79,7 +79,8 @@ module Make (S : Store_sig.S) = struct
         st.nodes <- st.nodes + 1;
         Probe.step Probe.extrib ~node:cur ~dest:edest;
         chase edest
-          (if eprt = rib_pt && eanchor = rib_dest then max best ept else best)
+          (if eprt = rib_pt && eanchor = rib_dest then Int.max best ept
+           else best)
     in
     chase rib_dest rib_pt
 
@@ -121,7 +122,7 @@ module Make (S : Store_sig.S) = struct
           | None -> None
           | Some (dest, pt) ->
             let maxpt = max_threshold st ~rib_dest:dest ~rib_pt:pt in
-            let k = min (st.len - 1) maxpt in
+            let k = Int.min (st.len - 1) maxpt in
             if k > lel then Some (dest_for st ~rib_dest:dest ~rib_pt:pt k, k)
             else None
         in
@@ -154,7 +155,7 @@ module Make (S : Store_sig.S) = struct
   let bulk_extend st q i =
     let t = st.t in
     let limit =
-      min (Bioseq.Packed_seq.length q - i) (S.length t - st.v)
+      Int.min (Bioseq.Packed_seq.length q - i) (S.length t - st.v)
     in
     if limit <= 0 then 0
     else begin
@@ -171,7 +172,7 @@ module Make (S : Store_sig.S) = struct
 
   let matching_statistics t q =
     let m = Bioseq.Packed_seq.length q in
-    let ms = Array.make (max m 1) 0 in
+    let ms = Array.make (Int.max m 1) 0 in
     let st = make t in
     let i = ref 0 in
     while !i < m do
@@ -195,8 +196,8 @@ module Make (S : Store_sig.S) = struct
      backbone scan (Section 4's batched target-node-buffer strategy). *)
   let maximal_matches ?(immediate = false) t ~threshold q =
     let m = Bioseq.Packed_seq.length q in
-    let ms = Array.make (max m 1) 0 in
-    let end_node = Array.make (max m 1) (-1) in
+    let ms = Array.make (Int.max m 1) 0 in
+    let end_node = Array.make (Int.max m 1) (-1) in
     let st = make t in
     let i = ref 0 in
     while !i < m do

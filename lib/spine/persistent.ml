@@ -194,7 +194,7 @@ let table_bytes ~page_size tab =
   let out = Bytes.create used in
   let off = ref 0 in
   while !off < used do
-    let len = min page_size (used - !off) in
+    let len = Int.min page_size (used - !off) in
     Paged_bytes.read_record tab ~off:!off ~len (fun b pos ->
         Bytes.blit b pos out !off len);
     off := !off + len
@@ -226,7 +226,7 @@ let dev_write_pages ?(pos = 0) ?len device page src =
         (Array.init n (fun k ->
              let off = (i + k) * ps in
              let b = Bytes.make ps '\000' in
-             Bytes.blit src (pos + off) b 0 (min ps (len - off));
+             Bytes.blit src (pos + off) b 0 (Int.min ps (len - off));
              b)))
 
 (* --- preimage journal ---
@@ -295,7 +295,7 @@ let journal_capture j pages =
   in
   let device = j.j_device in
   let capacity = journal_entries device in
-  let m = min (Array.length pages) (capacity - j.j_next) in
+  let m = Int.min (Array.length pages) (capacity - j.j_next) in
   if m > 0 then begin
     let ps = Pagestore.Device.page_size device in
     let phys = Pagestore.Device.phys_size device in
@@ -484,7 +484,7 @@ let slot_bytes device slot n =
   let page = ref (slot_base slot) in
   while !pos < n do
     let b = Pagestore.Device.read device !page in
-    let chunk = min page_size (n - !pos) in
+    let chunk = Int.min page_size (n - !pos) in
     Bytes.blit b 0 out !pos chunk;
     pos := !pos + chunk;
     incr page
@@ -574,7 +574,7 @@ let first_slot_page raw ps =
   ps + 12 <= len
   && String.equal (Bytes.sub_string raw ps 4) "SPCK"
   && Xutil.Crc32c.digest raw ~pos:0 ~len:(ps + 8) = get_u32 raw (ps + 8)
-  && String.init 4 (fun k -> Char.chr (max 0 (byte k))) = meta_magic
+  && String.init 4 (fun k -> Char.chr (Int.max 0 (byte k))) = meta_magic
   && u32 4 = meta_version
   && u32 28 = ps
 
@@ -594,7 +594,7 @@ let recorded_page_size path =
     let slot_b ps =
       let base = slot_base 1 * (ps + 16) in
       Bytes.equal (file_bytes fd base 1) (Bytes.of_string "S")
-      && first_slot_page (file_bytes fd base (max (ps + 16) (32 * 17))) ps
+      && first_slot_page (file_bytes fd base (Int.max (ps + 16) (32 * 17))) ps
     in
     match scan 1 (first_slot_page head) with
     | Some ps -> Some ps
@@ -658,7 +658,7 @@ let put_side_record tab table key v =
   Paged_bytes.set_u32 tab off (key land 0xFFFF_FFFF);
   Paged_bytes.set_u16 tab (off + 4) (key lsr 32);
   Paged_bytes.set_u16 tab (off + 6) flags;
-  Paged_bytes.set_u32 tab (off + 8) (max v 0)
+  Paged_bytes.set_u32 tab (off + 8) (Int.max v 0)
 
 (* Rewrite the log from the tables as they stand, one record per live
    entry, into the half the committed records are not in.  Nothing
@@ -838,7 +838,7 @@ let recover ?(retune = true) device =
          @ List.map (fun c -> c.sm_commit_epoch) valid
        in
        Pagestore.Device.set_max_valid_epoch device m.sm_commit_epoch;
-       Pagestore.Device.set_epoch device (List.fold_left max 0 hints + 2)
+       Pagestore.Device.set_epoch device (List.fold_left Int.max 0 hints + 2)
      | None -> ());
   (slots, newest)
 
@@ -862,7 +862,9 @@ let hole_run_limit = 64
 let scan_region ?(from = 0) ?(committed = 0) device r =
   let base = r.first + from in
   let cap = Pagestore.Device.physical_pages device in
-  let limit = min (r.span - from) (max (cap - base) (committed - from)) in
+  let limit =
+    Int.min (r.span - from) (Int.max (cap - base) (committed - from))
+  in
   let ok = ref 0 and unwritten = ref 0 in
   let damaged = ref [] and stale = ref [] in
   let holes = ref 0 in
@@ -1025,7 +1027,7 @@ let flush_internal t ~clean =
   Telemetry.with_span s_flush (fun () ->
       if
         side_records t
-        > max side_compact_floor
+        > Int.max side_compact_floor
             (2 * (Xutil.Int_tbl.length t.core.P.overflow
                   + Xutil.Int_tbl.length t.core.P.anchors))
       then compact_side t;

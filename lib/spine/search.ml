@@ -64,7 +64,7 @@ let scratch_marks nodes =
   let r = Domain.DLS.get marks_key in
   let need = (nodes + 7) lsr 3 in
   if Bytes.length !r < need then
-    r := Bytes.make (max need (2 * Bytes.length !r)) '\000';
+    r := Bytes.make (Int.max need (2 * Bytes.length !r)) '\000';
   !r
 
 (* A result buffer's end nodes, each shifted by [-shift], as one
@@ -125,7 +125,7 @@ module Make (S : Store_sig.S) = struct
     let rec go node pl pos =
       if pos >= m then (node, pos)
       else begin
-        let limit = min (m - pos) (n - node) in
+        let limit = Int.min (m - pos) (n - node) in
         let run, words, scalars =
           if limit > 0 then
             Bioseq.Packed_seq.mismatch_pattern seq ~pos:node p ~ppos:pos
@@ -207,7 +207,7 @@ module Make (S : Store_sig.S) = struct
          raise e);
       (* one batched bump covers the whole scan: it covered exactly
          [S.length t - min_first] nodes *)
-      let covered = max 0 (S.length t - !min_first) in
+      let covered = Int.max 0 (S.length t - !min_first) in
       Probe.add Probe.scan_nodes covered;
       if tr then Trace.end_span ()
     end;

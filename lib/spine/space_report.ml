@@ -38,11 +38,11 @@ let index_bytes t =
     0 t.components
 
 let bytes_per_char t =
-  float_of_int (index_bytes t) /. float_of_int (max 1 t.chars)
+  float_of_int (index_bytes t) /. float_of_int (Int.max 1 t.chars)
 
 let rows t =
-  let total = max 1 (total_bytes t) in
-  let chars = max 1 t.chars in
+  let total = Int.max 1 (total_bytes t) in
+  let chars = Int.max 1 t.chars in
   List.map
     (fun c ->
       [ c.comp;

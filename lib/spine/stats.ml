@@ -63,7 +63,7 @@ module Make (S : Store_sig.S) = struct
       let fanout =
         ribs + (match S.find_extrib t node with Some _ -> 1 | None -> 0)
       in
-      let fanout = min fanout max_fanout in
+      let fanout = Int.min fanout max_fanout in
       counts.(fanout) <- counts.(fanout) + 1
     done;
     counts
@@ -87,7 +87,7 @@ module Make (S : Store_sig.S) = struct
     if n > 0 then
       for node = 1 to n do
         let d = S.link_dest t node in
-        let b = min (buckets - 1) (d * buckets / (n + 1)) in
+        let b = Int.min (buckets - 1) (d * buckets / (n + 1)) in
         counts.(b) <- counts.(b) + 1
       done;
     counts

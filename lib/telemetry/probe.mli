@@ -42,8 +42,9 @@ val word_steps : event
 val scalar_steps : event
 (** [search.word_steps] and [search.scalar_steps]: the compares of the
     word-packed vertebra runs, whole-word (each covering up to
-    [62 / width] characters) and per-character (span
-    tails, mixed-width rows). *)
+    [62 / width] characters, a span's last partial word masked) and
+    per-character (rows of mixed cell widths, unpackable pattern
+    codes). *)
 
 val descent : event
 (** Characters descended along valid paths.  Profile only: no global

@@ -182,6 +182,186 @@ let test_packed_pattern_oracle () =
   let m, _, _ = Bioseq.Packed_seq.mismatch_pattern s ~pos:0 p ~ppos:0 ~len:2 in
   Alcotest.(check int) "unpackable codes match nothing" 0 m
 
+(* one alphabet packing at each cell width: 4 symbols at 2 bits, 10 at
+   4 bits, 20 at 8 bits *)
+let cell_widths =
+  [ (2, Bioseq.Alphabet.dna); (4, Bioseq.Alphabet.make "abcdefghij");
+    (8, Bioseq.Alphabet.protein) ]
+
+(* per-code reference: the first position where the spans differ *)
+let reference_mismatch get_a apos get_b bpos len =
+  let rec go j =
+    if j < len && get_a (apos + j) = get_b (bpos + j) then go (j + 1) else j
+  in
+  go 0
+
+let test_packed_span_residues () =
+  (* [mismatch] and [mismatch_pattern] against the per-code reference at
+     every cell width, every start residue of both spans modulo the
+     codes per word, every span length 0..3*cpw+1 and every position
+     of the first difference; same-width spans never take a per-code
+     step, and stop at the word holding the first difference *)
+  List.iter
+    (fun (width, a) ->
+      let cpw = 62 / width in
+      let size = Bioseq.Alphabet.size a in
+      let rng = Bioseq.Rng.create (100 + width) in
+      let max_len = (3 * cpw) + 1 in
+      let check row ~apos b p ~bpos ~len ~expect =
+        let words =
+          if expect < len then (expect / cpw) + 1 else (len + cpw - 1) / cpw
+        in
+        let agree f (m, w, sc) =
+          if m <> expect || w <> words || sc <> 0 then
+            Alcotest.failf
+              "%s at width %d, apos %d, bpos %d, len %d: (%d, %d, %d), \
+               reference (%d, %d, 0)"
+              f width apos bpos len m w sc expect words
+        in
+        agree "mismatch" (Bioseq.Packed_seq.mismatch row ~apos b ~bpos ~len);
+        agree "mismatch_pattern"
+          (Bioseq.Packed_seq.mismatch_pattern row ~pos:apos p ~ppos:bpos ~len)
+      in
+      (* [b] holds [base] shifted right by [off], one code changed
+         every [period] codes; [period] is 1 mod cpw, so the k-th change
+         sits at residue k and a span starting [d] codes before one of
+         them covers every (start residue, first difference) pair *)
+      let period = (4 * cpw) + 1 in
+      let n = (cpw + 2) * period in
+      let base = Array.init n (fun _ -> Bioseq.Rng.int rng size) in
+      let row = Bioseq.Packed_seq.of_codes a base in
+      Alcotest.(check int) "cell width" width (Bioseq.Packed_seq.width row);
+      for off = 0 to cpw - 1 do
+        let bcodes =
+          Array.init (n + off) (fun i ->
+              if i < off then Bioseq.Rng.int rng size
+              else
+                let j = i - off in
+                if j > 0 && j mod period = 0 then (base.(j) + 1) mod size
+                else base.(j))
+        in
+        let b = Bioseq.Packed_seq.of_codes a bcodes in
+        let p = Bioseq.Packed_seq.Pattern.of_codes bcodes in
+        (* the per-code reference for every start at once: [agree.(x)]
+           codes match from [x] in [row] and [x + off] in [b] *)
+        let agree = Array.make (n + 1) 0 in
+        for x = n - 1 downto 0 do
+          if Bioseq.Packed_seq.get row x = Bioseq.Packed_seq.get b (x + off)
+          then agree.(x) <- agree.(x + 1) + 1
+        done;
+        for k = 1 to cpw do
+          for len = 0 to max_len do
+            for d = 0 to len do
+              let apos = (k * period) - d in
+              check row ~apos b p ~bpos:(apos + off) ~len
+                ~expect:(Int.min agree.(apos) len)
+            done
+          done
+        done
+      done;
+      (* spans that end on both rows' last code, the first difference
+         at each position of the span or past it *)
+      let la = max_len + 2 in
+      let tail = Array.sub base 0 la in
+      let short = Bioseq.Packed_seq.of_codes a tail in
+      for off = 0 to cpw - 1 do
+        let lead = Array.init off (fun _ -> Bioseq.Rng.int rng size) in
+        for len = 0 to max_len do
+          for d = 0 to len do
+            let bcodes = Array.append lead tail in
+            let at = off + la - len + d in
+            if d < len then bcodes.(at) <- (bcodes.(at) + 1) mod size;
+            let b = Bioseq.Packed_seq.of_codes a bcodes in
+            let p = Bioseq.Packed_seq.Pattern.of_codes bcodes in
+            let apos = la - len and bpos = off + la - len in
+            check short ~apos b p ~bpos ~len
+              ~expect:
+                (reference_mismatch (Bioseq.Packed_seq.get short) apos
+                   (Bioseq.Packed_seq.get b) bpos len)
+          done
+        done
+      done)
+    cell_widths
+
+let test_pattern_code_bounds () =
+  (* a pattern packs at the text's width exactly when its codes span
+     [0, 2^width): checked against a reference fold through the path
+     [mismatch_pattern] takes (word steps, or per-code steps only) *)
+  List.iter
+    (fun (width, a) ->
+      let size = Bioseq.Alphabet.size a in
+      let rng = Bioseq.Rng.create (200 + width) in
+      let text =
+        Bioseq.Packed_seq.of_codes a
+          (Array.init 64 (fun _ -> Bioseq.Rng.int rng size))
+      in
+      let check codes =
+        let n = Array.length codes in
+        let p = Bioseq.Packed_seq.Pattern.of_codes codes in
+        Alcotest.(check int) "pattern length" n
+          (Bioseq.Packed_seq.Pattern.length p);
+        let lo = Array.fold_left Int.min 0 codes in
+        let hi = Array.fold_left Int.max (-1) codes in
+        let packs = lo >= 0 && hi < 1 lsl width in
+        let expect =
+          reference_mismatch (Bioseq.Packed_seq.get text) 0 (Array.get codes) 0
+            n
+        in
+        let m, words, scalars =
+          Bioseq.Packed_seq.mismatch_pattern text ~pos:0 p ~ppos:0 ~len:n
+        in
+        let what =
+          Printf.sprintf "width %d codes [%s]" width
+            (String.concat ";" (Array.to_list (Array.map string_of_int codes)))
+        in
+        Alcotest.(check int) ("match length " ^ what) expect m;
+        Alcotest.(check bool) ("packed iff the codes fit " ^ what)
+          (n > 0 && packs) (words > 0);
+        Alcotest.(check int) ("per-code steps " ^ what)
+          (if packs then 0 else m + if m < n then 1 else 0)
+          scalars
+      in
+      check [||];
+      List.iter
+        (fun c -> check [| c |])
+        [ -1; 0; size - 1; (1 lsl width) - 1; 1 lsl width; 300 ];
+      for _ = 1 to 300 do
+        let n = 1 + Bioseq.Rng.int rng 40 in
+        let codes = Array.init n (fun _ -> Bioseq.Rng.int rng size) in
+        (* at most one code outside the cell, in any slot *)
+        (match Bioseq.Rng.int rng 3 with
+        | 0 ->
+          codes.(Bioseq.Rng.int rng n) <- (1 lsl width) + Bioseq.Rng.int rng 4
+        | 1 -> codes.(Bioseq.Rng.int rng n) <- -1 - Bioseq.Rng.int rng 3
+        | _ -> ());
+        check codes
+      done)
+    cell_widths
+
+let test_pattern_row_words () =
+  (* a pattern's packed row holds the same words as its codes appended
+     to a fresh sequence: compared from code 0, both rows' words line
+     up, so every word step must XOR to zero *)
+  List.iter
+    (fun (width, a) ->
+      let cpw = 62 / width in
+      let size = Bioseq.Alphabet.size a in
+      let rng = Bioseq.Rng.create (300 + width) in
+      for n = 0 to (3 * cpw) + 2 do
+        let codes = Array.init n (fun _ -> Bioseq.Rng.int rng size) in
+        let fresh = Bioseq.Packed_seq.create a in
+        Array.iter (Bioseq.Packed_seq.append fresh) codes;
+        let p = Bioseq.Packed_seq.Pattern.of_codes codes in
+        for ppos = 0 to n do
+          let len = n - ppos in
+          Alcotest.(check (triple int int int))
+            (Printf.sprintf "width %d n %d from %d" width n ppos)
+            (len, (len + cpw - 1) / cpw, 0)
+            (Bioseq.Packed_seq.mismatch_pattern fresh ~pos:ppos p ~ppos ~len)
+        done
+      done)
+    cell_widths
+
 let test_rng_determinism () =
   let a = Bioseq.Rng.create 42 and b = Bioseq.Rng.create 42 in
   for _ = 1 to 100 do
@@ -334,4 +514,10 @@ let suite =
       test_fibonacci_and_periodic
   ; Alcotest.test_case "mutation rate" `Quick test_mutate_rate
   ; Alcotest.test_case "corpus profiles" `Quick test_corpus
+  ; Alcotest.test_case "packed spans at every residue and width" `Quick
+      test_packed_span_residues
+  ; Alcotest.test_case "pattern code bounds vs fold" `Quick
+      test_pattern_code_bounds
+  ; Alcotest.test_case "pattern row words vs appended row" `Quick
+      test_pattern_row_words
   ]
