@@ -80,7 +80,8 @@ let rule_doc = function
      library code; time through Xutil.Stopwatch's monotonic clock"
   | Bare_failwith ->
     "no bare failwith/Failure raises in the typed-error storage stack \
-     (lib/pagestore, lib/spine/persistent.ml); raise a typed \
+     (lib/pagestore; persistent, region_map, meta_slot, \
+     preimage_journal and side_log in lib/spine); raise a typed \
      Spine_error instead"
   | Shared_mutation ->
     "no write reachable from the engine's query surface may touch \
@@ -131,9 +132,14 @@ let hot_prefixes = [ "lib/spine/"; "lib/pagestore/"; "lib/bioseq/" ]
 let stdout_exempt = [ "lib/report/"; "lib/telemetry/" ]
 let mli_prefixes = [ "lib/spine/"; "lib/pagestore/" ]
 
-(* the storage vertical that raises typed Spine_error values *)
+(* the storage vertical that raises typed Spine_error values: the
+   page store and the modules of the persistent index file *)
 let typed_error_prefixes =
-  [ "lib/pagestore/"; "lib/spine/persistent.ml" ]
+  "lib/pagestore/"
+  :: List.map
+       (fun m -> "lib/spine/" ^ m ^ ".ml")
+       [ "persistent"; "region_map"; "meta_slot"; "preimage_journal";
+         "side_log" ]
 
 let starts_with_any prefixes file =
   List.exists (fun p -> String.starts_with ~prefix:p file) prefixes
@@ -256,24 +262,31 @@ let classify_failwith = function
 
 (* cmt files store environments as summaries; rebuild enough of the
    typing env (from the load path recorded at compile time) to expand
-   aliases like [Xutil.Int_tbl.key = int] before judging a comparison *)
+   aliases like [Xutil.Int_tbl.key = int] before judging a comparison.
+   [None] when the env cannot be rebuilt or the expanded head's
+   declaration cannot be found: a .cmi on the load path is missing, so
+   an alias that would expand to [int] reads as opaque. *)
 let expand_type env ty =
   match Envaux.env_of_only_summary env with
-  | exception Envaux.Error _ -> ty
-  | exception Env.Error _ -> ty
-  | exception Persistent_env.Error _ -> ty
+  | exception (Envaux.Error _ | Env.Error _ | Persistent_env.Error _) -> None
   | env -> (
-    match Ctype.expand_head env ty with
-    | ty' -> ty'
-    | exception Ctype.Cannot_expand -> ty
-    | exception Ctype.Escape _ -> ty
-    | exception Env.Error _ -> ty
-    | exception Persistent_env.Error _ -> ty)
+    let ty' =
+      match Ctype.expand_head env ty with
+      | ty' -> Some ty'
+      | exception (Ctype.Cannot_expand | Ctype.Escape _) -> Some ty
+      | exception (Env.Error _ | Persistent_env.Error _) -> None
+    in
+    match Option.map Types.get_desc ty' with
+    | Some (Types.Tconstr (p, _, _)) -> (
+      match Env.find_type p env with
+      | _ -> ty'
+      | exception (Not_found | Env.Error _ | Persistent_env.Error _) -> None)
+    | _ -> ty')
 
 (* argument types at which the compiler emits a specialised (non-
    generic) comparison: flagging [a = b] on ints would be noise *)
-let specializable env ty =
-  match Types.get_desc (expand_type env ty) with
+let specializable ty =
+  match Types.get_desc ty with
   | Types.Tconstr (p, [], _) ->
     List.exists (Path.same p)
       [ Predef.path_int; Predef.path_char; Predef.path_bool;
@@ -291,6 +304,8 @@ type raw = { r_rule : rule; r_loc : Location.t; r_msg : string }
 
 let collect_structure ~wants str =
   let found = ref [] in
+  (* a comparison whose argument type could not be expanded *)
+  let unresolved = ref false in
   let record r_rule loc r_msg =
     if wants r_rule then found := { r_rule; r_loc = loc; r_msg } :: !found
   in
@@ -310,17 +325,22 @@ let collect_structure ~wants str =
             args
         in
         (match first_arg with
-        | Some a when specializable a.exp_env a.exp_type -> ()
-        | Some a ->
-          record Poly_compare f.exp_loc
-            (Printf.sprintf
-               "polymorphic %s at type %s drops to the generic runtime \
-                comparison (compare via a monomorphic function)"
-               (Path.last p)
-               (type_to_string a.exp_type))
         | None ->
           record Poly_compare f.exp_loc
-            (Printf.sprintf "polymorphic %s" (Path.last p)))
+            (Printf.sprintf "polymorphic %s" (Path.last p))
+        | Some a when specializable a.exp_type -> ()
+        | Some a -> (
+          match expand_type a.exp_env a.exp_type with
+          | Some ty when specializable ty -> ()
+          | expanded ->
+            if Option.is_none expanded && wants Poly_compare then
+              unresolved := true;
+            record Poly_compare f.exp_loc
+              (Printf.sprintf
+                 "polymorphic %s at type %s drops to the generic runtime \
+                  comparison (compare via a monomorphic function)"
+                 (Path.last p)
+                 (type_to_string a.exp_type))))
       | _ -> ())
     | Texp_ident (p, _, _) when not (Hashtbl.mem cleared e.exp_loc) -> (
       match path_parts p with
@@ -380,7 +400,7 @@ let collect_structure ~wants str =
   in
   let iter = { Tast_iterator.default_iterator with expr } in
   iter.structure iter str;
-  List.rev !found
+  (List.rev !found, !unresolved)
 
 (* ------------------------------------------------------------------ *)
 (* L12: exports and their uses                                         *)
@@ -680,8 +700,10 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
       let exports = ref [] in
       let users : string list Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 4096 in
       let callers_seen = ref all_paths in
-      (* the first unit whose L12 uses could not be expanded because a
-         load-path directory of it exists under neither root *)
+      (* the first unit where a rule could not expand what it judges
+         (L12: a functor argument or packed module; L1: the type of a
+         comparison) because a load-path directory of the unit exists
+         under neither root, with what the rule could not expand *)
       let lost_dir = ref None in
       let under_roots p =
         if Filename.is_relative p then
@@ -689,6 +711,13 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
         else [ p ]
       in
       let resolves p = List.exists Sys.file_exists (under_roots p) in
+      let lose ~what src (cmt : Cmt_format.cmt_infos) =
+        if Option.is_none !lost_dir then
+          lost_dir :=
+            Option.map
+              (fun dir -> (what, src, dir))
+              (List.find_opt (fun p -> not (resolves p)) cmt.cmt_loadpath)
+      in
       List.iter
         (fun cmt_path ->
           match Cmt_format.read_cmt cmt_path with
@@ -745,13 +774,11 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
                     let uses, unresolved = collect_uses str in
                     (* uses hidden behind a load path that resolves
                        under neither root would read as unused exports *)
-                    if unresolved && Option.is_none !lost_dir then
-                      lost_dir :=
-                        Option.map
-                          (fun dir -> (src, dir))
-                          (List.find_opt
-                             (fun p -> not (resolves p))
-                             cmt.Cmt_format.cmt_loadpath);
+                    if unresolved then
+                      lose src cmt
+                        ~what:
+                          "unused-export cannot expand a functor argument \
+                           or packed module";
                     List.iter
                       (fun uid ->
                         let us =
@@ -762,6 +789,12 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
                           Shape.Uid.Tbl.replace users uid (unit :: us))
                       uses
                   end;
+                  let raws, unresolved = collect_structure ~wants str in
+                  (* a comparison type hidden behind such a load path
+                     would read as polymorphic *)
+                  if unresolved then
+                    lose src cmt
+                      ~what:"poly-compare cannot expand the type of a comparison";
                   List.iter
                     (fun { r_rule; r_loc; r_msg } ->
                       let pos = r_loc.Location.loc_start in
@@ -769,7 +802,7 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
                         ( pos.Lexing.pos_lnum,
                           pos.Lexing.pos_cnum - pos.Lexing.pos_bol )
                         src r_msg)
-                    (collect_structure ~wants str);
+                    raws;
                   if
                     feeds_summaries || wants Global_mutable
                     || wants Unguarded_unsafe
@@ -872,15 +905,14 @@ let run ?(all_paths = false) ?(demote = []) ?(only = []) ?(except = [])
         | c -> c
       in
       match !lost_dir with
-      | Some (src, dir) ->
+      | Some (what, src, dir) ->
         (* an environmental failure, not a verdict: no finding stands *)
         Stdlib.Error
           (Printf.sprintf
-             "unused-export cannot expand a functor argument or packed \
-              module in %s: its load path directory %S exists under \
-              neither --source-root %S nor --build-dir %S (point them at \
-              the directory the compiler ran in, e.g. _build/default)"
-             src dir source_root build_dir)
+             "%s in %s: its load path directory %S exists under neither \
+              --source-root %S nor --build-dir %S (point them at the \
+              directory the compiler ran in, e.g. _build/default)"
+             what src dir source_root build_dir)
       | None ->
         Stdlib.Ok
           {

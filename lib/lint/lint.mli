@@ -47,9 +47,11 @@ type rule =
           clock. *)
   | Bare_failwith
       (** L8: no bare [failwith]/[Failure] raises in the typed-error
-          storage stack ([lib/pagestore] and
-          [lib/spine/persistent.ml]); failures there are typed
-          [Spine_error.Error] values. *)
+          storage stack ([lib/pagestore], and the modules of the
+          persistent index file in [lib/spine]: [persistent.ml],
+          [region_map.ml], [meta_slot.ml], [preimage_journal.ml] and
+          [side_log.ml]); failures there are typed [Spine_error.Error]
+          values. *)
   | Shared_mutation
       (** L9: no write reachable from the engine's query surface
           (the read operations rooted in [lib/spine]) may touch state
@@ -134,8 +136,9 @@ val run :
     every library module, rule L9 fires on writes escaping the query
     surface, and [certification] is populated.  [Error _] is returned
     only for environmental failures (unreadable build dir, or an L12
-    functor argument or packed module whose load-path directory exists
-    under neither root), never for findings. *)
+    functor argument or packed module, or an L1 comparison's argument
+    type, that cannot be expanded because a load-path directory of its
+    unit exists under neither root), never for findings. *)
 
 val jsonl : finding list -> string list
 (** One JSON object per finding, in the style of the telemetry

@@ -195,9 +195,17 @@ let run_pages ~written dev page datas =
       written j
     done
 
-let write_run dev page datas =
-  iter_runs (Array.length datas) ~page:(fun k -> page + k) (fun i n ->
-      run_pages ~written:ignore dev (page + i) (Array.sub datas i n))
+(* Only one run's pages are copied at a time. *)
+let write_pages ?(pos = 0) ?len dev page src =
+  let len = Option.value len ~default:(Bytes.length src - pos) in
+  let ps = Device.page_size dev in
+  iter_runs ((len + ps - 1) / ps) ~page:(fun k -> page + k) (fun i n ->
+      run_pages ~written:ignore dev (page + i)
+        (Array.init n (fun k ->
+             let off = (i + k) * ps in
+             let b = Bytes.make ps '\000' in
+             Bytes.blit src (pos + off) b 0 (Int.min ps (len - off));
+             b)))
 
 let unlink t f =
   let p = t.prev.(f) and n = t.next.(f) in

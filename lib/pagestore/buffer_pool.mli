@@ -75,15 +75,17 @@ val iter_runs : int -> page:(int -> int) -> (int -> int -> unit) -> unit
 (** [iter_runs n ~page f] splits items [0 .. n - 1], whose pages
     [page k] ascend, into runs of consecutive pages at most 64 long,
     and calls [f i len] for each, in order: the runs {!flush} and
-    {!write_run} hand the device. *)
+    {!write_pages} hand the device. *)
 
-val write_run : Device.t -> int -> Bytes.t array -> unit
-(** [write_run dev p datas] writes [datas.(k)] as page [p + k], as
-    {!Device.write_run}s of up to 64 pages under the same retry policy
-    as {!with_page}: one positioned write per run while nothing
-    fails; from a page whose write fails on, page by page, each page
-    with the full budget (the failed run counts as that page's first
-    attempt). *)
+val write_pages : ?pos:int -> ?len:int -> Device.t -> int -> Bytes.t -> unit
+(** [write_pages dev p src] writes [len] bytes of [src] from [pos] on
+    (default: all of it) straight to the device, bypassing any pool,
+    as consecutive pages from [p] on, the last page's tail zeroed as a
+    fresh page is.  They go as {!Device.write_run}s of up to 64 pages
+    under the same retry policy as {!with_page}: one positioned write
+    per run while nothing fails; from a page whose write fails on, page
+    by page, each page with the full budget (the failed run counts as
+    that page's first attempt). *)
 
 val dirty_pages : t -> int array
 (** The pages of the dirty frames, ascending: what {!flush} will
@@ -94,7 +96,7 @@ val dirty_pages : t -> int array
 val flush : t -> unit
 (** Write back every dirty frame, in page order: each stretch of up to
     64 consecutive dirty pages goes to the device as one
-    {!write_run}.  The writeback hook still runs for every page before
+    {!Device.write_run}.  The writeback hook still runs for every page before
     its run is written, and a transient error retries page by page, so
     fault plans, device stats and probes count pages as single
     writebacks would. *)

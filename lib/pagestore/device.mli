@@ -68,6 +68,12 @@ val phys_size : t -> int
 (** Bytes per physical slot: [page_size] plus the trailer when
     checksummed. *)
 
+val get_u32 : Bytes.t -> int -> int
+val set_u32 : Bytes.t -> int -> int -> unit
+(** The little-endian unsigned 32-bit field at a byte offset of a page
+    image: the codec of the trailer, and of every header a page owner
+    lays out in the data ([set_u32] stores [v land 0xFFFF_FFFF]). *)
+
 val read : t -> int -> Bytes.t
 (** [read dev p] returns a copy of page [p]'s contents (zero-filled if
     never written). Counts one read.

@@ -33,7 +33,7 @@ let build ?(config = default_config) seq =
   let device = simulated_device config in
   let pool =
     Pagestore.Buffer_pool.create
-      ~pin:(Paged_store.pin_top_lt config.pin_top_lt_pages)
+      ~pin:(Region_map.pin_top_lt config.pin_top_lt_pages)
       ~replacement:config.replacement ~frames:config.frames device
   in
   let store = Paged_store.create pool (Bioseq.Packed_seq.alphabet seq) in

@@ -9,16 +9,18 @@
     suited to ("due to the simple linearity of SPINE's structure, it is
     easy to develop efficient buffering policies").
 
-    File layout (page regions, sparse, declared once in a region table;
-    docs/ROBUSTNESS.md, "Region table", lists it): a metadata area (two
-    shadow slots and an epoch-declaration page), then the Link Table,
-    the four Rib Tables, one region shared by the vertebra character
-    codes and the side log (every change to the store's overflow and
-    anchor side tables, appended as it happens), and the preimage
-    journal.  The
-    metadata holds only the alphabet, the counters and the side log's
-    committed length and place, so a commit costs what the appends changed, not
-    what the index holds.
+    File layout (page regions, sparse, declared once in
+    {!Region_map}; docs/ROBUSTNESS.md, "Region table", lists it): a
+    metadata area (two shadow slots and an epoch-declaration page,
+    {!Meta_slot}), then the Link Table, the four Rib Tables, one region
+    shared by the vertebra character codes and the side log (every
+    change to the store's overflow and anchor side tables, appended as
+    it happens, {!Side_log}), and the preimage journal
+    ({!Preimage_journal}).  Each of those modules owns its format; this
+    one keeps the lifecycle, recovery, the scrub and the engine glue.
+    The metadata holds only the alphabet, the counters and the side
+    log's committed length and place, so a commit costs what the
+    appends changed, not what the index holds.
 
     {2 Integrity and crash consistency}
 

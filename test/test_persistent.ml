@@ -327,7 +327,7 @@ let check_parity ?(probes = 60) what p seq len =
    The last flushed state then reopens with parity. *)
 let region_bound ?flush_every () =
   let entries =
-    Spine.Paged_store.data_span * 8 / Spine.Compact_store.lt_entry_bytes
+    Ref_layout.data_span * 8 / Spine.Compact_store.lt_entry_bytes
   in
   let rng = Bioseq.Rng.create 17 in
   let seq = Bioseq.Packed_seq.create dna in
@@ -352,7 +352,7 @@ let region_bound ?flush_every () =
          ->
          Alcotest.(check string) "the full region" "lt" region;
          Alcotest.(check int) "its capacity"
-           (Spine.Paged_store.data_span * 8) capacity);
+           (Ref_layout.data_span * 8) capacity);
       Alcotest.(check int) "every node that fits was appended" (entries - 1)
         (Bioseq.Packed_seq.length seq);
       match flush_every with
@@ -431,7 +431,7 @@ let test_recorded_page_size () =
    At 8-byte pages that takes about 57,000 live overflow labels: rib
    PTs above 0xFFFF, 150 on each node. *)
 let test_side_log_bound () =
-  let capacity = Spine.Paged_store.data_span / 4 * 3 / 2 * 8 in
+  let capacity = (Ref_layout.region "side/a").span * 8 in
   with_tmp (fun path ->
       let p = Spine.Persistent.create ~frames:(1 lsl 19) ~page_size:8 ~path byte in
       let rng = Bioseq.Rng.create 23 in
@@ -458,22 +458,15 @@ let test_side_log_bound () =
           (live * 12 > capacity / 8 * 7))
 
 (* A crashed session's pages just past the committed end of every data
-   region are erased on reopen.  The region bases below are this test's
-   own reference (see lib/spine/persistent.ml), not the module's region
-   table, so a region the table leaves out keeps its debris and shows
-   up stale. *)
+   region are erased on reopen.  The regions come from the tests' own
+   reference layout, not the library's region table, so a region the
+   table leaves out keeps its debris and shows up stale. *)
 let test_debris_erased_everywhere () =
-  let meta_span = 16384 and data_span = 262144 in
-  let seq_base = meta_span + (5 * data_span) in
   let bases =
-    [ ("lt", meta_span);
-      ("rt0", meta_span + data_span);
-      ("rt1", meta_span + (2 * data_span));
-      ("rt2", meta_span + (3 * data_span));
-      ("rt3", meta_span + (4 * data_span));
-      ("seq", seq_base);
-      ("side/a", seq_base + (data_span / 4));
-      ("side/b", seq_base + (data_span / 4 * 5 / 2)) ]
+    List.filter_map
+      (fun (r : Ref_layout.region) ->
+        if r.journaled then Some (r.name, r.first) else None)
+      Ref_layout.regions
   in
   with_tmp (fun path ->
       let rng = Bioseq.Rng.create 207 in

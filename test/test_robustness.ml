@@ -29,7 +29,7 @@ let with_tmp f =
   (try Sys.remove path with _ -> ());
   result
 
-(* Physical geometry (mirrors lib/spine/persistent.ml): 4096-byte pages
+(* Physical geometry (mirrors Pagestore.Device): 4096-byte pages
    with a 16-byte trailer, of which the last 4 bytes are reserved and
    not covered by the checksum. *)
 let phys_page = 4096 + 16
@@ -98,6 +98,25 @@ let run_crash_workload ?frames ?page_size ?(base = 0) ~chunks ~seq path
   | () -> P.close p
   | exception _ when frozen () -> Pagestore.Device.close (P.device p)
 
+module Paged_valid = Spine.Validate.Make (Spine.Paged_store.P)
+
+(* A reopened index passes the structural invariants, and its file
+   walk finds no damaged and no stale page. *)
+let reopened_sound what p =
+  Codes.valid (Paged_valid.check (P.store p));
+  let r = P.verify p in
+  let bad =
+    List.concat_map
+      (fun (g : P.region_report) ->
+        List.map (fun (page, d) -> Printf.sprintf "%s %d: %s" g.region page d)
+          g.damaged
+        @ List.map
+            (fun (page, e) -> Printf.sprintf "%s %d: stale at epoch %d" g.region page e)
+            g.stale)
+      r.P.regions
+  in
+  Alcotest.(check (list string)) (what ^ ": damaged and stale pages") [] bad
+
 (* Freeze the image at every write of the workload, reopen, and demand
    recovery of a flushed prefix with exact query parity.  A typed
    [Corrupt] on reopen is tolerated only for crashes that can destroy
@@ -105,7 +124,8 @@ let run_crash_workload ?frames ?page_size ?(base = 0) ~chunks ~seq path
    over a [base] file; once [open_] succeeds, the journal rollback must
    have put the committed prefix back byte for byte, so queries may
    never fail OR lie. *)
-let crash_matrix ?frames ?page_size ?(base = 0) ~chunks ~require_evictions ()
+let crash_matrix ?frames ?page_size ?(base = 0) ~chunks ~require_evictions
+    ~writes ()
     =
   let total = List.fold_left ( + ) base chunks in
   let seq = crash_seq total in
@@ -125,17 +145,25 @@ let crash_matrix ?frames ?page_size ?(base = 0) ~chunks ~require_evictions ()
         (l, Spine.Compact.engine (Spine.Compact.of_seq prefix)))
       flush_points
   in
-  (* count the workload's device writes once, fault-free *)
+  (* count the workload's device writes once, fault-free, and fold each
+     write's page and physical image into a CRC-32C: the write sequence
+     the matrix below cuts at every point *)
   let total_writes, evictions =
     with_tmp (fun path ->
         let p = start_index ?frames ?page_size ~base ~seq path in
-        let count = ref 0 in
+        let count = ref 0 and digest = ref 0 in
+        let page_id = Bytes.create 8 in
         Pagestore.Device.set_hooks (P.device p)
           (Some
              { Pagestore.Device.on_read = (fun ~page:_ -> ())
              ; on_write =
-                 (fun ~page:_ ~phys:_ ->
+                 (fun ~page ~phys ->
                    incr count;
+                   Bytes.set_int64_le page_id 0 (Int64.of_int page);
+                   digest := Xutil.Crc32c.digest ~seed:!digest page_id ~pos:0 ~len:8;
+                   digest :=
+                     Xutil.Crc32c.digest ~seed:!digest phys ~pos:0
+                       ~len:(Bytes.length phys);
                    Pagestore.Device.Write_through)
              });
         let pos = ref base in
@@ -152,6 +180,8 @@ let crash_matrix ?frames ?page_size ?(base = 0) ~chunks ~require_evictions ()
           .evictions
         in
         P.close p;
+        Alcotest.(check (pair int int)) "device writes and their digest"
+          writes (!count, !digest);
         (!count, evictions))
   in
   Alcotest.(check bool) "workload writes enough pages to matter" true
@@ -177,6 +207,7 @@ let crash_matrix ?frames ?page_size ?(base = 0) ~chunks ~require_evictions ()
           Alcotest.failf "crash at write %d: reopen raised %s"
             k (Printexc.to_string e)
         | p ->
+          reopened_sound (Printf.sprintf "crash %d" k) p;
           let len = length p in
           (match List.assoc_opt len oracles with
            | None ->
@@ -212,12 +243,14 @@ let crash_matrix ?frames ?page_size ?(base = 0) ~chunks ~require_evictions ()
     (!clean_failures < total_writes)
 
 let test_crash_matrix () =
-  crash_matrix ~chunks:[ 500; 400; 300 ] ~require_evictions:false ()
+  crash_matrix ~chunks:[ 500; 400; 300 ] ~require_evictions:false
+    ~writes:(62, 2758511414) ()
 
 let test_crash_matrix_evictions () =
   (* 2500 chars against 8 frames: the build keeps writing dirty
      committed pages back in place between flushes *)
-  crash_matrix ~frames:8 ~chunks:[ 850; 850; 800 ] ~require_evictions:true ()
+  crash_matrix ~frames:8 ~chunks:[ 850; 850; 800 ] ~require_evictions:true
+    ~writes:(222, 1381470375) ()
 
 (* The same matrices at 64-byte pages, which [open_] reads back from
    the file: the side log, each flush's batch of journal captures and
@@ -225,11 +258,11 @@ let test_crash_matrix_evictions () =
    every one of them. *)
 let test_crash_matrix_small_pages () =
   crash_matrix ~page_size:64 ~chunks:[ 250; 200; 150 ]
-    ~require_evictions:false ()
+    ~require_evictions:false ~writes:(553, 1681492670) ()
 
 let test_crash_matrix_small_pages_evictions () =
   crash_matrix ~page_size:64 ~frames:8 ~chunks:[ 250; 200; 150 ]
-    ~require_evictions:true ()
+    ~require_evictions:true ~writes:(1603, 793654092) ()
 
 (* The file [spine build] writes, taken up online: [of_compact] writes
    the first 850 chars and [close] commits them; a session reopens it
@@ -237,7 +270,7 @@ let test_crash_matrix_small_pages_evictions () =
    freezes at each of that session's device writes. *)
 let test_crash_matrix_of_compact () =
   crash_matrix ~base:850 ~frames:8 ~chunks:[ 850; 800 ]
-    ~require_evictions:true ()
+    ~require_evictions:true ~writes:(208, 973663506) ()
 
 (* A crash inside the flush that compacts the side log.  The first
    flush commits about 10,000 log records in half A; the second finds
@@ -250,9 +283,8 @@ let test_crash_in_side_compaction () =
   let first = 20_000 and total = 40_000 in
   let seq = crash_seq total in
   let side_b, side_end =
-    let open Spine.Paged_store in
-    (meta_span + (5 * data_span) + (data_span / 4 * 5 / 2),
-     meta_span + (6 * data_span))
+    let r = Ref_layout.region "side/b" in
+    (r.first, r.first + r.span)
   in
   let prefix l =
     Spine.Compact.engine
@@ -309,12 +341,14 @@ let test_crash_in_side_compaction () =
           Alcotest.(check bool) (Printf.sprintf "crash %d froze the image" k)
             true (FD.frozen f);
           let p = P.open_ ~path () in
+          reopened_sound (Printf.sprintf "crash %d" k) p;
           Alcotest.(check int) (Printf.sprintf "crash %d: the first flush" k)
             first (length p);
           check_parity (Printf.sprintf "crash %d: parity" k) p first;
           append p first total;
           P.close p;
           let p = P.open_ ~path () in
+          reopened_sound (Printf.sprintf "crash %d: after the rest" k) p;
           check_parity (Printf.sprintf "crash %d: parity after the rest" k) p
             total;
           P.close p))
@@ -446,24 +480,6 @@ let test_flush_retry_generation () =
 
 (* --- seeded bit-flip trials over every written region ---------------- *)
 
-(* region base pages at 4 KiB pages (see lib/spine/persistent.ml) *)
-let base_of region =
-  let meta_span = 16384 and data_span = 262144 in
-  match region with
-  | "meta/slot-a" -> 0
-  | "meta/slot-b" -> 4096
-  | "meta/epoch" -> 2 * 4096
-  | "lt" -> meta_span
-  | "rt0" -> meta_span + (1 * data_span)
-  | "rt1" -> meta_span + (2 * data_span)
-  | "rt2" -> meta_span + (3 * data_span)
-  | "rt3" -> meta_span + (4 * data_span)
-  | "seq" -> meta_span + (5 * data_span)
-  | "side/a" -> meta_span + (5 * data_span) + (data_span / 4)
-  | "side/b" -> meta_span + (5 * data_span) + (data_span / 4 * 5 / 2)
-  | "journal" -> meta_span + (6 * data_span)
-  | r -> Alcotest.failf "unexpected region %S in scrub report" r
-
 (* The written pages of a clean file: a dense prefix of each region. *)
 let written_pages path =
   let r = P.scrub ~path () in
@@ -471,7 +487,8 @@ let written_pages path =
     (r.P.damaged_pages + r.P.stale_pages);
   List.concat_map
     (fun reg ->
-      List.init reg.P.ok (fun i -> (reg.P.region, base_of reg.P.region + i)))
+      List.init reg.P.ok (fun i ->
+          (reg.P.region, Ref_layout.base reg.P.region + i)))
     r.P.regions
 
 let test_bitflip_trials () =
@@ -666,7 +683,7 @@ let test_transient_retry () =
       let before = Telemetry.counter_value retries in
       let f =
         FD.create
-          [ FD.arm ~pages:(0, Spine.Paged_store.meta_span - 1) ~times:2
+          [ FD.arm ~pages:(0, Ref_layout.meta_span - 1) ~times:2
               FD.Write_error ]
       in
       FD.attach f (P.device p);
