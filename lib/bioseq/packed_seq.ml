@@ -6,8 +6,6 @@
   "bounds checked once at every entry point; raw word buffer never \
    escapes the module"]
 
-open Bigarray
-
 (* The backing store is an array of native 63-bit OCaml ints used as
    bit-packed rows: each word holds [62 / width] codes of [width] bits
    (width is 2, 4 or 8), so every load/shift/mask below is an
@@ -19,11 +17,9 @@ open Bigarray
    - at least one all-zero spare word follows the used prefix, so a
      two-word window load at any valid position stays in bounds. *)
 
-type words = (int, int_elt, c_layout) Array1.t
-
 type t = {
   alphabet : Alphabet.t;
-  mutable words : words;
+  mutable words : int array;
   mutable len : int;    (* codes stored *)
   mutable width : int;  (* bits per code: 2, 4 or 8 *)
 }
@@ -42,15 +38,10 @@ let width_for code =
    first append instead of taxing every single-string index. *)
 let initial_width alphabet = width_for (Alphabet.size alphabet - 1)
 
-let zero_words n =
-  let w = Array1.create Bigarray.int c_layout n in
-  Array1.fill w 0;
-  w
-
 let create ?(capacity = 64) alphabet =
   let width = initial_width alphabet in
   let wcap = Int.max 2 ((Int.max capacity 1 / chars_per_word width) + 2) in
-  { alphabet; words = zero_words wcap; len = 0; width }
+  { alphabet; words = Array.make wcap 0; len = 0; width }
 
 let alphabet t = t.alphabet
 let length t = t.len
@@ -60,9 +51,9 @@ let width t = t.width
    word.  Callers pass the three widths' constants through a [match]
    (see [unsafe_get]), so once inlined every division here is by a
    constant — a multiply and a shift, never a runtime [idiv]. *)
-let[@inline] code_at (words : words) ~cpw ~width i =
+let[@inline] code_at (words : int array) ~cpw ~width i =
   let wi = i / cpw in
-  (Array1.unsafe_get words wi lsr ((i - (wi * cpw)) * width))
+  (Array.unsafe_get words wi lsr ((i - (wi * cpw)) * width))
   land ((1 lsl width) - 1)
 
 let unsafe_get t i =
@@ -77,12 +68,12 @@ let get t i =
   unsafe_get t i
 
 let ensure_words t needed =
-  let dim = Array1.dim t.words in
+  let dim = Array.length t.words in
   if needed > dim then begin
     let cap = ref dim in
     while !cap < needed do cap := !cap * 2 done;
-    let nbuf = zero_words !cap in
-    Array1.blit t.words (Array1.sub nbuf 0 dim);
+    let nbuf = Array.make !cap 0 in
+    Array.blit t.words 0 nbuf 0 dim;
     t.words <- nbuf
   end
 
@@ -91,13 +82,13 @@ let ensure_words t needed =
 let widen t nw =
   let cpw = chars_per_word nw in
   let nwords = Int.max 2 ((t.len + cpw - 1) / cpw + 1) in
-  let nbuf = zero_words nwords in
+  let nbuf = Array.make nwords 0 in
   for i = 0 to t.len - 1 do
     let code = unsafe_get t i in
     let wi = i / cpw in
     let r = i - (wi * cpw) in
-    Array1.unsafe_set nbuf wi
-      (Array1.unsafe_get nbuf wi lor (code lsl (r * nw)))
+    Array.unsafe_set nbuf wi
+      (Array.unsafe_get nbuf wi lor (code lsl (r * nw)))
   done;
   t.words <- nbuf;
   t.width <- nw
@@ -107,8 +98,8 @@ let widen t nw =
 let[@inline] put_at t ~cpw ~width i code =
   let wi = i / cpw in
   ensure_words t (wi + 2);
-  Array1.unsafe_set t.words wi
-    (Array1.unsafe_get t.words wi lor (code lsl ((i - (wi * cpw)) * width)))
+  Array.unsafe_set t.words wi
+    (Array.unsafe_get t.words wi lor (code lsl ((i - (wi * cpw)) * width)))
 
 let append t code =
   if code < 0 || code > Alphabet.separator t.alphabet then
@@ -145,13 +136,13 @@ let sub_string t ~pos ~len =
    of the row; constant divisions as in [code_at].  Precondition:
    0 <= i < row length; the spare zero word makes the second load safe
    even when [i] sits in the last used word. *)
-let[@inline] load_at (words : words) ~cpw ~width i =
+let[@inline] load_at (words : int array) ~cpw ~width i =
   let wi = i / cpw in
   let b = (i - (wi * cpw)) * width in
-  let lo = Array1.unsafe_get words wi in
+  let lo = Array.unsafe_get words wi in
   if b = 0 then lo
   else
-    ((lo lsr b) lor (Array1.unsafe_get words (wi + 1) lsl ((cpw * width) - b)))
+    ((lo lsr b) lor (Array.unsafe_get words (wi + 1) lsl ((cpw * width) - b)))
     land ((1 lsl (cpw * width)) - 1)
 
 (* number of trailing zero bits; [x] must be non-zero *)
@@ -185,8 +176,8 @@ let scalar_mismatch a ~apos b ~bpos ~len =
    XORs two windows, and the last partial window is masked to the
    codes left, so a span of [len] codes takes at most [ceil (len / cpw)]
    word steps and no per-code step. *)
-let[@inline] word_mismatch (aw : words) ~apos (bw : words) ~bpos ~len ~cpw
-    ~width =
+let[@inline] word_mismatch (aw : int array) ~apos (bw : int array) ~bpos ~len
+    ~cpw ~width =
   let k = ref 0 in
   let words = ref 0 in
   let res = ref (-1) in
@@ -217,57 +208,52 @@ let compare_span a ~apos b ~bpos ~len =
   let m, _, _ = mismatch a ~apos b ~bpos ~len in
   m = len
 
-(* --- patterns: pre-packed query strings --- *)
-
-(* build a row directly at a forced width, one word at a time with a
-   running shift; caller guarantees every code fits [width] *)
-let row_of_codes alphabet ~pwidth codes =
-  let cpw = chars_per_word pwidth in
-  let full = cpw * pwidth in
-  let n = Array.length codes in
-  let words = zero_words (Int.max 2 (((n + cpw - 1) / cpw) + 1)) in
-  let wi = ref 0 and acc = ref 0 and shift = ref 0 in
-  for i = 0 to n - 1 do
-    acc := !acc lor (Array.unsafe_get codes i lsl !shift);
-    shift := !shift + pwidth;
-    if !shift = full then begin
-      Array1.unsafe_set words !wi !acc;
-      incr wi;
-      acc := 0;
-      shift := 0
-    end
-  done;
-  if !shift > 0 then Array1.unsafe_set words !wi !acc;
-  { alphabet; width = pwidth; len = n; words }
+(* --- patterns: query strings packed once against a text row --- *)
 
 module Pattern = struct
   type row = t
 
   type t = {
     codes : int array;
-    max_code : int;  (* -1 when empty *)
-    min_code : int;  (* 0 when empty *)
-    mutable cached : row option;
-        (* packed rendering at the width of the last text row it was
-           compared against; re-packed lazily when widths change *)
+    packed : row option;
+        (* the codes packed at the text row's width when the pattern
+           was built; [None] when a code does not fit that width *)
   }
-
-  let of_codes codes =
-    let hi = ref (-1) and lo = ref 0 in
-    for i = 0 to Array.length codes - 1 do
-      let c = Array.unsafe_get codes i in
-      if c > !hi then hi := c;
-      if c < !lo then lo := c
-    done;
-    { codes = Array.copy codes; max_code = !hi; min_code = !lo; cached = None }
 
   let length p = Array.length p.codes
   let get p i = p.codes.(i)
 end
 
-(* per-code fallback against a raw pattern (codes that cannot be
-   packed at the text's width — they can never fully match, but the
-   scan still needs the exact mismatch position) *)
+(* One pass packs the codes at the text's width, a word at a time with
+   a running shift, and checks that every code fits the cell ([lsr]
+   catches negative codes too). *)
+let pattern text codes =
+  let codes = Array.copy codes in
+  let width = text.width in
+  let cpw = chars_per_word width in
+  let n = Array.length codes in
+  let words = Array.make (Int.max 2 (((n + cpw - 1) / cpw) + 1)) 0 in
+  let fits = ref true and wi = ref 0 and acc = ref 0 and shift = ref 0 in
+  for i = 0 to n - 1 do
+    let c = Array.unsafe_get codes i in
+    if c lsr width <> 0 then fits := false;
+    acc := !acc lor (c lsl !shift);
+    shift := !shift + width;
+    if !shift = cpw * width then begin
+      Array.unsafe_set words !wi !acc;
+      incr wi;
+      acc := 0;
+      shift := 0
+    end
+  done;
+  if !shift > 0 then Array.unsafe_set words !wi !acc;
+  let row = { alphabet = text.alphabet; width; len = n; words } in
+  { Pattern.codes; packed = (if !fits then Some row else None) }
+
+(* per-code fallback against a raw pattern: one packed before the text
+   widened, or one with codes that cannot be packed at the text's width
+   (they can never fully match, but the scan still needs the exact
+   mismatch position) *)
 let scalar_pattern t ~pos codes ~ppos ~len =
   let k = ref 0 in
   let res = ref (-1) in
@@ -284,21 +270,10 @@ let mismatch_pattern t ~pos (p : Pattern.t) ~ppos ~len =
     len < 0 || pos < 0 || ppos < 0 || pos + len > t.len
     || ppos + len > Array.length p.Pattern.codes
   then invalid_arg "Packed_seq.mismatch_pattern: span out of range";
-  if p.Pattern.min_code >= 0 && p.Pattern.max_code < 1 lsl t.width then begin
-    (* A pattern may be shared by queries on several domains, so the
-       cache write can race; it is an idempotent memo that publishes a
-       fully built row, and every racing writer stores an equal one. *)
-    let[@spine.domain_safe "idempotent memo of a fully built row"] row =
-      match p.Pattern.cached with
-      | Some r when r.width = t.width -> r
-      | _ ->
-        let r = row_of_codes t.alphabet ~pwidth:t.width p.Pattern.codes in
-        p.Pattern.cached <- Some r;
-        r
-    in
+  match p.Pattern.packed with
+  | Some row when row.width = t.width ->
     mismatch t ~apos:pos row ~bpos:ppos ~len
-  end
-  else scalar_pattern t ~pos p.Pattern.codes ~ppos ~len
+  | _ -> scalar_pattern t ~pos p.Pattern.codes ~ppos ~len
 
 (* --- serialized form ---
 
@@ -307,21 +282,23 @@ let mismatch_pattern t ~pos (p : Pattern.t) ~ppos ~len =
    bits and zeros above (tail padding included).  No re-packing on
    save, load or page-out. *)
 
-let used_words t =
-  let cpw = chars_per_word t.width in
-  (t.len + cpw - 1) / cpw
+let byte_length ~width len =
+  let cpw = chars_per_word width in
+  (len + cpw - 1) / cpw * 8
 
-let packed_byte_length t = used_words t * 8
+let packed_byte_length t = byte_length ~width:t.width t.len
+
+let last_code_byte t =
+  if t.len = 0 then invalid_arg "Packed_seq.last_code_byte: empty row";
+  let cpw = chars_per_word t.width in
+  let wi = (t.len - 1) / cpw in
+  let byte = (t.len - 1 - (wi * cpw)) * t.width / 8 in
+  ((wi * 8) + byte, (Array.unsafe_get t.words wi lsr (8 * byte)) land 0xFF)
 
 let packed_bits t =
-  let nw = used_words t in
-  let out = Bytes.create (nw * 8) in
-  for w = 0 to nw - 1 do
-    let v = Array1.unsafe_get t.words w in
-    for k = 0 to 7 do
-      Bytes.unsafe_set out ((w * 8) + k)
-        (Char.unsafe_chr ((v lsr (8 * k)) land 0xFF))
-    done
+  let out = Bytes.create (packed_byte_length t) in
+  for w = 0 to (Bytes.length out / 8) - 1 do
+    Bytes.set_int64_le out (w * 8) (Int64.of_int (Array.unsafe_get t.words w))
   done;
   out
 
@@ -330,27 +307,26 @@ let of_packed_bits alphabet ~len ~width bytes =
     invalid_arg "Packed_seq.of_packed_bits: unsupported cell width";
   if len < 0 then invalid_arg "Packed_seq.of_packed_bits: negative length";
   let cpw = chars_per_word width in
-  let nw = (len + cpw - 1) / cpw in
+  let nw = byte_length ~width len / 8 in
   if Bytes.length bytes < nw * 8 then
     invalid_arg "Packed_seq.of_packed_bits: payload shorter than length";
-  let umask = (1 lsl (cpw * width)) - 1 in
-  let t = { alphabet; width; len; words = zero_words (Int.max 2 (nw + 1)) } in
+  (* bits 62 and 63 included: the stored word is 64 bits wide *)
+  let stray = Int64.lognot (Int64.of_int ((1 lsl (cpw * width)) - 1)) in
+  let words = Array.make (Int.max 2 (nw + 1)) 0 in
   for w = 0 to nw - 1 do
-    let v = ref 0 in
-    for k = 0 to 7 do
-      v := !v lor (Char.code (Bytes.get bytes ((w * 8) + k)) lsl (8 * k))
-    done;
-    if !v land lnot umask <> 0 then
+    let v = Bytes.get_int64_le bytes (w * 8) in
+    if not (Int64.equal (Int64.logand v stray) 0L) then
       invalid_arg "Packed_seq.of_packed_bits: stray bits beyond the row";
-    Array1.unsafe_set t.words w !v
+    Array.unsafe_set words w (Int64.to_int v)
   done;
   (* tail padding of the last word must be zero *)
   if nw > 0 then begin
     let tail = len - ((nw - 1) * cpw) in
-    if Array1.unsafe_get t.words (nw - 1) lsr (tail * width) <> 0 then
+    if Array.unsafe_get words (nw - 1) lsr (tail * width) <> 0 then
       invalid_arg "Packed_seq.of_packed_bits: stray bits beyond the row"
   end;
   (* a cell wider than the alphabet can encode out-of-alphabet codes *)
+  let t = { alphabet; width; len; words } in
   let sep = Alphabet.separator alphabet in
   if (1 lsl width) - 1 > sep then
     for i = 0 to len - 1 do
@@ -360,10 +336,8 @@ let of_packed_bits alphabet ~len ~width bytes =
   t
 
 let copy t =
-  let uw = used_words t + 1 in
-  let nbuf = zero_words (Int.max 2 uw) in
-  Array1.blit (Array1.sub t.words 0 uw) (Array1.sub nbuf 0 uw);
-  { alphabet = t.alphabet; words = nbuf; len = t.len; width = t.width }
+  let used = packed_byte_length t / 8 in
+  { t with words = Array.sub t.words 0 (Int.max 2 (used + 1)) }
 
 let iteri t ~f =
   for i = 0 to t.len - 1 do f i (unsafe_get t i) done

@@ -2,13 +2,15 @@
 
     A [Packed_seq.t] is the in-memory {e and} serialized representation
     of a data string: codes packed [width] bits each (2 for DNA, 4 once
-    a DNA separator appears, 8 for proteins/bytes) into native 63-bit
-    integer words, [62 / width] codes per word — 31 DNA characters per
-    word.  The scan paths compare whole words ({!mismatch},
-    {!compare_span}: XOR plus count-trailing-zeros), the last partial
-    word masked to the codes left; {!packed_bits} is a raw
-    dump of the words, so the persistent sequence region stores the
-    row as-is with no re-packing.
+    a DNA separator appears, 8 for proteins/bytes) into the native
+    63-bit integers of a plain [int array], [62 / width] codes per
+    word — 31 DNA characters per word.  The scan paths compare whole
+    words ({!mismatch}, {!compare_span}: XOR plus count-trailing-zeros),
+    the last partial word masked to the codes left; {!packed_bits} is a
+    raw dump of the words, so the persistent sequence region stores the
+    row as-is with no re-packing.  This module is the one owner of that
+    byte layout: {!byte_length} and {!last_code_byte} answer what a
+    store mirroring the row on disk needs to know.
 
     The module is a checked unsafe boundary (spine-lint L11): {!get}
     and every span operation validate their bounds once at the edge,
@@ -77,18 +79,11 @@ val mismatch : t -> apos:int -> t -> bpos:int -> len:int -> int * int * int
 val compare_span : t -> apos:int -> t -> bpos:int -> len:int -> bool
 (** Whole-span equality via {!mismatch}. *)
 
-(** Patterns: a query string packed once per query (at the Engine
-    layer) and compared word-at-a-time against the text row.  The
-    packed rendering is cached and lazily re-packed if the text's cell
-    width differs; codes that cannot be packed at the text's width
-    (they can never match a text code) fall back to per-code
-    comparison. *)
+(** Patterns: a query string packed once, against the text row it
+    will be compared with, and immutable from then on — so one pattern
+    may be shared by queries on several domains. *)
 module Pattern : sig
   type t
-
-  val of_codes : int array -> t
-  (** Accepts any int codes (never raises): out-of-alphabet codes
-      simply never match, exactly like the unpacked search path. *)
 
   val length : t -> int
 
@@ -96,11 +91,19 @@ module Pattern : sig
   (** The [i]-th pattern code (safe array access). *)
 end
 
+val pattern : t -> int array -> Pattern.t
+(** [pattern text codes] copies [codes] and packs them at [text]'s
+    current cell width.  Accepts any int codes (never raises):
+    out-of-alphabet codes simply never match, exactly like the unpacked
+    search path. *)
+
 val mismatch_pattern :
   t -> pos:int -> Pattern.t -> ppos:int -> len:int -> int * int * int
 (** [mismatch_pattern t ~pos p ~ppos ~len] is {!mismatch} of the text
-    span against the pattern span, packing (and caching) the pattern's
-    row at the text's width on first use.
+    span against the pattern span.  It compares words when [p] was
+    packed at [t]'s cell width, and per code otherwise: when a code of
+    [p] does not fit that width (it can never match a text code), or
+    when [t] widened after [p] was built.
     @raise Invalid_argument if either span overruns. *)
 
 (** {2 Stored form and space accounting} *)
@@ -114,10 +117,21 @@ val packed_bits : t -> Bytes.t
 val of_packed_bits : Alphabet.t -> len:int -> width:int -> Bytes.t -> t
 (** Inverse of {!packed_bits} given the code count and cell width.
     @raise Invalid_argument on an unsupported width, a short payload,
-    stray bits in the padding, or codes outside the alphabet. *)
+    stray bits in the padding (bits 62 and 63 of every word included),
+    or codes outside the alphabet. *)
 
 val packed_byte_length : t -> int
 (** Bytes of {!packed_bits} output: [used words * 8]. *)
+
+val byte_length : width:int -> int -> int
+(** [byte_length ~width len] is {!packed_byte_length} of a row of [len]
+    codes at cell width [width]. *)
+
+val last_code_byte : t -> int * int
+(** [(offset, value)] of the {!packed_bits} byte that holds the last
+    code: appending a code changes that byte of the serialized form
+    alone, unless the row widened.
+    @raise Invalid_argument on an empty row. *)
 
 val copy : t -> t
 

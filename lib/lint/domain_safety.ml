@@ -1069,13 +1069,31 @@ let eff_site e =
   | fr :: _ -> (fr.fr_file, fr.fr_line)
   | [] -> ("", 0)
 
+let def_site s = Printf.sprintf "%s:%d:%s" s.s_file s.s_line s.s_name
+
+(* Every summary a call from [seeds] resolves to, transitively, the
+   seeds included. *)
+let reachable t seeds =
+  let seen = Hashtbl.create 64 in
+  let rec visit s =
+    if not (Hashtbl.mem seen (def_site s)) then begin
+      Hashtbl.replace seen (def_site s) ();
+      List.iter (fun c -> List.iter visit (resolve t c)) s.s_calls
+    end
+  in
+  List.iter visit seeds;
+  fun s -> Hashtbl.mem seen (def_site s)
+
 let finalize t ~roots_in ~roots =
   fixpoint t;
-  let roots =
-    List.filter
-      (fun s -> List.mem s.s_name roots && roots_in s.s_file)
-      t.summaries
+  (* a query root is a function named like a query that [Engine]'s own
+     queries reach: a bare name match elsewhere is not a query *)
+  let named s = List.mem s.s_name roots && roots_in s.s_file in
+  let reached =
+    reachable t
+      (List.filter (fun s -> named s && s.s_file_mod = "Engine") t.summaries)
   in
+  let roots = List.filter (fun s -> named s && reached s) t.summaries in
   (* L9: one finding per distinct write site, first witness wins *)
   let findings = Hashtbl.create 16 in
   let order = ref [] in

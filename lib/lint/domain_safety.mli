@@ -63,8 +63,10 @@ val query_roots : Typedtree.signature -> string list
 val finalize :
   t -> roots_in:(string -> bool) -> roots:string list ->
   l9 list * cert_row list
-(** Run the call-graph fixpoint and report.  Every function named in
-    [roots] ({!Lint.run} passes {!query_roots} of [engine.mli]) in a
-    file [roots_in] selects ([lib/spine/], or everything for fixture
-    trees) is a query root.  L9 findings are deduplicated by write
-    site; the first witness chain encountered is kept. *)
+(** Run the call-graph fixpoint and report.  [roots] names the queries
+    ({!Lint.run} passes {!query_roots} of [engine.mli]).  A function of
+    such a name in a file [roots_in] selects ([lib/spine/], or
+    everything for fixture trees) is a query root when it belongs to
+    [Engine] or a call from [Engine]'s queries reaches it.  L9 findings
+    are deduplicated by write site; the first witness chain encountered
+    is kept. *)

@@ -97,7 +97,7 @@ let encode (module B : BACKEND) s =
 
 let pattern (module B : BACKEND) codes =
   B.guard ();
-  Bioseq.Packed_seq.Pattern.of_codes codes
+  Bioseq.Packed_seq.pattern (B.S.sequence B.store) codes
 
 let pattern_of_string e s = Option.map (pattern e) (encode e s)
 
@@ -175,9 +175,10 @@ let run_batch (module B : BACKEND) patterns =
     [ Trace.Int ("patterns", List.length patterns);
       Trace.Str ("backend", backend_name B.backend) ]
   @@ fun () ->
+  let text = B.S.sequence B.store in
   let results =
     B.Q.occurrences_many B.store
-      (List.map Bioseq.Packed_seq.Pattern.of_codes patterns)
+      (List.map (Bioseq.Packed_seq.pattern text) patterns)
   in
   List.mapi
     (fun i pattern ->

@@ -97,8 +97,10 @@ val encode : t -> string -> int array option
     re-running a pattern should build it once and reuse it. *)
 
 val pattern : t -> int array -> Bioseq.Packed_seq.Pattern.t
-(** Pack a code array against the backend's alphabet.  Out-of-alphabet
-    codes are accepted and simply never match. *)
+(** Pack a code array once, at the cell width of the backend's text row
+    ({!Bioseq.Packed_seq.pattern}).  Out-of-alphabet codes are accepted
+    and simply never match.  A pattern built before the text widened
+    still answers correctly, comparing per code. *)
 
 val pattern_of_string : t -> string -> Bioseq.Packed_seq.Pattern.t option
 (** {!encode} followed by {!pattern}; [None] if any character is

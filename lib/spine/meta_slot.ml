@@ -125,9 +125,7 @@ let decode_payload ~page_size s =
 let committed_bytes p = function
   | Region_map.Lt -> (p.length + 1) * Compact_store.lt_entry_bytes
   | Rt i -> p.rt_used.(i)
-  | Seq ->
-    let cpw = 62 / p.width in
-    (p.length + cpw - 1) / cpw * 8
+  | Seq -> Bioseq.Packed_seq.byte_length ~width:p.width p.length
   | Side half ->
     if half = p.side_half then p.side_records * Side_log.record_bytes else 0
 

@@ -10,9 +10,8 @@ let s_scrub = Telemetry.span "persistent.scrub"
 type t = {
   core : P.t;
   seq_tab : Paged_bytes.t;
-      (* vertebra codes in the packed-row layout of [Packed_seq]:
-         8-byte little-endian words, [62 / width] codes each — the
-         on-disk region is byte-for-byte the row's [packed_bits] *)
+      (* the vertebra codes: byte for byte the row's [packed_bits],
+         whose layout [Packed_seq] alone knows *)
   side : Side_log.t;
   device : Pagestore.Device.t;
   pool : Pagestore.Buffer_pool.t;
@@ -453,27 +452,12 @@ let rewrite_seq_region t =
 let append t code =
   check_open t;
   let seq = P.sequence t.core in
-  let i = Bioseq.Packed_seq.length seq in  (* position of the new code *)
   Paged_store.append t.core code;
-  let w = Bioseq.Packed_seq.width seq in
-  if w <> t.disk_width then rewrite_seq_region t
-  else begin
-    (* mirror the one new code into the packed on-disk region.  The
-       width divides 8, so a code's bits always fall within one byte:
-       read-modify-write that byte alone.  A byte whose low bits are
-       free ([shift = 0]) is untouched so far — its region pages start
-       zeroed — and can be written without the read. *)
-    let cpw = 62 / w in
-    let wi = i / cpw in
-    let bit = (i - (wi * cpw)) * w in
-    let off = (wi * 8) + (bit / 8) in
-    let shift = bit land 7 in
-    let v =
-      if shift = 0 then code
-      else Paged_bytes.get_u8 t.seq_tab off lor (code lsl shift)
-    in
+  if Bioseq.Packed_seq.width seq <> t.disk_width then rewrite_seq_region t
+  else
+    (* mirror the one byte the new code changed, as the row holds it *)
+    let off, v = Bioseq.Packed_seq.last_code_byte seq in
     Paged_bytes.set_u8 t.seq_tab off v
-  end
 
 let append_string t s =
   Telemetry.with_span s_build (fun () ->

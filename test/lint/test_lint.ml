@@ -171,6 +171,8 @@ let test_shared_mutation () =
     (List.length (dfindings_in "guarded_share.ml"));
   check_int "annotated write not flagged" 0
     (List.length (dfindings_in "annotated_share.ml"));
+  check_int "a query's name on a function no query reaches not flagged" 0
+    (List.length (dfindings_in "unreached_share.ml"));
   Alcotest.(check bool)
     "no L9 findings without ~domains" true
     (List.for_all
@@ -199,6 +201,11 @@ let test_certification () =
     (verdict "Guarded_share");
   Alcotest.(check string) "annotated module" "certified (annotated)"
     (verdict "Annotated_share");
+  Alcotest.(check bool) "no row for a module no query reaches" false
+    (List.exists
+       (fun (r : Lint.Domain_safety.cert_row) ->
+         r.Lint.Domain_safety.cm_module = "Unreached_share")
+       rows);
   Alcotest.(check bool)
     "no certification rows without ~domains" true
     ((Lazy.force result).Lint.certification = [])

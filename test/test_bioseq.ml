@@ -163,14 +163,14 @@ let test_packed_pattern_oracle () =
       let codes =
         Array.init plen (fun i -> Bioseq.Packed_seq.get s (pos + i))
       in
-      let p = Bioseq.Packed_seq.Pattern.of_codes codes in
+      let p = Bioseq.Packed_seq.pattern s codes in
       let m, _, _ =
         Bioseq.Packed_seq.mismatch_pattern s ~pos p ~ppos:0 ~len:plen
       in
       Alcotest.(check int) "substring fully matches" plen m;
       let codes' = Array.copy codes in
       codes'.(plen - 1) <- (codes'.(plen - 1) + 1) mod 4;
-      let p' = Bioseq.Packed_seq.Pattern.of_codes codes' in
+      let p' = Bioseq.Packed_seq.pattern s codes' in
       let m', _, _ =
         Bioseq.Packed_seq.mismatch_pattern s ~pos p' ~ppos:0 ~len:plen
       in
@@ -178,7 +178,7 @@ let test_packed_pattern_oracle () =
     done
   done;
   (* out-of-alphabet pattern codes never match but never raise *)
-  let p = Bioseq.Packed_seq.Pattern.of_codes [| 99; -1 |] in
+  let p = Bioseq.Packed_seq.pattern s [| 99; -1 |] in
   let m, _, _ = Bioseq.Packed_seq.mismatch_pattern s ~pos:0 p ~ppos:0 ~len:2 in
   Alcotest.(check int) "unpackable codes match nothing" 0 m
 
@@ -241,7 +241,7 @@ let test_packed_span_residues () =
                 else base.(j))
         in
         let b = Bioseq.Packed_seq.of_codes a bcodes in
-        let p = Bioseq.Packed_seq.Pattern.of_codes bcodes in
+        let p = Bioseq.Packed_seq.pattern row bcodes in
         (* the per-code reference for every start at once: [agree.(x)]
            codes match from [x] in [row] and [x + off] in [b] *)
         let agree = Array.make (n + 1) 0 in
@@ -272,7 +272,7 @@ let test_packed_span_residues () =
             let at = off + la - len + d in
             if d < len then bcodes.(at) <- (bcodes.(at) + 1) mod size;
             let b = Bioseq.Packed_seq.of_codes a bcodes in
-            let p = Bioseq.Packed_seq.Pattern.of_codes bcodes in
+            let p = Bioseq.Packed_seq.pattern short bcodes in
             let apos = la - len and bpos = off + la - len in
             check short ~apos b p ~bpos ~len
               ~expect:
@@ -297,7 +297,7 @@ let test_pattern_code_bounds () =
       in
       let check codes =
         let n = Array.length codes in
-        let p = Bioseq.Packed_seq.Pattern.of_codes codes in
+        let p = Bioseq.Packed_seq.pattern text codes in
         Alcotest.(check int) "pattern length" n
           (Bioseq.Packed_seq.Pattern.length p);
         let lo = Array.fold_left Int.min 0 codes in
@@ -351,7 +351,7 @@ let test_pattern_row_words () =
         let codes = Array.init n (fun _ -> Bioseq.Rng.int rng size) in
         let fresh = Bioseq.Packed_seq.create a in
         Array.iter (Bioseq.Packed_seq.append fresh) codes;
-        let p = Bioseq.Packed_seq.Pattern.of_codes codes in
+        let p = Bioseq.Packed_seq.pattern fresh codes in
         for ppos = 0 to n do
           let len = n - ppos in
           Alcotest.(check (triple int int int))
@@ -361,6 +361,60 @@ let test_pattern_row_words () =
         done
       done)
     cell_widths
+
+let test_packed_bits_rejected () =
+  (* every malformed payload raises at each cell width: bit 62 or 63 of
+     any stored word (an OCaml int holds 63 bits, so bit 63 must be
+     refused before the conversion drops it), a bit past the last code,
+     a code above the separator, a short payload and an unsupported
+     width; each alphabet leaves its cell room above the separator *)
+  List.iter
+    (fun (width, a) ->
+      let n = 40 in
+      let rng = Bioseq.Rng.create (400 + width) in
+      let row =
+        Bioseq.Packed_seq.of_codes a
+          (Array.init n (fun _ -> Bioseq.Rng.int rng (Bioseq.Alphabet.size a)))
+      in
+      Alcotest.(check int) "cell width" width (Bioseq.Packed_seq.width row);
+      let bits = Bioseq.Packed_seq.packed_bits row in
+      let nb = Bytes.length bits in
+      let load ?(width = width) b =
+        Bioseq.Packed_seq.of_packed_bits a ~len:n ~width b
+      in
+      Alcotest.(check bool) "the intact payload loads" true
+        (Oracles.same_seq row (load bits));
+      let rejects what f =
+        match f () with
+        | _ -> Alcotest.failf "width %d: %s loaded" width what
+        | exception Invalid_argument _ -> ()
+      in
+      let flipped byte bit =
+        let b = Bytes.copy bits in
+        Bytes.set_uint8 b byte (Bytes.get_uint8 b byte lxor (1 lsl bit));
+        b
+      in
+      for w = 0 to (nb / 8) - 1 do
+        List.iter
+          (fun bit ->
+            rejects (Printf.sprintf "bit %d of word %d" bit w) (fun () ->
+                load (flipped ((8 * w) + 7) (bit - 56))))
+          [ 62; 63 ]
+      done;
+      let cpw = 62 / width in
+      let past = (n - (((nb / 8) - 1) * cpw)) * width in
+      rejects "a bit past the last code" (fun () ->
+          load (flipped (nb - 8 + (past / 8)) (past mod 8)));
+      let above = Bytes.copy bits in
+      Bytes.set_uint8 above 0
+        (Bytes.get_uint8 above 0
+         land lnot ((1 lsl width) - 1)
+         lor (Bioseq.Alphabet.separator a + 1));
+      rejects "a code above the separator" (fun () -> load above);
+      rejects "a short payload" (fun () -> load (Bytes.sub bits 0 (nb - 1)));
+      rejects "an unsupported width" (fun () -> load ~width:3 bits))
+    [ (2, Bioseq.Alphabet.make "ab"); (4, Bioseq.Alphabet.make "abcdefghij");
+      (8, Bioseq.Alphabet.protein) ]
 
 let test_rng_determinism () =
   let a = Bioseq.Rng.create 42 and b = Bioseq.Rng.create 42 in
@@ -520,4 +574,6 @@ let suite =
       test_pattern_code_bounds
   ; Alcotest.test_case "pattern row words vs appended row" `Quick
       test_pattern_row_words
+  ; Alcotest.test_case "malformed packed payloads rejected" `Quick
+      test_packed_bits_rejected
   ]

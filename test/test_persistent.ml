@@ -574,6 +574,45 @@ let test_of_compact_grows_online () =
         (Index_file.differences (Spine.Compact.of_seq text)
            (Spine.Persistent.load ~path)))
 
+(* A file whose sequence row widens online.  A one-string separator
+   layout index holds its DNA at 2 bits a code; the separator that
+   starts a second string re-packs the row at 4 bits, so the whole
+   sequence region is written again, and the characters after it land
+   at the new width.  The file then loads as the in-memory index of the
+   same strings, scrubs clean and answers the same matching
+   statistics. *)
+let test_row_widens_online () =
+  let rng = Bioseq.Rng.create 217 in
+  let text n =
+    Bioseq.Packed_seq.sub_string ~pos:0 ~len:n
+      (Bioseq.Synthetic.genomic dna (Bioseq.Rng.split rng) n)
+  in
+  let s1 = text 3000 and s2 = text 1500 and s3 = text 1000 in
+  let width p = Bioseq.Packed_seq.width (Spine.Persistent.sequence p) in
+  Index_file.with_path (fun path ->
+      Spine.Persistent.close
+        (Spine.Persistent.of_compact ~path (Codes.generalized dna [ s1 ]));
+      let p = Spine.Persistent.open_ ~path () in
+      Alcotest.(check int) "one string at 2 bits" 2 (width p);
+      Spine.Persistent.append p (Bioseq.Alphabet.separator dna);
+      Spine.Persistent.append_string p s2;
+      Alcotest.(check int) "widened by the separator" 4 (width p);
+      Spine.Persistent.flush p;
+      Spine.Persistent.append_string p s3;
+      Spine.Persistent.close p;
+      let whole = Codes.generalized dna [ s1; s2 ^ s3 ] in
+      Alcotest.(check (list string)) "same as the in-memory index" []
+        (Index_file.differences whole (Spine.Persistent.load ~path));
+      let r = Spine.Persistent.scrub ~path () in
+      Alcotest.(check int) "scrubs clean" 0
+        (r.Spine.Persistent.damaged_pages + r.Spine.Persistent.stale_pages);
+      let q = Bioseq.Packed_seq.of_string dna (text 400 ^ s2 ^ text 400) in
+      let p = Spine.Persistent.open_ ~path () in
+      Alcotest.(check (array int)) "same matching statistics"
+        (fst (E.matching_statistics (Spine.Compact.engine whole) q))
+        (fst (E.matching_statistics (Spine.Persistent.engine p) q));
+      Spine.Persistent.close p)
+
 (* Only metadata version 5 is read.  Both slots of a closed file are
    forged as version 4 — the version word rewritten, each page resealed
    at its own epoch — and then [load] and [open_] each fail typed,
@@ -674,4 +713,5 @@ let suite =
       test_of_compact_grows_online
   ; Alcotest.test_case "other metadata versions are refused unchanged" `Quick
       test_other_versions_refused
+  ; Alcotest.test_case "a row widens online" `Quick test_row_widens_online
   ]

@@ -56,7 +56,7 @@ let check_parity rng seq =
     let codes = Array.init len (fun k -> Bioseq.Packed_seq.get seq (pos + k)) in
     if Bioseq.Rng.int rng 2 = 0 then codes.(Bioseq.Rng.int rng len) <- text_code ();
     Alcotest.(check (list int)) (Printf.sprintf "occurrences in %S" s)
-      (HQ.occurrences_pattern h (Bioseq.Packed_seq.Pattern.of_codes codes))
+      (HQ.occurrences_pattern h (Bioseq.Packed_seq.pattern seq codes))
       (Codes.occurrences c codes)
   done;
   (* matching parity *)

@@ -301,6 +301,38 @@ let test_trie_counts () =
   Alcotest.(check bool) "trie much larger" true
     (Suffix_trie.node_count trie > 9)
 
+(* A pattern packed before its text widened.  A one-string DNA index
+   holds 2-bit codes; the second string brings the separator and the
+   row re-packs at 4 bits.  A pattern packed before then still answers
+   as one packed now, present or absent, comparing per code. *)
+let test_pattern_outlives_widening () =
+  let g = Spine.Generalized.create dna in
+  let e = Spine.Generalized.engine g in
+  ignore (add g "acgtacgtttgacgatcgatcgggatcgatcgatcgttagc");
+  let codes s = Array.init (String.length s) (fun i -> Bioseq.Alphabet.encode dna s.[i]) in
+  let queries = [ "acgtacg"; "gatcgatcgatcg"; "ccccgg"; "ttagcaat"; "aaaaaaaa" ] in
+  let old = List.map (fun s -> Spine.Engine.pattern e (codes s)) queries in
+  ignore (add g "ccccggttagcaatcgatcgatcgatcgaaaaaaaacg");
+  List.iter2
+    (fun s p ->
+      Alcotest.(check (list int)) s
+        (Spine.Engine.occurrences_pattern e (Spine.Engine.pattern e (codes s)))
+        (Spine.Engine.occurrences_pattern e p))
+    queries old;
+  let _, fresh =
+    Spine.Engine.profiled e (fun () ->
+        Spine.Engine.occurrences_pattern e
+          (Spine.Engine.pattern e (codes "gatcgatcgatcg")))
+  in
+  let _, stale =
+    Spine.Engine.profiled e (fun () ->
+        Spine.Engine.occurrences_pattern e (List.nth old 1))
+  in
+  Alcotest.(check bool) "a fresh pattern compares words" true
+    (fresh.Profile.word_steps > 0);
+  Alcotest.(check (pair int bool)) "the old one compares codes" (0, true)
+    (stale.Profile.word_steps, stale.Profile.scalar_steps > 0)
+
 let test_trie_unary () =
   (* in "aaaa" every internal node is unary *)
   let trie = Suffix_trie.of_string dna "aaaa" in
@@ -328,4 +360,6 @@ let suite =
   ; Alcotest.test_case "trie: unary nodes" `Quick test_trie_unary
   ; Alcotest.test_case "disk: pages the Section 5 layout" `Quick
       test_disk_pages_real_layout
+  ; Alcotest.test_case "generalized: a pattern packed before the text widened"
+      `Quick test_pattern_outlives_widening
   ]
