@@ -181,7 +181,8 @@ module Compact_cursor = Spine.Cursor.Make (Spine.Compact_store)
    Table scans price the occurrence scan's inner loop, [scan_lt] with
    a sparse target bitmap: over a resident paged table (one latch per
    page) and over the in-memory one (one loop of direct reads), the
-   same 4,096 entries.  The CRC-32C kernels price
+   same 4,096 entries; the [-rows] pair prices the row path, with a
+   third of the links held in Rib Table rows.  The CRC-32C kernels price
    the checksum every miss, writeback and journal capture pays, over
    what a page's trailer covers (128 or 4,096 data bytes plus the
    trailer's magic and epoch).  The row record prices a rib step on a
@@ -247,6 +248,56 @@ let compact_lt =
        ~set_u32:(Spine.Compact_store.Btab.set_u32 lt)
        ~set_u16:(Spine.Compact_store.Btab.set_u16 lt);
      lt)
+
+(* The row path: the same entries, but every third payload is a
+   Figure 5 PTR naming a row of a Rib Table fixture (RT1..RT4 at DNA's
+   row widths, a row per such entry, round robin over the tables)
+   whose LD field holds that entry's link, so the scan finds the same
+   16 candidates, a third of its passing links through a row. *)
+let lt_row_bytes = [| 13; 19; 25; 31 |]
+
+let fill_lt_rows ~alloc ~set_u32 ~set_u16 ~rt_alloc ~rt_set_u32 =
+  for i = 0 to lt_entries - 1 do
+    let off = alloc Spine.Compact_store.lt_entry_bytes in
+    (if i mod 3 = 2 then begin
+       let table = (i / 3) land 3 in
+       let ld = rt_alloc table lt_row_bytes.(table) in
+       rt_set_u32 table ld (i / 2);
+       set_u32 off
+         (0x8000_0000 lor (table lsl 29) lor (ld / lt_row_bytes.(table)))
+     end
+     else set_u32 off (i / 2));
+    set_u16 (off + 4) (i land 15)
+  done
+
+(* 32 frames hold the 6 LT and the 10 RT pages *)
+let resident_lt_rows =
+  lazy
+    (let dev = Pagestore.Device.create ~page_size:pool_page_size () in
+     let pool = Pagestore.Buffer_pool.create ~frames:32 dev in
+     let table ~region ~base_page =
+       Pagestore.Paged_bytes.make pool ~region ~base_page ~capacity:max_int
+     in
+     let lt = table ~region:"lt" ~base_page:0 in
+     let rts =
+       Array.init 4 (fun k -> table ~region:"rt" ~base_page:(100 * (k + 1)))
+     in
+     fill_lt_rows ~alloc:(Pagestore.Paged_bytes.alloc lt)
+       ~set_u32:(Pagestore.Paged_bytes.set_u32 lt)
+       ~set_u16:(Pagestore.Paged_bytes.set_u16 lt)
+       ~rt_alloc:(fun k -> Pagestore.Paged_bytes.alloc rts.(k))
+       ~rt_set_u32:(fun k -> Pagestore.Paged_bytes.set_u32 rts.(k));
+     (lt, rts))
+
+let compact_lt_rows =
+  lazy
+    (let module Btab = Spine.Compact_store.Btab in
+     let lt = Btab.create 0 and rts = Array.init 4 (fun _ -> Btab.create 0) in
+     fill_lt_rows ~alloc:(Btab.alloc lt) ~set_u32:(Btab.set_u32 lt)
+       ~set_u16:(Btab.set_u16 lt)
+       ~rt_alloc:(fun k -> Btab.alloc rts.(k))
+       ~rt_set_u32:(fun k -> Btab.set_u32 rts.(k));
+     (lt, rts))
 
 (* no LEL overflows in these tables *)
 let no_overflow _ = assert false
@@ -411,16 +462,32 @@ let tests =
            let lt = Lazy.force resident_lt in
            let found = ref 0 in
            Pagestore.Paged_bytes.scan_lt lt ~off:0 ~count:lt_entries
-             ~min_lel:12 ~overflow:no_overflow ~marks:lt_marks
-             (fun _ _ _ -> incr found);
+             ~min_lel:12 ~overflow:no_overflow ~rts:[||] ~row_bytes:[||]
+             ~marks:lt_marks (fun _ _ _ -> incr found);
            !found))
   ; Test.make ~name:"pool/compact-lt-scan"
       (Staged.stage (fun () ->
            let lt = Lazy.force compact_lt in
            let found = ref 0 in
            Spine.Compact_store.Btab.scan_lt lt ~off:0 ~count:lt_entries
-             ~min_lel:12 ~overflow:no_overflow ~marks:lt_marks
-             (fun _ _ _ -> incr found);
+             ~min_lel:12 ~overflow:no_overflow ~rts:[||] ~row_bytes:[||]
+             ~marks:lt_marks (fun _ _ _ -> incr found);
+           !found))
+  ; Test.make ~name:"pool/paged-lt-scan-rows"
+      (Staged.stage (fun () ->
+           let lt, rts = Lazy.force resident_lt_rows in
+           let found = ref 0 in
+           Pagestore.Paged_bytes.scan_lt lt ~off:0 ~count:lt_entries
+             ~min_lel:12 ~overflow:no_overflow ~rts ~row_bytes:lt_row_bytes
+             ~marks:lt_marks (fun _ _ _ -> incr found);
+           !found))
+  ; Test.make ~name:"pool/compact-lt-scan-rows"
+      (Staged.stage (fun () ->
+           let lt, rts = Lazy.force compact_lt_rows in
+           let found = ref 0 in
+           Spine.Compact_store.Btab.scan_lt lt ~off:0 ~count:lt_entries
+             ~min_lel:12 ~overflow:no_overflow ~rts ~row_bytes:lt_row_bytes
+             ~marks:lt_marks (fun _ _ _ -> incr found);
            !found))
   ]
   @ instr_tests

@@ -87,38 +87,48 @@ let read_record t ~off ~len f =
   let pos = off mod t.page_size in
   Buffer_pool.with_page t.pool (page t off) ~dirty:false (fun b -> f b pos)
 
+(* --- the Link Table entry ---
+   Figure 5's 6-byte entry: a u32 payload, then a u16 LEL whose value
+   0xFFFF is the overflow sentinel.  A payload with bit 31 clear is the
+   link destination; with bit 31 set it is a PTR naming the node's Rib
+   Table row, the table in bits 29-30 and the row in bits 0-22, and the
+   row's first u32 (its LD field) holds the destination. *)
+let lt_entry_bytes = 6
+let overflow_sentinel = 0xFFFF
+
+let[@inline] is_ptr p = p land 0x8000_0000 <> 0
+let[@inline] ptr_table p = (p lsr 29) land 3
+let[@inline] ptr_row p = p land 0x7F_FFFF
+
 (* The Link Table scan takes one latch per page.  Under it, every
    entry whose LEL lies inside the page is filtered on its stored LEL
-   (an overflow sentinel 0xFFFF always passes: its true value comes
-   from [overflow] later) and the passing ones are collected, with
-   their payload when it lies in the page too.  Once the latch is
-   released the collected entries are resolved in order: true LEL,
-   then the payload (read with [get_u32] when it lies on the previous
-   page), then the bitmap test, so the bits [f] set for later entries
-   of the page count.
+   (an overflow sentinel always passes: its true value comes from
+   [overflow] later) and the passing ones are collected, with their
+   payload when it lies in the page too.  Once the latch is released
+   the collected entries are resolved in order: true LEL, then the
+   payload (read with [get_u32] when it lies on the previous page),
+   then a PTR's LD field, then the bitmap test, so the bits [f] set for
+   later entries of the page count.
 
    The pages touched, collapsed to runs of one page, stay those of
    latching the page for its LELs and then reading each passing
-   entry's payload with [get_u32] ahead of whatever [f] reads for it:
-   a payload read that would repeat the page just latched is skipped,
-   and one that follows a call of [f], which may have latched other
-   pages, is replayed by latching this page again.  So misses and
-   evictions are those of that field-by-field order.  An entry whose
-   LEL straddles a page boundary is read field by field. *)
-let lt_entry = 6
-let sentinel = 0xFFFF
-
-let scan_lt t ~off ~count ~min_lel ~overflow ~marks f =
+   entry's payload with [get_u32], and a PTR's LD field after it: a
+   payload read that would repeat the page just latched is skipped,
+   and one that follows an LD read or a call of [f], which may have
+   latched other pages, is replayed by latching this page again.  So
+   misses and evictions are those of that field-by-field order.  An
+   entry whose LEL straddles a page boundary is read field by field. *)
+let scan_lt t ~off ~count ~min_lel ~overflow ~rts ~row_bytes ~marks f =
   let ps = t.page_size in
-  let min_raw = Int.min min_lel sentinel in
+  let min_raw = Int.min min_lel overflow_sentinel in
   (* per collected entry: [i lsl 16 lor raw], and the payload or -1
      when it starts on the previous page *)
-  let hits = Array.make ((ps / lt_entry) + 1) 0 in
-  let payloads = Array.make ((ps / lt_entry) + 1) 0 in
+  let hits = Array.make ((ps / lt_entry_bytes) + 1) 0 in
+  let payloads = Array.make ((ps / lt_entry_bytes) + 1) 0 in
   let resolve i raw payload here pg =
     (* [here]: the last page touched is [pg], the page of the entry's
        LEL; the result is the same after this entry *)
-    let lel = if raw = sentinel then overflow i else raw in
+    let lel = if raw = overflow_sentinel then overflow i else raw in
     if lel < min_lel then here
     else begin
       let p, here =
@@ -128,10 +138,16 @@ let scan_lt t ~off ~count ~min_lel ~overflow ~marks f =
           (payload, true)
         end
         else
-          let o = off + (i * lt_entry) in
+          let o = off + (i * lt_entry_bytes) in
           (get_u32 t o, page t (o + 3) = pg)
       in
-      if p land 0x8000_0000 <> 0 || Xutil.Node_bits.mem marks p then begin
+      if is_ptr p then begin
+        let table = ptr_table p in
+        let dest = get_u32 rts.(table) (ptr_row p * row_bytes.(table)) in
+        if Xutil.Node_bits.mem marks dest then f i lel dest;
+        false
+      end
+      else if Xutil.Node_bits.mem marks p then begin
         f i lel p;
         false
       end
@@ -140,7 +156,7 @@ let scan_lt t ~off ~count ~min_lel ~overflow ~marks f =
   in
   let i = ref 0 in
   while !i < count do
-    let o = off + (!i * lt_entry) + 4 in
+    let o = off + (!i * lt_entry_bytes) + 4 in
     let pos = o mod ps in
     if pos + 2 > ps then begin
       let raw = get_u16 t o in
@@ -150,13 +166,13 @@ let scan_lt t ~off ~count ~min_lel ~overflow ~marks f =
     else begin
       let first = !i and start = o - pos and pg = page t o in
       let last =
-        Int.min (count - 1) ((start + ps - 2 - off - 4) / lt_entry)
+        Int.min (count - 1) ((start + ps - 2 - off - 4) / lt_entry_bytes)
       in
       let n =
         Buffer_pool.with_page t.pool pg ~dirty:false (fun b ->
             let n = ref 0 in
             for j = first to last do
-              let at = off + (j * lt_entry) - start in
+              let at = off + (j * lt_entry_bytes) - start in
               let raw = Bytes.get_uint16_le b (at + 4) in
               if raw >= min_raw then begin
                 hits.(!n) <- (j lsl 16) lor raw;

@@ -53,32 +53,60 @@ val get_u32 : t -> int -> int
 val set_u32 : t -> int -> int -> unit
 (** [set_u32 t off v] stores the low 32 bits of [v]. *)
 
+(** {2 The Link Table entry}
+
+    Figure 5's 6-byte entry, which {!scan_lt} walks and
+    {!Spine.Compact_store} lays out: a u32 payload, then a u16 LEL. *)
+
+val lt_entry_bytes : int
+(** [6]. *)
+
+val overflow_sentinel : int
+(** [0xFFFF]: a numeric label stored as this value holds a larger one,
+    kept in a side table. *)
+
+(** A payload with bit 31 clear is the link destination itself.  With
+    bit 31 set it is a PTR naming the node's Rib Table row (Figure 5's
+    PTR case), whose first u32, its LD field, holds the destination;
+    these two decode the row. *)
+
+val ptr_table : int -> int
+(** The Rib Table a PTR names, [0 .. 3] for RT1..RT4: bits 29-30. *)
+
+val ptr_row : int -> int
+(** The row a PTR names in its table: bits 0-22.  Its LD field lies at
+    byte [ptr_row p * row_bytes] of the table. *)
+
 val scan_lt :
   t -> off:int -> count:int -> min_lel:int -> overflow:(int -> int) ->
-  marks:Bytes.t -> (int -> int -> int -> unit) -> unit
-(** [scan_lt t ~off ~count ~min_lel ~overflow ~marks f] walks [count]
-    Link Table entries of 6 bytes from [off] (entry [i]: a u32 payload
-    at [off + 6 * i], then its u16 LEL) and calls [f i lel payload], in
-    ascending [i], for each entry whose LEL is at least [min_lel]
-    (a stored 0xFFFF is the overflow sentinel, read as [overflow i])
-    and whose payload either has bit 31 set or has its bit set in
-    [marks] ({!Xutil.Node_bits}) when the walk reaches the entry.
-    That is {!Spine.Compact_store.BYTES.scan_lt}'s contract.
+  rts:t array -> row_bytes:int array -> marks:Bytes.t ->
+  (int -> int -> int -> unit) -> unit
+(** [scan_lt t ~off ~count ~min_lel ~overflow ~rts ~row_bytes ~marks f]
+    walks [count] Link Table entries from [off] (entry [i] at
+    [off + 6 * i]) and calls [f i lel dest], in ascending [i], for each
+    entry whose LEL is at least [min_lel] (a stored {!overflow_sentinel}
+    read as [overflow i]) and whose link destination [dest] has its bit
+    set in [marks] ({!Xutil.Node_bits}) when the walk reaches the entry.
+    [dest] is the payload, or for a PTR (bit 31 set) the LD field of row
+    {!ptr_row} of table [rts.(ptr_table p)], whose rows are
+    [row_bytes.(ptr_table p)] bytes wide.  That is
+    {!Spine.Compact_store.BYTES.scan_lt}'s contract.
 
     The entries whose LEL lies inside one page are filtered and their
     payloads collected under a single {!Buffer_pool.with_page}; the
-    bits are tested and [f] is called after that latch is released, in
-    entry order, so [f] may itself touch other pages (of this or
-    another table) and a bit it sets counts for the later entries of
-    the same page.  A payload that starts on the previous page, and an
-    entry whose LEL straddles a page boundary, cost what {!get_u32} and
-    {!get_u16} do.  The distinct pages touched, in order and with
-    [f]'s accesses, are those of latching each page for its LELs and
-    reading every passing entry's payload with {!get_u32} before
-    calling [f]: a payload read that follows a call of [f] is replayed
-    as one more latch of the page.  So misses, evictions and device
-    I/O are those of that order and only the hit count falls.  [f]
-    must not write the scanned entries. *)
+    PTR rows are read, the bits tested and [f] called after that latch
+    is released, in entry order, so [f] may itself touch other pages
+    (of this or another table) and a bit it sets counts for the later
+    entries of the same page.  A payload that starts on the previous
+    page, an entry whose LEL straddles a page boundary and every LD
+    field cost what {!get_u32} and {!get_u16} do.  The distinct pages
+    touched, in order and with [f]'s accesses, are those of latching
+    each page for its LELs and reading every passing entry's payload
+    with {!get_u32}, then a PTR's LD field with {!get_u32}, before
+    calling [f]: a payload read that follows an LD read or a call of
+    [f] is replayed as one more latch of the page.  So misses,
+    evictions and device I/O are those of that order and only the hit
+    count falls.  [f] must not write the scanned entries or rows. *)
 
 val in_one_page : t -> off:int -> len:int -> bool
 (** [in_one_page t ~off ~len] holds when bytes [\[off, off + len)] lie

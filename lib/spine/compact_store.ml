@@ -61,10 +61,12 @@ module type BYTES = sig
 
   val scan_lt :
     t -> off:int -> count:int -> min_lel:int -> overflow:(int -> int) ->
-    marks:Bytes.t -> (int -> int -> int -> unit) -> unit
-  (** [f i lel payload] for each LT entry at [off + 6 * i], [i < count],
+    rts:t array -> row_bytes:int array -> marks:Bytes.t ->
+    (int -> int -> int -> unit) -> unit
+  (** [f i lel dest] for each LT entry at [off + 6 * i], [i < count],
       with [lel >= min_lel] (a stored 0xFFFF read as [overflow i]) and
-      either bit 31 of [payload] set or [payload]'s bit in [marks]. *)
+      [dest]'s bit in [marks], [dest] being the payload or a PTR's
+      row LD field in [rts]. *)
 
   val in_one_page : t -> off:int -> len:int -> bool
   (** Whether [\[off, off + len)] lies inside one page, so a record
@@ -76,8 +78,10 @@ module type BYTES = sig
       latch. *)
 end
 
-let lt_entry_bytes = 6
-let overflow_sentinel = 0xFFFF
+module Pb = Pagestore.Paged_bytes
+
+let lt_entry_bytes = Pb.lt_entry_bytes
+let overflow_sentinel = Pb.overflow_sentinel
 
 (* growable in-memory little-endian byte table *)
 module Btab = struct
@@ -115,21 +119,39 @@ module Btab = struct
   let get_u32 t off = Int32.to_int (Bytes.get_int32_le t.data off) land 0xFFFF_FFFF
   let set_u32 t off v = Bytes.set_int32_le t.data off (Int32.of_int v)
 
-  (* the occurrence scan's inner loop: LEL filter, payload read and
-     bitmap test with no callback but for candidates *)
-  let scan_lt t ~off ~count ~min_lel ~overflow ~marks f =
-    let data = t.data and min_raw = Int.min min_lel overflow_sentinel in
+  (* The occurrence scan's inner loop: LEL filter, payload read, a
+     PTR's row LD read and the bitmap test, calling out only for an
+     overflowed LEL, a PTR's decode and a candidate.  The constants
+     are bound outside the loop: read inside it, each would be a
+     load from another module's block per entry. *)
+  let scan_lt t ~off ~count ~min_lel ~overflow ~rts ~row_bytes ~marks f =
+    let data = t.data and sentinel = overflow_sentinel
+    and stride = lt_entry_bytes in
+    let min_raw = Int.min min_lel sentinel in
+    let o = ref off in
     for i = 0 to count - 1 do
-      let o = off + (i * lt_entry_bytes) in
-      let raw = Bytes.get_uint16_le data (o + 4) in
+      let raw = Bytes.get_uint16_le data (!o + 4) in
       if raw >= min_raw then begin
-        let lel = if raw = overflow_sentinel then overflow i else raw in
+        let lel = if raw = sentinel then overflow i else raw in
         if lel >= min_lel then begin
-          let p = Int32.to_int (Bytes.get_int32_le data o) land 0xFFFF_FFFF in
-          if p land 0x8000_0000 <> 0 || Xutil.Node_bits.mem marks p then
-            f i lel p
+          let p = Int32.to_int (Bytes.get_int32_le data !o) land 0xFFFF_FFFF in
+          let dest =
+            if p land 0x8000_0000 = 0 then p
+            else
+              let table = Pb.ptr_table p in
+              Int32.to_int
+                (Bytes.get_int32_le rts.(table).data
+                   (Pb.ptr_row p * row_bytes.(table)))
+              land 0xFFFF_FFFF
+          in
+          (* [Xutil.Node_bits.mem] written out: dune's default profile
+             compiles every library [-opaque], so that call is never
+             inlined, and it would be a call per passing entry *)
+          if Bytes.get_uint8 marks (dest lsr 3) land (1 lsl (dest land 7)) <> 0
+          then f i lel dest
         end
-      end
+      end;
+      o := !o + stride
     done
 
   (* one buffer serves any range, but a callback costs more than the
@@ -230,16 +252,18 @@ module Core (B : BYTES) = struct
 
   (* --- LT payload packing ---
      bit 31: has-row; if set: bits 30-29 table, 28-24 fanout,
-     23 extrib-present, 22-0 row index. Otherwise bits 30-0 = dest. *)
+     23 extrib-present, 22-0 row index. Otherwise bits 30-0 = dest.
+     The table and row fields decode in {!Pagestore.Paged_bytes}, whose
+     Link Table scan reads them too. *)
 
   let lt_off node = node * lt_entry_bytes
   let lt_payload t node = B.get_u32 t.lt (lt_off node)
   let set_lt_payload t node v = B.set_u32 t.lt (lt_off node) v
 
-  let ptr_table p = (p lsr 29) land 3
+  let ptr_table = Pb.ptr_table
   let ptr_fanout p = (p lsr 24) land 0x1F
   let ptr_extrib p = (p lsr 23) land 1 = 1
-  let ptr_row p = p land 0x7F_FFFF
+  let ptr_row = Pb.ptr_row
 
   let pack_ptr ~table ~fanout ~extrib ~row =
     assert (row < 0x80_0000);
@@ -273,14 +297,17 @@ module Core (B : BYTES) = struct
     if raw = overflow_sentinel then Xutil.Int_tbl.find t.overflow key
     else raw
 
-  let write_label t set key v =
+  (* the u16 field at [off] of [tab]; the table and offset are passed
+     apart, not as a partially applied setter, which would allocate a
+     closure per write *)
+  let write_label t tab off key v =
     if v >= overflow_sentinel then begin
-      set overflow_sentinel;
+      B.set_u16 tab off overflow_sentinel;
       set_overflow t key v
     end
     else begin
       drop_overflow t key;
-      set v
+      B.set_u16 tab off v
     end
 
   (* Unique keys per logical label field: LT LELs even, RT fields odd.
@@ -303,7 +330,7 @@ module Core (B : BYTES) = struct
     read_label t (B.get_u16 t.lt (lt_off node + 4)) (lt_lel_key node)
 
   let set_lt_lel t node v =
-    write_label t (B.set_u16 t.lt (lt_off node + 4)) (lt_lel_key node) v
+    write_label t t.lt (lt_off node + 4) (lt_lel_key node) v
 
   (* --- RT rows --- *)
 
@@ -326,8 +353,7 @@ module Core (B : BYTES) = struct
       (rt_label_key ~table ~row ~slot)
 
   let set_slot_pt t table row slot v =
-    write_label t
-      (B.set_u16 t.rts.(table) (slot_off t table row slot + 4))
+    write_label t t.rts.(table) (slot_off t table row slot + 4)
       (rt_label_key ~table ~row ~slot) v
 
   (* packed rib character labels; a 3-bit label may straddle two
@@ -353,10 +379,10 @@ module Core (B : BYTES) = struct
     in
     let shift = base_bit mod 8 in
     let mask = ((1 lsl bits) - 1) lsl shift in
-    let merge v = (v land lnot mask) lor ((cl lsl shift) land mask) in
+    let label = (cl lsl shift) land mask and tab = t.rts.(table) in
     if shift + bits <= 8 then
-      B.set_u8 t.rts.(table) off (merge (B.get_u8 t.rts.(table) off))
-    else B.set_u16 t.rts.(table) off (merge (B.get_u16 t.rts.(table) off))
+      B.set_u8 tab off ((B.get_u8 tab off land lnot mask) lor label)
+    else B.set_u16 tab off ((B.get_u16 tab off land lnot mask) lor label)
 
   let row_prt t table row =
     read_label t
@@ -364,8 +390,7 @@ module Core (B : BYTES) = struct
       (prt_key ~table ~row)
 
   let set_row_prt t table row v =
-    write_label t
-      (B.set_u16 t.rts.(table) (row_off t table row + t.lo.prt_off.(table)))
+    write_label t t.rts.(table) (row_off t table row + t.lo.prt_off.(table))
       (prt_key ~table ~row) v
 
   (* --- RT rows under one latch ---
@@ -479,18 +504,14 @@ module Core (B : BYTES) = struct
   let link_lel = lt_lel
 
   (* The Link Table walk: the byte table filters on LEL (an overflowed
-     one resolved through the overflow table), reads the payload and
-     tests a link destination's bit itself; a row-holding payload comes
-     back here, and its LD field is read as [link_dest] reads it. *)
+     one resolved through the overflow table), reads the link
+     destination, a row-holding node's from its row's LD field, and
+     tests its bit, all itself. *)
   let scan_links t ~from ~min_lel ~marks f =
     B.scan_lt t.lt ~off:(lt_off from) ~count:(length t + 1 - from) ~min_lel
       ~overflow:(fun i -> Xutil.Int_tbl.find t.overflow (lt_lel_key (from + i)))
-      ~marks
-      (fun i lel p ->
-        if p land 0x8000_0000 = 0 then f (from + i) lel p
-        else
-          let dest = row_ld t (ptr_table p) (ptr_row p) in
-          if Xutil.Node_bits.mem marks dest then f (from + i) lel dest)
+      ~rts:t.rts ~row_bytes:t.lo.row_bytes ~marks
+      (fun i lel dest -> f (from + i) lel dest)
 
   let set_link t node ~dest ~lel =
     set_lt_lel t node lel;
@@ -503,6 +524,23 @@ module Core (B : BYTES) = struct
   (* ribs occupy slots 0 .. ribs-1; the extrib, if present, slot k-1 *)
   let rib_count t p = fanout t p - (if ptr_extrib p then 1 else 0)
 
+  (* The rib slot of [table]'s row [row] labelled [code], from [slot]
+     up to [ribs], by the record path ([rec_slot], the row at [base] of
+     [b]) or field by field ([field_slot]).  Top-level functions, not
+     local ones: a local recursive function is a closure allocated per
+     lookup. *)
+  let rec rec_slot t b base table row ribs code slot =
+    if slot >= ribs then None
+    else if rec_cl t b base table slot = code then
+      Some (rec_rd b base slot, rec_pt t b base table row slot)
+    else rec_slot t b base table row ribs code (slot + 1)
+
+  let rec field_slot t table row ribs code slot =
+    if slot >= ribs then None
+    else if slot_cl t table row slot = code then
+      Some (slot_rd t table row slot, slot_pt t table row slot)
+    else field_slot t table row ribs code (slot + 1)
+
   let find_rib t node code =
     let p = lt_payload t node in
     if p land 0x8000_0000 = 0 then None
@@ -513,21 +551,8 @@ module Core (B : BYTES) = struct
       if ribs = 0 then None
       else if row_in_page t table row then
         read_row t table row (fun b base ->
-            let rec scan slot =
-              if slot >= ribs then None
-              else if rec_cl t b base table slot = code then
-                Some (rec_rd b base slot, rec_pt t b base table row slot)
-              else scan (slot + 1)
-            in
-            scan 0)
-      else
-        let rec scan slot =
-          if slot >= ribs then None
-          else if slot_cl t table row slot = code then
-            Some (slot_rd t table row slot, slot_pt t table row slot)
-          else scan (slot + 1)
-        in
-        scan 0
+            rec_slot t b base table row ribs code 0)
+      else field_slot t table row ribs code 0
     end
 
   let find_extrib t node =
@@ -700,7 +725,8 @@ let create ?(capacity = 1024) ?separator alphabet =
   let t =
     make ?separator
       ~seq:(Bioseq.Packed_seq.create ~capacity alphabet)
-      ~lt:(Btab.create (capacity * lt_entry_bytes))
+      (* one entry per node: the root and [capacity] appended ones *)
+      ~lt:(Btab.create ((capacity + 1) * lt_entry_bytes))
       ~rts:(Array.map (fun b -> Btab.create (64 * b)) lo.row_bytes)
       alphabet
   in

@@ -37,37 +37,43 @@ module type BYTES = sig
 
   val scan_lt :
     t -> off:int -> count:int -> min_lel:int -> overflow:(int -> int) ->
-    marks:Bytes.t -> (int -> int -> int -> unit) -> unit
-  (** [scan_lt t ~off ~count ~min_lel ~overflow ~marks f] walks the
-      [count] Link Table entries at [off + 6 * i] ({!lt_entry_bytes}
-      each: a u32 payload, then a u16 LEL) and calls [f i lel payload],
-      in ascending [i], for each entry whose LEL is at least [min_lel]
-      and whose payload is a candidate:
-      - a payload with bit 31 clear is the link destination itself,
-        and a candidate when its bit in [marks] ({!Xutil.Node_bits}) is
-        set;
+    rts:t array -> row_bytes:int array -> marks:Bytes.t ->
+    (int -> int -> int -> unit) -> unit
+  (** [scan_lt t ~off ~count ~min_lel ~overflow ~rts ~row_bytes ~marks f]
+      walks the [count] Link Table entries at [off + 6 * i]
+      ({!lt_entry_bytes} each: a u32 payload, then a u16 LEL) and calls
+      [f i lel dest], in ascending [i], for each entry whose LEL is at
+      least [min_lel] and whose link destination [dest] has its bit set
+      in [marks] ({!Xutil.Node_bits}).  The table resolves [dest]
+      itself:
+      - a payload with bit 31 clear is the link destination;
       - a payload with bit 31 set names the node's RT row (Figure 5's
-        PTR case) and is always a candidate: the caller reads the
-        row's LD field and tests its bit.
+        PTR case, decoded by {!Pagestore.Paged_bytes.ptr_table} and
+        {!Pagestore.Paged_bytes.ptr_row}), and the destination is that
+        row's LD field: the u32 at [row * row_bytes.(table)] of
+        [rts.(table)].
+      So [f] only ever sees true link destinations of candidates.
 
       An LEL stored as the overflow sentinel ([0xFFFF]) is compared at
       its true value [overflow i]; [f] receives the true value.  The
       bitmap is live: each entry's bit is tested when the walk reaches
       it, after [f] has run for every earlier candidate, so a bit [f]
       sets counts for every later entry.  [f] must not write the
-      table.
+      tables.
 
       It is the occurrence scan's inner loop behind
       {!Store_sig.S.scan_links}, the one column-scan primitive: the
-      in-memory table runs it as one loop of direct reads, calling
-      back only for candidates.  A paged table takes one pool latch
-      per page, filters that page's entries by LEL and collects their
-      payloads under it, then tests the bits in entry order after
-      releasing it, so [f] may latch other pages.  The sequence of
-      distinct pages it touches, [f]'s reads included, is that of
-      latching each page for its LELs and then reading every passing
-      entry's payload with {!get_u32} before the row it may name; only
-      the pool's hit count is lower. *)
+      in-memory table runs it as one loop of direct reads of the LT
+      and RT buffers, with the bit test written out, and calls out
+      only for an overflowed LEL and for candidates.  A paged table
+      takes one pool latch per page, filters that page's entries by
+      LEL and collects their payloads under it, then reads PTR rows
+      and tests the bits in entry order after releasing it, so [f] may
+      latch other pages.  The sequence of distinct pages it touches,
+      [f]'s reads included, is that of latching each page for its LELs
+      and then reading every passing entry's payload, and a PTR's LD
+      field after it, with {!get_u32}; only the pool's hit count is
+      lower. *)
 
   val in_one_page : t -> off:int -> len:int -> bool
   (** [in_one_page t ~off ~len] holds when a record read of bytes

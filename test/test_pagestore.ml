@@ -500,9 +500,45 @@ module Pb = Pagestore.Paged_bytes
 
 let is_row p = p land 0x8000_0000 <> 0
 
+(* The scan's Rib Table fixture: the four tables at DNA's row widths,
+   [rt_rows] rows each, the LD field of row [row] of table [table]
+   holding [rt_ld ~count table row], a node below [count].  A row
+   payload is Figure 5's PTR: bit 31 set, the table in bits 29-30, the
+   row in bits 0-22 and, in between, fanout and extrib bits the scan
+   must ignore ([junk]). *)
+let rt_row_bytes = [| 13; 19; 25; 31 |]
+let rt_rows = 8
+let rt_ld ~count table row = ((table * 31) + (row * 7) + 3) mod count
+
+let row_payload ~table ~row ~junk =
+  0x8000_0000 lor (table lsl 29) lor ((junk land 0x3F) lsl 23) lor row
+
+(* the link destination a payload stands for *)
+let dest_of ~count p =
+  if is_row p then rt_ld ~count ((p lsr 29) land 3) (p land 0x7F_FFFF)
+  else p
+
+(* The fixture's tables, paged in [pool] from [base_page] on (a hundred
+   pages per table) and in memory. *)
+let rt_tables pool ~count ~base_page =
+  let pbs =
+    Array.init 4 (fun k -> paged_table pool ~base_page:(base_page + (100 * k)))
+  in
+  let bts = Array.init 4 (fun _ -> Btab.create 0) in
+  Array.iteri
+    (fun table width ->
+      for row = 0 to rt_rows - 1 do
+        let o = Pb.alloc pbs.(table) width in
+        ignore (Btab.alloc bts.(table) width);
+        Pb.set_u32 pbs.(table) o (rt_ld ~count table row);
+        Btab.set_u32 bts.(table) o (rt_ld ~count table row)
+      done)
+    rt_row_bytes;
+  (pbs, bts)
+
 (* Deterministic LT entries [(payload, stored LEL)] over [count]
-   nodes: a third of the payloads name an RT row (bit 31 set), the
-   rest are link destinations below [count]; one LEL in ten is the
+   nodes: a third of the payloads name a row of the Rib Table fixture,
+   the rest are link destinations below [count]; one LEL in ten is the
    overflow sentinel, whose true value [overflow i] is at least
    0xFFFF. *)
 let lt_entries ~seed count =
@@ -510,7 +546,9 @@ let lt_entries ~seed count =
   Array.init count (fun _ ->
       let payload =
         if Random.State.int rng 3 = 0 then
-          0x8000_0000 lor Random.State.int rng 0x80_0000
+          let table = Random.State.int rng 4 in
+          let row = Random.State.int rng rt_rows in
+          row_payload ~table ~row ~junk:(Random.State.int rng 64)
         else Random.State.int rng count
       in
       let lel =
@@ -539,14 +577,16 @@ let lt_tables pool ~at entries =
     entries;
   (pb, bt)
 
-(* The contract, entry by entry: the candidates in order, with the
-   bitmap tested as each entry is reached. *)
+(* The contract, entry by entry: the candidates in order, a row
+   payload resolved to its row's LD field, with the bitmap tested as
+   each entry is reached. *)
 let lt_reference entries ~from ~min_lel ~marks f =
-  for i = 0 to Array.length entries - from - 1 do
+  let count = Array.length entries in
+  for i = 0 to count - from - 1 do
     let payload, raw = entries.(from + i) in
     let lel = if raw = 0xFFFF then lt_overflow (from + i) else raw in
-    if lel >= min_lel && (is_row payload || Xutil.Node_bits.mem marks payload)
-    then f i lel payload
+    let dest = dest_of ~count payload in
+    if lel >= min_lel && Xutil.Node_bits.mem marks dest then f i lel dest
   done
 
 let random_marks ~seed count =
@@ -559,15 +599,16 @@ let random_marks ~seed count =
 
 (* A callback that records each candidate and, like the occurrence
    scan marking its hits, sets the bits of the link destinations of
-   the next two entries, so they become candidates only when the walk
-   tests the live bitmap. *)
+   the next two entries (a row's LD field included), so they become
+   candidates only when the walk tests the live bitmap. *)
 let recording entries ~from marks =
+  let count = Array.length entries in
   let seen = ref [] in
-  let f i lel payload =
-    seen := (i, lel, payload) :: !seen;
-    for k = from + i + 1 to min (Array.length entries - 1) (from + i + 2) do
+  let f i lel dest =
+    seen := (i, lel, dest) :: !seen;
+    for k = from + i + 1 to min (count - 1) (from + i + 2) do
       let p, _ = entries.(k) in
-      if not (is_row p) then Xutil.Node_bits.set marks p
+      Xutil.Node_bits.set marks (dest_of ~count p)
     done
   in
   (seen, f)
@@ -575,9 +616,14 @@ let recording entries ~from marks =
 (* On pages that entries straddle in every way (8 and 16 bytes, the
    LEL itself split at odd paddings) and on wider ones, the paged and
    the in-memory scan hand over exactly the reference's candidates,
-   overflowed LELs and row payloads included, also when the callback
-   marks entries further down the same page. *)
+   overflowed LELs and rows of all four Rib Tables included, also when
+   the callback marks entries further down the same page. *)
 let test_scan_lt_parity () =
+  (* the decode at the fields' edges, which no fixture row reaches:
+     RT4, the widest row index, every fanout and extrib bit set *)
+  let edge = row_payload ~table:3 ~row:0x7F_FFFF ~junk:63 in
+  Alcotest.(check (pair int int)) "PTR decode at the edges" (3, 0x7F_FFFF)
+    (Pb.ptr_table edge, Pb.ptr_row edge);
   let count = 80 in
   let entries = lt_entries ~seed:11 count in
   let run scan ~from ~min_lel ~seed =
@@ -594,6 +640,7 @@ let test_scan_lt_parity () =
             (Pagestore.Device.create ~page_size ())
         in
         let pb, bt = lt_tables pool ~at entries in
+        let prts, brts = rt_tables pool ~count ~base_page:10_000 in
         List.iter
           (fun (from, min_lel) ->
             let label =
@@ -608,13 +655,15 @@ let test_scan_lt_parity () =
             let btab =
               run
                 (fun ~from:_ ~min_lel ~marks f ->
-                  Btab.scan_lt bt ~off ~count ~min_lel ~overflow ~marks f)
+                  Btab.scan_lt bt ~off ~count ~min_lel ~overflow ~rts:brts
+                    ~row_bytes:rt_row_bytes ~marks f)
                 ~from ~min_lel ~seed:page_size
             in
             let paged =
               run
                 (fun ~from:_ ~min_lel ~marks f ->
-                  Pb.scan_lt pb ~off ~count ~min_lel ~overflow ~marks f)
+                  Pb.scan_lt pb ~off ~count ~min_lel ~overflow ~rts:prts
+                    ~row_bytes:rt_row_bytes ~marks f)
                 ~from ~min_lel ~seed:page_size
             in
             let triple = Alcotest.(list (triple int int int)) in
@@ -628,18 +677,33 @@ let test_scan_lt_parity () =
 (* One latch per page: with nothing passing, the scan's pool accesses
    are the pages holding an in-page LEL plus the two byte latches of
    each LEL that straddles a page.  With every entry passing but none a
-   candidate, only the payloads that start on an earlier page than
-   their LEL add reads, what [get_u32] costs for them. *)
+   candidate, the payloads that start on an earlier page than their
+   LEL add what [get_u32] costs for them, every row payload adds what
+   [get_u32] costs for its row's LD field, and the next entry of the
+   same page, when its payload lies on that page, one latch to return
+   to it. *)
 let test_scan_lt_one_latch_per_page () =
   let page_size = 16 and count = 40 and at = 1 in
-  let entries = Array.init count (fun i -> (count + i, i + 1)) in
+  let entries =
+    Array.init count (fun i ->
+        let payload =
+          if i mod 3 = 1 then row_payload ~table:(i mod 4) ~row:(i mod rt_rows) ~junk:i
+          else count + i
+        in
+        (payload, i + 1))
+  in
   let pool =
     Pagestore.Buffer_pool.create ~frames:4 (Pagestore.Device.create ~page_size ())
   in
   let pb, _ = lt_tables pool ~at entries in
+  let rts, _ = rt_tables pool ~count ~base_page:1_000 in
   let lel i = at + (6 * i) + 4 and payload i = at + (6 * i) in
   let straddles i = (lel i mod page_size) + 2 > page_size in
+  let field_cost off =
+    if off / page_size = (off + 3) / page_size then 1 else 4
+  in
   let fields = List.init count Fun.id in
+  let rows = List.filter (fun i -> is_row (fst entries.(i))) fields in
   let straddling = List.length (List.filter straddles fields) in
   let pages =
     List.sort_uniq compare
@@ -650,16 +714,35 @@ let test_scan_lt_one_latch_per_page () =
   let payload_reads =
     List.fold_left
       (fun acc i ->
-        let first = payload i / page_size and last = (payload i + 3) / page_size in
+        let first = payload i / page_size in
         if straddles i then acc + 1
         else if first = lel i / page_size then acc
-        else acc + if first = last then 1 else 4)
+        else acc + field_cost (payload i))
       0 fields
+  in
+  let ld_reads =
+    List.fold_left
+      (fun acc i ->
+        let p = fst entries.(i) in
+        acc + field_cost ((p land 0x7F_FFFF) * rt_row_bytes.((p lsr 29) land 3)))
+      0 rows
+  in
+  let returns =
+    List.length
+      (List.filter
+         (fun i ->
+           let next = i + 1 in
+           next < count && (not (straddles i)) && (not (straddles next))
+           && lel next / page_size = lel i / page_size
+           && payload next / page_size = lel next / page_size)
+         rows)
   in
   let pages = List.length pages in
   if straddling = 0 then Alcotest.fail "the layout must split some LELs";
   if pages >= count - straddling then
     Alcotest.fail "the layout must put several LELs on a page";
+  if returns = 0 then
+    Alcotest.fail "some row must be followed by an entry of its page";
   let accesses () =
     let s = Pagestore.Buffer_pool.stats pool in
     s.Pagestore.Buffer_pool.hits + s.Pagestore.Buffer_pool.misses
@@ -667,46 +750,49 @@ let test_scan_lt_one_latch_per_page () =
   let marks = Bytes.make ((2 * count + 7) / 8) '\000' in
   let scan min_lel =
     let before = accesses () and n = ref 0 in
-    Pb.scan_lt pb ~off:at ~count ~min_lel ~overflow:lt_overflow ~marks
-      (fun _ _ _ -> incr n);
+    Pb.scan_lt pb ~off:at ~count ~min_lel ~overflow:lt_overflow ~rts
+      ~row_bytes:rt_row_bytes ~marks (fun _ _ _ -> incr n);
     Alcotest.(check int) "no candidate" 0 !n;
     accesses () - before
   in
   Alcotest.(check int) "nothing passes" (pages + (2 * straddling))
     (scan (count + 1));
   Alcotest.(check int) "everything passes, no candidate"
-    (pages + (2 * straddling) + payload_reads)
+    (pages + (2 * straddling) + payload_reads + ld_reads + returns)
     (scan 0)
 
 (* The callback runs outside the scan's latch: reading another table
    through a 2-frame pool from inside it evicts the scanned page, and
-   both tables still read back correctly. *)
+   the scanned table, its rows' LD fields and the other table all
+   still read back correctly. *)
 let test_scan_lt_callback_reads () =
   let d = Pagestore.Device.create ~page_size:16 () in
   let p = Pagestore.Buffer_pool.create ~frames:2 d in
   let col = paged_table p ~base_page:0 in
   let other = paged_table p ~base_page:100 in
+  let rt = paged_table p ~base_page:200 in
   let count = 60 in
   for i = 0 to count - 1 do
     let o = Pb.alloc col 6 in
-    Pb.set_u32 col o (0x8000_0000 lor i);
+    Pb.set_u32 col o (row_payload ~table:0 ~row:i ~junk:i);
     Pb.set_u16 col (o + 4) (i * 3);
+    Pb.set_u32 rt (Pb.alloc rt rt_row_bytes.(0)) (count + i);
     Pb.set_u32 other (Pb.alloc other 4) (1_000_000 + i)
   done;
+  let marks = Bytes.make ((2 * count + 7) / 8) '\255' in
   let seen = ref [] in
   Pb.scan_lt col ~off:0 ~count ~min_lel:30 ~overflow:lt_overflow
-    ~marks:Bytes.empty (fun i lel payload ->
+    ~rts:[| rt |] ~row_bytes:rt_row_bytes ~marks (fun i lel dest ->
       (* two far pages of the other table: both frames change hands *)
       let far = Pb.get_u32 other (4 * (count - 1 - i)) in
       let near = Pb.get_u32 other (4 * i) in
-      seen := (i, lel, payload, far, near) :: !seen);
+      seen := (i, lel, dest, far, near) :: !seen);
   let expected =
     List.filter_map
       (fun i ->
         if i * 3 >= 30 then
           Some
-            (i, i * 3, 0x8000_0000 lor i, 1_000_000 + count - 1 - i,
-             1_000_000 + i)
+            (i, i * 3, count + i, 1_000_000 + count - 1 - i, 1_000_000 + i)
         else None)
       (List.init count Fun.id)
   in
@@ -718,14 +804,21 @@ let test_scan_lt_callback_reads () =
 
 (* The page order the scan keeps: latch each page once for the LELs
    lying inside it, then, for every passing entry, read its payload
-   with [get_u32] and call [f] on candidates.  [read_record] stands in
-   for the page latch. *)
-let lt_field_order pb ~page_size ~off ~count ~min_lel ~overflow ~marks f =
+   with [get_u32], a row's LD field with [get_u32] after it, and call
+   [f] on candidates.  [read_record] stands in for the page latch. *)
+let lt_field_order pb ~page_size ~off ~count ~min_lel ~overflow ~rts
+    ~row_bytes ~marks f =
   let visit i raw =
     let lel = if raw = 0xFFFF then overflow i else raw in
     if lel >= min_lel then begin
       let p = Pb.get_u32 pb (off + (6 * i)) in
-      if is_row p || Xutil.Node_bits.mem marks p then f i lel p
+      let dest =
+        if is_row p then
+          let table = (p lsr 29) land 3 in
+          Pb.get_u32 rts.(table) ((p land 0x7F_FFFF) * row_bytes.(table))
+        else p
+      in
+      if Xutil.Node_bits.mem marks dest then f i lel dest
     end
   in
   let i = ref 0 in
@@ -750,10 +843,10 @@ let lt_field_order pb ~page_size ~off ~count ~min_lel ~overflow ~marks f =
   done
 
 (* Misses and evictions do not depend on the scan's latching: on tiny
-   pools, with a callback that reads a row of another table for every
-   row payload (as the store's row LD read does) and marks entries
-   further down, the device reads the same pages in the same order as
-   under the field-by-field order, and the scan takes fewer latches. *)
+   pools, with row payloads into all four Rib Tables (whose LD fields
+   the scan reads itself) and a callback that marks entries further
+   down, the device reads the same pages in the same order as under
+   the field-by-field order, and the scan takes fewer latches. *)
 let test_scan_lt_page_order () =
   let count = 120 in
   let entries =
@@ -765,8 +858,7 @@ let test_scan_lt_page_order () =
         let d = Pagestore.Device.create ~page_size () in
         let pool = Pagestore.Buffer_pool.create ~frames d in
         let pb, _ = lt_tables pool ~at entries in
-        let rows = paged_table pool ~base_page:10_000 in
-        ignore (Pb.alloc rows (13 * 64));
+        let rts, _ = rt_tables pool ~count ~base_page:10_000 in
         Pagestore.Buffer_pool.drop pool;
         Pagestore.Buffer_pool.reset_stats pool;
         let reads = ref [] in
@@ -776,11 +868,8 @@ let test_scan_lt_page_order () =
                on_write = (fun ~page:_ ~phys:_ -> Pagestore.Device.Write_through) });
         let marks = random_marks ~seed:page_size count in
         let seen, record = recording entries ~from:0 marks in
-        scan pb ~off:at ~count ~min_lel:96 ~overflow:lt_overflow ~marks
-          (fun i lel p ->
-            if is_row p then
-              ignore (Pb.get_u32 rows (13 * (p land 63)));
-            record i lel p);
+        scan pb ~off:at ~count ~min_lel:96 ~overflow:lt_overflow ~rts
+          ~row_bytes:rt_row_bytes ~marks record;
         let s = Pagestore.Buffer_pool.stats pool in
         (List.rev !reads, s.Pagestore.Buffer_pool.evictions,
          s.Pagestore.Buffer_pool.hits, List.rev !seen)
@@ -793,6 +882,8 @@ let test_scan_lt_page_order () =
       Alcotest.(check (list int)) ("device reads " ^ label) reads reads';
       Alcotest.(check int) ("evictions " ^ label) evictions evictions';
       Alcotest.(check bool) ("candidates " ^ label) true (seen = seen');
+      if not (List.exists (fun (i, _, _) -> is_row (fst entries.(i))) seen)
+      then Alcotest.failf "%s: no row among the candidates" label;
       if hits' > hits then
         Alcotest.failf "%s: %d hits, more than the field order's %d" label
           hits' hits)
@@ -882,6 +973,87 @@ let test_scan_links_reference () =
         (Printf.sprintf "paged at %d-byte pages" page_size)
         (P.scan_links paged) (P.link_lel paged) (P.link_dest paged))
     [ 8; 16; 64; 128 ]
+
+(* The three stores' Link Table walks agree candidate for candidate:
+   the compact store (row links resolved in its byte table's loop),
+   the paged store at 8-, 16- and 128-byte pages behind a 4-frame pool
+   and the hashtable store (a plain link column), on a DNA text whose
+   nodes hold rows in all four Rib Tables and one of whose row-holding
+   nodes has an overflowed LEL. *)
+let test_scan_links_stores_agree () =
+  let rng = Random.State.make [| 29 |] in
+  let n = 1500 in
+  let text = String.init n (fun _ -> "acgt".[Random.State.int rng 4]) in
+  let seq = Bioseq.Packed_seq.of_string Bioseq.Alphabet.dna text in
+  let module CS = Spine.Compact_store in
+  let module P = Spine.Paged_store.P in
+  let module H = Experiments.Hashtable_store in
+  let compact = Spine.Compact.of_seq seq in
+  Array.iteri
+    (fun table rows ->
+      if rows = 0 then Alcotest.failf "no row in RT%d" (table + 1))
+    compact.CS.live_rows;
+  let holds_row node =
+    CS.find_extrib compact node <> None
+    || CS.fold_ribs compact node ~init:false ~f:(fun _ _ _ _ -> true)
+  in
+  let overflowed =
+    List.find (fun node -> node > n / 2 && holds_row node) (List.init n succ)
+  in
+  let dest = CS.link_dest compact overflowed and big_lel = 0x1_2345 in
+  let hashtable = H.of_seq seq in
+  let paged page_size =
+    let pool =
+      Pagestore.Buffer_pool.create ~frames:4
+        (Pagestore.Device.create ~page_size ())
+    in
+    let t = Spine.Paged_store.create pool Bioseq.Alphabet.dna in
+    Spine.Paged_store.append_seq t seq;
+    P.set_link t overflowed ~dest ~lel:big_lel;
+    t
+  in
+  CS.set_link compact overflowed ~dest ~lel:big_lel;
+  H.set_link hashtable overflowed ~dest ~lel:big_lel;
+  let run scan ~from ~min_lel ~marks =
+    let marks = Bytes.copy marks and seen = ref [] in
+    scan ~from ~min_lel ~marks (fun node lel dest ->
+        seen := (node, lel, dest) :: !seen;
+        (* mark the next node's link, as the occurrence scan marks hits *)
+        if node < n then Xutil.Node_bits.set marks (H.link_dest hashtable (node + 1)));
+    List.rev !seen
+  in
+  let all = Bytes.make ((n + 8) / 8) '\255' in
+  let cases =
+    List.concat_map
+      (fun (from, min_lel) ->
+        [ (from, min_lel, random_marks ~seed:(from + min_lel) (n + 1));
+          (from, min_lel, all) ])
+      [ (0, 0); (1, 3); (100, 6); (0, 9); (overflowed, 0xFFFF); (0, 0x10000);
+        (n, 0) ]
+  in
+  let expected =
+    List.map
+      (fun (from, min_lel, marks) ->
+        run (CS.scan_links compact) ~from ~min_lel ~marks)
+      cases
+  in
+  if not (List.exists (List.exists (fun (node, lel, _) ->
+              node = overflowed && lel = big_lel)) expected)
+  then Alcotest.fail "the overflowed node must be a candidate";
+  let agree what scan =
+    List.iter2
+      (fun (from, min_lel, marks) expected ->
+        Alcotest.(check (list (triple int int int)))
+          (Printf.sprintf "%s, from %d, min_lel %d" what from min_lel)
+          expected (run scan ~from ~min_lel ~marks))
+      cases expected
+  in
+  agree "hashtable" (H.scan_links hashtable);
+  List.iter
+    (fun page_size ->
+      agree (Printf.sprintf "paged at %d-byte pages" page_size)
+        (P.scan_links (paged page_size)))
+    [ 8; 16; 128 ]
 
 (* --- records --- *)
 
@@ -1044,6 +1216,8 @@ let suite =
       test_scan_lt_page_order
   ; Alcotest.test_case "store link scan matches the field reference" `Quick
       test_scan_links_reference
+  ; Alcotest.test_case "store link scans agree across the three stores" `Quick
+      test_scan_links_stores_agree
   ; Alcotest.test_case "paged bytes capacity is typed" `Quick
       test_paged_bytes_capacity
   ; Alcotest.test_case "paged bytes records: in-page only, field parity" `Quick

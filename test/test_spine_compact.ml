@@ -240,6 +240,48 @@ let test_row_layouts () =
   check ~separator:true "dna with the separator" [| 13; 19; 26; 38 |]
     Bioseq.Alphabet.dna
 
+(* [n] characters of the ECO corpus profile, the benchmark's text *)
+let eco_text n =
+  let c = Bioseq.Corpus.eco in
+  Bioseq.Synthetic.genomic ~profile:c.Bioseq.Corpus.profile
+    c.Bioseq.Corpus.alphabet (Bioseq.Rng.create c.Bioseq.Corpus.seed) n
+
+(* The per-character build path allocates no closure: [of_seq]
+   allocates at most 12 minor words per appended character (the
+   option results of the rib and extrib lookups remain).  A partially
+   applied label setter, a local recursive rib search or a local label
+   merge on that path costs several times as much. *)
+let test_build_allocation () =
+  let n = 20_000 in
+  let seq = eco_text n in
+  let before = Gc.minor_words () in
+  let c = C.of_seq seq in
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  ignore (Sys.opaque_identity c);
+  if words > 12. then
+    Alcotest.failf "%.1f minor words per character, more than 12" words
+
+(* [of_seq] and [of_string] size the Link Table for every node, the
+   root included, so no append regrows it: the table holds exactly one
+   buffer of [6 (n + 1)] bytes, not the doubled one a regrowth on the
+   last append leaves. *)
+let test_lt_presized () =
+  let n = 5_000 in
+  let bytes = 6 * (n + 1) in
+  let check what c =
+    Alcotest.(check int) (what ^ ": LT bytes in use") bytes
+      (CS.space c).CS.lt_bytes;
+    (* the table's record (header and two fields), then the buffer's
+       header and its bytes with OCaml's padding byte, in words *)
+    Alcotest.(check int) (what ^ ": LT words") (3 + 1 + ((bytes + 8) / 8))
+      (Obj.reachable_words (Obj.repr c.CS.lt))
+  in
+  let seq = eco_text n in
+  check "of_seq" (C.of_seq seq);
+  check "of_string"
+    (C.of_string Bioseq.Alphabet.dna
+       (Bioseq.Packed_seq.sub_string seq ~pos:0 ~len:n))
+
 let suite =
   [ Alcotest.test_case "compact/reference parity" `Quick test_parity_random
   ; Alcotest.test_case "space accounting" `Quick test_space_accounting
@@ -254,4 +296,8 @@ let suite =
       test_wide_rows
   ; Alcotest.test_case "row layouts of persisted alphabets" `Quick
       test_row_layouts
+  ; Alcotest.test_case "build allocates no closure per character" `Quick
+      test_build_allocation
+  ; Alcotest.test_case "Link Table presized for every node" `Quick
+      test_lt_presized
   ]
